@@ -96,7 +96,6 @@ pub struct UdpResolverServer {
     upstream_addr: SocketAddr,
     config: ResolverConfig,
     workers: usize,
-    batch: usize,
     cache_shards: usize,
     upstream_timeout: Duration,
     upstream_faults: Option<(TransportFaults, u64)>,
@@ -122,7 +121,6 @@ impl UdpResolverServer {
             upstream_addr,
             config,
             workers: 1,
-            batch: DEFAULT_BATCH,
             cache_shards: 0, // 0 = follow the worker count
             upstream_timeout: Duration::from_millis(500),
             upstream_faults: None,
@@ -156,12 +154,6 @@ impl UdpResolverServer {
     /// (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the recv/send batch width (clamped to ≥ 1).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
         self
     }
 
@@ -231,7 +223,6 @@ impl UdpResolverServer {
                 flights: Arc::clone(&flights),
                 stop: Arc::clone(&stop),
                 metrics: self.metrics.clone(),
-                batch: self.batch,
                 started,
                 join_wait,
                 profiler: self.profile.then(obs::StageProfiler::new),
@@ -399,7 +390,6 @@ struct Worker {
     flights: Arc<FlightTable>,
     stop: Arc<AtomicBool>,
     metrics: FrontEndMetrics,
-    batch: usize,
     started: Instant,
     join_wait: Duration,
     /// Per-worker stage profiler (profiling mode only); folded into one
@@ -412,7 +402,7 @@ impl Worker {
     /// its stage profile when profiling) so the handle can fold them
     /// after the join.
     fn run(mut self) -> (obs::MetricsSnapshot, Option<obs::ProfileSnapshot>) {
-        let mut rx = RecvBatch::new(self.batch);
+        let mut rx = RecvBatch::new(DEFAULT_BATCH);
         let mut tx = SendBatch::new();
         let mut prof = self.profiler.take();
         while !self.stop.load(Ordering::SeqCst) {

@@ -19,7 +19,8 @@ use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimTime};
 use obs::EventKind;
 use parking_lot::RwLock;
 
-use crate::engine::{FlightKey, PendingQuery, Resolver, Step};
+use crate::engine::{FlightKey, Resolver, Step, UpstreamError};
+use crate::exchange::{Action, Exchange};
 
 /// Shared address directory type used by every actor.
 pub type SharedBook = Arc<RwLock<AddressBook>>;
@@ -100,15 +101,18 @@ impl Node for RelayActor {
     }
 }
 
-/// An egress resolver as a simulation node. Wraps [`Resolver`] and a zone →
+/// An egress resolver as a simulation node: the packet-and-timer driver of
+/// the [`crate::exchange`] machine. Wraps [`Resolver`] and a zone →
 /// authoritative-address routing table.
 ///
-/// Upstream exchanges are retried per the wrapped resolver's
-/// [`crate::config::RetryPolicy`]: each outstanding query arms a timer with
-/// that attempt's (exponentially backed-off) timeout, timed-out ECS queries
-/// are retransmitted without the option (RFC 7871 §7.1.3), and once the
-/// attempt budget is spent the client gets SERVFAIL — so resolution
-/// survives the simulator's loss model and never hangs or loops.
+/// The actor owns only plumbing: routing, the coalescing index, admission,
+/// and one retransmission timer per outstanding exchange. What to do when a
+/// reply arrives or a timer fires — retry, withdraw ECS, answer stale or
+/// SERVFAIL — is [`Resolver::step_exchange`]'s decision, so resolution
+/// survives the simulator's loss model exactly as the blocking driver does
+/// and never hangs or loops. The simulator carries one transport, so
+/// exchanges run on a UDP-only ladder and truncated datagrams are dropped
+/// before they reach the machine.
 pub struct EgressActor {
     resolver: Resolver,
     /// Zone apex → authoritative server address, searched most-specific
@@ -119,14 +123,16 @@ pub struct EgressActor {
     /// Coalescing index: flight key → owning pending id. Only populated
     /// when [`crate::config::OverloadConfig::coalesce`] is on.
     flights: HashMap<FlightKey, u16>,
+    ignored_replies: u64,
 }
 
 struct PendingUpstream {
     client: NodeId,
-    query: PendingQuery,
+    exchange: Exchange,
     auth_node: NodeId,
-    /// 0-based attempt currently in flight.
-    attempt: u8,
+    /// When the send in flight times out. A timer firing earlier was armed
+    /// for a send that a reply has since superseded.
+    deadline: SimTime,
     /// This flight's coalescing key, when coalescing is on.
     flight: Option<FlightKey>,
     /// Queries that joined this flight instead of going upstream.
@@ -141,6 +147,12 @@ struct Joiner {
     query: Message,
 }
 
+fn send_msg(ctx: &mut Ctx, to: NodeId, msg: &Message) {
+    if let Ok(bytes) = msg.to_bytes() {
+        ctx.send(to, bytes);
+    }
+}
+
 impl EgressActor {
     /// Creates an egress actor.
     pub fn new(resolver: Resolver, routes: Vec<(Name, IpAddr)>, book: SharedBook) -> Self {
@@ -152,6 +164,7 @@ impl EgressActor {
             book,
             pending: HashMap::new(),
             flights: HashMap::new(),
+            ignored_replies: 0,
         }
     }
 
@@ -160,28 +173,61 @@ impl EgressActor {
         self.pending.len()
     }
 
+    /// Responses dropped because no outstanding exchange has their id,
+    /// sender and question — late duplicates, strays, forgeries.
+    pub fn ignored_replies(&self) -> u64 {
+        self.ignored_replies
+    }
+
     /// The wrapped resolver (for stats and cache inspection).
     pub fn resolver(&self) -> &Resolver {
         &self.resolver
     }
 
-    /// Mutable access to the wrapped resolver.
-    pub fn resolver_mut(&mut self) -> &mut Resolver {
-        &mut self.resolver
-    }
-
-    fn route_for(&self, name: &Name) -> Option<IpAddr> {
-        self.routes
+    /// The node of the authoritative responsible for `name`, when a route
+    /// exists and its address is bound.
+    fn route_for(&self, name: &Name) -> Option<NodeId> {
+        let (_, addr) = self
+            .routes
             .iter()
-            .find(|(apex, _)| name.is_subdomain_of(apex))
-            .map(|(_, a)| *a)
+            .find(|(apex, _)| name.is_subdomain_of(apex))?;
+        self.book.read().node_of(*addr)
     }
 
-    /// The client-facing answer for a coalesced joiner — delegates to
-    /// [`Resolver::joiner_response`] so every front end (this actor, the
-    /// socket serving path) shares one implementation.
-    fn joiner_response(&self, joined: &Message, upstream_resp: &Message) -> Message {
-        self.resolver.joiner_response(joined, upstream_resp)
+    /// Carries out what the machine decided for outstanding exchange `id`:
+    /// (re)transmit and arm the timeout, or answer every waiting party.
+    fn apply(&mut self, id: u16, action: Action, ctx: &mut Ctx) {
+        match action {
+            Action::Send { timeout, .. } => {
+                let p = self.pending.get_mut(&id).expect("exchange is outstanding");
+                send_msg(ctx, p.auth_node, p.exchange.upstream_query());
+                p.deadline = ctx.now() + timeout;
+                ctx.set_timer(timeout, u64::from(id));
+            }
+            Action::Done { answer, raw } => {
+                let p = self.pending.remove(&id).expect("exchange is outstanding");
+                if let Some(key) = &p.flight {
+                    self.flights.remove(key);
+                }
+                send_msg(ctx, p.client, &answer);
+                let question = &p.exchange.pending().question;
+                for j in p.joiners {
+                    let resp = match &raw {
+                        Some(up) => self.resolver.joiner_response(&j.query, up),
+                        // RFC 8767 per party: joiners may sit in different
+                        // scopes than the owner.
+                        None => self.resolver.stale_or_servfail(
+                            &j.query,
+                            &question.name,
+                            question.qtype,
+                            j.addr,
+                            ctx.now(),
+                        ),
+                    };
+                    send_msg(ctx, j.node, &resp);
+                }
+            }
+        }
     }
 }
 
@@ -191,32 +237,28 @@ impl Node for EgressActor {
             return;
         };
         if msg.is_response() {
-            // A truncated reply is unusable; completing with it would
-            // negative-cache an empty answer. Ignore it — the retry timer
-            // resends (packet-level sims have no TCP leg to fall back to).
+            // Only the authoritative we asked, echoing the question we
+            // asked, may complete an exchange: a 16-bit id alone is
+            // guessable.
+            let id = msg.id;
+            let Some(p) = self.pending.get_mut(&id).filter(|p| {
+                pkt.src == p.auth_node
+                    && msg
+                        .question()
+                        .is_none_or(|q| *q == p.exchange.pending().question)
+            }) else {
+                self.ignored_replies += 1;
+                return;
+            };
+            // A truncated reply is unusable and the simulator has no
+            // stream leg to re-ask over: the retry timer resends.
             if msg.flags.tc {
                 return;
             }
-            // An authoritative answered one of our upstream queries.
-            if let Some(p) = self.pending.remove(&msg.id) {
-                if let Some(key) = &p.flight {
-                    self.flights.remove(key);
-                }
-                let joiner_resps: Vec<(NodeId, Message)> = p
-                    .joiners
-                    .iter()
-                    .map(|j| (j.node, self.joiner_response(&j.query, &msg)))
-                    .collect();
-                let resp = self.resolver.complete(p.query, &msg, ctx.now());
-                if let Ok(bytes) = resp.to_bytes() {
-                    ctx.send(p.client, bytes);
-                }
-                for (node, resp) in joiner_resps {
-                    if let Ok(bytes) = resp.to_bytes() {
-                        ctx.send(node, bytes);
-                    }
-                }
-            }
+            let action = self
+                .resolver
+                .step_exchange(&mut p.exchange, Ok(msg), ctx.now());
+            self.apply(id, action, ctx);
             return;
         }
         // A downstream party (client, forwarder, hidden resolver) queries us.
@@ -225,179 +267,69 @@ impl Node for EgressActor {
             .read()
             .addr_of(pkt.src)
             .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED));
-        match self.resolver.begin(&msg, src_addr, ctx.now()) {
-            Step::Answer(resp) => {
-                if let Ok(bytes) = resp.to_bytes() {
-                    ctx.send(pkt.src, bytes);
-                }
-            }
-            Step::NeedUpstream(pending) => {
-                let coalesce = self.resolver.config().overload.coalesce;
-                let max_in_flight = self.resolver.config().overload.max_in_flight;
-                // Coalescing: identical (qname, qtype, effective-ECS-prefix)
-                // lookups ride an existing flight instead of going upstream.
-                if coalesce {
-                    let key = pending.flight_key();
-                    if let Some(&owner) = self.flights.get(&key) {
-                        if let Some(p) = self.pending.get_mut(&owner) {
-                            self.resolver.note_coalesced(&pending.upstream_query);
-                            self.resolver.trace_event(
-                                pending.trace,
-                                ctx.now(),
-                                &EventKind::CoalescedJoin,
-                            );
-                            p.joiners.push(Joiner {
-                                node: pkt.src,
-                                addr: pending.client_addr,
-                                query: pending.client_query,
-                            });
-                            return;
-                        }
-                        self.flights.remove(&key);
-                    }
-                }
-                // Admission control: a full in-flight table sheds the query
-                // with SERVFAIL instead of queueing unboundedly.
-                if max_in_flight.is_some_and(|cap| self.pending.len() >= cap) {
-                    let fail = self.resolver.shed(&pending);
-                    if let Ok(bytes) = fail.to_bytes() {
-                        ctx.send(pkt.src, bytes);
-                    }
-                    return;
-                }
-                let qname = &pending.question.name;
-                let Some(auth_addr) = self.route_for(qname) else {
-                    return; // no route: drop (client would time out)
-                };
-                let Some(auth_node) = self.book.read().node_of(auth_addr) else {
-                    return;
-                };
-                let id = pending.upstream_query.id;
-                if let Ok(bytes) = pending.upstream_query.to_bytes() {
-                    let timeout = self.resolver.config().retry.timeout_for(0);
-                    self.resolver.trace_event(
-                        pending.trace,
-                        ctx.now(),
-                        &EventKind::UpstreamAttempt {
-                            attempt: 0,
-                            ecs: pending.upstream_query.ecs().is_some(),
-                        },
-                    );
-                    let flight = coalesce.then(|| pending.flight_key());
-                    if let Some(key) = &flight {
-                        self.flights.insert(key.clone(), id);
-                    }
-                    self.pending.insert(
-                        id,
-                        PendingUpstream {
-                            client: pkt.src,
-                            query: pending,
-                            auth_node,
-                            attempt: 0,
-                            flight,
-                            joiners: Vec::new(),
-                        },
-                    );
-                    ctx.send(auth_node, bytes);
-                    ctx.set_timer(timeout, id as u64);
-                }
+        let pending = match self.resolver.begin(&msg, src_addr, ctx.now()) {
+            Step::Answer(resp) => return send_msg(ctx, pkt.src, &resp),
+            Step::NeedUpstream(pending) => pending,
+        };
+        let overload = &self.resolver.config().overload;
+        let (coalesce, max_in_flight) = (overload.coalesce, overload.max_in_flight);
+        // Coalescing: identical (qname, qtype, effective-ECS-prefix)
+        // lookups ride an existing flight instead of going upstream.
+        let flight = coalesce.then(|| pending.flight_key());
+        if let Some(key) = &flight {
+            if let Some(p) = self.flights.get(key).and_then(|o| self.pending.get_mut(o)) {
+                self.resolver.note_coalesced(&pending.upstream_query);
+                self.resolver
+                    .trace_event(pending.trace, ctx.now(), &EventKind::CoalescedJoin);
+                p.joiners.push(Joiner {
+                    node: pkt.src,
+                    addr: pending.client_addr,
+                    query: pending.client_query,
+                });
+                return;
             }
         }
+        // Admission control: a full in-flight table sheds the query with
+        // SERVFAIL instead of queueing unboundedly.
+        if max_in_flight.is_some_and(|cap| self.pending.len() >= cap) {
+            return send_msg(ctx, pkt.src, &self.resolver.shed(&pending));
+        }
+        let Some(auth_node) = self.route_for(&pending.question.name) else {
+            // Nowhere to send: the exchange fails before anything is sent.
+            let fail = self.resolver.fail_unsent(&pending, ctx.now());
+            return send_msg(ctx, pkt.src, &fail);
+        };
+        let id = pending.upstream_query.id;
+        if let Some(key) = &flight {
+            self.flights.insert(key.clone(), id);
+        }
+        let (exchange, action) = self.resolver.start_udp_exchange(pending, ctx.now());
+        self.pending.insert(
+            id,
+            PendingUpstream {
+                client: pkt.src,
+                exchange,
+                auth_node,
+                deadline: ctx.now(),
+                flight,
+                joiners: Vec::new(),
+            },
+        );
+        self.apply(id, action, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         let id = token as u16;
-        // Still pending? The upstream answer never came: retransmit or fail.
-        let attempts = self.resolver.config().retry.attempts.max(1);
-        let give_up = match self.pending.get_mut(&id) {
-            None => return, // answered in the meantime
-            Some(p) if p.attempt + 1 < attempts => {
-                // The in-flight attempt timed out: withdraw ECS if the
-                // policy says so (RFC 7871 §7.1.3), then retransmit with
-                // the next attempt's backed-off timeout.
-                let had_ecs = p.query.upstream_query.ecs().is_some();
-                self.resolver
-                    .note_upstream_timeout(&mut p.query.upstream_query, p.attempt);
-                if p.query.trace.is_enabled() {
-                    self.resolver.trace_event(
-                        p.query.trace,
-                        ctx.now(),
-                        &EventKind::UpstreamFault {
-                            kind: "timeout".into(),
-                        },
-                    );
-                    if had_ecs && p.query.upstream_query.ecs().is_none() {
-                        self.resolver.trace_event(
-                            p.query.trace,
-                            ctx.now(),
-                            &EventKind::EcsWithdrawn { reason: "timeout" },
-                        );
-                    }
-                }
-                p.attempt += 1;
-                self.resolver.note_retry_sent(&p.query.upstream_query);
-                self.resolver.trace_event(
-                    p.query.trace,
-                    ctx.now(),
-                    &EventKind::UpstreamAttempt {
-                        attempt: u32::from(p.attempt),
-                        ecs: p.query.upstream_query.ecs().is_some(),
-                    },
-                );
-                if let Ok(bytes) = p.query.upstream_query.to_bytes() {
-                    ctx.send(p.auth_node, bytes);
-                }
-                let timeout = self.resolver.config().retry.timeout_for(p.attempt);
-                ctx.set_timer(timeout, token);
-                false
-            }
-            Some(p) => {
-                let had_ecs = p.query.upstream_query.ecs().is_some();
-                self.resolver
-                    .note_upstream_timeout(&mut p.query.upstream_query, p.attempt);
-                if p.query.trace.is_enabled() {
-                    self.resolver.trace_event(
-                        p.query.trace,
-                        ctx.now(),
-                        &EventKind::UpstreamFault {
-                            kind: "timeout".into(),
-                        },
-                    );
-                    if had_ecs && p.query.upstream_query.ecs().is_none() {
-                        self.resolver.trace_event(
-                            p.query.trace,
-                            ctx.now(),
-                            &EventKind::EcsWithdrawn { reason: "timeout" },
-                        );
-                    }
-                }
-                true
-            }
+        let Some(p) = self.pending.get_mut(&id) else {
+            return; // answered in the meantime
         };
-        if give_up {
-            let p = self.pending.remove(&id).expect("checked above");
-            if let Some(key) = &p.flight {
-                self.flights.remove(key);
-            }
-            // RFC 8767: a stale answer beats SERVFAIL when one matches —
-            // per party, since joiners may sit in different scopes.
-            let fail = self.resolver.answer_failure(&p.query, ctx.now());
-            if let Ok(bytes) = fail.to_bytes() {
-                ctx.send(p.client, bytes);
-            }
-            for j in p.joiners {
-                let resp = self.resolver.stale_or_servfail(
-                    &j.query,
-                    &p.query.question.name,
-                    p.query.question.qtype,
-                    j.addr,
-                    ctx.now(),
-                );
-                if let Ok(bytes) = resp.to_bytes() {
-                    ctx.send(j.node, bytes);
-                }
-            }
+        if ctx.now() < p.deadline {
+            return;
         }
+        let action =
+            self.resolver
+                .step_exchange(&mut p.exchange, Err(UpstreamError::Timeout), ctx.now());
+        self.apply(id, action, ctx);
     }
 }
 

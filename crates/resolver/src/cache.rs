@@ -214,11 +214,6 @@ impl EcsCache {
         &self.limits
     }
 
-    /// Replaces the resource limits (takes effect on subsequent inserts).
-    pub fn set_limits(&mut self, limits: CacheLimits) {
-        self.limits = limits;
-    }
-
     /// Current statistics, reconstructed from the metrics registry (which
     /// is the single source of truth behind the legacy struct API — both
     /// read the same values).

@@ -15,6 +15,7 @@ use obs::{EventKind, TraceCtx, Tracer};
 
 use crate::cache::{CacheStats, EcsCache};
 use crate::config::ResolverConfig;
+use crate::exchange::Action;
 use crate::probing::{EcsDecision, ProbingState};
 
 /// Why an upstream exchange failed at the transport layer.
@@ -177,18 +178,6 @@ impl Upstream for ZoneRouter {
     }
 }
 
-/// The first stream rung strictly after `rung`, if the ladder has one —
-/// where a TC-bit truncation sends the exchange (re-asking over another
-/// datagram transport could only truncate again).
-fn next_stream_rung(ladder: &[netsim::Transport], rung: usize) -> Option<usize> {
-    ladder
-        .iter()
-        .enumerate()
-        .skip(rung + 1)
-        .find(|(_, t)| t.is_stream())
-        .map(|(i, _)| i)
-}
-
 /// Counters for one resolver's upstream traffic. All counters update with
 /// saturating arithmetic — overload is exactly when they get hammered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
@@ -248,19 +237,19 @@ impl ResolverStats {
 /// single source of truth; [`Resolver::stats`] reconstructs the legacy
 /// struct from counter loads, so existing readers see identical values.
 #[derive(Debug)]
-struct ResolverMetrics {
+pub(crate) struct ResolverMetrics {
     registry: obs::MetricsRegistry,
     client_queries: obs::Counter,
-    upstream_queries: obs::Counter,
-    upstream_ecs_queries: obs::Counter,
-    retries: obs::Counter,
-    upstream_timeouts: obs::Counter,
-    ecs_withdrawals: obs::Counter,
-    tcp_fallbacks: obs::Counter,
-    transport_fallbacks: obs::Counter,
-    fallbacks_to_tcp: obs::Counter,
-    fallbacks_to_dot: obs::Counter,
-    fallbacks_to_doh: obs::Counter,
+    pub(crate) upstream_queries: obs::Counter,
+    pub(crate) upstream_ecs_queries: obs::Counter,
+    pub(crate) retries: obs::Counter,
+    pub(crate) upstream_timeouts: obs::Counter,
+    pub(crate) ecs_withdrawals: obs::Counter,
+    pub(crate) tcp_fallbacks: obs::Counter,
+    pub(crate) transport_fallbacks: obs::Counter,
+    pub(crate) fallbacks_to_tcp: obs::Counter,
+    pub(crate) fallbacks_to_dot: obs::Counter,
+    pub(crate) fallbacks_to_doh: obs::Counter,
     servfail_responses: obs::Counter,
     shed_queries: obs::Counter,
     coalesced_queries: obs::Counter,
@@ -378,22 +367,15 @@ impl CacheSlot {
             CacheSlot::Shared(c) => c.stats(),
         }
     }
-
-    fn len(&mut self, now: SimTime) -> usize {
-        match self {
-            CacheSlot::Owned(c) => c.len(now),
-            CacheSlot::Shared(c) => c.len(now),
-        }
-    }
 }
 
 /// A recursive resolver instance.
 pub struct Resolver {
-    config: ResolverConfig,
+    pub(crate) config: ResolverConfig,
     cache: CacheSlot,
-    probing_state: ProbingState,
-    stats: ResolverMetrics,
-    tracer: Tracer,
+    pub(crate) probing_state: ProbingState,
+    pub(crate) stats: ResolverMetrics,
+    pub(crate) tracer: Tracer,
     /// Per-SLD learned authoritative scope (see
     /// [`ResolverConfig::adaptive_prefix`]).
     scope_memory: std::collections::HashMap<Name, u8>,
@@ -534,11 +516,6 @@ impl Resolver {
         &self.probing_state
     }
 
-    /// Live cache size at `now`.
-    pub fn cache_len(&mut self, now: SimTime) -> usize {
-        self.cache.len(now)
-    }
-
     /// Direct cache access for white-box tests.
     ///
     /// # Panics
@@ -573,319 +550,50 @@ impl Resolver {
     ) -> Message {
         match self.begin(query, client_src, now) {
             Step::Answer(resp) => resp,
-            Step::NeedUpstream(pending) => self.drive_upstream(pending, now, upstream),
+            Step::NeedUpstream(pending) => self.drive_upstream_capturing(pending, now, upstream).0,
         }
     }
 
-    /// Runs the upstream exchange for `pending` to completion: retries with
-    /// exponential backoff on the SimTime axis, withdraws ECS per RFC 7871
-    /// §7.1.3, falls back to TCP on truncation, and answers SERVFAIL once
-    /// the attempt budget is spent.
+    /// The blocking driver of the [`crate::exchange`] machine: runs the
+    /// upstream exchange for `pending` to completion against `upstream` and
+    /// returns the client answer plus the raw upstream response it completed
+    /// with (`None` when the exchange failed and the answer is
+    /// stale/SERVFAIL).
     ///
-    /// Time is virtual: each timed-out attempt advances the local clock by
-    /// that attempt's timeout, so cache inserts and probing-state updates
-    /// happen at the moment the answer would really have arrived.
-    pub fn drive_upstream<U: Upstream>(
-        &mut self,
-        pending: PendingQuery,
-        now: SimTime,
-        upstream: &mut U,
-    ) -> Message {
-        self.drive_upstream_capturing(pending, now, upstream).0
-    }
-
-    /// [`Resolver::drive_upstream`], additionally returning the raw
-    /// upstream response the exchange completed with (`None` when the
-    /// exchange failed and the client answer is stale/SERVFAIL).
+    /// Time is virtual: each timed-out send advances the local clock by the
+    /// timeout the machine asked for, so cache inserts and probing-state
+    /// updates happen at the moment the answer would really have arrived.
     ///
     /// Multi-worker front ends need the raw response to satisfy coalesced
     /// joiners: each joiner builds its own client answer from it via
     /// [`Resolver::joiner_response`], while only the flight owner caches.
     pub fn drive_upstream_capturing<U: Upstream>(
         &mut self,
-        mut pending: PendingQuery,
+        pending: PendingQuery,
         now: SimTime,
         upstream: &mut U,
     ) -> (Message, Option<Message>) {
-        let policy = self.config.retry.clone();
-        // The transport ladder: with the default UDP-only policy this loop
-        // is line-for-line the legacy retry loop (one rung, whole budget,
-        // inline RFC 7766 TCP re-query on TC). With more rungs, truncation
-        // jumps to the next *stream* rung and an exhausted per-rung budget
-        // falls to the next rung, each edge counted and traced.
-        let ladder: Vec<netsim::Transport> = if self.config.transport.ladder.is_empty() {
-            vec![netsim::Transport::Udp]
-        } else {
-            self.config.transport.ladder.clone()
-        };
-        let per_rung = self
-            .config
-            .transport
-            .attempts_per_transport
-            .unwrap_or(policy.attempts)
-            .max(1);
-        let mut rung = 0usize;
+        let (mut ex, mut action) = self.start_exchange(pending, now);
         let mut at = now;
-        // `attempt` numbers the exchange globally (trace labels);
-        // `rung_attempt` is the budget spent on the current rung and the
-        // index into the backoff schedule, which restarts per rung.
-        let mut attempt: u8 = 0;
-        let mut rung_attempt: u8 = 0;
         loop {
-            let transport = ladder[rung];
-            let attempt_span = if pending.trace.is_enabled() {
-                self.tracer.child(
-                    pending.trace,
-                    at.as_micros(),
-                    &EventKind::UpstreamAttempt {
-                        attempt: attempt as u32,
-                        ecs: pending.upstream_query.ecs().is_some(),
-                    },
-                )
-            } else {
-                TraceCtx::DISABLED
-            };
-            let mut backoff = netsim::SimDuration::ZERO;
-            match upstream.query_via(&pending.upstream_query, self.config.addr, at, transport) {
-                Ok(resp) if resp.flags.tc && !transport.is_stream() => {
-                    // RFC 7766: a truncated UDP reply is re-asked over a
-                    // stream — the ladder's next stream rung when one is
-                    // configured, the inline TCP re-query otherwise.
-                    self.stats.tcp_fallbacks.inc();
-                    self.trace_event(attempt_span, at, &EventKind::TcpFallback);
-                    if let Some(next) = next_stream_rung(&ladder, rung) {
-                        rung = self.note_transport_fallback(
-                            &ladder,
-                            rung,
-                            next,
-                            "truncated",
-                            pending.trace,
-                            at,
-                        );
-                        rung_attempt = 0;
-                        attempt = attempt.saturating_add(1);
-                        self.note_retry_sent(&pending.upstream_query);
-                        continue;
+            match action {
+                Action::Done { answer, raw } => return (answer, raw),
+                Action::Send { transport, timeout } => {
+                    let outcome =
+                        upstream.query_via(ex.upstream_query(), self.config.addr, at, transport);
+                    if matches!(outcome, Err(UpstreamError::Timeout)) {
+                        at += timeout;
                     }
-                    if let Ok(full) =
-                        upstream.query_tcp(&pending.upstream_query, self.config.addr, at)
-                    {
-                        let answer = self.complete(pending, &full, at);
-                        return (answer, Some(full));
-                    }
-                }
-                Ok(resp)
-                    if resp.rcode == Rcode::FormErr
-                        && policy.withdraw_ecs_on_formerr
-                        && pending.upstream_query.ecs().is_some() =>
-                {
-                    // An ECS-intolerant server: drop the option and re-ask
-                    // immediately (no timeout elapsed, no attempt consumed —
-                    // this fires at most once since the option is now gone).
-                    pending.upstream_query.clear_ecs();
-                    self.probing_state.mark_non_ecs();
-                    self.stats.ecs_withdrawals.inc();
-                    self.trace_event(
-                        attempt_span,
-                        at,
-                        &EventKind::EcsWithdrawn { reason: "formerr" },
-                    );
-                    self.note_retry_sent(&pending.upstream_query);
-                    continue;
-                }
-                Ok(resp)
-                    if resp.rcode == Rcode::ServFail
-                        && self.config.overload.serve_stale_enabled() =>
-                {
-                    // RFC 8767: an upstream SERVFAIL is a failure we may
-                    // paper over with a stale answer.
-                    if attempt_span.is_enabled() {
-                        self.tracer.event(
-                            attempt_span,
-                            at.as_micros(),
-                            &EventKind::UpstreamFault {
-                                kind: "rcode:ServFail".to_string(),
-                            },
-                        );
-                    }
-                    return (self.answer_failure(&pending, at), None);
-                }
-                Ok(resp) => {
-                    let answer = self.complete(pending, &resp, at);
-                    return (answer, Some(resp));
-                }
-                Err(UpstreamError::Truncated(_)) => {
-                    self.stats.tcp_fallbacks.inc();
-                    if attempt_span.is_enabled() {
-                        self.tracer.event(
-                            attempt_span,
-                            at.as_micros(),
-                            &EventKind::UpstreamFault {
-                                kind: "truncated".to_string(),
-                            },
-                        );
-                        self.tracer
-                            .event(attempt_span, at.as_micros(), &EventKind::TcpFallback);
-                    }
-                    if let Some(next) = next_stream_rung(&ladder, rung) {
-                        rung = self.note_transport_fallback(
-                            &ladder,
-                            rung,
-                            next,
-                            "truncated",
-                            pending.trace,
-                            at,
-                        );
-                        rung_attempt = 0;
-                        attempt = attempt.saturating_add(1);
-                        self.note_retry_sent(&pending.upstream_query);
-                        continue;
-                    }
-                    if let Ok(full) =
-                        upstream.query_tcp(&pending.upstream_query, self.config.addr, at)
-                    {
-                        let answer = self.complete(pending, &full, at);
-                        return (answer, Some(full));
-                    }
-                }
-                Err(UpstreamError::Timeout) => {
-                    if attempt_span.is_enabled() {
-                        self.tracer.event(
-                            attempt_span,
-                            at.as_micros(),
-                            &EventKind::UpstreamFault {
-                                kind: "timeout".to_string(),
-                            },
-                        );
-                    }
-                    let had_ecs = pending.upstream_query.ecs().is_some();
-                    backoff = self.note_upstream_timeout(&mut pending.upstream_query, rung_attempt);
-                    if had_ecs && pending.upstream_query.ecs().is_none() {
-                        self.trace_event(
-                            attempt_span,
-                            at,
-                            &EventKind::EcsWithdrawn { reason: "timeout" },
-                        );
-                    }
-                    at += backoff;
-                }
-                Err(UpstreamError::Rcode(rc)) => {
-                    if attempt_span.is_enabled() {
-                        self.tracer.event(
-                            attempt_span,
-                            at.as_micros(),
-                            &EventKind::UpstreamFault {
-                                kind: format!("rcode:{rc:?}"),
-                            },
-                        );
-                    }
+                    action = self.step_exchange(&mut ex, outcome, at);
                 }
             }
-            attempt = attempt.saturating_add(1);
-            rung_attempt += 1;
-            if rung_attempt >= per_rung {
-                if rung + 1 < ladder.len() {
-                    rung = self.note_transport_fallback(
-                        &ladder,
-                        rung,
-                        rung + 1,
-                        "exhausted",
-                        pending.trace,
-                        at,
-                    );
-                    rung_attempt = 0;
-                } else {
-                    return (self.answer_failure(&pending, at), None);
-                }
-            }
-            if pending.trace.is_enabled() {
-                self.tracer.event(
-                    pending.trace,
-                    at.as_micros(),
-                    &EventKind::RetryBackoff {
-                        attempt: attempt as u32,
-                        delay_us: backoff.as_micros(),
-                    },
-                );
-            }
-            self.note_retry_sent(&pending.upstream_query);
         }
-    }
-
-    /// Counts and traces one transport-ladder edge (`ladder[from]` →
-    /// `ladder[to]` for `reason`), returning the new rung index.
-    fn note_transport_fallback(
-        &mut self,
-        ladder: &[netsim::Transport],
-        from: usize,
-        to: usize,
-        reason: &'static str,
-        trace: TraceCtx,
-        at: SimTime,
-    ) -> usize {
-        self.stats.transport_fallbacks.inc();
-        match ladder[to] {
-            netsim::Transport::Tcp => self.stats.fallbacks_to_tcp.inc(),
-            netsim::Transport::Dot => self.stats.fallbacks_to_dot.inc(),
-            netsim::Transport::Doh => self.stats.fallbacks_to_doh.inc(),
-            netsim::Transport::Udp => {}
-        }
-        self.trace_event(
-            trace,
-            at,
-            &EventKind::TransportFallback {
-                from: ladder[from].label(),
-                to: ladder[to].label(),
-                reason,
-            },
-        );
-        to
-    }
-
-    /// Records a timed-out attempt (0-based `attempt`) for an exchange whose
-    /// upstream query is `upstream_query`, withdrawing ECS per RFC 7871
-    /// §7.1.3 when the policy says so, and returns how long the attempt
-    /// waited. Exposed for asynchronous drivers (the netsim actors) that run
-    /// their own timers instead of [`Resolver::drive_upstream`].
-    pub fn note_upstream_timeout(
-        &mut self,
-        upstream_query: &mut Message,
-        attempt: u8,
-    ) -> netsim::SimDuration {
-        self.stats.upstream_timeouts.inc();
-        if self.config.retry.withdraw_ecs_on_timeout && upstream_query.ecs().is_some() {
-            upstream_query.clear_ecs();
-            self.probing_state.mark_non_ecs();
-            self.stats.ecs_withdrawals.inc();
-        }
-        self.config.retry.timeout_for(attempt)
-    }
-
-    /// Records one retransmission of `upstream_query`. Exposed for
-    /// asynchronous drivers.
-    pub fn note_retry_sent(&mut self, upstream_query: &Message) {
-        self.stats.retries.inc();
-        self.stats.upstream_queries.inc();
-        if upstream_query.ecs().is_some() {
-            self.stats.upstream_ecs_queries.inc();
-        }
-    }
-
-    /// Builds the SERVFAIL answer for a client whose upstream exchange
-    /// exhausted its attempt budget, and counts it. Nothing is cached: the
-    /// failure is transient, not a property of the name.
-    pub fn give_up(&mut self, client_query: &Message) -> Message {
-        self.stats.servfail_responses.inc();
-        let mut resp = Message::response_to(client_query);
-        resp.rcode = Rcode::ServFail;
-        resp
     }
 
     /// Answers a failed upstream exchange: a stale answer per RFC 8767 when
     /// serve-stale is enabled and a matching expired entry is still inside
-    /// the stale budget, SERVFAIL otherwise. With serve-stale off this is
-    /// exactly [`Resolver::give_up`].
-    pub fn answer_failure(&mut self, pending: &PendingQuery, now: SimTime) -> Message {
+    /// the stale budget, SERVFAIL otherwise.
+    pub(crate) fn answer_failure(&mut self, pending: &PendingQuery, now: SimTime) -> Message {
         let stale_before = self.stats.stale_answers.get();
         let resp = self.stale_or_servfail(
             &pending.client_query,
@@ -913,9 +621,10 @@ impl Resolver {
         resp
     }
 
-    /// The serve-stale decision for an arbitrary failed client, used by
-    /// asynchronous drivers for coalesced joiners whose effective client
-    /// address differs from the flight owner's.
+    /// The serve-stale decision for an arbitrary failed client — also used
+    /// by front ends for coalesced joiners, whose effective client address
+    /// differs from the flight owner's. The SERVFAIL is counted and nothing
+    /// is cached: the failure is transient, not a property of the name.
     pub fn stale_or_servfail(
         &mut self,
         client_query: &Message,
@@ -942,12 +651,15 @@ impl Resolver {
                 return resp;
             }
         }
-        self.give_up(client_query)
+        self.stats.servfail_responses.inc();
+        let mut resp = Message::response_to(client_query);
+        resp.rcode = Rcode::ServFail;
+        resp
     }
 
     /// The client-facing answer for a coalesced joiner, built from the
     /// flight owner's raw upstream response — the non-caching half of
-    /// [`Resolver::complete`] (the owner's completion does the caching).
+    /// the exchange's completion (the owner's completion does the caching).
     /// Each joiner echoes ECS against its *own* query, so joiners with
     /// different client options still get correct echoes.
     pub fn joiner_response(&self, joined: &Message, upstream_resp: &Message) -> Message {
@@ -966,21 +678,24 @@ impl Resolver {
     /// launching its own: retracts the upstream send that
     /// [`Resolver::begin`] already counted, and counts the coalesce.
     pub fn note_coalesced(&mut self, upstream_query: &Message) {
+        self.retract_send(upstream_query);
+        self.stats.coalesced_queries.inc();
+    }
+
+    /// Uncounts the upstream send [`Resolver::begin`] counted for a query
+    /// that never goes upstream after all.
+    pub(crate) fn retract_send(&mut self, upstream_query: &Message) {
         self.stats.upstream_queries.sub_saturating(1);
         if upstream_query.ecs().is_some() {
             self.stats.upstream_ecs_queries.sub_saturating(1);
         }
-        self.stats.coalesced_queries.inc();
     }
 
     /// Sheds a query under admission control: retracts the upstream send
     /// that [`Resolver::begin`] already counted, counts the shed, and
     /// builds the SERVFAIL refusal.
     pub fn shed(&mut self, pending: &PendingQuery) -> Message {
-        self.stats.upstream_queries.sub_saturating(1);
-        if pending.upstream_query.ecs().is_some() {
-            self.stats.upstream_ecs_queries.sub_saturating(1);
-        }
+        self.retract_send(&pending.upstream_query);
         self.stats.shed_queries.inc();
         // Shed queries are refused on arrival: zero client-observed wait.
         self.stats.query_latency.record(0);
@@ -1153,9 +868,9 @@ impl Resolver {
 
     /// Phase two: ingest the upstream response, cache it, and build the
     /// client-facing answer.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
-        pending: PendingQuery,
+        pending: &PendingQuery,
         upstream_resp: &Message,
         now: SimTime,
     ) -> Message {
@@ -1323,7 +1038,7 @@ pub enum Step {
     NeedUpstream(PendingQuery),
 }
 
-/// State carried between [`Resolver::begin`] and [`Resolver::complete`].
+/// State carried between [`Resolver::begin`] and the end of its [`crate::Exchange`].
 pub struct PendingQuery {
     /// The original client message.
     pub client_query: Message,

@@ -104,12 +104,6 @@ impl<U: Upstream> FaultyUpstream<U> {
         s
     }
 
-    /// Appends scripted faults (consumed before any probabilistic draw).
-    pub fn push_faults(&mut self, faults: impl IntoIterator<Item = InjectedFault>) -> &mut Self {
-        self.script.extend(faults);
-        self
-    }
-
     /// What has been injected so far.
     pub fn stats(&self) -> InjectionStats {
         self.stats
@@ -118,11 +112,6 @@ impl<U: Upstream> FaultyUpstream<U> {
     /// The wrapped upstream.
     pub fn inner(&self) -> &U {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped upstream.
-    pub fn inner_mut(&mut self) -> &mut U {
-        &mut self.inner
     }
 
     /// The fault to apply to this attempt: scripted first, then the

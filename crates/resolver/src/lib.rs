@@ -29,6 +29,8 @@
 //! [`authoritative::AuthServer`], or by a zone-routing table), plus
 //! event-driven actors ([`actors`]) for full packet-level simulation of
 //! forwarder → hidden resolver → egress chains and anycast front-ends.
+//! Both are thin drivers of the one sans-IO upstream-exchange machine in
+//! [`exchange`].
 //!
 //! ```
 //! use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
@@ -59,6 +61,7 @@ pub mod actors;
 pub mod cache;
 pub mod config;
 pub mod engine;
+pub mod exchange;
 pub mod faulty;
 pub mod flight;
 pub mod prefix_policy;
@@ -71,6 +74,7 @@ pub use config::{OverloadConfig, ResolverConfig, RetryPolicy};
 pub use engine::{
     FlightKey, PendingQuery, Resolver, ResolverStats, Step, Upstream, UpstreamError, ZoneRouter,
 };
+pub use exchange::{Action, Exchange};
 pub use faulty::{FaultyUpstream, InjectedFault, InjectionStats};
 pub use flight::{Admission, Flight, FlightTable, OwnerToken};
 pub use prefix_policy::PrefixPolicy;

@@ -25,7 +25,7 @@
 use std::net::IpAddr;
 
 use dns_wire::Message;
-use netsim::transport::{DatagramFate, HandshakeCosts, PathProfile, TransportModel};
+use netsim::transport::{DatagramFate, PathProfile, TransportModel};
 use netsim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -182,12 +182,6 @@ impl<U: Upstream> TransportUpstream<U> {
         self
     }
 
-    /// Replaces the handshake cost table.
-    pub fn with_costs(mut self, costs: HandshakeCosts) -> Self {
-        self.model.costs = costs;
-        self
-    }
-
     /// Sets the one-way-and-back RTT handshakes are priced in.
     pub fn with_rtt(mut self, rtt: SimDuration) -> Self {
         self.rtt = rtt;
@@ -203,11 +197,6 @@ impl<U: Upstream> TransportUpstream<U> {
     /// The wrapped upstream.
     pub fn inner(&self) -> &U {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped upstream.
-    pub fn inner_mut(&mut self) -> &mut U {
-        &mut self.inner
     }
 
     /// Transport counters (exchanges per transport, handshakes, reuse,
