@@ -11,35 +11,47 @@
 //!
 //! # Engine
 //!
-//! Replay is sharded by resolver: resolver `rid` belongs to worker
-//! `rid % parallelism`. A single partition pass walks the full trace once,
-//! resolving sampling, TTL overrides, and interned ids up front, and
-//! splits it into per-shard *packed* replay streams; each worker on the
-//! [`std::thread::scope`] pool then replays only its own stream in trace
-//! order. (An earlier engine had every worker rescan the whole trace with
-//! a `rid % shards` filter — memory traffic grew linearly with the worker
-//! count and throughput *fell* as threads were added.) Resolver caches are
-//! independent — no record touches another resolver's entries, and a
-//! resolver's peak is only sampled at its own insert times, after expiring
-//! everything dead at that instant — so the merged result is *bit-identical*
-//! for every `parallelism` value (`crates/analysis/tests/`
-//! `equivalence_cache_sim.rs` checks this).
+//! Replay is sharded by resolver: resolver `rid` belongs to shard
+//! `rid % parallelism`, and one loop (`CacheSimulator::replay`) runs every
+//! shard — inline when there is one, otherwise one scoped thread each —
+//! then merges the per-shard accumulators into per-resolver results sorted
+//! by address. Resolver caches are independent — no record touches another
+//! resolver's entries, and a resolver's peak is only sampled at its own
+//! insert times, after expiring everything dead at that instant — so the
+//! merged result is *bit-identical* for every `parallelism` value
+//! (`crates/analysis/tests/equivalence_cache_sim.rs` checks this).
 //!
 //! Within a shard, both modes share a single flat slot arena: one hash
 //! lookup of the interned `(local resolver index, name id, qtype)` key
-//! (ids from the trace's [`workload::TraceIndex`]) finds the slot holding
-//! the plain-mode and ECS-mode entries for that cache line, and compact
-//! expiry heaps of `(expiry, slot)` pairs drive TTL eviction.
+//! finds the slot holding the plain-mode and ECS-mode entries for that
+//! cache line, and compact expiry heaps of `(expiry, slot)` pairs drive
+//! TTL eviction.
 //!
-//! # Streaming
+//! The loop does not know where a shard's records come from; a *feed*
+//! pushes them, already packed, into the shard's `ShardReplayer`. There
+//! are two:
 //!
-//! [`CacheSimulator::run_streaming`] replays a
-//! [`workload::TraceStreamSource`] instead of a materialized trace: each
-//! shard worker pulls its own deterministic substream
-//! (`source.open_shard(w, n)`) and feeds generated chunks straight into
-//! the same `ShardReplayer` engine, so a 100M-record run holds the model
-//! tables plus one chunk buffer per worker — never the trace. Results are
-//! bit-identical to materialize-then-`run` at every `parallelism`.
+//! - [`CacheSimulator::run`] feeds a materialized [`TraceSet`]. A single
+//!   partition pass walks the full trace once, resolving sampling, TTL
+//!   overrides, and interned ids (from the trace's
+//!   [`workload::TraceIndex`]) up front, and splits it into per-shard
+//!   packed streams; each shard is fed only its own. (Having every
+//!   worker rescan the whole trace with a `rid % shards` filter makes
+//!   memory traffic grow linearly with the worker count, and throughput
+//!   *falls* as threads are added.)
+//! - [`CacheSimulator::run_streaming`] feeds a
+//!   [`workload::TraceStreamSource`]: each shard pulls its own
+//!   deterministic substream (`source.open_shard(w, n)`) and packs and
+//!   feeds one generated chunk at a time, so a 100M-record run holds the
+//!   model tables plus one chunk buffer per worker — never the trace.
+//!
+//! Chunk boundaries are invisible to the replayer, so the two feeds give
+//! bit-identical results at every `parallelism`
+//! (`crates/analysis/tests/stream_equivalence.rs` pins this).
+//!
+//! Telemetry is not a mode of the run: every `cache_sim_*` series is a
+//! function of the per-resolver results, so [`CacheSimResult::to_metrics`]
+//! computes the snapshot after the fact.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -188,6 +200,38 @@ impl CacheSimResult {
             h as f64 / l as f64
         }
     }
+
+    /// The run's telemetry: lookup/hit/eviction counters summed over the
+    /// resolvers, one observation per resolver in each peak-size
+    /// histogram, and the largest ECS peak as a high-water gauge. All eight
+    /// `cache_sim_*` series are present even for an empty result. Like the
+    /// result it is computed from, the snapshot is identical at every
+    /// `parallelism` and for both feeds.
+    pub fn to_metrics(&self) -> obs::MetricsSnapshot {
+        let reg = obs::MetricsRegistry::new();
+        let sum = |field: fn(&ResolverCacheResult) -> u64| -> u64 {
+            self.per_resolver.iter().map(field).sum()
+        };
+        reg.counter("cache_sim_lookups_total")
+            .add(sum(|r| r.lookups));
+        reg.counter("cache_sim_hits_ecs_total")
+            .add(sum(|r| r.hits_ecs));
+        reg.counter("cache_sim_hits_plain_total")
+            .add(sum(|r| r.hits_no_ecs));
+        reg.counter("cache_sim_evictions_ecs_total")
+            .add(sum(|r| r.evictions_ecs));
+        reg.counter("cache_sim_evictions_plain_total")
+            .add(sum(|r| r.evictions_no_ecs));
+        let peaks_ecs = reg.histogram("cache_sim_peak_ecs_entries");
+        let peaks_plain = reg.histogram("cache_sim_peak_plain_entries");
+        let high_water = reg.gauge("cache_sim_peak_live_ecs");
+        for r in &self.per_resolver {
+            peaks_ecs.record(r.max_size_ecs as u64);
+            peaks_plain.record(r.max_size_no_ecs as u64);
+            high_water.set_max(r.max_size_ecs as u64);
+        }
+        reg.snapshot()
+    }
 }
 
 /// Interned cache key: (shard-local resolver index, name id, qtype).
@@ -195,7 +239,7 @@ type Key = (u32, u32, RecordType);
 
 /// One entry of a shard's packed replay stream.
 ///
-/// Partitioning resolves everything that does not depend on cache state —
+/// Packing resolves everything that does not depend on cache state —
 /// client sampling, TTL override, timestamp→expiry arithmetic, interned
 /// name ids, the shard-local resolver index — so the replay loop streams
 /// a compact array containing only the bytes it will actually touch.
@@ -206,7 +250,7 @@ struct PackedRecord {
     expiry: SimTime,
     /// Shard-local resolver index.
     local: u32,
-    /// Interned qname id from the [`TraceIndex`].
+    /// Interned qname id: the [`TraceIndex`]'s, or the stream model's.
     name_id: u32,
     /// Query type.
     qtype: RecordType,
@@ -214,6 +258,35 @@ struct PackedRecord {
     ecs_source: Option<IpPrefix>,
     /// Scope prefix length from the response, if any.
     response_scope: Option<u8>,
+}
+
+/// Packs one kept record of resolver `rid` for its shard
+/// (`rid % num_shards`). The one place both feeds turn a record into what
+/// the replayer sees.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn pack(
+    config: &CacheSimConfig,
+    num_shards: usize,
+    rid: u32,
+    name_id: u32,
+    at_micros: u64,
+    ttl: u32,
+    qtype: RecordType,
+    ecs_source: Option<IpPrefix>,
+    response_scope: Option<u8>,
+) -> PackedRecord {
+    let now = SimTime::from_micros(at_micros);
+    let ttl = config.ttl_override.unwrap_or(ttl);
+    PackedRecord {
+        now,
+        expiry: now + SimDuration::from_secs(ttl as u64),
+        local: (rid as usize / num_shards) as u32,
+        name_id,
+        qtype,
+        ecs_source,
+        response_scope,
+    }
 }
 
 /// Splits the trace into per-shard packed replay streams in one pass.
@@ -238,17 +311,17 @@ fn partition_records(
             continue;
         }
         let rid = resolver_ids[i];
-        let now = SimTime::from_micros(rec.at_micros);
-        let ttl = config.ttl_override.unwrap_or(rec.ttl);
-        shards[rid as usize % num_shards].push(PackedRecord {
-            now,
-            expiry: now + SimDuration::from_secs(ttl as u64),
-            local: (rid as usize / num_shards) as u32,
-            name_id: index.name_id(i),
-            qtype: rec.qtype,
-            ecs_source: rec.ecs_source,
-            response_scope: rec.response_scope,
-        });
+        shards[rid as usize % num_shards].push(pack(
+            config,
+            num_shards,
+            rid,
+            index.name_id(i),
+            rec.at_micros,
+            rec.ttl,
+            rec.qtype,
+            rec.ecs_source,
+            rec.response_scope,
+        ));
     }
     shards
 }
@@ -362,21 +435,14 @@ fn evict_lru<E>(
     }
 }
 
-/// Replays one shard's packed stream, both modes in a single pass.
-fn simulate_shard(packed: &[PackedRecord], locals: usize, config: &CacheSimConfig) -> ShardStats {
-    let mut replayer = ShardReplayer::new(locals, config);
-    replayer.feed(packed);
-    replayer.into_stats()
-}
-
 /// The stateful single-shard replay engine: all cache state for one
-/// shard's resolvers, fed packed records in trace order.
+/// shard's resolvers, fed packed records in trace order, both modes in a
+/// single pass.
 ///
-/// Both the materialized path ([`simulate_shard`] feeds the whole
-/// partitioned stream at once) and the streaming path (each worker feeds
-/// one generated chunk at a time) drive this same engine, so the two paths
-/// share the cache logic *by construction* — chunk boundaries are
-/// invisible to it.
+/// Both feeds drive this same engine — the materialized one hands over the
+/// whole partitioned stream at once, the streaming one a generated chunk
+/// at a time — so they share the cache logic *by construction*: chunk
+/// boundaries are invisible to it.
 struct ShardReplayer {
     stats: ShardStats,
     slots: Vec<Slot>,
@@ -410,10 +476,6 @@ impl ShardReplayer {
         for rec in packed {
             self.step(rec);
         }
-    }
-
-    fn into_stats(self) -> ShardStats {
-        self.stats
     }
 
     fn step(&mut self, rec: &PackedRecord) {
@@ -539,36 +601,6 @@ impl ShardReplayer {
     }
 }
 
-/// Folds one shard's accumulators into a fresh registry. Counters are
-/// per-resolver sums and each replayed resolver contributes exactly one
-/// observation per peak histogram, so merging the per-shard snapshots
-/// yields the same series totals at every `parallelism` (each resolver
-/// lives in exactly one shard).
-fn fold_shard_metrics(reg: &obs::MetricsRegistry, stats: &ShardStats) {
-    let sum = |v: &[u64]| v.iter().sum::<u64>();
-    reg.counter("cache_sim_lookups_total")
-        .add(sum(&stats.lookups));
-    reg.counter("cache_sim_hits_ecs_total")
-        .add(sum(&stats.hits_ecs));
-    reg.counter("cache_sim_hits_plain_total")
-        .add(sum(&stats.hits_plain));
-    reg.counter("cache_sim_evictions_ecs_total")
-        .add(sum(&stats.evictions_ecs));
-    reg.counter("cache_sim_evictions_plain_total")
-        .add(sum(&stats.evictions_plain));
-    let peaks_ecs = reg.histogram("cache_sim_peak_ecs_entries");
-    let peaks_plain = reg.histogram("cache_sim_peak_plain_entries");
-    let high_water = reg.gauge("cache_sim_peak_live_ecs");
-    for local in 0..stats.lookups.len() {
-        if stats.lookups[local] == 0 {
-            continue; // sampled out: not part of the public result either
-        }
-        peaks_ecs.record(stats.max_ecs[local] as u64);
-        peaks_plain.record(stats.max_plain[local] as u64);
-        high_water.set_max(stats.max_ecs[local] as u64);
-    }
-}
-
 fn keep_client(config: &CacheSimConfig, client: Option<IpAddr>) -> bool {
     if config.sample_pct >= 100 {
         return true;
@@ -599,34 +631,19 @@ impl CacheSimulator {
     /// Runs both modes over the trace, sharded across
     /// `config.parallelism` workers.
     pub fn run(&self, trace: &TraceSet) -> CacheSimResult {
-        self.run_impl(trace, false, false).0
-    }
-
-    /// Like [`CacheSimulator::run`], additionally returning a telemetry
-    /// snapshot (lookup/hit/eviction counters and per-resolver peak-size
-    /// histograms) merged from per-shard registries. The snapshot is
-    /// identical at every `parallelism`, like the result itself.
-    pub fn run_instrumented(&self, trace: &TraceSet) -> (CacheSimResult, obs::MetricsSnapshot) {
-        let (result, snap, _) = self.run_impl(trace, true, false);
-        (result, snap.expect("instrumented run builds a snapshot"))
-    }
-
-    /// Like [`CacheSimulator::run_instrumented`], additionally returning
-    /// the stage profile of the run: index build, partition pass, and
-    /// per-shard replay spans (one [`obs::StageProfiler`] per shard
-    /// worker, folded after the join). The *result* stays
-    /// parallelism-invariant; the profile's shape reflects the actual
-    /// sharding (replay self time splits across workers).
-    pub fn run_profiled(
-        &self,
-        trace: &TraceSet,
-    ) -> (CacheSimResult, obs::MetricsSnapshot, obs::ProfileSnapshot) {
-        let (result, snap, prof) = self.run_impl(trace, true, true);
-        (
-            result,
-            snap.expect("instrumented run builds a snapshot"),
-            prof.expect("profiled run builds a profile"),
-        )
+        let built;
+        let index = match trace.index() {
+            Some(idx) => idx,
+            None => {
+                built = TraceIndex::build(&trace.records);
+                &built
+            }
+        };
+        let num_shards = self.num_shards(index.num_resolvers());
+        let packed = partition_records(&trace.records, index, &self.config, num_shards);
+        self.replay(index.resolvers(), num_shards, |w, replayer| {
+            replayer.feed(&packed[w])
+        })
     }
 
     /// Runs both modes over a streamed workload: each shard worker pulls
@@ -640,287 +657,87 @@ impl CacheSimulator {
     /// assignment uses the model's resolver ids instead of the trace
     /// index's first-appearance ids, but resolver caches are independent,
     /// each resolver's records replay in stream order inside exactly one
-    /// shard, and the merge sorts by resolver address in both paths.
+    /// shard, and the merge sorts by resolver address for both feeds.
     pub fn run_streaming<M: WorkloadModel>(&self, source: &TraceStreamSource<M>) -> CacheSimResult {
-        self.run_streaming_impl(source, false, false).0
-    }
-
-    /// Like [`CacheSimulator::run_streaming`], additionally returning the
-    /// merged telemetry snapshot — identical to the one
-    /// [`CacheSimulator::run_instrumented`] produces for the materialized
-    /// equivalent of `source`.
-    pub fn run_streaming_instrumented<M: WorkloadModel>(
-        &self,
-        source: &TraceStreamSource<M>,
-    ) -> (CacheSimResult, obs::MetricsSnapshot) {
-        let (result, snap, _) = self.run_streaming_impl(source, true, false);
-        (result, snap.expect("instrumented run builds a snapshot"))
-    }
-
-    /// Like [`CacheSimulator::run_streaming_instrumented`], additionally
-    /// returning the stage profile: per-shard `stream_shard` spans with
-    /// `generate` (chunk synthesis) and `replay` (cache replay) children,
-    /// so a flamegraph shows where streaming wall-time goes.
-    pub fn run_streaming_profiled<M: WorkloadModel>(
-        &self,
-        source: &TraceStreamSource<M>,
-    ) -> (CacheSimResult, obs::MetricsSnapshot, obs::ProfileSnapshot) {
-        let (result, snap, prof) = self.run_streaming_impl(source, true, true);
-        (
-            result,
-            snap.expect("instrumented run builds a snapshot"),
-            prof.expect("profiled run builds a profile"),
-        )
-    }
-
-    fn run_streaming_impl<M: WorkloadModel>(
-        &self,
-        source: &TraceStreamSource<M>,
-        instrument: bool,
-        profile: bool,
-    ) -> (
-        CacheSimResult,
-        Option<obs::MetricsSnapshot>,
-        Option<obs::ProfileSnapshot>,
-    ) {
-        let model = source.model();
-        let num_resolvers = model.resolver_addrs().len();
-        let num_shards = self.config.parallelism.clamp(1, num_resolvers.max(1));
-        let mut prof = profile.then(obs::StageProfiler::new);
-        if let Some(p) = prof.as_mut() {
-            p.enter("cache_sim");
-        }
-
         let config = &self.config;
-        let worker = |w: usize| -> (ShardStats, Option<obs::ProfileSnapshot>) {
-            let mut wp = profile.then(obs::StageProfiler::new);
-            if let Some(p) = wp.as_mut() {
-                p.enter("cache_sim");
-                p.enter("stream_shard");
-            }
-            let locals = shard_width(num_resolvers, w, num_shards);
-            let mut replayer = ShardReplayer::new(locals, config);
+        let resolver_addrs = source.model().resolver_addrs();
+        let num_shards = self.num_shards(resolver_addrs.len());
+        self.replay(resolver_addrs, num_shards, |w, replayer| {
             let mut stream = source.open_shard(w, num_shards);
             // One chunk buffer and one packed buffer per worker, reused
             // across the whole substream: the entire per-worker footprint.
             let mut chunk: Vec<StreamRecord> = Vec::with_capacity(source.chunk_size());
             let mut packed: Vec<PackedRecord> = Vec::with_capacity(source.chunk_size());
-            loop {
-                if let Some(p) = wp.as_mut() {
-                    p.enter("generate");
-                }
-                let more = stream.next_chunk_into(&mut chunk);
-                if let Some(p) = wp.as_mut() {
-                    p.exit();
-                }
-                if !more {
-                    break;
-                }
+            while stream.next_chunk_into(&mut chunk) {
                 packed.clear();
                 for r in &chunk {
                     if !keep_client(config, r.client) {
                         continue;
                     }
-                    let now = SimTime::from_micros(r.at_micros);
-                    let ttl = config.ttl_override.unwrap_or(r.ttl);
-                    packed.push(PackedRecord {
-                        now,
-                        expiry: now + SimDuration::from_secs(ttl as u64),
-                        local: (r.resolver_id as usize / num_shards) as u32,
-                        name_id: r.name_id,
-                        qtype: r.qtype,
-                        ecs_source: r.ecs_source,
-                        response_scope: r.response_scope,
-                    });
-                }
-                if let Some(p) = wp.as_mut() {
-                    p.enter("replay");
+                    packed.push(pack(
+                        config,
+                        num_shards,
+                        r.resolver_id,
+                        r.name_id,
+                        r.at_micros,
+                        r.ttl,
+                        r.qtype,
+                        r.ecs_source,
+                        r.response_scope,
+                    ));
                 }
                 replayer.feed(&packed);
-                if let Some(p) = wp.as_mut() {
-                    p.exit();
-                }
             }
-            if let Some(p) = wp.as_mut() {
-                p.exit(); // stream_shard
-                p.exit(); // cache_sim
-            }
-            (replayer.into_stats(), wp.map(|p| p.snapshot()))
-        };
-
-        let mut shard_profiles: Vec<obs::ProfileSnapshot> = Vec::new();
-        let shards: Vec<ShardStats> = if num_shards == 1 {
-            let (stats, wp) = worker(0);
-            if let Some(wp) = wp {
-                shard_profiles.push(wp);
-            }
-            vec![stats]
-        } else {
-            let results: Vec<(ShardStats, Option<obs::ProfileSnapshot>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..num_shards)
-                        .map(|w| scope.spawn(move || worker(w)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("cache-sim stream worker panicked"))
-                        .collect()
-                });
-            let mut stats = Vec::with_capacity(results.len());
-            for (s, wp) in results {
-                stats.push(s);
-                if let Some(wp) = wp {
-                    shard_profiles.push(wp);
-                }
-            }
-            stats
-        };
-
-        let snapshot = instrument.then(|| {
-            let mut merged = obs::MetricsSnapshot::default();
-            for stats in &shards {
-                let reg = obs::MetricsRegistry::new();
-                fold_shard_metrics(&reg, stats);
-                merged.merge(&reg.snapshot());
-            }
-            merged
-        });
-
-        let mut per_resolver: Vec<ResolverCacheResult> = Vec::with_capacity(num_resolvers);
-        for (rid, &addr) in model.resolver_addrs().iter().enumerate() {
-            let stats = &shards[rid % num_shards];
-            let local = rid / num_shards;
-            let lookups = stats.lookups[local];
-            if lookups == 0 {
-                // Never queried (Zipf tail) or fully sampled out — absent
-                // from the materialized path's output too.
-                continue;
-            }
-            per_resolver.push(ResolverCacheResult {
-                resolver: addr,
-                max_size_ecs: stats.max_ecs[local],
-                max_size_no_ecs: stats.max_plain[local],
-                hits_ecs: stats.hits_ecs[local],
-                hits_no_ecs: stats.hits_plain[local],
-                lookups,
-                evictions_ecs: stats.evictions_ecs[local],
-                evictions_no_ecs: stats.evictions_plain[local],
-            });
-        }
-        per_resolver.sort_by_key(|r| r.resolver);
-        let profile = prof.map(|mut p| {
-            p.exit(); // cache_sim (merge tail in self time)
-            let mut folded = p.snapshot();
-            for wp in &shard_profiles {
-                folded.merge(wp);
-            }
-            folded
-        });
-        (CacheSimResult { per_resolver }, snapshot, profile)
+        })
     }
 
-    fn run_impl(
-        &self,
-        trace: &TraceSet,
-        instrument: bool,
-        profile: bool,
-    ) -> (
-        CacheSimResult,
-        Option<obs::MetricsSnapshot>,
-        Option<obs::ProfileSnapshot>,
-    ) {
-        let mut prof = profile.then(obs::StageProfiler::new);
-        if let Some(p) = prof.as_mut() {
-            p.enter("cache_sim");
-            p.enter("index");
-        }
-        let built;
-        let index = match trace.index() {
-            Some(idx) => idx,
-            None => {
-                built = TraceIndex::build(&trace.records);
-                &built
-            }
-        };
-        let num_resolvers = index.num_resolvers();
-        let num_shards = self.config.parallelism.clamp(1, num_resolvers.max(1));
-        if let Some(p) = prof.as_mut() {
-            p.exit(); // index
-            p.enter("partition");
-        }
-        let packed = partition_records(&trace.records, index, &self.config, num_shards);
-        if let Some(p) = prof.as_mut() {
-            p.exit(); // partition
-        }
-        let mut shard_profiles: Vec<obs::ProfileSnapshot> = Vec::new();
-        let shards: Vec<ShardStats> = if num_shards == 1 {
-            if let Some(p) = prof.as_mut() {
-                p.enter("replay_shard");
-            }
-            let stats = simulate_shard(&packed[0], num_resolvers, &self.config);
-            if let Some(p) = prof.as_mut() {
-                p.exit();
-            }
-            vec![stats]
-        } else {
-            let config = &self.config;
-            let results: Vec<(ShardStats, Option<obs::ProfileSnapshot>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = packed
-                        .iter()
-                        .enumerate()
-                        .map(|(w, stream)| {
-                            let locals = shard_width(num_resolvers, w, num_shards);
-                            scope.spawn(move || {
-                                let mut wp = profile.then(obs::StageProfiler::new);
-                                if let Some(p) = wp.as_mut() {
-                                    p.enter("cache_sim");
-                                    p.enter("replay_shard");
-                                }
-                                let stats = simulate_shard(stream, locals, config);
-                                if let Some(p) = wp.as_mut() {
-                                    p.exit();
-                                    p.exit();
-                                }
-                                (stats, wp.map(|p| p.snapshot()))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("cache-sim shard worker panicked"))
-                        .collect()
-                });
-            let mut stats = Vec::with_capacity(results.len());
-            for (s, wp) in results {
-                stats.push(s);
-                if let Some(wp) = wp {
-                    shard_profiles.push(wp);
-                }
-            }
-            stats
-        };
+    /// Shard count for `num_resolvers` resolvers: `config.parallelism`,
+    /// but at least one and never more shards than resolvers.
+    fn num_shards(&self, num_resolvers: usize) -> usize {
+        self.config.parallelism.clamp(1, num_resolvers.max(1))
+    }
 
-        let snapshot = instrument.then(|| {
-            let mut merged = obs::MetricsSnapshot::default();
-            for stats in &shards {
-                let reg = obs::MetricsRegistry::new();
-                fold_shard_metrics(&reg, stats);
-                merged.merge(&reg.snapshot());
-            }
-            merged
-        });
+    /// The one shard loop. Resolver `rid` (an index into `resolver_addrs`)
+    /// lives in shard `rid % num_shards`; `feed(w, replayer)` pushes shard
+    /// `w`'s packed records, in order. Runs the single shard inline, or
+    /// one scoped thread per shard, then merges.
+    fn replay(
+        &self,
+        resolver_addrs: &[IpAddr],
+        num_shards: usize,
+        feed: impl Fn(usize, &mut ShardReplayer) + Sync,
+    ) -> CacheSimResult {
+        let worker = |w: usize| -> ShardStats {
+            let locals = shard_width(resolver_addrs.len(), w, num_shards);
+            let mut replayer = ShardReplayer::new(locals, &self.config);
+            feed(w, &mut replayer);
+            replayer.stats
+        };
+        let shards: Vec<ShardStats> = if num_shards == 1 {
+            vec![worker(0)]
+        } else {
+            let worker = &worker;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..num_shards)
+                    .map(|w| scope.spawn(move || worker(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("cache-sim shard worker panicked"))
+                    .collect()
+            })
+        };
 
         // Deterministic merge: walk resolvers in id order, then sort by
         // address as the public contract requires.
-        let mut per_resolver: Vec<ResolverCacheResult> = Vec::with_capacity(num_resolvers);
-        for (rid, &addr) in index.resolvers().iter().enumerate() {
+        let mut per_resolver: Vec<ResolverCacheResult> = Vec::with_capacity(resolver_addrs.len());
+        for (rid, &addr) in resolver_addrs.iter().enumerate() {
             let stats = &shards[rid % num_shards];
             let local = rid / num_shards;
             let lookups = stats.lookups[local];
             if lookups == 0 {
-                // Every record sampled out: the resolver never replayed,
-                // matching the sequential engine's output shape.
+                // Never queried (a stream's Zipf tail) or fully sampled
+                // out: the resolver never replayed, so it has no result.
                 continue;
             }
             per_resolver.push(ResolverCacheResult {
@@ -935,15 +752,7 @@ impl CacheSimulator {
             });
         }
         per_resolver.sort_by_key(|r| r.resolver);
-        let profile = prof.map(|mut p| {
-            p.exit(); // cache_sim (the merge tail rides in its self time)
-            let mut folded = p.snapshot();
-            for wp in &shard_profiles {
-                folded.merge(wp);
-            }
-            folded
-        });
-        (CacheSimResult { per_resolver }, snapshot, profile)
+        CacheSimResult { per_resolver }
     }
 }
 
@@ -979,6 +788,28 @@ mod tests {
         t.records = records;
         t.sort_by_time();
         CacheSimulator::new(CacheSimConfig::default()).run(&t)
+    }
+
+    /// 400 records over five resolvers, 13 names and 31 subnets with mixed
+    /// scopes and TTLs: enough to spread over several shards and to
+    /// overflow a small capacity in both modes.
+    fn five_resolver_trace() -> TraceSet {
+        let mut t = TraceSet::new("t");
+        t.records = (0..400)
+            .map(|i| {
+                let mut r = rec(
+                    i / 7,
+                    &format!("h{}.example.com", i % 13),
+                    &format!("10.2.{}.0", i % 31),
+                    if i % 3 == 0 { 16 } else { 24 },
+                    20 + (i as u32 % 4) * 20,
+                );
+                r.resolver = IpAddr::V4(Ipv4Addr::new(9, 9, 9, (i % 5) as u8 + 1));
+                r
+            })
+            .collect();
+        t.sort_by_time();
+        t
     }
 
     #[test]
@@ -1111,22 +942,7 @@ mod tests {
 
     #[test]
     fn parallelism_does_not_change_results() {
-        let records: Vec<TraceRecord> = (0..400)
-            .map(|i| {
-                let mut r = rec(
-                    i / 7,
-                    &format!("h{}.example.com", i % 13),
-                    &format!("10.2.{}.0", i % 31),
-                    if i % 3 == 0 { 16 } else { 24 },
-                    20 + (i as u32 % 4) * 20,
-                );
-                r.resolver = IpAddr::V4(Ipv4Addr::new(9, 9, 9, (i % 5) as u8 + 1));
-                r
-            })
-            .collect();
-        let mut t = TraceSet::new("t");
-        t.records = records;
-        t.sort_by_time();
+        let t = five_resolver_trace();
         let sequential = CacheSimulator::new(CacheSimConfig::default()).run(&t);
         for parallelism in [2, 3, 8, 64] {
             let sharded = CacheSimulator::new(CacheSimConfig {
@@ -1221,22 +1037,7 @@ mod tests {
 
     #[test]
     fn capacity_is_deterministic_at_any_parallelism() {
-        let records: Vec<TraceRecord> = (0..400)
-            .map(|i| {
-                let mut r = rec(
-                    i / 7,
-                    &format!("h{}.example.com", i % 13),
-                    &format!("10.2.{}.0", i % 31),
-                    if i % 3 == 0 { 16 } else { 24 },
-                    20 + (i as u32 % 4) * 20,
-                );
-                r.resolver = IpAddr::V4(Ipv4Addr::new(9, 9, 9, (i % 5) as u8 + 1));
-                r
-            })
-            .collect();
-        let mut t = TraceSet::new("t");
-        t.records = records;
-        t.sort_by_time();
+        let t = five_resolver_trace();
         let config = CacheSimConfig {
             capacity: Some(3),
             ..CacheSimConfig::default()
@@ -1265,24 +1066,9 @@ mod tests {
 
     #[test]
     fn instrumented_snapshot_matches_results_at_any_parallelism() {
-        let records: Vec<TraceRecord> = (0..400)
-            .map(|i| {
-                let mut r = rec(
-                    i / 7,
-                    &format!("h{}.example.com", i % 13),
-                    &format!("10.2.{}.0", i % 31),
-                    if i % 3 == 0 { 16 } else { 24 },
-                    20 + (i as u32 % 4) * 20,
-                );
-                r.resolver = IpAddr::V4(Ipv4Addr::new(9, 9, 9, (i % 5) as u8 + 1));
-                r
-            })
-            .collect();
-        let mut t = TraceSet::new("t");
-        t.records = records;
-        t.sort_by_time();
-        let (result, sequential) =
-            CacheSimulator::new(CacheSimConfig::default()).run_instrumented(&t);
+        let t = five_resolver_trace();
+        let result = CacheSimulator::new(CacheSimConfig::default()).run(&t);
+        let sequential = result.to_metrics();
         // The snapshot agrees with the public result.
         let lookups: u64 = result.per_resolver.iter().map(|r| r.lookups).sum();
         let hits_ecs: u64 = result.per_resolver.iter().map(|r| r.hits_ecs).sum();
@@ -1304,55 +1090,64 @@ mod tests {
         );
         // Sharding never changes the merged snapshot.
         for parallelism in [2, 3, 8, 64] {
-            let (_, sharded) = CacheSimulator::new(CacheSimConfig {
+            let sharded = CacheSimulator::new(CacheSimConfig {
                 parallelism,
                 ..CacheSimConfig::default()
             })
-            .run_instrumented(&t);
+            .run(&t)
+            .to_metrics();
             assert_eq!(sharded, sequential, "parallelism={parallelism}");
         }
     }
 
     #[test]
-    fn profiled_run_matches_plain_result_and_captures_shard_spans() {
-        let records: Vec<TraceRecord> = (0..120u64)
-            .map(|i| {
-                let mut r = rec(
-                    i / 5,
-                    &format!("p{}.example.com", i % 11),
-                    &format!("10.3.{}.0", i % 17),
-                    24,
-                    60,
-                );
-                r.resolver = IpAddr::V4(Ipv4Addr::new(9, 9, 9, (i % 4) as u8 + 1));
-                r
-            })
-            .collect();
-        let mut t = TraceSet::new("t");
-        t.records = records;
-        t.sort_by_time();
+    fn snapshot_series_are_sums_and_peaks_of_a_capacity_bound_result() {
+        let t = five_resolver_trace();
+        let result = CacheSimulator::new(CacheSimConfig {
+            capacity: Some(3),
+            parallelism: 2,
+            ..CacheSimConfig::default()
+        })
+        .run(&t);
+        let snap = result.to_metrics();
+        let sum = |field: fn(&ResolverCacheResult) -> u64| -> u64 {
+            result.per_resolver.iter().map(field).sum()
+        };
+        assert!(sum(|r| r.evictions_ecs) > 0 && sum(|r| r.evictions_no_ecs) > 0);
+        assert_eq!(
+            snap.counter("cache_sim_hits_plain_total"),
+            Some(sum(|r| r.hits_no_ecs))
+        );
+        assert_eq!(
+            snap.counter("cache_sim_evictions_ecs_total"),
+            Some(sum(|r| r.evictions_ecs))
+        );
+        assert_eq!(
+            snap.counter("cache_sim_evictions_plain_total"),
+            Some(sum(|r| r.evictions_no_ecs))
+        );
+        let peaks_plain = snap.histogram("cache_sim_peak_plain_entries").unwrap();
+        assert_eq!(peaks_plain.count, result.per_resolver.len() as u64);
+        assert_eq!(peaks_plain.sum, sum(|r| r.max_size_no_ecs as u64));
+        assert_eq!(snap.gauge("cache_sim_peak_live_ecs"), Some(3));
+    }
 
-        let plain = CacheSimulator::new(CacheSimConfig::default()).run(&t);
-        for parallelism in [1, 4] {
-            let sim = CacheSimulator::new(CacheSimConfig {
-                parallelism,
-                ..CacheSimConfig::default()
-            });
-            let (result, snap, profile) = sim.run_profiled(&t);
-            assert_eq!(result, plain, "profiling must not change the result");
-            assert!(snap.counter("cache_sim_lookups_total").is_some());
-            assert!(!profile.is_empty());
-            let folded = profile.to_folded();
-            assert!(folded.contains("cache_sim;partition"), "{folded}");
-            assert!(folded.contains("cache_sim;replay_shard"), "{folded}");
-            // One replay span per shard worker (4 resolvers → 4 shards max).
-            let replay_calls = profile
-                .stacks
-                .get("cache_sim;replay_shard")
-                .map(|s| s.calls)
-                .unwrap_or(0);
-            assert_eq!(replay_calls, parallelism.min(4) as u64);
+    #[test]
+    fn empty_result_still_carries_every_required_series() {
+        let result = CacheSimulator::new(CacheSimConfig::default()).run(&TraceSet::new("empty"));
+        assert!(result.per_resolver.is_empty());
+        let snap = result.to_metrics();
+        let required = obs::validate::STREAM_REQUIRED_SERIES;
+        assert_eq!(snap.series.len(), required.len());
+        for name in required {
+            assert!(snap.series.contains_key(*name), "{name} missing");
         }
+        assert_eq!(snap.counter("cache_sim_lookups_total"), Some(0));
+        assert_eq!(snap.gauge("cache_sim_peak_live_ecs"), Some(0));
+        assert_eq!(
+            snap.histogram("cache_sim_peak_ecs_entries").unwrap().count,
+            0
+        );
     }
 
     #[test]
@@ -1412,50 +1207,17 @@ mod tests {
             },
         ] {
             let sim = CacheSimulator::new(config.clone());
-            let (streamed, stream_snap) = sim.run_streaming_instrumented(&source);
-            let (materialized, mat_snap) = sim.run_instrumented(&trace);
+            let streamed = sim.run_streaming(&source);
+            let materialized = sim.run(&trace);
             assert_eq!(
                 streamed.per_resolver, materialized.per_resolver,
                 "{config:?}"
             );
-            assert_eq!(stream_snap, mat_snap, "{config:?}");
-        }
-    }
-
-    #[test]
-    fn streaming_profile_captures_stream_spans() {
-        let source = workload::CdnStreamGen {
-            resolvers: 4,
-            subnets_per_resolver: 4,
-            hostnames: 40,
-            queries: 5_000,
-            duration: netsim::SimDuration::from_secs(300),
-            ttl: 20,
-            seed: 2,
-        }
-        .source()
-        .with_chunk_size(512);
-        let plain = CacheSimulator::new(CacheSimConfig::default()).run_streaming(&source);
-        for parallelism in [1, 4] {
-            let sim = CacheSimulator::new(CacheSimConfig {
-                parallelism,
-                ..CacheSimConfig::default()
-            });
-            let (result, snap, profile) = sim.run_streaming_profiled(&source);
-            assert_eq!(result, plain, "profiling must not change the result");
-            assert!(snap.counter("cache_sim_lookups_total").is_some());
-            let folded = profile.to_folded();
-            assert!(
-                folded.contains("cache_sim;stream_shard;generate"),
-                "{folded}"
+            assert_eq!(
+                streamed.to_metrics(),
+                materialized.to_metrics(),
+                "{config:?}"
             );
-            assert!(folded.contains("cache_sim;stream_shard;replay"), "{folded}");
-            let shard_calls = profile
-                .stacks
-                .get("cache_sim;stream_shard")
-                .map(|s| s.calls)
-                .unwrap_or(0);
-            assert_eq!(shard_calls, parallelism.min(4) as u64);
         }
     }
 

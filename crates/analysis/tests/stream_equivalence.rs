@@ -139,9 +139,65 @@ fn streaming_snapshot_equals_materialized_snapshot() {
             parallelism,
             ..CacheSimConfig::default()
         });
-        let (_, stream_snap) = sim.run_streaming_instrumented(&source);
-        let (_, mat_snap) = sim.run_instrumented(&trace);
+        let stream_snap = sim.run_streaming(&source).to_metrics();
+        let mat_snap = sim.run(&trace).to_metrics();
         assert_eq!(stream_snap, mat_snap, "parallelism={parallelism}");
+    }
+}
+
+/// A three-resolver stream for the edges the one shard loop must get right
+/// whichever feed drives it.
+fn edge_gen(queries: u64) -> CdnStreamGen {
+    CdnStreamGen {
+        resolvers: 3,
+        subnets_per_resolver: 4,
+        hostnames: 20,
+        queries,
+        duration: SimDuration::from_secs(120),
+        ttl: 20,
+        seed: 9,
+    }
+}
+
+fn sim_at(parallelism: usize) -> CacheSimulator {
+    CacheSimulator::new(CacheSimConfig {
+        parallelism,
+        ..CacheSimConfig::default()
+    })
+}
+
+#[test]
+fn both_feeds_return_nothing_for_zero_records() {
+    // The stream still knows its three resolvers (so it shards three ways
+    // and skips all of them); the empty trace knows none.
+    let source = edge_gen(0).source();
+    let trace = source.materialize();
+    assert!(trace.is_empty());
+    for parallelism in [1usize, 4] {
+        let sim = sim_at(parallelism);
+        assert!(sim.run_streaming(&source).per_resolver.is_empty());
+        assert!(sim.run(&trace).per_resolver.is_empty());
+    }
+}
+
+#[test]
+fn both_feeds_agree_with_more_workers_than_resolvers_and_one_record_chunks() {
+    let source = edge_gen(2_000).source().with_chunk_size(1);
+    let trace = source.materialize();
+    let reference = sim_at(1).run(&trace);
+    assert_eq!(reference.per_resolver.len(), 3);
+    for parallelism in [1usize, 3, 64] {
+        let sim = sim_at(parallelism);
+        assert_eq!(
+            sim.run_streaming(&source).per_resolver,
+            reference.per_resolver,
+            "streaming feed, parallelism={parallelism}"
+        );
+        assert_eq!(
+            sim.run(&trace).per_resolver,
+            reference.per_resolver,
+            "materialized feed, parallelism={parallelism}"
+        );
     }
 }
 

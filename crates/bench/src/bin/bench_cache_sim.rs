@@ -7,10 +7,8 @@
 //! that every configuration produces identical results, and writes
 //! `BENCH_cache_sim.json` to the current directory.
 //!
-//! Also measures the telemetry tax: `run_instrumented` (per-shard metric
-//! registries folded after the join) against the plain `run`, pinning the
-//! overhead below 5%. Harness stages are themselves timed with
-//! [`obs::timer!`] and reported as `stage_wall_us`.
+//! Harness stages are themselves timed with [`obs::timer!`] and reported
+//! as `stage_wall_us`.
 //!
 //! A streaming section runs *first*, before any trace is materialized:
 //! `run_streaming` replays `--stream-queries` records (default 10× the
@@ -396,46 +394,13 @@ fn main() {
     measurements.push(tight_m);
     drop(stage_bounded);
 
-    // Telemetry on vs off at the widest configuration: the instrumented
-    // run folds per-shard registries only after the parallel join, so it
-    // must stay within noise of the plain run.
-    let stage_telemetry = obs::timer!(stages.histogram("stage_telemetry_us"));
-    eprintln!("timing sharded engine, telemetry off vs on (8 threads) ...");
-    let sim = CacheSimulator::new(CacheSimConfig {
-        parallelism: 8,
-        ..CacheSimConfig::default()
-    });
-    let (off_result, off_m) = time_runs("telemetry_off", 8, records, || sim.run(&trace));
-    assert_eq!(
-        off_result.per_resolver, legacy_result.per_resolver,
-        "telemetry-off run changed results"
-    );
-    let mut snapshot = obs::MetricsSnapshot::default();
-    let (on_result, on_m) = time_runs("telemetry_on", 8, records, || {
-        let (r, s) = sim.run_instrumented(&trace);
-        snapshot = s;
-        r
-    });
-    assert_eq!(
-        on_result.per_resolver, legacy_result.per_resolver,
-        "instrumented run changed results"
-    );
-    let lookups_recorded = snapshot.counter("cache_sim_lookups_total").unwrap_or(0);
-    assert_eq!(
-        lookups_recorded, records as u64,
-        "instrumented run lost lookups"
-    );
-    let telemetry_overhead = 1.0 - on_m.records_per_sec / off_m.records_per_sec;
-    // The 5% budget is only meaningful at full trace size; a smoke-sized
-    // `--queries` run finishes in microseconds where the ratio is pure
-    // scheduler noise. The value still lands in the JSON either way.
-    assert!(
-        records < 500_000 || telemetry_overhead < 0.05,
-        "telemetry overhead {telemetry_overhead:.4} exceeds the 5% budget"
-    );
-    measurements.push(off_m);
-    measurements.push(on_m);
-    drop(stage_telemetry);
+    // Telemetry is a function of the result: its lookup counter must
+    // account for every replayed record.
+    let lookups_recorded = inf_result
+        .to_metrics()
+        .counter("cache_sim_lookups_total")
+        .unwrap_or(0);
+    assert_eq!(lookups_recorded, records as u64, "telemetry lost lookups");
 
     let baseline = measurements[0].records_per_sec;
     let seq = measurements[1].records_per_sec;
@@ -469,7 +434,7 @@ fn main() {
         1.0 - bounded_inf / seq
     ));
     json.push_str(&format!(
-        "  \"telemetry\": {{\"overhead_at_parallelism_8\": {telemetry_overhead:.4}, \"lookups_recorded\": {lookups_recorded}}},\n",
+        "  \"telemetry\": {{\"lookups_recorded\": {lookups_recorded}}},\n",
     ));
     json.push_str("  \"streaming\": {\n");
     json.push_str(&format!(
@@ -499,13 +464,12 @@ fn main() {
     let stage_snap = stages.snapshot();
     let stage_us = |name: &str| stage_snap.histogram(name).map(|h| h.max).unwrap_or(0);
     json.push_str(&format!(
-        "  \"stage_wall_us\": {{\"streaming\": {}, \"generate\": {}, \"legacy\": {}, \"sharded\": {}, \"bounded\": {}, \"telemetry\": {}}},\n",
+        "  \"stage_wall_us\": {{\"streaming\": {}, \"generate\": {}, \"legacy\": {}, \"sharded\": {}, \"bounded\": {}}},\n",
         stage_us("stage_streaming_us"),
         stage_us("stage_generate_us"),
         stage_us("stage_legacy_us"),
         stage_us("stage_sharded_us"),
         stage_us("stage_bounded_us"),
-        stage_us("stage_telemetry_us"),
     ));
     json.push_str("  \"results_identical_across_engines_and_threads\": true\n");
     json.push_str("}\n");

@@ -1,6 +1,6 @@
-//! Criterion benches live under `benches/`; the library side carries the
-//! bench-history regression gate shared by the harness binaries and the
-//! `bench_check` CI gate.
+//! The library side of the harness binaries (`bench_dnsd`,
+//! `bench_cache_sim`): the counting allocator and the bench-history
+//! regression gate they share with the `bench_check` CI gate.
 
 pub mod alloc;
 pub mod regression;

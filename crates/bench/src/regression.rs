@@ -32,7 +32,7 @@
 //! - `bool_true` — the pointed-at value must be JSON `true`.
 //!
 //! Paths are dotted with `[N]` array indexing (`rows[2].qps`,
-//! `telemetry.overhead_at_parallelism_8`). A missing file, unparseable
+//! `telemetry.lookups_recorded`). A missing file, unparseable
 //! report, or dangling path is a **failing** check, never a panic: a gate
 //! that errors out green is no gate.
 

@@ -126,36 +126,31 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
             parallelism: config.parallelism,
             ..CacheSimConfig::default()
         });
-        let result = if telemetry {
-            let (result, snap) = sim.run_streaming_instrumented(&source);
-            merged.merge(&snap);
-            if let Some(t) = &tracer {
-                // One root span per TTL cell; hit/miss cache probes
-                // summarize the cell for the trace-analysis tooling.
-                let root = t.start(
-                    0,
-                    &obs::EventKind::QueryReceived {
-                        qname: format!("fig1.ttl{ttl}.cell"),
-                        qtype: "A".to_string(),
-                    },
-                );
-                let hits: u64 = result.per_resolver.iter().map(|r| r.hits_ecs).sum();
-                let lookups: u64 = result.per_resolver.iter().map(|r| r.lookups).sum();
-                t.event(root, 1, &obs::EventKind::CacheProbe { outcome: "hit" });
-                t.event(root, 2, &obs::EventKind::CacheProbe { outcome: "miss" });
-                t.event(
-                    root,
-                    3,
-                    &obs::EventKind::Answered {
-                        rcode: "NOERROR".to_string(),
-                        latency_us: lookups.saturating_sub(hits),
-                    },
-                );
-            }
-            result
-        } else {
-            sim.run_streaming(&source)
-        };
+        let result = sim.run_streaming(&source);
+        if let Some(t) = &tracer {
+            merged.merge(&result.to_metrics());
+            // One root span per TTL cell; hit/miss cache probes
+            // summarize the cell for the trace-analysis tooling.
+            let root = t.start(
+                0,
+                &obs::EventKind::QueryReceived {
+                    qname: format!("fig1.ttl{ttl}.cell"),
+                    qtype: "A".to_string(),
+                },
+            );
+            let hits: u64 = result.per_resolver.iter().map(|r| r.hits_ecs).sum();
+            let lookups: u64 = result.per_resolver.iter().map(|r| r.lookups).sum();
+            t.event(root, 1, &obs::EventKind::CacheProbe { outcome: "hit" });
+            t.event(root, 2, &obs::EventKind::CacheProbe { outcome: "miss" });
+            t.event(
+                root,
+                3,
+                &obs::EventKind::Answered {
+                    rcode: "NOERROR".to_string(),
+                    latency_us: lookups.saturating_sub(hits),
+                },
+            );
+        }
         series.push(TtlSeries {
             ttl,
             cdf: Cdf::new(result.blowup_factors()),

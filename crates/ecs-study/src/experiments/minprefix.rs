@@ -231,8 +231,8 @@ mod tests {
             let max_lengths = outcome
                 .log_table
                 .rows
-                .iter()
-                .map(|(row, _)| row.split(',').count())
+                .keys()
+                .map(|row| row.split(',').count())
                 .max()
                 .unwrap();
             assert_eq!(max_lengths, 2);

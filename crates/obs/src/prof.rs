@@ -478,10 +478,10 @@ mod tests {
     fn overflow_is_counted_never_unbalanced() {
         let mut p = StageProfiler::new();
         // Overflow the stack: MAX_DEPTH real levels, then two dropped.
-        for i in 0..MAX_DEPTH {
-            // Distinct static names without leaking: a fixed pool.
-            const POOL: [&str; MAX_DEPTH] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"];
-            p.enter_at(POOL[i], i as u64);
+        // Distinct static names without leaking: a fixed pool.
+        const POOL: [&str; MAX_DEPTH] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"];
+        for (i, name) in POOL.into_iter().enumerate() {
+            p.enter_at(name, i as u64);
         }
         p.enter_at("over1", 100);
         p.enter_at("over2", 101);

@@ -28,8 +28,8 @@ pub const SCANNER_REQUIRED_SERIES: &[&str] = &[
 /// The series a streaming cache-replay run must carry (the `obs-validate
 /// metrics --require-stream` profile): every counter in the replay
 /// reconciliation identity plus the per-shard peak-occupancy histograms
-/// and the live-entry high-water gauge, as folded by
-/// `CacheSimulator::run_streaming_instrumented`.
+/// and the live-entry high-water gauge, as computed by
+/// `CacheSimResult::to_metrics`.
 pub const STREAM_REQUIRED_SERIES: &[&str] = &[
     "cache_sim_lookups_total",
     "cache_sim_hits_ecs_total",

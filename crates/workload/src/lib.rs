@@ -42,8 +42,8 @@ pub use io::{
 };
 pub use names::NameUniverse;
 pub use stream::{
-    AllNamesStreamGen, CdnStreamGen, NameTable, StreamChunk, StreamRecord, SubnetSpace,
-    TraceStream, TraceStreamSource, WorkloadModel, DEFAULT_CHUNK,
+    AllNamesStreamGen, CdnStreamGen, NameTable, StreamRecord, SubnetSpace, TraceStream,
+    TraceStreamSource, WorkloadModel, DEFAULT_CHUNK,
 };
 pub use trace::{TraceRecord, TraceSet};
 pub use zipf::Zipf;

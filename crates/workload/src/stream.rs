@@ -272,26 +272,6 @@ pub struct StreamRecord {
     pub client: Option<IpAddr>,
 }
 
-/// One chunk of stream records (owned; see
-/// [`TraceStream::next_chunk_into`] for the zero-copy reuse path).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamChunk {
-    /// The records, in stream order.
-    pub records: Vec<StreamRecord>,
-}
-
-impl StreamChunk {
-    /// Number of records in the chunk.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the chunk holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 /// A seeded workload shape that can compute any record on demand.
 ///
 /// `record(i)` must be a pure function of `(self, i)`, and `resolver_of(i)`
@@ -746,8 +726,7 @@ impl<M: WorkloadModel> TraceStreamSource<M> {
 }
 
 /// A cursor over one (sub)stream. Pull chunks with
-/// [`TraceStream::next_chunk_into`] (reusing one buffer — the zero-copy
-/// replay path) or iterate owned [`StreamChunk`]s.
+/// [`TraceStream::next_chunk_into`], reusing one buffer.
 #[derive(Debug)]
 pub struct TraceStream<M> {
     model: Arc<M>,
@@ -780,24 +759,6 @@ impl<M: WorkloadModel> TraceStream<M> {
         }
         !buf.is_empty()
     }
-
-    /// The next chunk as an owned value, or `None` at end of stream.
-    pub fn next_chunk(&mut self) -> Option<StreamChunk> {
-        let mut records = Vec::with_capacity(self.chunk_size);
-        if self.next_chunk_into(&mut records) {
-            Some(StreamChunk { records })
-        } else {
-            None
-        }
-    }
-}
-
-impl<M: WorkloadModel> Iterator for TraceStream<M> {
-    type Item = StreamChunk;
-
-    fn next(&mut self) -> Option<StreamChunk> {
-        self.next_chunk()
-    }
 }
 
 #[cfg(test)]
@@ -829,7 +790,13 @@ mod tests {
     }
 
     fn collect_all<M: WorkloadModel>(source: &TraceStreamSource<M>) -> Vec<StreamRecord> {
-        source.open().flat_map(|c| c.records).collect()
+        let mut stream = source.open();
+        let mut all = Vec::new();
+        let mut buf = Vec::new();
+        while stream.next_chunk_into(&mut buf) {
+            all.extend_from_slice(&buf);
+        }
+        all
     }
 
     #[test]
