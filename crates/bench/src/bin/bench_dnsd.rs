@@ -23,9 +23,7 @@
 //! Diagnosis flags: `--profile [stacks.folded]` turns on the per-worker
 //! stage profiler and shard/flight lock contention monitors — rows gain
 //! the `lock_*` contention columns and the folded flamegraph stacks of
-//! every row merge into the given path. `--shards N` overrides the shared
-//! cache's shard count (default follows the worker count, floor 4).
-//! `--history PATH` appends one JSONL line per row with run metadata
+//! every row merge into the given path. `--history PATH` appends one JSONL line per row with run metadata
 //! (unix time, host parallelism) for the `bench_check` regression gate's
 //! trend data.
 
@@ -58,8 +56,6 @@ struct Args {
     /// `Some(path)` turns on profiling + contention monitors; the merged
     /// folded stacks of every row land at `path`.
     profile: Option<String>,
-    /// Explicit shared-cache shard count (None = server default).
-    shards: Option<usize>,
     /// JSONL history file to append one line per row to.
     history: Option<String>,
 }
@@ -70,7 +66,6 @@ fn parse_args() -> Args {
         window: 64,
         out: "BENCH_dnsd.json".to_string(),
         profile: None,
-        shards: None,
         history: None,
     };
     let mut args = std::env::args().skip(1).peekable();
@@ -93,7 +88,6 @@ fn parse_args() -> Args {
             "--queries" => parsed.queries = take("--queries").parse().expect("integer"),
             "--window" => parsed.window = take("--window").parse().expect("integer"),
             "--out" => parsed.out = take("--out"),
-            "--shards" => parsed.shards = Some(take("--shards").parse().expect("integer")),
             "--history" => parsed.history = Some(take("--history")),
             other => panic!("unknown flag {other:?}"),
         }
@@ -211,16 +205,12 @@ fn run_row(
     queries: usize,
     window: usize,
     templates: &[Vec<u8>],
-    shards: Option<usize>,
     profile: bool,
 ) -> RunOutcome {
     let config = ResolverConfig::rfc_compliant(std::net::IpAddr::V4(Ipv4Addr::LOCALHOST));
     let mut server = UdpResolverServer::bind("127.0.0.1:0", auth_addr, config)
         .expect("bind resolver")
         .with_workers(workers);
-    if let Some(shards) = shards {
-        server = server.with_cache_shards(shards);
-    }
     if profile {
         server = server.with_profiling();
     }
@@ -304,12 +294,9 @@ fn main() {
     let mut merged_profile = obs::ProfileSnapshot::default();
     for &workers in &worker_counts {
         eprintln!(
-            "bench_dnsd: {} queries at {workers} worker(s), window {}{}{} ...",
+            "bench_dnsd: {} queries at {workers} worker(s), window {}{} ...",
             args.queries,
             args.window,
-            args.shards
-                .map(|s| format!(", {s} shards"))
-                .unwrap_or_default(),
             if args.profile.is_some() {
                 ", profiled"
             } else {
@@ -322,7 +309,6 @@ fn main() {
             args.queries,
             args.window,
             &templates,
-            args.shards,
             args.profile.is_some(),
         );
         let qps = o.completed as f64 / o.seconds;
@@ -365,13 +351,10 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"dnsd_multiworker_loopback\",\n");
     json.push_str(&format!(
-        "  \"config\": {{\"queries_per_row\": {}, \"names\": {NAMES}, \"ecs_pct\": {ECS_PCT}, \"window\": {}, \"seeded\": true, \"profiled\": {}, \"shards\": {}}},\n",
+        "  \"config\": {{\"queries_per_row\": {}, \"names\": {NAMES}, \"ecs_pct\": {ECS_PCT}, \"window\": {}, \"seeded\": true, \"profiled\": {}}},\n",
         args.queries,
         args.window,
         args.profile.is_some(),
-        args.shards
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "null".to_string()),
     ));
     json.push_str("  \"rows\": [\n");
     let last = rows.len() - 1;
@@ -445,12 +428,6 @@ fn main() {
                     ("workers", workers.to_string()),
                     ("queries", args.queries.to_string()),
                     ("window", args.window.to_string()),
-                    (
-                        "shards",
-                        args.shards
-                            .map(|s| s.to_string())
-                            .unwrap_or_else(|| "null".to_string()),
-                    ),
                     ("profiled", args.profile.is_some().to_string()),
                     ("qps", format!("{qps:.0}")),
                     ("lost", o.lost.to_string()),

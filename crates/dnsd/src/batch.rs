@@ -121,27 +121,28 @@ impl SendBatch {
         self.items.is_empty()
     }
 
-    /// Sends every queued datagram and clears the queue. Send errors on
-    /// individual datagrams are ignored (UDP semantics — the peer times
-    /// out and retries), but a dead socket surfaces as `Err`.
+    /// Sends every queued datagram, clears the queue — whatever the
+    /// outcome — and returns how many the kernel took. A datagram the
+    /// kernel refuses (an unroutable peer, port 0, a full buffer) costs
+    /// that datagram only: it is skipped and the rest still go out (UDP
+    /// semantics — the peer times out and retries), so `queued − sent` is
+    /// the caller's failure count. `Err` is a socket that is not one any
+    /// more (`EBADF`/`ENOTSOCK`, detected on Linux).
     pub fn flush(&mut self, socket: &UdpSocket) -> io::Result<usize> {
-        let sent;
         #[cfg(target_os = "linux")]
-        {
-            sent = self.sys.send_all(socket, &self.items)?;
-        }
+        let sent = self.sys.send_all(socket, &self.items);
         #[cfg(not(target_os = "linux"))]
-        {
+        let sent = {
             let mut n = 0;
             for (payload, peer) in &self.items {
                 if socket.send_to(payload, *peer).is_ok() {
                     n += 1;
                 }
             }
-            sent = n;
-        }
+            Ok(n)
+        };
         self.items.clear();
-        Ok(sent)
+        sent
     }
 }
 
@@ -159,6 +160,9 @@ mod linux {
     const AF_INET6: u16 = 10;
     /// `MSG_WAITFORONE`: block for the first message only, then drain.
     const MSG_WAITFORONE: i32 = 0x10000;
+    const EINTR: i32 = 4;
+    const EBADF: i32 = 9;
+    const ENOTSOCK: i32 = 88;
 
     #[repr(C)]
     struct IoVec {
@@ -411,26 +415,33 @@ mod linux {
                     len: 0,
                 });
             }
-            let mut sent = 0usize;
-            while sent < items.len() {
+            // `next` walks the headers, `sent` counts the ones the kernel
+            // took. sendmmsg reports an errno only for the first header it
+            // is handed (later failures just shorten the count), so an
+            // error always belongs to `headers[next]`.
+            let (mut next, mut sent) = (0usize, 0usize);
+            while next < items.len() {
                 let rc = unsafe {
                     sendmmsg(
                         socket.as_raw_fd(),
-                        self.headers.as_mut_ptr().add(sent),
-                        (items.len() - sent) as u32,
+                        self.headers.as_mut_ptr().add(next),
+                        (items.len() - next) as u32,
                         0,
                     )
                 };
                 if rc < 0 {
                     let err = io::Error::last_os_error();
-                    if sent > 0 && err.kind() == io::ErrorKind::WouldBlock {
-                        return Ok(sent);
+                    match err.raw_os_error() {
+                        Some(EBADF | ENOTSOCK) => return Err(err),
+                        Some(EINTR) => {} // retry the same header
+                        _ => next += 1,   // this datagram cannot go; the rest can
                     }
-                    return Err(err);
+                    continue;
                 }
                 if rc == 0 {
                     break; // no forward progress; avoid spinning
                 }
+                next += rc as usize;
                 sent += rc as usize;
             }
             Ok(sent)
@@ -512,6 +523,20 @@ mod tests {
         let mut recv = RecvBatch::new(2);
         assert_eq!(recv.recv(&server).unwrap(), 1);
         assert_eq!(recv.datagram(0).0, &payload[..]);
+    }
+
+    #[test]
+    fn unsendable_datagram_costs_itself_not_the_batch() {
+        let (server, client, server_addr, _ca) = pair();
+        let mut send = SendBatch::new();
+        // UDP source port 0 is legal on the wire; replying to it is EINVAL.
+        send.push(b"lost".to_vec(), "127.0.0.1:0".parse().unwrap());
+        send.push(b"kept".to_vec(), server_addr);
+        assert_eq!(send.flush(&client).unwrap(), 1, "one of two goes out");
+        assert!(send.is_empty(), "the queue is cleared either way");
+        let mut recv = RecvBatch::new(4);
+        assert_eq!(recv.recv(&server).unwrap(), 1);
+        assert_eq!(recv.datagram(0).0, b"kept");
     }
 
     #[cfg(target_os = "linux")]

@@ -6,7 +6,10 @@
 //! simulator; this crate puts the same [`authoritative::AuthServer`] behind
 //! a real `std::net::UdpSocket`, so the implementation can be exercised
 //! with any stock DNS client — and ships a minimal `dig`-style client that
-//! can attach ECS options to its queries.
+//! can attach ECS options to its queries. The same worker pool also serves
+//! the recursive side: [`UdpResolverServer`] runs one [`resolver::Resolver`]
+//! engine per worker over a shared ECS cache and flight table, resolving
+//! through [`SocketUpstream`].
 //!
 //! Binaries:
 //!
@@ -32,6 +35,7 @@
 pub mod batch;
 pub mod client;
 pub mod metrics_http;
+mod pool;
 pub mod resolver_server;
 pub mod server;
 pub mod tcp;

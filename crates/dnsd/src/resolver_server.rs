@@ -1,26 +1,7 @@
-//! The multi-worker recursive serving path: N worker threads behind one
-//! UDP socket, each running its own [`resolver::Resolver`] engine, all
-//! sharing one sharded [`SharedEcsCache`] and one [`FlightTable`].
-//!
-//! Architecture (one box per thread):
-//!
-//! ```text
-//!                        ┌───────────────────────────┐
-//!   clients ── UDP ────► │ shared socket (kernel     │
-//!                        │ hands each datagram to    │
-//!                        │ exactly one worker)       │
-//!                        └─────┬─────────┬───────────┘
-//!                        worker 0  …  worker N-1        each:
-//!                        ┌─────────┐ ┌─────────┐        · RecvBatch/SendBatch
-//!                        │ engine  │ │ engine  │        · Resolver engine
-//!                        │ +socket │ │ +socket │        · own SocketUpstream
-//!                        └────┬────┘ └────┬────┘
-//!                             │           │
-//!                   ┌─────────▼───────────▼─────────┐
-//!                   │ Arc<SharedEcsCache> (sharded) │  one insert, all hit
-//!                   │ Arc<FlightTable>              │  join/shed globally
-//!                   └───────────────────────────────┘
-//! ```
+//! The multi-worker recursive serving path: the crate's worker pool
+//! (`pool.rs`: the socket loop, its accounting and its shutdown contract)
+//! with one [`resolver::Resolver`] engine per worker, all sharing one
+//! sharded [`SharedEcsCache`] and one [`FlightTable`].
 //!
 //! Division of labour:
 //!
@@ -31,10 +12,6 @@
 //!   matching and per-name caps see a name's full entry list) and the
 //!   *flight table* (so coalescing and `max_in_flight` hold globally, not
 //!   per worker).
-//! * **Batched I/O**: workers pull up to [`crate::DEFAULT_BATCH`] datagrams
-//!   per syscall ([`RecvBatch`]) and flush replies in one
-//!   ([`SendBatch`]) — the syscall cost amortises across the queue depth
-//!   under load and degenerates to one-per-datagram when idle.
 //!
 //! Telemetry is folded, not shared: each worker returns its engine's
 //! metrics snapshot when it exits, and [`ResolverServerHandle::shutdown`]
@@ -43,64 +20,28 @@
 //! counters. The fold is exact because it happens after the join.
 
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dns_wire::Message;
 use netsim::SimTime;
 use resolver::{
-    Admission, FlightTable, Resolver, ResolverConfig, SharedEcsCache, Step, TransportFaults,
-    TransportUpstream, Upstream, UpstreamError,
+    Admission, FlightTable, PendingQuery, Resolver, ResolverConfig, SharedEcsCache, Step,
+    TransportFaults, TransportUpstream, Upstream,
 };
 
-use crate::batch::{RecvBatch, SendBatch, DEFAULT_BATCH};
+use crate::pool::{Handler, Pool, PoolHandle};
 use crate::upstream::SocketUpstream;
-
-/// Socket-level counters, shared by every worker (registry clones share
-/// series; increments are atomic).
-#[derive(Clone)]
-struct FrontEndMetrics {
-    registry: obs::MetricsRegistry,
-    queries: obs::Counter,
-    responses: obs::Counter,
-    malformed_drops: obs::Counter,
-    handle_latency: obs::Histogram,
-    /// Datagrams pulled per recv syscall / flushed per send syscall.
-    /// Recorded only when profiling is on (they measure queue depth under
-    /// load — exactly what the 4→8-worker investigation needs).
-    recv_batch: obs::Histogram,
-    send_batch: obs::Histogram,
-}
-
-impl FrontEndMetrics {
-    fn new() -> Self {
-        let registry = obs::MetricsRegistry::new();
-        FrontEndMetrics {
-            queries: registry.counter("resolverd_queries_total"),
-            responses: registry.counter("resolverd_responses_total"),
-            malformed_drops: registry.counter("resolverd_malformed_drops_total"),
-            handle_latency: registry.histogram("resolverd_handle_latency_us"),
-            recv_batch: registry.histogram("dnsd_recv_batch_size"),
-            send_batch: registry.histogram("dnsd_send_batch_size"),
-            registry,
-        }
-    }
-}
 
 /// A recursive resolver behind a UDP socket, served by a pool of worker
 /// threads (see the module docs for the architecture).
 pub struct UdpResolverServer {
-    socket: UdpSocket,
+    pool: Pool,
     upstream_addr: SocketAddr,
     config: ResolverConfig,
-    workers: usize,
-    cache_shards: usize,
     upstream_timeout: Duration,
     upstream_faults: Option<(TransportFaults, u64)>,
-    metrics: FrontEndMetrics,
-    profile: bool,
 }
 
 impl UdpResolverServer {
@@ -112,20 +53,12 @@ impl UdpResolverServer {
         upstream_addr: SocketAddr,
         config: ResolverConfig,
     ) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
-        // The read timeout bounds both shutdown latency and the recv batch
-        // wait for the *first* datagram of a batch.
-        socket.set_read_timeout(Some(Duration::from_millis(50)))?;
         Ok(UdpResolverServer {
-            socket,
+            pool: Pool::bind(addr, "resolverd", "worker", "dnsd-resolver")?,
             upstream_addr,
             config,
-            workers: 1,
-            cache_shards: 0, // 0 = follow the worker count
             upstream_timeout: Duration::from_millis(500),
             upstream_faults: None,
-            metrics: FrontEndMetrics::new(),
-            profile: false,
         })
     }
 
@@ -133,9 +66,10 @@ impl UdpResolverServer {
     /// (folded after the join into a flamegraph-ready
     /// [`obs::ProfileSnapshot`]), lock-contention telemetry on the shared
     /// cache shards and the flight table, and the recv/send batch-size
-    /// histograms. Off by default; the serving path is untouched when off.
+    /// histograms. Off by default; the serving path then pays one branch
+    /// per stage.
     pub fn with_profiling(mut self) -> Self {
-        self.profile = true;
+        self.pool.profile = true;
         self
     }
 
@@ -153,15 +87,7 @@ impl UdpResolverServer {
     /// Sets how many worker threads [`UdpResolverServer::spawn`] starts
     /// (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the shared cache's shard count explicitly. The default follows
-    /// the worker count (with a floor of 4 so a briefly-single-threaded
-    /// server doesn't serialise a later, wider pool).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
+        self.pool.workers = workers.max(1);
         self
     }
 
@@ -173,74 +99,55 @@ impl UdpResolverServer {
 
     /// The bound client-facing address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
+        self.pool.local_addr()
     }
 
     /// The socket-level metrics registry (live; clones share series).
     pub fn registry(&self) -> &obs::MetricsRegistry {
-        &self.metrics.registry
+        &self.pool.registry
     }
 
     /// Starts the worker pool and returns its handle.
     pub fn spawn(self) -> io::Result<ResolverServerHandle> {
-        let local_addr = self.socket.local_addr()?;
-        let shards = if self.cache_shards == 0 {
-            self.workers.max(4)
-        } else {
-            self.cache_shards
-        };
-        let mut cache = SharedEcsCache::for_config(&self.config, shards);
+        // The shard count follows the worker count, with a floor of 4 so a
+        // narrow pool's cache is not one lock.
+        let mut cache = SharedEcsCache::for_config(&self.config, self.pool.workers.max(4));
         let mut flights = FlightTable::for_config(&self.config.overload);
-        if self.profile {
-            cache.enable_contention(&self.metrics.registry);
-            flights.enable_contention(&self.metrics.registry);
+        if self.pool.profile {
+            cache.enable_contention(&self.pool.registry);
+            flights.enable_contention(&self.pool.registry);
         }
         let cache = Arc::new(cache);
         let flights = Arc::new(flights);
-        let stop = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
         // A joiner waits as long as its flight's owner could legitimately
         // take: every retry attempt may burn one UDP and one TCP timeout.
         let attempts = self.config.retry.attempts.max(1) as u32;
         let join_wait = self.upstream_timeout * (2 * attempts) + Duration::from_millis(100);
 
-        let mut threads = Vec::with_capacity(self.workers);
-        for w in 0..self.workers {
-            let socket = self.socket.try_clone()?;
+        let pool = self.pool.spawn(|w| {
             let plain =
                 SocketUpstream::new(self.upstream_addr)?.with_timeout(self.upstream_timeout);
-            let upstream = match self.upstream_faults {
-                None => WorkerUpstream::Plain(plain),
-                Some((faults, seed)) => WorkerUpstream::Faulted(Box::new(
+            // Boxed rather than wrapped unconditionally, so the default
+            // path stays byte-identical to the pre-scan-mode server (the
+            // differential tests compare it against the event-driven
+            // engine); the vtable call sits next to a socket round trip.
+            let upstream: Box<dyn Upstream + Send> = match self.upstream_faults {
+                None => Box::new(plain),
+                Some((faults, seed)) => Box::new(
                     TransportUpstream::new(plain, seed.wrapping_add(w as u64)).with_faults(faults),
-                )),
+                ),
             };
-            let engine = Resolver::with_shared_cache(self.config.clone(), Arc::clone(&cache));
-            let worker = Worker {
-                socket,
-                engine,
+            Ok(ResolverHandler {
+                engine: Resolver::with_shared_cache(self.config.clone(), Arc::clone(&cache)),
                 upstream,
                 flights: Arc::clone(&flights),
-                stop: Arc::clone(&stop),
-                metrics: self.metrics.clone(),
-                started,
                 join_wait,
-                profiler: self.profile.then(obs::StageProfiler::new),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dnsd-resolver-{w}"))
-                    .spawn(move || worker.run())
-                    .map_err(io::Error::other)?,
-            );
-        }
+            })
+        })?;
         Ok(ResolverServerHandle {
-            stop,
-            threads,
-            local_addr,
+            pool,
             cache,
             flights,
-            metrics: self.metrics,
         })
     }
 }
@@ -252,23 +159,20 @@ impl UdpResolverServer {
 /// snapshots with the shared cache's and the socket front end's metrics
 /// into one exact, post-join [`obs::MetricsSnapshot`].
 pub struct ResolverServerHandle {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<(obs::MetricsSnapshot, Option<obs::ProfileSnapshot>)>>,
-    local_addr: SocketAddr,
+    pool: PoolHandle<obs::MetricsSnapshot>,
     cache: Arc<SharedEcsCache>,
     flights: Arc<FlightTable>,
-    metrics: FrontEndMetrics,
 }
 
 impl ResolverServerHandle {
     /// The bound client-facing address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.pool.local_addr
     }
 
     /// Worker threads still attached (0 after shutdown).
     pub fn workers(&self) -> usize {
-        self.threads.len()
+        self.pool.workers()
     }
 
     /// The shared cache (for inspection in tests and benchmarks).
@@ -283,22 +187,7 @@ impl ResolverServerHandle {
 
     /// The socket-level metrics registry (live while workers run).
     pub fn registry(&self) -> &obs::MetricsRegistry {
-        &self.metrics.registry
-    }
-
-    fn stop_and_join(&mut self) -> (obs::MetricsSnapshot, obs::ProfileSnapshot) {
-        self.stop.store(true, Ordering::SeqCst);
-        let mut folded = obs::MetricsSnapshot::default();
-        let mut profile = obs::ProfileSnapshot::default();
-        for t in self.threads.drain(..) {
-            if let Ok((snap, prof)) = t.join() {
-                folded.merge(&snap);
-                if let Some(prof) = prof {
-                    profile.merge(&prof);
-                }
-            }
-        }
-        (folded, profile)
+        &self.pool.registry
     }
 
     /// Stops and joins every worker, then returns the complete folded
@@ -314,213 +203,77 @@ impl ResolverServerHandle {
     /// built [`UdpResolverServer::with_profiling`]; the profile's stage
     /// totals are also exported into the metrics snapshot as `prof_*`
     /// counters ([`obs::ProfileSnapshot::to_metrics`]).
-    pub fn shutdown_profiled(mut self) -> (obs::MetricsSnapshot, obs::ProfileSnapshot) {
-        let (mut folded, profile) = self.stop_and_join();
+    pub fn shutdown_profiled(self) -> (obs::MetricsSnapshot, obs::ProfileSnapshot) {
+        let front_end = self.pool.registry.clone();
+        let (engines, profile) = self.pool.finish();
+        let mut folded = obs::MetricsSnapshot::default();
+        for engine in &engines {
+            folded.merge(engine);
+        }
         folded.merge(&self.cache.snapshot());
         if !profile.is_empty() {
             let reg = obs::MetricsRegistry::new();
             profile.to_metrics(&reg);
             folded.merge(&reg.snapshot());
         }
-        folded.merge(&self.metrics.registry.snapshot());
+        folded.merge(&front_end.snapshot());
         (folded, profile)
     }
 }
 
-impl Drop for ResolverServerHandle {
-    fn drop(&mut self) {
-        let _ = self.stop_and_join();
-    }
-}
-
-/// A worker's upstream: the bare socket, or — in scan/soak mode — the
-/// same socket behind a [`TransportUpstream`] injecting standing
-/// per-transport faults. An enum rather than an unconditional wrapper so
-/// the default path stays byte-identical to the pre-scan-mode server
-/// (the differential tests compare it against the event-driven engine).
-enum WorkerUpstream {
-    Plain(SocketUpstream),
-    Faulted(Box<TransportUpstream<SocketUpstream>>),
-}
-
-impl Upstream for WorkerUpstream {
-    fn query(
-        &mut self,
-        q: &Message,
-        from: std::net::IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        match self {
-            WorkerUpstream::Plain(u) => u.query(q, from, now),
-            WorkerUpstream::Faulted(u) => u.query(q, from, now),
-        }
-    }
-
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        from: std::net::IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        match self {
-            WorkerUpstream::Plain(u) => u.query_tcp(q, from, now),
-            WorkerUpstream::Faulted(u) => u.query_tcp(q, from, now),
-        }
-    }
-
-    fn query_via(
-        &mut self,
-        q: &Message,
-        from: std::net::IpAddr,
-        now: SimTime,
-        transport: netsim::Transport,
-    ) -> Result<Message, UpstreamError> {
-        match self {
-            WorkerUpstream::Plain(u) => u.query_via(q, from, now, transport),
-            WorkerUpstream::Faulted(u) => u.query_via(q, from, now, transport),
-        }
-    }
-}
-
-/// One worker thread's state.
-struct Worker {
-    socket: UdpSocket,
+/// One worker's resolver: its own engine and upstream, the shared flight
+/// table.
+struct ResolverHandler {
     engine: Resolver,
-    upstream: WorkerUpstream,
+    upstream: Box<dyn Upstream + Send>,
     flights: Arc<FlightTable>,
-    stop: Arc<AtomicBool>,
-    metrics: FrontEndMetrics,
-    started: Instant,
     join_wait: Duration,
-    /// Per-worker stage profiler (profiling mode only); folded into one
-    /// [`obs::ProfileSnapshot`] after the join, like the metrics.
-    profiler: Option<obs::StageProfiler>,
 }
 
-impl Worker {
-    /// The serve loop. Returns this worker's engine metrics snapshot (and
-    /// its stage profile when profiling) so the handle can fold them
-    /// after the join.
-    fn run(mut self) -> (obs::MetricsSnapshot, Option<obs::ProfileSnapshot>) {
-        let mut rx = RecvBatch::new(DEFAULT_BATCH);
-        let mut tx = SendBatch::new();
-        let mut prof = self.profiler.take();
-        while !self.stop.load(Ordering::SeqCst) {
-            if let Some(p) = prof.as_mut() {
-                p.enter("worker");
-                p.enter("recv");
-            }
-            let n = match rx.recv(&self.socket) {
-                Ok(n) => n,
-                Err(e) => {
-                    eprintln!("ecs-dnsd resolver worker: socket error: {e}");
-                    if let Some(p) = prof.as_mut() {
-                        p.exit();
-                        p.exit();
-                    }
-                    break;
-                }
-            };
-            if let Some(p) = prof.as_mut() {
-                p.exit(); // recv
-                if n > 0 {
-                    self.metrics.recv_batch.record(n as u64);
-                }
-            }
-            if n == 0 {
-                // Read timeout: close the worker span and re-check stop.
-                if let Some(p) = prof.as_mut() {
-                    p.exit();
-                }
-                continue;
-            }
-            for i in 0..n {
-                let (payload, peer) = rx.datagram(i);
-                let received = self.started.elapsed();
-                if let Some(p) = prof.as_mut() {
-                    p.enter("decode");
-                }
-                let decoded = Message::from_bytes(payload);
-                if let Some(p) = prof.as_mut() {
-                    p.exit();
-                }
-                let Ok(query) = decoded else {
-                    self.metrics.malformed_drops.inc();
-                    continue;
-                };
-                if query.is_response() {
-                    continue;
-                }
-                self.metrics.queries.inc();
-                let now = SimTime::from_micros(received.as_micros() as u64);
-                let resp = self.handle_query(&query, peer, now, &mut prof);
-                if let Ok(bytes) = resp.to_bytes() {
-                    tx.push(bytes, peer);
-                    self.metrics.responses.inc();
-                    self.metrics
-                        .handle_latency
-                        .record((self.started.elapsed() - received).as_micros() as u64);
-                }
-            }
-            if let Some(p) = prof.as_mut() {
-                self.metrics.send_batch.record(tx.len() as u64);
-                p.enter("send");
-            }
-            let flushed = tx.flush(&self.socket);
-            if let Some(p) = prof.as_mut() {
-                p.exit(); // send
-                p.exit(); // worker
-            }
-            if flushed.is_err() {
-                break;
-            }
-        }
-        (self.engine.metrics_snapshot(), prof.map(|p| p.snapshot()))
-    }
+impl Handler for ResolverHandler {
+    type Exit = obs::MetricsSnapshot;
 
     /// Resolves one client query, routing any upstream exchange through
     /// the shared flight table. The admission order matches the
     /// event-driven actor path exactly: join, then shed, then own.
-    fn handle_query(
+    #[inline]
+    fn handle(
         &mut self,
         query: &Message,
         peer: SocketAddr,
         now: SimTime,
-        prof: &mut Option<obs::StageProfiler>,
-    ) -> Message {
-        if let Some(p) = prof.as_mut() {
-            p.enter("resolve");
-        }
-        let resp = self.handle_query_inner(query, peer, now, prof);
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-        }
-        resp
-    }
-
-    fn handle_query_inner(
-        &mut self,
-        query: &Message,
-        peer: SocketAddr,
-        now: SimTime,
-        prof: &mut Option<obs::StageProfiler>,
-    ) -> Message {
-        let pending = match self.engine.begin(query, peer.ip(), now) {
+        prof: &mut obs::StageProfiler,
+    ) -> Option<Message> {
+        prof.enter("resolve");
+        let resp = match self.engine.begin(query, peer.ip(), now) {
             Step::Answer(resp) => {
                 // Cache hit / refusal / local answer: no upstream leg.
-                if let Some(p) = prof.as_mut() {
-                    p.enter("local");
-                    p.exit();
-                }
-                return resp;
+                prof.enter("local");
+                prof.exit();
+                resp
             }
-            Step::NeedUpstream(pending) => pending,
+            Step::NeedUpstream(pending) => self.admit(pending, now, prof),
         };
+        prof.exit();
+        Some(resp)
+    }
+
+    fn finish(self) -> obs::MetricsSnapshot {
+        self.engine.metrics_snapshot()
+    }
+}
+
+impl ResolverHandler {
+    /// The miss path: one upstream exchange per flight, whoever owns it.
+    fn admit(
+        &mut self,
+        pending: PendingQuery,
+        now: SimTime,
+        prof: &mut obs::StageProfiler,
+    ) -> Message {
         match self.flights.admit(&pending.flight_key()) {
             Admission::Joiner(flight) => {
-                if let Some(p) = prof.as_mut() {
-                    p.enter("join_wait");
-                }
+                prof.enter("join_wait");
                 // Ride the identical outstanding flight: retract the
                 // upstream send `begin` counted, wait for the owner's raw
                 // response, and build this client's own answer from it.
@@ -537,31 +290,23 @@ impl Worker {
                         now,
                     ),
                 };
-                if let Some(p) = prof.as_mut() {
-                    p.exit();
-                }
+                prof.exit();
                 resp
             }
             Admission::Shed => {
-                if let Some(p) = prof.as_mut() {
-                    p.enter("shed");
-                    p.exit();
-                }
+                prof.enter("shed");
+                prof.exit();
                 self.engine.shed(&pending)
             }
             Admission::Owner(token) => {
-                if let Some(p) = prof.as_mut() {
-                    p.enter("own_upstream");
-                }
+                prof.enter("own_upstream");
                 let (answer, raw) =
                     self.engine
-                        .drive_upstream_capturing(pending, now, &mut self.upstream);
+                        .drive_upstream_capturing(pending, now, &mut *self.upstream);
                 // Publish before answering our own client: joiners are
                 // other workers' clients and should not wait on our send.
                 token.complete(raw);
-                if let Some(p) = prof.as_mut() {
-                    p.exit();
-                }
+                prof.exit();
                 answer
             }
         }
@@ -574,7 +319,7 @@ mod tests {
     use crate::server::UdpAuthServer;
     use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
     use dns_wire::{EcsOption, Name, Question};
-    use std::net::Ipv4Addr;
+    use std::net::{Ipv4Addr, UdpSocket};
 
     fn cfg() -> ResolverConfig {
         ResolverConfig::rfc_compliant(std::net::IpAddr::V4(Ipv4Addr::new(127, 0, 0, 1)))
@@ -743,6 +488,19 @@ mod tests {
     }
 
     #[test]
+    fn drops_garbage_and_responses() {
+        let upstream = "127.0.0.1:1".parse().unwrap(); // never queried
+        let handle = UdpResolverServer::bind("127.0.0.1:0", upstream, cfg())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        crate::pool::testing::send_unanswerable_trio(handle.local_addr());
+        let snap = handle.shutdown();
+        crate::pool::testing::assert_trio_accounted(&snap, "resolverd");
+        assert_eq!(snap.counter("resolver_client_queries_total"), Some(0));
+    }
+
+    #[test]
     fn profiling_off_leaves_no_prof_series() {
         let upstream = "127.0.0.1:1".parse().unwrap(); // never queried
         let handle = UdpResolverServer::bind("127.0.0.1:0", upstream, cfg())
@@ -765,6 +523,23 @@ mod tests {
         let handle = server.spawn().unwrap();
         let addr = handle.local_addr();
         assert_eq!(handle.workers(), 3);
+        // `benchmark/src/serve.rs` finds the workers' CPU time by this name
+        // (which a thread gives itself, so it can lag the spawn).
+        #[cfg(target_os = "linux")]
+        {
+            let named = || {
+                std::fs::read_dir("/proc/self/task")
+                    .unwrap()
+                    .flatten()
+                    .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+                    .any(|comm| comm.trim_end() == "dnsd-resolver-2")
+            };
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while !named() {
+                assert!(std::time::Instant::now() < deadline, "no dnsd-resolver-2");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let _ = handle.shutdown();
         let rebound = UdpResolverServer::bind(addr, upstream, cfg());
         assert!(rebound.is_ok(), "port still held after shutdown");

@@ -1,45 +1,18 @@
-//! The UDP server: an [`AuthServer`] behind a real socket.
+//! The UDP server: an [`AuthServer`] behind a real socket, served by the
+//! crate's one worker pool (`pool.rs`: the loop, its accounting and its
+//! shutdown contract).
 
 use std::io;
-use std::net::{ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use authoritative::AuthServer;
 use dns_wire::Message;
 use netsim::SimTime;
 use parking_lot::Mutex;
 
-/// Maximum UDP datagram we accept (RFC 6891 recommends supporting 4096).
-const MAX_DATAGRAM: usize = 4096;
-
-/// Registry-backed counters for a [`UdpAuthServer`]. Handles share the
-/// registry's series, so a clone given to the [`ServerHandle`] (or the
-/// metrics HTTP exporter) reads the live values the serve loop writes.
-#[derive(Clone, Debug)]
-struct ServerMetrics {
-    registry: obs::MetricsRegistry,
-    queries: obs::Counter,
-    responses: obs::Counter,
-    malformed_drops: obs::Counter,
-    fault_drops: obs::Counter,
-    handle_latency: obs::Histogram,
-}
-
-impl ServerMetrics {
-    fn new() -> Self {
-        let registry = obs::MetricsRegistry::new();
-        ServerMetrics {
-            queries: registry.counter("dnsd_queries_total"),
-            responses: registry.counter("dnsd_responses_total"),
-            malformed_drops: registry.counter("dnsd_malformed_drops_total"),
-            fault_drops: registry.counter("dnsd_fault_drops_total"),
-            handle_latency: registry.histogram("dnsd_handle_latency_us"),
-            registry,
-        }
-    }
-}
+use crate::pool::{Handler, Pool, PoolHandle};
 
 /// Deterministic fault knobs for a [`UdpAuthServer`], for exercising client
 /// and resolver failure paths against a real socket without any randomness:
@@ -57,230 +30,165 @@ pub struct ServerFaults {
 /// An authoritative DNS server bound to a UDP socket.
 ///
 /// The server maps wall-clock time onto the [`SimTime`] axis the
-/// authoritative logic uses (microseconds since server start), so TTL
-/// bookkeeping and query logs behave identically to the simulator.
+/// authoritative logic uses (microseconds since the socket was bound), so
+/// TTL bookkeeping and query logs behave identically to the simulator.
 ///
 /// [`UdpAuthServer::spawn`] runs [`UdpAuthServer::with_workers`] serve
-/// threads over *one shared socket*: every worker blocks in `recv_from` on
-/// the same descriptor and the kernel hands each datagram to exactly one
-/// of them — the shared-socket sibling of an `SO_REUSEPORT` group, with no
-/// userspace dispatch queue to balance. All workers write the same
-/// registry-backed metrics (clones share series), so telemetry is
+/// threads over *one shared socket*: every worker blocks in a batched
+/// receive on the same descriptor and the kernel hands each datagram to
+/// exactly one of them — the shared-socket sibling of an `SO_REUSEPORT`
+/// group, with no userspace dispatch queue to balance. All workers write
+/// the same registry-backed metrics (clones share series), so telemetry is
 /// parallelism-invariant by construction.
 pub struct UdpAuthServer {
-    socket: UdpSocket,
-    auth: Arc<Mutex<AuthServer>>,
-    started: Instant,
-    stop: Arc<AtomicBool>,
-    /// Serve threads to spawn (≥ 1).
-    workers: usize,
-    /// Remaining queries to drop (counts down from
-    /// [`ServerFaults::drop_first`]).
-    drop_remaining: AtomicU32,
-    truncate_udp: bool,
-    /// Telemetry: query/response/malformed counters and a handling-latency
-    /// histogram, all registry-backed so the metrics exporter and the
-    /// legacy [`ServerHandle::malformed_drops`] accessor read one source
-    /// of truth.
-    metrics: ServerMetrics,
-    /// Profiling mode: each worker runs a per-thread stage profiler,
-    /// folded after the join ([`ServerHandle::shutdown_profiled`]).
-    profile: bool,
+    pool: Pool,
+    /// What every worker serves with (clones share the server and the
+    /// fault budget).
+    handler: AuthHandler,
 }
 
 /// Handle to a spawned server's worker threads.
 ///
 /// Both [`ServerHandle::shutdown`] and dropping the handle stop the serve
-/// loops and join **every** worker exactly once; `shutdown` is just the
-/// explicit spelling, and running both (shutdown then drop, or a panic
-/// unwinding past an already-stopped handle) is safe — the second call
-/// finds the thread list already drained. Stopping is not instantaneous:
-/// each loop notices the stop flag only when its blocking `recv_from`
-/// returns, so shutdown can lag by up to the socket's 50 ms read timeout
-/// (the price of running without a self-pipe or non-blocking poll loop).
+/// loops and join **every** worker exactly once; running both is safe.
+/// Stopping can lag by up to the socket's 50 ms read timeout.
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<Option<obs::ProfileSnapshot>>>,
+    pool: PoolHandle<()>,
     /// Shared access to the server state (query log inspection).
     pub auth: Arc<Mutex<AuthServer>>,
-    metrics: ServerMetrics,
-    /// Per-worker profiles folded at join time (empty when profiling off).
-    profile: obs::ProfileSnapshot,
 }
 
 impl ServerHandle {
-    /// Signals the serve loops to stop and joins every worker. Idempotent
-    /// with [`Drop`]: whichever runs first drains the thread list, the
-    /// other finds it empty.
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            if let Ok(Some(prof)) = t.join() {
-                self.profile.merge(&prof);
-            }
-        }
-    }
-
-    /// Signals the serve loops to stop and joins all workers (see the type
-    /// docs for the shutdown-latency bound).
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// Signals the serve loops to stop and joins all workers.
+    pub fn shutdown(self) {
+        self.pool.finish();
     }
 
     /// Like [`ServerHandle::shutdown`], additionally returning the folded
     /// per-worker stage profile (empty unless the server was built
     /// [`UdpAuthServer::with_profiling`]).
-    pub fn shutdown_profiled(mut self) -> obs::ProfileSnapshot {
-        self.stop_and_join();
-        std::mem::take(&mut self.profile)
+    pub fn shutdown_profiled(self) -> obs::ProfileSnapshot {
+        self.pool.finish().1
     }
 
     /// Worker threads still attached to this handle (0 after shutdown).
     pub fn workers(&self) -> usize {
-        self.threads.len()
+        self.pool.workers()
     }
 
     /// Datagrams dropped so far because they failed to decode. Reads the
     /// registry-backed counter the serve loop increments.
     pub fn malformed_drops(&self) -> u64 {
-        self.metrics.malformed_drops.get()
+        malformed_drops(&self.pool.registry)
     }
 
     /// The server's metrics registry (shared with the serve loop), for
     /// snapshotting or serving over the metrics HTTP endpoint.
     pub fn registry(&self) -> &obs::MetricsRegistry {
-        &self.metrics.registry
+        &self.pool.registry
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
+fn malformed_drops(registry: &obs::MetricsRegistry) -> u64 {
+    registry.counter("dnsd_malformed_drops_total").get()
 }
 
 impl UdpAuthServer {
     /// Binds to an address (e.g. `"127.0.0.1:5353"`; port 0 picks one).
     pub fn bind<A: ToSocketAddrs>(addr: A, auth: AuthServer) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
-        // A short read timeout keeps the serve loop responsive to shutdown
-        // (see [`ServerHandle`] for the resulting latency bound).
-        socket.set_read_timeout(Some(Duration::from_millis(50)))?;
-        Ok(UdpAuthServer {
-            socket,
+        let pool = Pool::bind(addr, "dnsd", "auth", "dnsd-auth")?;
+        let handler = AuthHandler {
             auth: Arc::new(Mutex::new(auth)),
-            started: Instant::now(),
-            stop: Arc::new(AtomicBool::new(false)),
-            workers: 1,
-            drop_remaining: AtomicU32::new(0),
+            drop_remaining: Arc::new(AtomicU32::new(0)),
+            fault_drops: pool.registry.counter("dnsd_fault_drops_total"),
             truncate_udp: false,
-            metrics: ServerMetrics::new(),
-            profile: false,
-        })
+        };
+        Ok(UdpAuthServer { pool, handler })
     }
 
     /// Turns on per-worker stage profiling. Off by default; the serve
-    /// loop is untouched when off. Retrieve the folded profile with
-    /// [`ServerHandle::shutdown_profiled`].
+    /// loop then pays one branch per stage. Retrieve the folded profile
+    /// with [`ServerHandle::shutdown_profiled`].
     pub fn with_profiling(mut self) -> Self {
-        self.profile = true;
+        self.pool.profile = true;
         self
     }
 
     /// Arms deterministic fault injection (see [`ServerFaults`]).
-    pub fn with_faults(self, faults: ServerFaults) -> Self {
-        self.drop_remaining
-            .store(faults.drop_first, Ordering::SeqCst);
-        UdpAuthServer {
-            truncate_udp: faults.truncate_udp,
-            ..self
-        }
+    pub fn with_faults(mut self, faults: ServerFaults) -> Self {
+        self.handler.drop_remaining = Arc::new(AtomicU32::new(faults.drop_first));
+        self.handler.truncate_udp = faults.truncate_udp;
+        self
     }
 
     /// Sets how many serve threads [`UdpAuthServer::spawn`] starts
     /// (clamped to ≥ 1; the default is 1, the historical single-threaded
     /// server).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.pool.workers = workers.max(1);
         self
     }
 
     /// The bound address.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.socket.local_addr()
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.pool.local_addr()
     }
 
     /// Shared access to the wrapped authoritative server.
     pub fn auth(&self) -> Arc<Mutex<AuthServer>> {
-        self.auth.clone()
+        self.handler.auth.clone()
     }
 
     /// Datagrams dropped so far because they failed to decode.
     pub fn malformed_drops(&self) -> u64 {
-        self.metrics.malformed_drops.get()
+        malformed_drops(&self.pool.registry)
     }
 
     /// The server's metrics registry, for snapshotting or serving over the
     /// metrics HTTP endpoint (clones share the live series).
     pub fn registry(&self) -> &obs::MetricsRegistry {
-        &self.metrics.registry
+        &self.pool.registry
     }
 
-    /// Serves one datagram if one arrives before the read timeout.
-    /// Returns `Ok(true)` when a query was handled.
-    pub fn serve_once(&self) -> io::Result<bool> {
-        self.serve_once_prof(&mut None)
+    /// Runs [`UdpAuthServer::with_workers`] serve loops over the shared
+    /// socket until [`ServerHandle::shutdown`]. Everything the workers
+    /// share is already thread-safe (`auth` behind its mutex, the fault
+    /// budget an atomic countdown).
+    pub fn spawn(self) -> ServerHandle {
+        let pool = self
+            .pool
+            .spawn(|_| Ok(self.handler.clone()))
+            .expect("spawn dnsd worker thread");
+        ServerHandle {
+            pool,
+            auth: self.handler.auth,
+        }
     }
+}
 
-    /// [`UdpAuthServer::serve_once`] with optional stage profiling: the
-    /// caller owns the per-thread profiler (`None` is the zero-cost
-    /// no-profiling path the public method uses).
-    fn serve_once_prof(&self, prof: &mut Option<obs::StageProfiler>) -> io::Result<bool> {
-        if let Some(p) = prof.as_mut() {
-            p.enter("auth");
-        }
-        let r = self.serve_once_inner(prof);
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-        }
-        r
-    }
+/// One worker's view of the authoritative: the shared server and the
+/// shared fault budget.
+#[derive(Clone)]
+struct AuthHandler {
+    auth: Arc<Mutex<AuthServer>>,
+    /// Remaining queries to drop (counts down from
+    /// [`ServerFaults::drop_first`] across all workers).
+    drop_remaining: Arc<AtomicU32>,
+    fault_drops: obs::Counter,
+    truncate_udp: bool,
+}
 
-    fn serve_once_inner(&self, prof: &mut Option<obs::StageProfiler>) -> io::Result<bool> {
-        let mut buf = [0u8; MAX_DATAGRAM];
-        if let Some(p) = prof.as_mut() {
-            p.enter("recv");
-        }
-        let recv = self.socket.recv_from(&mut buf);
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-        }
-        let (n, peer) = match recv {
-            Ok(r) => r,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        };
-        let received = self.started.elapsed();
-        if let Some(p) = prof.as_mut() {
-            p.enter("decode");
-        }
-        let decoded = Message::from_bytes(&buf[..n]);
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-        }
-        // Malformed packets are dropped, as real servers drop them.
-        let Ok(query) = decoded else {
-            self.metrics.malformed_drops.inc();
-            return Ok(false);
-        };
-        if query.is_response() {
-            return Ok(false);
-        }
-        self.metrics.queries.inc();
+impl Handler for AuthHandler {
+    type Exit = ();
+
+    #[inline]
+    fn handle(
+        &mut self,
+        query: &Message,
+        peer: SocketAddr,
+        now: SimTime,
+        prof: &mut obs::StageProfiler,
+    ) -> Option<Message> {
         // Fault injection: swallow the first N queries (the client times
         // out, exactly as if the reply was lost in the network).
         if self
@@ -288,74 +196,20 @@ impl UdpAuthServer {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
-            self.metrics.fault_drops.inc();
-            return Ok(true);
+            self.fault_drops.inc();
+            return None;
         }
-        let now = SimTime::from_micros(received.as_micros() as u64);
-        if let Some(p) = prof.as_mut() {
-            p.enter("handle");
-        }
-        let mut resp = self.auth.lock().handle(&query, peer.ip(), now);
+        prof.enter("handle");
+        let mut resp = self.auth.lock().handle(query, peer.ip(), now);
         if self.truncate_udp {
             resp.flags.tc = true;
             resp.answers.clear();
         }
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-            p.enter("send");
-        }
-        if let Ok(bytes) = resp.to_bytes() {
-            let _ = self.socket.send_to(&bytes, peer);
-            self.metrics.responses.inc();
-            let served = self.started.elapsed();
-            self.metrics
-                .handle_latency
-                .record((served - received).as_micros() as u64);
-        }
-        if let Some(p) = prof.as_mut() {
-            p.exit();
-        }
-        Ok(true)
+        prof.exit();
+        Some(resp)
     }
 
-    /// Runs [`UdpAuthServer::with_workers`] serve loops over the shared
-    /// socket until [`ServerHandle::shutdown`]. All server state a worker
-    /// touches is already thread-safe (`auth` behind its mutex, counters
-    /// atomic, fault budget an atomic countdown), so workers run
-    /// [`UdpAuthServer::serve_once`] unchanged.
-    pub fn spawn(self) -> ServerHandle {
-        let stop = self.stop.clone();
-        let auth = self.auth.clone();
-        let metrics = self.metrics.clone();
-        let workers = self.workers;
-        let profiling = self.profile;
-        let shared = Arc::new(self);
-        let threads = (0..workers)
-            .map(|w| {
-                let server = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dnsd-auth-{w}"))
-                    .spawn(move || {
-                        let mut prof = profiling.then(obs::StageProfiler::new);
-                        while !server.stop.load(Ordering::SeqCst) {
-                            if let Err(e) = server.serve_once_prof(&mut prof) {
-                                eprintln!("ecs-dnsd: socket error: {e}");
-                                break;
-                            }
-                        }
-                        prof.map(|p| p.snapshot())
-                    })
-                    .expect("spawn dnsd worker thread")
-            })
-            .collect();
-        ServerHandle {
-            stop,
-            threads,
-            auth,
-            metrics,
-            profile: obs::ProfileSnapshot::default(),
-        }
-    }
+    fn finish(self) {}
 }
 
 #[cfg(test)]
@@ -363,7 +217,8 @@ mod tests {
     use super::*;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::{EcsOption, Name, Question};
-    use std::net::Ipv4Addr;
+    use std::net::{Ipv4Addr, UdpSocket};
+    use std::time::Duration;
 
     fn demo_auth() -> AuthServer {
         let mut zone = Zone::new(Name::from_ascii("demo.example").unwrap());
@@ -411,32 +266,13 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let handle = server.spawn();
 
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_millis(300)))
-            .unwrap();
-        // Garbage.
-        client.send_to(&[0xFF, 0x00, 0x01], addr).unwrap();
-        // A hostile header: valid 12-byte frame claiming 65535 records of
-        // every section. The bounded decoder rejects it without allocating.
-        let mut hostile = vec![0u8; 12];
-        for i in (4..12).step_by(2) {
-            hostile[i] = 0xFF;
-            hostile[i + 1] = 0xFF;
-        }
-        client.send_to(&hostile, addr).unwrap();
-        // A response message (must be ignored, but it *does* decode).
-        let q = Message::query(1, Question::a(Name::from_ascii("x.demo.example").unwrap()));
-        let mut resp = Message::response_to(&q);
-        resp.flags.qr = true;
-        client.send_to(&resp.to_bytes().unwrap(), addr).unwrap();
-
-        let mut buf = [0u8; 512];
-        assert!(client.recv_from(&mut buf).is_err(), "no reply expected");
+        crate::pool::testing::send_unanswerable_trio(addr);
         // Exactly the two undecodable datagrams counted; the well-formed
-        // response was ignored silently, not counted as malformed.
+        // response was ignored, not counted as malformed.
         assert_eq!(handle.malformed_drops(), 2);
+        let registry = handle.registry().clone();
         handle.shutdown();
+        crate::pool::testing::assert_trio_accounted(&registry.snapshot(), "dnsd");
     }
 
     #[test]
@@ -515,11 +351,11 @@ mod tests {
         assert_eq!(handle.workers(), 3);
 
         // First stop path: the internal stop-and-join drains all threads.
-        handle.stop_and_join();
+        handle.pool.stop_and_join();
         assert_eq!(handle.workers(), 0, "every worker joined");
         // Second stop path (what Drop will also run): finds nothing left
         // to join and must not hang or panic.
-        handle.stop_and_join();
+        handle.pool.stop_and_join();
         assert_eq!(handle.workers(), 0);
         drop(handle);
 

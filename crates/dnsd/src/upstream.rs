@@ -9,13 +9,13 @@
 //! in the simulator drives real packets on loopback.
 //!
 //! Retrying is the *engine's* job: each [`SocketUpstream::query`] call is a
-//! single attempt with a single socket timeout, so the engine's
+//! single attempt bounded by a single deadline, so the engine's
 //! [`resolver::RetryPolicy`] decides how many attempts happen and what each
 //! one carries.
 
 use std::io;
 use std::net::{IpAddr, SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dns_wire::{Message, Rcode};
 use netsim::SimTime;
@@ -61,19 +61,24 @@ impl SocketUpstream {
         self
     }
 
-    /// One UDP attempt: send, then wait (within the timeout) for a reply
-    /// whose id matches.
+    /// One UDP attempt: send, then wait for a reply whose id matches until
+    /// `timeout` after the send. The deadline is fixed once: datagrams
+    /// that are not the answer (strays, wrong ids, garbage) use the window
+    /// up, they do not restart it.
     fn udp_attempt(&mut self, q: &Message) -> Result<Message, UpstreamError> {
         let bytes = q
             .to_bytes()
             .map_err(|_| UpstreamError::Rcode(Rcode::FormErr))?;
         let io_fail = |_| UpstreamError::Rcode(Rcode::ServFail);
-        self.socket
-            .set_read_timeout(Some(self.timeout))
-            .map_err(io_fail)?;
         self.socket.send_to(&bytes, self.server).map_err(io_fail)?;
+        let deadline = Instant::now() + self.timeout;
         let mut buf = [0u8; 4096];
         loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(UpstreamError::Timeout);
+            }
+            self.socket.set_read_timeout(Some(left)).map_err(io_fail)?;
             match self.socket.recv_from(&mut buf) {
                 Ok((n, from)) if from == self.server => {
                     if let Ok(resp) = Message::from_bytes(&buf[..n]) {
@@ -84,12 +89,14 @@ impl SocketUpstream {
                     // Garbled or mismatched: keep listening in this window.
                 }
                 Ok(_) => {} // stray sender
+                // Lapsed or interrupted by a signal: the deadline decides.
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Err(UpstreamError::Timeout);
-                }
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => return Err(UpstreamError::Rcode(Rcode::ServFail)),
             }
         }

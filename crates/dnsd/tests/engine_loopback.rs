@@ -272,3 +272,52 @@ fn unreachable_server_ends_in_servfail_not_hang() {
     assert_eq!(r.stats().servfail_responses, 1);
     assert_eq!(r.stats().upstream_timeouts as usize, 4);
 }
+
+#[test]
+fn chattering_upstream_cannot_stretch_an_attempt_past_its_timeout() {
+    use resolver::{Upstream, UpstreamError};
+    use std::time::Instant;
+
+    const TEST: &str = "chattering_upstream_cannot_stretch_an_attempt_past_its_timeout";
+    if !dnsd::testutil::require_loopback(TEST) {
+        return;
+    }
+    // An upstream that never answers the question but sends a well-formed
+    // response with the wrong id every 10 ms — for at most 2 s, so an
+    // attempt whose window restarts on every datagram ends too, just far
+    // too late.
+    let chatter = std::net::UdpSocket::bind("127.0.0.1:0").expect("loopback available");
+    let chatter_addr = chatter.local_addr().unwrap();
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let hush = std::sync::Arc::clone(&done);
+    let chatterer = std::thread::spawn(move || {
+        let mut buf = [0u8; 512];
+        let (n, peer) = chatter.recv_from(&mut buf).unwrap();
+        let mut wrong = Message::response_to(&Message::from_bytes(&buf[..n]).unwrap());
+        wrong.id = wrong.id.wrapping_add(1);
+        let wrong = wrong.to_bytes().unwrap();
+        let until = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < until && !hush.load(std::sync::atomic::Ordering::SeqCst) {
+            let _ = chatter.send_to(&wrong, peer);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+
+    let mut up = SocketUpstream::new(chatter_addr)
+        .unwrap()
+        .with_timeout(Duration::from_millis(100));
+    let asked = Instant::now();
+    let outcome = up.query(&client_query(), RES.parse().unwrap(), SimTime::ZERO);
+    let took = asked.elapsed();
+    done.store(true, std::sync::atomic::Ordering::SeqCst);
+    chatterer.join().unwrap();
+    assert!(
+        matches!(outcome, Err(UpstreamError::Timeout)),
+        "{outcome:?}"
+    );
+    assert!(
+        took >= Duration::from_millis(100),
+        "gave up early: {took:?}"
+    );
+    assert!(took < Duration::from_millis(300), "attempt took {took:?}");
+}

@@ -8,6 +8,11 @@
 //!   owned by one thread (`&mut self` API) and records into fixed arrays
 //!   sized at construction. Entering/exiting a span is a handful of
 //!   integer ops plus — on the wall-clock path — one `Instant::now()`.
+//! * **Off is a profiler, not an `Option`.** [`StageProfiler::off`] holds
+//!   no table and every recording call returns on one branch before it
+//!   reads the clock, so instrumented code calls `enter`/`exit`
+//!   unconditionally and an unprofiled worker pays that branch and nothing
+//!   else; its snapshot is empty.
 //! * **Fold after join.** Each worker snapshots its profiler when it
 //!   exits; [`ProfileSnapshot::merge`] is commutative and associative, so
 //!   folding per-worker snapshots in any order yields the same profile —
@@ -91,9 +96,21 @@ impl Default for StageProfiler {
 impl StageProfiler {
     /// A fresh profiler. All storage is allocated here, once.
     pub fn new() -> Self {
+        Self::with_storage(Vec::with_capacity(16), vec![Slot::default(); TABLE_CAP])
+    }
+
+    /// A profiler that records nothing and allocates nothing: every
+    /// recording call returns at its first branch, [`Self::snapshot`] is
+    /// empty. What an instrumented loop holds when profiling is not asked
+    /// for.
+    pub fn off() -> Self {
+        Self::with_storage(Vec::new(), Vec::new())
+    }
+
+    fn with_storage(stages: Vec<&'static str>, table: Vec<Slot>) -> Self {
         StageProfiler {
-            stages: Vec::with_capacity(16),
-            table: vec![Slot::default(); TABLE_CAP],
+            stages,
+            table,
             stack: [(0, 0, 0); MAX_DEPTH],
             depth: 0,
             path_key: 0,
@@ -101,6 +118,13 @@ impl StageProfiler {
             dropped_open: 0,
             epoch: Instant::now(),
         }
+    }
+
+    /// False for [`StageProfiler::off`] (an on profiler always owns its
+    /// path table).
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        !self.table.is_empty()
     }
 
     /// Microseconds since this profiler was created (the wall clock the
@@ -121,20 +145,29 @@ impl StageProfiler {
     }
 
     /// Opens a span for `name` at wall-clock now.
+    #[inline]
     pub fn enter(&mut self, name: &'static str) {
-        let now = self.now_us();
-        self.enter_at(name, now);
+        if self.is_on() {
+            let now = self.now_us();
+            self.enter_at(name, now);
+        }
     }
 
     /// Closes the innermost span at wall-clock now.
+    #[inline]
     pub fn exit(&mut self) {
-        let now = self.now_us();
-        self.exit_at(now);
+        if self.is_on() {
+            let now = self.now_us();
+            self.exit_at(now);
+        }
     }
 
     /// Opens a span for `name` at explicit time `at_us` (sim-time axis:
     /// deterministic attribution under `netsim`).
     pub fn enter_at(&mut self, name: &'static str, at_us: u64) {
+        if !self.is_on() {
+            return;
+        }
         if self.dropped_open > 0 {
             // Inside a dropped span: swallow nested entries too.
             self.dropped_open += 1;
@@ -161,6 +194,9 @@ impl StageProfiler {
     /// time under the full current path; the elapsed total is credited to
     /// the parent's child accumulator.
     pub fn exit_at(&mut self, at_us: u64) {
+        if !self.is_on() {
+            return;
+        }
         if self.dropped_open > 0 {
             self.dropped_open -= 1;
             return;
@@ -184,6 +220,9 @@ impl StageProfiler {
     /// enter/exit discipline — for event-driven code (the scanner's
     /// sim-time state machine) where a "span" is two callbacks apart.
     pub fn record(&mut self, path: &[&'static str], dur_us: u64) {
+        if !self.is_on() {
+            return;
+        }
         debug_assert!(!path.is_empty() && path.len() <= MAX_DEPTH);
         let mut key = 0u64;
         for name in path.iter().take(MAX_DEPTH) {
@@ -510,6 +549,23 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.total_calls(), 2);
         assert!(snap.stacks.contains_key("outer;inner"));
+    }
+
+    #[test]
+    fn off_profiler_records_nothing_and_owns_no_heap() {
+        let mut p = StageProfiler::off();
+        assert!(!p.is_on());
+        assert!(StageProfiler::new().is_on());
+        assert_eq!((p.table.capacity(), p.stages.capacity()), (0, 0));
+        p.enter("outer");
+        p.enter_at("inner", 5);
+        p.exit_at(9);
+        p.exit();
+        p.exit(); // unbalanced: still nothing
+        p.record(&["scan", "wait"], 100);
+        assert_eq!((p.table.capacity(), p.stages.capacity()), (0, 0));
+        assert_eq!(p.dropped(), 0);
+        assert!(p.snapshot().is_empty());
     }
 
     #[test]

@@ -567,7 +567,7 @@ impl Resolver {
     /// Multi-worker front ends need the raw response to satisfy coalesced
     /// joiners: each joiner builds its own client answer from it via
     /// [`Resolver::joiner_response`], while only the flight owner caches.
-    pub fn drive_upstream_capturing<U: Upstream>(
+    pub fn drive_upstream_capturing<U: Upstream + ?Sized>(
         &mut self,
         pending: PendingQuery,
         now: SimTime,
