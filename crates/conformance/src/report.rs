@@ -1,7 +1,7 @@
 //! Machine-readable conformance report.
 //!
 //! Hand-rolled JSON (the vendored serde stub carries no codegen), matching
-//! the style of `ResolverStats::to_json` and the obs exporters.
+//! the style of the obs exporters.
 
 /// One (subject-config, scenario) cell of the conformance matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -485,6 +485,9 @@ mod tests {
         assert_eq!(snap.gauge("flight_in_flight_depth"), Some(1));
         // Batch-size histograms recorded under profiling.
         assert!(snap.histogram("dnsd_recv_batch_size").is_some());
+        // The export contract `obs-validate metrics --require-prof` checks.
+        obs::validate::validate_metrics_json(&snap.to_json(), obs::validate::PROF_REQUIRED_SERIES)
+            .expect("profiled export carries every prof_*/lock_* series");
     }
 
     #[test]
@@ -498,6 +501,123 @@ mod tests {
         let snap = handle.shutdown();
         crate::pool::testing::assert_trio_accounted(&snap, "resolverd");
         assert_eq!(snap.counter("resolver_client_queries_total"), Some(0));
+    }
+
+    #[test]
+    fn eight_worker_burst_answers_every_query_and_accounts_for_it() {
+        const NAMES: usize = 256;
+        const QUERIES: usize = 5_000;
+        const WINDOW: usize = 64;
+        const MAX_RESENDS: u32 = 8;
+        // The last /24 is the first one again: the two share a cache entry.
+        let subnets = [
+            [192, 0, 2, 0],
+            [198, 51, 100, 0],
+            [203, 0, 113, 0],
+            [192, 0, 2, 128],
+        ];
+
+        let mut zone = Zone::new(Name::from_ascii("burst.example").unwrap());
+        let mut templates = Vec::with_capacity(NAMES * (1 + subnets.len()));
+        for i in 0..NAMES {
+            let name = Name::from_ascii(&format!("www{i}.burst.example")).unwrap();
+            // Long TTL: nothing expires mid-run.
+            zone.add_a(name.clone(), 3600, Ipv4Addr::new(198, 51, 100, 1))
+                .unwrap();
+            templates.push(Message::query(0, Question::a(name.clone())));
+            for net in subnets {
+                let mut q = Message::query(0, Question::a(name.clone()));
+                q.set_ecs(EcsOption::from_v4(Ipv4Addr::from(net), 24));
+                templates.push(q);
+            }
+        }
+        let templates: Vec<Vec<u8>> = templates.iter().map(|q| q.to_bytes().unwrap()).collect();
+
+        let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
+        let auth = UdpAuthServer::bind("127.0.0.1:0", auth).unwrap();
+        let auth_addr = auth.local_addr().unwrap();
+        let auth_handle = auth.spawn();
+        let handle = UdpResolverServer::bind("127.0.0.1:0", auth_addr, cfg())
+            .unwrap()
+            .with_workers(8)
+            .with_profiling()
+            .spawn()
+            .unwrap();
+        let addr = handle.local_addr();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_millis(250)))
+            .unwrap();
+
+        // splitmix64: the mix is the same sequence on every run.
+        let mut state = 0x0EC5_u64;
+        let mut draw = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+
+        // Closed loop, WINDOW in flight; query `n` carries wire id `n`.
+        let mut outstanding = std::collections::HashMap::new();
+        let mut distinct = std::collections::HashSet::new();
+        let (mut sent, mut completed, mut resent) = (0usize, 0usize, 0u64);
+        let mut buf = [0u8; 4096];
+        while completed < QUERIES {
+            while sent < QUERIES && outstanding.len() < WINDOW {
+                // A quarter of the mix carries one of the /24s.
+                let variant = if draw(4) == 0 {
+                    1 + draw(subnets.len())
+                } else {
+                    0
+                };
+                let template = draw(NAMES) * (1 + subnets.len()) + variant;
+                distinct.insert(template);
+                let mut q = templates[template].clone();
+                q[0..2].copy_from_slice(&(sent as u16).to_be_bytes());
+                client.send_to(&q, addr).unwrap();
+                outstanding.insert(sent as u16, (q, 0u32));
+                sent += 1;
+            }
+            match client.recv_from(&mut buf) {
+                // A second answer to a re-sent query finds nothing to remove.
+                Ok((n, _)) => {
+                    assert!(n >= 2, "runt reply");
+                    let id = u16::from_be_bytes([buf[0], buf[1]]);
+                    completed += usize::from(outstanding.remove(&id).is_some());
+                }
+                Err(_) => {
+                    for (id, (q, resends)) in outstanding.iter_mut() {
+                        *resends += 1;
+                        assert!(*resends <= MAX_RESENDS, "query {id} never answered");
+                        client.send_to(q, addr).unwrap();
+                        resent += 1;
+                    }
+                }
+            }
+        }
+        let snap = handle.shutdown();
+        auth_handle.shutdown();
+
+        crate::pool::testing::assert_accounted(&snap, "resolverd");
+        let c = |name: &str| snap.counter(name).unwrap();
+        assert!(c("resolverd_responses_total") >= QUERIES as u64);
+        assert!(c("resolverd_queries_total") <= QUERIES as u64 + resent);
+        assert_eq!(
+            c("resolverd_queries_total"),
+            c("resolver_client_queries_total")
+        );
+        // One upstream exchange per cache entry at most, however the eight
+        // workers raced for it: the flight table coalesces the rest.
+        assert!(
+            c("resolver_upstream_queries_total") <= distinct.len() as u64,
+            "{} upstream queries for {} distinct (name, /24) templates",
+            c("resolver_upstream_queries_total"),
+            distinct.len()
+        );
+        // Every query took a shard lock, and the monitors saw it.
+        assert!(c("lock_cache_shard_acquisitions_total") >= QUERIES as u64);
     }
 
     #[test]

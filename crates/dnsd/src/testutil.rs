@@ -46,9 +46,52 @@ pub fn require_socket<T, E: std::fmt::Display>(
     }
 }
 
+/// Binds a UDP and a TCP authoritative on one port number (the RFC 7766
+/// same-port fallback pair), each try over a fresh `auth()`. UDP picks the
+/// port, and TCP can find that number taken — the port spaces are
+/// disjoint, and a `TIME_WAIT` leftover of an earlier TCP exchange or a
+/// parallel test may hold it — so `AddrInUse` retries with a fresh UDP
+/// port. Both servers are bound before the caller learns the address; any
+/// other failure, or 16 taken ports in a row, skips like
+/// [`require_socket`].
+pub fn bind_same_port_pair(
+    test: &str,
+    auth: impl Fn() -> authoritative::AuthServer,
+) -> Option<(crate::UdpAuthServer, crate::TcpAuthServer)> {
+    let mut tries = 0;
+    loop {
+        let udp = crate::UdpAuthServer::bind("127.0.0.1:0", auth())
+            .and_then(|udp| udp.local_addr().map(|addr| (udp, addr)));
+        let (udp, addr) = require_socket(test, "binding UDP on loopback", udp)?;
+        tries += 1;
+        match crate::TcpAuthServer::bind(addr, udp.auth()) {
+            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && tries < 16 => continue,
+            tcp => {
+                return require_socket(test, "binding TCP on the UDP port", tcp)
+                    .map(|tcp| (udp, tcp))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_port_pair_shares_one_port_number() {
+        let zone = authoritative::Zone::new(dns_wire::Name::from_ascii("pair.example").unwrap());
+        let auth = || {
+            authoritative::AuthServer::new(
+                zone.clone(),
+                authoritative::EcsHandling::open(authoritative::ScopePolicy::MatchSource),
+            )
+        };
+        let Some((udp, tcp)) = bind_same_port_pair("same_port_pair", auth) else {
+            return;
+        };
+        assert_eq!(udp.local_addr().unwrap(), tcp.local_addr().unwrap());
+    }
 
     #[test]
     fn require_socket_passes_ok_through() {

@@ -44,22 +44,17 @@ fn truncated_udp_falls_back_to_real_tcp() {
     if !dnsd::testutil::require_loopback("truncated_udp_falls_back_to_real_tcp") {
         return;
     }
-    let udp = UdpAuthServer::bind("127.0.0.1:0", demo_auth())
-        .expect("loopback available")
-        .with_faults(ServerFaults {
-            truncate_udp: true,
-            ..ServerFaults::default()
-        });
-    let addr = udp.local_addr().unwrap();
-    // Same port, same zone state, TCP transport (the port spaces are
-    // disjoint, so binding usually succeeds; skip if this host disagrees).
-    let Some(tcp) = dnsd::testutil::require_socket(
-        "truncated_udp_falls_back_to_real_tcp",
-        "binding TCP on the UDP port",
-        TcpAuthServer::bind(addr, udp.auth()),
-    ) else {
+    // Same port, same zone state, both transports.
+    let Some((udp, tcp)) =
+        dnsd::testutil::bind_same_port_pair("truncated_udp_falls_back_to_real_tcp", demo_auth)
+    else {
         return;
     };
+    let udp = udp.with_faults(ServerFaults {
+        truncate_udp: true,
+        ..ServerFaults::default()
+    });
+    let addr = udp.local_addr().unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
 

@@ -3,7 +3,8 @@
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{EcsOption, Name, Rdata, Record};
-use dnsd::{DigClient, TcpAuthServer, UdpAuthServer};
+use dnsd::testutil::bind_same_port_pair;
+use dnsd::DigClient;
 use std::net::Ipv4Addr;
 
 fn big_auth(records: u8) -> AuthServer {
@@ -21,12 +22,14 @@ fn big_auth(records: u8) -> AuthServer {
 
 #[test]
 fn udp_truncation_falls_back_to_tcp() {
-    // Bind UDP first to learn a free port, then TCP on the same port so
-    // the RFC 7766 same-port fallback works.
-    let udp = UdpAuthServer::bind("127.0.0.1:0", big_auth(200)).unwrap();
+    // One port number on both transports, so the RFC 7766 same-port
+    // fallback works.
+    let Some((udp, tcp)) =
+        bind_same_port_pair("udp_truncation_falls_back_to_tcp", || big_auth(200))
+    else {
+        return;
+    };
     let addr = udp.local_addr().unwrap();
-    let shared = udp.auth();
-    let tcp = TcpAuthServer::bind(addr, shared).unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
 
@@ -55,10 +58,12 @@ fn udp_truncation_falls_back_to_tcp() {
 
 #[test]
 fn query_a_does_the_fallback_automatically() {
-    let udp = UdpAuthServer::bind("127.0.0.1:0", big_auth(200)).unwrap();
+    let Some((udp, tcp)) =
+        bind_same_port_pair("query_a_does_the_fallback_automatically", || big_auth(200))
+    else {
+        return;
+    };
     let addr = udp.local_addr().unwrap();
-    let shared = udp.auth();
-    let tcp = TcpAuthServer::bind(addr, shared).unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
 

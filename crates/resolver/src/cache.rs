@@ -61,22 +61,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// JSON object literal. The vendored `serde` derive is annotation-only
-    /// (no code generation offline), so emission is hand-rolled here, in the
-    /// same style the bench binaries use.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"inserts\":{},\"max_size\":{},\"evictions\":{},\"per_name_evictions\":{},\"stale_hits\":{}}}",
-            self.hits,
-            self.misses,
-            self.inserts,
-            self.max_size,
-            self.evictions,
-            self.per_name_evictions,
-            self.stale_hits
-        )
-    }
 }
 
 /// Resource limits for [`EcsCache`]. The default is fully unbounded with
@@ -1318,24 +1302,5 @@ mod overload_tests {
         }
         assert_eq!(plain.stats(), limited.stats());
         assert_eq!(plain.len(t(95)), limited.len(t(95)));
-    }
-
-    #[test]
-    fn stats_json_is_well_formed() {
-        let mut c = bounded(1);
-        for third in 0..3u8 {
-            c.insert(
-                name("a.example"),
-                RecordType::A,
-                rec("a.example", 600),
-                Some(scoped(third)),
-                600,
-                t(third as u64),
-            );
-        }
-        let json = c.stats().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"evictions\":2"));
-        assert!(json.contains("\"inserts\":3"));
     }
 }

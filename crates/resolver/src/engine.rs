@@ -211,28 +211,6 @@ pub struct ResolverStats {
     pub stale_answers: u64,
 }
 
-impl ResolverStats {
-    /// JSON object literal. The vendored `serde` derive is annotation-only
-    /// (no code generation offline), so emission is hand-rolled here.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"client_queries\":{},\"upstream_queries\":{},\"upstream_ecs_queries\":{},\"retries\":{},\"upstream_timeouts\":{},\"ecs_withdrawals\":{},\"tcp_fallbacks\":{},\"transport_fallbacks\":{},\"servfail_responses\":{},\"shed_queries\":{},\"coalesced_queries\":{},\"stale_answers\":{}}}",
-            self.client_queries,
-            self.upstream_queries,
-            self.upstream_ecs_queries,
-            self.retries,
-            self.upstream_timeouts,
-            self.ecs_withdrawals,
-            self.tcp_fallbacks,
-            self.transport_fallbacks,
-            self.servfail_responses,
-            self.shed_queries,
-            self.coalesced_queries,
-            self.stale_answers
-        )
-    }
-}
-
 /// Registry-backed handles behind [`ResolverStats`]. The registry is the
 /// single source of truth; [`Resolver::stats`] reconstructs the legacy
 /// struct from counter loads, so existing readers see identical values.
