@@ -153,12 +153,6 @@ impl AuthServer {
         self
     }
 
-    /// Provides a geolocation database without CDN behaviour.
-    pub fn with_geodb(mut self, geodb: GeoDb) -> Self {
-        self.geodb = geodb;
-        self
-    }
-
     /// Makes the server pre-EDNS (FORMERR on any OPT).
     pub fn without_edns(mut self) -> Self {
         self.edns_supported = false;

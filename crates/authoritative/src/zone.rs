@@ -158,11 +158,6 @@ impl Zone {
         (self.synth_a.is_some() && name.is_subdomain_of(&self.apex))
             || self.records.keys().any(|(n, _)| n == name)
     }
-
-    /// Number of record sets.
-    pub fn rrset_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 #[cfg(test)]

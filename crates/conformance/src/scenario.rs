@@ -12,7 +12,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, QueryLogEntry, ScopePolicy, Zone};
-use dns_wire::{Message, Name, Rcode, RecordType};
+use dns_wire::{Message, Name, Rcode};
 use netsim::SimTime;
 use resolver::{Upstream, UpstreamError};
 
@@ -91,24 +91,6 @@ impl Scenario {
         }
     }
 
-    /// Jams the scope to the full /32 on every answer.
-    pub fn jams_scope32() -> Self {
-        Scenario {
-            name: "jams-scope-32",
-            stance: EcsStance::Open(ScopePolicy::Fixed(32)),
-            ..Self::honors_scope()
-        }
-    }
-
-    /// Caps the advertised scope at /22.
-    pub fn caps_scope22() -> Self {
-        Scenario {
-            name: "caps-scope-22",
-            stance: EcsStance::Open(ScopePolicy::Fixed(22)),
-            ..Self::honors_scope()
-        }
-    }
-
     /// Deliberately non-compliant: scope longer than source by 8 bits.
     pub fn scope_exceeds_source() -> Self {
         Scenario {
@@ -159,15 +141,6 @@ impl Scenario {
         Scenario {
             name: "flattening-cname",
             cname: true,
-            ..Self::honors_scope()
-        }
-    }
-
-    /// Zero-TTL answers (the classifier edge case §6.3 probing must survive).
-    pub fn zero_ttl() -> Self {
-        Scenario {
-            name: "zero-ttl",
-            ttl: 0,
             ..Self::honors_scope()
         }
     }
@@ -346,12 +319,6 @@ pub fn a_query(id: u16, qname: &Name) -> Message {
 /// Convenience for drivers: a scenario-scoped hostname.
 pub fn host(label: &str, scenario: &Scenario) -> Name {
     Name::from_ascii(&format!("{label}.{}", scenario.apex)).expect("label is valid")
-}
-
-/// True when the entry is an address query (the §6 analyses look only at
-/// A/AAAA traffic).
-pub fn is_address_entry(e: &QueryLogEntry) -> bool {
-    e.qtype == RecordType::A || e.qtype == RecordType::Aaaa
 }
 
 #[cfg(test)]

@@ -72,32 +72,6 @@ impl Name {
         Ok(name)
     }
 
-    /// Builds a name from raw labels. Validates lengths but not characters,
-    /// matching what can legally appear on the wire.
-    pub fn from_labels<I, L>(iter: I) -> WireResult<Self>
-    where
-        I: IntoIterator<Item = L>,
-        L: AsRef<[u8]>,
-    {
-        let mut labels = Vec::new();
-        for l in iter {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(WireError::InvalidLabel);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            labels.push(l.to_vec());
-        }
-        let name = Name { labels };
-        let wl = name.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wl));
-        }
-        Ok(name)
-    }
-
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
         self.labels.len()

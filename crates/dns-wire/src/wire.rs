@@ -158,11 +158,6 @@ impl WireWriter {
         w
     }
 
-    /// Whether name compression is enabled.
-    pub fn compression_enabled(&self) -> bool {
-        self.compress
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -224,11 +219,6 @@ impl WireWriter {
             return Err(WireError::MessageTooLong(self.buf.len()));
         }
         Ok(self.buf.to_vec())
-    }
-
-    /// Finalizes without the 64 KiB check (for non-message byte strings).
-    pub fn finish_unchecked(self) -> Vec<u8> {
-        self.buf.to_vec()
     }
 }
 

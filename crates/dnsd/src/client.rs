@@ -2,7 +2,7 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dns_wire::{EcsOption, Message, Name, Question, RecordClass, RecordType};
 
@@ -13,7 +13,8 @@ pub enum DigError {
     Io(io::Error),
     /// No (valid) response arrived within all retries.
     Timeout,
-    /// A response arrived but did not parse.
+    /// The query did not encode, or a TCP response did not parse (a
+    /// garbled datagram is not an answer: the UDP attempt listens on).
     Malformed(dns_wire::WireError),
 }
 
@@ -22,7 +23,7 @@ impl std::fmt::Display for DigError {
         match self {
             DigError::Io(e) => write!(f, "socket error: {e}"),
             DigError::Timeout => write!(f, "query timed out"),
-            DigError::Malformed(e) => write!(f, "malformed response: {e}"),
+            DigError::Malformed(e) => write!(f, "malformed message: {e}"),
         }
     }
 }
@@ -32,6 +33,52 @@ impl std::error::Error for DigError {}
 impl From<io::Error> for DigError {
     fn from(e: io::Error) -> Self {
         DigError::Io(e)
+    }
+}
+
+/// One UDP attempt, shared by [`DigClient`] and
+/// [`crate::SocketUpstream`]: send `query` (the encoding of a message
+/// with id `id`) to `server`, then wait for a response from `server` with
+/// that id until `timeout` after the send. The deadline is fixed once:
+/// datagrams that are not the answer (strays, wrong ids, garbage) use the
+/// window up, they do not restart it or end the attempt. A lapsed window
+/// is [`DigError::Timeout`], a socket failure [`DigError::Io`].
+pub(crate) fn udp_attempt(
+    socket: &UdpSocket,
+    server: SocketAddr,
+    query: &[u8],
+    id: u16,
+    timeout: Duration,
+) -> Result<Message, DigError> {
+    socket.send_to(query, server)?;
+    let deadline = Instant::now() + timeout;
+    let mut buf = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(DigError::Timeout);
+        }
+        socket.set_read_timeout(Some(left))?;
+        match socket.recv_from(&mut buf) {
+            Ok((n, from)) if from == server => {
+                if let Ok(resp) = Message::from_bytes(&buf[..n]) {
+                    if resp.id == id && resp.is_response() {
+                        return Ok(resp);
+                    }
+                }
+                // Garbled or mismatched: keep listening in this window.
+            }
+            Ok(_) => {} // stray sender
+            // Lapsed or interrupted by a signal: the deadline decides.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(DigError::Io(e)),
+        }
     }
 }
 
@@ -61,32 +108,10 @@ impl DigClient {
     /// first response whose id matches.
     pub fn exchange(&mut self, server: SocketAddr, query: &Message) -> Result<Message, DigError> {
         let bytes = query.to_bytes().map_err(DigError::Malformed)?;
-        self.socket.set_read_timeout(Some(self.timeout))?;
-        let mut buf = [0u8; 4096];
         for _attempt in 0..=self.retries {
-            self.socket.send_to(&bytes, server)?;
-            loop {
-                match self.socket.recv_from(&mut buf) {
-                    Ok((n, from)) if from == server => {
-                        match Message::from_bytes(&buf[..n]) {
-                            Ok(resp) if resp.id == query.id && resp.is_response() => {
-                                return Ok(resp)
-                            }
-                            // Wrong id / not a response: keep listening
-                            // within this attempt's window.
-                            Ok(_) => continue,
-                            Err(e) => return Err(DigError::Malformed(e)),
-                        }
-                    }
-                    Ok(_) => continue, // stray sender
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break; // retransmit
-                    }
-                    Err(e) => return Err(DigError::Io(e)),
-                }
+            match udp_attempt(&self.socket, server, &bytes, query.id, self.timeout) {
+                Err(DigError::Timeout) => {} // retransmit
+                done => return done,
             }
         }
         Err(DigError::Timeout)

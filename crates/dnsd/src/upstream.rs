@@ -15,7 +15,7 @@
 
 use std::io;
 use std::net::{IpAddr, SocketAddr, UdpSocket};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dns_wire::{Message, Rcode};
 use netsim::SimTime;
@@ -60,47 +60,6 @@ impl SocketUpstream {
         self.tcp_server = Some(addr);
         self
     }
-
-    /// One UDP attempt: send, then wait for a reply whose id matches until
-    /// `timeout` after the send. The deadline is fixed once: datagrams
-    /// that are not the answer (strays, wrong ids, garbage) use the window
-    /// up, they do not restart it.
-    fn udp_attempt(&mut self, q: &Message) -> Result<Message, UpstreamError> {
-        let bytes = q
-            .to_bytes()
-            .map_err(|_| UpstreamError::Rcode(Rcode::FormErr))?;
-        let io_fail = |_| UpstreamError::Rcode(Rcode::ServFail);
-        self.socket.send_to(&bytes, self.server).map_err(io_fail)?;
-        let deadline = Instant::now() + self.timeout;
-        let mut buf = [0u8; 4096];
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(UpstreamError::Timeout);
-            }
-            self.socket.set_read_timeout(Some(left)).map_err(io_fail)?;
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, from)) if from == self.server => {
-                    if let Ok(resp) = Message::from_bytes(&buf[..n]) {
-                        if resp.id == q.id && resp.is_response() {
-                            return Ok(resp);
-                        }
-                    }
-                    // Garbled or mismatched: keep listening in this window.
-                }
-                Ok(_) => {} // stray sender
-                // Lapsed or interrupted by a signal: the deadline decides.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(_) => return Err(UpstreamError::Rcode(Rcode::ServFail)),
-            }
-        }
-    }
 }
 
 impl Upstream for SocketUpstream {
@@ -110,7 +69,15 @@ impl Upstream for SocketUpstream {
         _from: IpAddr,
         _now: SimTime,
     ) -> Result<Message, UpstreamError> {
-        let resp = self.udp_attempt(q)?;
+        let bytes = q
+            .to_bytes()
+            .map_err(|_| UpstreamError::Rcode(Rcode::FormErr))?;
+        let resp =
+            crate::client::udp_attempt(&self.socket, self.server, &bytes, q.id, self.timeout)
+                .map_err(|e| match e {
+                    crate::DigError::Timeout => UpstreamError::Timeout,
+                    _ => UpstreamError::Rcode(Rcode::ServFail),
+                })?;
         if resp.flags.tc {
             return Err(UpstreamError::Truncated(Box::new(resp)));
         }

@@ -8,14 +8,14 @@
 //! test prints a visible `SKIP` line via `dnsd::testutil` — and fails
 //! outright when `ECS_REQUIRE_LOOPBACK` is set (CI sets it).
 
-use std::net::IpAddr;
-use std::time::Duration;
+use std::net::{IpAddr, SocketAddr};
+use std::time::{Duration, Instant};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question};
-use dnsd::{ServerFaults, SocketUpstream, TcpAuthServer, UdpAuthServer};
+use dnsd::{DigClient, DigError, ServerFaults, SocketUpstream, TcpAuthServer, UdpAuthServer};
 use netsim::SimTime;
-use resolver::{Resolver, ResolverConfig, Transport, TransportPolicy};
+use resolver::{Resolver, ResolverConfig, Transport, TransportPolicy, Upstream, UpstreamError};
 
 fn name(s: &str) -> Name {
     Name::from_ascii(s).unwrap()
@@ -268,51 +268,100 @@ fn unreachable_server_ends_in_servfail_not_hang() {
     assert_eq!(r.stats().upstream_timeouts as usize, 4);
 }
 
+/// One 100 ms UDP attempt at `server`; `None` is a timeout.
+type Subject = fn(SocketAddr) -> Option<Message>;
+
+/// Everything that makes a deadline-bounded UDP attempt: the engine's
+/// upstream and the dig client, both over `dnsd`'s one attempt function.
+const SUBJECTS: [(&str, Subject); 2] = [
+    ("SocketUpstream", |server| {
+        let mut up = SocketUpstream::new(server)
+            .unwrap()
+            .with_timeout(Duration::from_millis(100));
+        match up.query(&client_query(), RES.parse().unwrap(), SimTime::ZERO) {
+            Ok(resp) => Some(resp),
+            Err(UpstreamError::Timeout) => None,
+            Err(e) => panic!("SocketUpstream: {e:?}"),
+        }
+    }),
+    ("DigClient", |server| {
+        let mut dig = DigClient::new().unwrap();
+        dig.timeout = Duration::from_millis(100);
+        dig.retries = 0;
+        match dig.exchange(server, &client_query()) {
+            Ok(resp) => Some(resp),
+            Err(DigError::Timeout) => None,
+            Err(e) => panic!("DigClient: {e}"),
+        }
+    }),
+];
+
 #[test]
 fn chattering_upstream_cannot_stretch_an_attempt_past_its_timeout() {
-    use resolver::{Upstream, UpstreamError};
-    use std::time::Instant;
-
     const TEST: &str = "chattering_upstream_cannot_stretch_an_attempt_past_its_timeout";
     if !dnsd::testutil::require_loopback(TEST) {
         return;
     }
-    // An upstream that never answers the question but sends a well-formed
-    // response with the wrong id every 10 ms — for at most 2 s, so an
-    // attempt whose window restarts on every datagram ends too, just far
-    // too late.
-    let chatter = std::net::UdpSocket::bind("127.0.0.1:0").expect("loopback available");
-    let chatter_addr = chatter.local_addr().unwrap();
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let hush = std::sync::Arc::clone(&done);
-    let chatterer = std::thread::spawn(move || {
-        let mut buf = [0u8; 512];
-        let (n, peer) = chatter.recv_from(&mut buf).unwrap();
-        let mut wrong = Message::response_to(&Message::from_bytes(&buf[..n]).unwrap());
-        wrong.id = wrong.id.wrapping_add(1);
-        let wrong = wrong.to_bytes().unwrap();
-        let until = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < until && !hush.load(std::sync::atomic::Ordering::SeqCst) {
-            let _ = chatter.send_to(&wrong, peer);
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    });
+    for (subject, ask) in SUBJECTS {
+        // An upstream that never answers the question but sends a
+        // well-formed response with the wrong id every 10 ms — for at most
+        // 2 s, so an attempt whose window restarts on every datagram ends
+        // too, just far too late.
+        let chatter = std::net::UdpSocket::bind("127.0.0.1:0").expect("loopback available");
+        let chatter_addr = chatter.local_addr().unwrap();
+        let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let hush = std::sync::Arc::clone(&done);
+        let chatterer = std::thread::spawn(move || {
+            let mut buf = [0u8; 512];
+            let (n, peer) = chatter.recv_from(&mut buf).unwrap();
+            let mut wrong = Message::response_to(&Message::from_bytes(&buf[..n]).unwrap());
+            wrong.id = wrong.id.wrapping_add(1);
+            let wrong = wrong.to_bytes().unwrap();
+            let until = Instant::now() + Duration::from_secs(2);
+            while Instant::now() < until && !hush.load(std::sync::atomic::Ordering::SeqCst) {
+                let _ = chatter.send_to(&wrong, peer);
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
 
-    let mut up = SocketUpstream::new(chatter_addr)
-        .unwrap()
-        .with_timeout(Duration::from_millis(100));
-    let asked = Instant::now();
-    let outcome = up.query(&client_query(), RES.parse().unwrap(), SimTime::ZERO);
-    let took = asked.elapsed();
-    done.store(true, std::sync::atomic::Ordering::SeqCst);
-    chatterer.join().unwrap();
-    assert!(
-        matches!(outcome, Err(UpstreamError::Timeout)),
-        "{outcome:?}"
-    );
-    assert!(
-        took >= Duration::from_millis(100),
-        "gave up early: {took:?}"
-    );
-    assert!(took < Duration::from_millis(300), "attempt took {took:?}");
+        let asked = Instant::now();
+        let outcome = ask(chatter_addr);
+        let took = asked.elapsed();
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        chatterer.join().unwrap();
+        assert!(outcome.is_none(), "{subject}: {outcome:?}");
+        assert!(
+            took >= Duration::from_millis(100),
+            "{subject} gave up early: {took:?}"
+        );
+        assert!(
+            took < Duration::from_millis(300),
+            "{subject}: attempt took {took:?}"
+        );
+    }
+}
+
+#[test]
+fn garbled_datagram_then_the_answer_is_the_answer() {
+    if !dnsd::testutil::require_loopback("garbled_datagram_then_the_answer_is_the_answer") {
+        return;
+    }
+    for (subject, ask) in SUBJECTS {
+        // The server's first datagram is too short to be a DNS header;
+        // the real answer follows it inside the same attempt window.
+        let server = std::net::UdpSocket::bind("127.0.0.1:0").expect("loopback available");
+        let server_addr = server.local_addr().unwrap();
+        let serving = std::thread::spawn(move || {
+            let mut buf = [0u8; 512];
+            let (n, peer) = server.recv_from(&mut buf).unwrap();
+            let answer = Message::response_to(&Message::from_bytes(&buf[..n]).unwrap());
+            server.send_to(&[0xFF; 5], peer).unwrap();
+            server.send_to(&answer.to_bytes().unwrap(), peer).unwrap();
+        });
+        let outcome = ask(server_addr);
+        serving.join().unwrap();
+        let resp = outcome.unwrap_or_else(|| panic!("{subject} gave up on the garbage"));
+        assert_eq!(resp.id, client_query().id, "{subject}");
+        assert!(resp.is_response(), "{subject}");
+    }
 }

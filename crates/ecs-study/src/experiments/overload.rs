@@ -5,7 +5,7 @@
 //! cache, query coalescing, load shedding, and RFC 8767 serve-stale. This
 //! sweep measures each mechanism on the engine itself:
 //!
-//! * **cache size × client population** — a bounded [`EcsCache`] under an
+//! * **cache size × client population** — a bounded [`resolver::EcsCache`] under an
 //!   ECS workload whose working set exceeds the bound: hit rate degrades
 //!   and evictions climb, but the entry count never passes the cap;
 //! * **fault rate × serve-stale** — the same warmed cache re-queried while

@@ -130,12 +130,6 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the plan-wide default faults.
-    pub fn set_default(&mut self, faults: LinkFaults) -> &mut Self {
-        self.default = faults;
-        self
-    }
-
     /// Sets the faults for the directed link `src → dst` (overrides the
     /// default for that link only).
     pub fn set_link(&mut self, src: NodeId, dst: NodeId, faults: LinkFaults) -> &mut Self {

@@ -17,7 +17,10 @@
 //!   (UDP/TCP/DoT/DoH): handshake RTT accounting with connection reuse and
 //!   TLS resumption, plus EDNS-buffer/path-MTU datagram fate;
 //! * [`Simulation`] — the event loop: nodes implement [`Node`], receive
-//!   packets and timers, and emit actions through a [`Ctx`].
+//!   packets and timers, and emit actions through a [`Ctx`]. A handler
+//!   only buffers [`Action`]s, so a loop other than `Simulation` (the
+//!   scanner's wall-clock socket loop) can step the same node through
+//!   [`Ctx::new`].
 //!
 //! Determinism: events are ordered by `(time, sequence)` where the sequence
 //! number is assigned at scheduling time, and all randomness flows from a
@@ -61,7 +64,7 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{FaultPlan, FaultStats, LinkFaults};
 pub use geo::{GeoPoint, EARTH_RADIUS_KM};
 pub use latency::LatencyModel;
-pub use sim::{Ctx, Node, NodeId, Packet, Simulation};
+pub use sim::{Action, Ctx, Node, NodeId, Packet, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use transport::{
     DatagramFate, HandshakeCosts, PathProfile, Transport, TransportModel, TransportPlan,

@@ -35,12 +35,45 @@ pub struct Ctx<'a> {
     rng: &'a mut SmallRng,
 }
 
-pub(crate) enum Action {
-    Send { to: NodeId, payload: Vec<u8> },
-    Timer { after: SimDuration, token: u64 },
+/// What a handler asked of the world through its [`Ctx`]. The loop that
+/// stepped the handler applies these after it returns: [`Simulation`]
+/// under virtual time, or a driver of its own over a real socket.
+#[derive(Debug)]
+pub enum Action {
+    /// Deliver `payload` to node `to`.
+    Send {
+        /// Destination node.
+        to: NodeId,
+        /// Datagram bytes.
+        payload: Vec<u8>,
+    },
+    /// Call the node's `on_timer(token)` once `after` has passed.
+    Timer {
+        /// Delay from the handler's `now`.
+        after: SimDuration,
+        /// Opaque value handed back to the node.
+        token: u64,
+    },
 }
 
 impl<'a> Ctx<'a> {
+    /// A context for stepping node `self_id` at `now` from outside
+    /// [`Simulation`]: the handler's actions land in `actions` for the
+    /// caller to apply, its randomness comes from `rng`.
+    pub fn new(
+        now: SimTime,
+        self_id: NodeId,
+        actions: &'a mut Vec<Action>,
+        rng: &'a mut SmallRng,
+    ) -> Self {
+        Ctx {
+            now,
+            self_id,
+            actions,
+            rng,
+        }
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -190,11 +223,6 @@ impl Simulation {
         self.faults = faults;
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Counters of the faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
@@ -341,12 +369,7 @@ impl Simulation {
         };
         let mut actions = Vec::new();
         {
-            let mut ctx = Ctx {
-                now: self.clock,
-                self_id: id,
-                actions: &mut actions,
-                rng: &mut self.rng,
-            };
+            let mut ctx = Ctx::new(self.clock, id, &mut actions, &mut self.rng);
             f(node.as_mut(), &mut ctx);
         }
         self.nodes[id.0] = Some(node);

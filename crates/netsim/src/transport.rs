@@ -1,6 +1,6 @@
 //! Per-link transport models: UDP, TCP, DoT, DoH.
 //!
-//! The ECS study's simulated resolvers exchange [`dns_wire`]-level messages
+//! The ECS study's simulated resolvers exchange `dns_wire`-level messages
 //! directly, so "transport" here is not sockets or crypto — it is the two
 //! things a transport choice changes about a DNS exchange:
 //!

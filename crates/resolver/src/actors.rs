@@ -25,6 +25,46 @@ use crate::exchange::{Action, Exchange};
 /// Shared address directory type used by every actor.
 pub type SharedBook = Arc<RwLock<AddressBook>>;
 
+/// The relay half of a forwarder: outstanding queries keyed by the fresh
+/// transaction id they went upstream under. Entries leave when the
+/// response routes back; an id whose response never came is overwritten
+/// when the 16-bit counter wraps, so the table holds at most 65,535.
+struct RelayTable {
+    pending: HashMap<u16, (NodeId, u16)>,
+    next_id: u16,
+}
+
+impl RelayTable {
+    fn new() -> Self {
+        RelayTable {
+            pending: HashMap::new(),
+            next_id: 1,
+        }
+    }
+
+    /// Sends query `msg` from `client` on to `upstream` under a fresh id.
+    fn forward(&mut self, mut msg: Message, client: NodeId, upstream: NodeId, ctx: &mut Ctx) {
+        let fresh = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1).max(1);
+        self.pending.insert(fresh, (client, msg.id));
+        msg.id = fresh;
+        if let Ok(bytes) = msg.to_bytes() {
+            ctx.send(upstream, bytes);
+        }
+    }
+
+    /// Routes response `msg` back to the original querier under its
+    /// original id; a response nobody is waiting for is dropped.
+    fn route_back(&mut self, mut msg: Message, ctx: &mut Ctx) {
+        if let Some((client, orig_id)) = self.pending.remove(&msg.id) {
+            msg.id = orig_id;
+            if let Ok(bytes) = msg.to_bytes() {
+                ctx.send(client, bytes);
+            }
+        }
+    }
+}
+
 /// A plain relay: receives a query, forwards it upstream under a fresh
 /// transaction id, and routes the response back. Models both open
 /// forwarders and hidden resolvers (which, at this layer, behave
@@ -32,17 +72,9 @@ pub type SharedBook = Arc<RwLock<AddressBook>>;
 pub struct RelayActor {
     /// Upstream node (a hidden resolver or an egress resolver).
     pub upstream: NodeId,
-    pending: HashMap<u16, (NodeId, u16)>,
-    next_id: u16,
-    /// Maximum outstanding relayed queries; `0` means unbounded. A full
-    /// table answers REFUSED instead of relaying — how resource-starved
-    /// open forwarders behave under scan load, and the organic source of
-    /// the REFUSED signal the scanner's circuit breakers key on.
-    pending_cap: usize,
+    table: RelayTable,
     /// Queries relayed (for assertions).
     pub relayed: u64,
-    /// Queries refused because the pending table was full.
-    pub refused: u64,
 }
 
 impl RelayActor {
@@ -50,53 +82,22 @@ impl RelayActor {
     pub fn new(upstream: NodeId) -> Self {
         RelayActor {
             upstream,
-            pending: HashMap::new(),
-            next_id: 1,
-            pending_cap: 0,
+            table: RelayTable::new(),
             relayed: 0,
-            refused: 0,
         }
-    }
-
-    /// Caps the outstanding-query table at `cap` (≥ 1): further queries
-    /// are answered REFUSED until responses drain the table.
-    pub fn with_pending_cap(mut self, cap: usize) -> Self {
-        self.pending_cap = cap.max(1);
-        self
     }
 }
 
 impl Node for RelayActor {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(mut msg) = Message::from_bytes(&pkt.payload) else {
+        let Ok(msg) = Message::from_bytes(&pkt.payload) else {
             return;
         };
         if msg.is_response() {
-            // Route back to the original querier under its original id.
-            if let Some((client, orig_id)) = self.pending.remove(&msg.id) {
-                msg.id = orig_id;
-                if let Ok(bytes) = msg.to_bytes() {
-                    ctx.send(client, bytes);
-                }
-            }
+            self.table.route_back(msg, ctx);
         } else {
-            if self.pending_cap > 0 && self.pending.len() >= self.pending_cap {
-                self.refused += 1;
-                let mut resp = Message::response_to(&msg);
-                resp.rcode = dns_wire::Rcode::Refused;
-                if let Ok(bytes) = resp.to_bytes() {
-                    ctx.send(pkt.src, bytes);
-                }
-                return;
-            }
-            let fresh = self.next_id;
-            self.next_id = self.next_id.wrapping_add(1).max(1);
-            self.pending.insert(fresh, (pkt.src, msg.id));
-            msg.id = fresh;
             self.relayed += 1;
-            if let Ok(bytes) = msg.to_bytes() {
-                ctx.send(self.upstream, bytes);
-            }
+            self.table.forward(msg, pkt.src, self.upstream, ctx);
         }
     }
 }
@@ -376,15 +377,14 @@ impl Node for AuthActor {
     }
 }
 
-/// An anycast front-end of the public resolution service: stamps the
-/// (trusted) client address into an ECS option before forwarding to one of
-/// the service's egress resolvers.
+/// An anycast front-end of the public resolution service: a relay that
+/// stamps the (trusted) client address into an ECS option and spreads
+/// queries round-robin over the service's egress resolvers.
 pub struct FrontendActor {
     /// Egress resolvers of the service.
     pub egresses: Vec<NodeId>,
     book: SharedBook,
-    pending: HashMap<u16, (NodeId, u16)>,
-    next_id: u16,
+    table: RelayTable,
     rr: usize,
 }
 
@@ -394,8 +394,7 @@ impl FrontendActor {
         FrontendActor {
             egresses,
             book,
-            pending: HashMap::new(),
-            next_id: 1,
+            table: RelayTable::new(),
             rr: 0,
         }
     }
@@ -407,12 +406,7 @@ impl Node for FrontendActor {
             return;
         };
         if msg.is_response() {
-            if let Some((client, orig_id)) = self.pending.remove(&msg.id) {
-                msg.id = orig_id;
-                if let Ok(bytes) = msg.to_bytes() {
-                    ctx.send(client, bytes);
-                }
-            }
+            self.table.route_back(msg, ctx);
             return;
         }
         if self.egresses.is_empty() {
@@ -426,15 +420,9 @@ impl Node for FrontendActor {
                 if client_addr.is_ipv4() { 32 } else { 128 },
             ));
         }
-        let fresh = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        self.pending.insert(fresh, (pkt.src, msg.id));
-        msg.id = fresh;
         let egress = self.egresses[self.rr % self.egresses.len()];
         self.rr += 1;
-        if let Ok(bytes) = msg.to_bytes() {
-            ctx.send(egress, bytes);
-        }
+        self.table.forward(msg, pkt.src, egress, ctx);
     }
 }
 

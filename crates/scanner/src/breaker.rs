@@ -105,6 +105,15 @@ impl CircuitBreaker {
         }
     }
 
+    /// The half-open canary was abandoned before it could report (a
+    /// mid-window abort): back to open with the cooldown already served,
+    /// so the next probe is admitted as a fresh canary.
+    pub fn release_canary(&mut self) {
+        if self.state == BreakerState::HalfOpen {
+            self.state = BreakerState::Open;
+        }
+    }
+
     fn trip(&mut self, now: SimTime) {
         self.state = BreakerState::Open;
         self.open_until = now + self.cooldown;
@@ -157,6 +166,21 @@ mod tests {
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.allow(t(62)));
+    }
+
+    #[test]
+    fn released_canary_is_replaced_without_a_second_cooldown() {
+        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(60));
+        b.record_failure(t(0));
+        assert!(b.allow(t(60)), "canary admitted");
+        b.release_canary();
+        assert_eq!((b.state(), b.opens), (BreakerState::Open, 1));
+        assert!(b.allow(t(60)), "the next probe is the new canary");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        // Nothing to release on a closed breaker.
+        b.record_success();
+        b.release_canary();
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -1,227 +1,147 @@
-//! The live counterpart of the simulated pipeline: the same bounded
-//! window, retry budget, and circuit breaker driven over a real
-//! `UdpSocket` against a running `dnsd` instance — the
-//! adversarial-concurrency soak rig for the multi-worker serving path.
+//! The live driver of [`ScannerNode`]: the node the simulator steps,
+//! stepped instead by a wall-clock loop over one real `UdpSocket` — the
+//! adversarial-concurrency soak rig for a running multi-worker `dnsd`.
 //!
-//! Timeouts come from the same [`RetryBudget`] (SimDuration microseconds
-//! mapped onto the wall clock), and the accounting identity is the same
-//! four doors plus one live-only door: a mid-window shutdown accounts
-//! every abandoned in-flight probe as `aborted` instead of dropping it
-//! silently.
+//! A `netsim::Node` handler does no I/O: its [`Ctx`] only buffers
+//! [`Action`]s. So the whole probe lifecycle (window, rate limit,
+//! breakers, retry budget, accounting, `scanner_*` telemetry) stays in
+//! [`crate::pipeline`], and this module holds only what the simulator
+//! otherwise provides: the socket, the `NodeId ↔ SocketAddr` table, the
+//! wall-clock → [`SimTime`] epoch and the timer heap. Timers are never
+//! cancelled; a token armed for a probe that has since left dies on the
+//! slot generation, exactly as under the simulator.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-use dns_wire::{Message, Name, Question, Rcode};
-use netsim::{SimDuration, SimTime};
+use netsim::{Action, Ctx, Node, NodeId, Packet, SimTime};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::breaker::CircuitBreaker;
-use crate::budget::RetryBudget;
-use crate::pipeline::ScanStats;
-use crate::slots::{SlotRef, SlotTable};
+use crate::pipeline::{ScanStats, ScannerNode, PUMP};
 
-/// Live pipeline knobs (a target-less subset of
-/// [`crate::pipeline::ScanConfig`] — one target, no AS grid).
-#[derive(Debug, Clone)]
-pub struct LiveScanConfig {
-    /// In-flight window.
-    pub window: usize,
-    /// Retry/timeout budget per probe.
-    pub budget: RetryBudget,
-    /// Consecutive failures that open the target's breaker.
-    pub breaker_threshold: u32,
-    /// Open-breaker cooldown.
-    pub breaker_cooldown: SimDuration,
-    /// Jitter seed.
-    pub seed: u64,
-}
+/// The scanner's own id: entry 0 of the address table is its socket.
+const SELF: NodeId = NodeId(0);
 
-impl Default for LiveScanConfig {
-    fn default() -> Self {
-        LiveScanConfig {
-            window: 32,
-            budget: RetryBudget {
-                attempts: 2,
-                initial_timeout: SimDuration::from_millis(250),
-                backoff_mult: 2,
-                jitter_pm: 100,
-            },
-            breaker_threshold: 5,
-            breaker_cooldown: SimDuration::from_millis(500),
-            seed: 1,
-        }
-    }
-}
-
-struct LiveSlot {
-    qname: Name,
-    attempt: u32,
-    deadline: Instant,
-}
-
-/// A bounded-window prober over a real UDP socket, aimed at one target.
+/// One loopback socket and the event loop that steps a [`ScannerNode`]
+/// over it.
 pub struct LiveScanner {
     socket: UdpSocket,
-    target: SocketAddr,
-    cfg: LiveScanConfig,
-    breaker: CircuitBreaker,
+    /// `NodeId(i)` is `addrs[i]`.
+    addrs: Vec<SocketAddr>,
+    ids: HashMap<SocketAddr, NodeId>,
+    /// Wall-clock instant that is `SimTime::ZERO` to the node.
+    epoch: Instant,
+    /// (due, token), earliest first.
+    timers: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Retry jitter only; a live run is not reproducible, so no seed knob.
     rng: SmallRng,
-    stats: ScanStats,
-    started: Instant,
 }
 
 impl LiveScanner {
-    /// Binds a loopback socket aimed at `target`.
-    pub fn new(target: SocketAddr, cfg: LiveScanConfig) -> io::Result<Self> {
+    /// Binds an ephemeral loopback socket.
+    pub fn bind() -> io::Result<Self> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
-        socket.set_read_timeout(Some(Duration::from_millis(5)))?;
+        let own = socket.local_addr()?;
         Ok(LiveScanner {
             socket,
-            target,
-            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            cfg,
-            stats: ScanStats::default(),
-            started: Instant::now(),
+            addrs: vec![own],
+            ids: HashMap::from([(own, SELF)]),
+            epoch: Instant::now(),
+            timers: BinaryHeap::new(),
+            rng: SmallRng::seed_from_u64(0),
         })
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> ScanStats {
-        self.stats
+    /// The [`NodeId`] probes aimed at `addr` must carry (registering it on
+    /// first sight). Datagrams from unregistered addresses are dropped.
+    pub fn node_for(&mut self, addr: SocketAddr) -> NodeId {
+        *self.ids.entry(addr).or_insert_with(|| {
+            self.addrs.push(addr);
+            NodeId(self.addrs.len() - 1)
+        })
     }
 
-    /// Wall-clock elapsed mapped onto the SimTime axis (what the breaker
-    /// and budget reason in).
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.started.elapsed().as_micros() as u64)
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn send(&mut self, r: SlotRef, slots: &mut SlotTable<LiveSlot>) {
-        let Some(slot) = slots.get(r) else { return };
-        let timeout = self
-            .cfg
-            .budget
-            .timeout_with_jitter(slot.attempt, &mut self.rng);
-        let q = Message::query(r.index, Question::a(slot.qname.clone()));
-        self.stats.attempts += 1;
-        if let Ok(bytes) = q.to_bytes() {
-            let _ = self.socket.send_to(&bytes, self.target);
+    /// Runs one handler and applies what it buffered.
+    fn step(&mut self, node: &mut ScannerNode, f: impl FnOnce(&mut ScannerNode, &mut Ctx)) {
+        let now = self.now();
+        let mut actions = Vec::new();
+        f(node, &mut Ctx::new(now, SELF, &mut actions, &mut self.rng));
+        for action in actions {
+            match action {
+                // A failed send is a lost datagram: the attempt's timeout
+                // accounts for it.
+                Action::Send { to, payload } => {
+                    if let Some(addr) = self.addrs.get(to.0) {
+                        let _ = self.socket.send_to(&payload, addr);
+                    }
+                }
+                Action::Timer { after, token } => self.timers.push(Reverse((now + after, token))),
+            }
         }
-        let slot = slots.get_mut(r).expect("live slot");
-        slot.deadline = Instant::now() + Duration::from_micros(timeout.as_micros());
     }
 
-    /// Drives `qnames` through the window until the feed drains or
-    /// `wall_budget` elapses; on the deadline, every still-in-flight probe
-    /// is accounted as `aborted` (never silently dropped). Returns the
-    /// final stats; `stats().reconciles()` holds on return.
-    pub fn run(
-        &mut self,
-        mut qnames: impl Iterator<Item = Name>,
-        wall_budget: Duration,
-    ) -> ScanStats {
+    fn pop_due(&mut self) -> Option<u64> {
+        let Reverse((due, token)) = *self.timers.peek()?;
+        (due <= self.now()).then(|| {
+            self.timers.pop();
+            token
+        })
+    }
+
+    /// Pumps `node` and steps it until its feed drains or `wall_budget`
+    /// elapses; on the deadline every probe still holding a slot leaves
+    /// through [`ScannerNode::abort_in_flight`] and the feed is not
+    /// pulled again. Returns the node's (cumulative) stats, which
+    /// reconcile on return.
+    pub fn run(&mut self, node: &mut ScannerNode, wall_budget: Duration) -> ScanStats {
         let deadline = Instant::now() + wall_budget;
-        let mut slots: SlotTable<LiveSlot> = SlotTable::new(self.cfg.window.max(1));
-        let mut feed_done = false;
+        self.timers.push(Reverse((self.now(), PUMP)));
         let mut buf = [0u8; 4096];
         loop {
-            // Fill the window.
-            while !slots.is_full() && !feed_done && Instant::now() < deadline {
-                let Some(qname) = qnames.next() else {
-                    feed_done = true;
-                    break;
+            while let Some(token) = self.pop_due() {
+                self.step(node, |n, ctx| n.on_timer(token, ctx));
+            }
+            if node.is_done() {
+                break;
+            }
+            let wall = Instant::now();
+            if wall >= deadline {
+                node.abort_in_flight(self.now());
+                break;
+            }
+            let wake = self.timers.peek().map_or(deadline, |Reverse((due, _))| {
+                deadline.min(self.epoch + Duration::from_micros(due.as_micros()))
+            });
+            let wait = wake.saturating_duration_since(wall);
+            if wait.is_zero() {
+                continue;
+            }
+            self.socket
+                .set_read_timeout(Some(wait))
+                .expect("a nonzero timeout on an open socket");
+            // Timed out, interrupted or failed: the timers and the
+            // deadline decide what happens next.
+            let Ok((n, from)) = self.socket.recv_from(&mut buf) else {
+                continue;
+            };
+            if let Some(&src) = self.ids.get(&from) {
+                let pkt = Packet {
+                    src,
+                    dst: SELF,
+                    payload: buf[..n].to_vec(),
                 };
-                self.stats.probes += 1;
-                let now = self.now();
-                if !self.breaker.allow(now) {
-                    self.stats.shed_breaker += 1;
-                    continue;
-                }
-                let r = slots
-                    .insert(LiveSlot {
-                        qname,
-                        attempt: 0,
-                        deadline: Instant::now(),
-                    })
-                    .expect("checked not full");
-                self.stats.max_in_flight = self.stats.max_in_flight.max(slots.live() as u64);
-                self.send(r, &mut slots);
-            }
-            if feed_done && slots.live() == 0 {
-                break;
-            }
-            if Instant::now() >= deadline {
-                // Mid-window shutdown: account everything still out.
-                let live: Vec<SlotRef> = slots.iter().map(|(r, _)| r).collect();
-                for r in live {
-                    slots.remove(r);
-                    self.stats.aborted += 1;
-                }
-                break;
-            }
-
-            // Receive.
-            if let Ok((n, from)) = self.socket.recv_from(&mut buf) {
-                if from == self.target {
-                    if let Ok(msg) = Message::from_bytes(&buf[..n]) {
-                        if msg.is_response() {
-                            let hit = slots.get_index(msg.id).and_then(|(r, slot)| {
-                                (msg.questions.first().map(|q| &q.name) == Some(&slot.qname))
-                                    .then_some(r)
-                            });
-                            if let Some(r) = hit {
-                                slots.remove(r);
-                                self.stats.answered += 1;
-                                let now = self.now();
-                                if msg.rcode == Rcode::Refused {
-                                    self.stats.refused += 1;
-                                    self.breaker.record_failure(now);
-                                    if self.breaker.opens > self.stats.breaker_opens {
-                                        self.stats.breaker_opens = self.breaker.opens;
-                                    }
-                                } else {
-                                    if msg.rcode == Rcode::ServFail {
-                                        self.stats.servfail += 1;
-                                    }
-                                    self.breaker.record_success();
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Expire timeouts.
-            let now_wall = Instant::now();
-            let expired: Vec<SlotRef> = slots
-                .iter()
-                .filter(|(_, s)| s.deadline <= now_wall)
-                .map(|(r, _)| r)
-                .collect();
-            for r in expired {
-                let attempt = slots.get(r).map(|s| s.attempt + 1).unwrap_or(u32::MAX);
-                if self.cfg.budget.allows(attempt) {
-                    if let Some(slot) = slots.get_mut(r) {
-                        slot.attempt = attempt;
-                    }
-                    self.stats.retries += 1;
-                    self.send(r, &mut slots);
-                } else {
-                    slots.remove(r);
-                    self.stats.retry_exhausted += 1;
-                    let now = self.now();
-                    self.breaker.record_failure(now);
-                    if self.breaker.opens > self.stats.breaker_opens {
-                        self.stats.breaker_opens = self.breaker.opens;
-                    }
-                }
+                self.step(node, |n, ctx| n.on_packet(pkt, ctx));
             }
         }
-        debug_assert!(self.stats.reconciles(), "{:?}", self.stats);
-        self.stats
+        debug_assert!(node.stats().reconciles(), "{:?}", node.stats());
+        node.stats()
     }
 }

@@ -272,15 +272,16 @@ pub struct ScannerNode {
     feed_done: bool,
     metrics: Option<ScannerMetrics>,
     tracer: Tracer,
-    /// Sim-time stage profiler ([`ScannerNode::enable_profiling`]):
-    /// records on the [`SimTime`] axis, so the profile is bit-identical
-    /// for a fixed seed. Pure observation, like metrics and tracing.
-    profiler: Option<obs::StageProfiler>,
+    /// Sim-time stage profiler, off until
+    /// [`ScannerNode::enable_profiling`]: records on the [`SimTime`]
+    /// axis, so the profile is bit-identical for a fixed seed. Pure
+    /// observation, like metrics and tracing.
+    profiler: obs::StageProfiler,
 }
 
 /// The pump timer token: distinct from every slot token because slot
 /// generations start at 1 (tokens ≥ 2^16).
-const PUMP: u64 = 0;
+pub(crate) const PUMP: u64 = 0;
 
 impl ScannerNode {
     /// A pipeline over `feed` with `cfg` knobs.
@@ -298,7 +299,7 @@ impl ScannerNode {
             feed_done: false,
             metrics: None,
             tracer: Tracer::disabled(),
-            profiler: None,
+            profiler: obs::StageProfiler::off(),
         }
     }
 
@@ -333,23 +334,14 @@ impl ScannerNode {
     /// accumulate under `scanner;...` stacks with [`SimTime`] durations,
     /// so for a fixed seed the profile is bit-identical run to run.
     pub fn enable_profiling(&mut self) {
-        if self.profiler.is_none() {
-            self.profiler = Some(obs::StageProfiler::new());
+        if !self.profiler.is_on() {
+            self.profiler = obs::StageProfiler::new();
         }
     }
 
     /// The accumulated stage profile (empty if profiling is off).
     pub fn profile_snapshot(&self) -> obs::ProfileSnapshot {
-        match &self.profiler {
-            Some(p) => p.snapshot(),
-            None => obs::ProfileSnapshot::default(),
-        }
-    }
-
-    fn prof_record(&mut self, path: &[&'static str], dur_us: u64) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(path, dur_us);
-        }
+        self.profiler.snapshot()
     }
 
     /// Counters so far.
@@ -375,6 +367,33 @@ impl ScannerNode {
     /// Whether the feed is exhausted and the window has drained.
     pub fn is_done(&self) -> bool {
         self.feed_done && self.slots.live() == 0
+    }
+
+    /// Hands the node a new feed; counters stay cumulative. The next pump
+    /// starts pulling from it.
+    pub fn set_feed(&mut self, feed: impl ProbeFeed) {
+        self.feed = Box::new(feed);
+        self.feed_done = false;
+    }
+
+    /// The fifth door, for a driver that stops mid-window (a wall-clock
+    /// deadline; the simulated pipeline always drains): every occupied
+    /// slot, parked or in flight, is accounted `aborted` and freed
+    /// without pulling the feed. Their armed timers die on the slot
+    /// generation. A half-open breaker loses its canary here, so it goes
+    /// back to open with the cooldown served and admits the next probe.
+    pub fn abort_in_flight(&mut self, now: SimTime) {
+        let live: Vec<SlotRef> = self.slots.iter().map(|(r, _)| r).collect();
+        for r in live {
+            let slot = self.slots.remove(r).expect("listed as live");
+            self.stats.aborted += 1;
+            let latency = now.since(slot.first_sent).as_micros();
+            self.outcome_trace(slot.trace, now, "aborted", latency);
+            self.profiler
+                .record(&["scanner", "probe", "aborted"], latency);
+            self.breaker_call(slot.target.addr, slot.trace, now, |b| b.release_canary());
+        }
+        self.note_in_flight();
     }
 
     fn counter(&self, name: &str) {
@@ -466,7 +485,8 @@ impl ScannerNode {
                 self.stats.shed_breaker += 1;
                 self.counter("scanner_shed_breaker_total");
                 self.outcome_trace(trace, now, "shed_breaker", 0);
-                self.prof_record(&["scanner", "probe", "shed_breaker"], 0);
+                self.profiler
+                    .record(&["scanner", "probe", "shed_breaker"], 0);
                 continue;
             }
 
@@ -477,7 +497,8 @@ impl ScannerNode {
                 self.stats.shed_rate_limit += 1;
                 self.counter("scanner_shed_rate_limit_total");
                 self.outcome_trace(trace, now, "shed_rate_limit", 0);
-                self.prof_record(&["scanner", "probe", "shed_rate_limit"], 0);
+                self.profiler
+                    .record(&["scanner", "probe", "shed_rate_limit"], 0);
                 continue;
             }
             self.limiter.reserve(probe.target.asn, now);
@@ -507,7 +528,7 @@ impl ScannerNode {
                             wait_us: token_at.since(now).as_micros(),
                         },
                     );
-                    self.prof_record(
+                    self.profiler.record(
                         &["scanner", "wait", "rate_token"],
                         token_at.since(now).as_micros(),
                     );
@@ -588,7 +609,7 @@ impl ScannerNode {
                     if refused { "refused" } else { "answered" },
                     latency.as_micros(),
                 );
-                self.prof_record(
+                self.profiler.record(
                     &[
                         "scanner",
                         "probe",
@@ -603,7 +624,7 @@ impl ScannerNode {
                 let addr = slot.target.addr;
                 self.breaker_call(addr, slot.trace, now, |b| b.record_failure(now));
                 self.outcome_trace(slot.trace, now, "retry_exhausted", latency.as_micros());
-                self.prof_record(
+                self.profiler.record(
                     &["scanner", "probe", "retry_exhausted"],
                     latency.as_micros(),
                 );
@@ -626,11 +647,14 @@ impl Node for ScannerNode {
             return;
         }
         // The DNS id is the slot index; the qname check rejects late
-        // responses for a previous occupant of a reused slot.
+        // responses for a previous occupant of a reused slot, the sender
+        // check anyone but the target that was asked.
         let Some((r, slot)) = self.slots.get_index(msg.id) else {
             return;
         };
-        if msg.questions.first().map(|q| &q.name) != Some(&slot.qname) {
+        if pkt.src != slot.target.node
+            || msg.questions.first().map(|q| &q.name) != Some(&slot.qname)
+        {
             return;
         }
         if matches!(slot.state, SlotState::Waiting) {
@@ -663,7 +687,8 @@ impl Node for ScannerNode {
                         ctx.now().as_micros(),
                         &EventKind::RetryBackoff { attempt, delay_us },
                     );
-                    self.prof_record(&["scanner", "wait", "retry_backoff"], delay_us);
+                    self.profiler
+                        .record(&["scanner", "wait", "retry_backoff"], delay_us);
                     self.launch(r, ctx);
                 } else {
                     self.finish(r, ProbeOutcome::RetryExhausted, None, ctx);
@@ -691,6 +716,137 @@ mod tests {
         }
         assert_eq!(seen, vec![0, 1, 2, 0, 1, 2, 0]);
         assert!(feed.next_probe().is_none(), "stays exhausted");
+    }
+
+    fn target(node: usize) -> ProbeTarget {
+        ProbeTarget {
+            addr: IpAddr::V4(std::net::Ipv4Addr::new(100, 64, 0, node as u8)),
+            node: NodeId(node),
+            asn: 64500,
+        }
+    }
+
+    fn name(s: &str) -> Name {
+        Name::from_ascii(s).unwrap()
+    }
+
+    #[test]
+    fn abort_in_flight_empties_the_window_through_the_aborted_door() {
+        use rand::SeedableRng;
+        let cfg = ScanConfig {
+            window: 4,
+            ..ScanConfig::default()
+        };
+        let forwarder = target(1);
+        let mut node = ScannerNode::new(cfg, RoundRobinFeed::new(vec![forwarder], 10));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut actions = Vec::new();
+        let at = |s| SimTime::from_secs(s);
+
+        let mut ctx = Ctx::new(at(0), NodeId(0), &mut actions, &mut rng);
+        node.on_timer(PUMP, &mut ctx);
+        assert_eq!(node.in_flight(), 4, "window full");
+        node.abort_in_flight(at(1));
+        let stats = node.stats();
+        assert_eq!((stats.probes, stats.aborted), (4, 4));
+        assert!(stats.reconciles(), "{stats:?}");
+        assert_eq!(node.in_flight(), 0);
+        assert!(!node.is_done(), "the feed was not pulled to its end");
+
+        // A new feed, pumped: the node carries on, counters cumulative.
+        node.set_feed(RoundRobinFeed::new(vec![forwarder], 2));
+        actions.clear();
+        let mut ctx = Ctx::new(at(2), NodeId(0), &mut actions, &mut rng);
+        node.on_timer(PUMP, &mut ctx);
+        let sent: Vec<Vec<u8>> = actions
+            .drain(..)
+            .filter_map(|a| match a {
+                netsim::Action::Send { payload, .. } => Some(payload),
+                netsim::Action::Timer { .. } => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 2);
+        for query in sent {
+            let reply = Message::response_to(&Message::from_bytes(&query).unwrap());
+            let pkt = Packet {
+                src: forwarder.node,
+                dst: NodeId(0),
+                payload: reply.to_bytes().unwrap(),
+            };
+            let mut ctx = Ctx::new(at(3), NodeId(0), &mut actions, &mut rng);
+            node.on_packet(pkt, &mut ctx);
+        }
+        let stats = node.stats();
+        assert_eq!((stats.probes, stats.aborted, stats.answered), (6, 4, 2));
+        assert!(stats.reconciles() && node.is_done(), "{stats:?}");
+    }
+
+    /// Answers every query it gets, half a second late.
+    struct SlowForwarder {
+        held: Vec<(NodeId, Vec<u8>)>,
+    }
+
+    impl Node for SlowForwarder {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+            let reply = Message::response_to(&Message::from_bytes(&pkt.payload).unwrap());
+            self.held.push((pkt.src, reply.to_bytes().unwrap()));
+            ctx.set_timer(SimDuration::from_millis(500), 0);
+        }
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
+            for (to, bytes) in self.held.drain(..) {
+                ctx.send(to, bytes);
+            }
+        }
+    }
+
+    /// Sends the scanner a REFUSED for slot 0's question, unasked.
+    struct Spoofer {
+        scanner: NodeId,
+        qname: Name,
+    }
+
+    impl Node for Spoofer {
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx) {}
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
+            let mut forged =
+                Message::response_to(&Message::query(0, Question::a(self.qname.clone())));
+            forged.rcode = Rcode::Refused;
+            ctx.send(self.scanner, forged.to_bytes().unwrap());
+        }
+    }
+
+    #[test]
+    fn answer_from_a_node_that_was_not_asked_is_ignored() {
+        let pos = netsim::GeoPoint::new(52.37, 4.90);
+        let mut sim = netsim::Simulation::new(7);
+        let forwarder = sim.add_node(SlowForwarder { held: Vec::new() }, pos);
+        let qname = name("p0.spoof.scan.example");
+        let probe = Probe {
+            qname: Some(qname.clone()),
+            ..Probe::at(target(forwarder.0))
+        };
+        let mut feed = Some(probe);
+        let scanner = sim.add_node(
+            ScannerNode::new(ScanConfig::default(), move || feed.take()),
+            pos,
+        );
+        let spoofer = sim.add_node(Spoofer { scanner, qname }, pos);
+        ScannerNode::arm(&mut sim, scanner);
+        // The forgery lands while the real answer is still 400 ms away.
+        sim.inject_timer(spoofer, SimDuration::from_millis(100), 0);
+        sim.run_until(SimTime::from_micros(300_000));
+        let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
+        assert_eq!(node.in_flight(), 1, "the forgery completed nothing");
+        assert_eq!(node.stats().answered, 0);
+
+        sim.run();
+        let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
+        let stats = node.stats();
+        assert_eq!((stats.answered, stats.refused), (1, 0), "{stats:?}");
+        assert_eq!(stats.attempts, 1, "answered before any retry");
+        assert!(stats.reconciles() && node.is_done(), "{stats:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! loopback sockets, and fails outright under `ECS_REQUIRE_LOOPBACK`
 //! (the CI soak variant sets it).
 
-use std::net::{IpAddr, Ipv4Addr, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
@@ -22,7 +22,7 @@ use dns_wire::Name;
 use dnsd::{UdpAuthServer, UdpResolverServer};
 use netsim::SimDuration;
 use resolver::{ResolverConfig, TransportFault, TransportFaults};
-use scanner::{LiveScanConfig, LiveScanner, RetryBudget};
+use scanner::{LiveScanner, Probe, ProbeFeed, ProbeTarget, RetryBudget, ScanConfig, ScannerNode};
 
 fn name(s: &str) -> Name {
     Name::from_ascii(s).unwrap()
@@ -38,6 +38,44 @@ fn scan_auth() -> AuthServer {
 
 fn qnames(tag: &'static str, n: usize) -> impl Iterator<Item = Name> {
     (0..n).map(move |i| name(&format!("p{i}.{tag}.scan.example")))
+}
+
+/// The soak knobs: short live timeouts, and a per-AS rate no window here
+/// reaches, so nothing parks or sheds on the limiter.
+fn soak_cfg() -> ScanConfig {
+    ScanConfig {
+        window: 32,
+        budget: RetryBudget {
+            attempts: 2,
+            initial_timeout: SimDuration::from_millis(250),
+            backoff_mult: 2,
+            jitter_pm: 100,
+        },
+        rate_per_sec: 1_000_000,
+        burst: 64,
+        breaker_threshold: 5,
+        breaker_cooldown: SimDuration::from_millis(500),
+        ..ScanConfig::default()
+    }
+}
+
+/// One probe per qname, all aimed at the single live target.
+fn probe_feed(
+    live: &mut LiveScanner,
+    target: SocketAddr,
+    mut qnames: impl Iterator<Item = Name> + 'static,
+) -> impl ProbeFeed {
+    let target = ProbeTarget {
+        addr: target.ip(),
+        node: live.node_for(target),
+        asn: 0,
+    };
+    move || {
+        qnames.next().map(|qname| Probe {
+            qname: Some(qname),
+            ..Probe::at(target)
+        })
+    }
 }
 
 #[test]
@@ -67,9 +105,11 @@ fn standing_refused_faults_never_hang_the_window() {
         .spawn()
         .expect("spawn pool");
 
-    let mut scan =
-        LiveScanner::new(handle.local_addr(), LiveScanConfig::default()).expect("bind scanner");
-    let stats = scan.run(qnames("refused", 160), Duration::from_secs(20));
+    let cfg = soak_cfg();
+    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let feed = probe_feed(&mut scan, handle.local_addr(), qnames("refused", 160));
+    let mut node = ScannerNode::new(cfg.clone(), feed);
+    let stats = scan.run(&mut node, Duration::from_secs(20));
 
     assert!(stats.reconciles(), "accounting identity broke: {stats:?}");
     assert_eq!(stats.probes, 160);
@@ -77,7 +117,7 @@ fn standing_refused_faults_never_hang_the_window() {
     assert_eq!(stats.servfail, 160, "faulted upstream answers SERVFAIL");
     assert_eq!(stats.aborted, 0, "nothing left in flight: {stats:?}");
     assert_eq!(stats.retry_exhausted, 0, "answers were definite: {stats:?}");
-    assert!(stats.max_in_flight <= LiveScanConfig::default().window as u64);
+    assert!(stats.max_in_flight <= cfg.window as u64);
 
     assert_eq!(handle.in_flight(), 0, "no stuck server-side flights");
     let snap = handle.shutdown();
@@ -101,7 +141,7 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
     let blackhole = UdpSocket::bind("127.0.0.1:0").expect("loopback available");
     let target = blackhole.local_addr().unwrap();
 
-    let cfg = LiveScanConfig {
+    let cfg = ScanConfig {
         window: 8,
         budget: RetryBudget {
             attempts: 2,
@@ -109,16 +149,17 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
             backoff_mult: 2,
             jitter_pm: 100,
         },
-        seed: 3,
-        ..LiveScanConfig::default()
+        ..soak_cfg()
     };
-    let mut scan = LiveScanner::new(target, cfg).expect("bind scanner");
+    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let first = probe_feed(&mut scan, target, qnames("abort", 64));
+    let mut node = ScannerNode::new(cfg, first);
 
     // The deadline lands before the first retry timeout: the full window
     // is still in flight when the scan is told to stop, and every one of
     // those probes must leave through the `aborted` door — not vanish.
     let started = Instant::now();
-    let stats = scan.run(qnames("abort", 64), Duration::from_millis(150));
+    let stats = scan.run(&mut node, Duration::from_millis(150));
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "mid-window shutdown must not wait out retry budgets"
@@ -130,7 +171,8 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
 
     // Idempotent shutdown: the aborted scanner is immediately reusable —
     // a second run on the same socket reconciles the *cumulative* stats.
-    let stats = scan.run(qnames("abort2", 64), Duration::from_millis(150));
+    node.set_feed(probe_feed(&mut scan, target, qnames("abort2", 64)));
+    let stats = scan.run(&mut node, Duration::from_millis(150));
     assert!(
         stats.reconciles(),
         "second run broke the identity: {stats:?}"
@@ -155,7 +197,7 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
         .expect("spawn pool");
     let target = handle.local_addr();
 
-    let cfg = LiveScanConfig {
+    let cfg = ScanConfig {
         window: 16,
         budget: RetryBudget {
             attempts: 2,
@@ -163,14 +205,16 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
             backoff_mult: 2,
             jitter_pm: 100,
         },
-        breaker_threshold: 5,
-        breaker_cooldown: SimDuration::from_millis(500),
-        seed: 11,
+        ..soak_cfg()
     };
 
     // Phase 1: the server is up — a short scan drains fully answered.
-    let mut warm = LiveScanner::new(target, cfg.clone()).expect("bind scanner");
-    let stats = warm.run(qnames("warm", 20), Duration::from_secs(10));
+    let mut warm = LiveScanner::bind().expect("bind scanner");
+    let feed_warm = probe_feed(&mut warm, target, qnames("warm", 20));
+    let stats = warm.run(
+        &mut ScannerNode::new(cfg.clone(), feed_warm),
+        Duration::from_secs(10),
+    );
     assert!(stats.reconciles(), "warm accounting broke: {stats:?}");
     assert_eq!(stats.answered, 20, "live server answers everything");
 
@@ -181,9 +225,13 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
     // must exit via retry-exhaustion or a tripped breaker, never hang.
     drop(handle.shutdown());
 
-    let mut cold = LiveScanner::new(target, cfg).expect("bind scanner");
+    let mut cold = LiveScanner::bind().expect("bind scanner");
+    let feed_cold = probe_feed(&mut cold, target, qnames("cold", 20));
     let started = Instant::now();
-    let stats = cold.run(qnames("cold", 20), Duration::from_secs(20));
+    let stats = cold.run(
+        &mut ScannerNode::new(cfg, feed_cold),
+        Duration::from_secs(20),
+    );
     assert!(
         started.elapsed() < Duration::from_secs(15),
         "dead-server scan must converge, not hang"
@@ -200,5 +248,54 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
         stats.breaker_opens >= 1,
         "consecutive timeouts must trip the target breaker: {stats:?}"
     );
+    drop(auth_handle);
+}
+
+#[test]
+fn live_run_carries_the_node_telemetry_and_rate_limit() {
+    if !dnsd::testutil::require_loopback("live_run_carries_the_node_telemetry_and_rate_limit") {
+        return;
+    }
+    let auth = UdpAuthServer::bind("127.0.0.1:0", scan_auth()).expect("loopback available");
+    let target = auth.local_addr().unwrap();
+    let auth_handle = auth.spawn();
+
+    // 2 tokens of burst at 200/s: the third probe on parks for its token,
+    // so the live loop's timer heap carries launches as well as timeouts.
+    let cfg = ScanConfig {
+        rate_per_sec: 200,
+        burst: 2,
+        ..soak_cfg()
+    };
+    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let feed = probe_feed(&mut scan, target, qnames("telemetry", 12));
+    let mut node = ScannerNode::new(cfg, feed);
+    node.enable_metrics();
+    let sink = std::sync::Arc::new(obs::MemorySink::new());
+    node.set_tracer(obs::Tracer::new(sink.clone()));
+    let stats = scan.run(&mut node, Duration::from_secs(20));
+
+    assert!(stats.reconciles(), "accounting identity broke: {stats:?}");
+    assert_eq!(stats.answered, 12, "{stats:?}");
+    assert!(stats.rate_deferrals > 0, "limiter never parked: {stats:?}");
+
+    let snap = node.metrics_snapshot();
+    obs::validate::validate_metrics_json(&snap.to_json(), obs::validate::SCANNER_REQUIRED_SERIES)
+        .expect("scanner series profile");
+    assert_eq!(snap.counter("scanner_answered_total"), Some(12));
+    assert_eq!(
+        snap.counter("scanner_rate_deferrals_total"),
+        Some(stats.rate_deferrals)
+    );
+    let latency = snap.histogram("scanner_probe_latency_us").unwrap();
+    assert_eq!(latency.count, stats.answered);
+
+    let trace = sink.lines().join("\n");
+    let events = obs::validate::validate_trace(&trace).expect("well-formed trace");
+    assert!(
+        events >= 2 * 12,
+        "a probe and an outcome span each: {events}"
+    );
+    assert!(trace.contains("\"event\":\"rate_limited\""), "{trace}");
     drop(auth_handle);
 }
