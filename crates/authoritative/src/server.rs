@@ -309,6 +309,20 @@ impl AuthServer {
         self.truncate_if_needed(query, resp)
     }
 
+    /// Handles one query that arrived over a stream transport. Stream
+    /// responses are never truncated (RFC 7766): when the handler
+    /// truncated against the advertised UDP buffer, the query is handled
+    /// again with the maximum advertisement.
+    pub fn handle_stream(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
+        let resp = self.handle(query, src, now);
+        if !resp.flags.tc {
+            return resp;
+        }
+        let mut big = query.clone();
+        big.set_edns(u16::MAX);
+        self.handle(&big, src, now)
+    }
+
     /// RFC 1035 §4.2.1 / RFC 6891 §6.2.5: when a response exceeds the
     /// requestor's advertised UDP payload size (512 bytes without EDNS),
     /// the answer sections are emptied and TC is set so the client retries

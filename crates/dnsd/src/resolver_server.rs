@@ -274,22 +274,12 @@ impl ResolverHandler {
         match self.flights.admit(&pending.flight_key()) {
             Admission::Joiner(flight) => {
                 prof.enter("join_wait");
-                // Ride the identical outstanding flight: retract the
-                // upstream send `begin` counted, wait for the owner's raw
-                // response, and build this client's own answer from it.
-                self.engine.note_coalesced(&pending.upstream_query);
-                let resp = match flight.wait(self.join_wait) {
-                    Some(up) => self.engine.joiner_response(&pending.client_query, &up),
-                    // Owner failed (or timed out): each joiner falls back
-                    // to its own serve-stale/SERVFAIL decision.
-                    None => self.engine.stale_or_servfail(
-                        &pending.client_query,
-                        &pending.question.name,
-                        pending.question.qtype,
-                        pending.client_addr,
-                        now,
-                    ),
-                };
+                // Ride the identical outstanding flight: wait for the
+                // owner's raw response (`None`: it failed, or the wait
+                // timed out) and be answered from it.
+                self.engine.join(&pending, now);
+                let raw = flight.wait(self.join_wait);
+                let resp = self.engine.answer_joiner(&pending, raw.as_ref(), now);
                 prof.exit();
                 resp
             }
@@ -488,6 +478,95 @@ mod tests {
         // The export contract `obs-validate metrics --require-prof` checks.
         obs::validate::validate_metrics_json(&snap.to_json(), obs::validate::PROF_REQUIRED_SERIES)
             .expect("profiled export carries every prof_*/lock_* series");
+    }
+
+    /// An upstream that answers only once the test lets it, holding its
+    /// owner's flight open.
+    struct Gated {
+        gate: std::sync::mpsc::Receiver<()>,
+        auth: AuthServer,
+    }
+
+    impl Upstream for Gated {
+        fn query(
+            &mut self,
+            q: &Message,
+            from: std::net::IpAddr,
+            now: SimTime,
+        ) -> Result<Message, resolver::UpstreamError> {
+            self.gate.recv().expect("released");
+            Ok(self.auth.handle(q, from, now))
+        }
+    }
+
+    #[test]
+    fn joiners_in_the_pool_get_a_latency_sample_and_a_traced_join_each() {
+        // Three workers' handlers over one flight table and one trace
+        // sink (the pool itself has no tracer to install): one owns the
+        // flight, two join it on their own threads.
+        let mut config = cfg();
+        config.overload.coalesce = true;
+        let cache = Arc::new(SharedEcsCache::for_config(&config, 4));
+        let flights = Arc::new(FlightTable::for_config(&config.overload));
+        let sink = Arc::new(obs::MemorySink::new());
+        let tracer = obs::Tracer::new(sink.clone());
+        let ask = |id: u16, upstream: Box<dyn Upstream + Send>| {
+            let mut engine = Resolver::with_shared_cache(config.clone(), Arc::clone(&cache));
+            engine.set_tracer(tracer.clone());
+            let mut handler = ResolverHandler {
+                engine,
+                upstream,
+                flights: Arc::clone(&flights),
+                join_wait: Duration::from_secs(5),
+            };
+            std::thread::spawn(move || {
+                let q = Message::query(
+                    id,
+                    Question::a(Name::from_ascii("www.demo.example").unwrap()),
+                );
+                let peer = SocketAddr::from(([127, 0, 0, 1], 5300 + id));
+                let resp = handler
+                    .handle(&q, peer, SimTime::ZERO, &mut obs::StageProfiler::off())
+                    .expect("never silence");
+                (resp, handler.finish())
+            })
+        };
+        let count = |name: &str| {
+            let events = obs::analyze::parse_events(&sink.lines().join("\n")).unwrap();
+            events.iter().filter(|e| e.event == name).count()
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(std::time::Instant::now() < deadline, "no {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        let (release, gate) = std::sync::mpsc::channel();
+        let auth = demo_auth();
+        let mut asks = vec![ask(1, Box::new(Gated { gate, auth }))];
+        wait_for("owner", &|| flights.in_flight() == 1);
+        asks.push(ask(2, Box::new(demo_auth())));
+        asks.push(ask(3, Box::new(demo_auth())));
+        wait_for("joiners", &|| count("coalesced_join") == 2);
+        release.send(()).unwrap();
+
+        let mut folded = obs::MetricsSnapshot::default();
+        for asked in asks {
+            let (resp, engine) = asked.join().unwrap();
+            assert_eq!(resp.answer_addrs(), vec![Ipv4Addr::new(198, 51, 100, 1)]);
+            folded.merge(&engine);
+        }
+        let c = |name: &str| folded.counter(name).unwrap();
+        assert_eq!(c("resolver_client_queries_total"), 3);
+        assert_eq!(c("resolver_coalesced_queries_total"), 2);
+        assert_eq!(c("resolver_upstream_queries_total"), 1);
+        let latency = folded.histogram("resolver_query_latency_us").unwrap();
+        assert_eq!(latency.count, 3);
+        assert_eq!(count("query_received"), 3);
+        assert_eq!(count("answered"), 3);
+        assert_eq!(count("coalesced_join"), 2);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub fn write_framed(stream: &mut impl Write, msg: &[u8]) -> io::Result<()> {
 }
 
 /// An authoritative DNS server on a TCP listener. TCP responses are never
-/// truncated (the 64 KiB frame limit is the only bound), so the handler's
-/// messages pass through unmodified.
+/// truncated (the 64 KiB frame limit is the only bound): queries go through
+/// [`AuthServer::handle_stream`].
 pub struct TcpAuthServer {
     listener: TcpListener,
     auth: Arc<Mutex<AuthServer>>,
@@ -122,19 +122,7 @@ impl TcpAuthServer {
             return Ok(false);
         }
         let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
-        let resp = self.auth.lock().handle(&query, peer.ip(), now);
-        // TCP carries the untruncated answer: clear any TC the handler set
-        // for UDP-size reasons by re-resolving is unnecessary — the handler
-        // only truncates based on the advertised UDP size, and over TCP we
-        // serve the message as built. (If TC is set it means the answer was
-        // stripped; re-handle with a huge advertised size.)
-        let resp = if resp.flags.tc {
-            let mut big = query.clone();
-            big.set_edns(u16::MAX);
-            self.auth.lock().handle(&big, peer.ip(), now)
-        } else {
-            resp
-        };
+        let resp = self.auth.lock().handle_stream(&query, peer.ip(), now);
         if let Ok(bytes) = resp.to_bytes() {
             let _ = write_framed(&mut stream, &bytes);
         }

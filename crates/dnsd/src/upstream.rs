@@ -4,7 +4,9 @@
 //! server address: one UDP datagram per attempt, surfacing lost replies as
 //! [`UpstreamError::Timeout`] and TC answers as [`UpstreamError::Truncated`],
 //! with [`resolver::Upstream::query_tcp`] doing a real RFC 7766 framed TCP
-//! exchange. This closes the loop between the deterministic engine and the
+//! exchange (the DoT and DoH rungs land there too, through the trait's
+//! default `query_via`: with no real crypto in the study they carry the
+//! same length-prefixed stream). This closes the loop between the deterministic engine and the
 //! `dnsd` servers: the same retry/backoff/ECS-withdrawal policy that runs
 //! in the simulator drives real packets on loopback.
 //!
@@ -100,25 +102,6 @@ impl Upstream for SocketUpstream {
                 Err(UpstreamError::Timeout)
             }
             Err(_) => Err(UpstreamError::Rcode(Rcode::ServFail)),
-        }
-    }
-
-    /// Over real sockets the simulated encrypted transports degenerate to
-    /// the framed TCP exchange: DoT is TCP framing inside TLS and DoH adds
-    /// an HTTP envelope, and with no real crypto in the study both carry
-    /// the same length-prefixed message stream. UDP stays the datagram
-    /// attempt.
-    fn query_via(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-        transport: netsim::Transport,
-    ) -> Result<Message, UpstreamError> {
-        if transport.is_stream() {
-            self.query_tcp(q, from, now)
-        } else {
-            self.query(q, from, now)
         }
     }
 }

@@ -107,6 +107,15 @@ fn send_spaced_collect(
     responses
 }
 
+/// Owner, joiner, shed or cache hit: however a query left, it left one
+/// sample in the latency histogram.
+fn assert_every_query_has_a_latency_sample(snap: &obs::MetricsSnapshot) {
+    assert_eq!(
+        snap.histogram("resolver_query_latency_us").map(|h| h.count),
+        snap.counter("resolver_client_queries_total")
+    );
+}
+
 #[test]
 fn identical_queries_across_workers_share_one_upstream_flight() {
     let upstream = ScriptedUpstream::start(Duration::from_millis(600));
@@ -155,6 +164,7 @@ fn identical_queries_across_workers_share_one_upstream_flight() {
     );
 
     let snap = handle.shutdown();
+    assert_every_query_has_a_latency_sample(&snap);
     assert_eq!(snap.counter("resolver_upstream_queries_total"), Some(1));
     // The 7 non-owner queries either joined the open flight (a worker was
     // free while it flew) or arrived after completion and hit the shared
@@ -291,6 +301,7 @@ fn max_in_flight_is_accounted_globally_not_per_worker() {
     assert_eq!(answered + refused, 6, "every query got a definite outcome");
 
     let snap = handle.shutdown();
+    assert_every_query_has_a_latency_sample(&snap);
     let shed = snap.counter("resolver_shed_queries_total").unwrap_or(0);
     let upstream_queries = snap.counter("resolver_upstream_queries_total").unwrap_or(0);
     assert_eq!(refused as u64, shed, "SERVFAILs are exactly the sheds");

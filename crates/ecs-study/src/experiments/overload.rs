@@ -595,8 +595,19 @@ mod tests {
             ],
         )
         .is_ok());
-        // The coalesced burst traced its joiners.
-        assert!(telem.trace_jsonl.contains("\"event\":\"coalesced_join\""));
+        // Every query of every cell closed exactly once — joiners included
+        // — and the coalesced burst traced each of its joins.
+        let events = obs::analyze::parse_events(&telem.trace_jsonl).unwrap();
+        let count = |name: &str| events.iter().filter(|e| e.event == name).count() as u64;
+        let queries = telem.snapshot.counter("resolver_client_queries_total");
+        assert_eq!(Some(count("query_received")), queries);
+        assert_eq!(Some(count("answered")), queries);
+        let latency = telem.snapshot.histogram("resolver_query_latency_us");
+        assert_eq!(latency.map(|h| h.count), queries);
+        assert_eq!(
+            Some(count("coalesced_join")),
+            telem.snapshot.counter("resolver_coalesced_queries_total")
+        );
         assert!(telem.trace_jsonl.contains("\"event\":\"shed\""));
         assert!(telem.trace_jsonl.contains("\"event\":\"stale_serve\""));
     }

@@ -33,7 +33,6 @@ pub mod validate;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-    TimerGuard,
 };
 pub use prof::{LockMonitor, ProfileSnapshot, StackStats, StageProfiler};
 pub use trace::{EventKind, MemorySink, NoopRecorder, TraceCtx, TraceSink, Tracer, WriterSink};

@@ -74,16 +74,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtracts `n`, saturating at zero (used by the engine when a
-    /// provisionally counted upstream send is retracted by coalescing).
-    pub fn sub_saturating(&self, n: u64) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -497,98 +487,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// How a [`TimerGuard`] reads the clock: the real one, or an explicit
-/// microsecond value on the simulator's deterministic time axis.
-enum TimerClock {
-    Wall(std::time::Instant),
-    /// Start time in microseconds; the guard finishes via
-    /// [`TimerGuard::stop_at`] (or records a zero-length span on drop —
-    /// sim time does not advance on its own).
-    Sim(u64),
-}
-
-/// Scoped timer: records elapsed microseconds into a histogram when the
-/// scope ends. Create via [`crate::timer!`].
-///
-/// Two clocks:
-///
-/// * [`TimerGuard::new`] (or `timer!(hist)`) reads the wall clock and
-///   records on drop — for real-socket code.
-/// * [`TimerGuard::at`] (or `timer!(hist, now_us)`) starts on the
-///   sim-time axis at an explicit microsecond value and records when
-///   [`TimerGuard::stop_at`] supplies the end instant — so stage
-///   attribution inside `netsim`-driven code is deterministic. Dropping a
-///   sim timer without `stop_at` records a zero-length span (sim time
-///   cannot have advanced without the caller knowing the new now).
-pub struct TimerGuard {
-    hist: Histogram,
-    clock: TimerClock,
-    done: bool,
-}
-
-impl TimerGuard {
-    /// Starts a wall-clock timer into `hist`.
-    pub fn new(hist: Histogram) -> Self {
-        TimerGuard {
-            hist,
-            clock: TimerClock::Wall(std::time::Instant::now()),
-            done: false,
-        }
-    }
-
-    /// Starts a sim-clock timer into `hist` at `now_us`. Finish with
-    /// [`TimerGuard::stop_at`].
-    pub fn at(hist: Histogram, now_us: u64) -> Self {
-        TimerGuard {
-            hist,
-            clock: TimerClock::Sim(now_us),
-            done: false,
-        }
-    }
-
-    /// Ends the span at `now_us` and records it. On a wall-clock timer
-    /// this overrides the wall reading with the explicit value (useful
-    /// when a caller mixes axes deliberately); on a sim timer it is the
-    /// only way time passes.
-    pub fn stop_at(mut self, now_us: u64) {
-        let start = match self.clock {
-            TimerClock::Wall(_) => 0,
-            TimerClock::Sim(start) => start,
-        };
-        self.hist.record(now_us.saturating_sub(start));
-        self.done = true;
-    }
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        match self.clock {
-            TimerClock::Wall(start) => self.hist.record(start.elapsed().as_micros() as u64),
-            // Sim time did not advance: a deterministic zero-length span.
-            TimerClock::Sim(_) => self.hist.record(0),
-        }
-    }
-}
-
-/// Times the enclosing scope into a histogram.
-///
-/// * `obs::timer!(hist)` — wall clock, records on drop.
-/// * `obs::timer!(hist, now_us)` — sim clock starting at `now_us`;
-///   finish with [`TimerGuard::stop_at`] (see
-///   [`metrics::TimerGuard`](TimerGuard)).
-#[macro_export]
-macro_rules! timer {
-    ($hist:expr) => {
-        $crate::metrics::TimerGuard::new($hist)
-    };
-    ($hist:expr, $now_us:expr) => {
-        $crate::metrics::TimerGuard::at($hist, $now_us)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,11 +529,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("c_total");
         c.inc();
-        c.add(4);
-        c.sub_saturating(2);
-        c.sub_saturating(100);
-        assert_eq!(c.get(), 0);
-        c.add(7);
+        c.add(6);
         let g = reg.gauge("g");
         g.set(3);
         g.set_max(10);
@@ -750,39 +644,5 @@ mod tests {
         assert!(obj.contains_key("counters"));
         assert!(obj.contains_key("gauges"));
         assert!(obj.contains_key("histograms"));
-    }
-
-    #[test]
-    fn timer_records_into_histogram() {
-        let reg = MetricsRegistry::new();
-        {
-            let _t = crate::timer!(reg.histogram("stage_us"));
-        }
-        assert_eq!(reg.snapshot().histogram("stage_us").unwrap().count, 1);
-    }
-
-    #[test]
-    fn sim_timer_is_deterministic_on_the_explicit_clock() {
-        let reg = MetricsRegistry::new();
-        let t = crate::timer!(reg.histogram("stage_us"), 1_000);
-        t.stop_at(1_250);
-        let h = reg.snapshot();
-        let h = h.histogram("stage_us").unwrap();
-        assert_eq!((h.count, h.sum, h.min, h.max), (1, 250, 250, 250));
-        // Clock running backwards (caller bug) saturates to zero rather
-        // than panicking or wrapping.
-        crate::timer!(reg.histogram("stage_us"), 500).stop_at(100);
-        assert_eq!(reg.snapshot().histogram("stage_us").unwrap().sum, 250);
-    }
-
-    #[test]
-    fn sim_timer_dropped_without_stop_records_zero() {
-        let reg = MetricsRegistry::new();
-        {
-            let _t = crate::timer!(reg.histogram("stage_us"), 42);
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("stage_us").unwrap();
-        assert_eq!((h.count, h.sum), (1, 0));
     }
 }

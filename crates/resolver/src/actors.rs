@@ -16,10 +16,9 @@ use std::sync::Arc;
 use authoritative::AuthServer;
 use dns_wire::{Message, Name};
 use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimTime};
-use obs::EventKind;
 use parking_lot::RwLock;
 
-use crate::engine::{FlightKey, Resolver, Step, UpstreamError};
+use crate::engine::{FlightKey, PendingQuery, Resolver, Step, UpstreamError};
 use crate::exchange::{Action, Exchange};
 
 /// Shared address directory type used by every actor.
@@ -136,16 +135,9 @@ struct PendingUpstream {
     deadline: SimTime,
     /// This flight's coalescing key, when coalescing is on.
     flight: Option<FlightKey>,
-    /// Queries that joined this flight instead of going upstream.
-    joiners: Vec<Joiner>,
-}
-
-/// A coalesced query waiting on another query's upstream flight.
-struct Joiner {
-    node: NodeId,
-    /// Effective client address (for per-joiner ECS scope matching).
-    addr: IpAddr,
-    query: Message,
+    /// Queries that joined this flight instead of going upstream, each
+    /// with the node to answer.
+    joiners: Vec<(NodeId, PendingQuery)>,
 }
 
 fn send_msg(ctx: &mut Ctx, to: NodeId, msg: &Message) {
@@ -211,21 +203,9 @@ impl EgressActor {
                     self.flights.remove(key);
                 }
                 send_msg(ctx, p.client, &answer);
-                let question = &p.exchange.pending().question;
-                for j in p.joiners {
-                    let resp = match &raw {
-                        Some(up) => self.resolver.joiner_response(&j.query, up),
-                        // RFC 8767 per party: joiners may sit in different
-                        // scopes than the owner.
-                        None => self.resolver.stale_or_servfail(
-                            &j.query,
-                            &question.name,
-                            question.qtype,
-                            j.addr,
-                            ctx.now(),
-                        ),
-                    };
-                    send_msg(ctx, j.node, &resp);
+                for (node, joiner) in &p.joiners {
+                    let resp = self.resolver.answer_joiner(joiner, raw.as_ref(), ctx.now());
+                    send_msg(ctx, *node, &resp);
                 }
             }
         }
@@ -279,14 +259,8 @@ impl Node for EgressActor {
         let flight = coalesce.then(|| pending.flight_key());
         if let Some(key) = &flight {
             if let Some(p) = self.flights.get(key).and_then(|o| self.pending.get_mut(o)) {
-                self.resolver.note_coalesced(&pending.upstream_query);
-                self.resolver
-                    .trace_event(pending.trace, ctx.now(), &EventKind::CoalescedJoin);
-                p.joiners.push(Joiner {
-                    node: pkt.src,
-                    addr: pending.client_addr,
-                    query: pending.client_query,
-                });
+                self.resolver.join(&pending, ctx.now());
+                p.joiners.push((pkt.src, pending));
                 return;
             }
         }
@@ -296,8 +270,8 @@ impl Node for EgressActor {
             return send_msg(ctx, pkt.src, &self.resolver.shed(&pending));
         }
         let Some(auth_node) = self.route_for(&pending.question.name) else {
-            // Nowhere to send: the exchange fails before anything is sent.
-            let fail = self.resolver.fail_unsent(&pending, ctx.now());
+            // Nowhere to send: a flight that failed before it started.
+            let fail = self.resolver.answer_joiner(&pending, None, ctx.now());
             return send_msg(ctx, pkt.src, &fail);
         };
         let id = pending.upstream_query.id;
@@ -955,11 +929,35 @@ mod overload_tests {
         (sim, clients, auth_node, egress_node)
     }
 
+    /// Installs a tracer on the egress's engine and returns its sink.
+    fn traced(sim: &mut Simulation, egress_node: NodeId) -> Arc<obs::MemorySink> {
+        let sink = Arc::new(obs::MemorySink::new());
+        let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
+        e.resolver.set_tracer(obs::Tracer::new(sink.clone()));
+        sink
+    }
+
+    /// Every client query closed exactly once, whichever way it left: its
+    /// own latency sample and `answered` event, and a `coalesced_join` per
+    /// query that joined a flight.
+    fn assert_every_query_closed(r: &Resolver, sink: &obs::MemorySink) {
+        let s = r.stats();
+        let snap = r.registry().snapshot();
+        let latency = snap.histogram("resolver_query_latency_us").unwrap();
+        assert_eq!(latency.count, s.client_queries);
+        let events = obs::analyze::parse_events(&sink.lines().join("\n")).unwrap();
+        let count = |name: &str| events.iter().filter(|e| e.event == name).count() as u64;
+        assert_eq!(count("query_received"), s.client_queries);
+        assert_eq!(count("answered"), s.client_queries);
+        assert_eq!(count("coalesced_join"), s.coalesced_queries);
+    }
+
     #[test]
     fn duplicate_concurrent_queries_coalesce_into_one_flight() {
         let mut config = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
         config.overload.coalesce = true;
         let (mut sim, clients, auth_node, egress_node) = burst_world(config, 5);
+        let sink = traced(&mut sim, egress_node);
         sim.run();
         // Exactly one upstream flight for five identical concurrent queries.
         let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
@@ -969,6 +967,7 @@ mod overload_tests {
         assert_eq!(s.upstream_queries, 1);
         assert_eq!(s.coalesced_queries, 4);
         assert_eq!(s.client_queries, 5);
+        assert_every_query_closed(e.resolver(), &sink);
         // Every client still got a real answer.
         for c in clients {
             let cl = sim.node_mut::<ClientActor>(c).unwrap();
@@ -997,12 +996,14 @@ mod overload_tests {
         let mut config = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
         config.overload.max_in_flight = Some(2);
         let (mut sim, clients, auth_node, egress_node) = burst_world(config, 6);
+        let sink = traced(&mut sim, egress_node);
         sim.run();
         let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
         let s = e.resolver().stats();
         // The first two queries entered the in-flight table; the other
         // four of the burst were shed.
         assert_eq!(s.shed_queries, 4);
+        assert_every_query_closed(e.resolver(), &sink);
         assert_eq!(e.in_flight(), 0, "table drains after the burst");
         let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
         assert_eq!(a.server().log().len(), 2);
@@ -1027,6 +1028,7 @@ mod overload_tests {
         config.retry.attempts = 1;
         config.retry.initial_timeout = SimDuration::from_secs(1);
         let (mut sim, clients, auth_node, egress_node) = build_stale_world(config);
+        let sink = traced(&mut sim, egress_node);
         // Let the t=0 warm-up complete, then blackhole the upstream leg
         // before the t=120 re-ask (the 60 s TTL has expired by then).
         sim.run_until(SimTime::from_secs(60));
@@ -1055,6 +1057,7 @@ mod overload_tests {
         let s = e.resolver().stats();
         assert_eq!(s.stale_answers, 1);
         assert_eq!(s.servfail_responses, 0);
+        assert_every_query_closed(e.resolver(), &sink);
         let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
         assert_eq!(a.server().log().len(), 1, "only the warm-up reached auth");
     }

@@ -101,23 +101,13 @@ impl Upstream for AuthServer {
         Ok(self.handle(q, from, now))
     }
 
-    /// Stream responses are never truncated (RFC 7766): when the handler
-    /// truncated against the advertised UDP buffer, re-handle with the
-    /// maximum advertisement — mirroring `dnsd`'s TCP listener, which does
-    /// exactly this, so the engine and socket sides stay byte-identical.
     fn query_tcp(
         &mut self,
         q: &Message,
         from: IpAddr,
         now: SimTime,
     ) -> Result<Message, UpstreamError> {
-        let resp = self.handle(q, from, now);
-        if resp.flags.tc {
-            let mut big = q.clone();
-            big.set_edns(u16::MAX);
-            return Ok(self.handle(&big, from, now));
-        }
-        Ok(resp)
+        Ok(self.handle_stream(q, from, now))
     }
 }
 
@@ -156,25 +146,35 @@ impl ZoneRouter {
     pub fn servers(&self) -> impl Iterator<Item = &AuthServer> {
         self.routes.iter().map(|(_, s)| s)
     }
+
+    /// Answers `q` from the server responsible for its name, through
+    /// `serve`; REFUSED when no zone matches, FORMERR without a question.
+    fn route(&mut self, q: &Message, serve: impl FnOnce(&mut AuthServer) -> Message) -> Message {
+        let rcode = match q.question() {
+            Some(qq) => match self.server_for(&qq.name) {
+                Some(server) => return serve(server),
+                None => Rcode::Refused,
+            },
+            None => Rcode::FormErr,
+        };
+        let mut resp = Message::response_to(q);
+        resp.rcode = rcode;
+        resp
+    }
 }
 
 impl Upstream for ZoneRouter {
     fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
-        match q.question().map(|qq| qq.name.clone()) {
-            Some(name) => match self.server_for(&name) {
-                Some(server) => Ok(server.handle(q, from, now)),
-                None => {
-                    let mut resp = Message::response_to(q);
-                    resp.rcode = Rcode::Refused;
-                    Ok(resp)
-                }
-            },
-            None => {
-                let mut resp = Message::response_to(q);
-                resp.rcode = Rcode::FormErr;
-                Ok(resp)
-            }
-        }
+        Ok(self.route(q, |server| server.handle(q, from, now)))
+    }
+
+    fn query_tcp(
+        &mut self,
+        q: &Message,
+        from: IpAddr,
+        now: SimTime,
+    ) -> Result<Message, UpstreamError> {
+        Ok(self.route(q, |server| server.handle_stream(q, from, now)))
     }
 }
 
@@ -480,9 +480,9 @@ impl Resolver {
         &self.tracer
     }
 
-    /// Emits a trace event against `parent` at `at` — for asynchronous
-    /// drivers (the netsim actors) that manage their own span contexts.
-    pub fn trace_event(&self, parent: TraceCtx, at: SimTime, kind: &EventKind) {
+    /// Emits a trace event against `parent` at `at` (one branch when
+    /// tracing is off).
+    pub(crate) fn trace_event(&self, parent: TraceCtx, at: SimTime, kind: &EventKind) {
         if parent.is_enabled() {
             self.tracer.event(parent, at.as_micros(), kind);
         }
@@ -542,9 +542,9 @@ impl Resolver {
     /// timeout the machine asked for, so cache inserts and probing-state
     /// updates happen at the moment the answer would really have arrived.
     ///
-    /// Multi-worker front ends need the raw response to satisfy coalesced
-    /// joiners: each joiner builds its own client answer from it via
-    /// [`Resolver::joiner_response`], while only the flight owner caches.
+    /// Multi-worker front ends publish the raw response to the flight's
+    /// coalesced joiners, who hand it to [`Resolver::answer_joiner`]; only
+    /// the flight owner caches.
     pub fn drive_upstream_capturing<U: Upstream + ?Sized>(
         &mut self,
         pending: PendingQuery,
@@ -568,130 +568,120 @@ impl Resolver {
         }
     }
 
-    /// Answers a failed upstream exchange: a stale answer per RFC 8767 when
-    /// serve-stale is enabled and a matching expired entry is still inside
-    /// the stale budget, SERVFAIL otherwise.
-    pub(crate) fn answer_failure(&mut self, pending: &PendingQuery, now: SimTime) -> Message {
-        let stale_before = self.stats.stale_answers.get();
-        let resp = self.stale_or_servfail(
-            &pending.client_query,
-            &pending.question.name,
-            pending.question.qtype,
-            pending.client_addr,
-            now,
-        );
-        let latency_us = now.since(pending.started).as_micros();
-        self.stats.query_latency.record(latency_us);
-        if pending.trace.is_enabled() {
-            if self.stats.stale_answers.get() > stale_before {
-                self.tracer
-                    .event(pending.trace, now.as_micros(), &EventKind::StaleServe);
+    /// Records that `pending` rides an identical outstanding flight instead
+    /// of going upstream: counts the coalesce and emits `coalesced_join`.
+    /// The driver keeps `pending` and hands it back to
+    /// [`Resolver::answer_joiner`] when the flight ends.
+    pub fn join(&mut self, pending: &PendingQuery, now: SimTime) {
+        self.stats.coalesced_queries.inc();
+        self.trace_event(pending.trace, now, &EventKind::CoalescedJoin);
+    }
+
+    /// Answers a party that waited on a flight it did not drive, once the
+    /// flight has ended with `upstream` (`None`: it failed) — a coalesced
+    /// joiner, or a miss its driver found no way to send at all. Each party
+    /// is answered against its *own* query and address, so joiners with
+    /// different client options or scopes than the owner's are still right.
+    pub fn answer_joiner(
+        &mut self,
+        pending: &PendingQuery,
+        upstream: Option<&Message>,
+        now: SimTime,
+    ) -> Message {
+        self.exit(pending, upstream, now)
+    }
+
+    /// Sheds a query under admission control: counts the shed and builds
+    /// the SERVFAIL refusal.
+    pub fn shed(&mut self, pending: &PendingQuery) -> Message {
+        self.stats.shed_queries.inc();
+        // Shed queries are refused on arrival: zero client-observed wait.
+        let at = pending.started;
+        self.trace_event(pending.trace, at, &EventKind::Shed);
+        self.close(pending.trace, at, at, Rcode::ServFail);
+        self.client_answer(&pending.client_query, Rcode::ServFail, Vec::new(), None)
+    }
+
+    /// The one exit of a miss: every party that waited on a flight — its
+    /// owner or a joiner — leaves here, with the upstream response the
+    /// flight ended with or, when it ended with none, a stale answer per
+    /// RFC 8767 (serve-stale on and a matching expired entry inside the
+    /// stale budget and the party's scope) or SERVFAIL. The SERVFAIL is
+    /// counted and nothing is cached: the failure is transient, not a
+    /// property of the name.
+    pub(crate) fn exit(
+        &mut self,
+        party: &PendingQuery,
+        upstream: Option<&Message>,
+        now: SimTime,
+    ) -> Message {
+        let stale = if upstream.is_none() && self.config.overload.serve_stale_enabled() {
+            self.cache.lookup_stale(
+                &party.question.name,
+                party.question.qtype,
+                party.client_addr,
+                now,
+                self.config.overload.stale_answer_ttl,
+            )
+        } else {
+            None
+        };
+        let query = &party.client_query;
+        let resp = match (upstream, stale) {
+            (Some(up), _) => {
+                self.client_answer(query, up.rcode, up.answers.clone(), up.ecs().copied())
             }
+            (None, Some(stale)) => {
+                self.stats.stale_answers.inc();
+                self.trace_event(party.trace, now, &EventKind::StaleServe);
+                self.client_answer(query, stale.rcode, stale.records, stale.ecs)
+            }
+            (None, None) => {
+                self.stats.servfail_responses.inc();
+                self.client_answer(query, Rcode::ServFail, Vec::new(), None)
+            }
+        };
+        self.close(party.trace, party.started, now, resp.rcode);
+        resp
+    }
+
+    /// Builds the message a client gets from an answer's parts. The one
+    /// place the RFC 7871 scope echo is written: the client's own option,
+    /// carrying the scope of the answer it is given.
+    fn client_answer(
+        &self,
+        client_query: &Message,
+        rcode: Rcode,
+        answers: Vec<dns_wire::Record>,
+        answer_ecs: Option<dns_wire::EcsOption>,
+    ) -> Message {
+        let mut resp = Message::response_to(client_query);
+        resp.rcode = rcode;
+        resp.answers = answers;
+        if self.config.echo_ecs_to_client {
+            if let (Some(client_opt), Some(ecs)) = (client_query.ecs(), answer_ecs) {
+                resp.set_ecs(client_opt.with_scope(ecs.scope_prefix_len()));
+            }
+        }
+        resp
+    }
+
+    /// Closes a client query that arrived at `started` and is answered
+    /// `rcode` at `now`: its one `resolver_query_latency_us` sample and its
+    /// one `answered` event.
+    fn close(&mut self, trace: TraceCtx, started: SimTime, now: SimTime, rcode: Rcode) {
+        let latency_us = now.since(started).as_micros();
+        self.stats.query_latency.record(latency_us);
+        if trace.is_enabled() {
             self.tracer.event(
-                pending.trace,
+                trace,
                 now.as_micros(),
                 &EventKind::Answered {
-                    rcode: format!("{:?}", resp.rcode),
+                    rcode: format!("{rcode:?}"),
                     latency_us,
                 },
             );
         }
-        resp
-    }
-
-    /// The serve-stale decision for an arbitrary failed client — also used
-    /// by front ends for coalesced joiners, whose effective client address
-    /// differs from the flight owner's. The SERVFAIL is counted and nothing
-    /// is cached: the failure is transient, not a property of the name.
-    pub fn stale_or_servfail(
-        &mut self,
-        client_query: &Message,
-        qname: &Name,
-        qtype: dns_wire::RecordType,
-        client_addr: IpAddr,
-        now: SimTime,
-    ) -> Message {
-        if self.config.overload.serve_stale_enabled() {
-            let serve_ttl = self.config.overload.stale_answer_ttl;
-            if let Some(stale) = self
-                .cache
-                .lookup_stale(qname, qtype, client_addr, now, serve_ttl)
-            {
-                self.stats.stale_answers.inc();
-                let mut resp = Message::response_to(client_query);
-                resp.rcode = stale.rcode;
-                resp.answers = stale.records;
-                if self.config.echo_ecs_to_client {
-                    if let (Some(client_opt), Some(stored)) = (client_query.ecs(), stale.ecs) {
-                        resp.set_ecs(client_opt.with_scope(stored.scope_prefix_len()));
-                    }
-                }
-                return resp;
-            }
-        }
-        self.stats.servfail_responses.inc();
-        let mut resp = Message::response_to(client_query);
-        resp.rcode = Rcode::ServFail;
-        resp
-    }
-
-    /// The client-facing answer for a coalesced joiner, built from the
-    /// flight owner's raw upstream response — the non-caching half of
-    /// the exchange's completion (the owner's completion does the caching).
-    /// Each joiner echoes ECS against its *own* query, so joiners with
-    /// different client options still get correct echoes.
-    pub fn joiner_response(&self, joined: &Message, upstream_resp: &Message) -> Message {
-        let mut resp = Message::response_to(joined);
-        resp.rcode = upstream_resp.rcode;
-        resp.answers = upstream_resp.answers.clone();
-        if self.config.echo_ecs_to_client {
-            if let (Some(client_opt), Some(up_ecs)) = (joined.ecs(), upstream_resp.ecs()) {
-                resp.set_ecs(client_opt.with_scope(up_ecs.scope_prefix_len()));
-            }
-        }
-        resp
-    }
-
-    /// Records that a query joined an existing upstream flight instead of
-    /// launching its own: retracts the upstream send that
-    /// [`Resolver::begin`] already counted, and counts the coalesce.
-    pub fn note_coalesced(&mut self, upstream_query: &Message) {
-        self.retract_send(upstream_query);
-        self.stats.coalesced_queries.inc();
-    }
-
-    /// Uncounts the upstream send [`Resolver::begin`] counted for a query
-    /// that never goes upstream after all.
-    pub(crate) fn retract_send(&mut self, upstream_query: &Message) {
-        self.stats.upstream_queries.sub_saturating(1);
-        if upstream_query.ecs().is_some() {
-            self.stats.upstream_ecs_queries.sub_saturating(1);
-        }
-    }
-
-    /// Sheds a query under admission control: retracts the upstream send
-    /// that [`Resolver::begin`] already counted, counts the shed, and
-    /// builds the SERVFAIL refusal.
-    pub fn shed(&mut self, pending: &PendingQuery) -> Message {
-        self.retract_send(&pending.upstream_query);
-        self.stats.shed_queries.inc();
-        // Shed queries are refused on arrival: zero client-observed wait.
-        self.stats.query_latency.record(0);
-        if pending.trace.is_enabled() {
-            let at = pending.started.as_micros();
-            self.tracer.event(pending.trace, at, &EventKind::Shed);
-            self.tracer.event(
-                pending.trace,
-                at,
-                &EventKind::Answered {
-                    rcode: format!("{:?}", Rcode::ServFail),
-                    latency_us: 0,
-                },
-            );
-        }
-        let mut resp = Message::response_to(&pending.client_query);
-        resp.rcode = Rcode::ServFail;
-        resp
     }
 
     /// Phase one: cache lookup and ECS decision. Returns either an
@@ -701,9 +691,8 @@ impl Resolver {
         let question = match query.question() {
             Some(q) => q.clone(),
             None => {
-                let mut resp = Message::response_to(query);
-                resp.rcode = Rcode::FormErr;
-                return Step::Answer(resp);
+                self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
+                return Step::Answer(self.client_answer(query, Rcode::FormErr, Vec::new(), None));
             }
         };
 
@@ -750,26 +739,13 @@ impl Resolver {
         }
 
         if let Some(answer) = cached {
-            let mut resp = Message::response_to(query);
-            resp.rcode = answer.rcode;
-            resp.answers = answer.records;
-            if self.config.echo_ecs_to_client {
-                if let (Some(client_opt), Some(stored)) = (query.ecs(), answer.ecs) {
-                    resp.set_ecs(client_opt.with_scope(stored.scope_prefix_len()));
-                }
-            }
-            self.stats.query_latency.record(0);
-            if trace.is_enabled() {
-                self.tracer.event(
-                    trace,
-                    now.as_micros(),
-                    &EventKind::Answered {
-                        rcode: format!("{:?}", resp.rcode),
-                        latency_us: 0,
-                    },
-                );
-            }
-            return Step::Answer(resp);
+            self.close(trace, now, now, answer.rcode);
+            return Step::Answer(self.client_answer(
+                query,
+                answer.rcode,
+                answer.records,
+                answer.ecs,
+            ));
         }
 
         // Miss: decide ECS and build the upstream query.
@@ -830,10 +806,6 @@ impl Resolver {
                 },
             );
         }
-        self.stats.upstream_queries.inc();
-        if upstream_q.ecs().is_some() {
-            self.stats.upstream_ecs_queries.inc();
-        }
         Step::NeedUpstream(PendingQuery {
             client_query: query.clone(),
             question,
@@ -844,8 +816,9 @@ impl Resolver {
         })
     }
 
-    /// Phase two: ingest the upstream response, cache it, and build the
-    /// client-facing answer.
+    /// Phase two, the owner's half: ingest the upstream response (probing
+    /// state, learned scope, cache insert), then leave through
+    /// [`Resolver::exit`] like every other party of the flight.
     pub(crate) fn complete(
         &mut self,
         pending: &PendingQuery,
@@ -910,18 +883,6 @@ impl Resolver {
             );
         }
 
-        let mut resp = Message::response_to(&pending.client_query);
-        resp.rcode = upstream_resp.rcode;
-        resp.answers = upstream_resp.answers.clone();
-        if self.config.echo_ecs_to_client {
-            if let (Some(client_opt), Some(up_ecs)) =
-                (pending.client_query.ecs(), upstream_resp.ecs())
-            {
-                resp.set_ecs(client_opt.with_scope(up_ecs.scope_prefix_len()));
-            }
-        }
-        let latency_us = now.since(pending.started).as_micros();
-        self.stats.query_latency.record(latency_us);
         if pending.trace.is_enabled() {
             let s = self.cache.stats();
             let evicted = s
@@ -935,16 +896,8 @@ impl Resolver {
                     &EventKind::EvictionPressure { evicted },
                 );
             }
-            self.tracer.event(
-                pending.trace,
-                now.as_micros(),
-                &EventKind::Answered {
-                    rcode: format!("{:?}", resp.rcode),
-                    latency_us,
-                },
-            );
         }
-        resp
+        self.exit(pending, Some(upstream_resp), now)
     }
 
     /// Handles a client query, chasing CNAME chains across zones: when the
@@ -1187,6 +1140,37 @@ mod tests {
         assert_eq!(b.answer_addrs()[0].to_string(), "198.51.100.9");
         let c = r.resolve_msg(&client_query("www.unknown.org"), CLIENT, t(0), &mut router);
         assert_eq!(c.rcode, Rcode::Refused);
+    }
+
+    #[test]
+    fn truncated_answer_is_re_asked_whole_through_a_zone_router() {
+        // 200 A records do not fit the 512 bytes the resolver advertises:
+        // the datagram reply is TC and the RFC 7766 re-ask must come back
+        // whole, through a router exactly as from the server itself.
+        let big = || {
+            let mut zone = Zone::new(name("big.example"));
+            for i in 0..200 {
+                zone.add_a(name("www.big.example"), 60, Ipv4Addr::new(198, 51, 100, i))
+                    .unwrap();
+            }
+            AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource))
+        };
+        let mut config = ResolverConfig::rfc_compliant(RES);
+        config.transport.edns_buf = 512;
+        let q = client_query("www.big.example");
+        let want = Resolver::new(config.clone()).resolve_msg(&q, CLIENT, t(0), &mut big());
+        assert_eq!(want.answers.len(), 200);
+
+        let mut router = ZoneRouter::new();
+        router.add(big());
+        let mut r = Resolver::new(config);
+        assert_eq!(r.resolve_msg(&q, CLIENT, t(0), &mut router), want);
+        assert_eq!(r.stats().tcp_fallbacks, 1);
+        // The whole answer was cached, not the empty truncated one.
+        let again = r.resolve_msg(&q, CLIENT, t(1), &mut router);
+        assert_eq!(again.answers.len(), 200);
+        assert_eq!(r.stats().upstream_queries, 1);
+        assert_eq!(r.cache_stats().hits, 1);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! [`Action::Send`] asks for, reports what came back (a message, or an
 //! [`UpstreamError`]) to [`Resolver::step_exchange`], and repeats until
 //! [`Action::Done`]. Everything RFC 7871 §7.1.3 and RFC 7766 make a
-//! *decision* lives here and only here: counting retries, withdrawing ECS,
-//! climbing the [`crate::TransportPolicy`] ladder, the attempt / fault /
-//! backoff trace events, and stale-vs-SERVFAIL once the budget is spent.
+//! *decision* lives here and only here: counting sends and retries,
+//! withdrawing ECS, climbing the [`crate::TransportPolicy`] ladder, the
+//! attempt / fault / backoff trace events, and giving up once the budget is
+//! spent. How the flight's parties are then answered — the owner here, its
+//! coalesced joiners through [`Resolver::answer_joiner`], each fresh, stale
+//! or SERVFAIL for itself — is the engine's one exit.
 //!
 //! Two drivers exist: the blocking loop
 //! [`Resolver::drive_upstream_capturing`] (virtual time: a timed-out send
@@ -76,8 +79,8 @@ pub enum Action {
         /// The client-facing answer (fresh, stale, or SERVFAIL).
         answer: Message,
         /// The upstream response the exchange completed with; `None` when
-        /// it failed. Coalesced joiners build their own answers from it
-        /// via [`Resolver::joiner_response`].
+        /// it failed. What every coalesced joiner of the flight is
+        /// answered from, via [`Resolver::answer_joiner`].
         raw: Option<Message>,
     },
 }
@@ -190,15 +193,6 @@ impl Resolver {
         }
     }
 
-    /// Answers a miss that cannot be sent at all (no route to an
-    /// authoritative): retracts the upstream send [`Resolver::begin`]
-    /// counted and takes the exchange's failure exit — stale or SERVFAIL,
-    /// never silence.
-    pub fn fail_unsent(&mut self, pending: &PendingQuery, now: SimTime) -> Message {
-        self.retract_send(&pending.upstream_query);
-        self.answer_failure(pending, now)
-    }
-
     fn ladder(&self, ex: &Exchange) -> &[Transport] {
         if ex.udp_only || self.config.transport.ladder.is_empty() {
             UDP_ONLY
@@ -207,9 +201,16 @@ impl Resolver {
         }
     }
 
-    /// Opens the attempt span and asks the driver to send on the current
-    /// rung.
+    /// Counts the send, opens its attempt span and asks the driver to make
+    /// it on the current rung. Every upstream query — an exchange's first
+    /// and each re-send — is counted here and nowhere else, so a query
+    /// that never reaches an exchange (joined, shed, unroutable) is never
+    /// counted as sent.
     fn send(&mut self, ex: &mut Exchange, now: SimTime) -> Action {
+        self.stats.upstream_queries.inc();
+        if ex.pending.upstream_query.ecs().is_some() {
+            self.stats.upstream_ecs_queries.inc();
+        }
         ex.sent_at = now;
         ex.span = self.tracer.child(
             ex.pending.trace,
@@ -228,10 +229,6 @@ impl Resolver {
     /// Counts one retransmission and sends it.
     fn resend(&mut self, ex: &mut Exchange, now: SimTime) -> Action {
         self.stats.retries.inc();
-        self.stats.upstream_queries.inc();
-        if ex.pending.upstream_query.ecs().is_some() {
-            self.stats.upstream_ecs_queries.inc();
-        }
         self.send(ex, now)
     }
 
@@ -341,7 +338,7 @@ impl Resolver {
 
     fn fail(&mut self, ex: &Exchange, now: SimTime) -> Action {
         Action::Done {
-            answer: self.answer_failure(&ex.pending, now),
+            answer: self.exit(&ex.pending, None, now),
             raw: None,
         }
     }

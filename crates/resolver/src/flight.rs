@@ -13,19 +13,18 @@
 //! actor's decision order exactly:
 //!
 //! 1. coalescing on and an identical flight is outstanding → **join** it
-//!    (the caller records [`crate::Resolver::note_coalesced`] and waits on
-//!    the returned [`Flight`]);
+//!    (the caller records [`crate::Resolver::join`] and waits on the
+//!    returned [`Flight`]);
 //! 2. `max_in_flight` owners already outstanding → **shed** (the caller
 //!    answers with [`crate::Resolver::shed`]);
 //! 3. otherwise → **own** the flight: the caller performs the upstream
 //!    exchange and publishes the outcome through its [`OwnerToken`].
 //!
 //! The token completes on drop, so a worker that panics between admission
-//! and completion still releases its slot and wakes its joiners (they see
-//! `None` and fall back to their own SERVFAIL/serve-stale path). Joiners
-//! receive the owner's *raw upstream response* and build their own client
-//! answer — the non-caching half of `Resolver::complete`, same as the
-//! actor's joiner path; only the owner's completion touches the cache.
+//! and completion still releases its slot and wakes its joiners. Joiners
+//! receive the owner's *raw upstream response* (`None` when there is none)
+//! and pass it to [`crate::Resolver::answer_joiner`], same as the actor's
+//! joiner path; only the owner's completion touches the cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
