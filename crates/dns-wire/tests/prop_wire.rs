@@ -6,9 +6,9 @@
 //! CI runs this file with `PROPTEST_CASES=1024` for a deeper sweep; the
 //! in-tree default keeps `cargo test` fast.
 
-use dns_wire::{EcsOption, Message, Name, Question, Rdata, Record};
+use dns_wire::{EcsOption, Message, Name, Question, Rdata, Record, SoaData};
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_name() -> impl Strategy<Value = Name> {
     proptest::collection::vec(
@@ -42,6 +42,109 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }
             m
         })
+}
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The encoder's output is pinned as bytes, not as "parses back equal": a
+/// codec change that moves one compression pointer changes this digest.
+#[test]
+fn generated_messages_encode_to_pinned_bytes() {
+    let mut rng = proptest::TestRng::from_seed_u64(0x0EC5_0EC5);
+    let strategy = arb_message();
+    let mut h = FNV_OFFSET;
+    for _ in 0..4096 {
+        let bytes = strategy.generate(&mut rng).to_bytes().unwrap();
+        h = fnv1a(h, &(bytes.len() as u16).to_be_bytes());
+        h = fnv1a(h, &bytes);
+    }
+    assert_eq!(h, 0xdf90_f268_e3a1_77a7, "digest {h:#018x}");
+}
+
+/// One message exercising everything the encoder decides: all four
+/// sections, a CNAME chain, names that differ from earlier ones only in
+/// case, names inside SOA/NS RDATA, and an OPT carrying ECS.
+#[test]
+fn four_section_message_encodes_to_pinned_bytes() {
+    let n = |s: &str| Name::from_ascii(s).unwrap();
+    let mut m = Message::query(0xBEEF, Question::a(n("WWW.Example.COM")));
+    m.flags.qr = true;
+    m.flags.ra = true;
+    m.answers = vec![
+        Record::new(
+            n("www.example.com"),
+            300,
+            Rdata::Cname(n("Edge.CDN.example.net")),
+        ),
+        Record::new(
+            n("edge.cdn.EXAMPLE.net"),
+            60,
+            Rdata::Cname(n("pop-7.edge.cdn.example.net")),
+        ),
+        Record::new(
+            n("POP-7.edge.cdn.example.net"),
+            20,
+            Rdata::A(Ipv4Addr::new(203, 0, 113, 7)),
+        ),
+        Record::new(
+            n("pop-7.edge.cdn.example.net"),
+            20,
+            Rdata::Aaaa(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 7)),
+        ),
+    ];
+    m.authorities = vec![
+        Record::new(
+            n("cdn.example.NET"),
+            3600,
+            Rdata::Ns(n("ns1.cdn.example.net")),
+        ),
+        Record::new(
+            n("example.net"),
+            900,
+            Rdata::Soa(SoaData {
+                mname: n("ns1.CDN.example.net"),
+                rname: n("hostmaster.example.net"),
+                serial: 2024010101,
+                refresh: 7200,
+                retry: 900,
+                expire: 1209600,
+                minimum: 300,
+            }),
+        ),
+    ];
+    m.additionals = vec![
+        Record::new(
+            n("NS1.cdn.example.net"),
+            3600,
+            Rdata::A(Ipv4Addr::new(198, 51, 100, 53)),
+        ),
+        Record::new(
+            n("unrelated.example.org"),
+            5,
+            Rdata::Txt(vec![b"v=1".to_vec()]),
+        ),
+    ];
+    m.set_edns(1232);
+    m.set_ecs(EcsOption::from_v4(Ipv4Addr::new(192, 0, 2, 0), 24).with_scope(20));
+
+    let bytes = m.to_bytes().unwrap();
+    assert_eq!(Message::from_bytes(&bytes).unwrap(), m);
+    let h = fnv1a(FNV_OFFSET, &bytes);
+    assert_eq!(
+        h,
+        0xa5ea_6255_6402_16a5,
+        "digest {h:#018x} over {} bytes",
+        bytes.len()
+    );
 }
 
 proptest! {
