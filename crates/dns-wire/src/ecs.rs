@@ -23,6 +23,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use crate::error::{WireError, WireResult};
 use crate::prefix::IpPrefix;
+use crate::wire::WireWriter;
 
 /// The ECS FAMILY field (IANA address-family numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -180,13 +181,23 @@ impl EcsOption {
 
     /// Serializes the option body.
     pub fn to_wire(&self) -> WireResult<Vec<u8>> {
-        let prefix = self.source_prefix();
-        let mut out = Vec::with_capacity(4 + prefix.wire_octets());
-        out.extend_from_slice(&self.family.to_u16().to_be_bytes());
-        out.push(self.source_prefix_len);
-        out.push(self.scope_prefix_len);
-        out.extend_from_slice(&prefix.wire_bytes());
-        Ok(out)
+        let mut w = WireWriter::with_buffer(Vec::with_capacity(4 + self.family.addr_octets()));
+        self.write(&mut w);
+        w.finish()
+    }
+
+    /// Appends the option body to `w`: family, the two prefix lengths and
+    /// the `ceil(source / 8)` significant address octets (the host bits of
+    /// `addr` are zero by invariant).
+    pub(crate) fn write(&self, w: &mut WireWriter) {
+        w.put_u16(self.family.to_u16());
+        w.put_u8(self.source_prefix_len);
+        w.put_u8(self.scope_prefix_len);
+        let octets = (self.source_prefix_len as usize).div_ceil(8);
+        match self.addr {
+            IpAddr::V4(a) => w.put_bytes(&a.octets()[..octets]),
+            IpAddr::V6(a) => w.put_bytes(&a.octets()[..octets]),
+        }
     }
 
     /// Parses an option body, enforcing RFC 7871 §6 validity:
@@ -216,17 +227,15 @@ impl EcsOption {
         if addr_bytes.len() != expected {
             return Err(WireError::BadEcs("address octet count mismatch"));
         }
-        let mut full = vec![0u8; family.addr_octets()];
-        full[..addr_bytes.len()].copy_from_slice(addr_bytes);
         let addr = match family {
             AddressFamily::V4 => {
                 let mut o = [0u8; 4];
-                o.copy_from_slice(&full);
+                o[..addr_bytes.len()].copy_from_slice(addr_bytes);
                 IpAddr::V4(Ipv4Addr::from(o))
             }
             AddressFamily::V6 => {
                 let mut o = [0u8; 16];
-                o.copy_from_slice(&full);
+                o[..addr_bytes.len()].copy_from_slice(addr_bytes);
                 IpAddr::V6(Ipv6Addr::from(o))
             }
         };

@@ -62,10 +62,11 @@ impl EdnsOption {
     fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         match self {
             EdnsOption::ClientSubnet(ecs) => {
-                let body = ecs.to_wire()?;
                 w.put_u16(OptionCode::ClientSubnet.to_u16());
-                w.put_u16(body.len() as u16);
-                w.put_bytes(&body);
+                let length_at = w.len();
+                w.put_u16(0);
+                ecs.write(w);
+                w.patch_u16(length_at, (w.len() - length_at - 2) as u16);
             }
             EdnsOption::Other { code, data } => {
                 w.put_u16(*code);

@@ -13,8 +13,14 @@
 //! * Parsing is defensive: every length is validated, compression pointers
 //!   must point strictly backwards, and unknown record types and EDNS options
 //!   are preserved as opaque bytes rather than rejected.
-//! * Serialization uses a [`bytes::BytesMut`] wrapped in an encoder that
-//!   performs name compression against previously written names.
+//! * A [`Name`] is one buffer holding its uncompressed wire form, so a
+//!   clone is one allocation and equality, hashing and encoding are single
+//!   passes over it.
+//! * Serialization appends to a plain `Vec<u8>` — the encoder's own or one
+//!   the caller lends and gets back ([`wire::WireWriter::with_buffer`]) —
+//!   and compresses names against the bytes already written, through a
+//!   bounded table of offsets ([`wire::MAX_COMPRESSION_TARGETS`]); no name
+//!   is copied or re-keyed to be compressed.
 //! * All types are plain data — no I/O — so the same code drives both the
 //!   deterministic simulator and any real socket front-end.
 //!

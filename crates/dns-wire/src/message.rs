@@ -383,6 +383,36 @@ mod tests {
     }
 
     #[test]
+    fn a_label_containing_a_dot_is_not_compressed_against_two_labels() {
+        // What any upstream may send and `Name::read` accepts: a CNAME
+        // whose target is the single label `a.b` under `com`. Relayed, it
+        // must not come back as a pointer to the owner `a.b.com`.
+        let two = name("a.b.com");
+        let one = name("com").child("a.b").unwrap();
+        let mut resp = Message::response_to(&Message::query(7, Question::a(two.clone())));
+        resp.answers
+            .push(Record::new(two.clone(), 60, Rdata::Cname(one.clone())));
+        resp.answers.push(Record::new(
+            one.clone(),
+            60,
+            Rdata::A(Ipv4Addr::new(203, 0, 113, 9)),
+        ));
+        let bytes = resp.to_bytes().unwrap();
+        let back = Message::from_bytes(&bytes).unwrap();
+        assert_eq!(back.answers[0].name, two);
+        assert_eq!(back.answers[0].rdata.as_cname(), Some(&one));
+        assert_eq!(back.answers[1].name, one);
+        assert_eq!(back, resp);
+        // The two names do share `com`, and the second `a.b` label is a
+        // pointer to the first.
+        assert_eq!(
+            Message::from_bytes(&back.to_bytes().unwrap()).unwrap(),
+            resp
+        );
+        assert_eq!(bytes.len(), 12 + (9 + 4) + (2 + 10 + 6) + (2 + 10 + 4));
+    }
+
+    #[test]
     fn duplicate_opt_rejected() {
         let mut m = sample_query();
         m.edns = None;

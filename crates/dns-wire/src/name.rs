@@ -1,7 +1,8 @@
 //! Domain names: validation, case-insensitive comparison, wire encoding with
 //! compression, and decompression-aware parsing.
 
-use std::fmt;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
 use crate::error::{WireError, WireResult};
@@ -14,9 +15,13 @@ pub const MAX_NAME_LEN: usize = 255;
 
 /// A fully-qualified domain name.
 ///
-/// Internally stored as a vector of labels, each 1–63 bytes. The root name
-/// has zero labels. Comparison and hashing are ASCII case-insensitive, as
-/// required by RFC 1035 §2.3.3.
+/// Stored as its uncompressed wire form in one buffer — each label as a
+/// length octet (1–63) followed by that many bytes — without the
+/// terminating root octet, so the root name is the empty buffer and owns
+/// no heap memory. Comparison and hashing are ASCII case-insensitive, as
+/// required by RFC 1035 §2.3.3; they fold the whole buffer at once, which
+/// is safe because a length octet is at most 63 and ASCII folding only
+/// moves bytes in `0x41..=0x5A`.
 ///
 /// ```
 /// use dns_wire::Name;
@@ -25,15 +30,17 @@ pub const MAX_NAME_LEN: usize = 255;
 /// assert_eq!(a, b);
 /// assert_eq!(a.to_string(), "www.example.com.");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    /// Invariant: length-prefixed labels tile the buffer exactly, every
+    /// length octet is in `1..=63`, and `wire.len() < MAX_NAME_LEN`.
+    wire: Box<[u8]>,
 }
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::default()
     }
 
     /// Parses a presentation-format name such as `"www.example.com"` or
@@ -48,7 +55,9 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
+        // Every dot becomes the next label's length octet, plus one for
+        // the first label: the buffer is `s.len() + 1` bytes exactly.
+        let mut wire = Vec::with_capacity(s.len() + 1);
         for label in s.split('.') {
             if label.is_empty() {
                 return Err(WireError::InvalidLabel);
@@ -62,148 +71,133 @@ impl Name {
             {
                 return Err(WireError::InvalidLabel);
             }
-            labels.push(label.as_bytes().to_vec());
+            wire.push(label.len() as u8);
+            wire.extend_from_slice(label.as_bytes());
         }
-        let name = Name { labels };
-        let wl = name.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wl));
+        Name::from_wire(wire)
+    }
+
+    /// Wraps label bytes already known to be well-formed, enforcing the
+    /// one remaining limit (total length).
+    fn from_wire(wire: Vec<u8>) -> WireResult<Self> {
+        if wire.len() >= MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(wire.len() + 1));
         }
-        Ok(name)
+        Ok(Name { wire: wire.into() })
     }
 
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Iterates over the labels, most-significant last (`www`, `example`,
     /// `com`).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
+        self.label_starts()
+            .map(|at| &self.wire[at + 1..at + 1 + self.wire[at] as usize])
+    }
+
+    /// Offset of each label's length octet in `wire`, in order.
+    fn label_starts(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let len = *self.wire.get(at)?;
+            let start = at;
+            at += 1 + len as usize;
+            Some(start)
+        })
+    }
+
+    /// The labels from the `skip`-th on, as a name.
+    fn suffix(&self, skip: usize) -> Name {
+        let from = self.label_starts().nth(skip).unwrap_or(self.wire.len());
+        Name {
+            wire: self.wire[from..].into(),
+        }
     }
 
     /// Length of the name in uncompressed wire form: one length octet per
     /// label plus the label bytes plus the terminating root octet.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len() + 1
     }
 
     /// Returns the parent name (strips the leftmost label). The root's
     /// parent is the root.
     pub fn parent(&self) -> Name {
-        if self.labels.is_empty() {
-            return Name::root();
-        }
-        Name {
-            labels: self.labels[1..].to_vec(),
-        }
+        self.suffix(1)
     }
 
     /// Prepends a label, e.g. `Name("example.com").child("www")`.
     pub fn child(&self, label: &str) -> WireResult<Name> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
         if label.is_empty() || label.len() > MAX_LABEL_LEN {
             return Err(WireError::InvalidLabel);
         }
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        let wl = name.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wl));
-        }
-        Ok(name)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        wire.push(label.len() as u8);
+        wire.extend_from_slice(label.as_bytes());
+        wire.extend_from_slice(&self.wire);
+        Name::from_wire(wire)
     }
 
     /// True if `self` equals `other` or is a descendant of it. Every name is
     /// under the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
+        let Some(cut) = self.wire.len().checked_sub(other.wire.len()) else {
             return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(other.labels.iter())
-            .all(|(a, b)| eq_ignore_case(a, b))
+        };
+        // The tail must start on a label boundary: equal bytes that begin
+        // inside one of our labels are not a suffix of the name.
+        self.wire[cut..].eq_ignore_ascii_case(&other.wire)
+            && (cut == self.wire.len() || self.label_starts().any(|at| at == cut))
     }
 
     /// The second-level domain of this name as used in the paper (the two
     /// most senior labels, e.g. `cnn.com` for `media.cnn.com`). Returns
     /// `None` for the root and TLD-only names.
     pub fn second_level_domain(&self) -> Option<Name> {
-        if self.labels.len() < 2 {
-            return None;
-        }
-        Some(Name {
-            labels: self.labels[self.labels.len() - 2..].to_vec(),
-        })
+        let skip = self.label_count().checked_sub(2)?;
+        Some(self.suffix(skip))
     }
 
-    /// Canonical lowercase presentation form ending with a dot; used as the
-    /// compression map key and for display.
+    /// Canonical lowercase presentation form ending with a dot; used for
+    /// display and serialization.
     pub fn canonical(&self) -> String {
-        if self.labels.is_empty() {
-            return ".".to_string();
-        }
         let mut s = String::with_capacity(self.wire_len());
-        for l in &self.labels {
-            for &b in l {
-                s.push(b.to_ascii_lowercase() as char);
-            }
-            s.push('.');
-        }
+        s.extend(self.canonical_bytes().map(|b| b as char));
         s
     }
 
-    /// Serializes this name, compressing against names already in `w`.
-    ///
-    /// Compression strategy: for each suffix of the name (longest first),
-    /// check whether that suffix was written before. If so, emit the labels
-    /// preceding the suffix followed by a pointer; otherwise write the whole
-    /// name and record every suffix offset.
+    /// The bytes of [`Name::canonical`] before they become `char`s: every
+    /// label folded to lowercase and followed by a dot; the root is a
+    /// lone dot.
+    fn canonical_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.labels()
+            .flat_map(|l| {
+                l.iter()
+                    .map(u8::to_ascii_lowercase)
+                    .chain(std::iter::once(b'.'))
+            })
+            .chain(self.is_root().then_some(b'.'))
+    }
+
+    /// Serializes this name, compressing against names already in `w`
+    /// (see [`WireWriter`] for how a target is found and what bounds it).
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
-        // Collect the canonical form of every suffix, from the full name
-        // down to the last single label.
-        let n = self.labels.len();
-        for start in 0..n {
-            let key = suffix_key(&self.labels[start..]);
-            if let Some(ptr) = w.lookup_name(&key) {
-                // Write labels before the matched suffix, then the pointer.
-                for (i, label) in self.labels[..start].iter().enumerate() {
-                    let suffix = suffix_key(&self.labels[i..]);
-                    w.record_name(suffix, w.len());
-                    w.put_u8(label.len() as u8);
-                    w.put_bytes(label);
-                }
-                w.put_u16(0xC000 | ptr);
-                return Ok(());
-            }
-        }
-        // No suffix matched: write the full name and record offsets.
-        for (i, label) in self.labels.iter().enumerate() {
-            let suffix = suffix_key(&self.labels[i..]);
-            w.record_name(suffix, w.len());
-            w.put_u8(label.len() as u8);
-            w.put_bytes(label);
-        }
-        w.put_u8(0); // root
+        w.put_name(&self.wire);
         Ok(())
     }
 
     /// Serializes without compression (and without recording offsets), as
     /// required inside RDATA of types unknown to compressors.
     pub fn write_uncompressed(&self, w: &mut WireWriter) {
-        for label in &self.labels {
-            w.put_u8(label.len() as u8);
-            w.put_bytes(label);
-        }
+        w.put_bytes(&self.wire);
         w.put_u8(0);
     }
 
@@ -211,8 +205,10 @@ impl Name {
     /// cursor ends just past the name (after the pointer, if the name ends
     /// with one).
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // terminating root octet
+        // Assembled on the stack: a name longer than this is an error, so
+        // the one heap allocation is the exact-size copy at the end.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut len = 0usize;
         let mut chases = 0usize;
         // After the first pointer jump we continue reading from a clone so
         // the caller's cursor stays just past the pointer.
@@ -227,11 +223,14 @@ impl Name {
                         break;
                     }
                     let label = cur.read_bytes(len_byte as usize, "name label")?;
-                    wire_len += 1 + label.len();
+                    // Wire length so far, counting the root octet to come.
+                    let wire_len = len + 1 + label.len() + 1;
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong(wire_len));
                     }
-                    labels.push(label.to_vec());
+                    wire[len] = len_byte;
+                    wire[len + 1..len + 1 + label.len()].copy_from_slice(label);
+                    len += 1 + label.len();
                 }
                 0xC0 => {
                     let lo = cur.read_u8("compression pointer low byte")?;
@@ -253,33 +252,15 @@ impl Name {
                 other => return Err(WireError::ReservedLabelType(other | (len_byte & 0x3F))),
             }
         }
-        Ok(Name { labels })
+        Ok(Name {
+            wire: wire[..len].into(),
+        })
     }
-}
-
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.eq_ignore_ascii_case(b)
-}
-
-fn suffix_key(labels: &[Vec<u8>]) -> String {
-    let mut s = String::new();
-    for l in labels {
-        for &b in l {
-            s.push(b.to_ascii_lowercase() as char);
-        }
-        s.push('.');
-    }
-    s
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| eq_ignore_case(a, b))
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
@@ -287,30 +268,62 @@ impl Eq for Name {}
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-            state.write_u8(b'.');
-        }
+        // One `write` of the folded wire form, root octet included so that
+        // no name's bytes are a prefix of another's.
+        let mut folded = [0u8; MAX_NAME_LEN];
+        let n = self.wire.len();
+        folded[..n].copy_from_slice(&self.wire);
+        folded[..n].make_ascii_lowercase();
+        state.write(&folded[..=n]);
     }
 }
 
 impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Name {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.canonical().cmp(&other.canonical())
+    /// Orders as the [`Name::canonical`] strings do. Two different names
+    /// can share a canonical string (a label may contain a dot on the
+    /// wire), so ties fall through to the folded wire bytes: `Equal` means
+    /// `==`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn folded(wire: &[u8]) -> impl Iterator<Item = u8> + '_ {
+            wire.iter().map(u8::to_ascii_lowercase)
+        }
+        self.canonical_bytes()
+            .cmp(other.canonical_bytes())
+            .then_with(|| folded(&self.wire).cmp(folded(&other.wire)))
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.canonical())
+    }
+}
+
+/// The presentation form with the wire's own case, and with the zone-file
+/// escapes (`\.`, `\\`, `\DDD`) for bytes that would otherwise make two
+/// different names print alike.
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_root() {
+            return f.write_char('.');
+        }
+        for label in self.labels() {
+            for &b in label {
+                match b {
+                    b'.' | b'\\' => write!(f, "\\{}", b as char)?,
+                    0x21..=0x7E => f.write_char(b as char)?,
+                    _ => write!(f, "\\{b:03}")?,
+                }
+            }
+            f.write_char('.')?;
+        }
+        Ok(())
     }
 }
 
@@ -382,6 +395,41 @@ mod tests {
         ));
     }
 
+    /// The decode-side twin of `rejects_overlong_name`: no single run of
+    /// labels is too long, the pointer chain's sum is. This is the bound of
+    /// the stack buffer `read` assembles into.
+    #[test]
+    fn pointer_chain_summing_past_255_rejected() {
+        let chain = |first_label: usize| {
+            // 0: three 63-byte labels + root (193 bytes); then the name
+            // under test: one more label and a pointer back to 0.
+            let mut bytes = Vec::new();
+            for _ in 0..3 {
+                bytes.push(63);
+                bytes.extend_from_slice(&[b'x'; 63]);
+            }
+            bytes.push(0);
+            let start = bytes.len();
+            bytes.push(first_label as u8);
+            bytes.extend_from_slice(&vec![b'y'; first_label]);
+            bytes.extend_from_slice(&[0xC0, 0x00]);
+            (bytes, start)
+        };
+        // 62 + 192 + 1 = 255: the longest legal name, to the byte.
+        let (bytes, start) = chain(61);
+        let mut r = WireReader::new(&bytes);
+        r.seek(start);
+        let longest = Name::read(&mut r).unwrap();
+        assert_eq!(longest.wire_len(), MAX_NAME_LEN);
+        assert_eq!(longest.label_count(), 4);
+        assert!(r.is_empty());
+        // One byte more.
+        let (bytes, start) = chain(62);
+        let mut r = WireReader::new(&bytes);
+        r.seek(start);
+        assert_eq!(Name::read(&mut r), Err(WireError::NameTooLong(256)));
+    }
+
     #[test]
     fn underscore_service_labels_allowed() {
         assert!(Name::from_ascii("_dns.resolver.arpa").is_ok());
@@ -406,6 +454,18 @@ mod tests {
         assert!(!name("badexample.com").is_subdomain_of(&name("example.com")));
         // Case-insensitive.
         assert!(name("A.EXAMPLE.COM").is_subdomain_of(&name("example.com")));
+    }
+
+    #[test]
+    fn subdomain_suffix_must_start_on_a_label_boundary() {
+        // One label whose bytes end in what looks like the wire form of
+        // `com`: 05 'a' 03 'c' 'o' 'm' is a TLD, not a name under `com`.
+        let bytes = [5, b'a', 3, b'c', b'o', b'm', 0];
+        let odd = Name::read(&mut WireReader::new(&bytes)).unwrap();
+        assert_eq!(odd.label_count(), 1);
+        assert!(!odd.is_subdomain_of(&name("com")));
+        assert!(odd.is_subdomain_of(&odd));
+        assert!(odd.is_subdomain_of(&Name::root()));
     }
 
     #[test]
@@ -565,5 +625,26 @@ mod tests {
         assert_eq!(v[0], name("a.b.com"));
         assert_eq!(v[1], name("a.com"));
         assert_eq!(v[2], name("b.com"));
+    }
+
+    #[test]
+    fn names_that_print_alike_are_neither_equal_nor_tied() {
+        // A label may contain a dot on the wire; `a.b` under `com` and
+        // `a` under `b.com` share a canonical string and nothing else.
+        let one = name("com").child("a.b").unwrap();
+        let two = name("a.b.com");
+        assert_eq!(one.canonical(), two.canonical());
+        assert_ne!(one, two);
+        assert_ne!(one.cmp(&two), Ordering::Equal);
+        assert_eq!(one.cmp(&two), two.cmp(&one).reverse());
+    }
+
+    #[test]
+    fn debug_is_the_presentation_form() {
+        assert_eq!(format!("{:?}", name("WWW.Example.com")), "WWW.Example.com.");
+        assert_eq!(format!("{:?}", Name::root()), ".");
+        // Bytes that would make two names print alike are escaped.
+        let odd = name("com").child("a.b").unwrap().child("\u{1}\\").unwrap();
+        assert_eq!(format!("{odd:?}"), "\\001\\\\.a\\.b.com.");
     }
 }

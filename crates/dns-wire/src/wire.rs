@@ -1,12 +1,9 @@
 //! Low-level byte reader/writer with DNS name compression support.
 //!
 //! [`WireReader`] is a cursor over an immutable byte slice that knows how to
-//! follow compression pointers. [`WireWriter`] appends to a growable buffer
-//! and remembers the offsets of names it has written so later names can be
-//! compressed against them.
-
-use bytes::{BufMut, BytesMut};
-use std::collections::HashMap;
+//! follow compression pointers. [`WireWriter`] appends to a plain `Vec<u8>`
+//! (its own, or one the caller lends) and remembers the offsets of names it
+//! has written so later names can be compressed against them.
 
 use crate::error::{WireError, WireResult};
 
@@ -128,27 +125,51 @@ impl<'a> WireReader<'a> {
     }
 }
 
+/// Most name suffixes one message records as compression targets. Every
+/// message this workspace builds stays far below it; a message with more
+/// distinct names than this still compresses against the targets it has,
+/// it only stops adding new ones — so the work per written name is at most
+/// this many comparisons per label, however many names a peer makes us
+/// relay.
+pub const MAX_COMPRESSION_TARGETS: usize = 64;
+
+/// A suffix of a name written earlier in the message.
+#[derive(Debug, Clone, Copy, Default)]
+struct Target {
+    /// Offset of the suffix's first length octet (≤ 0x3FFF, so a pointer
+    /// can address it).
+    at: u16,
+    /// Length of the suffix's uncompressed label sequence, root octet
+    /// excluded: a candidate of another length cannot match.
+    len: u8,
+}
+
 /// Append-only writer with name compression bookkeeping.
+///
+/// Compression keeps no copy of any name. It remembers *where* the first
+/// [`MAX_COMPRESSION_TARGETS`] distinct suffixes were written, in write
+/// order, and tests a candidate suffix against the labels already in the
+/// buffer at those offsets (following the pointers it wrote itself), label
+/// by label and ASCII case-insensitively. For each name the longest suffix
+/// is tried first and the earliest recorded target wins.
 #[derive(Debug)]
 pub struct WireWriter {
-    buf: BytesMut,
-    /// Maps a fully-qualified lowercase name suffix (e.g. `www.example.com.`)
-    /// to the message offset where it was first written. Offsets above
-    /// 0x3FFF cannot be expressed as pointers and are not recorded.
-    name_offsets: HashMap<String, u16>,
+    buf: Vec<u8>,
+    targets: [Target; MAX_COMPRESSION_TARGETS],
+    /// How many of `targets` are in use.
+    recorded: usize,
     /// When false, name compression is disabled (useful for testing and for
     /// contexts like RDATA of unknown types where compression is forbidden).
     compress: bool,
+    /// Candidate-against-target tests made so far.
+    #[cfg(test)]
+    comparisons: usize,
 }
 
 impl WireWriter {
     /// Creates an empty writer with compression enabled.
     pub fn new() -> Self {
-        WireWriter {
-            buf: BytesMut::with_capacity(512),
-            name_offsets: HashMap::new(),
-            compress: true,
-        }
+        Self::with_buffer(Vec::with_capacity(512))
     }
 
     /// Creates a writer with name compression disabled.
@@ -156,6 +177,21 @@ impl WireWriter {
         let mut w = Self::new();
         w.compress = false;
         w
+    }
+
+    /// Creates a writer (compression enabled) that appends to a buffer the
+    /// caller lends: `buf` is emptied, its capacity is reused, and
+    /// [`WireWriter::finish`] hands it back.
+    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        WireWriter {
+            buf,
+            targets: [Target::default(); MAX_COMPRESSION_TARGETS],
+            recorded: 0,
+            compress: true,
+            #[cfg(test)]
+            comparisons: 0,
+        }
     }
 
     /// Bytes written so far.
@@ -170,55 +206,130 @@ impl WireWriter {
 
     /// Appends one octet.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a big-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Overwrites a big-endian `u16` at an absolute offset (used to patch
     /// RDLENGTH and header counts after the fact).
     pub fn patch_u16(&mut self, offset: usize, v: u16) {
-        let be = v.to_be_bytes();
-        self.buf[offset] = be[0];
-        self.buf[offset + 1] = be[1];
+        self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Looks up a previously written name suffix; returns its offset if it
-    /// can be the target of a compression pointer.
-    pub(crate) fn lookup_name(&self, key: &str) -> Option<u16> {
-        if !self.compress {
-            return None;
+    /// Appends a name given as its uncompressed label sequence without the
+    /// root octet (length octet, label bytes, …), compressed against the
+    /// recorded targets: the labels no target covers, then a pointer to
+    /// the longest suffix one does — or the root octet when none does.
+    /// Every label written out becomes a target itself.
+    pub(crate) fn put_name(&mut self, labels: &[u8]) {
+        let mut pointer = None;
+        let mut cut = labels.len();
+        if self.compress {
+            cut = 0;
+            while cut < labels.len() {
+                pointer = self.find_target(&labels[cut..]);
+                if pointer.is_some() {
+                    break;
+                }
+                cut += 1 + labels[cut] as usize;
+            }
+            let base = self.buf.len();
+            let mut at = 0;
+            while at < cut {
+                self.record_target(base + at, labels.len() - at);
+                at += 1 + labels[at] as usize;
+            }
         }
-        self.name_offsets.get(key).copied()
-    }
-
-    /// Records that a name suffix was written starting at `offset`.
-    pub(crate) fn record_name(&mut self, key: String, offset: usize) {
-        // Pointers only address the low 14 bits.
-        if offset <= 0x3FFF {
-            self.name_offsets.entry(key).or_insert(offset as u16);
+        self.buf.extend_from_slice(&labels[..cut]);
+        match pointer {
+            Some(target) => self.put_u16(0xC000 | target),
+            None => self.put_u8(0),
         }
     }
 
-    /// Finalizes the writer, validating the DNS message size limit.
+    /// The earliest recorded target whose name equals `candidate`.
+    fn find_target(&mut self, candidate: &[u8]) -> Option<u16> {
+        let found = self.targets[..self.recorded]
+            .iter()
+            .position(|t| t.len as usize == candidate.len() && self.name_at_is(t.at, candidate));
+        #[cfg(test)]
+        {
+            self.comparisons += found.map_or(self.recorded, |i| i + 1);
+        }
+        found.map(|i| self.targets[i].at)
+    }
+
+    /// True when the name written at `at` is `candidate`, ignoring ASCII
+    /// case. Only pointers to strictly earlier bytes are followed and every
+    /// read is bounds-checked, so bytes a caller patched over cannot make
+    /// this loop or panic — at worst a name is not compressed.
+    fn name_at_is(&self, at: u16, mut candidate: &[u8]) -> bool {
+        let mut at = at as usize;
+        loop {
+            let Some(&len) = self.buf.get(at) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(at + 1) else {
+                    return false;
+                };
+                let target = ((len & 0x3F) as usize) << 8 | lo as usize;
+                if target >= at {
+                    return false;
+                }
+                at = target;
+                continue;
+            }
+            if len == 0 {
+                return candidate.is_empty();
+            }
+            // Length octet and label bytes in one comparison: length
+            // octets are below 'A', so folding leaves them exact.
+            let n = 1 + len as usize;
+            match (self.buf.get(at..at + n), candidate.get(..n)) {
+                (Some(written), Some(wanted)) if written.eq_ignore_ascii_case(wanted) => {
+                    candidate = &candidate[n..];
+                    at += n;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// Records that a name suffix of `len` label bytes starts at `offset`,
+    /// unless a pointer could not address it (pointers carry 14 bits) or
+    /// the table is full.
+    fn record_target(&mut self, offset: usize, len: usize) {
+        if offset <= 0x3FFF && self.recorded < MAX_COMPRESSION_TARGETS {
+            self.targets[self.recorded] = Target {
+                at: offset as u16,
+                len: len as u8,
+            };
+            self.recorded += 1;
+        }
+    }
+
+    /// Finalizes the writer, validating the DNS message size limit, and
+    /// returns the buffer it wrote into.
     pub fn finish(self) -> WireResult<Vec<u8>> {
         if self.buf.len() > u16::MAX as usize {
             return Err(WireError::MessageTooLong(self.buf.len()));
         }
-        Ok(self.buf.to_vec())
+        Ok(self.buf)
     }
 }
 
@@ -327,20 +438,96 @@ mod tests {
         assert!(matches!(w.finish(), Err(WireError::MessageTooLong(70_000))));
     }
 
+    /// `example.<tld>` as the label sequence `put_name` takes.
+    fn example(tld: &[u8; 3]) -> Vec<u8> {
+        [b"\x07example\x03", &tld[..]].concat()
+    }
+
     #[test]
     fn name_offset_not_recorded_beyond_pointer_range() {
         let mut w = WireWriter::new();
-        w.put_bytes(&vec![0u8; 0x4000]);
-        w.record_name("example.com.".into(), 0x4000);
-        assert_eq!(w.lookup_name("example.com."), None);
-        w.record_name("example.org.".into(), 12);
-        assert_eq!(w.lookup_name("example.org."), Some(12));
+        w.put_bytes(&[0u8; 12]);
+        w.put_name(&example(b"org"));
+        w.put_bytes(&vec![0u8; 0x4000 - w.len()]);
+        // Written where no pointer can reach: not a target, so its twin
+        // is written out in full again.
+        w.put_name(&example(b"com"));
+        w.put_name(&example(b"com"));
+        // The name at offset 12 is still one.
+        w.put_name(&example(b"org"));
+        let bytes = w.finish().unwrap();
+        let com = [&example(b"com")[..], &[0]].concat();
+        assert_eq!(bytes[0x4000..], [&com[..], &com[..], &[0xC0, 12]].concat());
     }
 
     #[test]
     fn compression_disabled_lookup_is_none() {
+        // No target is looked up, so the twin is written out in full.
         let mut w = WireWriter::without_compression();
-        w.record_name("a.example.".into(), 0);
-        assert_eq!(w.lookup_name("a.example."), None);
+        w.put_name(&example(b"com"));
+        w.put_name(&example(b"com"));
+        let com = [&example(b"com")[..], &[0]].concat();
+        assert_eq!(w.finish().unwrap(), [&com[..], &com[..]].concat());
+    }
+
+    #[test]
+    fn lent_buffer_is_emptied_reused_and_handed_back() {
+        let mut lent = Vec::with_capacity(300);
+        lent.extend_from_slice(b"stale");
+        let ptr = lent.as_ptr();
+        let mut w = WireWriter::with_buffer(lent);
+        assert!(w.is_empty());
+        w.put_u16(0xBEEF);
+        let back = w.finish().unwrap();
+        assert_eq!(back, [0xBE, 0xEF]);
+        assert_eq!((back.as_ptr(), back.capacity()), (ptr, 300));
+    }
+
+    #[test]
+    fn past_the_target_cap_names_still_compress_and_work_per_name_stays_bounded() {
+        use crate::{Message, Name, Question, Rdata, Record};
+        // Three times the cap in names that share only their TLD: each one
+        // written out adds two targets until the table is full.
+        let names: Vec<Name> = (0..3 * MAX_COMPRESSION_TARGETS)
+            .map(|i| Name::from_ascii(&format!("host{i}.zone{i}.example")).unwrap())
+            .collect();
+        let twice = || names.iter().chain(&names);
+
+        let mut w = WireWriter::new();
+        let mut ends = Vec::new();
+        for n in twice() {
+            let before = w.comparisons;
+            n.write(&mut w).unwrap();
+            assert!(w.comparisons - before <= MAX_COMPRESSION_TARGETS * n.label_count());
+            ends.push(w.len());
+        }
+        assert_eq!(w.recorded, MAX_COMPRESSION_TARGETS);
+        let bytes = w.finish().unwrap();
+        let mut r = WireReader::new(&bytes);
+        for n in twice() {
+            assert_eq!(&Name::read(&mut r).unwrap(), n);
+        }
+        assert!(r.is_empty());
+        // Second time round, a name recorded before the table filled is a
+        // bare pointer; one written after it is written out again, down
+        // to a pointer at `example`.
+        let second = |i: usize| ends[names.len() + i] - ends[names.len() + i - 1];
+        assert_eq!(second(1), 2);
+        assert_eq!(
+            second(names.len() - 1),
+            names[names.len() - 1].wire_len() - 9 + 2
+        );
+
+        // The same through a whole message.
+        let mut m = Message::query(1, Question::a(names[0].clone()));
+        m.flags.qr = true;
+        m.answers = twice()
+            .map(|n| Record::new(n.clone(), 60, Rdata::A([192, 0, 2, 1].into())))
+            .collect();
+        let compressed = m.to_bytes().unwrap();
+        assert_eq!(Message::from_bytes(&compressed).unwrap(), m);
+        let mut plain = WireWriter::without_compression();
+        m.write(&mut plain).unwrap();
+        assert!(compressed.len() <= plain.finish().unwrap().len());
     }
 }

@@ -96,6 +96,10 @@ impl RecvBatch {
 #[derive(Default)]
 pub struct SendBatch {
     items: Vec<(Vec<u8>, SocketAddr)>,
+    /// Flushed payload buffers, emptied, kept for [`SendBatch::spare`] —
+    /// at most [`DEFAULT_BATCH`] of them, so a caller that never asks for
+    /// one back holds a fixed handful and the rest are freed as before.
+    spares: Vec<Vec<u8>>,
     #[cfg(target_os = "linux")]
     sys: linux::SendSys,
 }
@@ -109,6 +113,15 @@ impl SendBatch {
     /// Queues one datagram.
     pub fn push(&mut self, payload: Vec<u8>, peer: SocketAddr) {
         self.items.push((payload, peer));
+    }
+
+    /// An empty buffer to build the next payload in: one an earlier
+    /// [`SendBatch::flush`] sent and kept, capacity intact, when there is
+    /// one — so a serving loop that encodes into `spare()` and `push`es the
+    /// result stops allocating per reply once its first batches have gone
+    /// out.
+    pub fn spare(&mut self) -> Vec<u8> {
+        self.spares.pop().unwrap_or_else(|| Vec::with_capacity(512))
     }
 
     /// Queued datagrams not yet flushed.
@@ -141,7 +154,12 @@ impl SendBatch {
             }
             Ok(n)
         };
-        self.items.clear();
+        let room = DEFAULT_BATCH - self.spares.len();
+        self.spares
+            .extend(self.items.drain(..).take(room).map(|(mut payload, _)| {
+                payload.clear();
+                payload
+            }));
         sent
     }
 }
@@ -494,6 +512,25 @@ mod tests {
         let mut want: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; (i as usize) + 1]).collect();
         want.sort();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn flushed_buffers_come_back_as_spares_up_to_the_batch_width() {
+        let (_server, client, server_addr, _ca) = pair();
+        let mut send = SendBatch::new();
+        for _ in 0..DEFAULT_BATCH + 8 {
+            let mut payload = Vec::with_capacity(100);
+            payload.push(7);
+            send.push(payload, server_addr);
+        }
+        send.flush(&client).unwrap();
+        assert!(send.is_empty());
+        for _ in 0..DEFAULT_BATCH {
+            let spare = send.spare();
+            assert!(spare.is_empty(), "a spare is handed out empty");
+            assert_eq!(spare.capacity(), 100, "with the capacity it was sent with");
+        }
+        assert_ne!(send.spare().capacity(), 100, "the rest were freed");
     }
 
     #[test]

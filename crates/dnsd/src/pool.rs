@@ -23,7 +23,10 @@
 //! * **Batched I/O**: a worker pulls up to [`DEFAULT_BATCH`] datagrams per
 //!   syscall ([`RecvBatch`]) and flushes the replies in one
 //!   ([`SendBatch`]) — the syscall cost amortises across the queue depth
-//!   under load and degenerates to one-per-datagram when idle.
+//!   under load and degenerates to one-per-datagram when idle. Each reply
+//!   is encoded into a buffer the last flush handed back
+//!   ([`SendBatch::spare`]), so encoding allocates nothing once the first
+//!   batches have gone out.
 //! * **Exact accounting** ([`accounted`]): every datagram pulled lands in
 //!   one of `<prefix>_{queries,malformed_drops,ignored_responses}_total`,
 //!   every query in one of `<prefix>_{responses,unanswered,send_failures}_total`
@@ -51,6 +54,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dns_wire::wire::WireWriter;
 use dns_wire::Message;
 use netsim::SimTime;
 
@@ -323,7 +327,13 @@ impl<H: Handler> Worker<H> {
             shared.queries.inc();
             let now = SimTime::from_micros(received.as_micros() as u64);
             let reply = self.handler.handle(&query, peer, now, prof);
-            match reply.and_then(|resp| resp.to_bytes().ok()) {
+            // Encoded into a buffer an earlier flush sent and handed back.
+            let encoded = reply.and_then(|resp| {
+                let mut w = WireWriter::with_buffer(tx.spare());
+                resp.write(&mut w).ok()?;
+                w.finish().ok()
+            });
+            match encoded {
                 Some(bytes) => {
                     tx.push(bytes, peer);
                     let took = shared.started.elapsed() - received;

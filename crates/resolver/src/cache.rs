@@ -6,11 +6,13 @@
 //! inside it — which is exactly why ECS blows up cache size (§7.1) and
 //! depresses hit rate (§7.2).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 use dns_wire::{EcsOption, IpPrefix, Name, Rcode, Record, RecordType};
 use netsim::{SimDuration, SimTime};
+use rustc_hash::FxHashMap;
 
 /// How the resolver obeys (or disobeys) scope restrictions — the §6.3
 /// classification, as implementable behaviour.
@@ -149,10 +151,56 @@ impl CacheMetrics {
     }
 }
 
+/// What the entry lists are keyed by.
+type Key = (Name, RecordType);
+
+/// A [`Key`] seen through a borrowed name. The map is asked for
+/// `&dyn KeyRef`, so a lookup hashes and compares the caller's `&Name`
+/// where it lies instead of cloning it into an owned key first. Both
+/// implementors hash and compare as the same `(name, qtype)` pair, which is
+/// the agreement [`Borrow`] demands.
+trait KeyRef {
+    fn key(&self) -> (&Name, RecordType);
+}
+
+impl KeyRef for Key {
+    fn key(&self) -> (&Name, RecordType) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyRef for (&Name, RecordType) {
+    fn key(&self) -> (&Name, RecordType) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyRef + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyRef + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyRef + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state)
+    }
+}
+
+impl PartialEq for dyn KeyRef + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn KeyRef + '_ {}
+
 /// The cache proper.
 #[derive(Debug)]
 pub struct EcsCache {
-    entries: HashMap<(Name, RecordType), Vec<Entry>>,
+    /// Hashed with Fx, the hash [`crate::SharedEcsCache`] picks the shard
+    /// by: a name is one `write` of its folded bytes either way.
+    entries: FxHashMap<Key, Vec<Entry>>,
     compliance: CacheCompliance,
     /// When false, responses with scope 0 are not cached at all — the
     /// misconfigured-resolver behaviour from §6.3's last bullet.
@@ -170,7 +218,7 @@ impl EcsCache {
     /// Creates an empty cache with the given compliance mode.
     pub fn new(compliance: CacheCompliance) -> Self {
         EcsCache {
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
             compliance,
             cache_zero_scope: true,
             stats: CacheMetrics::new(),
@@ -252,7 +300,7 @@ impl EcsCache {
         let tick = self.tick;
         let found = self
             .entries
-            .get_mut(&(qname.clone(), qtype))
+            .get_mut(&(qname, qtype) as &dyn KeyRef)
             .and_then(|list| {
                 list.iter_mut()
                     .filter(|e| e.expires > now)
@@ -301,7 +349,7 @@ impl EcsCache {
         let tick = self.tick;
         let found = self
             .entries
-            .get_mut(&(qname.clone(), qtype))
+            .get_mut(&(qname, qtype) as &dyn KeyRef)
             .and_then(|list| {
                 list.iter_mut()
                     .filter(|e| e.expires <= now && e.expires + budget > now)

@@ -689,7 +689,7 @@ impl Resolver {
     pub fn begin(&mut self, query: &Message, client_src: IpAddr, now: SimTime) -> Step {
         self.stats.client_queries.inc();
         let question = match query.question() {
-            Some(q) => q.clone(),
+            Some(q) => q,
             None => {
                 self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
                 return Step::Answer(self.client_answer(query, Rcode::FormErr, Vec::new(), None));
@@ -808,7 +808,7 @@ impl Resolver {
         }
         Step::NeedUpstream(PendingQuery {
             client_query: query.clone(),
-            question,
+            question: question.clone(),
             upstream_query: upstream_q,
             client_addr: effective_client,
             started: now,
