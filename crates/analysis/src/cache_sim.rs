@@ -407,10 +407,14 @@ fn purge<E>(
 
 /// Removes one resolver's least-recently-touched entry in one mode.
 ///
-/// `slot_list` is the resolver's own slots, so the O(entries) scan is
-/// bounded by the capacity it enforces. Ticks are unique per (resolver,
-/// mode) — each replayed record touches at most one entry per mode — so
-/// the minimum is unique and eviction order is deterministic.
+/// `slot_list` is every slot the resolver ever created — one per (name,
+/// qtype) it was asked, never removed, most of them empty once the cache
+/// sits at its capacity — so the scan is O(slots ever created + live
+/// entries) per eviction, *not* bounded by the capacity it enforces (up to
+/// 150 slots at capacity 64 on the benchmark's `replay_bounded` trace).
+/// Ticks are unique per (resolver, mode) — each replayed record touches
+/// at most one entry per mode — so the minimum is unique and eviction
+/// order is deterministic.
 fn evict_lru<E>(
     slots: &mut [Slot],
     slot_list: &[u32],

@@ -5,8 +5,19 @@
 //! authoritative returned, and may only answer clients whose address falls
 //! inside it — which is exactly why ECS blows up cache size (§7.1) and
 //! depresses hit rate (§7.2).
+//!
+//! The cache never walks itself. Beside the entry lists it keeps three
+//! things, each adjusted where an entry enters or leaves a list (push,
+//! same-scope supersede, per-name cap, expiry, eviction) and nowhere else:
+//! the live count and byte total; an expiry queue ordered by retention
+//! horizon with exactly one item per `(qname, qtype)` list, so a purge
+//! visits the lists that hold something due and no others; and — only
+//! when a global bound is set — a recency index ordered by last-use tick,
+//! whose first item is the eviction victim. DESIGN §3 has the reasoning.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::Entry as Slot;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
@@ -195,20 +206,106 @@ impl PartialEq for dyn KeyRef + '_ {
 
 impl Eq for dyn KeyRef + '_ {}
 
+/// Every entry cached for one `(qname, qtype)`, in insertion order (which
+/// lookups rely on: the first matching entry answers).
+#[derive(Debug)]
+struct NameList {
+    entries: Vec<Entry>,
+    /// The horizon this list is queued under in [`Index::expiry`]. Never
+    /// later than its earliest entry's, so the list is visited by the time
+    /// anything in it falls due; it may be earlier when that entry has left
+    /// since, which costs one visit that finds nothing.
+    queued: SimTime,
+}
+
+impl NameList {
+    /// `Vec::retain` that tells `index` about every entry it drops.
+    fn retain(&mut self, index: &mut Index, keep: impl Fn(&Entry) -> bool) {
+        self.entries.retain(|e| {
+            let kept = keep(e);
+            if !kept {
+                index.leave(e);
+            }
+            kept
+        });
+    }
+}
+
+/// What the cache knows about its entries without looking at them.
+#[derive(Debug)]
+struct Index {
+    /// Entries across all lists.
+    live: usize,
+    /// Sum of their [`Entry::bytes`].
+    bytes: usize,
+    /// One item per list, under [`NameList::queued`]: removed exactly when
+    /// the list goes or is re-queued, so it is as long as the list map.
+    expiry: BTreeSet<(SimTime, Key)>,
+    /// `last_used` tick → key of the list holding that entry. Ticks are
+    /// unique and only grow, so the first item is the entry a scan for the
+    /// minimum tick would find. `None` when no global bound is set: nothing
+    /// ever asks for the victim then, and a hit pays nothing to maintain it.
+    recency: Option<BTreeMap<u64, Key>>,
+}
+
+impl Index {
+    /// The index of an empty cache, with a recency order if it is `bounded`.
+    fn new(bounded: bool) -> Self {
+        Index {
+            live: 0,
+            bytes: 0,
+            expiry: BTreeSet::new(),
+            recency: bounded.then(BTreeMap::new),
+        }
+    }
+
+    fn enter(&mut self, entry: &Entry, key: &Key) {
+        self.live += 1;
+        self.bytes += entry.bytes;
+        if let Some(recency) = &mut self.recency {
+            recency.insert(entry.last_used, key.clone());
+        }
+    }
+
+    fn leave(&mut self, entry: &Entry) {
+        self.uncount(entry);
+        if let Some(recency) = &mut self.recency {
+            recency.remove(&entry.last_used);
+        }
+    }
+
+    /// The counting half of [`Index::leave`], for an entry whose recency
+    /// item is already gone.
+    fn uncount(&mut self, entry: &Entry) {
+        self.live -= 1;
+        self.bytes -= entry.bytes;
+    }
+
+    /// Stamps `entry` as used at `tick`.
+    fn touch(&mut self, entry: &mut Entry, tick: u64) {
+        if let Some(recency) = &mut self.recency {
+            if let Some(key) = recency.remove(&entry.last_used) {
+                recency.insert(tick, key);
+            }
+        }
+        entry.last_used = tick;
+    }
+}
+
 /// The cache proper.
 #[derive(Debug)]
 pub struct EcsCache {
     /// Hashed with Fx, the hash [`crate::SharedEcsCache`] picks the shard
     /// by: a name is one `write` of its folded bytes either way.
-    entries: FxHashMap<Key, Vec<Entry>>,
+    entries: FxHashMap<Key, NameList>,
+    /// Boxed so that the cache itself stays small enough to sit inline in
+    /// the engine's owned-or-shared slot.
+    index: Box<Index>,
     compliance: CacheCompliance,
     /// When false, responses with scope 0 are not cached at all — the
     /// misconfigured-resolver behaviour from §6.3's last bullet.
     pub cache_zero_scope: bool,
     stats: CacheMetrics,
-    live: usize,
-    /// Approximate resident bytes across all retained entries.
-    bytes: usize,
     limits: CacheLimits,
     /// Monotonic touch counter feeding `Entry::last_used`.
     tick: u64,
@@ -217,23 +314,21 @@ pub struct EcsCache {
 impl EcsCache {
     /// Creates an empty cache with the given compliance mode.
     pub fn new(compliance: CacheCompliance) -> Self {
-        EcsCache {
-            entries: FxHashMap::default(),
-            compliance,
-            cache_zero_scope: true,
-            stats: CacheMetrics::new(),
-            live: 0,
-            bytes: 0,
-            limits: CacheLimits::default(),
-            tick: 0,
-        }
+        Self::with_limits(compliance, CacheLimits::default())
     }
 
     /// Creates an empty cache with explicit resource limits.
     pub fn with_limits(compliance: CacheCompliance, limits: CacheLimits) -> Self {
-        let mut c = Self::new(compliance);
-        c.limits = limits;
-        c
+        let bounded = limits.max_entries.is_some() || limits.max_bytes.is_some();
+        EcsCache {
+            entries: FxHashMap::default(),
+            index: Box::new(Index::new(bounded)),
+            compliance,
+            cache_zero_scope: true,
+            stats: CacheMetrics::new(),
+            limits,
+            tick: 0,
+        }
     }
 
     /// The compliance mode.
@@ -271,13 +366,13 @@ impl EcsCache {
     /// budget (they occupy memory and count against the capacity bound).
     pub fn len(&mut self, now: SimTime) -> usize {
         self.purge(now);
-        self.live
+        self.index.live
     }
 
     /// Approximate resident bytes after purging.
     pub fn approx_bytes(&mut self, now: SimTime) -> usize {
         self.purge(now);
-        self.bytes
+        self.index.bytes
     }
 
     /// True when empty.
@@ -298,15 +393,17 @@ impl EcsCache {
         let compliance = self.compliance;
         self.tick += 1;
         let tick = self.tick;
+        let index = &mut self.index;
         let found = self
             .entries
             .get_mut(&(qname, qtype) as &dyn KeyRef)
             .and_then(|list| {
-                list.iter_mut()
+                list.entries
+                    .iter_mut()
                     .filter(|e| e.expires > now)
                     .find(|e| scope_matches(compliance, e.scope, client))
                     .map(|e| {
-                        e.last_used = tick;
+                        index.touch(e, tick);
                         CachedAnswer {
                             records: adjust_ttls(&e.records, e.expires, now),
                             ecs: e.ecs,
@@ -347,18 +444,20 @@ impl EcsCache {
         let budget = self.limits.stale_ttl;
         self.tick += 1;
         let tick = self.tick;
+        let index = &mut self.index;
         let found = self
             .entries
             .get_mut(&(qname, qtype) as &dyn KeyRef)
             .and_then(|list| {
-                list.iter_mut()
+                list.entries
+                    .iter_mut()
                     .filter(|e| e.expires <= now && e.expires + budget > now)
                     .filter(|e| scope_matches(compliance, e.scope, client))
                     // The least-stale matching entry (ties broken by list
                     // position, which is insertion order — deterministic).
                     .max_by_key(|e| e.expires)
                     .map(|e| {
-                        e.last_used = tick;
+                        index.touch(e, tick);
                         CachedAnswer {
                             records: e
                                 .records
@@ -435,100 +534,146 @@ impl EcsCache {
         };
         self.purge(now);
         self.tick += 1;
-        let tick = self.tick;
-        let entry_bytes = approx_entry_bytes(&qname, &records);
-        let list = self.entries.entry((qname, qtype)).or_default();
-        // A fresh answer supersedes any entry with the identical scope
-        // prefix, stale-retained ones included.
-        list.retain(|e| e.scope != scope_prefix);
-        list.push(Entry {
+        let entry = Entry {
             scope: scope_prefix,
+            bytes: approx_entry_bytes(&qname, &records),
             records,
             ecs,
             rcode,
             expires: now + SimDuration::from_secs(ttl as u64),
-            last_used: tick,
-            bytes: entry_bytes,
-        });
+            last_used: self.tick,
+        };
+        let horizon = entry.expires + self.limits.stale_ttl;
+        let key = (qname, qtype);
+        let index = &mut *self.index;
+        index.enter(&entry, &key);
+        let list = match self.entries.entry(key) {
+            Slot::Occupied(mut slot) => {
+                if horizon < slot.get().queued {
+                    // Due before anything the list holds: its item moves up.
+                    let mut item = (slot.get().queued, slot.key().clone());
+                    index.expiry.remove(&item);
+                    item.0 = horizon;
+                    index.expiry.insert(item);
+                    slot.get_mut().queued = horizon;
+                }
+                slot.into_mut()
+            }
+            Slot::Vacant(slot) => {
+                index.expiry.insert((horizon, slot.key().clone()));
+                slot.insert(NameList {
+                    // Room for the one entry and no more: a scan asks each
+                    // name once, and `push` on an empty `Vec` reserves four.
+                    entries: Vec::with_capacity(1),
+                    queued: horizon,
+                })
+            }
+        };
+        // A fresh answer supersedes any entry with the identical scope
+        // prefix, stale-retained ones included.
+        list.retain(index, |e| e.scope != scope_prefix);
+        list.entries.push(entry);
         // Per-name cap: the name sheds its own least-recently-used entries,
         // so one name's scope explosion cannot evict the long tail.
         if let Some(cap) = self.limits.per_name_cap {
-            while list.len() > cap.max(1) {
+            while list.entries.len() > cap.max(1) {
                 let idx = list
+                    .entries
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, e)| e.last_used)
                     .map(|(i, _)| i)
                     .expect("list is non-empty");
-                list.remove(idx);
+                index.leave(&list.entries.remove(idx));
                 self.stats.per_name_evictions.inc();
             }
         }
         self.stats.inserts.inc();
-        self.recount();
         self.enforce_bound();
-        self.stats.max_size.set_max(self.live as u64);
+        self.stats.max_size.set_max(self.index.live as u64);
+        self.debug_assert_index_sizes();
         true
     }
 
     /// Removes entries past their retention horizon: expiry, plus the stale
-    /// budget when RFC 8767 retention is on.
+    /// budget when RFC 8767 retention is on. Visits only the lists queued
+    /// at or before `now`; when nothing is due that is one look at the
+    /// queue's first item.
     pub fn purge(&mut self, now: SimTime) {
         let keep_until = self.limits.stale_ttl;
-        self.entries.retain(|_, list| {
-            list.retain(|e| e.expires + keep_until > now);
-            !list.is_empty()
-        });
-        self.recount();
+        while self
+            .index
+            .expiry
+            .first()
+            .is_some_and(|(due, _)| *due <= now)
+        {
+            let (_, key) = self.index.expiry.pop_first().expect("first() just saw it");
+            let list = self.entries.get_mut(&key).expect("a queued key has a list");
+            list.retain(&mut self.index, |e| e.expires + keep_until > now);
+            match list.entries.iter().map(|e| e.expires + keep_until).min() {
+                Some(earliest) => {
+                    list.queued = earliest;
+                    self.index.expiry.insert((earliest, key));
+                }
+                None => {
+                    self.entries.remove(&key);
+                }
+            }
+        }
+        self.debug_assert_index_sizes();
     }
 
     /// Clears everything (stats survive).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.live = 0;
-        self.bytes = 0;
-    }
-
-    fn recount(&mut self) {
-        self.live = self.entries.values().map(|l| l.len()).sum();
-        self.bytes = self.entries.values().flatten().map(|e| e.bytes).sum();
+        *self.index = Index::new(self.index.recency.is_some());
     }
 
     /// Evicts least-recently-used entries until the global bounds hold.
     fn enforce_bound(&mut self) {
         loop {
-            let over_entries = self.limits.max_entries.is_some_and(|m| self.live > m);
-            let over_bytes = self.limits.max_bytes.is_some_and(|m| self.bytes > m);
+            let over_entries = self.limits.max_entries.is_some_and(|m| self.index.live > m);
+            let over_bytes = self.limits.max_bytes.is_some_and(|m| self.index.bytes > m);
             if !(over_entries || over_bytes) || !self.evict_lru() {
                 return;
             }
         }
     }
 
-    /// Removes the globally least-recently-used entry. Deterministic: every
-    /// touch takes a unique monotonic tick, so the minimum is unique and
-    /// independent of `HashMap` iteration order.
+    /// Removes the globally least-recently-used entry: the first item of
+    /// the recency index. Deterministic: every touch takes a unique
+    /// monotonic tick, so the minimum is unique and independent of
+    /// `HashMap` iteration order.
     fn evict_lru(&mut self) -> bool {
-        let Some(min_tick) = self.entries.values().flatten().map(|e| e.last_used).min() else {
+        let Some((tick, key)) = self.index.recency.as_mut().and_then(BTreeMap::pop_first) else {
             return false;
         };
-        let key = self
+        let list = self
+            .entries
+            .get_mut(&key)
+            .expect("an indexed key has a list");
+        let idx = list
             .entries
             .iter()
-            .find(|(_, list)| list.iter().any(|e| e.last_used == min_tick))
-            .map(|(k, _)| k.clone())
-            .expect("min tick came from an existing entry");
-        let list = self.entries.get_mut(&key).expect("key just found");
-        if let Some(idx) = list.iter().position(|e| e.last_used == min_tick) {
-            self.bytes = self.bytes.saturating_sub(list[idx].bytes);
-            list.remove(idx);
-            self.live = self.live.saturating_sub(1);
-            self.stats.evictions.inc();
-        }
-        if list.is_empty() {
+            .position(|e| e.last_used == tick)
+            .expect("an indexed tick has an entry");
+        self.index.uncount(&list.entries.remove(idx));
+        self.stats.evictions.inc();
+        if list.entries.is_empty() {
+            let queued = list.queued;
             self.entries.remove(&key);
+            self.index.expiry.remove(&(queued, key));
         }
         true
+    }
+
+    /// Both indexes are exactly as long as what they index, whatever the
+    /// operation just did (checked after every mutation in debug builds).
+    fn debug_assert_index_sizes(&self) {
+        debug_assert_eq!(self.index.expiry.len(), self.entries.len());
+        if let Some(recency) = &self.index.recency {
+            debug_assert_eq!(recency.len(), self.index.live);
+        }
     }
 }
 
@@ -1350,5 +1495,91 @@ mod overload_tests {
         }
         assert_eq!(plain.stats(), limited.stats());
         assert_eq!(plain.len(t(95)), limited.len(t(95)));
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::net::Ipv4Addr;
+
+    impl EcsCache {
+        /// Walks every list and holds the counters, the expiry queue and
+        /// the recency index to what is actually there.
+        fn assert_indexes_describe_the_lists(&self) {
+            let (mut live, mut bytes) = (0, 0);
+            for (key, list) in &self.entries {
+                assert!(!list.entries.is_empty(), "an emptied list stays mapped");
+                assert!(self.index.expiry.contains(&(list.queued, key.clone())));
+                for e in &list.entries {
+                    assert!(list.queued <= e.expires + self.limits.stale_ttl);
+                    live += 1;
+                    bytes += e.bytes;
+                    if let Some(recency) = &self.index.recency {
+                        assert_eq!(recency.get(&e.last_used), Some(key));
+                    }
+                }
+            }
+            assert_eq!((self.index.live, self.index.bytes), (live, bytes));
+            // One queue item per list and one recency item per entry: no
+            // garbage to compact, nothing left behind by a removal.
+            assert_eq!(self.index.expiry.len(), self.entries.len());
+            let bounded = self.limits.max_entries.is_some() || self.limits.max_bytes.is_some();
+            assert_eq!(self.index.recency.is_some(), bounded);
+            let indexed = self.index.recency.as_ref().map_or(0, BTreeMap::len);
+            assert_eq!(indexed, if bounded { live } else { 0 });
+        }
+    }
+
+    #[test]
+    fn indexes_stay_exact_through_random_operations_and_empty_on_clear() {
+        let stale = SimDuration::from_secs(20);
+        let profiles = [
+            (None, None, None, SimDuration::ZERO),
+            (Some(5), None, None, SimDuration::ZERO),
+            (None, Some(1_500), Some(2), SimDuration::ZERO),
+            (Some(6), None, None, stale),
+        ];
+        let names =
+            ["a.example", "b.example", "www.cdn.example"].map(|n| Name::from_ascii(n).unwrap());
+        for (max_entries, max_bytes, per_name_cap, stale_ttl) in profiles {
+            let limits = CacheLimits {
+                max_entries,
+                max_bytes,
+                per_name_cap,
+                stale_ttl,
+            };
+            for seed in 0..24 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut c = EcsCache::with_limits(CacheCompliance::Honor, limits.clone());
+                let mut now = SimTime::ZERO;
+                for _ in 0..250 {
+                    now +=
+                        SimDuration::from_micros([0, 1, 400_000, 3_000_000][rng.gen_range(0..4)]);
+                    let name = &names[rng.gen_range(0..names.len())];
+                    let net = Ipv4Addr::new(10, 0, rng.gen_range(0..6), 0);
+                    match rng.gen_range(0..10) {
+                        0..=4 => {
+                            let ecs = EcsOption::from_v4(net, 24)
+                                .with_scope([0, 16, 24][rng.gen_range(0..3)]);
+                            let ttl = [0, 1, 3, 10, 200][rng.gen_range(0..5)];
+                            c.insert(name.clone(), RecordType::A, Vec::new(), Some(ecs), ttl, now);
+                        }
+                        5..=6 => drop(c.lookup(name, RecordType::A, net.into(), now)),
+                        7 => drop(c.lookup_stale(name, RecordType::A, net.into(), now, 30)),
+                        8 => c.purge(now),
+                        _ => {
+                            c.clear();
+                            assert!(c.index.expiry.is_empty());
+                            assert!(c.index.recency.as_ref().is_none_or(BTreeMap::is_empty));
+                        }
+                    }
+                    c.assert_indexes_describe_the_lists();
+                }
+                assert!(c.stats().inserts > 50 && c.stats().hits > 0);
+            }
+        }
     }
 }

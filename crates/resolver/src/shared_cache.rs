@@ -15,7 +15,11 @@
 //! entry/byte bounds are split evenly across shards, turning the global
 //! LRU into a per-shard LRU — the standard sharded-cache approximation
 //! (each shard evicts its own least-recently-used entries, so a skewed
-//! shard may evict slightly early while the global bound still holds).
+//! shard may evict slightly early). The split rounds down, so the shards'
+//! bounds never sum past the global one and it still holds; the one
+//! exception is a bound below the shard count, where every shard keeps a
+//! floor of one entry (or one byte) and the cache may hold one entry per
+//! shard.
 //!
 //! Telemetry: every shard keeps its own `cache_*` registry. [`snapshot`]
 //! merges them into one [`obs::MetricsSnapshot`]; fold it exactly once per
@@ -53,10 +57,12 @@ pub struct SharedEcsCache {
     contention: Option<LockMonitor>,
 }
 
-/// Splits a global bound evenly across `shards`, rounding up so the sum
-/// never undercuts the requested bound by more than `shards - 1`.
+/// Splits a global bound evenly across `shards`, rounding down so the sum
+/// never exceeds the requested bound (and undercuts it by at most
+/// `shards - 1`), with a floor of one per shard: only a bound below the
+/// shard count can be exceeded.
 fn split_bound(bound: Option<usize>, shards: usize) -> Option<usize> {
-    bound.map(|b| b.div_ceil(shards).max(1))
+    bound.map(|b| (b / shards).max(1))
 }
 
 impl SharedEcsCache {
@@ -67,7 +73,8 @@ impl SharedEcsCache {
     }
 
     /// Creates a shared cache with explicit limits. `max_entries` and
-    /// `max_bytes` are global bounds, split evenly across shards;
+    /// `max_bytes` are global bounds, split evenly across shards (rounded
+    /// down, at least one each — see the module docs);
     /// `per_name_cap` and `stale_ttl` apply per name and carry over
     /// unchanged (a name lives in exactly one shard).
     pub fn with_limits(
@@ -430,6 +437,43 @@ mod tests {
         );
         for s in &tiny.shards {
             assert_eq!(s.lock().limits().max_entries, Some(1));
+        }
+    }
+
+    #[test]
+    fn a_full_cache_holds_no_more_than_its_global_bound() {
+        // 5 and 17 do not divide by 4: rounding the split up admitted 8
+        // and 20.
+        for bound in [5, 16, 17] {
+            let cache = SharedEcsCache::with_limits(
+                CacheCompliance::Honor,
+                CacheLimits {
+                    max_entries: Some(bound),
+                    ..CacheLimits::default()
+                },
+                true,
+                4,
+            );
+            let t0 = SimTime::from_secs(0);
+            for i in 0..200 {
+                let n = format!("f{i}.example.com");
+                cache.insert(
+                    name(&n),
+                    RecordType::A,
+                    vec![a_record(&n, 60, [192, 0, 2, i as u8])],
+                    None,
+                    60,
+                    t0,
+                );
+                assert!(
+                    cache.len(t0) <= bound,
+                    "{} entries, bound {bound}",
+                    cache.len(t0)
+                );
+            }
+            // Full: every shard sits at its share.
+            assert_eq!(cache.len(t0), bound / 4 * 4);
+            assert!(cache.stats().evictions > 0);
         }
     }
 
