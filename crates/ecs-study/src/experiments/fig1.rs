@@ -175,12 +175,12 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
 
     let mut report = Report::new("fig1", "cache blow-up factor CDF vs TTL");
     let base = &series[0].cdf;
-    // The paper's median blow-up needs a *dense* trace: a subnet must come
-    // back within the TTL window for the plain cache to amortize entries
-    // the ECS cache cannot. When an env override dilutes density below a
-    // few queries per client subnet (e.g. 100M records over 50M subnets),
-    // a median above 1 is structurally unreachable no matter the engine,
-    // so the row degrades to reporting the measured value.
+    // The paper's median blow-up is a property of a *dense* trace: a
+    // subnet comes back within the TTL window. When an env override
+    // dilutes density below a few queries per client subnet (e.g. 100M
+    // records over 50M subnets) almost no ECS entry is ever shared and the
+    // median lands far from the paper's (87 at that scale, DESIGN §13), so
+    // the row degrades to reporting the measured value.
     let total_subnets = config.stream.resolvers * config.stream.subnets_per_resolver;
     let queries_per_subnet = config.stream.queries / total_subnets.max(1) as u64;
     let sparse = queries_per_subnet < 8;

@@ -45,8 +45,11 @@ use crate::names::NameUniverse;
 use crate::trace::{TraceRecord, TraceSet};
 use crate::zipf::Zipf;
 
-/// Default records per chunk: large enough to amortize per-chunk overhead,
-/// small enough that a per-worker buffer stays in cache-friendly territory.
+/// Default records per chunk. A chunk buffer is 65,536 × 72 B = 4.5 MiB per
+/// worker — larger than a core's private caches, so the replay loop reads
+/// each record back from the shared cache or memory. It stays because
+/// smaller measured slower: a 1,024-record chunk (72 KiB, L2-resident) took
+/// 13–15 % longer per unit of the benchmark's `replay_stream` (DESIGN §13).
 pub const DEFAULT_CHUNK: usize = 65_536;
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -73,15 +76,40 @@ fn record_rng(seed: u64, i: u64) -> SmallRng {
 }
 
 /// Draws record `i`'s timestamp inside its stratified window
-/// `[i·d/t, (i+1)·d/t)` (u128 math; windows clamp to ≥ 1 µs), making the
-/// stream non-decreasing in time without a sort.
+/// `[i·d/t, (i+1)·d/t)` (windows clamp to ≥ 1 µs), making the stream
+/// non-decreasing in time without a sort.
+///
+/// With `d = q·t + r`, `i·d/t = i·q + (i·r)/t`, and the next window starts
+/// `q` further on plus one when the two remainders carry — one division
+/// for both bounds, in `u64` whenever `i·r` fits (every study-sized
+/// stream); otherwise the same identity on the `u128` product.
 fn stratified_at(rng: &mut SmallRng, i: u64, total: u64, dur_us: u64) -> u64 {
-    let d = dur_us.max(1) as u128;
-    let t = total.max(1) as u128;
-    let start = (i as u128 * d / t) as u64;
-    let end = (((i as u128) + 1) * d / t) as u64;
+    let d = dur_us.max(1);
+    let t = total.max(1);
+    let (q, r) = (d / t, d % t);
+    let (start, end) = match i.checked_mul(r) {
+        // `i < t` bounds both sums by `d`; `r < t` keeps `t - r` positive.
+        Some(ir) if i < t => {
+            let start = i * q + ir / t;
+            (start, start + q + u64::from(ir % t >= t - r))
+        }
+        _ => {
+            let (d, t) = (d as u128, t as u128);
+            let start = i as u128 * d / t;
+            let rem = i as u128 * d - start * t;
+            let end = start + q as u128 + u128::from(rem + r as u128 >= t);
+            (start as u64, end as u64)
+        }
+    };
     let end = end.max(start + 1);
     rng.gen_range(start..end)
+}
+
+/// One response scope per name, each drawn uniformly from `menu`.
+fn scope_table(rng: &mut SmallRng, names: usize, menu: &[u8]) -> Vec<u8> {
+    (0..names)
+        .map(|_| *menu.choose(rng).expect("non-empty"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -343,13 +371,17 @@ impl CdnStreamGen {
         universe.set_uniform_ttl(self.ttl);
         let names = NameTable::from_universe(&universe, 1.0);
         let mut scope_rng = SmallRng::seed_from_u64(mix(self.seed, 0x5C09E, 0));
-        let scopes: Vec<u8> = (0..names.len())
-            .map(|_| {
-                *[24u8, 24, 24, 24, 24, 16, 16, 8]
-                    .choose(&mut scope_rng)
-                    .expect("non-empty")
-            })
-            .collect();
+        let v4_scopes = scope_table(
+            &mut scope_rng,
+            names.len(),
+            &[24, 24, 24, 24, 24, 16, 16, 8],
+        );
+        // Subnets past the IPv4 cap are /48s and need scopes of their own
+        // family: a /24 scope folds every `2400:…` client into one entry.
+        // Its own salted RNG, so the IPv4 table — and every stream below
+        // the cap — does not depend on it.
+        let mut v6_scope_rng = SmallRng::seed_from_u64(mix(self.seed, 0x5C09E6, 0));
+        let v6_scopes = scope_table(&mut v6_scope_rng, names.len(), &[48, 48, 48, 56, 40, 32]);
         let space = SubnetSpace::new(self.resolvers as u64);
         let resolver_addrs: Vec<IpAddr> = (0..self.resolvers as u64)
             .map(|r| space.resolver_addr(r))
@@ -372,7 +404,8 @@ impl CdnStreamGen {
         CdnStreamModel {
             config: self.clone(),
             names,
-            scopes,
+            v4_scopes,
+            v6_scopes,
             resolver_addrs,
             pool_base,
             volume: Zipf::new(self.resolvers.max(1), 0.8),
@@ -394,7 +427,8 @@ impl CdnStreamGen {
 pub struct CdnStreamModel {
     config: CdnStreamGen,
     names: NameTable,
-    scopes: Vec<u8>,
+    v4_scopes: Vec<u8>,
+    v6_scopes: Vec<u8>,
     resolver_addrs: Vec<IpAddr>,
     pool_base: Vec<u64>,
     volume: Zipf,
@@ -433,6 +467,11 @@ impl WorkloadModel for CdnStreamModel {
         let p = rng.gen_range(0..pool_len);
         let subnet = self.space.client_subnet(self.pool_base[r] + p);
         let n = self.names.sample(&mut rng);
+        let scopes = if subnet.is_v4() {
+            &self.v4_scopes
+        } else {
+            &self.v6_scopes
+        };
         StreamRecord {
             index: i,
             at_micros,
@@ -440,7 +479,7 @@ impl WorkloadModel for CdnStreamModel {
             name_id: n,
             qtype: RecordType::A,
             ecs_source: Some(subnet),
-            response_scope: Some(self.scopes[n as usize]),
+            response_scope: Some(scopes[n as usize]),
             ttl: self.config.ttl,
             client: None,
         }
@@ -513,20 +552,12 @@ impl AllNamesStreamGen {
         );
         let names = NameTable::from_universe(&universe, self.zipf_exponent);
         let mut scope_rng = SmallRng::seed_from_u64(mix(self.seed, 0x5C09E, 1));
-        let v4_scopes: Vec<u8> = (0..names.len())
-            .map(|_| {
-                *[24u8, 24, 24, 24, 20, 16, 16, 12]
-                    .choose(&mut scope_rng)
-                    .expect("non-empty")
-            })
-            .collect();
-        let v6_scopes: Vec<u8> = (0..names.len())
-            .map(|_| {
-                *[48u8, 48, 48, 56, 40, 32]
-                    .choose(&mut scope_rng)
-                    .expect("non-empty")
-            })
-            .collect();
+        let v4_scopes = scope_table(
+            &mut scope_rng,
+            names.len(),
+            &[24, 24, 24, 24, 20, 16, 16, 12],
+        );
+        let v6_scopes = scope_table(&mut scope_rng, names.len(), &[48, 48, 48, 56, 40, 32]);
         let space = SubnetSpace::new(1);
         let resolver_addrs = vec![space.resolver_addr(0)];
         AllNamesStreamModel {
@@ -929,6 +960,41 @@ mod tests {
                 "resolver {addr} inside client space"
             );
         }
+    }
+
+    #[test]
+    fn overflow_v6_subnets_keep_v6_scopes() {
+        // DESIGN §13's 50M-client shape: 40 × 1.25M subnets is 3.5× the
+        // IPv4 cap, so most client subnets are /48s.
+        let model = CdnStreamGen {
+            resolvers: 40,
+            subnets_per_resolver: 1_250_000,
+            hostnames: 150,
+            queries: 60_000,
+            ..CdnStreamGen::default()
+        }
+        .build();
+        let mut v6_subnets = std::collections::HashSet::new();
+        let mut v6_cache_scopes = std::collections::HashSet::new();
+        for i in 0..model.total() {
+            let r = model.record(i);
+            let (src, scope) = (r.ecs_source.unwrap(), r.response_scope.unwrap());
+            if src.is_v4() {
+                assert!(scope <= 24, "v4 scope {scope}");
+            } else {
+                assert!((32..=56).contains(&scope), "v6 scope {scope}");
+                v6_subnets.insert(src);
+                // What the replay caches under (cache_sim's truncation).
+                v6_cache_scopes.insert(src.truncate(scope.min(src.len())));
+            }
+        }
+        assert!(v6_subnets.len() > 10_000, "{}", v6_subnets.len());
+        assert!(
+            v6_cache_scopes.len() * 2 >= v6_subnets.len(),
+            "{} /48s collapse into {} cache scopes",
+            v6_subnets.len(),
+            v6_cache_scopes.len()
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! DNS name popularity is famously heavy-tailed; the cache analyses (§7)
 //! are meaningless under uniform traffic. This sampler draws ranks
-//! `0..n` with probability ∝ `1/(rank+1)^s` via an inverted CDF and binary
-//! search — O(log n) per sample, deterministic for a given RNG.
+//! `0..n` with probability ∝ `1/(rank+1)^s` by inverting the CDF: a guide
+//! table maps the draw's bucket of `[0, 1)` to the first rank that bucket
+//! can reach, and a short forward scan finishes — O(1) expected per
+//! sample, deterministic for a given RNG.
 
 use rand::Rng;
 
@@ -11,6 +13,11 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]` is the first rank whose CDF value is ≥ `b / guide.len()`
+    /// (clamped to the last rank): where the scan for any `u` in bucket `b`
+    /// starts. The length is a power of two ≥ 2n, so `u · len` is exact and
+    /// a bucket holds half a CDF value on average.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -18,6 +25,7 @@ impl Zipf {
     /// DNS workloads.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n >= 1, "Zipf needs at least one rank");
+        assert!(n <= u32::MAX as usize, "Zipf ranks are indexed by u32");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 0..n {
@@ -28,7 +36,17 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let buckets = (2 * n).next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut rank = 0usize;
+        for b in 0..buckets {
+            let edge = b as f64 / buckets as f64;
+            while rank < n - 1 && cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks.
@@ -44,14 +62,14 @@ impl Zipf {
     /// Samples a rank in `0..n` (0 = most popular).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        // First index whose CDF value is >= u.
-        match self
-            .cdf
-            .binary_search_by(|v| v.partial_cmp(&u).expect("finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        // First rank whose CDF value is >= u, or the last rank. `u < 1`
+        // keeps the bucket in range.
+        let last = self.cdf.len() - 1;
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while rank < last && self.cdf[rank] < u {
+            rank += 1;
         }
+        rank
     }
 }
 
