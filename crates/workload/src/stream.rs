@@ -79,31 +79,22 @@ fn record_rng(seed: u64, i: u64) -> SmallRng {
 /// `[i·d/t, (i+1)·d/t)` (windows clamp to ≥ 1 µs), making the stream
 /// non-decreasing in time without a sort.
 ///
-/// With `d = q·t + r`, `i·d/t = i·q + (i·r)/t`, and the next window starts
-/// `q` further on plus one when the two remainders carry — one division
-/// for both bounds, in `u64` whenever `i·r` fits (every study-sized
-/// stream); otherwise the same identity on the `u128` product.
+/// With `d = q·t + r` the next window starts `q` further on, plus one when
+/// the two remainders carry — one division of the `u128` product `i·d`
+/// gives both bounds.
 fn stratified_at(rng: &mut SmallRng, i: u64, total: u64, dur_us: u64) -> u64 {
     let d = dur_us.max(1);
     let t = total.max(1);
-    let (q, r) = (d / t, d % t);
-    let (start, end) = match i.checked_mul(r) {
-        // `i < t` bounds both sums by `d`; `r < t` keeps `t - r` positive.
-        Some(ir) if i < t => {
-            let start = i * q + ir / t;
-            (start, start + q + u64::from(ir % t >= t - r))
-        }
-        _ => {
-            let (d, t) = (d as u128, t as u128);
-            let start = i as u128 * d / t;
-            let rem = i as u128 * d - start * t;
-            let end = start + q as u128 + u128::from(rem + r as u128 >= t);
-            (start as u64, end as u64)
-        }
-    };
-    let end = end.max(start + 1);
-    rng.gen_range(start..end)
+    let (q, r) = ((d / t) as u128, (d % t) as u128);
+    let (id, t) = (i as u128 * d as u128, t as u128);
+    let start = id / t;
+    let end = start + q + u128::from(id - start * t + r >= t);
+    let (start, end) = (start as u64, end as u64);
+    rng.gen_range(start..end.max(start + 1))
 }
+
+/// Response scopes an authoritative hands IPv6 (/48) client subnets.
+const V6_SCOPE_MENU: &[u8] = &[48, 48, 48, 56, 40, 32];
 
 /// One response scope per name, each drawn uniformly from `menu`.
 fn scope_table(rng: &mut SmallRng, names: usize, menu: &[u8]) -> Vec<u8> {
@@ -381,7 +372,7 @@ impl CdnStreamGen {
         // Its own salted RNG, so the IPv4 table — and every stream below
         // the cap — does not depend on it.
         let mut v6_scope_rng = SmallRng::seed_from_u64(mix(self.seed, 0x5C09E6, 0));
-        let v6_scopes = scope_table(&mut v6_scope_rng, names.len(), &[48, 48, 48, 56, 40, 32]);
+        let v6_scopes = scope_table(&mut v6_scope_rng, names.len(), V6_SCOPE_MENU);
         let space = SubnetSpace::new(self.resolvers as u64);
         let resolver_addrs: Vec<IpAddr> = (0..self.resolvers as u64)
             .map(|r| space.resolver_addr(r))
@@ -557,7 +548,7 @@ impl AllNamesStreamGen {
             names.len(),
             &[24, 24, 24, 24, 20, 16, 16, 12],
         );
-        let v6_scopes = scope_table(&mut scope_rng, names.len(), &[48, 48, 48, 56, 40, 32]);
+        let v6_scopes = scope_table(&mut scope_rng, names.len(), V6_SCOPE_MENU);
         let space = SubnetSpace::new(1);
         let resolver_addrs = vec![space.resolver_addr(0)];
         AllNamesStreamModel {
