@@ -96,6 +96,126 @@ fn minprefix_scaled() {
     assert_eq!(out.cdns[1].min_usable, 21, "{report}");
 }
 
+/// FNV-1a 64 over a rendered artifact.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Compares every `(label, digest)` against its pin and, on a mismatch,
+/// prints the whole measured table so it can be pasted back.
+fn assert_pinned(measured: &[(&str, u64)], pinned: &[(&str, u64)]) {
+    let table: String = measured
+        .iter()
+        .map(|(label, digest)| format!("        (\"{label}\", 0x{digest:016x}),\n"))
+        .collect();
+    assert_eq!(measured, pinned, "measured digests:\n{table}");
+}
+
+/// The rendered reports of the experiments that share a measurement
+/// (fig2/fig3, fig4/fig5/hidden, fig6/fig7/minprefix), one reduced config
+/// each, pinned byte for byte: whatever computes them, they print this.
+#[test]
+fn shared_measurement_reports_are_pinned() {
+    let population = fig2::Config {
+        stream: workload::AllNamesStreamGen {
+            v4_subnets: 250,
+            v6_subnets: 50,
+            slds: 250,
+            queries: 150_000,
+            ..workload::AllNamesStreamGen::default()
+        },
+        fractions: vec![20, 60, 100],
+        samples: 2,
+        parallelism: 2,
+    };
+    let fig3_config = fig3::Config {
+        stream: population.stream.clone(),
+        fractions: population.fractions.clone(),
+        samples: population.samples,
+        parallelism: population.parallelism,
+    };
+    let mut fig4 = fig45::Config::fig4();
+    fig4.world.forwarders = 600;
+    let mut fig5 = fig45::Config::fig5();
+    fig5.world.forwarders = 600;
+    let mut hidden_config = hidden::Config::default();
+    hidden_config.world.forwarders = 600;
+    let rendered = [
+        ("fig2", fig2::run(&population).1),
+        ("fig3", fig3::run(&fig3_config).1),
+        ("fig4", fig45::run(&fig4).1),
+        ("fig5", fig45::run(&fig5).1),
+        ("hidden", hidden::run(&hidden_config).1),
+        (
+            "fig6",
+            fig67::run(&fig67::Config {
+                probes: 150,
+                ..fig67::Config::fig6()
+            })
+            .1,
+        ),
+        (
+            "fig7",
+            fig67::run(&fig67::Config {
+                probes: 150,
+                ..fig67::Config::fig7()
+            })
+            .1,
+        ),
+        (
+            "minprefix",
+            minprefix::run(&minprefix::Config {
+                probes: 150,
+                ..minprefix::Config::default()
+            })
+            .1,
+        ),
+    ];
+    let measured: Vec<(&str, u64)> = rendered
+        .iter()
+        .map(|(id, report)| (*id, fnv(report.to_string().as_bytes())))
+        .collect();
+    assert_pinned(
+        &measured,
+        &[
+            ("fig2", 0x6ae0d0cdad2e6a3d),
+            ("fig3", 0xec25af6c4fdb7eec),
+            ("fig4", 0xdfc6e018dd172018),
+            ("fig5", 0x3694b43c69a400e6),
+            ("hidden", 0x0d1e15cac17809f9),
+            ("fig6", 0xae887fced4cbac39),
+            ("fig7", 0x81f7b0700953216a),
+            ("minprefix", 0x69defb6ba7e69dfd),
+        ],
+    );
+}
+
+/// `faults` under capture: the report with its latency row, the JSON
+/// snapshot and the trace lines, pinned byte for byte.
+#[test]
+fn faults_telemetry_artifacts_are_pinned() {
+    let (_, report, telemetry) = faults::run_telemetry(&faults::Config {
+        queries: 80,
+        loss_rates: vec![0.0, 0.5, 0.9],
+        ..faults::Config::default()
+    });
+    let measured = [
+        ("report", fnv(report.to_string().as_bytes())),
+        ("metrics_json", fnv(telemetry.snapshot.to_json().as_bytes())),
+        ("trace_jsonl", fnv(telemetry.trace_jsonl.as_bytes())),
+    ];
+    assert_pinned(
+        &measured,
+        &[
+            ("report", 0x7d5237730726fbad),
+            ("metrics_json", 0x286f4909761c894a),
+            ("trace_jsonl", 0xc7e36e2eda628a15),
+        ],
+    );
+}
+
 #[test]
 fn table2_runs() {
     let (_, report) = table2::run(&table2::Config::default());
@@ -145,7 +265,7 @@ fn discovery_runs() {
 #[test]
 fn registry_ids_are_unique_and_complete() {
     let reg = registry();
-    let mut ids: Vec<&str> = reg.iter().map(|(id, _, _)| *id).collect();
+    let mut ids: Vec<&str> = reg.iter().map(|(id, ..)| *id).collect();
     ids.sort();
     let mut deduped = ids.clone();
     deduped.dedup();
@@ -177,7 +297,7 @@ fn design_doc_indexes_every_experiment() {
     // experiment id, so the documentation cannot silently drift.
     let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
         .expect("DESIGN.md at workspace root");
-    for (id, _, _) in registry() {
+    for (id, ..) in registry() {
         assert!(
             design.contains(&format!("`{id}`")),
             "DESIGN.md does not index experiment '{id}'"
