@@ -11,17 +11,13 @@
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{ConnectTimeSample, MappingQuality};
-use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
-use dns_wire::{IpPrefix, Message, Name, Question};
+use analysis::MappingQuality;
+use dns_wire::{Message, Question};
 use netsim::geo::CITIES;
-use netsim::{GeoPoint, LatencyModel, SimTime};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use netsim::{LatencyModel, SimTime};
 use resolver::{Resolver, ResolverConfig};
-use topology::asn::jitter_position;
 
-use crate::experiments::fig67::CdnModel;
+use crate::experiments::fig67::{sample, testbed, CdnModel};
 use crate::experiments::table2::world_footprint;
 use crate::report::Report;
 
@@ -63,41 +59,11 @@ pub struct Outcome {
 }
 
 fn run_condition(cdn_model: CdnModel, adaptive: bool, config: &Config) -> Condition {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
     let footprint = world_footprint();
     let latency = LatencyModel::default();
-
-    // Probes on /21-aligned blocks (no geodb collisions at any CDN-used
-    // granularity).
-    let probes: Vec<(Ipv4Addr, GeoPoint)> = (0..config.probes)
-        .map(|i| {
-            let c = CITIES[rng.gen_range(0..CITIES.len())];
-            (
-                Ipv4Addr::new(41, (i / 31) as u8, ((i % 31) * 8) as u8, 7),
-                jitter_position(c.pos, 300.0, &mut rng),
-            )
-        })
-        .collect();
-    let mut geodb = GeoDb::new();
     let resolver_addr: IpAddr = "9.9.9.9".parse().expect("valid");
-    geodb.insert(
-        IpPrefix::new(resolver_addr, 24).expect("<=32"),
-        CITIES[0].pos,
-    );
-    for (addr, pos) in &probes {
-        for len in 16..=24u8 {
-            geodb.insert(IpPrefix::v4(*addr, len).expect("<=32"), *pos);
-        }
-    }
-
-    let behavior = match cdn_model {
-        CdnModel::Cdn1 => CdnBehavior::cdn1(footprint.clone()),
-        CdnModel::Cdn2 => CdnBehavior::cdn2(footprint.clone()),
-    };
-    let apex = Name::from_ascii("cdn.example").expect("valid");
-    let qname = apex.child("www").expect("valid");
-    let mut server = AuthServer::new(Zone::new(apex), EcsHandling::open(ScopePolicy::MatchSource))
-        .with_cdn(behavior, geodb);
+    let anchor = (resolver_addr, CITIES[0].pos);
+    let (probes, mut server, qname) = testbed(cdn_model, config.probes, config.seed, 41, anchor);
 
     let mut resolver = Resolver::new(ResolverConfig {
         adaptive_prefix: adaptive,
@@ -121,17 +87,7 @@ fn run_condition(cdn_model: CdnModel, adaptive: bool, config: &Config) -> Condit
             // upstream and conveys a prefix.
             let at = SimTime::from_secs((round * config.probes + i) as u64 * 30);
             let resp = resolver.resolve_msg(&q, client, at, &mut server);
-            let first = resp.answer_addrs()[0];
-            let edge = footprint
-                .edges
-                .iter()
-                .find(|e| e.addr == first)
-                .expect("from footprint");
-            samples.push(ConnectTimeSample {
-                probe: *pos,
-                edge_addr: first,
-                edge: edge.pos,
-            });
+            samples.push(sample(&footprint, *pos, resp.answer_addrs()[0]));
         }
     }
     for e in server.log() {
@@ -205,11 +161,6 @@ pub fn run(config: &Config) -> (Outcome, Report) {
             < c1_off.quality.median_ms * 0.2 + 1.0,
     );
     (Outcome { conditions }, report)
-}
-
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
 }
 
 #[cfg(test)]

@@ -257,11 +257,6 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     )
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use netsim::{LinkFaults, SimTime};
 use resolver::{FaultyUpstream, Resolver, ResolverConfig, RetryPolicy};
 
 use crate::report::Report;
-use crate::telemetry::Telemetry;
+use crate::session::Session;
 
 /// Parameters.
 #[derive(Debug, Clone)]
@@ -70,11 +70,7 @@ pub struct Outcome {
     pub truncated: Cell,
 }
 
-fn drive(
-    faults: LinkFaults,
-    config: &Config,
-    tracer: &obs::Tracer,
-) -> (Cell, obs::MetricsSnapshot) {
+fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     let apex = Name::from_ascii("fault.example").expect("valid");
     let mut zone = Zone::new(apex.clone());
     let qname = apex.child("www").expect("valid");
@@ -90,7 +86,7 @@ fn drive(
         ..RetryPolicy::default()
     };
     let mut r = Resolver::new(resolver_config);
-    r.set_tracer(tracer.clone());
+    r.set_tracer(session.tracer());
 
     let mut answered = 0u64;
     for i in 0..config.queries {
@@ -111,56 +107,34 @@ fn drive(
         ecs_withdrawals: s.ecs_withdrawals,
         tcp_fallbacks: s.tcp_fallbacks,
     };
-    (cell, r.metrics_snapshot())
+    session.record(&r.metrics_snapshot());
+    cell
 }
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let (outcome, report, _) = run_impl(config, false);
-    (outcome, report)
-}
-
-/// Runs the experiment with telemetry on: every cell's resolver traces
-/// into one shared sink and the per-cell metric registries merge into one
-/// snapshot, with p50/p99 latency rows added to the report.
-pub fn run_telemetry(config: &Config) -> (Outcome, Report, Telemetry) {
-    let (outcome, report, telemetry) = run_impl(config, true);
-    (outcome, report, telemetry.expect("telemetry on"))
-}
-
-fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Telemetry>) {
-    let sink = telemetry.then(|| std::sync::Arc::new(obs::MemorySink::new()));
-    let tracer = sink
-        .as_ref()
-        .map(|s| obs::Tracer::new(s.clone() as std::sync::Arc<dyn obs::TraceSink>))
-        .unwrap_or_else(obs::Tracer::disabled);
-    let mut merged = obs::MetricsSnapshot::default();
-
+/// Runs the experiment. Every cell's resolver traces into the session's
+/// tracer and the per-cell metric registries merge into one snapshot;
+/// when the session captures telemetry the report gains a p50/p99 latency
+/// row and the snapshot is recorded into it.
+pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let by_loss: Vec<(f64, Cell)> = config
         .loss_rates
         .iter()
         .map(|&loss| {
-            let (cell, snap) = drive(
-                LinkFaults {
-                    loss,
-                    ..LinkFaults::NONE
-                },
-                config,
-                &tracer,
-            );
-            merged.merge(&snap);
-            (loss, cell)
+            let faults = LinkFaults {
+                loss,
+                ..LinkFaults::NONE
+            };
+            (loss, drive(faults, config, session))
         })
         .collect();
-    let (truncated, snap) = drive(
+    let truncated = drive(
         LinkFaults {
             truncate_replies: 1.0,
             ..LinkFaults::NONE
         },
         config,
-        &tracer,
+        session,
     );
-    merged.merge(&snap);
     let outcome = Outcome { by_loss, truncated };
 
     let mut report = Report::new(
@@ -212,47 +186,24 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
         ),
         outcome.truncated.answered == config.queries && outcome.truncated.servfailed == 0,
     );
-    let telemetry_out = sink.map(|sink| {
-        let lat = merged
-            .histogram("resolver_query_latency_us")
-            .cloned()
-            .unwrap_or_default();
-        report.row(
-            "query latency p50/p99",
-            "p99 grows with loss (backoff runs), p50 stays near the RTT",
-            format!(
-                "p50 {} us, p99 {} us, max {} us over {} queries",
-                lat.quantile(0.5),
-                lat.quantile(0.99),
-                lat.max,
-                lat.count
-            ),
-            lat.count > 0 && lat.quantile(0.5) <= lat.quantile(0.99),
-        );
-        Telemetry {
-            snapshot: merged,
-            trace_jsonl: sink
-                .lines()
-                .into_iter()
-                .map(|l| l + "\n")
-                .collect::<String>(),
-        }
-    });
+    session.latency_row(
+        &mut report,
+        "p99 grows with loss (backoff runs), p50 stays near the RTT",
+    );
     report.detail = format!(
         "{} queries per cell, attempt budget {}, seed {}. Loss applies to the\nfull UDP exchange; truncation leaves TCP untouched, so the TC condition\nmeasures pure RFC 7766 fallback.\n",
         config.queries, config.attempts, config.seed
     );
-    (outcome, report, telemetry_out)
-}
-
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+    (outcome, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(config: &Config) -> (Outcome, Report) {
+        super::run(config, &mut Session::new(false))
+    }
 
     fn small() -> Config {
         Config {
@@ -286,7 +237,9 @@ mod tests {
     #[test]
     fn telemetry_run_matches_and_validates() {
         let (plain, _) = run(&small());
-        let (traced, report, telem) = run_telemetry(&small());
+        let mut session = Session::new(true);
+        let (traced, report) = super::run(&small(), &mut session);
+        let telem = session.take_telemetry().expect("capturing");
         // Telemetry is pure observation: identical outcome.
         assert_eq!(plain.by_loss, traced.by_loss);
         assert_eq!(plain.truncated, traced.truncated);

@@ -10,7 +10,8 @@
 //! bounded memory. A cross-check row replays a bounded prefix of the same
 //! seed through the materialized engine and asserts bit-identity.
 //!
-//! Scale knobs (env, for CI smoke jobs and large acceptance runs):
+//! Scale knobs of the registry's default run (for CI smoke jobs and large
+//! acceptance runs):
 //!
 //! * `ECS_STREAM_QUERIES=N` — override the record count and collapse the
 //!   TTL sweep to its first entry (one cell, scaled volume).
@@ -22,7 +23,7 @@ use analysis::{CacheSimConfig, CacheSimulator};
 use workload::CdnStreamGen;
 
 use crate::report::Report;
-use crate::telemetry::Telemetry;
+use crate::session::Session;
 
 /// Parameters for the Figure-1 run.
 #[derive(Debug, Clone)]
@@ -63,18 +64,20 @@ impl Default for Config {
     }
 }
 
-/// Applies the `ECS_STREAM_QUERIES` / `ECS_STREAM_CLIENTS` env knobs to a
-/// fig1-shaped config (shared with the bench and CI smoke paths).
-fn apply_env_knobs(config: &mut Config) {
-    if let Some(queries) = crate::env_u64("ECS_STREAM_QUERIES") {
-        config.stream.queries = queries.max(1);
-        // One cell at scaled volume: sweeping TTLs at 100M+ records would
-        // multiply the runtime by the grid size.
-        config.ttls.truncate(1);
-    }
-    if let Some(clients) = crate::env_u64("ECS_STREAM_CLIENTS") {
-        let per = (clients as usize / config.stream.resolvers.max(1)).max(1);
-        config.stream.subnets_per_resolver = per;
+impl Config {
+    /// Applies the `ECS_STREAM_QUERIES` / `ECS_STREAM_CLIENTS` scale knobs.
+    pub(crate) fn scaled(mut self, queries: Option<u64>, clients: Option<u64>) -> Self {
+        if let Some(queries) = queries {
+            self.stream.queries = queries.max(1);
+            // One cell at scaled volume: sweeping TTLs at 100M+ records
+            // would multiply the runtime by the grid size.
+            self.ttls.truncate(1);
+        }
+        if let Some(clients) = clients {
+            let per = (clients as usize / self.stream.resolvers.max(1)).max(1);
+            self.stream.subnets_per_resolver = per;
+        }
+        self
     }
 }
 
@@ -96,28 +99,12 @@ pub struct Outcome {
     pub crosscheck_ok: bool,
 }
 
-/// Runs the experiment (streaming replay, no telemetry).
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let (outcome, report, _) = run_impl(config, false);
-    (outcome, report)
-}
-
-/// Runs the experiment with metrics + tracing captured.
-pub fn run_telemetry(config: &Config) -> (Outcome, Report, Telemetry) {
-    let (outcome, report, telemetry) = run_impl(config, true);
-    (outcome, report, telemetry.expect("telemetry requested"))
-}
-
-fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Telemetry>) {
-    let mut config = config.clone();
-    apply_env_knobs(&mut config);
-
+/// Runs the experiment (streaming replay). When `session` captures
+/// telemetry, every TTL cell's `cache_sim_*` metrics and one summary span
+/// per cell are recorded into it.
+pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let source = config.stream.source();
-    let sink = telemetry.then(|| std::sync::Arc::new(obs::MemorySink::new()));
-    let tracer = sink
-        .as_ref()
-        .map(|s| obs::Tracer::new(s.clone() as std::sync::Arc<dyn obs::TraceSink>));
-    let mut merged = obs::MetricsSnapshot::default();
+    let t = session.tracer();
 
     let mut series = Vec::new();
     for &ttl in &config.ttls {
@@ -127,8 +114,8 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
             ..CacheSimConfig::default()
         });
         let result = sim.run_streaming(&source);
-        if let Some(t) = &tracer {
-            merged.merge(&result.to_metrics());
+        if t.is_enabled() {
+            session.record(&result.to_metrics());
             // One root span per TTL cell; hit/miss cache probes
             // summarize the cell for the trace-analysis tooling.
             let root = t.start(
@@ -245,27 +232,13 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
     ));
     report.detail = detail;
 
-    let telemetry_out = sink.map(|s| {
-        let mut trace_jsonl = s.lines().join("\n");
-        trace_jsonl.push('\n');
-        Telemetry {
-            snapshot: merged,
-            trace_jsonl,
-        }
-    });
     (
         Outcome {
             series,
             crosscheck_ok,
         },
         report,
-        telemetry_out,
     )
-}
-
-/// Default-parameter entry point for the registry.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
 }
 
 #[cfg(test)]
@@ -290,7 +263,7 @@ mod tests {
 
     #[test]
     fn blowup_exceeds_one_and_grows_with_ttl() {
-        let (out, report) = run(&small());
+        let (out, report) = run(&small(), &mut Session::new(false));
         assert_eq!(out.series.len(), 3);
         let m20 = out.series[0].cdf.quantile(0.5);
         assert!(m20 > 1.5, "ECS must blow the cache up: {m20}");
@@ -306,7 +279,9 @@ mod tests {
         let mut config = small();
         config.ttls = vec![20];
         config.stream.queries = 40_000;
-        let (_, _, telemetry) = run_telemetry(&config);
+        let mut session = Session::new(true);
+        run(&config, &mut session);
+        let telemetry = session.take_telemetry().expect("capturing");
         for series in obs::validate::STREAM_REQUIRED_SERIES {
             assert!(
                 obs::validate::validate_metrics_json(&telemetry.snapshot.to_json(), &[series])

@@ -6,19 +6,25 @@
 //!
 //! The trace streams from an [`AllNamesStreamGen`] model (never
 //! materialized), so the client population scales to tens of millions
-//! under a bounded memory footprint. Scale knobs:
+//! under a bounded memory footprint.
+//!
+//! Figures 2 and 3 are two readings of one measurement, as in the paper:
+//! `sweep` replays every (fraction, sample) cell once through the
+//! dual-mode simulator and each figure's `view` reads its own fields.
+//! The registry's default sweep honors two scale knobs:
 //!
 //! * `ECS_STREAM_QUERIES=N` — override the record count and collapse the
 //!   fraction sweep to its last entry (full population) with one sample.
 //! * `ECS_STREAM_CLIENTS=N` — target total client population; the subnet
 //!   counts are rescaled preserving the v4:v6 mix.
 
-use analysis::{CacheSimConfig, CacheSimulator};
+use analysis::{CacheSimConfig, CacheSimResult, CacheSimulator};
 use workload::AllNamesStreamGen;
 
 use crate::report::Report;
+use crate::session::Session;
 
-/// Parameters.
+/// Parameters (shared with Figure 3).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Streaming trace model.
@@ -43,26 +49,26 @@ impl Default for Config {
     }
 }
 
-/// Applies the streaming scale knobs shared by fig2/fig3.
-pub(crate) fn apply_env_knobs(
-    stream: &mut AllNamesStreamGen,
-    fractions: &mut Vec<u8>,
-    samples: &mut usize,
-) {
-    if let Some(queries) = crate::env_u64("ECS_STREAM_QUERIES") {
-        stream.queries = queries.max(1);
-        if fractions.len() > 1 {
-            fractions.drain(..fractions.len() - 1);
+impl Config {
+    /// Applies the `ECS_STREAM_QUERIES` / `ECS_STREAM_CLIENTS` scale knobs.
+    pub(crate) fn scaled(mut self, queries: Option<u64>, clients: Option<u64>) -> Self {
+        if let Some(queries) = queries {
+            self.stream.queries = queries.max(1);
+            if self.fractions.len() > 1 {
+                self.fractions.drain(..self.fractions.len() - 1);
+            }
+            self.samples = 1;
         }
-        *samples = 1;
-    }
-    if let Some(clients) = crate::env_u64("ECS_STREAM_CLIENTS") {
-        let cps = stream.clients_per_subnet.max(1) as u64;
-        let subnets = (clients / cps).max(1);
-        let total = (stream.v4_subnets + stream.v6_subnets).max(1);
-        let v6 = subnets * stream.v6_subnets / total;
-        stream.v4_subnets = subnets.saturating_sub(v6).max(1);
-        stream.v6_subnets = v6;
+        if let Some(clients) = clients {
+            let stream = &mut self.stream;
+            let cps = stream.clients_per_subnet.max(1) as u64;
+            let subnets = (clients / cps).max(1);
+            let total = (stream.v4_subnets + stream.v6_subnets).max(1);
+            let v6 = subnets * stream.v6_subnets / total;
+            stream.v4_subnets = subnets.saturating_sub(v6).max(1);
+            stream.v6_subnets = v6;
+        }
+        self
     }
 }
 
@@ -73,35 +79,61 @@ pub struct Outcome {
     pub points: Vec<(u8, f64)>,
 }
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut config = config.clone();
-    apply_env_knobs(
-        &mut config.stream,
-        &mut config.fractions,
-        &mut config.samples,
-    );
+/// The §7 population sweep: one dual-mode replay per (fraction %, sample
+/// seed), fraction-major.
+pub(crate) fn sweep(config: &Config) -> Vec<(u8, u64, CacheSimResult)> {
     let source = config.stream.source();
-    let mut points = Vec::new();
+    let mut runs = Vec::with_capacity(config.fractions.len() * config.samples);
     for &pct in &config.fractions {
-        let mut acc = 0.0;
-        for seed in 0..config.samples {
+        for seed in 0..config.samples as u64 {
             let sim = CacheSimulator::new(CacheSimConfig {
                 sample_pct: pct,
-                sample_seed: seed as u64,
+                sample_seed: seed,
                 parallelism: config.parallelism,
                 ..CacheSimConfig::default()
             });
-            let result = sim.run_streaming(&source);
-            // Single-resolver trace: one entry.
-            acc += result
-                .per_resolver
-                .first()
-                .map(|r| r.blowup_factor())
-                .unwrap_or(1.0);
+            runs.push((pct, seed, sim.run_streaming(&source)));
         }
-        points.push((pct, acc / config.samples as f64));
     }
+    runs
+}
+
+/// Mean of `read` over each fraction's samples, in sweep order.
+pub(crate) fn mean_per_fraction(
+    runs: &[(u8, u64, CacheSimResult)],
+    read: impl Fn(&CacheSimResult) -> f64,
+) -> Vec<(u8, f64)> {
+    runs.chunk_by(|a, b| a.0 == b.0)
+        .map(|cell| {
+            let sum: f64 = cell.iter().map(|(_, _, result)| read(result)).sum();
+            (cell[0].0, sum / cell.len() as f64)
+        })
+        .collect()
+}
+
+/// The trailing detail line both figures print.
+pub(crate) fn stream_footer(config: &Config) -> String {
+    format!(
+        "streamed {} records over {} v4 + {} v6 client subnets\n",
+        config.stream.queries, config.stream.v4_subnets, config.stream.v6_subnets
+    )
+}
+
+/// Runs the experiment.
+pub fn run(config: &Config) -> (Outcome, Report) {
+    view(config, &sweep(config))
+}
+
+/// Figure 2 read off a [`sweep`] of `config`.
+pub(crate) fn view(config: &Config, runs: &[(u8, u64, CacheSimResult)]) -> (Outcome, Report) {
+    // Single-resolver trace: one entry.
+    let points = mean_per_fraction(runs, |result| {
+        result
+            .per_resolver
+            .first()
+            .map(|r| r.blowup_factor())
+            .unwrap_or(1.0)
+    });
 
     let mut report = Report::new("fig2", "cache blow-up vs client population");
     let first = points.first().map(|(_, b)| *b).unwrap_or(1.0);
@@ -132,17 +164,15 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     for (pct, b) in &points {
         detail.push_str(&format!("{pct:>3}  {b:.2}\n"));
     }
-    detail.push_str(&format!(
-        "streamed {} records over {} v4 + {} v6 client subnets\n",
-        config.stream.queries, config.stream.v4_subnets, config.stream.v6_subnets
-    ));
+    detail.push_str(&stream_footer(config));
     report.detail = detail;
     (Outcome { points }, report)
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+/// Registry entry point: Figure 2 off the session's population sweep.
+pub fn run_default(session: &mut Session) -> Report {
+    let runs = session.population_sweep();
+    view(&session.population, &runs).1
 }
 
 #[cfg(test)]

@@ -6,39 +6,16 @@
 //! more slowly with population, the two population effects (sharing vs
 //! subnet fragmentation) largely cancelling.
 //!
-//! Streams from the same [`AllNamesStreamGen`] model as Figure 2 (never
-//! materialized) and honors the same `ECS_STREAM_QUERIES` /
-//! `ECS_STREAM_CLIENTS` scale knobs.
+//! A second reading of Figure 2's measurement: the same
+//! `fig2::sweep` of the same [`Config`], so the same
+//! `ECS_STREAM_QUERIES` / `ECS_STREAM_CLIENTS` scale knobs.
 
-use analysis::{CacheSimConfig, CacheSimulator};
-use workload::AllNamesStreamGen;
+use analysis::CacheSimResult;
 
+pub use super::fig2::Config;
+use super::fig2::{mean_per_fraction, stream_footer, sweep};
 use crate::report::Report;
-
-/// Parameters.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Streaming trace model.
-    pub stream: AllNamesStreamGen,
-    /// Client fractions to sweep (percent).
-    pub fractions: Vec<u8>,
-    /// Random samples per fraction.
-    pub samples: usize,
-    /// Worker threads for the replay engine (results are identical for
-    /// every value; a single-resolver trace replays on one).
-    pub parallelism: usize,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            stream: AllNamesStreamGen::default(),
-            fractions: vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
-            samples: 3,
-            parallelism: analysis::default_parallelism(),
-        }
-    }
-}
+use crate::session::Session;
 
 /// Result: per fraction, mean hit rates (no-ECS, with-ECS).
 #[derive(Debug, Clone)]
@@ -49,33 +26,18 @@ pub struct Outcome {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut config = config.clone();
-    super::fig2::apply_env_knobs(
-        &mut config.stream,
-        &mut config.fractions,
-        &mut config.samples,
-    );
-    let source = config.stream.source();
-    let mut points = Vec::new();
-    for &pct in &config.fractions {
-        let (mut no_ecs, mut ecs) = (0.0, 0.0);
-        for seed in 0..config.samples {
-            let sim = CacheSimulator::new(CacheSimConfig {
-                sample_pct: pct,
-                sample_seed: seed as u64,
-                parallelism: config.parallelism,
-                ..CacheSimConfig::default()
-            });
-            let result = sim.run_streaming(&source);
-            no_ecs += result.overall_hit_rate_no_ecs();
-            ecs += result.overall_hit_rate_ecs();
-        }
-        points.push((
-            pct,
-            no_ecs / config.samples as f64,
-            ecs / config.samples as f64,
-        ));
-    }
+    view(config, &sweep(config))
+}
+
+/// Figure 3 read off a [`sweep`] of `config`.
+pub(crate) fn view(config: &Config, runs: &[(u8, u64, CacheSimResult)]) -> (Outcome, Report) {
+    let no_ecs = mean_per_fraction(runs, CacheSimResult::overall_hit_rate_no_ecs);
+    let ecs = mean_per_fraction(runs, CacheSimResult::overall_hit_rate_ecs);
+    let points: Vec<(u8, f64, f64)> = no_ecs
+        .iter()
+        .zip(&ecs)
+        .map(|(&(pct, no_ecs), &(_, ecs))| (pct, no_ecs, ecs))
+        .collect();
 
     let mut report = Report::new("fig3", "hit rate with/without ECS vs population");
     let (_, full_no, full_ecs) = *points.last().expect("non-empty sweep");
@@ -118,22 +80,21 @@ pub fn run(config: &Config) -> (Outcome, Report) {
             e * 100.0
         ));
     }
-    detail.push_str(&format!(
-        "streamed {} records over {} v4 + {} v6 client subnets\n",
-        config.stream.queries, config.stream.v4_subnets, config.stream.v6_subnets
-    ));
+    detail.push_str(&stream_footer(config));
     report.detail = detail;
     (Outcome { points }, report)
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+/// Registry entry point: Figure 3 off the session's population sweep.
+pub fn run_default(session: &mut Session) -> Report {
+    let runs = session.population_sweep();
+    view(&session.population, &runs).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::AllNamesStreamGen;
 
     #[test]
     fn ecs_depresses_hit_rate() {

@@ -7,11 +7,14 @@
 //! connect time (one RTT). CDN-1 only uses prefixes of ≥ 24 bits (below
 //! that: a small fixed edge set — 5–14 distinct answers vs 400); CDN-2
 //! needs ≥ 21 bits (below that: resolver-based mapping, a single answer).
+//!
+//! Figures 6 and 7 and the `minprefix` experiment are views of one
+//! `sweep` per CDN.
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{ConnectTimeSample, MappingQuality};
+use analysis::{ConnectTimeSample, MappingQuality, PrefixLengthTable};
 use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
 use dns_wire::{EcsOption, IpPrefix, Message, Name, Question};
 use netsim::geo::{city, CITIES};
@@ -19,9 +22,11 @@ use netsim::{GeoPoint, LatencyModel, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::asn::jitter_position;
+use topology::CdnFootprint;
 
 use crate::experiments::table2::world_footprint;
 use crate::report::Report;
+use crate::session::Session;
 
 /// Which CDN model to exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,46 +79,77 @@ pub struct Outcome {
     pub by_length: BTreeMap<u8, MappingQuality>,
 }
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let footprint = world_footprint();
-
-    // Probes: world-spread positions with /24-aligned unique addresses.
-    let probes: Vec<(Ipv4Addr, GeoPoint)> = (0..config.probes)
+/// A CDN-mapping testbed: `count` world-spread probes on /21-aligned
+/// blocks of `net`.0.0.0/8 (no two share a prefix the CDNs use for
+/// proximity, ≥ /21, so the geolocation database is collision-free); the
+/// database, knowing every probe at /16–/24 (a real geo DB aggregates, but
+/// the probes are /24-homogeneous so coarser entries are exact) and the
+/// querying host at `anchor`; and `cdn`'s logging authoritative for the
+/// returned name.
+pub(crate) fn testbed(
+    cdn: CdnModel,
+    count: usize,
+    seed: u64,
+    net: u8,
+    anchor: (IpAddr, GeoPoint),
+) -> (Vec<(Ipv4Addr, GeoPoint)>, AuthServer, Name) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let probes: Vec<(Ipv4Addr, GeoPoint)> = (0..count)
         .map(|i| {
             let c = CITIES[rng.gen_range(0..CITIES.len())];
             let pos = jitter_position(c.pos, 300.0, &mut rng);
-            // /21-aligned blocks so no two probes share any prefix the
-            // CDNs use for proximity (≥ /21), keeping the geolocation
-            // database collision-free.
-            let addr = Ipv4Addr::new(39, (i / 31) as u8, ((i % 31) * 8) as u8, 7);
+            let addr = Ipv4Addr::new(net, (i / 31) as u8, ((i % 31) * 8) as u8, 7);
             (addr, pos)
         })
         .collect();
 
-    // Geolocation database: the CDN knows probe prefixes at every
-    // granularity it might be queried at (a real geo DB aggregates, but
-    // the probes here are /24-homogeneous so coarser entries are exact).
     let mut geodb = GeoDb::new();
-    let lab_addr: IpAddr = "129.22.150.78".parse().expect("valid");
-    let lab_pos = city("Cleveland").expect("known").pos;
-    geodb.insert(IpPrefix::new(lab_addr, 24).expect("<=32"), lab_pos);
+    geodb.insert(IpPrefix::new(anchor.0, 24).expect("<=32"), anchor.1);
     for (addr, pos) in &probes {
         for len in 16..=24u8 {
             geodb.insert(IpPrefix::v4(*addr, len).expect("<=32"), *pos);
         }
     }
 
-    let behavior = match config.cdn {
-        CdnModel::Cdn1 => CdnBehavior::cdn1(footprint.clone()),
-        CdnModel::Cdn2 => CdnBehavior::cdn2(footprint.clone()),
+    let behavior = match cdn {
+        CdnModel::Cdn1 => CdnBehavior::cdn1(world_footprint()),
+        CdnModel::Cdn2 => CdnBehavior::cdn2(world_footprint()),
     };
     let apex = Name::from_ascii("cdn.example").expect("valid");
     let qname = apex.child("www").expect("valid");
-    let mut server = AuthServer::new(Zone::new(apex), EcsHandling::open(ScopePolicy::MatchSource))
+    let server = AuthServer::new(Zone::new(apex), EcsHandling::open(ScopePolicy::MatchSource))
         .with_cdn(behavior, geodb);
-    server.set_logging(false);
+    (probes, server, qname)
+}
+
+/// The connect-time sample of `probe` being answered with `first`, an
+/// edge of `footprint`.
+pub(crate) fn sample(
+    footprint: &CdnFootprint,
+    probe: GeoPoint,
+    first: IpAddr,
+) -> ConnectTimeSample {
+    let edge = footprint.edges.iter().find(|e| e.addr == first);
+    ConnectTimeSample {
+        probe,
+        edge_addr: first,
+        edge: edge.expect("answer from footprint").pos,
+    }
+}
+
+/// The §8.3 measurement for one CDN: the mapping quality at every swept
+/// prefix length, and the prefix-length table of the authoritative's
+/// query log — what the server actually saw, built exactly like the
+/// paper's Table 1, so a view can check the sweep sent what it claims.
+pub(crate) type Sweep = (BTreeMap<u8, MappingQuality>, PrefixLengthTable);
+
+/// Runs `config`'s [`Sweep`]: the one probe → authoritative → per-length
+/// sampling loop.
+pub(crate) fn sweep(config: &Config) -> Sweep {
+    let lab_addr: IpAddr = "129.22.150.78".parse().expect("valid");
+    let lab = (lab_addr, city("Cleveland").expect("known").pos);
+    let (probes, mut server, qname) = testbed(config.cdn, config.probes, config.seed, 39, lab);
+    let footprint = world_footprint();
 
     let latency = LatencyModel::default();
     let mut by_length = BTreeMap::new();
@@ -123,36 +159,35 @@ pub fn run(config: &Config) -> (Outcome, Report) {
             let mut q = Message::query(1, Question::a(qname.clone()));
             q.set_ecs(EcsOption::from_v4(*addr, len));
             let resp = server.handle(&q, lab_addr, SimTime::ZERO);
-            let first = resp.answer_addrs()[0];
-            let edge = footprint
-                .edges
-                .iter()
-                .find(|e| e.addr == first)
-                .expect("answer from footprint");
-            samples.push(ConnectTimeSample {
-                probe: *pos,
-                edge_addr: first,
-                edge: edge.pos,
-            });
+            samples.push(sample(&footprint, *pos, resp.answer_addrs()[0]));
         }
         by_length.insert(len, MappingQuality::from_samples(&samples, &latency));
     }
+    (by_length, PrefixLengthTable::build(server.log()))
+}
 
-    // Report.
-    let (id, title) = match config.cdn {
+/// Runs the experiment.
+pub fn run(config: &Config) -> (Outcome, Report) {
+    view(config.cdn, sweep(config).0)
+}
+
+/// Figure 6 or 7 read off `cdn`'s [`sweep`] (or the tail of one: the
+/// shortest length present stands for "below the cliff").
+pub(crate) fn view(cdn: CdnModel, by_length: BTreeMap<u8, MappingQuality>) -> (Outcome, Report) {
+    let (id, title) = match cdn {
         CdnModel::Cdn1 => ("fig6", "mapping quality vs prefix length (CDN-1)"),
         CdnModel::Cdn2 => ("fig7", "mapping quality vs prefix length (CDN-2)"),
     };
     let mut report = Report::new(id, title);
     let q24 = &by_length[&24];
-    let cliff_len = match config.cdn {
+    let cliff_len = match cdn {
         CdnModel::Cdn1 => 23,
         CdnModel::Cdn2 => 20,
     };
     let q_below = &by_length[&cliff_len];
     report.row(
         "unique first answers at /24",
-        match config.cdn {
+        match cdn {
             CdnModel::Cdn1 => "400",
             CdnModel::Cdn2 => "41-42",
         },
@@ -161,7 +196,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     );
     report.row(
         format!("unique first answers at /{cliff_len}"),
-        match config.cdn {
+        match cdn {
             CdnModel::Cdn1 => "5-14",
             CdnModel::Cdn2 => "1",
         },
@@ -178,16 +213,13 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         q_below.median_ms > q24.median_ms * 2.0,
     );
     // No further degradation below the cliff.
-    let shortest = &by_length[config.lengths.first().expect("non-empty sweep")];
+    let (shortest_len, shortest) = by_length.first_key_value().expect("non-empty sweep");
     report.row(
         "no visible change below the cliff",
         "flat",
         format!(
             "median {:.0} ms at /{} vs {:.0} ms at /{}",
-            shortest.median_ms,
-            config.lengths.first().expect("non-empty"),
-            q_below.median_ms,
-            cliff_len
+            shortest.median_ms, shortest_len, q_below.median_ms, cliff_len
         ),
         (shortest.median_ms - q_below.median_ms).abs() < q_below.median_ms * 0.5,
     );
@@ -204,14 +236,19 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     (Outcome { by_length }, report)
 }
 
-/// Figure-6 entry point.
-pub fn run_default_cdn1() -> Report {
-    run(&Config::fig6()).1
+/// Figure-6 registry entry point: CDN-1 off the session's /16–/24 sweep.
+pub fn run_default_cdn1(session: &mut Session) -> Report {
+    let by_length = session.mapping_sweep(CdnModel::Cdn1).0.clone();
+    view(CdnModel::Cdn1, by_length).1
 }
 
-/// Figure-7 entry point.
-pub fn run_default_cdn2() -> Report {
-    run(&Config::fig7()).1
+/// Figure-7 registry entry point: CDN-2 off the same sweep, read from /20
+/// up as the paper plots it.
+pub fn run_default_cdn2(session: &mut Session) -> Report {
+    let sweep = session.mapping_sweep(CdnModel::Cdn2);
+    let plotted = Config::fig7().lengths.into_iter();
+    let by_length = plotted.map(|len| (len, sweep.0[&len].clone())).collect();
+    view(CdnModel::Cdn2, by_length).1
 }
 
 #[cfg(test)]

@@ -1,38 +1,33 @@
 //! §8.2 pitfall promoted to a first-class experiment: hidden resolvers
-//! behind forwarders, MP and non-MP populations analysed side by side
-//! (the machinery behind Figures 4 and 5) from one generated world.
+//! behind forwarders, MP and non-MP populations side by side.
 //!
-//! Where `fig4`/`fig5` each pin one population, this experiment runs both
-//! splits over the *same* world — the way the paper's §8.2 narrative
-//! walks both plots — and additionally checks the split is exhaustive:
-//! every hidden chain lands in exactly one population.
+//! A view of the world `fig4`/`fig5` measure: where each of those
+//! pins one population, this one walks both — the way the paper's §8.2
+//! narrative walks both plots — and additionally checks the split is
+//! exhaustive: every hidden chain lands in exactly one population.
 //!
-//! Scale knob: `ECS_HIDDEN_FORWARDERS=N` overrides the forwarder count
-//! (CI smoke uses a few hundred; acceptance runs tens of thousands).
+//! Scale knob: `ECS_HIDDEN_FORWARDERS=N` overrides the forwarder count of
+//! the registry's default world (CI smoke uses a few hundred; acceptance
+//! runs tens of thousands).
 
-use analysis::HiddenAnalysis;
+use analysis::HiddenResolverReport;
 use topology::{World, WorldConfig};
 
-use super::fig45::combos_from_world;
+use super::fig45::{self, combos_from_world, measure};
 use crate::report::Report;
+use crate::session::Session;
 
 /// Parameters.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// World generation parameters (same shape as Figure 4's world).
+    /// World generation parameters (Figure 4's world by default).
     pub world: WorldConfig,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            world: WorldConfig {
-                forwarders: 3000,
-                hidden_resolvers: 120,
-                misplaced_hidden_fraction: 0.08,
-                hidden_chain_fraction: 0.9,
-                ..WorldConfig::default()
-            },
+            world: fig45::Config::fig4().world,
         }
     }
 }
@@ -55,34 +50,29 @@ pub struct Outcome {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut config = config.clone();
-    if let Some(forwarders) = crate::env_u64("ECS_HIDDEN_FORWARDERS") {
-        config.world.forwarders = (forwarders as usize).max(1);
-    }
-    let world = World::generate(&config.world);
-    let analysis = HiddenAnalysis::default();
+    let (world, reports) = measure(&config.world);
+    view(&world, &reports)
+}
 
-    let mp = combos_from_world(&world, Some(true));
-    let nonmp = combos_from_world(&world, Some(false));
-    let all = combos_from_world(&world, None).len();
-
-    let populations = vec![
-        PopulationOutcome {
-            label: "MP",
-            report: analysis.analyze(&mp),
-        },
-        PopulationOutcome {
-            label: "non-MP",
-            report: analysis.analyze(&nonmp),
-        },
-    ];
+/// Both populations read off a [`measure`]d world.
+pub(crate) fn view(world: &World, reports: &[HiddenResolverReport; 2]) -> (Outcome, Report) {
+    let all = combos_from_world(world, None).len();
+    let [mp, nonmp] = reports.each_ref().map(HiddenResolverReport::total);
+    let populations: Vec<PopulationOutcome> = ["MP", "non-MP"]
+        .into_iter()
+        .zip(reports)
+        .map(|(label, report)| PopulationOutcome {
+            label,
+            report: report.clone(),
+        })
+        .collect();
 
     let mut report = Report::new("hidden", "hidden resolvers: MP vs non-MP populations");
     report.row(
         "hidden chains split exhaustively",
         "MP + non-MP = all",
-        format!("{} + {} = {}", mp.len(), nonmp.len(), all),
-        mp.len() + nonmp.len() == all && !mp.is_empty() && !nonmp.is_empty(),
+        format!("{mp} + {nonmp} = {all}"),
+        mp + nonmp == all && mp > 0 && nonmp > 0,
     );
     for (pop, paper) in populations.iter().zip(["8.0%", "7.8%"]) {
         let harmful = pop.report.harmful_fraction();
@@ -130,9 +120,10 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     (Outcome { populations }, report)
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+/// Registry entry point: both populations off the session's world.
+pub fn run_default(session: &mut Session) -> Report {
+    let (world, reports) = &*session.hidden_world();
+    view(world, reports).1
 }
 
 #[cfg(test)]
@@ -156,8 +147,6 @@ mod tests {
 
     #[test]
     fn forwarder_knob_rescales_the_world() {
-        // The knob path is exercised directly (env vars are process-global
-        // and tests run in parallel, so set the config field instead).
         let config = Config {
             world: WorldConfig {
                 forwarders: 300,

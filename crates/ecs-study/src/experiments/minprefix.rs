@@ -1,31 +1,24 @@
 //! §8.3 pitfall promoted to a first-class experiment: the minimum usable
-//! ECS source prefix length per CDN (the machinery behind Figures 6–7).
+//! ECS source prefix length per CDN.
 //!
-//! Where `fig6`/`fig7` each sweep one CDN and eyeball the cliff, this
-//! experiment derives the *minimum usable length* for both CDNs from the
-//! same probe population — the smallest length whose median connect time
-//! stays within 1.5× of the /24 baseline — and checks the paper's
-//! answers: CDN-1 needs the full /24, CDN-2 works from /21 up. The
-//! authoritative's query log is kept on, and the resulting prefix-length
-//! table must show exactly the lengths the sweep sent.
+//! A view of the sweeps `fig6`/`fig7` read (`fig67::sweep`): where those
+//! eyeball one CDN's cliff each, this one derives the *minimum usable
+//! length* for both CDNs from the same probe population — the smallest
+//! length whose median connect time stays within 1.5× of the /24
+//! baseline — and checks the paper's answers: CDN-1 needs the full /24,
+//! CDN-2 works from /21 up. The sweep's prefix-length table (from the
+//! authoritative's query log) must show exactly the lengths it sent.
 //!
-//! Scale knob: `ECS_MINPREFIX_PROBES=N` overrides the probe count.
+//! Scale knob: `ECS_MINPREFIX_PROBES=N` overrides the probe count of the
+//! registry's default sweep.
 
 use std::collections::BTreeMap;
-use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{ConnectTimeSample, MappingQuality, PrefixLengthTable};
-use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
-use dns_wire::{EcsOption, IpPrefix, Message, Name, Question};
-use netsim::geo::{city, CITIES};
-use netsim::{GeoPoint, LatencyModel, SimTime};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use topology::asn::jitter_position;
+use analysis::{MappingQuality, PrefixLengthTable};
 
-use crate::experiments::fig67::CdnModel;
-use crate::experiments::table2::world_footprint;
+use crate::experiments::fig67::{self, sweep, CdnModel, Sweep};
 use crate::report::Report;
+use crate::session::Session;
 
 /// Parameters.
 #[derive(Debug, Clone)]
@@ -52,6 +45,18 @@ impl Default for Config {
     }
 }
 
+impl Config {
+    /// `cdn`'s [`sweep`] over this config's probes and lengths.
+    pub(crate) fn sweep(&self, cdn: CdnModel) -> Sweep {
+        sweep(&fig67::Config {
+            cdn,
+            probes: self.probes,
+            lengths: self.lengths.clone(),
+            seed: self.seed,
+        })
+    }
+}
+
 /// Per-CDN outcome.
 #[derive(Debug, Clone)]
 pub struct CdnOutcome {
@@ -72,94 +77,33 @@ pub struct Outcome {
     pub cdns: Vec<CdnOutcome>,
 }
 
-fn sweep_cdn(
-    cdn: CdnModel,
-    probes: &[(Ipv4Addr, GeoPoint)],
-    lengths: &[u8],
-    tolerance: f64,
-) -> CdnOutcome {
-    let footprint = world_footprint();
-    let mut geodb = GeoDb::new();
-    let lab_addr: IpAddr = "129.22.150.78".parse().expect("valid");
-    let lab_pos = city("Cleveland").expect("known").pos;
-    geodb.insert(IpPrefix::new(lab_addr, 24).expect("<=32"), lab_pos);
-    for (addr, pos) in probes {
-        for len in 16..=24u8 {
-            geodb.insert(IpPrefix::v4(*addr, len).expect("<=32"), *pos);
-        }
-    }
-    let behavior = match cdn {
-        CdnModel::Cdn1 => CdnBehavior::cdn1(footprint.clone()),
-        CdnModel::Cdn2 => CdnBehavior::cdn2(footprint.clone()),
-    };
-    let apex = Name::from_ascii("cdn.example").expect("valid");
-    let qname = apex.child("www").expect("valid");
-    // Logging stays ON: the prefix-length table below is built from what
-    // the authoritative actually saw, exactly like the paper's Table 1
-    // pipeline — a cross-check that the sweep sent what it claims.
-    let mut server = AuthServer::new(Zone::new(apex), EcsHandling::open(ScopePolicy::MatchSource))
-        .with_cdn(behavior, geodb);
-
-    let latency = LatencyModel::default();
-    let mut by_length = BTreeMap::new();
-    for &len in lengths {
-        let mut samples = Vec::with_capacity(probes.len());
-        for (addr, pos) in probes {
-            let mut q = Message::query(1, Question::a(qname.clone()));
-            q.set_ecs(EcsOption::from_v4(*addr, len));
-            let resp = server.handle(&q, lab_addr, SimTime::ZERO);
-            let first = resp.answer_addrs()[0];
-            let edge = footprint
-                .edges
-                .iter()
-                .find(|e| e.addr == first)
-                .expect("answer from footprint");
-            samples.push(ConnectTimeSample {
-                probe: *pos,
-                edge_addr: first,
-                edge: edge.pos,
-            });
-        }
-        by_length.insert(len, MappingQuality::from_samples(&samples, &latency));
-    }
-
-    let baseline = by_length[&24].median_ms;
-    let min_usable = by_length
-        .iter()
-        .filter(|(_, q)| q.median_ms <= baseline * tolerance)
-        .map(|(len, _)| *len)
-        .min()
-        .unwrap_or(24);
-    CdnOutcome {
-        cdn,
-        by_length,
-        min_usable,
-        log_table: PrefixLengthTable::build(server.log()),
-    }
-}
-
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut config = config.clone();
-    if let Some(probes) = crate::env_u64("ECS_MINPREFIX_PROBES") {
-        config.probes = (probes as usize).max(1);
-    }
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    // Same probe layout as fig6/fig7: world-spread, /21-aligned blocks so
-    // the geolocation database is collision-free at every swept length.
-    let probes: Vec<(Ipv4Addr, GeoPoint)> = (0..config.probes)
-        .map(|i| {
-            let c = CITIES[rng.gen_range(0..CITIES.len())];
-            let pos = jitter_position(c.pos, 300.0, &mut rng);
-            let addr = Ipv4Addr::new(39, (i / 31) as u8, ((i % 31) * 8) as u8, 7);
-            (addr, pos)
+    let sweeps = [CdnModel::Cdn1, CdnModel::Cdn2].map(|cdn| config.sweep(cdn));
+    view(config.tolerance, sweeps.each_ref())
+}
+
+/// The minimum usable lengths read off the CDN-1 and CDN-2 [`sweep`]s.
+pub(crate) fn view(tolerance: f64, sweeps: [&Sweep; 2]) -> (Outcome, Report) {
+    let cdns: Vec<CdnOutcome> = [CdnModel::Cdn1, CdnModel::Cdn2]
+        .into_iter()
+        .zip(sweeps)
+        .map(|(cdn, (by_length, log_table))| {
+            let baseline = by_length[&24].median_ms;
+            let min_usable = by_length
+                .iter()
+                .filter(|(_, q)| q.median_ms <= baseline * tolerance)
+                .map(|(len, _)| *len)
+                .min()
+                .unwrap_or(24);
+            CdnOutcome {
+                cdn,
+                by_length: by_length.clone(),
+                min_usable,
+                log_table: log_table.clone(),
+            }
         })
         .collect();
-
-    let cdns = vec![
-        sweep_cdn(CdnModel::Cdn1, &probes, &config.lengths, config.tolerance),
-        sweep_cdn(CdnModel::Cdn2, &probes, &config.lengths, config.tolerance),
-    ];
 
     let mut report = Report::new("minprefix", "minimum usable ECS prefix length per CDN");
     for (outcome, (label, paper_min)) in cdns.iter().zip([("CDN-1", 24u8), ("CDN-2", 21)]) {
@@ -169,7 +113,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
             format!("/{}", outcome.min_usable),
             outcome.min_usable == paper_min,
         );
-        let expected_rows = config.lengths.len();
+        let expected_rows = outcome.by_length.len();
         let logged_lengths: usize = outcome
             .log_table
             .rows
@@ -199,9 +143,10 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     (Outcome { cdns }, report)
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+/// Registry entry point: both CDNs off the session's /16–/24 sweeps.
+pub fn run_default(session: &mut Session) -> Report {
+    let sweeps = [CdnModel::Cdn1, CdnModel::Cdn2].map(|cdn| session.mapping_sweep(cdn));
+    view(session.minprefix.tolerance, sweeps.each_ref().map(|s| &**s)).1
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use resolver::actors::{AuthActor, ClientActor, EgressActor, SharedBook};
 use resolver::{FaultyUpstream, Resolver, ResolverConfig};
 
 use crate::report::Report;
-use crate::telemetry::Telemetry;
+use crate::session::Session;
 
 /// Parameters.
 #[derive(Debug, Clone)]
@@ -147,14 +147,14 @@ fn drive_cache(
     capacity: Option<usize>,
     population: usize,
     config: &Config,
-    tracer: &obs::Tracer,
-) -> (CacheCell, obs::MetricsSnapshot) {
+    session: &mut Session,
+) -> CacheCell {
     let mut server = AuthServer::new(zone(config), EcsHandling::open(ScopePolicy::MatchSource));
     server.set_logging(false);
     let mut rc = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     rc.overload.max_cache_entries = capacity;
     let mut r = Resolver::new(rc);
-    r.set_tracer(tracer.clone());
+    r.set_tracer(session.tracer());
     for i in 0..config.queries {
         let q = Message::query(i as u16, Question::a(qname(config, i)));
         // Two queries per second: the widest working set (8 hostnames ×
@@ -176,15 +176,11 @@ fn drive_cache(
         evictions: cs.evictions,
         max_size: cs.max_size,
     };
-    (cell, r.metrics_snapshot())
+    session.record(&r.metrics_snapshot());
+    cell
 }
 
-fn drive_stale(
-    loss: f64,
-    serve_stale: bool,
-    config: &Config,
-    tracer: &obs::Tracer,
-) -> (StaleCell, obs::MetricsSnapshot) {
+fn drive_stale(loss: f64, serve_stale: bool, config: &Config, session: &mut Session) -> StaleCell {
     let mut server = AuthServer::new(zone(config), EcsHandling::open(ScopePolicy::MatchSource));
     server.set_logging(false);
     let mut rc = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
@@ -193,7 +189,7 @@ fn drive_stale(
         rc.overload.serve_stale_ttl = SimDuration::from_secs(3600);
     }
     let mut r = Resolver::new(rc);
-    r.set_tracer(tracer.clone());
+    r.set_tracer(session.tracer());
     let client: IpAddr = "10.0.0.9".parse().expect("valid");
 
     // Warm phase: fault-free, one query per hostname fills the cache.
@@ -231,19 +227,16 @@ fn drive_stale(
         stale_answers: s.stale_answers,
         servfails: s.servfail_responses - warm_servfails,
     };
-    (cell, r.metrics_snapshot())
+    session.record(&r.metrics_snapshot());
+    cell
 }
 
 /// A packet-level world: one authoritative, one egress running `rc`, and
 /// `clients` co-located nodes all asking the same name at t = 0.
-fn drive_burst(
-    rc: ResolverConfig,
-    clients: usize,
-    tracer: &obs::Tracer,
-) -> (BurstCell, obs::MetricsSnapshot) {
+fn drive_burst(rc: ResolverConfig, clients: usize, session: &mut Session) -> BurstCell {
     let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
     let mut sim = Simulation::new(5);
-    if tracer.is_enabled() {
+    if session.tracer().is_enabled() {
         sim.enable_metrics();
     }
     let auth_addr: IpAddr = "198.51.100.53".parse().expect("valid");
@@ -268,7 +261,7 @@ fn drive_burst(
         EgressActor::new(
             {
                 let mut r = Resolver::new(rc);
-                r.set_tracer(tracer.clone());
+                r.set_tracer(session.tracer());
                 r
             },
             vec![(apex.clone(), auth_addr)],
@@ -324,57 +317,37 @@ fn drive_burst(
         shed: stats.shed_queries,
         responded,
     };
-    (cell, snapshot)
+    session.record(&snapshot);
+    cell
 }
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let (outcome, report, _) = run_impl(config, false);
-    (outcome, report)
-}
-
-/// Runs the experiment with telemetry on: the engine-level cells and the
-/// packet-level bursts (resolver + netsim registries) merge into one
-/// snapshot, every resolution traces into one shared sink, and the report
-/// gains p50/p99 latency rows.
-pub fn run_telemetry(config: &Config) -> (Outcome, Report, Telemetry) {
-    let (outcome, report, telemetry) = run_impl(config, true);
-    (outcome, report, telemetry.expect("telemetry on"))
-}
-
-fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Telemetry>) {
-    let sink = telemetry.then(|| std::sync::Arc::new(obs::MemorySink::new()));
-    let tracer = sink
-        .as_ref()
-        .map(|s| obs::Tracer::new(s.clone() as std::sync::Arc<dyn obs::TraceSink>))
-        .unwrap_or_else(obs::Tracer::disabled);
-    let mut merged = obs::MetricsSnapshot::default();
-    fn fold<C>(merged: &mut obs::MetricsSnapshot, (cell, snap): (C, obs::MetricsSnapshot)) -> C {
-        merged.merge(&snap);
-        cell
-    }
-
+/// Runs the experiment. The engine-level cells and the packet-level
+/// bursts (resolver + netsim registries) merge into one snapshot and every
+/// resolution traces into the session's tracer; when the session captures
+/// telemetry the report gains a p50/p99 latency row and the snapshot is
+/// recorded into it.
+pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let cache_cells: Vec<CacheCell> = config
         .capacities
         .iter()
         .flat_map(|&cap| config.populations.iter().map(move |&pop| (cap, pop)))
-        .map(|(cap, pop)| fold(&mut merged, drive_cache(cap, pop, config, &tracer)))
+        .map(|(cap, pop)| drive_cache(cap, pop, config, session))
         .collect();
 
     let mut stale_cells: Vec<StaleCell> = config
         .loss_rates
         .iter()
-        .map(|&loss| fold(&mut merged, drive_stale(loss, true, config, &tracer)))
+        .map(|&loss| drive_stale(loss, true, config, session))
         .collect();
-    stale_cells.push(fold(&mut merged, drive_stale(1.0, false, config, &tracer)));
+    stale_cells.push(drive_stale(1.0, false, config, session));
 
     let mut coalesce_cfg = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     coalesce_cfg.overload.coalesce = true;
-    let coalesced_burst = fold(&mut merged, drive_burst(coalesce_cfg, 6, &tracer));
+    let coalesced_burst = drive_burst(coalesce_cfg, 6, session);
 
     let mut shed_cfg = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     shed_cfg.overload.max_in_flight = Some(2);
-    let shed_burst = fold(&mut merged, drive_burst(shed_cfg, 6, &tracer));
+    let shed_burst = drive_burst(shed_cfg, 6, session);
 
     let outcome = Outcome {
         cache_cells,
@@ -483,32 +456,10 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
             && outcome.shed_burst.responded == 6,
     );
 
-    let telemetry_out = sink.map(|sink| {
-        let lat = merged
-            .histogram("resolver_query_latency_us")
-            .cloned()
-            .unwrap_or_default();
-        report.row(
-            "query latency p50/p99",
-            "cache hits keep p50 at zero sim-time; upstream trips set p99",
-            format!(
-                "p50 {} us, p99 {} us, max {} us over {} queries",
-                lat.quantile(0.5),
-                lat.quantile(0.99),
-                lat.max,
-                lat.count
-            ),
-            lat.count > 0 && lat.quantile(0.5) <= lat.quantile(0.99),
-        );
-        Telemetry {
-            snapshot: merged,
-            trace_jsonl: sink
-                .lines()
-                .into_iter()
-                .map(|l| l + "\n")
-                .collect::<String>(),
-        }
-    });
+    session.latency_row(
+        &mut report,
+        "cache hits keep p50 at zero sim-time; upstream trips set p99",
+    );
     report.detail = format!(
         "{} queries per cache cell over {} hostnames, TTL {} s; capacities\n{:?} x populations {:?}. Stale phase re-queries a warmed cache past\nexpiry against loss rates {:?} (seed {}). Burst cells run the packet-level\nactors: 6 co-located clients, one authoritative.\n",
         config.queries,
@@ -519,17 +470,16 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
         config.loss_rates,
         config.seed
     );
-    (outcome, report, telemetry_out)
-}
-
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+    (outcome, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(config: &Config) -> (Outcome, Report) {
+        super::run(config, &mut Session::new(false))
+    }
 
     fn small() -> Config {
         Config {
@@ -577,7 +527,9 @@ mod tests {
     #[test]
     fn telemetry_run_matches_and_validates() {
         let (plain, _) = run(&small());
-        let (traced, report, telem) = run_telemetry(&small());
+        let mut session = Session::new(true);
+        let (traced, report) = super::run(&small(), &mut session);
+        let telem = session.take_telemetry().expect("capturing");
         assert_eq!(plain.cache_cells, traced.cache_cells);
         assert_eq!(plain.coalesced_burst, traced.coalesced_burst);
         assert!(report.all_hold(), "{report}");

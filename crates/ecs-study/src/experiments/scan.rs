@@ -9,12 +9,13 @@
 //! shed-by-rate-limit + shed-by-breaker, with rate-limited, breaker-
 //! tripped, and retry-exhausted probes separately accounted.
 //!
-//! Environment overrides (for the CI smoke job and large seeded runs):
-//! `ECS_SCAN_PROBES` replaces the probe count *and* collapses the grid to
-//! its single largest cell (last population / loss / rate) — a scaled-up
-//! run wants depth, not the 8-cell matrix. `ECS_SCAN_JSON` names a file
-//! to receive the deterministic JSON report of the last (largest) cell —
-//! two identical-seed runs write byte-identical files.
+//! Environment overrides of the registry's default run (for the CI smoke
+//! job and large seeded runs): `ECS_SCAN_PROBES` replaces the probe count
+//! *and* collapses the grid to its single largest cell (last population /
+//! loss / rate) — a scaled-up run wants depth, not the 8-cell matrix.
+//! `ECS_SCAN_JSON` names a file to receive the deterministic JSON report
+//! of the last (largest) cell — two identical-seed runs write
+//! byte-identical files.
 
 use netsim::SimDuration;
 use scanner::{
@@ -23,12 +24,12 @@ use scanner::{
 };
 
 use crate::report::Report;
-use crate::telemetry::Telemetry;
+use crate::session::Session;
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Probes per cell (before the `ECS_SCAN_PROBES` override).
+    /// Probes per cell.
     pub probes: u64,
     /// Forwarder populations swept (total per cell, split across the four
     /// health groups).
@@ -56,6 +57,21 @@ impl Default for Config {
             capture_cap: 512,
             seed: 21,
         }
+    }
+}
+
+impl Config {
+    /// Applies the `ECS_SCAN_PROBES` override. A scaled-up run (CI's 1M
+    /// smoke) wants one deep cell, not the whole matrix: the grid
+    /// collapses to its largest corner.
+    pub(crate) fn scaled(mut self, probes: Option<u64>) -> Self {
+        if let Some(probes) = probes {
+            self.probes = probes;
+            self.populations.drain(..self.populations.len() - 1);
+            self.loss_rates.drain(..self.loss_rates.len() - 1);
+            self.rate_limits.drain(..self.rate_limits.len() - 1);
+        }
+        self
     }
 }
 
@@ -102,13 +118,12 @@ fn groups(population: usize, loss: f64) -> Vec<(usize, ForwarderHealth, u32)> {
 
 fn run_cell(
     config: &Config,
-    probes: u64,
     population: usize,
     loss: f64,
     rate: u64,
     seed: u64,
-    tracer: Option<&obs::Tracer>,
-) -> (Cell, String, Option<obs::MetricsSnapshot>) {
+    session: &mut Session,
+) -> (Cell, String) {
     let mut spec = ForwarderChainSpec::new(seed);
     for (count, health, asn) in groups(population, loss) {
         spec = spec.group(count, health, asn);
@@ -119,23 +134,23 @@ fn run_cell(
         burst: 16,
         ..ScanConfig::default()
     };
-    let mut world = spec.build(cfg, |targets| RoundRobinFeed::new(targets.to_vec(), probes));
-    if tracer.is_some() {
+    let mut world = spec.build(cfg, |targets| {
+        RoundRobinFeed::new(targets.to_vec(), config.probes)
+    });
+    let tracer = session.tracer();
+    if tracer.is_enabled() {
         world.scanner_mut().enable_metrics();
         world.sim.enable_metrics();
-    }
-    if let Some(t) = tracer {
-        world.scanner_mut().set_tracer(t.clone());
+        world.scanner_mut().set_tracer(tracer.clone());
     }
     let mut capture = ScanCapture::new(config.capture_cap);
     let report = run_scan(&mut world, SimDuration::from_secs(60), &mut capture);
-    let snapshot = tracer.map(|_| {
-        let mut merged = world.scanner_mut().metrics_snapshot();
+    if tracer.is_enabled() {
+        session.record(&world.scanner_mut().metrics_snapshot());
         if let Some(sim) = world.sim.metrics_snapshot() {
-            merged.merge(&sim);
+            session.record(&sim);
         }
-        merged
-    });
+    }
     let json = format!(
         "{{\"report\":{},\"classification\":{}}}",
         report.to_json(),
@@ -148,7 +163,7 @@ fn run_cell(
         report,
         captured: capture.total,
     };
-    (cell, json, snapshot)
+    (cell, json)
 }
 
 /// The §6 short-window threshold, kept in one place. (Numeric here to
@@ -157,38 +172,9 @@ fn conformance_short_window() -> u64 {
     60
 }
 
-/// Runs the sweep.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    let (outcome, report, _) = run_impl(config, false);
-    (outcome, report)
-}
-
-/// Runs the sweep with metrics and tracing captured.
-pub fn run_telemetry(config: &Config) -> (Outcome, Report, Telemetry) {
-    let (outcome, report, telemetry) = run_impl(config, true);
-    (outcome, report, telemetry.expect("telemetry on"))
-}
-
-fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Telemetry>) {
-    let override_probes: Option<u64> = std::env::var("ECS_SCAN_PROBES")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let probes = override_probes.unwrap_or(config.probes);
-    // A scaled-up run (CI's 1M smoke) wants one deep cell, not the whole
-    // matrix: collapse the grid to its largest corner.
-    let mut config = config.clone();
-    if override_probes.is_some() {
-        config.populations.drain(..config.populations.len() - 1);
-        config.loss_rates.drain(..config.loss_rates.len() - 1);
-        config.rate_limits.drain(..config.rate_limits.len() - 1);
-    }
-    let config = &config;
-    let sink = telemetry.then(|| std::sync::Arc::new(obs::MemorySink::new()));
-    let tracer = sink
-        .as_ref()
-        .map(|s| obs::Tracer::new(s.clone() as std::sync::Arc<dyn obs::TraceSink>));
-    let mut merged = obs::MetricsSnapshot::default();
-
+/// Runs the sweep. When `session` captures telemetry, every cell's
+/// `scanner_*` / `netsim_*` metrics and probe spans are recorded into it.
+pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let mut cells = Vec::new();
     let mut final_json = String::new();
     let mut cell_seed = config.seed;
@@ -196,31 +182,12 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
         for &loss in &config.loss_rates {
             for &rate in &config.rate_limits {
                 cell_seed += 1;
-                let (cell, json, snap) = run_cell(
-                    config,
-                    probes,
-                    population,
-                    loss,
-                    rate,
-                    cell_seed,
-                    tracer.as_ref(),
-                );
-                if let Some(snap) = snap {
-                    merged.merge(&snap);
-                }
+                let (cell, json) = run_cell(config, population, loss, rate, cell_seed, session);
                 final_json = json;
                 cells.push(cell);
             }
         }
     }
-    if let Ok(path) = std::env::var("ECS_SCAN_JSON") {
-        if !path.is_empty() {
-            if let Err(e) = std::fs::write(&path, &final_json) {
-                eprintln!("scan: failed to write {path}: {e}");
-            }
-        }
-    }
-
     let mut report = Report::new("scan", "dataset (ii): mass-scan robustness sweep");
     for c in &cells {
         let s = &c.report.stats;
@@ -271,22 +238,28 @@ fn run_impl(config: &Config, telemetry: bool) -> (Outcome, Report, Option<Teleme
         any_captured,
     );
 
-    let outcome = Outcome { cells, final_json };
-    let telemetry = sink.map(|s| Telemetry {
-        snapshot: merged,
-        trace_jsonl: s.lines().join("\n") + "\n",
-    });
-    (outcome, report, telemetry)
+    (Outcome { cells, final_json }, report)
 }
 
-/// Registry entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
+/// Registry entry point; writes the final cell's JSON where
+/// `ECS_SCAN_JSON` asks.
+pub fn run_default(session: &mut Session) -> Report {
+    let (outcome, report) = run(&session.scan.clone(), session);
+    if let Some(path) = &session.scan_json {
+        if let Err(e) = std::fs::write(path, &outcome.final_json) {
+            eprintln!("scan: failed to write {path}: {e}");
+        }
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(config: &Config) -> (Outcome, Report) {
+        super::run(config, &mut Session::new(false))
+    }
 
     fn small() -> Config {
         Config {
@@ -319,7 +292,9 @@ mod tests {
 
     #[test]
     fn telemetry_run_exports_scanner_series_and_valid_trace() {
-        let (_, report, telem) = run_telemetry(&small());
+        let mut session = Session::new(true);
+        let (_, report) = super::run(&small(), &mut session);
+        let telem = session.take_telemetry().expect("capturing");
         assert!(report.all_hold(), "{report}");
         assert!(obs::validate::validate_trace(&telem.trace_jsonl).unwrap() > 0);
         let json = telem.snapshot.to_json();

@@ -223,11 +223,6 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     (outcome, report)
 }
 
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

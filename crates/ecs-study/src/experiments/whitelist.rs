@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{ConnectTimeSample, MappingQuality};
+use analysis::MappingQuality;
 use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
 use dns_wire::{IpPrefix, Message, Name, Question};
 use netsim::geo::CITIES;
@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use resolver::{Resolver, ResolverConfig};
 use topology::asn::jitter_position;
 
+use crate::experiments::fig67::sample;
 use crate::experiments::table2::world_footprint;
 use crate::report::Report;
 
@@ -124,16 +125,7 @@ fn run_condition(whitelisted: bool, config: &Config) -> Condition {
         if let Some(first) = resp.answer_addrs().first() {
             // Sample 1-in-50 responses for the latency CDF to keep memory flat.
             if samples.len() < config.queries / 50 {
-                let edge = footprint
-                    .edges
-                    .iter()
-                    .find(|e| e.addr == *first)
-                    .expect("from footprint");
-                samples.push(ConnectTimeSample {
-                    probe: pos,
-                    edge_addr: *first,
-                    edge: edge.pos,
-                });
+                samples.push(sample(&footprint, pos, *first));
             }
         }
     }
@@ -188,11 +180,6 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         on.quality.unique_first_answers > off.quality.unique_first_answers,
     );
     (Outcome { conditions }, report)
-}
-
-/// Default-parameter entry point.
-pub fn run_default() -> Report {
-    run(&Config::default()).1
 }
 
 #[cfg(test)]

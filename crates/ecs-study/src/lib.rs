@@ -18,15 +18,8 @@
 pub mod behavior;
 pub mod experiments;
 pub mod report;
+pub mod session;
 pub mod telemetry;
 
 pub use behavior::resolver_config_for;
-
-/// Parses a `u64` scale knob from the environment, ignoring unset or
-/// malformed values. Shared by the streaming experiments
-/// (`ECS_STREAM_QUERIES`, `ECS_STREAM_CLIENTS`, `ECS_HIDDEN_FORWARDERS`,
-/// `ECS_MINPREFIX_PROBES`) so CI smoke jobs and large acceptance runs can
-/// rescale without recompiling.
-pub fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
+pub use session::Session;

@@ -1,15 +1,18 @@
 //! Experiment runner:
 //! `ecs-study [--telemetry [dir]] <experiment-id>|all|list|export-traces <dir>`.
 //!
-//! `--telemetry` turns on metrics + structured tracing for the experiments
-//! that support it (currently `faults` and `overload`): the run writes
-//! `<id>_metrics.prom`, `<id>_metrics.json`, and `<id>_trace.jsonl` under
-//! the given directory (default `telemetry/`) and the report gains
-//! p50/p99 latency rows. Other experiments run unchanged.
+//! One [`Session`] serves the whole invocation: it holds the `ECS_*`
+//! scale knobs, the measurements several figures share, and — under
+//! `--telemetry` — the metrics + structured-trace capture. After each
+//! experiment the registry marks as capturing (`list` tags them
+//! `[telemetry]`) the run writes `<id>_metrics.prom`, `<id>_metrics.json`,
+//! and `<id>_trace.jsonl` under the given directory (default
+//! `telemetry/`), and that experiment's report gains p50/p99 latency
+//! rows. Other experiments run unchanged.
 
-use ecs_study::experiments::registry;
+use ecs_study::experiments::{registry, ExperimentEntry};
 use ecs_study::report::Report;
-use ecs_study::telemetry::Telemetry;
+use ecs_study::Session;
 
 fn export_traces(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
@@ -43,64 +46,34 @@ fn export_traces(dir: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Telemetry-capable runners, by experiment id.
-fn telemetry_runner(id: &str) -> Option<fn() -> (Report, Telemetry)> {
-    match id {
-        "fig1" => Some(|| {
-            let (_, report, telemetry) =
-                ecs_study::experiments::fig1::run_telemetry(&Default::default());
-            (report, telemetry)
-        }),
-        "faults" => Some(|| {
-            let (_, report, telemetry) =
-                ecs_study::experiments::faults::run_telemetry(&Default::default());
-            (report, telemetry)
-        }),
-        "overload" => Some(|| {
-            let (_, report, telemetry) =
-                ecs_study::experiments::overload::run_telemetry(&Default::default());
-            (report, telemetry)
-        }),
-        "scan" => Some(|| {
-            let (_, report, telemetry) =
-                ecs_study::experiments::scan::run_telemetry(&Default::default());
-            (report, telemetry)
-        }),
-        _ => None,
-    }
-}
-
-/// Runs experiment `id`, capturing telemetry into `dir` when requested and
-/// supported. Returns the report to print.
+/// Runs one experiment, writing its telemetry artifacts into `dir` when
+/// requested and the experiment captures. Returns the report to print.
 fn run_one(
-    id: &str,
-    runner: &dyn Fn() -> Report,
+    (id, _, captures, runner): &ExperimentEntry,
+    session: &mut Session,
     telemetry_dir: Option<&std::path::Path>,
 ) -> Report {
-    if let (Some(dir), Some(instrumented)) = (telemetry_dir, telemetry_runner(id)) {
-        let (report, telemetry) = instrumented();
-        match telemetry.write(dir, id) {
-            Ok(paths) => {
-                for p in &paths {
-                    eprintln!("  telemetry: wrote {}", p.display());
-                }
-                if let Some((p50, p99, max)) =
-                    telemetry.latency_quantiles("resolver_query_latency_us")
-                {
-                    eprintln!(
-                        "  telemetry: query latency p50 {p50} us, p99 {p99} us, max {max} us"
-                    );
-                }
+    let report = runner(session);
+    let (Some(dir), true) = (telemetry_dir, *captures) else {
+        return report;
+    };
+    let telemetry = session.take_telemetry().expect("capturing session");
+    match telemetry.write(dir, id) {
+        Ok(paths) => {
+            for p in &paths {
+                eprintln!("  telemetry: wrote {}", p.display());
             }
-            Err(e) => {
-                eprintln!("  telemetry: write failed: {e}");
-                std::process::exit(1);
+            if let Some((p50, p99, max)) = telemetry.latency_quantiles("resolver_query_latency_us")
+            {
+                eprintln!("  telemetry: query latency p50 {p50} us, p99 {p99} us, max {max} us");
             }
         }
-        report
-    } else {
-        runner()
+        Err(e) => {
+            eprintln!("  telemetry: write failed: {e}");
+            std::process::exit(1);
+        }
     }
+    report
 }
 
 fn main() {
@@ -115,7 +88,7 @@ fn main() {
             a == "all"
                 || a == "list"
                 || a == "export-traces"
-                || experiments.iter().any(|(id, _, _)| *id == a)
+                || experiments.iter().any(|(id, ..)| *id == a)
         };
         if pos < args.len() && !args[pos].starts_with("--") && !is_command(&args[pos]) {
             telemetry_dir = Some(std::path::PathBuf::from(args.remove(pos)));
@@ -123,16 +96,13 @@ fn main() {
             telemetry_dir = Some(std::path::PathBuf::from("telemetry"));
         }
     }
+    let mut session = Session::from_env(telemetry_dir.is_some());
     let arg = args.first().cloned().unwrap_or_else(|| "all".to_string());
     match arg.as_str() {
         "list" => {
             println!("available experiments:");
-            for (id, title, _) in &experiments {
-                let tag = if telemetry_runner(id).is_some() {
-                    "  [telemetry]"
-                } else {
-                    ""
-                };
+            for (id, title, captures, _) in &experiments {
+                let tag = if *captures { "  [telemetry]" } else { "" };
                 println!("  {id:<16} {title}{tag}");
             }
         }
@@ -145,9 +115,9 @@ fn main() {
         }
         "all" => {
             let mut failed = 0;
-            for (id, _, runner) in &experiments {
-                eprintln!("running {id} ...");
-                let report = run_one(id, runner, telemetry_dir.as_deref());
+            for entry in &experiments {
+                eprintln!("running {} ...", entry.0);
+                let report = run_one(entry, &mut session, telemetry_dir.as_deref());
                 println!("{report}");
                 if !report.all_hold() {
                     failed += 1;
@@ -158,9 +128,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        id => match experiments.iter().find(|(eid, _, _)| *eid == id) {
-            Some((_, _, runner)) => {
-                let report = run_one(id, runner, telemetry_dir.as_deref());
+        id => match experiments.iter().find(|(eid, ..)| *eid == id) {
+            Some(entry) => {
+                let report = run_one(entry, &mut session, telemetry_dir.as_deref());
                 println!("{report}");
                 if !report.all_hold() {
                     std::process::exit(1);

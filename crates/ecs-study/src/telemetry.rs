@@ -1,10 +1,12 @@
-//! Telemetry capture for experiment runs.
+//! Telemetry artifacts of an experiment run.
 //!
-//! An experiment that supports telemetry returns a [`Telemetry`]: the
-//! merged metrics snapshot of every resolver/cache/simulator registry the
-//! run touched, plus the JSON-lines trace of every resolution recorded by
-//! the shared [`obs::Tracer`]. [`Telemetry::write`] lays the artifacts out
-//! as `<id>_metrics.prom`, `<id>_metrics.json`, and `<id>_trace.jsonl` —
+//! An experiment that captures records into its [`Session`](crate::Session);
+//! [`Session::take_telemetry`](crate::Session::take_telemetry) hands the
+//! result over as a [`Telemetry`]: the merged metrics snapshot of every
+//! resolver/cache/simulator registry the experiment touched, plus the
+//! JSON-lines trace of every resolution recorded by the session's
+//! [`obs::Tracer`]. [`Telemetry::write`] lays the artifacts out as
+//! `<id>_metrics.prom`, `<id>_metrics.json`, and `<id>_trace.jsonl` —
 //! the files the CI telemetry-validation step feeds to `obs-validate`.
 
 use std::path::{Path, PathBuf};

@@ -31,7 +31,7 @@ fn cache_behavior_scaled() {
 
 #[test]
 fn fig1_scaled() {
-    let (out, _) = fig1::run(&fig1::Config {
+    let config = fig1::Config {
         stream: workload::CdnStreamGen {
             resolvers: 12,
             subnets_per_resolver: 40,
@@ -43,7 +43,8 @@ fn fig1_scaled() {
         ttls: vec![20, 60],
         parallelism: 4,
         crosscheck_records: 40_000,
-    });
+    };
+    let (out, _) = fig1::run(&config, &mut ecs_study::Session::new(false));
     assert!(out.series[0].cdf.quantile(0.5) > 1.3);
     assert!(out.series[1].cdf.max() >= out.series[0].cdf.max());
     assert!(out.crosscheck_ok, "streaming must match materialized");
@@ -196,11 +197,14 @@ fn shared_measurement_reports_are_pinned() {
 /// snapshot and the trace lines, pinned byte for byte.
 #[test]
 fn faults_telemetry_artifacts_are_pinned() {
-    let (_, report, telemetry) = faults::run_telemetry(&faults::Config {
+    let mut session = ecs_study::Session::new(true);
+    let config = faults::Config {
         queries: 80,
         loss_rates: vec![0.0, 0.5, 0.9],
         ..faults::Config::default()
-    });
+    };
+    let (_, report) = faults::run(&config, &mut session);
+    let telemetry = session.take_telemetry().expect("capturing");
     let measured = [
         ("report", fnv(report.to_string().as_bytes())),
         ("metrics_json", fnv(telemetry.snapshot.to_json().as_bytes())),
