@@ -13,7 +13,7 @@
 //! * [`LatencyModel`] — distance → one-way delay, with deterministic jitter;
 //! * [`FaultPlan`] — deterministic fault injection (loss, blackholes, extra
 //!   jitter, DNS reply truncation and RCODE rewriting) on the send path;
-//! * [`TransportModel`] / [`TransportPlan`] — per-link DNS transport models
+//! * [`TransportModel`] — a link's DNS transport model
 //!   (UDP/TCP/DoT/DoH): handshake RTT accounting with connection reuse and
 //!   TLS resumption, plus EDNS-buffer/path-MTU datagram fate;
 //! * [`Simulation`] — the event loop: nodes implement [`Node`], receive
@@ -67,6 +67,5 @@ pub use latency::LatencyModel;
 pub use sim::{Action, Ctx, Node, NodeId, Packet, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use transport::{
-    DatagramFate, HandshakeCosts, PathProfile, Transport, TransportModel, TransportPlan,
-    TransportStats,
+    DatagramFate, HandshakeCosts, PathProfile, Transport, TransportModel, TransportStats,
 };

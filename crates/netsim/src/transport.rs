@@ -312,37 +312,6 @@ impl TransportModel {
     }
 }
 
-/// Per-link transport assignments over the simulator's node graph, in the
-/// mold of [`crate::FaultPlan`]: a default model plus `(src, dst)`
-/// overrides. Each link gets its own stateful [`TransportModel`] clone, so
-/// connection warmth never leaks between links.
-#[derive(Debug, Clone, Default)]
-pub struct TransportPlan {
-    default: TransportModel,
-    links: HashMap<(usize, usize), TransportModel>,
-}
-
-impl TransportPlan {
-    /// A plan applying `default` to every link.
-    pub fn new(default: TransportModel) -> Self {
-        TransportPlan {
-            default,
-            links: HashMap::new(),
-        }
-    }
-
-    /// Overrides the model on the directed link `src → dst`.
-    pub fn set_link(&mut self, src: usize, dst: usize, model: TransportModel) -> &mut Self {
-        self.links.insert((src, dst), model);
-        self
-    }
-
-    /// A fresh stateful model for the directed link `src → dst`.
-    pub fn model_for(&self, src: usize, dst: usize) -> TransportModel {
-        self.links.get(&(src, dst)).unwrap_or(&self.default).clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,38 +446,5 @@ mod tests {
             m.datagram_fate(1 << 20, usize::MAX, || unreachable!()),
             DatagramFate::Deliver
         );
-    }
-
-    #[test]
-    fn plan_overrides_per_link_and_models_are_independent() {
-        let mut plan = TransportPlan::new(TransportModel::default());
-        plan.set_link(
-            1,
-            2,
-            TransportModel::new(
-                HandshakeCosts::default(),
-                PathProfile {
-                    mtu: 512,
-                    frag_loss: 1.0,
-                },
-            ),
-        );
-        let mut narrow = plan.model_for(1, 2);
-        let mut wide = plan.model_for(2, 1);
-        let no_roll = || panic!("deterministic endpoint must not draw RNG");
-        assert_eq!(
-            narrow.datagram_fate(600, 4096, no_roll),
-            DatagramFate::FragmentDrop
-        );
-        assert_eq!(
-            wide.datagram_fate(600, 4096, no_roll),
-            DatagramFate::Deliver
-        );
-        // Stateful warmth stays per-model: warming `narrow` leaves a
-        // second checkout of the same link cold.
-        let t0 = SimTime::ZERO;
-        assert_eq!(narrow.exchange_cost(Transport::Tcp, RTT, t0), RTT);
-        let mut narrow2 = plan.model_for(1, 2);
-        assert_eq!(narrow2.exchange_cost(Transport::Tcp, RTT, t0), RTT);
     }
 }

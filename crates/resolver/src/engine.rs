@@ -494,21 +494,6 @@ impl Resolver {
         &self.probing_state
     }
 
-    /// Direct cache access for white-box tests.
-    ///
-    /// # Panics
-    ///
-    /// When the engine runs against a shared cache
-    /// ([`Resolver::with_shared_cache`]) there is no exclusively-owned
-    /// `EcsCache` to hand out; white-box tests should reach through the
-    /// [`crate::shared_cache::SharedEcsCache`] handle they supplied.
-    pub fn cache_mut(&mut self) -> &mut EcsCache {
-        match &mut self.cache {
-            CacheSlot::Owned(c) => c,
-            CacheSlot::Shared(_) => panic!("cache_mut requires an engine-owned cache"),
-        }
-    }
-
     /// Handles one client query synchronously.
     ///
     /// * `query` — the client's message (may carry ECS);
