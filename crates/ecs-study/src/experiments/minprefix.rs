@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use analysis::{MappingQuality, PrefixLengthTable};
 
-use crate::experiments::fig67::{self, sweep, CdnModel, Sweep};
+use crate::experiments::fig67::{self, CdnModel, Sweep};
 use crate::report::Report;
 use crate::session::Session;
 
@@ -46,9 +46,9 @@ impl Default for Config {
 }
 
 impl Config {
-    /// `cdn`'s [`sweep`] over this config's probes and lengths.
+    /// `cdn`'s [`fig67::sweep`] over this config's probes and lengths.
     pub(crate) fn sweep(&self, cdn: CdnModel) -> Sweep {
-        sweep(&fig67::Config {
+        fig67::sweep(&fig67::Config {
             cdn,
             probes: self.probes,
             lengths: self.lengths.clone(),
@@ -83,7 +83,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     view(config.tolerance, sweeps.each_ref())
 }
 
-/// The minimum usable lengths read off the CDN-1 and CDN-2 [`sweep`]s.
+/// The minimum usable lengths read off the CDN-1 and CDN-2 [`Sweep`]s.
 pub(crate) fn view(tolerance: f64, sweeps: [&Sweep; 2]) -> (Outcome, Report) {
     let cdns: Vec<CdnOutcome> = [CdnModel::Cdn1, CdnModel::Cdn2]
         .into_iter()
