@@ -103,6 +103,18 @@ fn stock_engine_is_compliant_in_every_section() {
     assert!(json.contains("6.2-prefix"));
 }
 
+/// The whole report as `conformance --skip-differential --out` writes it,
+/// pinned by an FNV-1a 64 digest: whichever driver names produce the 20
+/// cells, these are the bytes.
+#[test]
+fn matrix_report_json_is_pinned() {
+    let json = run_matrix().to_json();
+    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, 0x80a2_5445_b348_2c3c, "digest {digest:#018x}");
+}
+
 #[test]
 fn formerr_on_ecs_scenario_triggers_withdrawal() {
     // An ECS-intolerant authoritative FORMERRs the first (ECS-bearing)

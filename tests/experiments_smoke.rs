@@ -220,6 +220,50 @@ fn faults_telemetry_artifacts_are_pinned() {
     );
 }
 
+/// The `scanner_*` and `netsim_*` series after one seeded 600-probe scan
+/// over healthy, lossy, dead and refusing forwarders with metrics on,
+/// pinned byte for byte: however the counters are kept, a snapshot reads
+/// this.
+#[test]
+fn scan_metrics_snapshots_are_pinned() {
+    use scanner::{ForwarderChainSpec, ForwarderHealth, RoundRobinFeed, ScanCapture, ScanConfig};
+    let cfg = ScanConfig {
+        window: 16,
+        rate_per_sec: 50,
+        burst: 16,
+        ..ScanConfig::default()
+    };
+    let mut world = ForwarderChainSpec::new(7)
+        .group(14, ForwarderHealth::Healthy, 64500)
+        .group(4, ForwarderHealth::Lossy(0.25), 64501)
+        .group(3, ForwarderHealth::Dead, 64502)
+        .group(3, ForwarderHealth::Refusing, 64503)
+        .build(cfg, |targets| RoundRobinFeed::new(targets.to_vec(), 600));
+    world.scanner_mut().enable_metrics();
+    world.sim.enable_metrics();
+    let mut capture = ScanCapture::new(64);
+    let report = scanner::run_scan(&mut world, netsim::SimDuration::from_secs(60), &mut capture);
+    assert!(report.reconciled, "{report:?}");
+    let s = report.stats;
+    assert!(
+        s.refused > 0 && s.retries > 0 && s.retry_exhausted > 0 && s.shed_breaker > 0,
+        "the scan must move every door it pins: {s:?}"
+    );
+    let scanner_json = world.scanner_mut().metrics_snapshot().to_json();
+    let netsim_json = world.sim.metrics_snapshot().expect("enabled").to_json();
+    let measured = [
+        ("scanner_metrics_json", fnv(scanner_json.as_bytes())),
+        ("netsim_metrics_json", fnv(netsim_json.as_bytes())),
+    ];
+    assert_pinned(
+        &measured,
+        &[
+            ("scanner_metrics_json", 0x7611f5f70255a2d2),
+            ("netsim_metrics_json", 0x6a028a5a640d3278),
+        ],
+    );
+}
+
 #[test]
 fn table2_runs() {
     let (_, report) = table2::run(&table2::Config::default());
