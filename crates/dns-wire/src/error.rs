@@ -49,10 +49,6 @@ pub enum WireError {
     OptOwnerNotRoot,
     /// A message exceeded the 64 KiB wire-size limit while serializing.
     MessageTooLong(usize),
-    /// A stream frame (TCP length-prefix or DoH HTTP envelope) was
-    /// structurally malformed — unlike [`WireError::Truncated`], more
-    /// bytes will never fix it.
-    BadFraming(&'static str),
     /// A count field in the header promised more entries than the body held.
     CountMismatch {
         /// Which section disagreed.
@@ -99,7 +95,6 @@ impl fmt::Display for WireError {
             WireError::MessageTooLong(n) => {
                 write!(f, "serialized message of {n} bytes exceeds 65535")
             }
-            WireError::BadFraming(why) => write!(f, "malformed stream frame: {why}"),
             WireError::CountMismatch { section } => {
                 write!(f, "header count disagrees with body in {section} section")
             }

@@ -1,34 +1,20 @@
 //! Message framing for stream transports.
 //!
-//! DNS over a stream needs explicit message boundaries. Two framings
-//! matter to the study's transport ladder:
+//! DNS over a stream needs explicit message boundaries. RFC 1035 §4.2.2:
+//! each message is preceded by a two-byte big-endian length.
+//! [`frame_tcp`] / [`unframe_tcp`] are the pure-buffer version (no I/O);
+//! `dnsd`'s TCP listener writes its replies through [`frame_tcp`]. The
+//! simulator's stream transports carry whole messages and charge the
+//! handshake in round trips (`resolver::Transport`), so they frame nothing.
 //!
-//! * **TCP / DoT** — RFC 1035 §4.2.2: each message is preceded by a
-//!   two-byte big-endian length. [`frame_tcp`] / [`unframe_tcp`] are the
-//!   pure-buffer version (no I/O), shared by the simulator's stream
-//!   transports and `dnsd`'s real TCP listener.
-//! * **DoH** — RFC 8484 carries the same wire message as an HTTP body.
-//!   The simulation needs only the framing shape, not an HTTP stack:
-//!   [`frame_doh_request`] / [`frame_doh_response`] emit a minimal,
-//!   deterministic HTTP/1.1 POST exchange with a `content-length` body,
-//!   and the unframers parse exactly that (tolerating header case and
-//!   extra headers).
-//!
-//! All unframers return `(payload, consumed)` so a caller draining a
-//! stream buffer knows where the next frame starts, and they distinguish
-//! "need more bytes" ([`WireError::Truncated`]) from "this will never
-//! parse" ([`WireError::BadFraming`]).
+//! [`unframe_tcp`] returns `(payload, consumed)` so a caller draining a
+//! stream buffer knows where the next frame starts, and reports an
+//! incomplete frame as [`WireError::Truncated`]: read more and retry.
 
 use crate::error::{WireError, WireResult};
 
 /// Largest message a two-byte length prefix can carry.
 pub const MAX_FRAME_LEN: usize = u16::MAX as usize;
-
-/// The well-known DoH endpoint path (RFC 8484 §4.1 convention).
-pub const DOH_PATH: &str = "/dns-query";
-
-/// The DoH media type (RFC 8484 §6).
-pub const DOH_CONTENT_TYPE: &str = "application/dns-message";
 
 /// Prefixes `msg` with its two-byte big-endian length (RFC 1035 §4.2.2).
 pub fn frame_tcp(msg: &[u8]) -> WireResult<Vec<u8>> {
@@ -58,81 +44,6 @@ pub fn unframe_tcp(buf: &[u8]) -> WireResult<(&[u8], usize)> {
         });
     }
     Ok((&buf[2..2 + len], 2 + len))
-}
-
-/// Frames `msg` as a deterministic DoH POST request.
-pub fn frame_doh_request(msg: &[u8]) -> Vec<u8> {
-    frame_http(&format!("POST {DOH_PATH} HTTP/1.1"), msg)
-}
-
-/// Frames `msg` as a deterministic DoH 200 response.
-pub fn frame_doh_response(msg: &[u8]) -> Vec<u8> {
-    frame_http("HTTP/1.1 200 OK", msg)
-}
-
-/// Reads one DoH request from the front of `buf`; returns the DNS body
-/// and the total bytes consumed.
-pub fn unframe_doh_request(buf: &[u8]) -> WireResult<(&[u8], usize)> {
-    unframe_http(buf, |start| {
-        start.starts_with("POST ") && start.contains(DOH_PATH)
-    })
-}
-
-/// Reads one DoH response from the front of `buf`; returns the DNS body
-/// and the total bytes consumed.
-pub fn unframe_doh_response(buf: &[u8]) -> WireResult<(&[u8], usize)> {
-    unframe_http(buf, |start| start.starts_with("HTTP/1.1 200"))
-}
-
-fn frame_http(start_line: &str, body: &[u8]) -> Vec<u8> {
-    let head = format!(
-        "{start_line}\r\ncontent-type: {DOH_CONTENT_TYPE}\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-fn unframe_http(buf: &[u8], start_ok: impl FnOnce(&str) -> bool) -> WireResult<(&[u8], usize)> {
-    // Locate the blank line ending the header section.
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Err(WireError::Truncated {
-            context: "doh header",
-        });
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| WireError::BadFraming("doh header is not ASCII"))?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().unwrap_or("");
-    if !start_ok(start) {
-        return Err(WireError::BadFraming("unexpected doh start line"));
-    }
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(WireError::BadFraming("doh header line without colon"));
-        };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = Some(
-                value
-                    .trim()
-                    .parse()
-                    .map_err(|_| WireError::BadFraming("bad content-length"))?,
-            );
-        }
-    }
-    let Some(len) = content_length else {
-        return Err(WireError::BadFraming("missing content-length"));
-    };
-    let body_start = head_end + 4;
-    if buf.len() < body_start + len {
-        return Err(WireError::Truncated {
-            context: "doh body",
-        });
-    }
-    Ok((&buf[body_start..body_start + len], body_start + len))
 }
 
 #[cfg(test)]
@@ -176,58 +87,6 @@ mod tests {
         assert!(matches!(
             unframe_tcp(&[0x00, 0x05, 1, 2, 3]),
             Err(WireError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn doh_request_round_trip() {
-        let msg = b"dns body \x00\xff";
-        let mut framed = frame_doh_request(msg);
-        framed.extend_from_slice(b"pipelined");
-        let (body, consumed) = unframe_doh_request(&framed).unwrap();
-        assert_eq!(body, msg);
-        assert_eq!(consumed, framed.len() - b"pipelined".len());
-        let text = String::from_utf8_lossy(&framed[..consumed - msg.len()]);
-        assert!(text.starts_with("POST /dns-query HTTP/1.1\r\n"));
-        assert!(text.contains("content-type: application/dns-message"));
-    }
-
-    #[test]
-    fn doh_response_round_trip() {
-        let msg = vec![7u8; 2000]; // bodies are not size-limited
-        let framed = frame_doh_response(&msg);
-        let (body, consumed) = unframe_doh_response(&framed).unwrap();
-        assert_eq!(body, msg);
-        assert_eq!(consumed, framed.len());
-    }
-
-    #[test]
-    fn doh_rejects_wrong_shape_but_tolerates_extra_headers() {
-        // A response is not a request.
-        let framed = frame_doh_response(b"x");
-        assert!(matches!(
-            unframe_doh_request(&framed),
-            Err(WireError::BadFraming(_))
-        ));
-        // Extra headers and mixed case are fine.
-        let raw = b"POST /dns-query HTTP/1.1\r\nHost: example\r\nContent-Length: 3\r\n\r\nabcrest";
-        let (body, consumed) = unframe_doh_request(raw).unwrap();
-        assert_eq!(body, b"abc");
-        assert_eq!(consumed, raw.len() - 4);
-        // Missing the header terminator: need more bytes.
-        assert!(matches!(
-            unframe_doh_request(b"POST /dns-query HTTP/1.1\r\n"),
-            Err(WireError::Truncated { .. })
-        ));
-        // Body shorter than content-length: need more bytes.
-        assert!(matches!(
-            unframe_doh_request(b"POST /dns-query HTTP/1.1\r\ncontent-length: 9\r\n\r\nabc"),
-            Err(WireError::Truncated { .. })
-        ));
-        // Garbage content-length never parses.
-        assert!(matches!(
-            unframe_doh_request(b"POST /dns-query HTTP/1.1\r\ncontent-length: zz\r\n\r\n"),
-            Err(WireError::BadFraming(_))
         ));
     }
 }

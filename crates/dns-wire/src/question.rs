@@ -33,11 +33,6 @@ impl Question {
         Question::new(name, RecordType::A, RecordClass::In)
     }
 
-    /// An IN AAAA question for `name`.
-    pub fn aaaa(name: Name) -> Self {
-        Question::new(name, RecordType::Aaaa, RecordClass::In)
-    }
-
     /// Serializes the question.
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         self.name.write(w)?;
@@ -81,7 +76,6 @@ mod tests {
     fn constructors() {
         let n = Name::from_ascii("x.example").unwrap();
         assert_eq!(Question::a(n.clone()).qtype, RecordType::A);
-        assert_eq!(Question::aaaa(n.clone()).qtype, RecordType::Aaaa);
         assert_eq!(Question::a(n.clone()).qclass, RecordClass::In);
     }
 

@@ -145,22 +145,6 @@ impl Rdata {
         }
     }
 
-    /// Extracts the IPv4 address, if this is an A record.
-    pub fn as_a(&self) -> Option<Ipv4Addr> {
-        match self {
-            Rdata::A(a) => Some(*a),
-            _ => None,
-        }
-    }
-
-    /// Extracts the IPv6 address, if this is an AAAA record.
-    pub fn as_aaaa(&self) -> Option<Ipv6Addr> {
-        match self {
-            Rdata::Aaaa(a) => Some(*a),
-            _ => None,
-        }
-    }
-
     /// Extracts the alias target, if this is a CNAME.
     pub fn as_cname(&self) -> Option<&Name> {
         match self {
@@ -186,15 +170,12 @@ mod tests {
     fn a_roundtrip() {
         let rd = Rdata::A(Ipv4Addr::new(203, 0, 113, 9));
         assert_eq!(roundtrip(rd.clone()), rd);
-        assert_eq!(rd.as_a(), Some(Ipv4Addr::new(203, 0, 113, 9)));
-        assert_eq!(rd.as_aaaa(), None);
     }
 
     #[test]
     fn aaaa_roundtrip() {
         let rd = Rdata::Aaaa("2001:db8::42".parse().unwrap());
         assert_eq!(roundtrip(rd.clone()), rd);
-        assert!(rd.as_aaaa().is_some());
     }
 
     #[test]

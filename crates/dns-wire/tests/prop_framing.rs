@@ -1,13 +1,10 @@
 //! Property-based tests for stream framing (RFC 1035 §4.2.2 length
-//! prefixes, DoH HTTP envelopes) and the truncation/retry equivalence the
+//! prefixes) and the truncation/retry equivalence the
 //! transport ladder relies on: a UDP answer that comes back TC and is
 //! re-fetched over TCP must deliver byte-for-byte what a direct TCP
 //! exchange would have.
 
-use dns_wire::framing::{
-    frame_doh_request, frame_doh_response, frame_tcp, unframe_doh_request, unframe_doh_response,
-    unframe_tcp, MAX_FRAME_LEN,
-};
+use dns_wire::framing::{frame_tcp, unframe_tcp, MAX_FRAME_LEN};
 use dns_wire::{EcsOption, Message, Name, Question, Rdata, Record, WireError};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -120,39 +117,6 @@ proptest! {
             frame_tcp(&huge),
             Err(WireError::MessageTooLong(MAX_FRAME_LEN + extra))
         );
-    }
-
-    #[test]
-    fn doh_envelopes_roundtrip_with_pipelined_tails(
-        body in proptest::collection::vec(any::<u8>(), 0..1200),
-        tail in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let mut req = frame_doh_request(&body);
-        let req_len = req.len();
-        req.extend_from_slice(&tail);
-        let (got, consumed) = unframe_doh_request(&req).unwrap();
-        prop_assert_eq!(got, &body[..]);
-        prop_assert_eq!(consumed, req_len);
-
-        let mut resp = frame_doh_response(&body);
-        let resp_len = resp.len();
-        resp.extend_from_slice(&tail);
-        let (got, consumed) = unframe_doh_response(&resp).unwrap();
-        prop_assert_eq!(got, &body[..]);
-        prop_assert_eq!(consumed, resp_len);
-    }
-
-    #[test]
-    fn doh_strict_prefixes_want_more_bytes(
-        body in proptest::collection::vec(any::<u8>(), 0..300),
-        cut in any::<usize>(),
-    ) {
-        let framed = frame_doh_response(&body);
-        let cut = cut % framed.len();
-        prop_assert!(matches!(
-            unframe_doh_response(&framed[..cut]),
-            Err(WireError::Truncated { .. })
-        ));
     }
 
     #[test]

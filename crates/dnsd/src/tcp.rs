@@ -26,8 +26,7 @@ pub fn read_framed(stream: &mut impl Read) -> io::Result<Vec<u8>> {
 }
 
 /// Writes one length-prefixed DNS message to a stream. Framing comes from
-/// [`dns_wire::framing::frame_tcp`] — the same bytes the simulator's
-/// stream transports use.
+/// [`dns_wire::framing::frame_tcp`].
 pub fn write_framed(stream: &mut impl Write, msg: &[u8]) -> io::Result<()> {
     let framed = dns_wire::framing::frame_tcp(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;

@@ -39,8 +39,9 @@ fn export_traces(dir: &std::path::Path) -> std::io::Result<()> {
     ];
     for (file, trace) in traces {
         let path = dir.join(file);
-        let out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        workload::write_trace(&trace, out).map_err(|e| std::io::Error::other(e.to_string()))?;
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        workload::write_trace(&trace, &mut out)?;
+        std::io::Write::flush(&mut out)?;
         println!("wrote {} records to {}", trace.len(), path.display());
     }
     Ok(())

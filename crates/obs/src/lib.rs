@@ -35,4 +35,4 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use prof::{LockMonitor, ProfileSnapshot, StackStats, StageProfiler};
-pub use trace::{EventKind, MemorySink, NoopRecorder, TraceCtx, TraceSink, Tracer, WriterSink};
+pub use trace::{EventKind, MemorySink, TraceCtx, TraceSink, Tracer};

@@ -57,15 +57,6 @@ pub trait TraceSink: Send + Sync {
     fn emit(&self, line: &str);
 }
 
-/// A sink that drops everything (telemetry explicitly off while keeping a
-/// sink plugged in).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl TraceSink for NoopRecorder {
-    fn emit(&self, _line: &str) {}
-}
-
 /// Collects lines in memory — tests and the experiment drivers read them
 /// back with [`MemorySink::lines`].
 #[derive(Default)]
@@ -91,28 +82,6 @@ impl TraceSink for MemorySink {
             .lock()
             .expect("trace sink poisoned")
             .push(line.to_string());
-    }
-}
-
-/// Writes one line per event to any `Write` (a file, stderr, …).
-/// Write errors are swallowed: telemetry must never take the engine down.
-pub struct WriterSink {
-    writer: Mutex<Box<dyn std::io::Write + Send>>,
-}
-
-impl WriterSink {
-    /// Wraps `writer`.
-    pub fn new(writer: impl std::io::Write + Send + 'static) -> Self {
-        WriterSink {
-            writer: Mutex::new(Box::new(writer)),
-        }
-    }
-}
-
-impl TraceSink for WriterSink {
-    fn emit(&self, line: &str) {
-        let mut w = self.writer.lock().expect("trace sink poisoned");
-        let _ = writeln!(w, "{line}");
     }
 }
 
@@ -533,13 +502,5 @@ mod tests {
         for kind in &kinds {
             assert!(EventKind::NAMES.contains(&kind.name()), "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn noop_recorder_swallows_lines() {
-        let t = Tracer::new(Arc::new(NoopRecorder));
-        let ctx = t.start(0, &EventKind::Shed);
-        assert!(ctx.is_enabled(), "ids still flow; output is discarded");
-        t.event(ctx, 1, &EventKind::StaleServe);
     }
 }

@@ -530,7 +530,7 @@ mod tests {
             city("Chicago").unwrap().pos,
         );
 
-        let resolver = Resolver::new(ResolverConfig::public_service_egress(egress_addr));
+        let resolver = Resolver::new(ResolverConfig::rfc_compliant(egress_addr));
         let egress_node = sim.add_node(
             EgressActor::new(
                 resolver,

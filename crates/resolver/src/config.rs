@@ -171,15 +171,6 @@ impl ResolverConfig {
         }
     }
 
-    /// A Google-like public resolver egress: compliant, and overrides any
-    /// external ECS with the immediate sender's address.
-    pub fn public_service_egress(addr: IpAddr) -> Self {
-        ResolverConfig {
-            accept_client_ecs: false,
-            ..Self::rfc_compliant(addr)
-        }
-    }
-
     /// An egress of an anycast service whose *front-ends* stamp trusted
     /// client ECS (the All-Names resolver): trusts incoming ECS, truncates
     /// to /24.

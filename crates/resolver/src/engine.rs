@@ -885,56 +885,6 @@ impl Resolver {
         self.exit(pending, Some(upstream_resp), now)
     }
 
-    /// Handles a client query, chasing CNAME chains across zones: when the
-    /// upstream answer ends in a CNAME without address records (the
-    /// cross-zone redirection CDNs use for onboarding), the resolver
-    /// re-queries the target — through the cache, so chased hops are
-    /// cached and scoped independently — and merges the chains. Depth is
-    /// bounded at 8 per RFC practice.
-    pub fn resolve_chasing<U: Upstream>(
-        &mut self,
-        query: &Message,
-        client_src: IpAddr,
-        now: SimTime,
-        upstream: &mut U,
-    ) -> Message {
-        let mut merged = self.resolve_msg(query, client_src, now, upstream);
-        let Some(question) = query.question().cloned() else {
-            return merged;
-        };
-        for _ in 0..8 {
-            if !merged.rcode.is_ok()
-                || !merged.answer_addrs().is_empty()
-                || merged.answers.is_empty()
-            {
-                break;
-            }
-            let Some(target) = merged.final_name() else {
-                break;
-            };
-            if target == question.name {
-                break;
-            }
-            let mut chase = Message::query(
-                query.id,
-                dns_wire::Question::new(target, question.qtype, question.qclass),
-            );
-            if let Some(e) = query.ecs() {
-                chase.set_ecs(*e);
-            }
-            let hop = self.resolve_msg(&chase, client_src, now, upstream);
-            merged.rcode = hop.rcode;
-            merged.answers.extend(hop.answers.iter().cloned());
-            if let Some(e) = hop.ecs() {
-                merged.set_ecs(*e);
-            }
-            if hop.answers.is_empty() {
-                break;
-            }
-        }
-        merged
-    }
-
     fn take_id(&mut self) -> u16 {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
@@ -1099,7 +1049,7 @@ mod tests {
     #[test]
     fn untrusted_client_ecs_overridden_with_sender() {
         let mut auth = auth();
-        let mut r = Resolver::new(ResolverConfig::public_service_egress(RES));
+        let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
         let mut q = client_query("www.example.com");
         q.set_ecs(EcsOption::from_v4(Ipv4Addr::new(100, 1, 2, 3), 32));
         let hidden: IpAddr = "77.7.7.7".parse().unwrap();
@@ -1536,10 +1486,9 @@ mod retry_tests {
 #[cfg(test)]
 mod chasing_tests {
     use super::*;
-    use authoritative::{CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
-    use dns_wire::{IpPrefix, Question};
+    use authoritative::{EcsHandling, ScopePolicy, Zone};
+    use dns_wire::Question;
     use std::net::{IpAddr, Ipv4Addr};
-    use topology::{CdnFootprint, EdgeServerSpec};
 
     fn name(s: &str) -> Name {
         Name::from_ascii(s).unwrap()
@@ -1548,8 +1497,7 @@ mod chasing_tests {
     const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
     const CLIENT: IpAddr = IpAddr::V4(Ipv4Addr::new(100, 70, 1, 7));
 
-    /// customer zone: www.customer.com CNAME ex.cdn.net; CDN zone serves
-    /// the edges. Chasing must cross zones and keep ECS tailoring.
+    /// customer zone: www.customer.com CNAME ex.cdn.net.
     fn world() -> ZoneRouter {
         let mut router = ZoneRouter::new();
         let mut customer = Zone::new(name("customer.com"));
@@ -1560,75 +1508,7 @@ mod chasing_tests {
             customer,
             EcsHandling::open(ScopePolicy::Zero),
         ));
-
-        let footprint = CdnFootprint {
-            edges: netsim::geo::CITIES
-                .iter()
-                .enumerate()
-                .map(|(i, c)| EdgeServerSpec {
-                    addr: IpAddr::V4(Ipv4Addr::new(203, 0, 113, i as u8 + 1)),
-                    pos: c.pos,
-                    city: c.name.to_string(),
-                })
-                .collect(),
-        };
-        let mut geodb = GeoDb::new();
-        geodb.insert(
-            IpPrefix::new(CLIENT, 24).unwrap(),
-            netsim::geo::city("Tokyo").unwrap().pos,
-        );
-        router.add(
-            AuthServer::new(
-                Zone::new(name("cdn.net")),
-                EcsHandling::open(ScopePolicy::MatchSource),
-            )
-            .with_cdn(CdnBehavior::cdn1(footprint), geodb),
-        );
         router
-    }
-
-    #[test]
-    fn chases_cname_across_zones_with_ecs() {
-        let mut router = world();
-        let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
-        let q = Message::query(7, Question::a(name("www.customer.com")));
-        let resp = r.resolve_chasing(&q, CLIENT, SimTime::ZERO, &mut router);
-        assert!(resp.rcode.is_ok());
-        // Chain: CNAME + A record(s).
-        assert_eq!(resp.answers[0].rtype(), dns_wire::RecordType::Cname);
-        assert_eq!(resp.answer_addrs().len(), 1);
-        assert_eq!(resp.final_name().unwrap(), name("ex.cdn.net"));
-        // The CDN zone saw the client's ECS and mapped near Tokyo:
-        // edge index for Tokyo in CITIES.
-        let tokyo_idx = netsim::geo::CITIES
-            .iter()
-            .position(|c| c.name == "Tokyo")
-            .unwrap() as u8;
-        assert_eq!(
-            resp.answer_addrs()[0],
-            IpAddr::V4(Ipv4Addr::new(203, 0, 113, tokyo_idx + 1))
-        );
-        // Both hops are now cached: a same-subnet repeat does no upstream.
-        let upstream_before = r.stats().upstream_queries;
-        let resp2 = r.resolve_chasing(&q, CLIENT, SimTime::from_secs(5), &mut router);
-        assert_eq!(r.stats().upstream_queries, upstream_before);
-        assert_eq!(resp2.answer_addrs(), resp.answer_addrs());
-    }
-
-    #[test]
-    fn chase_depth_is_bounded() {
-        let mut router = ZoneRouter::new();
-        let mut zone = Zone::new(name("loop.example"));
-        zone.add_cname(name("a.loop.example"), 60, name("b.loop.example"))
-            .unwrap();
-        zone.add_cname(name("b.loop.example"), 60, name("a.loop.example"))
-            .unwrap();
-        router.add(AuthServer::new(zone, EcsHandling::disabled()));
-        let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
-        let q = Message::query(7, Question::a(name("a.loop.example")));
-        // Terminates despite the CNAME loop.
-        let resp = r.resolve_chasing(&q, CLIENT, SimTime::ZERO, &mut router);
-        assert!(resp.answer_addrs().is_empty());
     }
 
     #[test]

@@ -141,6 +141,9 @@ impl TransportFaults {
     }
 }
 
+/// The upstream round trip handshakes are priced in.
+const UPSTREAM_RTT: SimDuration = SimDuration::from_millis(40);
+
 /// An [`Upstream`] decorator that models transports for the inner
 /// upstream: handshake costs on the SimTime axis, UDP datagram fate
 /// against the advertised EDNS buffer and path MTU, and standing
@@ -148,7 +151,6 @@ impl TransportFaults {
 pub struct TransportUpstream<U> {
     inner: U,
     model: TransportModel,
-    rtt: SimDuration,
     faults: TransportFaults,
     rng: SmallRng,
 }
@@ -161,7 +163,6 @@ impl<U: Upstream> TransportUpstream<U> {
         TransportUpstream {
             inner,
             model: TransportModel::default(),
-            rtt: SimDuration::from_millis(40),
             faults: TransportFaults::NONE,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -179,12 +180,6 @@ impl<U: Upstream> TransportUpstream<U> {
     /// Replaces the path profile (MTU / fragment loss).
     pub fn with_profile(mut self, profile: PathProfile) -> Self {
         self.model.profile = profile;
-        self
-    }
-
-    /// Sets the one-way-and-back RTT handshakes are priced in.
-    pub fn with_rtt(mut self, rtt: SimDuration) -> Self {
-        self.rtt = rtt;
         self
     }
 
@@ -220,7 +215,7 @@ impl<U: Upstream> TransportUpstream<U> {
         }
         // Handshakes delay the exchange: the inner upstream sees the query
         // arrive after the setup round-trips have been paid.
-        let at = now + self.model.exchange_cost(transport, self.rtt, now);
+        let at = now + self.model.exchange_cost(transport, UPSTREAM_RTT, now);
         if transport.is_stream() {
             // Streams carry any size; simulated DoT/DoH differ from TCP
             // only in handshake cost, so all three use the framed path.
@@ -435,8 +430,8 @@ mod tests {
                 Ok(Message::response_to(q))
             }
         }
-        let rtt = SimDuration::from_millis(40);
-        let mut up = TransportUpstream::new(ArrivalProbe(Vec::new()), 7).with_rtt(rtt);
+        let rtt = UPSTREAM_RTT;
+        let mut up = TransportUpstream::new(ArrivalProbe(Vec::new()), 7);
         // Cold DoT: 2 RTTs of setup before the inner upstream sees it.
         up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Dot)
             .unwrap();

@@ -77,14 +77,6 @@ impl ScanCapture {
         self.per_resolver.len()
     }
 
-    /// The sampled stream for one resolver.
-    pub fn entries_for(&self, resolver: IpAddr) -> &[QueryLogEntry] {
-        self.per_resolver
-            .get(&resolver)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Runs the §6.1 classifier over every resolver's sampled stream.
     /// Deterministic: `BTreeMap` keyed by resolver address.
     pub fn classify(&self, short_window_secs: u64) -> BTreeMap<IpAddr, ProbingVerdict> {
@@ -92,15 +84,6 @@ impl ScanCapture {
             .iter()
             .map(|(addr, entries)| (*addr, classify_probing(entries, short_window_secs)))
             .collect()
-    }
-
-    /// Verdict histogram over [`ScanCapture::classify`].
-    pub fn verdict_counts(&self, short_window_secs: u64) -> BTreeMap<&'static str, u64> {
-        let mut counts = BTreeMap::new();
-        for (_, v) in self.classify(short_window_secs) {
-            *counts.entry(verdict_name(v)).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Deterministic JSON: aggregate counters plus per-resolver verdicts,
@@ -156,7 +139,6 @@ mod tests {
         assert_eq!(c.cap_dropped, 1);
         assert_eq!(c.ecs_total, 2);
         assert_eq!(c.resolvers(), 2);
-        assert_eq!(c.entries_for("9.9.9.9".parse().unwrap()).len(), 2);
     }
 
     #[test]
@@ -178,7 +160,6 @@ mod tests {
             verdicts[&"9.9.9.10".parse::<IpAddr>().unwrap()],
             ProbingVerdict::NoEcs
         );
-        assert_eq!(c.verdict_counts(60)[&"always"], 1);
     }
 
     #[test]

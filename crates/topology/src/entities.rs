@@ -113,21 +113,6 @@ pub struct CdnFootprint {
 }
 
 impl CdnFootprint {
-    /// The edge nearest to `pos`, by great-circle distance. Returns the
-    /// index into `edges`.
-    pub fn nearest_edge(&self, pos: &GeoPoint) -> Option<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.pos
-                    .distance_km(pos)
-                    .partial_cmp(&b.pos.distance_km(pos))
-                    .expect("distances are finite")
-            })
-            .map(|(i, _)| i)
-    }
-
     /// Deterministically maps an opaque key (e.g. a hashed DNS name or an
     /// unroutable prefix) to an arbitrary edge. This reproduces the §8.1
     /// behaviour where unroutable ECS prefixes get answers uncorrelated
@@ -157,26 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn nearest_edge_picks_geographically() {
-        let cdn = CdnFootprint {
-            edges: vec![edge("Chicago", 1), edge("Zurich", 2), edge("Tokyo", 3)],
-        };
-        // Cleveland is nearest Chicago.
-        let idx = cdn.nearest_edge(&city("Cleveland").unwrap().pos).unwrap();
-        assert_eq!(cdn.edges[idx].city, "Chicago");
-        // Milan is nearest Zurich.
-        let idx = cdn.nearest_edge(&city("Milan").unwrap().pos).unwrap();
-        assert_eq!(cdn.edges[idx].city, "Zurich");
-        // Seoul is nearest Tokyo.
-        let idx = cdn.nearest_edge(&city("Seoul").unwrap().pos).unwrap();
-        assert_eq!(cdn.edges[idx].city, "Tokyo");
-    }
-
-    #[test]
-    fn nearest_edge_empty_is_none() {
-        let cdn = CdnFootprint::default();
-        assert_eq!(cdn.nearest_edge(&city("Paris").unwrap().pos), None);
-        assert_eq!(cdn.arbitrary_edge(7), None);
+    fn arbitrary_edge_of_an_empty_footprint_is_none() {
+        assert_eq!(CdnFootprint::default().arbitrary_edge(7), None);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Whole-world generation from a seeded configuration.
 
 use dns_wire::IpPrefix;
-use netsim::geo::{city, GeoPoint, CITIES};
+use netsim::geo::{city, CITIES};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::net::IpAddr;
 
 use crate::addr::AddrAllocator;
 use crate::asn::{generate_ases, jitter_position, AsId, AutonomousSystem};
@@ -286,20 +285,6 @@ impl World {
             cdn: CdnFootprint { edges },
         }
     }
-
-    /// The public-service front-end nearest to `pos` (anycast routing
-    /// approximation).
-    pub fn nearest_frontend(&self, pos: &GeoPoint) -> Option<(IpAddr, GeoPoint)> {
-        self.public_service
-            .frontends
-            .iter()
-            .min_by(|(_, a), (_, b)| {
-                a.distance_km(pos)
-                    .partial_cmp(&b.distance_km(pos))
-                    .expect("finite")
-            })
-            .copied()
-    }
 }
 
 #[cfg(test)]
@@ -410,16 +395,6 @@ mod tests {
             for pair in group.windows(2) {
                 assert!(pair[0].pos.distance_km(&pair[1].pos) < 50.0);
             }
-        }
-    }
-
-    #[test]
-    fn nearest_frontend_returns_closest() {
-        let w = World::generate(&WorldConfig::default());
-        let probe = netsim::geo::city("Frankfurt").unwrap().pos;
-        let (_, pos) = w.nearest_frontend(&probe).unwrap();
-        for (_, other) in &w.public_service.frontends {
-            assert!(pos.distance_km(&probe) <= other.distance_km(&probe) + 1e-9);
         }
     }
 

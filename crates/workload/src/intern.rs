@@ -136,11 +136,6 @@ impl TraceIndex {
         self.inner.resolvers.len()
     }
 
-    /// Number of distinct names.
-    pub fn num_names(&self) -> usize {
-        self.inner.names.len()
-    }
-
     /// Resolver addresses, indexable by resolver id.
     pub fn resolvers(&self) -> &[IpAddr] {
         &self.inner.resolvers
@@ -166,10 +161,6 @@ impl TraceIndex {
         &self.inner.record_resolver
     }
 
-    /// Per-record name ids.
-    pub fn name_ids(&self) -> &[u32] {
-        &self.inner.record_name
-    }
 }
 
 #[cfg(test)]
@@ -214,9 +205,9 @@ mod tests {
         let idx = TraceIndex::build(&records);
         assert_eq!(idx.len(), 4);
         assert_eq!(idx.num_resolvers(), 3);
-        assert_eq!(idx.num_names(), 2);
+        assert_eq!(idx.names().len(), 2);
         assert_eq!(idx.resolver_ids(), &[0, 1, 0, 2]);
-        assert_eq!(idx.name_ids(), &[0, 1, 0, 0]);
+        assert_eq!((0..4).map(|i| idx.name_id(i)).collect::<Vec<_>>(), [0, 1, 0, 0]);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(idx.resolvers()[idx.resolver_id(i) as usize], r.resolver);
             assert_eq!(&idx.names()[idx.name_id(i) as usize], &r.qname);
@@ -228,6 +219,6 @@ mod tests {
         let idx = TraceIndex::build(&[]);
         assert!(idx.is_empty());
         assert_eq!(idx.num_resolvers(), 0);
-        assert_eq!(idx.num_names(), 0);
+        assert!(idx.names().is_empty());
     }
 }

@@ -37,9 +37,7 @@ pub use datasets::{
     ResolverSpec, ScanDatasetGen,
 };
 pub use intern::{Interner, TraceIndex};
-pub use io::{
-    read_trace, read_trace_v2, write_trace, write_trace_v2, ChunkedTraceReader, TraceIoError,
-};
+pub use io::write_trace;
 pub use names::NameUniverse;
 pub use stream::{
     AllNamesStreamGen, CdnStreamGen, NameTable, StreamRecord, SubnetSpace, TraceStream,

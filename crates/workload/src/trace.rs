@@ -117,26 +117,6 @@ impl TraceSet {
         v
     }
 
-    /// Distinct question names.
-    pub fn unique_names(&self) -> usize {
-        let mut v: Vec<&Name> = self.records.iter().map(|r| &r.qname).collect();
-        v.sort();
-        v.dedup();
-        v.len()
-    }
-
-    /// Fraction of records carrying an ECS source prefix.
-    pub fn ecs_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .filter(|r| r.ecs_source.is_some())
-            .count() as f64
-            / self.records.len() as f64
-    }
-
     /// Asserts (in debug builds) and repairs time ordering. Drops any
     /// cached index: it is positional and sorting reorders records.
     pub fn sort_by_time(&mut self) {
@@ -171,9 +151,7 @@ mod tests {
         t.records.push(rec(3, 1, "a.example.com"));
         assert_eq!(t.len(), 3);
         assert_eq!(t.resolvers().len(), 2);
-        assert_eq!(t.unique_names(), 2);
         assert_eq!(t.clients().len(), 1);
-        assert!((t.ecs_fraction() - 1.0).abs() < 1e-9);
         t.sort_by_time();
         assert_eq!(t.records[0].at_micros, 1);
         assert_eq!(t.records[2].at_micros, 5);
@@ -188,7 +166,7 @@ mod tests {
         t.build_index();
         let idx = t.index().expect("built");
         assert_eq!(idx.num_resolvers(), 2);
-        assert_eq!(idx.num_names(), 2);
+        assert_eq!(idx.names().len(), 2);
         // Sorting reorders records, so the positional cache is dropped.
         t.sort_by_time();
         assert!(t.index().is_none());
@@ -211,7 +189,6 @@ mod tests {
     fn empty_trace() {
         let t = TraceSet::new("empty");
         assert!(t.is_empty());
-        assert_eq!(t.ecs_fraction(), 0.0);
-        assert_eq!(t.unique_names(), 0);
+        assert!(t.resolvers().is_empty() && t.clients().is_empty());
     }
 }

@@ -66,7 +66,7 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
     // override — the behaviour that exposes hidden resolvers).
     let egress_node = sim.add_node(
         EgressActor::new(
-            Resolver::new(ResolverConfig::public_service_egress(egress_addr)),
+            Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![(name("probe.example"), auth_addr)],
             book.clone(),
         ),
