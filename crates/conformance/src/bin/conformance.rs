@@ -12,6 +12,7 @@
 use std::process::ExitCode;
 
 use conformance::differential;
+use resolver::Transport;
 
 fn main() -> ExitCode {
     let mut out = String::from("conformance_report.json");
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut report = conformance::run_matrix();
+    let mut report = conformance::run_matrix(Transport::Udp);
     eprintln!(
         "conformance: {} matrix cells ({} failing)",
         report.cells.len(),
@@ -63,7 +64,7 @@ fn main() -> ExitCode {
             .notes
             .push("differential skipped: no loopback UDP socket available".to_string());
     } else {
-        match differential::run_differential(queries, seed) {
+        match differential::run_differential(queries, seed, 1, Transport::Udp) {
             Ok(d) => {
                 eprintln!(
                     "differential: {} queries, {} mismatched answers, {} metric deltas ({} off-whitelist), {} socket timeouts",

@@ -94,8 +94,12 @@ fn diff_auth() -> AuthServer {
     AuthServer::new(diff_zone(), EcsHandling::open(ScopePolicy::MatchSource))
 }
 
-fn diff_config() -> ResolverConfig {
-    ResolverConfig::rfc_compliant(IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9)))
+/// The differential subject, pinned to one transport.
+fn diff_config(transport: Transport) -> ResolverConfig {
+    ResolverConfig {
+        transport: TransportPolicy::prefer(transport),
+        ..ResolverConfig::rfc_compliant(IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9)))
+    }
 }
 
 /// Generates the seeded workload: `queries` lookups over the zone's names
@@ -135,16 +139,12 @@ pub struct SideResult {
     pub metrics: MetricsSnapshot,
 }
 
-fn run_side<U: Upstream>(workload: &[WorkloadQuery], upstream: &mut U) -> SideResult {
-    run_side_with(workload, diff_config(), upstream)
-}
-
-fn run_side_with<U: Upstream>(
+fn run_side<U: Upstream>(
     workload: &[WorkloadQuery],
-    config: ResolverConfig,
+    transport: Transport,
     upstream: &mut U,
 ) -> SideResult {
-    let mut r = Resolver::new(config);
+    let mut r = Resolver::new(diff_config(transport));
     let responses = workload
         .iter()
         .enumerate()
@@ -163,56 +163,29 @@ fn run_side_with<U: Upstream>(
     }
 }
 
-/// Runs the workload against the in-process authoritative.
-pub fn run_engine_side(workload: &[WorkloadQuery]) -> SideResult {
+/// Runs the workload against the in-process authoritative with the
+/// subject pinned to `transport`. The in-process [`AuthServer`] answers
+/// stream transports through the default [`Upstream::query_tcp`] mapping —
+/// the same messages, undegraded — which is exactly the reference the
+/// socket side must match.
+pub fn run_engine_side(workload: &[WorkloadQuery], transport: Transport) -> SideResult {
     let mut auth = diff_auth();
-    run_side(workload, &mut auth)
+    run_side(workload, transport, &mut auth)
 }
 
-/// The differential subject config pinned to one transport.
-fn matrix_config(transport: Transport) -> ResolverConfig {
-    ResolverConfig {
-        transport: TransportPolicy::prefer(transport),
-        ..diff_config()
-    }
-}
-
-/// [`run_engine_side`] with the subject pinned to `transport`. The
-/// in-process [`AuthServer`] answers stream transports through the default
-/// [`Upstream::query_tcp`] mapping — the same messages, undegraded — which
-/// is exactly the reference the socket side must match.
-pub fn run_engine_side_matrix(workload: &[WorkloadQuery], transport: Transport) -> SideResult {
-    let mut auth = diff_auth();
-    run_side_with(workload, matrix_config(transport), &mut auth)
-}
-
-/// Runs the workload through real loopback sockets: a spawned
-/// [`UdpAuthServer`] serving the same zone, queried via
-/// [`SocketUpstream`].
-pub fn run_socket_side(workload: &[WorkloadQuery]) -> io::Result<SideResult> {
-    run_socket_side_with_workers(workload, 1)
-}
-
-/// [`run_socket_side`] with the authoritative served by a `workers`-wide
-/// thread pool over one shared socket. The worker count must be
-/// behaviour-invisible: the kernel hands each datagram to one worker, the
-/// zone is immutable, and the server's metrics registry is shared — so
-/// answers must stay byte-identical at any width.
-pub fn run_socket_side_with_workers(
-    workload: &[WorkloadQuery],
-    workers: usize,
-) -> io::Result<SideResult> {
-    run_socket_side_matrix(workload, workers, Transport::Udp)
-}
-
-/// [`run_socket_side_with_workers`] with the subject pinned to
-/// `transport`. The zone is served on *both* transports from one shared
+/// Runs the workload through real loopback sockets with the subject pinned
+/// to `transport`: a spawned [`UdpAuthServer`] served by a `workers`-wide
+/// thread pool over one shared socket, queried via [`SocketUpstream`]. The
+/// worker count must be behaviour-invisible: the kernel hands each
+/// datagram to one worker, the zone is immutable, and the server's
+/// metrics registry is shared — so answers must stay byte-identical at
+/// any width. The zone is served on *both* transports from one shared
 /// [`authoritative::AuthServer`]: the UDP server owns it, and a
-/// [`TcpAuthServer`] bound on its own port serves the same
-/// `Arc`-shared state, with [`SocketUpstream::with_tcp_server`] routing
-/// stream exchanges there. Answers must stay byte-identical to the
-/// in-process engine side whichever transport carries them.
-pub fn run_socket_side_matrix(
+/// [`TcpAuthServer`] bound on its own port serves the same `Arc`-shared
+/// state, with [`SocketUpstream::with_tcp_server`] routing stream
+/// exchanges there. Answers must stay byte-identical to the in-process
+/// engine side whichever transport carries them.
+pub fn run_socket_side(
     workload: &[WorkloadQuery],
     workers: usize,
     transport: Transport,
@@ -226,7 +199,7 @@ pub fn run_socket_side_matrix(
     let mut up = SocketUpstream::new(addr)?
         .with_timeout(Duration::from_secs(2))
         .with_tcp_server(tcp_addr);
-    let result = run_side_with(workload, matrix_config(transport), &mut up);
+    let result = run_side(workload, transport, &mut up);
     handle.shutdown();
     tcp_handle.shutdown();
     Ok(result)
@@ -282,32 +255,18 @@ pub fn compare_sides(engine: &SideResult, socket: &SideResult) -> DifferentialRe
     }
 }
 
-/// The full differential run: seeded workload through both sides.
-pub fn run_differential(queries: usize, seed: u64) -> io::Result<DifferentialReport> {
-    run_differential_with_workers(queries, seed, 1)
-}
-
-/// [`run_differential`] with a multi-worker dnsd on the socket side.
-pub fn run_differential_with_workers(
-    queries: usize,
-    seed: u64,
-    workers: usize,
-) -> io::Result<DifferentialReport> {
-    run_differential_matrix(queries, seed, workers, Transport::Udp)
-}
-
 /// The full workers × transport differential cell: seeded workload played
 /// through the in-process engine and through real loopback sockets, both
 /// pinned to `transport`.
-pub fn run_differential_matrix(
+pub fn run_differential(
     queries: usize,
     seed: u64,
     workers: usize,
     transport: Transport,
 ) -> io::Result<DifferentialReport> {
     let workload = seeded_workload(queries, seed);
-    let engine = run_engine_side_matrix(&workload, transport);
-    let socket = run_socket_side_matrix(&workload, workers, transport)?;
+    let engine = run_engine_side(&workload, transport);
+    let socket = run_socket_side(&workload, workers, transport)?;
     Ok(compare_sides(&engine, &socket))
 }
 
@@ -340,8 +299,8 @@ mod tests {
     #[test]
     fn engine_side_is_reproducible() {
         let workload = seeded_workload(2_000, 42);
-        let a = run_engine_side(&workload);
-        let b = run_engine_side(&workload);
+        let a = run_engine_side(&workload, Transport::Udp);
+        let b = run_engine_side(&workload, Transport::Udp);
         assert_eq!(a.responses, b.responses);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.cache, b.cache);

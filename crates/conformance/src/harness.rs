@@ -6,14 +6,13 @@
 //! the corresponding `analysis` classifier. The classifier is the oracle:
 //! a cell passes when the measured class equals the configured one.
 //!
-//! Every driver has an `_over` variant taking a [`Transport`]: the subject
-//! is pinned to that transport ([`TransportPolicy::prefer`]) and the
-//! scripted authoritative is reached through an ideal
-//! [`TransportUpstream`]. ECS behaviour is a resolver *policy* decision,
-//! so the §6 verdict matrix must be byte-identical whichever transport
-//! carries the queries — the transport-invariance property
-//! `tests/transport_matrix.rs` pins. The legacy names delegate with
-//! [`Transport::Udp`].
+//! Every matrix driver takes the [`Transport`] its subjects are pinned to
+//! ([`TransportPolicy::prefer`]; `Transport::Udp` is the resolver's
+//! default policy), and the scripted authoritative is reached through an
+//! ideal [`TransportUpstream`]. ECS behaviour is a resolver *policy*
+//! decision, so the §6 verdict matrix must be byte-identical whichever
+//! transport carries the queries — the transport-invariance property
+//! `tests/transport_matrix.rs` pins.
 
 use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -42,7 +41,7 @@ pub fn subject_addr() -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9))
 }
 
-fn base_config_over(probing: ProbingStrategy, transport: Transport) -> ResolverConfig {
+fn base_config(probing: ProbingStrategy, transport: Transport) -> ResolverConfig {
     ResolverConfig {
         probing,
         transport: TransportPolicy::prefer(transport),
@@ -72,17 +71,12 @@ pub fn probing_workload(scenario: &Scenario) -> Vec<(SimTime, Name, IpAddr)> {
     events.into_iter().map(|(t, _, n, c)| (t, n, c)).collect()
 }
 
-/// Runs one probing subject through the workload and returns the captured
-/// upstream stream.
-pub fn drive_probing(strategy: ProbingStrategy) -> Vec<QueryLogEntry> {
-    drive_probing_over(strategy, Transport::Udp)
-}
-
-/// [`drive_probing`] with the subject pinned to `transport`.
-pub fn drive_probing_over(strategy: ProbingStrategy, transport: Transport) -> Vec<QueryLogEntry> {
+/// Runs one probing subject, pinned to `transport`, through the workload
+/// and returns the captured upstream stream.
+pub fn drive_probing(strategy: ProbingStrategy, transport: Transport) -> Vec<QueryLogEntry> {
     let scenario = Scenario::non_whitelisted();
     let mut up = TransportUpstream::ideal(scenario.build());
-    let mut r = Resolver::new(base_config_over(strategy, transport));
+    let mut r = Resolver::new(base_config(strategy, transport));
     for (id, (at, name, client)) in probing_workload(&scenario).into_iter().enumerate() {
         let q = Message::query(id as u16, Question::a(name));
         r.resolve_msg(&q, client, at, &mut up);
@@ -133,16 +127,11 @@ pub fn probing_cells() -> Vec<(&'static str, ProbingStrategy, ProbingVerdict)> {
 /// Runs every §6.1 cell, plus the narrow-capture-window regression: a
 /// window containing *only* a loopback interval probe must classify as
 /// `IntervalLoopback`, not `Always` (ECS on 100% of a one-query window).
-pub fn run_probing_matrix() -> Vec<CellResult> {
-    run_probing_matrix_over(Transport::Udp)
-}
-
-/// [`run_probing_matrix`] with the subject pinned to `transport`.
-pub fn run_probing_matrix_over(transport: Transport) -> Vec<CellResult> {
+pub fn run_probing_matrix(transport: Transport) -> Vec<CellResult> {
     let mut cells = Vec::new();
     for (cell, strategy, expected) in probing_cells() {
         let config = format!("{strategy:?}");
-        let log = drive_probing_over(strategy, transport);
+        let log = drive_probing(strategy, transport);
         let observed = classify_probing(&log, SHORT_WINDOW_SECS);
         cells.push(CellResult {
             section: "6.1-probing",
@@ -156,7 +145,7 @@ pub fn run_probing_matrix_over(transport: Transport) -> Vec<CellResult> {
 
     let scenario = Scenario::non_whitelisted();
     let mut up = TransportUpstream::ideal(scenario.build());
-    let mut r = Resolver::new(base_config_over(
+    let mut r = Resolver::new(base_config(
         ProbingStrategy::IntervalProbe {
             period: SimDuration::from_secs(1800),
             use_own_address: false,
@@ -195,12 +184,7 @@ fn prefix_row(expected_row: &str, compliant: bool) -> String {
 
 /// Runs the §6.2 / Table-1 cells: six subjects, each probed by six clients
 /// asking fresh names, tabulated by [`PrefixLengthTable`].
-pub fn run_prefix_matrix() -> Vec<CellResult> {
-    run_prefix_matrix_over(Transport::Udp)
-}
-
-/// [`run_prefix_matrix`] with the subject pinned to `transport`.
-pub fn run_prefix_matrix_over(transport: Transport) -> Vec<CellResult> {
+pub fn run_prefix_matrix(transport: Transport) -> Vec<CellResult> {
     let v4_clients: Vec<IpAddr> = (0..6u8)
         .map(|i| IpAddr::V4(Ipv4Addr::new(100, 70, 1 + i, 20 + i)))
         .collect();
@@ -276,31 +260,18 @@ pub fn run_prefix_matrix_over(transport: Transport) -> Vec<CellResult> {
         .collect()
 }
 
-/// Performs the §6.3 paired-probe methodology against one subject config:
-/// three scope trials (authoritative answering scope 24 / 16 / 0, second
-/// query from a different /24 in the same /16 and /22) plus two
-/// conveyed-prefix trials (a forwarder submitting client ECS at /32 and
-/// /25), assembled into a [`ComplianceObservation`].
+/// The §6.3 paired-probe methodology against one subject, as an auditor
+/// runs it: one resolver, a fresh hostname per trial. Three scope trials
+/// (authoritative answering scope 24 / 16 / 0; the second query comes from
+/// a different /24 in the same /16 and the same /22, which is what exposes
+/// a /22 cap) and two conveyed-prefix trials (a forwarder submitting client
+/// ECS at /32 and /25), assembled into a [`ComplianceObservation`]. The
+/// subject's own transport policy carries the queries.
 pub fn observe_compliance(
-    config: &ResolverConfig,
+    subject: &mut Resolver,
     answer_ttl: u32,
     flatten_cname: bool,
 ) -> ComplianceObservation {
-    observe_compliance_over(config, answer_ttl, flatten_cname, Transport::Udp)
-}
-
-/// [`observe_compliance`] with the subject pinned to `transport` (the
-/// config's own transport policy is overridden).
-pub fn observe_compliance_over(
-    config: &ResolverConfig,
-    answer_ttl: u32,
-    flatten_cname: bool,
-    transport: Transport,
-) -> ComplianceObservation {
-    let config = &ResolverConfig {
-        transport: TransportPolicy::prefer(transport),
-        ..config.clone()
-    };
     let client_a = IpAddr::V4(Ipv4Addr::new(100, 80, 4, 1));
     let client_b = IpAddr::V4(Ipv4Addr::new(100, 80, 5, 1));
     let forwarder = IpAddr::V4(Ipv4Addr::new(100, 90, 1, 1));
@@ -322,12 +293,12 @@ pub fn observe_compliance_over(
             ..base
         };
         let mut up = TransportUpstream::ideal(scenario.build());
-        let mut r = Resolver::new(config.clone());
-        let n = host("pair", &scenario);
+        let n = host(&format!("pair{slot}"), &scenario);
+        let at = SimTime::from_secs(10 * slot as u64);
         let q1 = Message::query(1, Question::a(n.clone()));
-        r.resolve_msg(&q1, client_a, SimTime::ZERO, &mut up);
+        subject.resolve_msg(&q1, client_a, at, &mut up);
         let q2 = Message::query(2, Question::a(n.clone()));
-        r.resolve_msg(&q2, client_b, SimTime::from_secs(5), &mut up);
+        subject.resolve_msg(&q2, client_b, at + SimDuration::from_secs(5), &mut up);
         let log = up.inner().captured_log();
         scope_results[slot] = log.iter().filter(|e| e.qname == n).count() >= 2;
         sent_private |= log
@@ -338,26 +309,25 @@ pub fn observe_compliance_over(
     obs.second_arrived_scope16 = scope_results[1];
     obs.second_arrived_scope0 = scope_results[2];
 
-    for (label, len, is_32_trial) in [("conv32", 32u8, true), ("conv25", 25u8, false)] {
+    for (label, len, at) in [("conv32", 32u8, 100), ("conv25", 25u8, 101)] {
         let scenario = Scenario {
             ttl: answer_ttl,
             cname: flatten_cname,
             ..Scenario::honors_scope()
         };
         let mut up = TransportUpstream::ideal(scenario.build());
-        let mut r = Resolver::new(config.clone());
         let n = host(label, &scenario);
         let mut q = Message::query(3, Question::a(n.clone()));
         q.set_edns(4096);
         q.set_ecs(EcsOption::from_v4(probe_c, len));
-        r.resolve_msg(&q, forwarder, SimTime::ZERO, &mut up);
+        subject.resolve_msg(&q, forwarder, SimTime::from_secs(at), &mut up);
         let log = up.inner().captured_log();
         if let Some(opt) = log
             .iter()
             .find(|e| e.qname == n)
             .and_then(|e| e.ecs.as_ref())
         {
-            if is_32_trial {
+            if len == 32 {
                 obs.conveyed_for_32 = Some(opt.source_prefix_len());
                 obs.echoed_long_prefix =
                     opt.source_prefix_len() > 24 && opt.to_v4() == Some(probe_c);
@@ -445,17 +415,17 @@ pub fn compliance_cells() -> Vec<(
     ]
 }
 
-/// Runs every §6.3 cell through the paired-probe driver and classifier.
-pub fn run_compliance_matrix() -> Vec<CellResult> {
-    run_compliance_matrix_over(Transport::Udp)
-}
-
-/// [`run_compliance_matrix`] with the subject pinned to `transport`.
-pub fn run_compliance_matrix_over(transport: Transport) -> Vec<CellResult> {
+/// Runs every §6.3 cell, its subject pinned to `transport`, through the
+/// paired-probe driver and classifier.
+pub fn run_compliance_matrix(transport: Transport) -> Vec<CellResult> {
     compliance_cells()
         .into_iter()
         .map(|(cell, preset, config, ttl, cname, expected)| {
-            let obs = observe_compliance_over(&config, ttl, cname, transport);
+            let mut subject = Resolver::new(ResolverConfig {
+                transport: TransportPolicy::prefer(transport),
+                ..config
+            });
+            let obs = observe_compliance(&mut subject, ttl, cname);
             let observed = classify_compliance(&obs);
             CellResult {
                 section: "6.3-compliance",
@@ -486,7 +456,8 @@ mod tests {
 
     #[test]
     fn observation_for_default_engine_is_fully_populated() {
-        let obs = observe_compliance(&ResolverConfig::rfc_compliant(subject_addr()), 300, false);
+        let mut subject = Resolver::new(ResolverConfig::rfc_compliant(subject_addr()));
+        let obs = observe_compliance(&mut subject, 300, false);
         assert!(obs.second_arrived_scope24);
         assert!(!obs.second_arrived_scope16);
         assert!(!obs.second_arrived_scope0);

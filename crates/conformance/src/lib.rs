@@ -33,18 +33,14 @@ pub mod scenario;
 pub use report::{CellResult, ConformanceReport, DifferentialReport, MetricDelta};
 pub use scenario::{EcsStance, Scenario, ScenarioUpstream};
 
-/// Runs the full §6 oracle matrix (no sockets involved).
-pub fn run_matrix() -> ConformanceReport {
-    run_matrix_over(resolver::Transport::Udp)
-}
-
-/// [`run_matrix`] with every subject pinned to `transport`: ECS policy is
-/// transport-independent, so the resulting verdict table must be
-/// byte-identical whichever transport carries the upstream queries.
-pub fn run_matrix_over(transport: resolver::Transport) -> ConformanceReport {
-    let mut cells = harness::run_probing_matrix_over(transport);
-    cells.extend(harness::run_prefix_matrix_over(transport));
-    cells.extend(harness::run_compliance_matrix_over(transport));
+/// Runs the full §6 oracle matrix (no sockets involved) with every
+/// subject pinned to `transport`: ECS policy is transport-independent, so
+/// the resulting verdict table must be byte-identical whichever transport
+/// carries the upstream queries.
+pub fn run_matrix(transport: resolver::Transport) -> ConformanceReport {
+    let mut cells = harness::run_probing_matrix(transport);
+    cells.extend(harness::run_prefix_matrix(transport));
+    cells.extend(harness::run_compliance_matrix(transport));
     ConformanceReport {
         cells,
         differential: None,
@@ -58,7 +54,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_section() {
-        let r = run_matrix();
+        let r = run_matrix(resolver::Transport::Udp);
         let count = |s: &str| r.cells.iter().filter(|c| c.section == s).count();
         assert!(count("6.1-probing") >= 6);
         assert!(count("6.2-prefix") >= 4);

@@ -5,9 +5,7 @@
 //! Needs loopback sockets; skips visibly (or fails under
 //! `ECS_REQUIRE_LOOPBACK`) when the environment has none.
 
-use conformance::differential::{
-    run_differential, run_differential_matrix, run_differential_with_workers,
-};
+use conformance::differential::run_differential;
 use resolver::Transport;
 
 #[test]
@@ -15,7 +13,8 @@ fn engine_and_dnsd_agree_on_seeded_workload() {
     if !dnsd::testutil::require_loopback("engine_and_dnsd_agree_on_seeded_workload") {
         return;
     }
-    let report = run_differential(10_000, 1).expect("socket side bound on loopback");
+    let report =
+        run_differential(10_000, 1, 1, Transport::Udp).expect("socket side bound on loopback");
     assert_eq!(report.queries, 10_000);
     assert_eq!(
         report.mismatched_answers, 0,
@@ -47,7 +46,7 @@ fn engine_and_multiworker_dnsd_agree_at_one_and_four_workers() {
     // the engine side is the oracle, and the socket side must match it
     // byte-for-byte whether one thread or four serve the shared socket.
     for workers in [1usize, 4] {
-        let report = run_differential_with_workers(4_000, 1, workers)
+        let report = run_differential(4_000, 1, workers, Transport::Udp)
             .expect("socket side bound on loopback");
         assert_eq!(report.queries, 4_000);
         assert_eq!(
@@ -77,7 +76,7 @@ fn engine_and_dnsd_agree_across_the_workers_by_transport_matrix() {
     // while UDP keeps the wide workload.
     for workers in [1usize, 4] {
         for (transport, queries) in [(Transport::Udp, 2_000), (Transport::Tcp, 400)] {
-            let report = run_differential_matrix(queries, 1, workers, transport)
+            let report = run_differential(queries, 1, workers, transport)
                 .expect("socket side bound on loopback");
             let cell = format!("{workers} worker(s) over {transport}");
             assert_eq!(report.queries, queries);

@@ -13,7 +13,7 @@ use conformance::run_matrix;
 use conformance::scenario::{host, Scenario};
 use dns_wire::{Message, Question, Rcode};
 use netsim::SimTime;
-use resolver::{Resolver, ResolverConfig};
+use resolver::{Resolver, ResolverConfig, Transport};
 
 fn assert_all_pass(cells: &[conformance::report::CellResult]) {
     let failures: Vec<String> = cells
@@ -35,7 +35,7 @@ fn assert_all_pass(cells: &[conformance::report::CellResult]) {
 
 #[test]
 fn probing_matrix_every_cell_lands_in_its_class() {
-    let cells = run_probing_matrix();
+    let cells = run_probing_matrix(Transport::Udp);
     assert_all_pass(&cells);
     // All five paper classes plus NoEcs are present.
     for want in [
@@ -56,7 +56,7 @@ fn probing_matrix_every_cell_lands_in_its_class() {
 
 #[test]
 fn prefix_matrix_every_cell_lands_in_its_row() {
-    let cells = run_prefix_matrix();
+    let cells = run_prefix_matrix(Transport::Udp);
     assert_all_pass(&cells);
     assert!(cells.len() >= 4, "need at least four §6.2 behaviours");
     // The stock engine's row is the RFC-compliant /24 truncation.
@@ -73,7 +73,7 @@ fn prefix_matrix_every_cell_lands_in_its_row() {
 
 #[test]
 fn compliance_matrix_every_cell_lands_in_its_class() {
-    let cells = run_compliance_matrix();
+    let cells = run_compliance_matrix(Transport::Udp);
     assert_all_pass(&cells);
     for want in [
         "correct",
@@ -96,7 +96,7 @@ fn stock_engine_is_compliant_in_every_section() {
     // The default engine appears exactly once per table, always in the
     // compliant cell: Always-probing is fine, /24 truncation is the
     // recommended prefix, Correct is the §6.3 target class.
-    let report = run_matrix();
+    let report = run_matrix(Transport::Udp);
     assert!(report.passed(), "failures: {:?}", report.failures());
     let json = report.to_json();
     assert!(json.contains("\"cells\""));
@@ -108,7 +108,7 @@ fn stock_engine_is_compliant_in_every_section() {
 /// cells, these are the bytes.
 #[test]
 fn matrix_report_json_is_pinned() {
-    let json = run_matrix().to_json();
+    let json = run_matrix(Transport::Udp).to_json();
     let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });

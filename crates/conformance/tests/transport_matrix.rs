@@ -5,7 +5,7 @@
 //! change a single verdict. Each cell row is rendered canonically and the
 //! whole table is compared byte-for-byte against the UDP baseline.
 
-use conformance::{run_matrix, run_matrix_over, CellResult};
+use conformance::{run_matrix, CellResult};
 use resolver::Transport;
 
 fn render(cells: &[CellResult]) -> String {
@@ -23,14 +23,14 @@ fn render(cells: &[CellResult]) -> String {
 
 #[test]
 fn verdict_table_is_byte_identical_across_transports() {
-    let baseline_cells = run_matrix_over(Transport::Udp).cells;
+    let baseline_cells = run_matrix(Transport::Udp).cells;
     for c in &baseline_cells {
         assert!(c.pass(), "UDP baseline cell failed: {c:?}");
     }
     let baseline = render(&baseline_cells);
     assert!(!baseline.is_empty());
     for t in [Transport::Tcp, Transport::Dot, Transport::Doh] {
-        let cells = run_matrix_over(t).cells;
+        let cells = run_matrix(t).cells;
         for c in &cells {
             assert!(c.pass(), "cell failed over {t}: {c:?}");
         }
@@ -40,12 +40,4 @@ fn verdict_table_is_byte_identical_across_transports() {
             "§6 verdict table diverged over {t}"
         );
     }
-}
-
-#[test]
-fn legacy_matrix_is_the_udp_column() {
-    assert_eq!(
-        render(&run_matrix().cells),
-        render(&run_matrix_over(Transport::Udp).cells)
-    );
 }

@@ -8,6 +8,7 @@
 //! authoritative.
 
 use conformance::differential::{run_engine_side, seeded_workload, DIFF_QUERIES};
+use resolver::Transport;
 
 /// FNV-1a 64 over `bytes`, continuing from `h`.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -20,7 +21,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 #[test]
 fn engine_side_responses_encode_to_pinned_bytes() {
-    let side = run_engine_side(&seeded_workload(DIFF_QUERIES, 1));
+    let side = run_engine_side(&seeded_workload(DIFF_QUERIES, 1), Transport::Udp);
     assert_eq!(side.responses.len(), DIFF_QUERIES);
     let mut h = 0xcbf2_9ce4_8422_2325;
     for bytes in &side.responses {

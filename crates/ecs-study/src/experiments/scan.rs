@@ -154,7 +154,7 @@ fn run_cell(
     let json = format!(
         "{{\"report\":{},\"classification\":{}}}",
         report.to_json(),
-        capture.to_json(conformance_short_window())
+        capture.to_json(conformance::harness::SHORT_WINDOW_SECS)
     );
     let cell = Cell {
         population,
@@ -164,12 +164,6 @@ fn run_cell(
         captured: capture.total,
     };
     (cell, json)
-}
-
-/// The §6 short-window threshold, kept in one place. (Numeric here to
-/// avoid a dependency on `conformance` from the study binary.)
-fn conformance_short_window() -> u64 {
-    60
 }
 
 /// Runs the sweep. When `session` captures telemetry, every cell's

@@ -160,7 +160,6 @@ impl TraceIndex {
     pub fn resolver_ids(&self) -> &[u32] {
         &self.inner.record_resolver
     }
-
 }
 
 #[cfg(test)]
@@ -207,7 +206,10 @@ mod tests {
         assert_eq!(idx.num_resolvers(), 3);
         assert_eq!(idx.names().len(), 2);
         assert_eq!(idx.resolver_ids(), &[0, 1, 0, 2]);
-        assert_eq!((0..4).map(|i| idx.name_id(i)).collect::<Vec<_>>(), [0, 1, 0, 0]);
+        assert_eq!(
+            (0..4).map(|i| idx.name_id(i)).collect::<Vec<_>>(),
+            [0, 1, 0, 0]
+        );
         for (i, r) in records.iter().enumerate() {
             assert_eq!(idx.resolvers()[idx.resolver_id(i) as usize], r.resolver);
             assert_eq!(&idx.names()[idx.name_id(i) as usize], &r.qname);

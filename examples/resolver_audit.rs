@@ -10,7 +10,7 @@
 use std::net::IpAddr;
 
 use analysis::classify_compliance;
-use ecs_study::experiments::cache_behavior::probe_resolver;
+use conformance::harness::observe_compliance;
 use resolver::{Resolver, ResolverConfig};
 
 fn main() {
@@ -24,11 +24,9 @@ fn main() {
     ];
 
     println!("{:<12} {:<20} observations", "suspect", "verdict");
-    for (i, (label, config)) in suspects.into_iter().enumerate() {
+    for (label, config) in suspects {
         let mut resolver = Resolver::new(config);
-        // A /22-aligned base for the paired forwarders, distinct per trial.
-        let base = 0x1400_0000u32 + (i as u32) * 0x400;
-        let obs = probe_resolver(&mut resolver, base, &format!("audit{i}"));
+        let obs = observe_compliance(&mut resolver, 300, false);
         let verdict = classify_compliance(&obs);
         println!(
             "{label:<12} {:<20} scope24-requeried={} scope16-requeried={} conveyed(/32)={:?} private={}",
