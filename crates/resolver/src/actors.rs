@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use authoritative::AuthServer;
 use dns_wire::{Message, Name};
-use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimTime};
+use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimTime, Transport};
 use parking_lot::RwLock;
 
 use crate::engine::{FlightKey, PendingQuery, Resolver, Step, UpstreamError};
@@ -148,7 +148,12 @@ fn send_msg(ctx: &mut Ctx, to: NodeId, msg: &Message) {
 
 impl EgressActor {
     /// Creates an egress actor.
-    pub fn new(resolver: Resolver, routes: Vec<(Name, IpAddr)>, book: SharedBook) -> Self {
+    pub fn new(mut resolver: Resolver, routes: Vec<(Name, IpAddr)>, book: SharedBook) -> Self {
+        // The packet simulator carries UDP datagrams and nothing else, so
+        // whatever ladder the resolver was configured with, this actor's
+        // exchanges have one rung: a spent budget ends an exchange instead
+        // of climbing to a transport the actor cannot drive.
+        resolver.config.transport.ladder = vec![Transport::Udp];
         let mut routes = routes;
         routes.sort_by_key(|(apex, _)| std::cmp::Reverse(apex.label_count()));
         EgressActor {
@@ -278,7 +283,7 @@ impl Node for EgressActor {
         if let Some(key) = &flight {
             self.flights.insert(key.clone(), id);
         }
-        let (exchange, action) = self.resolver.start_udp_exchange(pending, ctx.now());
+        let (exchange, action) = self.resolver.start_exchange(pending, ctx.now());
         self.pending.insert(
             id,
             PendingUpstream {

@@ -35,9 +35,6 @@ pub struct Exchange {
     /// Budget spent on the current rung, and the index into the backoff
     /// schedule, which restarts per rung.
     rung_attempt: u8,
-    /// The driver has one datagram transport: the ladder is `[Udp]`
-    /// whatever the configured policy says.
-    udp_only: bool,
     /// The send in flight is the inline RFC 7766 TCP re-query of a
     /// truncated reply on a ladder with no stream rung.
     inline_tcp: bool,
@@ -98,32 +95,11 @@ impl Resolver {
     /// Starts the upstream exchange for `pending` on the configured
     /// transport ladder and returns it with its first [`Action::Send`].
     pub fn start_exchange(&mut self, pending: PendingQuery, now: SimTime) -> (Exchange, Action) {
-        self.open_exchange(pending, now, false)
-    }
-
-    /// [`Resolver::start_exchange`] for a driver whose only transport is
-    /// UDP datagrams (the packet simulator): the ladder is `[Udp]`, so a
-    /// spent budget ends the exchange instead of climbing.
-    pub fn start_udp_exchange(
-        &mut self,
-        pending: PendingQuery,
-        now: SimTime,
-    ) -> (Exchange, Action) {
-        self.open_exchange(pending, now, true)
-    }
-
-    fn open_exchange(
-        &mut self,
-        pending: PendingQuery,
-        now: SimTime,
-        udp_only: bool,
-    ) -> (Exchange, Action) {
         let mut ex = Exchange {
             pending,
             rung: 0,
             attempt: 0,
             rung_attempt: 0,
-            udp_only,
             inline_tcp: false,
             span: TraceCtx::DISABLED,
             sent_at: now,
@@ -149,7 +125,7 @@ impl Resolver {
                 Err(_) => self.spend_attempt(ex, SimDuration::ZERO, now),
             };
         }
-        let transport = self.ladder(ex)[ex.rung];
+        let transport = self.ladder()[ex.rung];
         match outcome {
             Ok(resp) if resp.flags.tc && !transport.is_stream() => {
                 self.on_truncated(ex, false, now)
@@ -193,8 +169,8 @@ impl Resolver {
         }
     }
 
-    fn ladder(&self, ex: &Exchange) -> &[Transport] {
-        if ex.udp_only || self.config.transport.ladder.is_empty() {
+    fn ladder(&self) -> &[Transport] {
+        if self.config.transport.ladder.is_empty() {
             UDP_ONLY
         } else {
             &self.config.transport.ladder
@@ -221,7 +197,7 @@ impl Resolver {
             },
         );
         Action::Send {
-            transport: self.ladder(ex)[ex.rung],
+            transport: self.ladder()[ex.rung],
             timeout: self.config.retry.timeout_for(ex.rung_attempt),
         }
     }
@@ -243,7 +219,7 @@ impl Resolver {
             self.trace_fault(ex.span, now, format_args!("truncated"));
         }
         self.trace_event(ex.span, now, &EventKind::TcpFallback);
-        if let Some(next) = next_stream_rung(self.ladder(ex), ex.rung) {
+        if let Some(next) = next_stream_rung(self.ladder(), ex.rung) {
             self.climb(ex, next, "truncated", now);
             ex.attempt = ex.attempt.saturating_add(1);
             return self.resend(ex, now);
@@ -270,7 +246,7 @@ impl Resolver {
             .unwrap_or(self.config.retry.attempts)
             .max(1);
         if ex.rung_attempt >= per_rung {
-            if ex.rung + 1 >= self.ladder(ex).len() {
+            if ex.rung + 1 >= self.ladder().len() {
                 return self.fail(ex, now);
             }
             self.climb(ex, ex.rung + 1, "exhausted", now);
@@ -290,7 +266,7 @@ impl Resolver {
     /// counted and traced; the new rung starts with a fresh budget.
     fn climb(&mut self, ex: &mut Exchange, to: usize, reason: &'static str, now: SimTime) {
         let (from, to_transport) = {
-            let ladder = self.ladder(ex);
+            let ladder = self.ladder();
             (ladder[ex.rung], ladder[to])
         };
         self.stats.transport_fallbacks.inc();
