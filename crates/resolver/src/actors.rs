@@ -726,6 +726,14 @@ mod retry_tests {
     }
 
     fn lossy_world(loss: f64, seed: u64) -> (Simulation, NodeId, NodeId, NodeId) {
+        lossy_world_over(crate::TransportPolicy::default(), loss, seed)
+    }
+
+    fn lossy_world_over(
+        transport: crate::TransportPolicy,
+        loss: f64,
+        seed: u64,
+    ) -> (Simulation, NodeId, NodeId, NodeId) {
         let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::with_latency(
             seed,
@@ -752,7 +760,10 @@ mod retry_tests {
         );
         let egress_node = sim.add_node(
             EgressActor::new(
-                Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
+                Resolver::new(ResolverConfig {
+                    transport,
+                    ..ResolverConfig::rfc_compliant(egress_addr)
+                }),
                 vec![(name("probe.example"), auth_addr)],
                 book.clone(),
             ),
@@ -837,35 +848,45 @@ mod retry_tests {
         // Blackhole only the egress → authoritative link: queries vanish,
         // the client leg stays clean, and the authoritative log is empty.
         // The egress must send 4 attempts spaced 2/4/8 s apart.
-        let (mut sim, client_node, auth_node, egress_node) = lossy_world(0.0, 5);
-        let plan = {
-            let mut p = netsim::FaultPlan::none();
-            p.set_link(
-                egress_node,
-                auth_node,
-                netsim::LinkFaults {
-                    blackhole: true,
-                    ..netsim::LinkFaults::NONE
-                },
-            );
-            p
-        };
-        sim.set_fault_plan(plan);
-        sim.run();
-        // 1 client query + 3 client retransmissions each hit the egress;
-        // the first created the pending exchange, later ones were cache
-        // misses creating their own exchanges (same id → keyed per id).
-        let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
-        let s = e.resolver().stats();
-        assert!(s.servfail_responses >= 1, "gave up cleanly: {s:?}");
-        assert!(e.resolver().probing_state().marked_non_ecs);
-        // The blackhole swallowed every upstream attempt.
-        assert_eq!(sim.fault_stats().dropped_blackhole, s.upstream_queries);
-        let c = sim.node_mut::<ClientActor>(client_node).unwrap();
-        assert!(c
-            .responses
-            .iter()
-            .all(|(_, m)| m.rcode == dns_wire::Rcode::ServFail));
+        // The simulator carries datagrams only, so the same holds for a
+        // resolver configured with the full ladder: the actor clamps it to
+        // [Udp] and the spent budget ends the exchange instead of climbing.
+        for transport in [
+            crate::TransportPolicy::default(),
+            crate::TransportPolicy::full_ladder(),
+        ] {
+            let (mut sim, client_node, auth_node, egress_node) =
+                lossy_world_over(transport, 0.0, 5);
+            let plan = {
+                let mut p = netsim::FaultPlan::none();
+                p.set_link(
+                    egress_node,
+                    auth_node,
+                    netsim::LinkFaults {
+                        blackhole: true,
+                        ..netsim::LinkFaults::NONE
+                    },
+                );
+                p
+            };
+            sim.set_fault_plan(plan);
+            sim.run();
+            // 1 client query + 3 client retransmissions each hit the egress;
+            // the first created the pending exchange, later ones were cache
+            // misses creating their own exchanges (same id → keyed per id).
+            let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
+            let s = e.resolver().stats();
+            assert!(s.servfail_responses >= 1, "gave up cleanly: {s:?}");
+            assert_eq!(s.transport_fallbacks, 0, "one rung: {s:?}");
+            assert!(e.resolver().probing_state().marked_non_ecs);
+            // The blackhole swallowed every upstream attempt.
+            assert_eq!(sim.fault_stats().dropped_blackhole, s.upstream_queries);
+            let c = sim.node_mut::<ClientActor>(client_node).unwrap();
+            assert!(c
+                .responses
+                .iter()
+                .all(|(_, m)| m.rcode == dns_wire::Rcode::ServFail));
+        }
     }
 }
 
