@@ -114,49 +114,15 @@ pub trait Node: std::any::Any {
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
 }
 
-/// Registry-backed counters for a simulation run, created on demand by
-/// [`Simulation::enable_metrics`]. Recording never touches the RNG or the
-/// event queue, so an instrumented run stays bit-identical to a bare one;
+/// The one `netsim_*` series that has to be recorded as it happens,
+/// created on demand by [`Simulation::enable_metrics`]; the seven counters
+/// of a snapshot are read off `delivered`, `dropped` and [`FaultStats`]
+/// when it is asked for. Recording never touches the RNG or the event
+/// queue, so an instrumented run stays bit-identical to a bare one;
 /// keeping the struct optional makes the default path allocation-free too.
 struct SimMetrics {
     registry: obs::MetricsRegistry,
-    delivered: obs::Counter,
-    dropped: obs::Counter,
-    fault_loss: obs::Counter,
-    fault_blackhole: obs::Counter,
-    fault_truncated: obs::Counter,
-    fault_rcode: obs::Counter,
-    fault_delayed: obs::Counter,
     delivery_latency: obs::Histogram,
-}
-
-impl SimMetrics {
-    fn new() -> Self {
-        let registry = obs::MetricsRegistry::new();
-        SimMetrics {
-            delivered: registry.counter("netsim_delivered_total"),
-            dropped: registry.counter("netsim_dropped_total"),
-            fault_loss: registry.counter("netsim_fault_loss_total"),
-            fault_blackhole: registry.counter("netsim_fault_blackhole_total"),
-            fault_truncated: registry.counter("netsim_fault_truncated_total"),
-            fault_rcode: registry.counter("netsim_fault_rcode_total"),
-            fault_delayed: registry.counter("netsim_fault_delayed_total"),
-            delivery_latency: registry.histogram("netsim_delivery_latency_us"),
-            registry,
-        }
-    }
-
-    /// Folds the delta between two fault-stat snapshots into the counters.
-    fn record_fault_delta(&self, before: &FaultStats, after: &FaultStats) {
-        self.fault_loss
-            .add(after.dropped_loss - before.dropped_loss);
-        self.fault_blackhole
-            .add(after.dropped_blackhole - before.dropped_blackhole);
-        self.fault_truncated.add(after.truncated - before.truncated);
-        self.fault_rcode
-            .add(after.rcode_injected - before.rcode_injected);
-        self.fault_delayed.add(after.delayed - before.delayed);
-    }
 }
 
 /// The simulation world: node table, positions, clock, queue, RNG.
@@ -204,18 +170,40 @@ impl Simulation {
         }
     }
 
-    /// Turns on registry-backed telemetry: packet/fault counters and a
-    /// delivery-latency histogram. Off by default; enabling it does not
-    /// perturb the event order or the RNG stream.
+    /// Turns on telemetry: packet/fault counters and a delivery-latency
+    /// histogram. Off by default; enabling it does not perturb the event
+    /// order or the RNG stream. Call before the run: the histogram records
+    /// from here on, the counters are the simulation's cumulative tallies.
     pub fn enable_metrics(&mut self) {
         if self.metrics.is_none() {
-            self.metrics = Some(SimMetrics::new());
+            let registry = obs::MetricsRegistry::new();
+            let delivery_latency = registry.histogram("netsim_delivery_latency_us");
+            self.metrics = Some(SimMetrics {
+                registry,
+                delivery_latency,
+            });
         }
     }
 
-    /// A snapshot of the telemetry registry, if metrics are enabled.
+    /// A snapshot of the `netsim_*` series, if metrics are enabled: the
+    /// counters are [`Simulation::delivered`], [`Simulation::dropped`] and
+    /// [`Simulation::fault_stats`], so they agree by construction.
     pub fn metrics_snapshot(&self) -> Option<obs::MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.registry.snapshot())
+        let mut snap = self.metrics.as_ref()?.registry.snapshot();
+        let f = &self.fault_stats;
+        for (name, value) in [
+            ("netsim_delivered_total", self.delivered),
+            ("netsim_dropped_total", self.dropped),
+            ("netsim_fault_loss_total", f.dropped_loss),
+            ("netsim_fault_blackhole_total", f.dropped_blackhole),
+            ("netsim_fault_truncated_total", f.truncated),
+            ("netsim_fault_rcode_total", f.rcode_injected),
+            ("netsim_fault_delayed_total", f.delayed),
+        ] {
+            snap.series
+                .insert(name.into(), obs::MetricValue::Counter(value));
+        }
+        Some(snap)
     }
 
     /// Replaces the fault plan mid-run (e.g. to heal or degrade links).
@@ -267,18 +255,11 @@ impl Simulation {
     /// latency. This is how experiments bootstrap traffic. The fault plan
     /// is consulted first: it may drop, delay, or mangle the payload.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, mut payload: Vec<u8>, after: SimDuration) {
-        let faults_before = self.fault_stats;
         let verdict =
             self.faults
                 .apply(src, dst, &mut payload, &mut self.rng, &mut self.fault_stats);
-        if let Some(m) = &self.metrics {
-            m.record_fault_delta(&faults_before, &self.fault_stats);
-        }
         let Some(extra) = verdict else {
             self.dropped += 1;
-            if let Some(m) = &self.metrics {
-                m.dropped.inc();
-            }
             return;
         };
         let depart = self.clock + after;
@@ -296,12 +277,7 @@ impl Simulation {
                     EventKind::Deliver { src, dst, payload },
                 )
             }
-            None => {
-                self.dropped += 1;
-                if let Some(m) = &self.metrics {
-                    m.dropped.inc();
-                }
-            }
+            None => self.dropped += 1,
         }
     }
 
@@ -343,9 +319,6 @@ impl Simulation {
             match ev.kind {
                 EventKind::Deliver { src, dst, payload } => {
                     self.delivered += 1;
-                    if let Some(m) = &self.metrics {
-                        m.delivered.inc();
-                    }
                     self.dispatch(dst, |node, ctx| {
                         node.on_packet(Packet { src, dst, payload }, ctx)
                     });

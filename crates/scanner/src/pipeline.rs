@@ -17,7 +17,7 @@ use std::net::IpAddr;
 
 use dns_wire::{Message, Name, Question, Rcode};
 use netsim::{Ctx, Node, NodeId, Packet, SimDuration, SimTime};
-use obs::{EventKind, MetricsRegistry, MetricsSnapshot, TraceCtx, Tracer};
+use obs::{EventKind, MetricValue, MetricsRegistry, MetricsSnapshot, TraceCtx, Tracer};
 
 use crate::breaker::CircuitBreaker;
 use crate::budget::RetryBudget;
@@ -209,36 +209,13 @@ impl ScanStats {
     }
 }
 
-/// Telemetry handles, created lazily by
-/// [`ScannerNode::enable_metrics`]. Pure observation: recording never
-/// touches the RNG or the event queue.
+/// The one `scanner_*` series that has to be recorded as it happens,
+/// created by [`ScannerNode::enable_metrics`]; every other series is a
+/// [`ScanStats`] field read when a snapshot is asked for. Pure
+/// observation: recording never touches the RNG or the event queue.
 struct ScannerMetrics {
     registry: MetricsRegistry,
-    in_flight: obs::Gauge,
     latency: obs::Histogram,
-}
-
-impl ScannerMetrics {
-    fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        // Touch every series in the validator profile so even a scan that
-        // never sheds exports a complete snapshot.
-        for name in obs::validate::SCANNER_REQUIRED_SERIES {
-            match *name {
-                "scanner_in_flight" | "scanner_probe_latency_us" => {}
-                _ => {
-                    registry.counter(name);
-                }
-            }
-        }
-        let in_flight = registry.gauge("scanner_in_flight");
-        let latency = registry.histogram("scanner_probe_latency_us");
-        ScannerMetrics {
-            registry,
-            in_flight,
-            latency,
-        }
-    }
 }
 
 enum SlotState {
@@ -309,19 +286,44 @@ impl ScannerNode {
         sim.inject_timer(node, SimDuration::ZERO, PUMP);
     }
 
-    /// Starts recording `scanner_*` series into an internal registry.
+    /// Starts recording the probe-latency histogram; call before the run,
+    /// since the counters of a snapshot are the node's cumulative
+    /// [`ScanStats`].
     pub fn enable_metrics(&mut self) {
         if self.metrics.is_none() {
-            self.metrics = Some(ScannerMetrics::new());
+            let registry = MetricsRegistry::new();
+            let latency = registry.histogram("scanner_probe_latency_us");
+            self.metrics = Some(ScannerMetrics { registry, latency });
         }
     }
 
-    /// Snapshot of the `scanner_*` series (empty if metrics are off).
+    /// Snapshot of the `scanner_*` series (empty if metrics are off): the
+    /// ten counters are the [`ScanStats`] fields and the gauge is the live
+    /// slot count, so the series and the struct agree by construction.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.metrics {
-            Some(m) => m.registry.snapshot(),
-            None => MetricsRegistry::new().snapshot(),
+        let Some(m) = &self.metrics else {
+            return MetricsSnapshot::default();
+        };
+        let s = &self.stats;
+        let mut snap = m.registry.snapshot();
+        for (name, value) in [
+            ("scanner_probes_total", s.probes),
+            ("scanner_attempts_total", s.attempts),
+            ("scanner_answered_total", s.answered),
+            ("scanner_refused_total", s.refused),
+            ("scanner_retries_total", s.retries),
+            ("scanner_retry_exhausted_total", s.retry_exhausted),
+            ("scanner_shed_rate_limit_total", s.shed_rate_limit),
+            ("scanner_shed_breaker_total", s.shed_breaker),
+            ("scanner_breaker_opens_total", s.breaker_opens),
+            ("scanner_rate_deferrals_total", s.rate_deferrals),
+        ] {
+            snap.series.insert(name.into(), MetricValue::Counter(value));
         }
+        let live = self.slots.live() as u64;
+        snap.series
+            .insert("scanner_in_flight".into(), MetricValue::Gauge(live));
+        snap
     }
 
     /// Emits `scan_probe`/`scan_outcome`/`breaker_transition`/
@@ -396,18 +398,9 @@ impl ScannerNode {
         self.note_in_flight();
     }
 
-    fn counter(&self, name: &str) {
-        if let Some(m) = &self.metrics {
-            m.registry.counter(name).inc();
-        }
-    }
-
     fn note_in_flight(&mut self) {
         let live = self.slots.live() as u64;
         self.stats.max_in_flight = self.stats.max_in_flight.max(live);
-        if let Some(m) = &self.metrics {
-            m.in_flight.set(live);
-        }
     }
 
     fn breaker_call<R>(
@@ -437,14 +430,7 @@ impl ScannerNode {
                 },
             );
         }
-        if opened > 0 {
-            self.stats.breaker_opens += opened;
-            if let Some(m) = &self.metrics {
-                m.registry
-                    .counter("scanner_breaker_opens_total")
-                    .add(opened);
-            }
-        }
+        self.stats.breaker_opens += opened;
         out
     }
 
@@ -472,7 +458,6 @@ impl ScannerNode {
             };
             let now = ctx.now();
             self.stats.probes += 1;
-            self.counter("scanner_probes_total");
             let trace = self.tracer.start(
                 now.as_micros(),
                 &EventKind::ScanProbe {
@@ -483,7 +468,6 @@ impl ScannerNode {
             // Door 4: breaker open (or half-open canary already out).
             if !self.breaker_call(probe.target.addr, trace, now, |b| b.allow(now)) {
                 self.stats.shed_breaker += 1;
-                self.counter("scanner_shed_breaker_total");
                 self.outcome_trace(trace, now, "shed_breaker", 0);
                 self.profiler
                     .record(&["scanner", "probe", "shed_breaker"], 0);
@@ -495,7 +479,6 @@ impl ScannerNode {
             let launch_at = token_at.max(probe.not_before);
             if token_at.since(now) > self.cfg.max_rate_delay {
                 self.stats.shed_rate_limit += 1;
-                self.counter("scanner_shed_rate_limit_total");
                 self.outcome_trace(trace, now, "shed_rate_limit", 0);
                 self.profiler
                     .record(&["scanner", "probe", "shed_rate_limit"], 0);
@@ -520,7 +503,6 @@ impl ScannerNode {
             if launch_at > now {
                 if token_at > now {
                     self.stats.rate_deferrals += 1;
-                    self.counter("scanner_rate_deferrals_total");
                     self.tracer.event(
                         trace,
                         now.as_micros(),
@@ -556,7 +538,6 @@ impl ScannerNode {
         let q = Message::query(r.index, Question::a(slot.qname.clone()));
         let to = slot.target.node;
         self.stats.attempts += 1;
-        self.counter("scanner_attempts_total");
         if let Ok(bytes) = q.to_bytes() {
             ctx.send(to, bytes);
         }
@@ -584,14 +565,12 @@ impl ScannerNode {
         match outcome {
             ProbeOutcome::Answered => {
                 self.stats.answered += 1;
-                self.counter("scanner_answered_total");
                 if let Some(m) = &self.metrics {
                     m.latency.record(latency.as_micros());
                 }
                 let refused = rcode == Some(Rcode::Refused);
                 if refused {
                     self.stats.refused += 1;
-                    self.counter("scanner_refused_total");
                 } else if rcode == Some(Rcode::ServFail) {
                     self.stats.servfail += 1;
                 }
@@ -620,7 +599,6 @@ impl ScannerNode {
             }
             ProbeOutcome::RetryExhausted => {
                 self.stats.retry_exhausted += 1;
-                self.counter("scanner_retry_exhausted_total");
                 let addr = slot.target.addr;
                 self.breaker_call(addr, slot.trace, now, |b| b.record_failure(now));
                 self.outcome_trace(slot.trace, now, "retry_exhausted", latency.as_micros());
@@ -681,7 +659,6 @@ impl Node for ScannerNode {
                     let trace = slot.trace;
                     let delay_us = self.cfg.budget.timeout_for(attempt).as_micros();
                     self.stats.retries += 1;
-                    self.counter("scanner_retries_total");
                     self.tracer.event(
                         trace,
                         ctx.now().as_micros(),
