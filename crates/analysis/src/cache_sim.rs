@@ -110,7 +110,7 @@ pub fn default_parallelism() -> usize {
 }
 
 /// Per-resolver outcome.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolverCacheResult {
     /// The resolver.
     pub resolver: IpAddr,

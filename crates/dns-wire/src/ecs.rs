@@ -17,7 +17,6 @@
 //! the source prefix length MUST be zero. In queries SCOPE MUST be zero; in
 //! responses SCOPE tells the resolver how widely the answer may be cached.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -26,7 +25,7 @@ use crate::prefix::IpPrefix;
 use crate::wire::WireWriter;
 
 /// The ECS FAMILY field (IANA address-family numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressFamily {
     /// IPv4 (1).
     V4,
@@ -71,7 +70,7 @@ impl AddressFamily {
 /// Those are expressible here — they are protocol-legal — while structurally
 /// invalid options (excess address bytes, non-zero trailing bits) are
 /// rejected at parse time per RFC 7871 §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EcsOption {
     family: AddressFamily,
     source_prefix_len: u8,
@@ -179,7 +178,7 @@ impl EcsOption {
         self.source_prefix().is_non_routable()
     }
 
-    /// Serializes the option body.
+    /// Encodes the option body.
     pub fn to_wire(&self) -> WireResult<Vec<u8>> {
         let mut w = WireWriter::with_buffer(Vec::with_capacity(4 + self.family.addr_octets()));
         self.write(&mut w);

@@ -141,7 +141,7 @@ impl OptRecord {
             .retain(|o| !matches!(o, EdnsOption::ClientSubnet(_)));
     }
 
-    /// Serializes the full pseudo-record (owner name through RDATA).
+    /// Encodes the full pseudo-record (owner name through RDATA).
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         Name::root().write_uncompressed(w);
         w.put_u16(41); // TYPE OPT

@@ -160,7 +160,7 @@ impl Header {
         }
     }
 
-    /// Serializes the fixed twelve bytes.
+    /// Encodes the fixed twelve bytes.
     pub fn write(&self, w: &mut WireWriter) {
         w.put_u16(self.id);
         let mut hi: u8 = 0;

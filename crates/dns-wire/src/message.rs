@@ -164,14 +164,14 @@ impl Message {
         self.answers.iter().map(|r| r.ttl).min()
     }
 
-    /// Serializes the message with name compression.
+    /// Encodes the message with name compression.
     pub fn to_bytes(&self) -> WireResult<Vec<u8>> {
         let mut w = WireWriter::new();
         self.write(&mut w)?;
         w.finish()
     }
 
-    /// Serializes into an existing writer.
+    /// Encodes into an existing writer.
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         let header = Header {
             id: self.id,

@@ -187,14 +187,14 @@ impl Name {
             .chain(self.is_root().then_some(b'.'))
     }
 
-    /// Serializes this name, compressing against names already in `w`
+    /// Encodes this name, compressing against names already in `w`
     /// (see [`WireWriter`] for how a target is found and what bounds it).
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         w.put_name(&self.wire);
         Ok(())
     }
 
-    /// Serializes without compression (and without recording offsets), as
+    /// Encodes without compression (and without recording offsets), as
     /// required inside RDATA of types unknown to compressors.
     pub fn write_uncompressed(&self, w: &mut WireWriter) {
         w.put_bytes(&self.wire);
@@ -331,20 +331,6 @@ impl std::str::FromStr for Name {
     type Err = WireError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Name::from_ascii(s)
-    }
-}
-
-// Serde: names serialize as their presentation form.
-impl serde::Serialize for Name {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.canonical())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Name {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Name::from_ascii(&s).map_err(serde::de::Error::custom)
     }
 }
 

@@ -6,7 +6,6 @@
 //! resolver cache, authoritative scope logic, and analysis code all agree on
 //! truncation and containment semantics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -42,7 +41,7 @@ impl std::error::Error for PrefixError {}
 /// assert!(p.contains(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1))));
 /// assert!(!p.contains(IpAddr::V4(Ipv4Addr::new(192, 0, 3, 1))));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IpPrefix {
     addr: IpAddr,
     len: u8,

@@ -33,7 +33,7 @@ impl Question {
         Question::new(name, RecordType::A, RecordClass::In)
     }
 
-    /// Serializes the question.
+    /// Encodes the question.
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         self.name.write(w)?;
         w.put_u16(self.qtype.to_u16());

@@ -67,7 +67,7 @@ impl Rdata {
         }
     }
 
-    /// Serializes the RDATA body (without the RDLENGTH prefix).
+    /// Encodes the RDATA body (without the RDLENGTH prefix).
     ///
     /// Names inside well-known types (CNAME, NS, PTR, SOA) are eligible for
     /// compression per RFC 1035/3597; unknown types are written verbatim.

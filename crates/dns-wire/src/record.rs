@@ -154,7 +154,7 @@ impl Record {
         self.rdata.rtype()
     }
 
-    /// Serializes the record, compressing the owner name and any compressible
+    /// Encodes the record, compressing the owner name and any compressible
     /// names inside RDATA.
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         self.name.write(w)?;
@@ -196,19 +196,6 @@ impl Record {
             ttl,
             rdata,
         })
-    }
-}
-
-// Serde: record types serialize as their numeric TYPE value.
-impl serde::Serialize for RecordType {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_u16(self.to_u16())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for RecordType {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(RecordType::from_u16(u16::deserialize(deserializer)?))
     }
 }
 

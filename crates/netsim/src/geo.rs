@@ -5,14 +5,13 @@
 //! milliseconds. Every simulated node carries a [`GeoPoint`]; the latency
 //! model converts haversine distance to propagation delay.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A point on the Earth's surface (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north. Clamped to [-90, 90].
     pub lat: f64,
@@ -56,7 +55,7 @@ impl fmt::Display for GeoPoint {
 /// View, Switzerland, South Africa, Santiago, Italy, Beijing, Shanghai,
 /// Guangzhou, Toronto, Amsterdam) plus enough world coverage for synthetic
 /// populations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct City {
     /// City name.
     pub name: &'static str,

@@ -45,7 +45,7 @@ pub enum CacheCompliance {
 /// Statistics the §7 analyses read. All counters update with saturating
 /// arithmetic, so pathological workloads degrade to pinned counters rather
 /// than panicking in debug builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookup hits.
     pub hits: u64,
@@ -78,7 +78,7 @@ impl CacheStats {
 
 /// Resource limits for [`EcsCache`]. The default is fully unbounded with
 /// stale retention off — the exact behaviour of the unbounded cache.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheLimits {
     /// Maximum live entries; `None` = unbounded.
     pub max_entries: Option<usize>,

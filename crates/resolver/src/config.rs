@@ -61,7 +61,7 @@ impl RetryPolicy {
 /// coalescing, and RFC 8767 serve-stale. Every limit defaults to
 /// unlimited/off, so a default-configured resolver behaves bit-identically
 /// to one predating these knobs.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// Maximum live cache entries; LRU eviction beyond it. `None` = unbounded.
     pub max_cache_entries: Option<usize>,

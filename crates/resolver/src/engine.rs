@@ -180,7 +180,7 @@ impl Upstream for ZoneRouter {
 
 /// Counters for one resolver's upstream traffic. All counters update with
 /// saturating arithmetic — overload is exactly when they get hammered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Client queries handled.
     pub client_queries: u64,

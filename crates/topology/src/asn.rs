@@ -9,10 +9,9 @@
 use netsim::geo::{City, GeoPoint, CITIES};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifies an autonomous system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
 
 /// An autonomous system with geographic presence.

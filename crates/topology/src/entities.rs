@@ -7,14 +7,13 @@
 
 use dns_wire::IpPrefix;
 use netsim::GeoPoint;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 use crate::asn::AsId;
 
 /// An end host (stub client) behind a forwarder or talking directly to a
 /// resolution service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientSpec {
     /// The client's own address.
     pub addr: IpAddr,
@@ -28,7 +27,7 @@ pub struct ClientSpec {
 
 /// An open ingress resolver (forwarder). Most are home routers that simply
 /// relay queries to a recursive resolver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForwarderSpec {
     /// The forwarder's address.
     pub addr: IpAddr,
@@ -43,7 +42,7 @@ pub struct ForwarderSpec {
 /// A hidden resolver: an intermediary between forwarders and egress
 /// resolvers. Many real deployments put these far from the clients —
 /// the §8.2 pitfall.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HiddenResolverSpec {
     /// Address (what egress resolvers see as the query source).
     pub addr: IpAddr,
@@ -55,7 +54,7 @@ pub struct HiddenResolverSpec {
 
 /// An egress (recursive) resolver: the party that queries authoritative
 /// nameservers, adds ECS options, and maintains the cache under study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EgressResolverSpec {
     /// Address seen by authoritative nameservers.
     pub addr: IpAddr,
@@ -72,7 +71,7 @@ pub struct EgressResolverSpec {
 /// with zero or more hidden hops; we model zero or one, which captures the
 /// phenomena studied (§8.2 footnote: resolvers report hidden resolvers at
 /// /24 granularity, one level deep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainSpec {
     /// Index into [`crate::World::hidden_resolvers`], if the path includes a
     /// hidden hop.
@@ -85,7 +84,7 @@ pub struct ChainSpec {
 /// queries and stamp the client's subnet into ECS, plus the egress resolver
 /// pool behind them. Models the "major public DNS service" / All-Names
 /// resolver service of §4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PublicServiceSpec {
     /// Front-end addresses/locations (one per region).
     pub frontends: Vec<(IpAddr, GeoPoint)>,
@@ -95,7 +94,7 @@ pub struct PublicServiceSpec {
 }
 
 /// One CDN edge server (or edge cluster virtual IP).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeServerSpec {
     /// Virtual IP returned in DNS answers.
     pub addr: IpAddr,
@@ -106,7 +105,7 @@ pub struct EdgeServerSpec {
 }
 
 /// A CDN's serving footprint: edge servers spread across the world.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CdnFootprint {
     /// All deployed edges.
     pub edges: Vec<EdgeServerSpec>,

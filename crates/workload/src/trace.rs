@@ -7,13 +7,12 @@
 //! All-Names dataset, the real client address.
 
 use dns_wire::{IpPrefix, Name, RecordType};
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 use crate::intern::TraceIndex;
 
 /// One logged query/response pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Microseconds since trace start.
     pub at_micros: u64,
@@ -42,7 +41,7 @@ pub struct TraceRecord {
 /// [`TraceSet::sort_by_time`] and ignored when the record count no longer
 /// matches; rewriting `records` in place at the same length requires
 /// calling [`TraceSet::build_index`] again.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSet {
     /// Trace records in non-decreasing time order.
     pub records: Vec<TraceRecord>,
