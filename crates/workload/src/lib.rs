@@ -15,6 +15,10 @@
 //! client subnet spread, TTL mix, scope mix — are what the analyses
 //! depend on, and those are preserved.
 //!
+//! A materialised trace can be exported for outside tools with
+//! [`write_trace`] (one TSV format, `ecs-study export-traces`); nothing in
+//! the workspace reads it back.
+//!
 //! ```
 //! use workload::CdnDatasetGen;
 //!
