@@ -715,6 +715,7 @@ mod tests {
 mod retry_tests {
     use super::*;
     use crate::config::ResolverConfig;
+    use crate::TransportPolicy;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::Question;
     use netsim::geo::city;
@@ -725,12 +726,8 @@ mod retry_tests {
         Name::from_ascii(s).unwrap()
     }
 
-    fn lossy_world(loss: f64, seed: u64) -> (Simulation, NodeId, NodeId, NodeId) {
-        lossy_world_over(crate::TransportPolicy::default(), loss, seed)
-    }
-
-    fn lossy_world_over(
-        transport: crate::TransportPolicy,
+    fn lossy_world(
+        transport: TransportPolicy,
         loss: f64,
         seed: u64,
     ) -> (Simulation, NodeId, NodeId, NodeId) {
@@ -791,7 +788,7 @@ mod retry_tests {
         // Check several seeds to exercise different loss patterns.
         let mut answered = 0;
         for seed in 0..10 {
-            let (mut sim, client_node, _, _) = lossy_world(0.3, seed);
+            let (mut sim, client_node, _, _) = lossy_world(TransportPolicy::default(), 0.3, seed);
             sim.run();
             let c = sim.node_mut::<ClientActor>(client_node).unwrap();
             if c.responses
@@ -809,7 +806,8 @@ mod retry_tests {
 
     #[test]
     fn total_loss_yields_servfail_not_silence() {
-        let (mut sim, client_node, _, egress_node) = lossy_world(1.0, 7);
+        let (mut sim, client_node, _, egress_node) =
+            lossy_world(TransportPolicy::default(), 1.0, 7);
         sim.run();
         let c = sim.node_mut::<ClientActor>(client_node).unwrap();
         // The egress → client response leg is also lossy under loss=1.0, so
@@ -829,7 +827,8 @@ mod retry_tests {
         // No loss: the answer arrives well before the 2 s retry timer; the
         // timer must find nothing pending and do nothing (exactly one
         // upstream query in the authoritative log).
-        let (mut sim, client_node, auth_node, egress_node) = lossy_world(0.0, 1);
+        let (mut sim, client_node, auth_node, egress_node) =
+            lossy_world(TransportPolicy::default(), 0.0, 1);
         sim.run();
         let c = sim.node_mut::<ClientActor>(client_node).unwrap();
         assert_eq!(c.responses.len(), 1);
@@ -851,12 +850,8 @@ mod retry_tests {
         // The simulator carries datagrams only, so the same holds for a
         // resolver configured with the full ladder: the actor clamps it to
         // [Udp] and the spent budget ends the exchange instead of climbing.
-        for transport in [
-            crate::TransportPolicy::default(),
-            crate::TransportPolicy::full_ladder(),
-        ] {
-            let (mut sim, client_node, auth_node, egress_node) =
-                lossy_world_over(transport, 0.0, 5);
+        for transport in [TransportPolicy::default(), TransportPolicy::full_ladder()] {
+            let (mut sim, client_node, auth_node, egress_node) = lossy_world(transport, 0.0, 5);
             let plan = {
                 let mut p = netsim::FaultPlan::none();
                 p.set_link(
