@@ -104,6 +104,39 @@ fn scan_streams_land_in_the_conformance_oracle_cells() {
     }
 }
 
+/// The scan JSON of every oracle cell at seed 71, pinned by an FNV-1a 64
+/// digest: counters, resolver key and the verdict's snake-case wire name.
+#[test]
+fn scan_json_per_cell_is_pinned() {
+    let measured: Vec<(&str, u64)> = probing_cells()
+        .into_iter()
+        .map(|(cell, strategy, _)| {
+            let (capture, _) = scan_with_strategy(strategy, 71);
+            let json = capture.to_json(SHORT_WINDOW_SECS);
+            let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (cell, digest)
+        })
+        .collect();
+    let table: String = measured
+        .iter()
+        .map(|(cell, digest)| format!("        (\"{cell}\", 0x{digest:016x}),\n"))
+        .collect();
+    assert_eq!(
+        measured,
+        [
+            ("always", 0x28affab6ce18f2ca),
+            ("hostname-probe", 0xb966c43d2b24be03),
+            ("interval-loopback", 0x06a9fcde8361746e),
+            ("on-miss", 0x6572aec5930c7a2f),
+            ("mixed", 0xdc101534848db359),
+            ("no-ecs", 0x029d60ddae923aee),
+        ],
+        "measured digests:\n{table}"
+    );
+}
+
 #[test]
 fn scan_path_classification_is_seed_invariant() {
     // The §6 verdict is a property of the subject's policy, not of the

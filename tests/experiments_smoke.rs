@@ -193,6 +193,47 @@ fn shared_measurement_reports_are_pinned() {
     );
 }
 
+/// The three §6 class-table reports at the smoke tests' reduced configs,
+/// pinned byte for byte: however the tables are declared, they print this.
+#[test]
+fn section6_reports_are_pinned() {
+    let rendered = [
+        (
+            "probing",
+            probing::run(&probing::Config {
+                scale: 80,
+                queries_per_resolver: 220,
+                ..probing::Config::default()
+            })
+            .1,
+        ),
+        (
+            "table1",
+            table1::run(&table1::Config {
+                scale: 30,
+                ..table1::Config::default()
+            })
+            .1,
+        ),
+        (
+            "cache_behavior",
+            cache_behavior::run(&cache_behavior::Config { scale: 4 }).1,
+        ),
+    ];
+    let measured: Vec<(&str, u64)> = rendered
+        .iter()
+        .map(|(id, report)| (*id, fnv(report.to_string().as_bytes())))
+        .collect();
+    assert_pinned(
+        &measured,
+        &[
+            ("probing", 0x4ab124435a58174a),
+            ("table1", 0xb5c53ca1b089db2a),
+            ("cache_behavior", 0xd7dfb583e4d60c08),
+        ],
+    );
+}
+
 /// `faults` under capture: the report with its latency row, the JSON
 /// snapshot and the trace lines, pinned byte for byte.
 #[test]
