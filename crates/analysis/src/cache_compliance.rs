@@ -8,7 +8,10 @@
 //! additionally reveal their conveyed-prefix limits.
 //!
 //! The experiment driver performs the probes (see the `ecs-study` crate);
-//! this module turns the observations into the paper's five classes.
+//! this module turns the observations into the paper's five classes, as the
+//! [`ComplianceClass`] the `workload` populations plant.
+
+use workload::ComplianceClass;
 
 /// Raw observations from the paired-probe methodology for one resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,34 +38,17 @@ pub struct ComplianceObservation {
     pub sent_private_prefix: bool,
 }
 
-/// The §6.3 classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComplianceVerdict {
-    /// Honors scope; never conveys more than /24 (76 resolvers).
-    Correct,
-    /// Reuses cached answers irrespective of scope (103 resolvers).
-    IgnoresScope,
-    /// Conveys and caches prefixes longer than /24 (15 resolvers).
-    AcceptsLong,
-    /// Caps conveyed prefix and cache scope at /22 (8 resolvers).
-    Cap22,
-    /// Sends private prefixes and mishandles zero scope (1 resolver).
-    PrivateMisconfig,
-    /// Observations don't fit any known class.
-    Unclassified,
-}
-
-/// Classifies one resolver's observations.
-pub fn classify_compliance(obs: &ComplianceObservation) -> ComplianceVerdict {
+/// Classifies one resolver's observations: `None` when they fit no class.
+pub fn classify_compliance(obs: &ComplianceObservation) -> Option<ComplianceClass> {
     if obs.sent_private_prefix {
-        return ComplianceVerdict::PrivateMisconfig;
+        return Some(ComplianceClass::PrivateMisconfig);
     }
     if let Some(len) = obs.conveyed_for_32 {
         if len > 24 && obs.echoed_long_prefix {
-            return ComplianceVerdict::AcceptsLong;
+            return Some(ComplianceClass::AcceptsLong);
         }
         if len == 22 && obs.conveyed_for_25 == Some(22) {
-            return ComplianceVerdict::Cap22;
+            return Some(ComplianceClass::Cap22);
         }
     }
     match (
@@ -71,11 +57,17 @@ pub fn classify_compliance(obs: &ComplianceObservation) -> ComplianceVerdict {
         obs.second_arrived_scope0,
     ) {
         // Scope honored: /24 scope forces a re-query, /16 and /0 are reused.
-        (true, false, false) => ComplianceVerdict::Correct,
+        (true, false, false) => Some(ComplianceClass::Correct),
         // Everything reused regardless of scope.
-        (false, false, false) => ComplianceVerdict::IgnoresScope,
-        _ => ComplianceVerdict::Unclassified,
+        (false, false, false) => Some(ComplianceClass::IgnoresScope),
+        _ => None,
     }
+}
+
+/// A §6.3 verdict as reports print it: the class's name, or
+/// `Unclassified` for observations that fit no class.
+pub fn verdict_name(verdict: Option<ComplianceClass>) -> String {
+    verdict.map_or_else(|| "Unclassified".to_string(), |class| format!("{class:?}"))
 }
 
 #[cfg(test)]
@@ -93,7 +85,7 @@ mod tests {
             echoed_long_prefix: false,
             sent_private_prefix: false,
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::Correct);
+        assert_eq!(classify_compliance(&obs), Some(ComplianceClass::Correct));
     }
 
     #[test]
@@ -105,7 +97,7 @@ mod tests {
             second_arrived_scope0: false,
             ..ComplianceObservation::default()
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::Correct);
+        assert_eq!(classify_compliance(&obs), Some(ComplianceClass::Correct));
     }
 
     #[test]
@@ -116,7 +108,10 @@ mod tests {
             second_arrived_scope0: false,
             ..ComplianceObservation::default()
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::IgnoresScope);
+        assert_eq!(
+            classify_compliance(&obs),
+            Some(ComplianceClass::IgnoresScope)
+        );
     }
 
     #[test]
@@ -130,7 +125,10 @@ mod tests {
             echoed_long_prefix: true,
             sent_private_prefix: false,
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::AcceptsLong);
+        assert_eq!(
+            classify_compliance(&obs),
+            Some(ComplianceClass::AcceptsLong)
+        );
     }
 
     #[test]
@@ -147,7 +145,10 @@ mod tests {
             echoed_long_prefix: false,
             sent_private_prefix: false,
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::IgnoresScope);
+        assert_eq!(
+            classify_compliance(&obs),
+            Some(ComplianceClass::IgnoresScope)
+        );
     }
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
             echoed_long_prefix: false,
             sent_private_prefix: false,
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::Cap22);
+        assert_eq!(classify_compliance(&obs), Some(ComplianceClass::Cap22));
     }
 
     #[test]
@@ -173,7 +174,7 @@ mod tests {
         };
         assert_eq!(
             classify_compliance(&obs),
-            ComplianceVerdict::PrivateMisconfig
+            Some(ComplianceClass::PrivateMisconfig)
         );
     }
 
@@ -186,6 +187,6 @@ mod tests {
             second_arrived_scope0: true,
             ..ComplianceObservation::default()
         };
-        assert_eq!(classify_compliance(&obs), ComplianceVerdict::Unclassified);
+        assert_eq!(classify_compliance(&obs), None);
     }
 }

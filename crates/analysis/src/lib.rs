@@ -49,7 +49,7 @@ pub mod prefix_lengths;
 pub mod probing;
 pub mod stats;
 
-pub use cache_compliance::{classify_compliance, ComplianceObservation, ComplianceVerdict};
+pub use cache_compliance::{classify_compliance, ComplianceObservation};
 pub use cache_sim::{
     default_parallelism, CacheSimConfig, CacheSimResult, CacheSimulator, ResolverCacheResult,
 };
@@ -57,5 +57,6 @@ pub use discovery::DiscoveryOverlap;
 pub use hidden::{DistanceCombo, HiddenAnalysis, HiddenResolverReport};
 pub use mapping::{ConnectTimeSample, MappingQuality};
 pub use prefix_lengths::{PrefixLengthTable, ResolverPrefixProfile};
-pub use probing::{classify_probing, ProbingVerdict};
+pub use probing::classify_probing;
 pub use stats::{Cdf, Percentiles};
+pub use workload::{ComplianceClass, PrefixClass, ProbingClass, COMPLIANCE_TABLE, PROBING_TABLE};

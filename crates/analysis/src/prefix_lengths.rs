@@ -3,13 +3,15 @@
 //! Groups an authoritative log by resolver, collects the set of source
 //! prefix lengths each sends (per family), and detects the "jammed last
 //! byte" pattern: /32 sources whose final octet is a constant across many
-//! distinct prefixes.
+//! distinct prefixes. A single-length row reads back as the [`PrefixClass`]
+//! the `workload` populations plant.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
 
 use authoritative::QueryLogEntry;
 use dns_wire::AddressFamily;
+use workload::PrefixClass;
 
 /// Per-resolver prefix behaviour profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +44,25 @@ impl ResolverPrefixProfile {
             parts.push(format!("{l} (IPv6)"));
         }
         parts.join(",")
+    }
+
+    /// The class whose row this is, or `None` for a row no class produces
+    /// (several lengths, or a length no class sends).
+    pub fn class(&self) -> Option<PrefixClass> {
+        let v4: Vec<u8> = self.v4_lengths.iter().copied().collect();
+        let v6: Vec<u8> = self.v6_lengths.iter().copied().collect();
+        Some(match (v4.as_slice(), v6.as_slice()) {
+            ([24], []) => PrefixClass::Slash24,
+            ([32], []) if self.jammed_byte.is_some() => PrefixClass::Slash32Jammed,
+            ([32], []) => PrefixClass::Slash32Full,
+            ([25], []) => PrefixClass::Slash25,
+            ([16], []) => PrefixClass::Slash16,
+            ([22], []) => PrefixClass::Slash22,
+            ([], [56]) => PrefixClass::V6Slash56,
+            ([], [48]) => PrefixClass::V6Slash48,
+            ([], [128]) => PrefixClass::V6Slash128,
+            _ => return None,
+        })
     }
 
     /// True when the resolver follows the RFC recommendation (≤ 24 v4,
@@ -127,11 +148,11 @@ impl PrefixLengthTable {
         self.profiles.len()
     }
 
-    /// Count of resolvers exhibiting the jammed-last-byte behaviour.
-    pub fn jammed_count(&self) -> usize {
+    /// Number of resolvers whose row is `class`'s.
+    pub fn count(&self, class: PrefixClass) -> usize {
         self.profiles
             .iter()
-            .filter(|p| p.jammed_byte.is_some())
+            .filter(|p| p.class() == Some(class))
             .count()
     }
 }
@@ -176,7 +197,7 @@ mod tests {
             entry(1, EcsOption::from_v4(Ipv4Addr::new(10, 9, 3, 1), 32)),
         ];
         let t = PrefixLengthTable::build(&log);
-        assert_eq!(t.jammed_count(), 1);
+        assert_eq!(t.count(PrefixClass::Slash32Jammed), 1);
         assert_eq!(t.profiles[0].jammed_byte, Some(1));
         assert_eq!(t.rows["32/jammed last byte"], 1);
         // Claiming /32 is non-compliant even when jammed.
@@ -188,7 +209,7 @@ mod tests {
         // One observation cannot establish jamming.
         let log = vec![entry(1, EcsOption::from_v4(Ipv4Addr::new(10, 0, 1, 7), 32))];
         let t = PrefixLengthTable::build(&log);
-        assert_eq!(t.jammed_count(), 0);
+        assert_eq!(t.count(PrefixClass::Slash32Jammed), 0);
         assert_eq!(t.rows["32"], 1);
     }
 
@@ -199,7 +220,7 @@ mod tests {
             entry(1, EcsOption::from_v4(Ipv4Addr::new(10, 0, 2, 9), 32)),
         ];
         let t = PrefixLengthTable::build(&log);
-        assert_eq!(t.jammed_count(), 0);
+        assert_eq!(t.count(PrefixClass::Slash32Jammed), 0);
         assert!(!t.profiles[0].rfc_compliant());
     }
 

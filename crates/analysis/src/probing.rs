@@ -3,41 +3,25 @@
 //! The paper observed the major CDN's logs — where the CDN appears
 //! non-ECS-supporting to non-whitelisted resolvers — and grouped resolvers
 //! by *when* their queries carry ECS. [`classify_probing`] reproduces that
-//! grouping from an authoritative query log.
+//! grouping from an authoritative query log, as the [`ProbingClass`] the
+//! `workload` populations plant.
 
 use std::collections::{HashMap, HashSet};
 
 use authoritative::QueryLogEntry;
 use dns_wire::Name;
-
-/// The §6.1 behaviour classes, as classifier output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProbingVerdict {
-    /// ECS on 100% of address queries.
-    Always,
-    /// ECS consistently for a subset of hostnames, re-queried within TTL
-    /// (cache disabled or bypassed for them).
-    HostnameProbe,
-    /// Sparse ECS probes carrying non-routable (loopback/self-assigned)
-    /// prefixes at long intervals.
-    IntervalLoopback,
-    /// ECS for a subset of hostnames, never within a minute of a previous
-    /// query for the same name (= on cache miss).
-    OnMiss,
-    /// ECS on a subset of queries with no discernible pattern.
-    Mixed,
-    /// No ECS queries at all (not ECS-enabled).
-    NoEcs,
-}
+use workload::ProbingClass;
 
 /// Classifies one resolver's query log (all entries must belong to the
-/// same resolver). `short_window_secs` is the paper's one-minute threshold
-/// separating cache-bypassing probes from on-miss probes.
-pub fn classify_probing(entries: &[QueryLogEntry], short_window_secs: u64) -> ProbingVerdict {
+/// same resolver): `None` when no address query carried ECS (not
+/// ECS-enabled). `short_window_secs` is the paper's one-minute threshold
+/// separating cache-bypassing probes (re-queried within TTL) from on-miss
+/// probes (never within the window of a previous query for the name).
+pub fn classify_probing(entries: &[QueryLogEntry], short_window_secs: u64) -> Option<ProbingClass> {
     let address_queries: Vec<&QueryLogEntry> =
         entries.iter().filter(|e| e.qtype.is_address()).collect();
     if address_queries.is_empty() {
-        return ProbingVerdict::NoEcs;
+        return None;
     }
     let ecs_queries: Vec<&QueryLogEntry> = address_queries
         .iter()
@@ -45,7 +29,7 @@ pub fn classify_probing(entries: &[QueryLogEntry], short_window_secs: u64) -> Pr
         .filter(|e| e.ecs.is_some())
         .collect();
     if ecs_queries.is_empty() {
-        return ProbingVerdict::NoEcs;
+        return None;
     }
 
     // All ECS prefixes non-routable → interval probing with loopback (the
@@ -57,11 +41,11 @@ pub fn classify_probing(entries: &[QueryLogEntry], short_window_secs: u64) -> Pr
         .iter()
         .all(|e| e.ecs.as_ref().map(|o| o.is_non_routable()).unwrap_or(false));
     if all_non_routable {
-        return ProbingVerdict::IntervalLoopback;
+        return Some(ProbingClass::IntervalLoopback);
     }
 
     if ecs_queries.len() == address_queries.len() {
-        return ProbingVerdict::Always;
+        return Some(ProbingClass::Always);
     }
 
     // Names queried with ECS vs without.
@@ -89,22 +73,28 @@ pub fn classify_probing(entries: &[QueryLogEntry], short_window_secs: u64) -> Pr
             }
         }
         if any_short_gap {
-            return ProbingVerdict::HostnameProbe;
+            return Some(ProbingClass::HostnameProbe);
         }
         // Repeats exist but never within the short window → on miss. If a
         // name was only queried once we cannot distinguish; the paper
         // groups consistent-per-name resolvers without short gaps here.
-        return ProbingVerdict::OnMiss;
+        return Some(ProbingClass::OnMiss);
     }
 
-    ProbingVerdict::Mixed
+    Some(ProbingClass::Mixed)
+}
+
+/// A §6.1 verdict as reports print it: the class's name, or `NoEcs` for a
+/// resolver that sent no ECS at all.
+pub fn verdict_name(verdict: Option<ProbingClass>) -> String {
+    verdict.map_or_else(|| "NoEcs".to_string(), |class| format!("{class:?}"))
 }
 
 /// Groups a mixed authoritative log by resolver and classifies each.
 pub fn classify_all(
     log: &[QueryLogEntry],
     short_window_secs: u64,
-) -> HashMap<std::net::IpAddr, ProbingVerdict> {
+) -> HashMap<std::net::IpAddr, Option<ProbingClass>> {
     let mut by_resolver: HashMap<std::net::IpAddr, Vec<QueryLogEntry>> = HashMap::new();
     for e in log {
         by_resolver.entry(e.resolver).or_default().push(e.clone());
@@ -162,14 +152,14 @@ mod tests {
         let log: Vec<_> = (0..10)
             .map(|i| entry(i, &format!("h{i}.example.com"), client_ecs()))
             .collect();
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::Always);
+        assert_eq!(classify_probing(&log, 60), Some(ProbingClass::Always));
     }
 
     #[test]
     fn no_ecs_class() {
         let log: Vec<_> = (0..10).map(|i| entry(i, "a.example.com", None)).collect();
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::NoEcs);
-        assert_eq!(classify_probing(&[], 60), ProbingVerdict::NoEcs);
+        assert_eq!(classify_probing(&log, 60), None);
+        assert_eq!(classify_probing(&[], 60), None);
     }
 
     #[test]
@@ -181,7 +171,10 @@ mod tests {
             log.push(entry(i * 10, "probe.example.com", client_ecs()));
             log.push(entry(i * 10 + 1, "other.example.com", None));
         }
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::HostnameProbe);
+        assert_eq!(
+            classify_probing(&log, 60),
+            Some(ProbingClass::HostnameProbe)
+        );
     }
 
     #[test]
@@ -193,7 +186,10 @@ mod tests {
         for i in 0..20 {
             log.push(entry(i * 100 + 7, "site.example.com", None));
         }
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::IntervalLoopback);
+        assert_eq!(
+            classify_probing(&log, 60),
+            Some(ProbingClass::IntervalLoopback)
+        );
     }
 
     #[test]
@@ -203,12 +199,18 @@ mod tests {
         // to satisfy the "ECS on 100% of address queries" shortcut and be
         // misread as `Always`. Non-routable prefixes must win.
         let log = vec![entry(0, "probe.example.com", loopback_ecs())];
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::IntervalLoopback);
+        assert_eq!(
+            classify_probing(&log, 60),
+            Some(ProbingClass::IntervalLoopback)
+        );
         let log = vec![
             entry(0, "probe.example.com", loopback_ecs()),
             entry(1800, "probe.example.com", loopback_ecs()),
         ];
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::IntervalLoopback);
+        assert_eq!(
+            classify_probing(&log, 60),
+            Some(ProbingClass::IntervalLoopback)
+        );
     }
 
     #[test]
@@ -219,7 +221,7 @@ mod tests {
             log.push(entry(i * 300, "x.example.com", client_ecs()));
             log.push(entry(i * 300 + 2, "y.example.com", None));
         }
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::OnMiss);
+        assert_eq!(classify_probing(&log, 60), Some(ProbingClass::OnMiss));
     }
 
     #[test]
@@ -230,7 +232,7 @@ mod tests {
             entry(10, "a.example.com", None),
             entry(20, "b.example.com", None),
         ];
-        assert_eq!(classify_probing(&log, 60), ProbingVerdict::Mixed);
+        assert_eq!(classify_probing(&log, 60), Some(ProbingClass::Mixed));
     }
 
     #[test]
@@ -245,8 +247,8 @@ mod tests {
             log.push(e);
         }
         let verdicts = classify_all(&log, 60);
-        assert_eq!(verdicts[&R], ProbingVerdict::Always);
-        assert_eq!(verdicts[&other], ProbingVerdict::NoEcs);
+        assert_eq!(verdicts[&R], Some(ProbingClass::Always));
+        assert_eq!(verdicts[&other], None);
     }
 
     #[test]

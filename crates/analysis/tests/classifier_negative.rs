@@ -9,9 +9,10 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::cache_compliance::{classify_compliance, ComplianceObservation, ComplianceVerdict};
+use analysis::cache_compliance::{classify_compliance, ComplianceObservation};
 use analysis::prefix_lengths::PrefixLengthTable;
-use analysis::probing::{classify_probing, ProbingVerdict};
+use analysis::probing::classify_probing;
+use analysis::{ComplianceClass, PrefixClass, ProbingClass};
 use authoritative::QueryLogEntry;
 use dns_wire::{EcsOption, Name, RecordType};
 use netsim::SimTime;
@@ -40,7 +41,7 @@ fn loopback_ecs() -> Option<EcsOption> {
 }
 
 /// One canonical stream per §6.1 class.
-fn probing_streams() -> Vec<(ProbingVerdict, Vec<QueryLogEntry>)> {
+fn probing_streams() -> Vec<(Option<ProbingClass>, Vec<QueryLogEntry>)> {
     let always = (0..10)
         .map(|i| entry(i, &format!("h{i}.example.com"), client_ecs()))
         .collect();
@@ -74,12 +75,12 @@ fn probing_streams() -> Vec<(ProbingVerdict, Vec<QueryLogEntry>)> {
     let no_ecs = (0..10).map(|i| entry(i, "a.example.com", None)).collect();
 
     vec![
-        (ProbingVerdict::Always, always),
-        (ProbingVerdict::HostnameProbe, hostname_probe),
-        (ProbingVerdict::IntervalLoopback, interval_loopback),
-        (ProbingVerdict::OnMiss, on_miss),
-        (ProbingVerdict::Mixed, mixed),
-        (ProbingVerdict::NoEcs, no_ecs),
+        (Some(ProbingClass::Always), always),
+        (Some(ProbingClass::HostnameProbe), hostname_probe),
+        (Some(ProbingClass::IntervalLoopback), interval_loopback),
+        (Some(ProbingClass::OnMiss), on_miss),
+        (Some(ProbingClass::Mixed), mixed),
+        (None, no_ecs),
     ]
 }
 
@@ -111,7 +112,10 @@ fn probing_mutations_move_the_verdict() {
     // Always → drop ECS from one query: no longer 100%.
     let mut s = probing_streams().remove(0).1;
     s[3].ecs = None;
-    assert_ne!(classify_probing(&s, SHORT_WINDOW), ProbingVerdict::Always);
+    assert_ne!(
+        classify_probing(&s, SHORT_WINDOW),
+        Some(ProbingClass::Always)
+    );
 
     // HostnameProbe → space the probes beyond the short window: OnMiss.
     let mut s = Vec::new();
@@ -119,7 +123,10 @@ fn probing_mutations_move_the_verdict() {
         s.push(entry(i * 300, "probe.example.com", client_ecs()));
         s.push(entry(i * 300 + 1, "other.example.com", None));
     }
-    assert_eq!(classify_probing(&s, SHORT_WINDOW), ProbingVerdict::OnMiss);
+    assert_eq!(
+        classify_probing(&s, SHORT_WINDOW),
+        Some(ProbingClass::OnMiss)
+    );
 
     // IntervalLoopback → make one probe routable: the all-non-routable
     // signature breaks and per-name consistency decides instead.
@@ -127,7 +134,7 @@ fn probing_mutations_move_the_verdict() {
     s[0].ecs = client_ecs();
     assert_ne!(
         classify_probing(&s, SHORT_WINDOW),
-        ProbingVerdict::IntervalLoopback
+        Some(ProbingClass::IntervalLoopback)
     );
 
     // OnMiss → re-query the probed name within the window: HostnameProbe.
@@ -135,7 +142,7 @@ fn probing_mutations_move_the_verdict() {
     s.push(entry(10, "x.example.com", client_ecs()));
     assert_eq!(
         classify_probing(&s, SHORT_WINDOW),
-        ProbingVerdict::HostnameProbe
+        Some(ProbingClass::HostnameProbe)
     );
 
     // Mixed → drop the plain duplicate: names become consistent.
@@ -143,19 +150,22 @@ fn probing_mutations_move_the_verdict() {
         entry(0, "a.example.com", client_ecs()),
         entry(20, "b.example.com", None),
     ];
-    assert_ne!(classify_probing(&s, SHORT_WINDOW), ProbingVerdict::Mixed);
+    assert_ne!(
+        classify_probing(&s, SHORT_WINDOW),
+        Some(ProbingClass::Mixed)
+    );
 
     // NoEcs → a single ECS query flips it.
     let mut s = probing_streams().remove(5).1;
     s.push(entry(99, "a.example.com", client_ecs()));
-    assert_ne!(classify_probing(&s, SHORT_WINDOW), ProbingVerdict::NoEcs);
+    assert_ne!(classify_probing(&s, SHORT_WINDOW), None);
 }
 
 /// One canonical observation per §6.3 class.
-fn compliance_observations() -> Vec<(ComplianceVerdict, ComplianceObservation)> {
+fn compliance_observations() -> Vec<(Option<ComplianceClass>, ComplianceObservation)> {
     vec![
         (
-            ComplianceVerdict::Correct,
+            Some(ComplianceClass::Correct),
             ComplianceObservation {
                 second_arrived_scope24: true,
                 conveyed_for_32: Some(24),
@@ -164,7 +174,7 @@ fn compliance_observations() -> Vec<(ComplianceVerdict, ComplianceObservation)> 
             },
         ),
         (
-            ComplianceVerdict::IgnoresScope,
+            Some(ComplianceClass::IgnoresScope),
             ComplianceObservation {
                 conveyed_for_32: Some(24),
                 conveyed_for_25: Some(24),
@@ -172,7 +182,7 @@ fn compliance_observations() -> Vec<(ComplianceVerdict, ComplianceObservation)> 
             },
         ),
         (
-            ComplianceVerdict::AcceptsLong,
+            Some(ComplianceClass::AcceptsLong),
             ComplianceObservation {
                 second_arrived_scope24: true,
                 conveyed_for_32: Some(32),
@@ -182,7 +192,7 @@ fn compliance_observations() -> Vec<(ComplianceVerdict, ComplianceObservation)> 
             },
         ),
         (
-            ComplianceVerdict::Cap22,
+            Some(ComplianceClass::Cap22),
             ComplianceObservation {
                 conveyed_for_32: Some(22),
                 conveyed_for_25: Some(22),
@@ -190,14 +200,14 @@ fn compliance_observations() -> Vec<(ComplianceVerdict, ComplianceObservation)> 
             },
         ),
         (
-            ComplianceVerdict::PrivateMisconfig,
+            Some(ComplianceClass::PrivateMisconfig),
             ComplianceObservation {
                 sent_private_prefix: true,
                 ..ComplianceObservation::default()
             },
         ),
         (
-            ComplianceVerdict::Unclassified,
+            None,
             ComplianceObservation {
                 second_arrived_scope24: true,
                 second_arrived_scope16: true,
@@ -237,23 +247,26 @@ fn compliance_mutations_move_the_verdict() {
     // Correct → stop honoring /24 scope: IgnoresScope.
     let mut o = compliance_observations()[0].1;
     o.second_arrived_scope24 = false;
-    assert_eq!(classify_compliance(&o), ComplianceVerdict::IgnoresScope);
+    assert_eq!(classify_compliance(&o), Some(ComplianceClass::IgnoresScope));
 
     // AcceptsLong without the echo is NOT AcceptsLong (jammed /32 claims
     // the length but forwards nothing).
     let mut o = compliance_observations()[2].1;
     o.echoed_long_prefix = false;
-    assert_ne!(classify_compliance(&o), ComplianceVerdict::AcceptsLong);
+    assert_ne!(classify_compliance(&o), Some(ComplianceClass::AcceptsLong));
 
     // Cap22 requires the cap on BOTH the /32 and /25 trials.
     let mut o = compliance_observations()[3].1;
     o.conveyed_for_25 = Some(24);
-    assert_ne!(classify_compliance(&o), ComplianceVerdict::Cap22);
+    assert_ne!(classify_compliance(&o), Some(ComplianceClass::Cap22));
 
     // A private prefix dominates everything else.
     let mut o = compliance_observations()[0].1;
     o.sent_private_prefix = true;
-    assert_eq!(classify_compliance(&o), ComplianceVerdict::PrivateMisconfig);
+    assert_eq!(
+        classify_compliance(&o),
+        Some(ComplianceClass::PrivateMisconfig)
+    );
 }
 
 #[test]
@@ -278,8 +291,8 @@ fn prefix_rows_are_mutually_exclusive() {
     assert_eq!(t_full.profiles[0].row_label(), "32");
     assert_eq!(t_jam.profiles[0].row_label(), "32/jammed last byte");
     assert_eq!(t_24.profiles[0].row_label(), "24");
-    assert_eq!(t_full.jammed_count(), 0);
-    assert_eq!(t_jam.jammed_count(), 1);
+    assert_eq!(t_full.count(PrefixClass::Slash32Jammed), 0);
+    assert_eq!(t_jam.count(PrefixClass::Slash32Jammed), 1);
     // Only the ≤24 row is RFC-compliant.
     assert!(t_24.profiles[0].rfc_compliant());
     assert!(!t_full.profiles[0].rfc_compliant());

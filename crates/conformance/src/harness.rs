@@ -18,8 +18,8 @@ use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use analysis::{
-    classify_compliance, classify_probing, ComplianceObservation, ComplianceVerdict,
-    PrefixLengthTable, ProbingVerdict,
+    cache_compliance, classify_compliance, classify_probing, probing, ComplianceClass,
+    ComplianceObservation, PrefixLengthTable, ProbingClass,
 };
 use authoritative::QueryLogEntry;
 use dns_wire::{EcsOption, Message, Name, Question};
@@ -84,17 +84,22 @@ pub fn drive_probing(strategy: ProbingStrategy, transport: Transport) -> Vec<Que
     up.inner().captured_log()
 }
 
-/// The §6.1 cells: cell name, subject strategy, class it must land in.
-pub fn probing_cells() -> Vec<(&'static str, ProbingStrategy, ProbingVerdict)> {
+/// The §6.1 cells: cell name, subject strategy, verdict it must land in
+/// (`None`: no ECS at all).
+pub fn probing_cells() -> Vec<(&'static str, ProbingStrategy, Option<ProbingClass>)> {
     let probe = host("probe", &Scenario::non_whitelisted());
     vec![
-        ("always", ProbingStrategy::Always, ProbingVerdict::Always),
+        (
+            "always",
+            ProbingStrategy::Always,
+            Some(ProbingClass::Always),
+        ),
         (
             "hostname-probe",
             ProbingStrategy::HostnameProbe {
                 hostnames: HashSet::from([probe.clone()]),
             },
-            ProbingVerdict::HostnameProbe,
+            Some(ProbingClass::HostnameProbe),
         ),
         (
             "interval-loopback",
@@ -102,24 +107,24 @@ pub fn probing_cells() -> Vec<(&'static str, ProbingStrategy, ProbingVerdict)> {
                 period: SimDuration::from_secs(1800),
                 use_own_address: false,
             },
-            ProbingVerdict::IntervalLoopback,
+            Some(ProbingClass::IntervalLoopback),
         ),
         (
             "on-miss",
             ProbingStrategy::OnMiss {
                 hostnames: HashSet::from([probe]),
             },
-            ProbingVerdict::OnMiss,
+            Some(ProbingClass::OnMiss),
         ),
         (
             "mixed",
             ProbingStrategy::EveryKth { k: 2 },
-            ProbingVerdict::Mixed,
+            Some(ProbingClass::Mixed),
         ),
         (
             "no-ecs",
             ProbingStrategy::ZoneWhitelist { zones: vec![] },
-            ProbingVerdict::NoEcs,
+            None,
         ),
     ]
 }
@@ -138,8 +143,8 @@ pub fn run_probing_matrix(transport: Transport) -> Vec<CellResult> {
             cell: cell.into(),
             config,
             scenario: Scenario::non_whitelisted().name.into(),
-            expected: format!("{expected:?}"),
-            observed: format!("{observed:?}"),
+            expected: probing::verdict_name(expected),
+            observed: probing::verdict_name(observed),
         });
     }
 
@@ -165,8 +170,8 @@ pub fn run_probing_matrix(transport: Transport) -> Vec<CellResult> {
         cell: "interval-loopback-narrow-window".into(),
         config: "IntervalProbe { period: 1800s, use_own_address: false }".into(),
         scenario: scenario.name.into(),
-        expected: format!("{:?}", ProbingVerdict::IntervalLoopback),
-        observed: format!("{observed:?}"),
+        expected: probing::verdict_name(Some(ProbingClass::IntervalLoopback)),
+        observed: probing::verdict_name(observed),
     });
     cells
 }
@@ -342,7 +347,7 @@ pub fn observe_compliance(
 }
 
 /// The §6.3 cells: cell name, preset name, subject config, answer TTL,
-/// CNAME flattening, class it must land in.
+/// CNAME flattening, verdict it must land in (`None`: unclassified).
 #[allow(clippy::type_complexity)]
 pub fn compliance_cells() -> Vec<(
     &'static str,
@@ -350,7 +355,7 @@ pub fn compliance_cells() -> Vec<(
     ResolverConfig,
     u32,
     bool,
-    ComplianceVerdict,
+    Option<ComplianceClass>,
 )> {
     let a = subject_addr();
     vec![
@@ -360,7 +365,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::rfc_compliant(a),
             300,
             false,
-            ComplianceVerdict::Correct,
+            Some(ComplianceClass::Correct),
         ),
         (
             "correct-flattening-cname",
@@ -368,7 +373,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::rfc_compliant(a),
             300,
             true,
-            ComplianceVerdict::Correct,
+            Some(ComplianceClass::Correct),
         ),
         (
             "ignores-scope",
@@ -376,7 +381,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::jammed_full(a, 1),
             300,
             false,
-            ComplianceVerdict::IgnoresScope,
+            Some(ComplianceClass::IgnoresScope),
         ),
         (
             "accepts-long",
@@ -384,7 +389,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::long_prefix_acceptor(a),
             300,
             false,
-            ComplianceVerdict::AcceptsLong,
+            Some(ComplianceClass::AcceptsLong),
         ),
         (
             "cap22",
@@ -392,7 +397,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::cap22(a),
             300,
             false,
-            ComplianceVerdict::Cap22,
+            Some(ComplianceClass::Cap22),
         ),
         (
             "private-misconfig",
@@ -400,7 +405,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::private_leaker(a),
             300,
             false,
-            ComplianceVerdict::PrivateMisconfig,
+            Some(ComplianceClass::PrivateMisconfig),
         ),
         // Zero-TTL answers are uncacheable: every second query re-arrives,
         // which must land in Unclassified — not be mistaken for Correct.
@@ -410,7 +415,7 @@ pub fn compliance_cells() -> Vec<(
             ResolverConfig::rfc_compliant(a),
             0,
             false,
-            ComplianceVerdict::Unclassified,
+            None,
         ),
     ]
 }
@@ -436,8 +441,8 @@ pub fn run_compliance_matrix(transport: Transport) -> Vec<CellResult> {
                 } else {
                     format!("paired-probe (ttl {ttl})")
                 },
-                expected: format!("{expected:?}"),
-                observed: format!("{observed:?}"),
+                expected: cache_compliance::verdict_name(expected),
+                observed: cache_compliance::verdict_name(observed),
             }
         })
         .collect()

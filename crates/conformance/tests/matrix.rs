@@ -6,8 +6,10 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
+use analysis::{COMPLIANCE_TABLE, PROBING_TABLE};
 use conformance::harness::{
-    run_compliance_matrix, run_prefix_matrix, run_probing_matrix, subject_addr,
+    compliance_cells, probing_cells, run_compliance_matrix, run_prefix_matrix, run_probing_matrix,
+    subject_addr,
 };
 use conformance::run_matrix;
 use conformance::scenario::{host, Scenario};
@@ -52,6 +54,32 @@ fn probing_matrix_every_cell_lands_in_its_class() {
             "missing probing cell {want}"
         );
     }
+}
+
+/// Every class of the §6.1 and §6.3 tables has an oracle cell that expects
+/// it, and each matrix has a cell that expects no class: a class added to a
+/// table without a cell fails here.
+#[test]
+fn every_table_class_has_an_oracle_cell() {
+    let probing: Vec<_> = probing_cells().into_iter().map(|cell| cell.2).collect();
+    for &(class, ..) in PROBING_TABLE {
+        assert!(
+            probing.contains(&Some(class)),
+            "no probing cell expects {class:?}"
+        );
+    }
+    assert!(probing.contains(&None), "no probing cell expects NoEcs");
+    let compliance: Vec<_> = compliance_cells().into_iter().map(|cell| cell.5).collect();
+    for &(class, ..) in COMPLIANCE_TABLE {
+        assert!(
+            compliance.contains(&Some(class)),
+            "no compliance cell expects {class:?}"
+        );
+    }
+    assert!(
+        compliance.contains(&None),
+        "no compliance cell expects Unclassified"
+    );
 }
 
 #[test]

@@ -15,9 +15,7 @@ use workload::{ComplianceClass, PrefixClass, ProbingClass, ResolverSpec};
 /// own small set; passing the workload's hottest names makes the behaviour
 /// observable within a short trace).
 pub fn resolver_config_for(spec: &ResolverSpec, probe_names: &[Name]) -> ResolverConfig {
-    let mut config = ResolverConfig::rfc_compliant(spec.addr);
-
-    config.prefix_policy = match spec.prefix {
+    let prefix_policy = match spec.prefix {
         PrefixClass::Slash24 => PrefixPolicy::Truncate { v4: 24, v6: 56 },
         PrefixClass::Slash32Jammed => PrefixPolicy::JammedFull { jam: 0x01 },
         PrefixClass::Slash32Full => PrefixPolicy::Full,
@@ -27,6 +25,23 @@ pub fn resolver_config_for(spec: &ResolverSpec, probe_names: &[Name]) -> Resolve
         PrefixClass::V6Slash56 => PrefixPolicy::Truncate { v4: 24, v6: 56 },
         PrefixClass::V6Slash48 => PrefixPolicy::Truncate { v4: 24, v6: 48 },
         PrefixClass::V6Slash128 => PrefixPolicy::Full,
+    };
+
+    // Correct and IgnoresScope send the spec's prefix; the other three
+    // classes are resolver presets, prefix policy included.
+    let mut config = match spec.compliance {
+        ComplianceClass::Correct => ResolverConfig {
+            prefix_policy,
+            ..ResolverConfig::rfc_compliant(spec.addr)
+        },
+        ComplianceClass::IgnoresScope => ResolverConfig {
+            prefix_policy,
+            compliance: CacheCompliance::IgnoreScope,
+            ..ResolverConfig::rfc_compliant(spec.addr)
+        },
+        ComplianceClass::AcceptsLong => ResolverConfig::long_prefix_acceptor(spec.addr),
+        ComplianceClass::Cap22 => ResolverConfig::cap22(spec.addr),
+        ComplianceClass::PrivateMisconfig => ResolverConfig::private_leaker(spec.addr),
     };
 
     config.probing = match spec.probing {
@@ -43,31 +58,6 @@ pub fn resolver_config_for(spec: &ResolverSpec, probe_names: &[Name]) -> Resolve
         },
         ProbingClass::Mixed => ProbingStrategy::EveryKth { k: 3 },
     };
-
-    config.compliance = match spec.compliance {
-        ComplianceClass::Correct => CacheCompliance::Honor,
-        ComplianceClass::IgnoresScope => CacheCompliance::IgnoreScope,
-        ComplianceClass::AcceptsLong => CacheCompliance::Honor,
-        ComplianceClass::Cap22 => CacheCompliance::CapPrefix(22),
-        ComplianceClass::PrivateLeak => CacheCompliance::Honor,
-    };
-
-    match spec.compliance {
-        ComplianceClass::AcceptsLong => {
-            config.accept_client_ecs = true;
-            config.prefix_policy = PrefixPolicy::PassThrough { max_v4: 32 };
-        }
-        ComplianceClass::Cap22 => {
-            config.accept_client_ecs = true;
-            config.prefix_policy = PrefixPolicy::PassThrough { max_v4: 22 };
-        }
-        ComplianceClass::PrivateLeak => {
-            config.prefix_policy = PrefixPolicy::PrivateLeak;
-            config.cache_zero_scope = false;
-        }
-        _ => {}
-    }
-
     config
 }
 
@@ -132,7 +122,7 @@ mod tests {
             &spec(
                 ProbingClass::Always,
                 PrefixClass::Slash24,
-                ComplianceClass::PrivateLeak,
+                ComplianceClass::PrivateMisconfig,
             ),
             &[],
         );

@@ -1,8 +1,7 @@
 //! §6.3: cache-compliance classification via the paired-probe methodology.
 //!
-//! For each resolver in a population planted with the paper's §6.3 class
-//! counts (76 correct / 103 scope-ignoring / 15 long-prefix / 8 /22-capped
-//! / 1 private-leaking, scaled), we run the paper's experiment —
+//! For each resolver in a population planted with the counts of
+//! [`workload::COMPLIANCE_TABLE`], scaled, we run the paper's experiment —
 //! [`conformance::harness::observe_compliance`], the one paired probe the
 //! conformance matrix also runs: pairs of queries from different /24s in
 //! the same /16 (and the same /22, which is what exposes the /22 cap as
@@ -14,10 +13,10 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{classify_compliance, ComplianceVerdict};
+use analysis::classify_compliance;
 use conformance::harness::observe_compliance;
 use resolver::Resolver;
-use workload::{ComplianceClass, PrefixClass, ProbingClass, ResolverSpec};
+use workload::{ComplianceClass, PrefixClass, ProbingClass, ResolverSpec, COMPLIANCE_TABLE};
 
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
@@ -38,31 +37,23 @@ impl Default for Config {
 /// Outcome.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Verdict counts.
-    pub counts: HashMap<ComplianceVerdict, usize>,
-    /// Planted counts.
-    pub planted: HashMap<ComplianceClass, usize>,
+    /// Verdict counts (`None`: unclassified).
+    pub counts: HashMap<Option<ComplianceClass>, usize>,
     /// Classification accuracy.
     pub accuracy: f64,
 }
 
-/// Builds the §6.3 population (compliance classes with paper counts).
+/// Builds the §6.3 population ([`COMPLIANCE_TABLE`]'s counts, scaled).
 fn population(scale: usize) -> Vec<ResolverSpec> {
-    let rows = [
-        (ComplianceClass::Correct, 76usize),
-        (ComplianceClass::IgnoresScope, 103),
-        (ComplianceClass::AcceptsLong, 15),
-        (ComplianceClass::Cap22, 8),
-        (ComplianceClass::PrivateLeak, 1),
-    ];
     let mut out = Vec::new();
     let mut i = 0u32;
-    for (class, n) in rows {
+    for &(class, n, _) in COMPLIANCE_TABLE {
         for _ in 0..n.div_ceil(scale) {
             out.push(ResolverSpec {
                 addr: IpAddr::V4(Ipv4Addr::from(0x0900_0000 + i)),
                 probing: ProbingClass::Always,
-                // AcceptsLong and Cap22 override this in the compliance mapping.
+                // AcceptsLong, Cap22 and PrivateMisconfig ignore this: their
+                // resolver presets set their own prefix policy.
                 prefix: PrefixClass::Slash24,
                 compliance: class,
                 dominant_as: false,
@@ -74,82 +65,27 @@ fn population(scale: usize) -> Vec<ResolverSpec> {
     out
 }
 
-fn matches_class(class: ComplianceClass, verdict: ComplianceVerdict) -> bool {
-    matches!(
-        (class, verdict),
-        (ComplianceClass::Correct, ComplianceVerdict::Correct)
-            | (
-                ComplianceClass::IgnoresScope,
-                ComplianceVerdict::IgnoresScope
-            )
-            | (ComplianceClass::AcceptsLong, ComplianceVerdict::AcceptsLong)
-            | (ComplianceClass::Cap22, ComplianceVerdict::Cap22)
-            | (
-                ComplianceClass::PrivateLeak,
-                ComplianceVerdict::PrivateMisconfig
-            )
-    )
-}
-
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
     let pop = population(config.scale);
-    let mut counts: HashMap<ComplianceVerdict, usize> = HashMap::new();
-    let mut planted: HashMap<ComplianceClass, usize> = HashMap::new();
+    let mut counts: HashMap<Option<ComplianceClass>, usize> = HashMap::new();
     let mut correct = 0usize;
 
     for spec in &pop {
-        *planted.entry(spec.compliance).or_default() += 1;
         let mut resolver = Resolver::new(resolver_config_for(spec, &[]));
         let verdict = classify_compliance(&observe_compliance(&mut resolver, 300, false));
         *counts.entry(verdict).or_default() += 1;
-        if matches_class(spec.compliance, verdict) {
+        if verdict == Some(spec.compliance) {
             correct += 1;
         }
     }
     let accuracy = correct as f64 / pop.len() as f64;
 
     let mut report = Report::new("cache-behavior", "§6.3 cache-compliance classes");
-    for (label, paper, class, verdict) in [
-        (
-            "correct",
-            76usize,
-            ComplianceClass::Correct,
-            ComplianceVerdict::Correct,
-        ),
-        (
-            "ignore scope",
-            103,
-            ComplianceClass::IgnoresScope,
-            ComplianceVerdict::IgnoresScope,
-        ),
-        (
-            "accept >24-bit prefixes",
-            15,
-            ComplianceClass::AcceptsLong,
-            ComplianceVerdict::AcceptsLong,
-        ),
-        (
-            "/22 cap",
-            8,
-            ComplianceClass::Cap22,
-            ComplianceVerdict::Cap22,
-        ),
-        (
-            "private-prefix misconfig",
-            1,
-            ComplianceClass::PrivateLeak,
-            ComplianceVerdict::PrivateMisconfig,
-        ),
-    ] {
-        let p = planted.get(&class).copied().unwrap_or(0);
-        let m = counts.get(&verdict).copied().unwrap_or(0);
-        report.row(
-            format!("{label} resolvers"),
-            format!("{paper} (scaled: {p})"),
-            m,
-            m == p,
-        );
+    for &(class, paper, label) in COMPLIANCE_TABLE {
+        let p = pop.iter().filter(|spec| spec.compliance == class).count();
+        let m = counts.get(&Some(class)).copied().unwrap_or(0);
+        report.row(label, format!("{paper} (scaled: {p})"), m, m == p);
     }
     report.row(
         "classification accuracy",
@@ -157,14 +93,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         format!("{:.1}%", accuracy * 100.0),
         accuracy >= 0.99,
     );
-    (
-        Outcome {
-            counts,
-            planted,
-            accuracy,
-        },
-        report,
-    )
+    (Outcome { counts, accuracy }, report)
 }
 
 #[cfg(test)]
@@ -176,10 +105,8 @@ mod tests {
         let (out, report) = run(&Config { scale: 1 });
         assert!(out.accuracy >= 0.99, "{report}");
         assert!(report.all_hold(), "{report}");
-        assert_eq!(out.counts[&ComplianceVerdict::Correct], 76);
-        assert_eq!(out.counts[&ComplianceVerdict::IgnoresScope], 103);
-        assert_eq!(out.counts[&ComplianceVerdict::AcceptsLong], 15);
-        assert_eq!(out.counts[&ComplianceVerdict::Cap22], 8);
-        assert_eq!(out.counts[&ComplianceVerdict::PrivateMisconfig], 1);
+        for &(class, paper, _) in COMPLIANCE_TABLE {
+            assert_eq!(out.counts[&Some(class)], paper, "{class:?}");
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!   that (a) serve at least one open forwarder and (b) send ECS to an
 //!   unknown experimental domain (per-zone whitelisting resolvers don't).
 //!
-//! Paper: the scan found 278 non-Google egress resolvers vs 4147 in the
-//! CDN logs, with 234 of the 278 also present passively.
+//! Paper: the scan found 278 non-Google egress resolvers vs every
+//! resolver of [`workload::PROBING_TABLE`] in the CDN logs, with 234 of the
+//! 278 also present passively.
 
 use std::collections::HashSet;
 use std::net::IpAddr;
@@ -23,7 +24,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resolver::{ProbingStrategy, Resolver};
 use topology::AddrAllocator;
-use workload::CdnDatasetGen;
+use workload::{CdnDatasetGen, PROBING_TABLE};
 
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
@@ -35,7 +36,7 @@ pub struct Config {
     pub scale: usize,
     /// Probability a resolver is reachable through at least one open
     /// forwarder (drives the active method's reach; the paper's ratio is
-    /// 278/4147 ≈ 6.7% for non-Google resolvers).
+    /// 278 over the CDN dataset's resolvers ≈ 6.7% for non-Google ones).
     pub open_forwarder_reach: f64,
     /// Probability a reachable resolver zone-whitelists ECS domains and
     /// thus won't send ECS to our unknown experimental zone.
@@ -144,7 +145,11 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     let mut report = Report::new("discovery", "§5 passive vs active discovery");
     report.row(
         "passive discoveries",
-        format!("4147 (scaled pop: {})", population.len()),
+        format!(
+            "{} (scaled pop: {})",
+            PROBING_TABLE.iter().map(|&(_, n, _)| n).sum::<usize>(),
+            population.len()
+        ),
         overlap.passive_total(),
         overlap.passive_total() > overlap.active_total(),
     );

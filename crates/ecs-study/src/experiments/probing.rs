@@ -5,13 +5,13 @@
 //! client traffic through them against a CDN authoritative that — like the
 //! paper's major CDN — whitelists ECS and therefore *appears non-ECS* to
 //! all of them, then run the paper's classifier on the CDN's query log and
-//! check it recovers the population counts (3382 / 258 / 32 / 88 / 387,
-//! scaled).
+//! check it recovers the planted counts of every row of
+//! [`workload::PROBING_TABLE`], scaled.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use analysis::probing::{classify_all, root_ecs_offenders, ProbingVerdict};
+use analysis::probing::{classify_all, root_ecs_offenders};
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{EcsOption, Message, Name, Question};
 use netsim::{SimDuration, SimTime};
@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resolver::Resolver;
 use topology::AddrAllocator;
-use workload::{CdnDatasetGen, ProbingClass};
+use workload::{CdnDatasetGen, ProbingClass, PROBING_TABLE};
 
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
@@ -56,28 +56,14 @@ impl Default for Config {
 pub struct Outcome {
     /// Ground-truth class per resolver.
     pub truth: HashMap<IpAddr, ProbingClass>,
-    /// Classifier verdict per resolver.
-    pub verdicts: HashMap<IpAddr, ProbingVerdict>,
+    /// Classifier verdict per resolver (`None`: no ECS seen).
+    pub verdicts: HashMap<IpAddr, Option<ProbingClass>>,
     /// Fraction of resolvers classified into their ground-truth class.
     pub accuracy: f64,
     /// Root-ECS offenders found / planted.
     pub root_offenders_found: usize,
     /// Root-ECS offenders planted.
     pub root_offenders_planted: usize,
-}
-
-fn matches_class(truth: ProbingClass, verdict: ProbingVerdict) -> bool {
-    matches!(
-        (truth, verdict),
-        (ProbingClass::Always, ProbingVerdict::Always)
-            | (ProbingClass::HostnameProbe, ProbingVerdict::HostnameProbe)
-            | (
-                ProbingClass::IntervalLoopback,
-                ProbingVerdict::IntervalLoopback
-            )
-            | (ProbingClass::OnMiss, ProbingVerdict::OnMiss)
-            | (ProbingClass::Mixed, ProbingVerdict::Mixed)
-    )
 }
 
 /// Runs the experiment.
@@ -144,14 +130,10 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     let log = cdn.take_log();
     let verdicts = classify_all(&log, 60);
 
-    let mut correct = 0usize;
-    for (addr, class) in &truth {
-        if let Some(v) = verdicts.get(addr) {
-            if matches_class(*class, *v) {
-                correct += 1;
-            }
-        }
-    }
+    let correct = truth
+        .iter()
+        .filter(|(addr, class)| verdicts.get(addr) == Some(&Some(**class)))
+        .count();
     let accuracy = correct as f64 / truth.len() as f64;
 
     // Root-server side experiment: the DITL analysis found 15 resolvers
@@ -185,44 +167,12 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     }
     let offenders = root_ecs_offenders(root.log());
 
-    let outcome = Outcome {
-        truth: truth.clone(),
-        verdicts: verdicts.clone(),
-        accuracy,
-        root_offenders_found: offenders.len(),
-        root_offenders_planted: planted,
-    };
-
-    // Report.
-    let count_verdict = |v: ProbingVerdict| verdicts.values().filter(|x| **x == v).count();
-    let count_truth = |c: ProbingClass| truth.values().filter(|x| **x == c).count();
     let mut report = Report::new("probing", "§6.1 probing-strategy classes");
-    for (label, paper, class, verdict) in [
-        (
-            "always-ECS",
-            3382usize,
-            ProbingClass::Always,
-            ProbingVerdict::Always,
-        ),
-        (
-            "hostname-probe",
-            258,
-            ProbingClass::HostnameProbe,
-            ProbingVerdict::HostnameProbe,
-        ),
-        (
-            "interval-loopback",
-            32,
-            ProbingClass::IntervalLoopback,
-            ProbingVerdict::IntervalLoopback,
-        ),
-        ("on-miss", 88, ProbingClass::OnMiss, ProbingVerdict::OnMiss),
-        ("mixed", 387, ProbingClass::Mixed, ProbingVerdict::Mixed),
-    ] {
-        let planted_n = count_truth(class);
-        let found = count_verdict(verdict);
+    for &(class, paper, label) in PROBING_TABLE {
+        let planted_n = truth.values().filter(|c| **c == class).count();
+        let found = verdicts.values().filter(|v| **v == Some(class)).count();
         report.row(
-            format!("{label} resolvers"),
+            label,
             format!("{paper} (scaled: {planted_n})"),
             found,
             // Within 25% of the planted count.
@@ -238,9 +188,16 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     report.row(
         "root-ECS offenders (DITL)",
         format!("15 (scaled: {planted})"),
-        outcome.root_offenders_found,
-        outcome.root_offenders_found == planted,
+        offenders.len(),
+        offenders.len() == planted,
     );
+    let outcome = Outcome {
+        truth,
+        verdicts,
+        accuracy,
+        root_offenders_found: offenders.len(),
+        root_offenders_planted: planted,
+    };
     (outcome, report)
 }
 

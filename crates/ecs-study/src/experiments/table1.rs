@@ -12,7 +12,7 @@ use dns_wire::{Message, Name, Question};
 use netsim::SimTime;
 use resolver::Resolver;
 use topology::AddrAllocator;
-use workload::{PrefixClass, ScanDatasetGen};
+use workload::{PrefixClass, ScanDatasetGen, PREFIX_TABLE};
 
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
@@ -43,8 +43,6 @@ impl Default for Config {
 pub struct Outcome {
     /// The tabulated Table 1.
     pub table: PrefixLengthTable,
-    /// Ground-truth class counts.
-    pub truth_counts: Vec<(PrefixClass, usize)>,
 }
 
 /// Encodes a forwarder address into the scan hostname, as the paper's scan
@@ -93,73 +91,21 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     }
 
     let table = PrefixLengthTable::build(auth.log());
-    let truth_counts: Vec<(PrefixClass, usize)> = [
-        PrefixClass::Slash24,
-        PrefixClass::Slash32Jammed,
-        PrefixClass::Slash22,
-        PrefixClass::Slash25,
-        PrefixClass::Slash16,
-        PrefixClass::V6Slash56,
-        PrefixClass::V6Slash48,
-        PrefixClass::V6Slash128,
-    ]
-    .into_iter()
-    .map(|c| (c, population.iter().filter(|r| r.prefix == c).count()))
-    .collect();
-
     let mut report = Report::new("table1", "§6.2 Table 1: source prefix lengths");
-    let row_count = |label: &str| table.rows.get(label).copied().unwrap_or(0);
-    let truth = |c: PrefixClass| {
-        truth_counts
-            .iter()
-            .find(|(cc, _)| *cc == c)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    };
-    report.row(
-        "/24 resolvers (scan)",
-        format!("1384 (scaled: {})", truth(PrefixClass::Slash24)),
-        row_count("24"),
-        row_count("24") == truth(PrefixClass::Slash24),
-    );
-    report.row(
-        "/32 jammed-last-byte resolvers",
-        format!("130 (scaled: {})", truth(PrefixClass::Slash32Jammed)),
-        table.jammed_count(),
-        table.jammed_count() == truth(PrefixClass::Slash32Jammed),
-    );
-    report.row(
-        "/22-capped resolvers",
-        format!("8 (scaled: {})", truth(PrefixClass::Slash22)),
-        row_count("22"),
-        row_count("22") == truth(PrefixClass::Slash22),
-    );
-    report.row(
-        "/25 resolvers",
-        format!("1 (scaled: {})", truth(PrefixClass::Slash25)),
-        row_count("25"),
-        row_count("25") == truth(PrefixClass::Slash25),
-    );
-    report.row(
-        "/16 resolvers",
-        format!("3 (scaled: {})", truth(PrefixClass::Slash16)),
-        row_count("16"),
-        row_count("16") == truth(PrefixClass::Slash16),
-    );
-    let v6_56 = row_count("56 (IPv6)");
-    report.row(
-        "IPv6 /56 resolvers",
-        format!("5 (scaled: {})", truth(PrefixClass::V6Slash56)),
-        v6_56,
-        v6_56 == truth(PrefixClass::V6Slash56),
-    );
-    let v6_128 = row_count("128 (IPv6)");
-    report.row(
-        "IPv6 /128 resolvers",
-        format!("2 (scaled: {})", truth(PrefixClass::V6Slash128)),
-        v6_128,
-        v6_128 == truth(PrefixClass::V6Slash128),
-    );
+    // The report has never printed the IPv6 /48 row.
+    for &(class, paper, label) in PREFIX_TABLE
+        .iter()
+        .filter(|r| r.0 != PrefixClass::V6Slash48)
+    {
+        let planted = population.iter().filter(|r| r.prefix == class).count();
+        let found = table.count(class);
+        report.row(
+            label,
+            format!("{paper} (scaled: {planted})"),
+            found,
+            found == planted,
+        );
+    }
     // The paper's headline: almost half of non-Google v4 resolvers do not
     // truncate at all (the jammed /32s); overall most follow /24.
     let compliant = table.profiles.iter().filter(|p| p.rfc_compliant()).count();
@@ -175,13 +121,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         detail.push_str(&format!("  {label:<28} {count}\n"));
     }
     report.detail = detail;
-    (
-        Outcome {
-            table,
-            truth_counts,
-        },
-        report,
-    )
+    (Outcome { table }, report)
 }
 
 #[cfg(test)]
@@ -190,20 +130,19 @@ mod tests {
 
     #[test]
     fn table_recovers_planted_prefix_classes() {
-        let (out, report) = run(&Config {
+        let config = Config {
             scale: 20,
             ..Config::default()
-        });
+        };
+        let (out, report) = run(&config);
         assert!(report.all_hold(), "{report}");
         assert!(out.table.resolver_count() > 0);
-        // Jammed resolvers detected exactly.
-        let planted = out
-            .truth_counts
-            .iter()
-            .find(|(c, _)| *c == PrefixClass::Slash32Jammed)
-            .unwrap()
-            .1;
-        assert_eq!(out.table.jammed_count(), planted);
+        // Every planted class is detected exactly, the unreported /48 too.
+        let population = ScanDatasetGen::scaled(config.scale, config.seed).generate();
+        for &(class, ..) in PREFIX_TABLE {
+            let planted = population.iter().filter(|r| r.prefix == class).count();
+            assert_eq!(out.table.count(class), planted, "{class:?}");
+        }
     }
 
     #[test]

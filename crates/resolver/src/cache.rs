@@ -26,19 +26,20 @@ use netsim::{SimDuration, SimTime};
 use rustc_hash::FxHashMap;
 
 /// How the resolver obeys (or disobeys) scope restrictions — the §6.3
-/// classification, as implementable behaviour.
+/// classification, as implementable behaviour (the `workload` crate's
+/// `COMPLIANCE_TABLE` has how many resolvers each class holds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCompliance {
     /// Honor scope exactly as RFC 7871 prescribes, clamping the effective
     /// scope to the source prefix length (and never conveying more than the
-    /// policy's maximum prefix upstream). The paper's 76 correct resolvers.
+    /// policy's maximum prefix upstream). The paper's correct class.
     Honor,
     /// Ignore scope entirely: any cached answer serves any client, as if
-    /// the resolver did not understand ECS. The paper's 103 resolvers.
+    /// the resolver did not understand ECS. The paper's ignore-scope class.
     IgnoreScope,
-    /// Impose a maximum cacheable prefix length (the paper found 8
-    /// resolvers capping at 22): both the effective scope and the client
-    /// prefix used for matching are truncated to this length.
+    /// Impose a maximum cacheable prefix length (the paper's /22-cap class
+    /// caps at 22): both the effective scope and the client prefix used
+    /// for matching are truncated to this length.
     CapPrefix(u8),
 }
 

@@ -181,8 +181,9 @@ impl ResolverConfig {
         }
     }
 
-    /// One of the 15 privacy-eroding resolvers: accepts and forwards client
-    /// prefixes up to /32 and caches at the matching long scopes.
+    /// The §6.3 accepts-long class, which erodes privacy: accepts and
+    /// forwards client prefixes up to /32 and caches at the matching long
+    /// scopes.
     pub fn long_prefix_acceptor(addr: IpAddr) -> Self {
         ResolverConfig {
             prefix_policy: PrefixPolicy::PassThrough { max_v4: 32 },
@@ -191,8 +192,7 @@ impl ResolverConfig {
         }
     }
 
-    /// One of the 8 coarse resolvers: caps conveyed prefix and cache scope
-    /// at /22.
+    /// The §6.3 /22-cap class: caps conveyed prefix and cache scope at /22.
     pub fn cap22(addr: IpAddr) -> Self {
         ResolverConfig {
             prefix_policy: PrefixPolicy::PassThrough { max_v4: 22 },

@@ -7,21 +7,22 @@
 //! *what* prefix to put in it (prefix policy, §6.2 / Table 1), and *how* to
 //! cache the scoped answers (compliance mode, §6.3) — including every
 //! deviant behaviour the measurements uncovered, so the study's classifiers
-//! can be exercised against ground truth:
+//! can be exercised against ground truth (each class's count in the paper
+//! is in the `workload` crate's §6 tables):
 //!
 //! | paper finding | here |
 //! |---|---|
-//! | 3382 resolvers send ECS on 100% of A/AAAA queries | [`ProbingStrategy::Always`] |
-//! | 258 probe via specific hostnames, ignoring the cache | [`ProbingStrategy::HostnameProbe`] |
-//! | 32 probe at 30-minute multiples with a loopback prefix | [`ProbingStrategy::IntervalProbe`] |
-//! | 88 send ECS for specific hostnames on cache miss | [`ProbingStrategy::OnMiss`] |
+//! | always-ECS class: ECS on 100% of A/AAAA queries | [`ProbingStrategy::Always`] |
+//! | hostname-probe class: specific hostnames, ignoring the cache | [`ProbingStrategy::HostnameProbe`] |
+//! | interval-loopback class: probes at 30-minute multiples with a loopback prefix | [`ProbingStrategy::IntervalProbe`] |
+//! | on-miss class: ECS for specific hostnames on cache miss | [`ProbingStrategy::OnMiss`] |
 //! | per-zone whitelists (OpenDNS style) | [`ProbingStrategy::ZoneWhitelist`] |
 //! | /24 truncation per RFC | [`PrefixPolicy::Truncate`] |
-//! | /32 with "jammed" last byte (3084 resolvers) | [`PrefixPolicy::JammedFull`] |
+//! | /32 with "jammed" last byte | [`PrefixPolicy::JammedFull`] |
 //! | /25 prefixes that leak an extra bit | `PrefixPolicy::Truncate(25)` |
-//! | /22 cap on both prefix and scope (8 resolvers) | [`CacheCompliance::CapPrefix`] |
-//! | scope ignored entirely (103 resolvers) | [`CacheCompliance::IgnoreScope`] |
-//! | >24-bit client prefixes accepted & cached (15) | [`ResolverConfig::accept_client_ecs`] + `PrefixPolicy::PassThrough` |
+//! | /22 cap on both prefix and scope | [`CacheCompliance::CapPrefix`] |
+//! | scope ignored entirely | [`CacheCompliance::IgnoreScope`] |
+//! | >24-bit client prefixes accepted & cached | [`ResolverConfig::accept_client_ecs`] + `PrefixPolicy::PassThrough` |
 //! | PowerDNS private-prefix misconfiguration | [`PrefixPolicy::PrivateLeak`] + `cache_zero_scope = false` |
 //!
 //! The resolver exposes a synchronous engine ([`engine::Resolver`]) driven

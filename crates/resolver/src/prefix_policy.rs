@@ -24,17 +24,17 @@ pub enum PrefixPolicy {
     /// all" rows of Table 1.
     Full,
     /// Send source prefix 32/128 but overwrite the last byte with a fixed
-    /// value — the "jammed last byte" behaviour of 3084 CDN-dataset
-    /// resolvers (mostly 0x01, some 0x00). Reveals only 24 bits while
-    /// *claiming* 32, which misleads authoritative servers.
+    /// value — the "jammed last byte" behaviour of the dominant AS's
+    /// CDN-dataset resolvers (mostly 0x01, some 0x00). Reveals only 24 bits
+    /// while *claiming* 32, which misleads authoritative servers.
     JammedFull {
         /// The constant final octet.
         jam: u8,
     },
     /// Pass through whatever prefix arrived from the client/forwarder,
     /// up to a maximum length (the resolvers that accept arbitrary client
-    /// ECS; max 32 reproduces the 15 privacy-eroding resolvers, max 22 the
-    /// 8 coarse ones when combined with `CacheCompliance::CapPrefix`).
+    /// ECS; max 32 reproduces the privacy-eroding accepts-long class, max 22
+    /// the /22-cap class when combined with `CacheCompliance::CapPrefix`).
     PassThrough {
         /// Maximum accepted/conveyed prefix length (IPv4; IPv6 uses 2×).
         max_v4: u8,

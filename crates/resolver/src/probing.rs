@@ -2,7 +2,8 @@
 //!
 //! RFC 7871 tells resolvers not to send ECS blindly — they should probe for
 //! support or keep a whitelist. The paper classified what deployed
-//! resolvers actually do into five patterns; each is a variant here.
+//! resolvers actually do into five patterns; each is a variant here (the
+//! `workload` crate's `PROBING_TABLE` has how many resolvers each holds).
 
 use std::collections::{HashMap, HashSet};
 
@@ -14,8 +15,8 @@ use netsim::{SimDuration, SimTime};
 pub enum EcsDecision {
     /// Attach the client-derived ECS option.
     SendClientEcs,
-    /// Attach an ECS option carrying the loopback address (the 32
-    /// interval-probing resolvers' behaviour).
+    /// Attach an ECS option carrying the loopback address (the
+    /// interval-loopback class's behaviour).
     SendLoopbackProbe,
     /// Attach an ECS option carrying the resolver's own address — the
     /// paper's *recommended* probing prefix.
@@ -27,27 +28,27 @@ pub enum EcsDecision {
 /// Strategy for deciding ECS inclusion per query.
 #[derive(Debug, Clone)]
 pub enum ProbingStrategy {
-    /// Send ECS on every A/AAAA query (3382 of 4147 CDN-dataset resolvers).
+    /// Send ECS on every A/AAAA query (the always-ECS class).
     Always,
     /// Send ECS consistently, but only for a fixed set of probe hostnames —
     /// and for those hostnames bypass the cache, re-querying within TTL
-    /// (258 resolvers).
+    /// (the hostname-probe class).
     HostnameProbe {
         /// The probe hostnames.
         hostnames: HashSet<Name>,
     },
     /// Send a loopback-ECS probe for a single query string at multiples of
-    /// `period` (30 minutes in the wild), non-ECS queries otherwise
-    /// (32 resolvers). When `use_own_address` is true this becomes the
-    /// paper's recommended variant.
+    /// `period` (30 minutes in the wild), non-ECS queries otherwise (the
+    /// interval-loopback class). When `use_own_address` is true this
+    /// becomes the paper's recommended variant.
     IntervalProbe {
         /// Probe period.
         period: SimDuration,
         /// Send the resolver's own address instead of loopback.
         use_own_address: bool,
     },
-    /// Send ECS for specific hostnames, but only on a cache miss
-    /// (88 resolvers).
+    /// Send ECS for specific hostnames, but only on a cache miss (the
+    /// on-miss class).
     OnMiss {
         /// The hostnames that get ECS.
         hostnames: HashSet<Name>,
@@ -59,8 +60,8 @@ pub enum ProbingStrategy {
         zones: Vec<Name>,
     },
     /// Send ECS on every `k`-th address query, regardless of name — the
-    /// "no discernible pattern" class (387 resolvers): the same name is
-    /// seen both with and without ECS.
+    /// "no discernible pattern" (mixed) class: the same name is seen both
+    /// with and without ECS.
     EveryKth {
         /// Period of the pattern (k ≥ 1; 1 degenerates to `Always`).
         k: u64,

@@ -11,19 +11,21 @@
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 
-use analysis::probing::{classify_probing, ProbingVerdict};
+use analysis::probing::{classify_probing, verdict_name};
+use analysis::ProbingClass;
 use authoritative::QueryLogEntry;
 
-/// Stable wire name for a [`ProbingVerdict`] (report/JSON keys).
-pub fn verdict_name(v: ProbingVerdict) -> &'static str {
-    match v {
-        ProbingVerdict::Always => "always",
-        ProbingVerdict::HostnameProbe => "hostname_probe",
-        ProbingVerdict::IntervalLoopback => "interval_loopback",
-        ProbingVerdict::OnMiss => "on_miss",
-        ProbingVerdict::Mixed => "mixed",
-        ProbingVerdict::NoEcs => "no_ecs",
+/// Stable wire name for a §6.1 verdict (JSON values): the snake-case form
+/// of [`verdict_name`], e.g. `hostname_probe`, `no_ecs`.
+fn wire_name(verdict: Option<ProbingClass>) -> String {
+    let mut out = String::new();
+    for (i, c) in verdict_name(verdict).chars().enumerate() {
+        if i > 0 && c.is_ascii_uppercase() {
+            out.push('_');
+        }
+        out.push(c.to_ascii_lowercase());
     }
+    out
 }
 
 /// Per-resolver bounded samples plus exact aggregate counters.
@@ -79,7 +81,7 @@ impl ScanCapture {
 
     /// Runs the §6.1 classifier over every resolver's sampled stream.
     /// Deterministic: `BTreeMap` keyed by resolver address.
-    pub fn classify(&self, short_window_secs: u64) -> BTreeMap<IpAddr, ProbingVerdict> {
+    pub fn classify(&self, short_window_secs: u64) -> BTreeMap<IpAddr, Option<ProbingClass>> {
         self.per_resolver
             .iter()
             .map(|(addr, entries)| (*addr, classify_probing(entries, short_window_secs)))
@@ -100,7 +102,7 @@ impl ScanCapture {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{addr}\":\"{}\"", verdict_name(verdict)));
+            out.push_str(&format!("\"{addr}\":\"{}\"", wire_name(verdict)));
         }
         out.push_str("}}");
         out
@@ -154,12 +156,9 @@ mod tests {
         let verdicts = c.classify(60);
         assert_eq!(
             verdicts[&"9.9.9.9".parse::<IpAddr>().unwrap()],
-            ProbingVerdict::Always
+            Some(ProbingClass::Always)
         );
-        assert_eq!(
-            verdicts[&"9.9.9.10".parse::<IpAddr>().unwrap()],
-            ProbingVerdict::NoEcs
-        );
+        assert_eq!(verdicts[&"9.9.9.10".parse::<IpAddr>().unwrap()], None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Autonomous systems: the unit of resolver ownership in the paper.
 //!
-//! The CDN dataset's 4147 ECS-enabled resolver addresses belong to 83 ASes,
-//! with a single Chinese "dominant AS" holding 3067 of them; the Scan
+//! The CDN dataset's ECS-enabled resolver addresses belong to 83 ASes, with
+//! a single Chinese "dominant AS" holding most of them (`workload`'s
+//! `PROBING_TABLE` and `DOMINANT_AS_RESOLVERS` have the counts); the Scan
 //! dataset's non-Google egress resolvers span 45 ASes, 19 of them Chinese
 //! ISPs. We model ASes as named entities with a home country and a set of
 //! cities where they have presence.

@@ -11,8 +11,8 @@
 //!   `/48`) blocks and individual addresses, so every simulated entity has a
 //!   realistic, unique address;
 //! * [`asn`] models autonomous systems with geographic homes (including the
-//!   paper's "dominant AS" — a Chinese operator contributing 3067 of the
-//!   4147 ECS resolvers in the CDN dataset);
+//!   paper's "dominant AS" — a Chinese operator contributing most of the
+//!   CDN dataset's ECS resolvers, `workload`'s `DOMINANT_AS_RESOLVERS`);
 //! * [`entities`] describes clients, open forwarders, hidden resolvers,
 //!   egress resolvers, public anycast resolution services, CDN footprints,
 //!   and authoritative deployments;

@@ -15,20 +15,38 @@ use crate::trace::{TraceRecord, TraceSet};
 // Behaviour-class populations (CDN & Scan datasets)
 // ---------------------------------------------------------------------------
 
-/// §6.1 probing-behaviour classes with the paper's CDN-dataset counts.
+/// §6.1 probing-behaviour classes; [`PROBING_TABLE`] has their counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbingClass {
-    /// ECS on 100% of A/AAAA queries (3382 resolvers).
+    /// ECS on 100% of A/AAAA queries.
     Always,
-    /// ECS for specific hostnames, cache bypassed for them (258).
+    /// ECS for specific hostnames, cache bypassed for them.
     HostnameProbe,
-    /// ECS probes at 30-minute multiples carrying loopback (32).
+    /// ECS probes at 30-minute multiples carrying loopback.
     IntervalLoopback,
-    /// ECS for specific hostnames on cache miss (88).
+    /// ECS for specific hostnames on cache miss.
     OnMiss,
-    /// No discernible pattern (387).
+    /// No discernible pattern.
     Mixed,
 }
+
+/// The §6.1 table: each probing class, the paper's CDN-dataset count and
+/// the report label, in the order [`CdnDatasetGen`] plants them.
+pub const PROBING_TABLE: &[(ProbingClass, usize, &str)] = &[
+    (ProbingClass::Always, 3382, "always-ECS resolvers"),
+    (ProbingClass::HostnameProbe, 258, "hostname-probe resolvers"),
+    (
+        ProbingClass::IntervalLoopback,
+        32,
+        "interval-loopback resolvers",
+    ),
+    (ProbingClass::OnMiss, 88, "on-miss resolvers"),
+    (ProbingClass::Mixed, 387, "mixed resolvers"),
+];
+
+/// CDN-dataset resolvers in the dominant (Chinese) AS, all of them in the
+/// [`ProbingClass::Always`] row of [`PROBING_TABLE`].
+pub const DOMINANT_AS_RESOLVERS: usize = 3067;
 
 /// Table 1 source-prefix classes (IPv4 rows; the dominant ones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,20 +71,56 @@ pub enum PrefixClass {
     V6Slash128,
 }
 
-/// §6.3 cache-compliance classes with the paper's counts.
+/// Table 1's Scan column: each prefix class, the paper's count and the
+/// report label, in the order [`ScanDatasetGen`] plants them. The IPv6
+/// /32 and /64 rows are approximated by the nearest classes.
+pub const PREFIX_TABLE: &[(PrefixClass, usize, &str)] = &[
+    (PrefixClass::Slash24, 1384, "/24 resolvers (scan)"),
+    (
+        PrefixClass::Slash32Jammed,
+        130,
+        "/32 jammed-last-byte resolvers",
+    ),
+    (PrefixClass::Slash22, 8, "/22-capped resolvers"),
+    (PrefixClass::Slash25, 1, "/25 resolvers"),
+    (PrefixClass::Slash16, 3, "/16 resolvers"),
+    (PrefixClass::V6Slash56, 5, "IPv6 /56 resolvers"),
+    (PrefixClass::V6Slash48, 4, "IPv6 /48 resolvers"),
+    (PrefixClass::V6Slash128, 2, "IPv6 /128 resolvers"),
+];
+
+/// §6.3 cache-compliance classes; [`COMPLIANCE_TABLE`] has their counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComplianceClass {
-    /// Honors scope, never conveys >24 bits (76 resolvers).
+    /// Honors scope, never conveys >24 bits.
     Correct,
-    /// Reuses cached answers irrespective of scope (103).
+    /// Reuses cached answers irrespective of scope.
     IgnoresScope,
-    /// Accepts and caches >24-bit prefixes (15).
+    /// Accepts and caches >24-bit prefixes.
     AcceptsLong,
-    /// Caps prefix and scope at /22 (8).
+    /// Caps prefix and scope at /22.
     Cap22,
-    /// Sends a private-space prefix and mishandles zero scope (1).
-    PrivateLeak,
+    /// Sends a private-space prefix and mishandles zero scope.
+    PrivateMisconfig,
 }
+
+/// The §6.3 table: each compliance class, the paper's count and the report
+/// label.
+pub const COMPLIANCE_TABLE: &[(ComplianceClass, usize, &str)] = &[
+    (ComplianceClass::Correct, 76, "correct resolvers"),
+    (ComplianceClass::IgnoresScope, 103, "ignore scope resolvers"),
+    (
+        ComplianceClass::AcceptsLong,
+        15,
+        "accept >24-bit prefixes resolvers",
+    ),
+    (ComplianceClass::Cap22, 8, "/22 cap resolvers"),
+    (
+        ComplianceClass::PrivateMisconfig,
+        1,
+        "private-prefix misconfig resolvers",
+    ),
+];
 
 /// One resolver in a generated population.
 #[derive(Debug, Clone)]
@@ -85,9 +139,9 @@ pub struct ResolverSpec {
     pub whitelisted: bool,
 }
 
-/// Generates the CDN-dataset resolver population: by default the paper's
-/// exact §6.1 class counts (3382/258/32/88/387 = 4147 resolvers, 3067 of
-/// them in the dominant AS), scaled by `scale` (counts divided, minimum 1).
+/// Generates the CDN-dataset resolver population: [`PROBING_TABLE`]'s
+/// counts, [`DOMINANT_AS_RESOLVERS`] of them in the dominant AS, scaled by
+/// `scale` (counts divided, minimum 1).
 #[derive(Debug, Clone)]
 pub struct CdnDatasetGen {
     /// Divisor applied to the paper's counts.
@@ -114,21 +168,14 @@ impl CdnDatasetGen {
     pub fn generate(&self) -> Vec<ResolverSpec> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut alloc = AddrAllocator::new();
-        let class_counts: [(ProbingClass, usize); 5] = [
-            (ProbingClass::Always, 3382),
-            (ProbingClass::HostnameProbe, 258),
-            (ProbingClass::IntervalLoopback, 32),
-            (ProbingClass::OnMiss, 88),
-            (ProbingClass::Mixed, 387),
-        ];
         let mut out = Vec::new();
-        let mut dominant_left = 3067usize.div_ceil(self.scale);
-        for (class, n) in class_counts {
+        let mut dominant_left = DOMINANT_AS_RESOLVERS.div_ceil(self.scale);
+        for &(class, n, _) in PROBING_TABLE {
             let n = n.div_ceil(self.scale);
             for _ in 0..n {
                 let block = alloc.alloc_v4_block();
-                // The dominant AS's 3067 resolvers all send ECS on every
-                // query (they are within the "Always" class) and jam /32.
+                // The dominant AS's resolvers all send ECS on every query
+                // (they are within the "Always" class) and jam /32.
                 let dominant = class == ProbingClass::Always && dominant_left > 0;
                 if dominant {
                     dominant_left -= 1;
@@ -175,9 +222,7 @@ impl CdnDatasetGen {
     }
 }
 
-/// Generates the Scan-dataset egress population: Table 1's scan column
-/// (1384 /24 "Google-like", 130 /32-jammed Chinese, the IPv6 rows, …),
-/// scaled.
+/// Generates the Scan-dataset egress population: [`PREFIX_TABLE`], scaled.
 #[derive(Debug, Clone)]
 pub struct ScanDatasetGen {
     /// Divisor applied to the paper's counts.
@@ -200,24 +245,12 @@ impl ScanDatasetGen {
         }
     }
 
-    /// Generates the population. Counts follow Table 1's Scan column:
-    /// 1384×/24, 130×/32-jammed, 8×/22, 1×/25, 3×/18, plus IPv6 rows
-    /// (2×/32, 4×/48, 5×/56, 4×/64 — approximated by the nearest classes).
+    /// Generates the population.
     pub fn generate(&self) -> Vec<ResolverSpec> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut alloc = AddrAllocator::new();
-        let rows: [(PrefixClass, usize); 8] = [
-            (PrefixClass::Slash24, 1384),
-            (PrefixClass::Slash32Jammed, 130),
-            (PrefixClass::Slash22, 8),
-            (PrefixClass::Slash25, 1),
-            (PrefixClass::Slash16, 3),
-            (PrefixClass::V6Slash56, 5),
-            (PrefixClass::V6Slash48, 4),
-            (PrefixClass::V6Slash128, 2),
-        ];
         let mut out = Vec::new();
-        for (prefix, n) in rows {
+        for &(prefix, n, _) in PREFIX_TABLE {
             let n = n.div_ceil(self.scale);
             for _ in 0..n {
                 let block = alloc.alloc_v4_block();
@@ -478,14 +511,16 @@ mod tests {
     #[test]
     fn cdn_population_counts_full() {
         let pop = CdnDatasetGen::full().generate();
-        assert_eq!(pop.len(), 4147);
+        let total: usize = PROBING_TABLE.iter().map(|&(_, n, _)| n).sum();
+        assert_eq!(pop.len(), total);
         let count = |c: ProbingClass| pop.iter().filter(|r| r.probing == c).count();
-        assert_eq!(count(ProbingClass::Always), 3382);
-        assert_eq!(count(ProbingClass::HostnameProbe), 258);
-        assert_eq!(count(ProbingClass::IntervalLoopback), 32);
-        assert_eq!(count(ProbingClass::OnMiss), 88);
-        assert_eq!(count(ProbingClass::Mixed), 387);
-        assert_eq!(pop.iter().filter(|r| r.dominant_as).count(), 3067);
+        for &(class, n, _) in PROBING_TABLE {
+            assert_eq!(count(class), n, "{class:?}");
+        }
+        assert_eq!(
+            pop.iter().filter(|r| r.dominant_as).count(),
+            DOMINANT_AS_RESOLVERS
+        );
         // All dominant-AS resolvers jam /32.
         assert!(pop
             .iter()
@@ -495,25 +530,25 @@ mod tests {
         let mut addrs: Vec<_> = pop.iter().map(|r| r.addr).collect();
         addrs.sort();
         addrs.dedup();
-        assert_eq!(addrs.len(), 4147);
+        assert_eq!(addrs.len(), total);
     }
 
     #[test]
     fn cdn_population_scales() {
         let pop = CdnDatasetGen::scaled(10, 1).generate();
         let count = |c: ProbingClass| pop.iter().filter(|r| r.probing == c).count();
-        assert_eq!(count(ProbingClass::Always), 339);
-        assert_eq!(count(ProbingClass::IntervalLoopback), 4);
-        assert!(count(ProbingClass::OnMiss) >= 1);
+        for &(class, n, _) in PROBING_TABLE {
+            assert_eq!(count(class), n.div_ceil(10), "{class:?}");
+        }
     }
 
     #[test]
     fn scan_population_shape() {
         let pop = ScanDatasetGen::full().generate();
         let count = |p: PrefixClass| pop.iter().filter(|r| r.prefix == p).count();
-        assert_eq!(count(PrefixClass::Slash24), 1384);
-        assert_eq!(count(PrefixClass::Slash32Jammed), 130);
-        assert_eq!(count(PrefixClass::Slash22), 8);
+        for &(class, n, _) in PREFIX_TABLE {
+            assert_eq!(count(class), n, "{class:?}");
+        }
         // /22-capped resolvers carry the Cap22 compliance class.
         assert!(pop
             .iter()

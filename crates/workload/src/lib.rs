@@ -5,8 +5,8 @@
 //!
 //! | paper dataset | generator | key shape parameters |
 //! |---|---|---|
-//! | CDN dataset (1 day, 4147 ECS resolvers, 83 ASes) | [`datasets::CdnDatasetGen`] | resolver behaviour-class counts from §6.1 |
-//! | Scan dataset (2.743M open forwarders, 1534 ECS egresses) | [`datasets::ScanDatasetGen`] | prefix-policy mix from Table 1 |
+//! | CDN dataset (1 day, 83 ASes) | [`datasets::CdnDatasetGen`] | resolver behaviour-class counts from §6.1 ([`PROBING_TABLE`]) |
+//! | Scan dataset (2.743M open forwarders, 1534 ECS egresses) | [`datasets::ScanDatasetGen`] | prefix-policy mix from Table 1 ([`PREFIX_TABLE`]) |
 //! | Public Resolver/CDN (3 h, 2370 egresses, 20 s TTL) | [`datasets::PublicCdnTraceGen`] | per-resolver client fan-in, Zipf names |
 //! | All-Names (24 h, 1 resolver, 76.2K clients, 12.3K /24s) | [`datasets::AllNamesTraceGen`] | client subnets, SLD mix, TTL mix |
 //!
@@ -20,12 +20,12 @@
 //! the workspace reads it back.
 //!
 //! ```
-//! use workload::CdnDatasetGen;
+//! use workload::{CdnDatasetGen, DOMINANT_AS_RESOLVERS, PROBING_TABLE};
 //!
 //! // The CDN dataset's resolver population at the paper's exact counts.
 //! let population = CdnDatasetGen::full().generate();
-//! assert_eq!(population.len(), 4147);
-//! assert_eq!(population.iter().filter(|r| r.dominant_as).count(), 3067);
+//! assert_eq!(population.len(), PROBING_TABLE.iter().map(|&(_, n, _)| n).sum());
+//! assert_eq!(population.iter().filter(|r| r.dominant_as).count(), DOMINANT_AS_RESOLVERS);
 //! ```
 
 pub mod datasets;
@@ -38,7 +38,8 @@ pub mod zipf;
 
 pub use datasets::{
     AllNamesTraceGen, CdnDatasetGen, ComplianceClass, PrefixClass, ProbingClass, PublicCdnTraceGen,
-    ResolverSpec, ScanDatasetGen,
+    ResolverSpec, ScanDatasetGen, COMPLIANCE_TABLE, DOMINANT_AS_RESOLVERS, PREFIX_TABLE,
+    PROBING_TABLE,
 };
 pub use intern::{Interner, TraceIndex};
 pub use io::write_trace;

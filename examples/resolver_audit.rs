@@ -9,7 +9,7 @@
 
 use std::net::IpAddr;
 
-use analysis::classify_compliance;
+use analysis::cache_compliance::{classify_compliance, verdict_name};
 use conformance::harness::observe_compliance;
 use resolver::{Resolver, ResolverConfig};
 
@@ -30,7 +30,7 @@ fn main() {
         let verdict = classify_compliance(&obs);
         println!(
             "{label:<12} {:<20} scope24-requeried={} scope16-requeried={} conveyed(/32)={:?} private={}",
-            format!("{verdict:?}"),
+            verdict_name(verdict),
             obs.second_arrived_scope24,
             obs.second_arrived_scope16,
             obs.conveyed_for_32,
