@@ -3,8 +3,8 @@
 //! Groups an authoritative log by resolver, collects the set of source
 //! prefix lengths each sends (per family), and detects the "jammed last
 //! byte" pattern: /32 sources whose final octet is a constant across many
-//! distinct prefixes. A single-length row reads back as the [`PrefixClass`]
-//! the `workload` populations plant.
+//! distinct prefixes. [`PrefixLengthTable::count`] reads a single-length
+//! row back as the [`PrefixClass`] the `workload` populations plant.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::IpAddr;
@@ -48,7 +48,7 @@ impl ResolverPrefixProfile {
 
     /// The class whose row this is, or `None` for a row no class produces
     /// (several lengths, or a length no class sends).
-    pub fn class(&self) -> Option<PrefixClass> {
+    fn class(&self) -> Option<PrefixClass> {
         let v4: Vec<u8> = self.v4_lengths.iter().copied().collect();
         let v6: Vec<u8> = self.v6_lengths.iter().copied().collect();
         Some(match (v4.as_slice(), v6.as_slice()) {

@@ -92,7 +92,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
 
     let table = PrefixLengthTable::build(auth.log());
     let mut report = Report::new("table1", "§6.2 Table 1: source prefix lengths");
-    // The report has never printed the IPv6 /48 row.
+    // The IPv6 /48 row is planted and tested but not reported.
     for &(class, paper, label) in PREFIX_TABLE
         .iter()
         .filter(|r| r.0 != PrefixClass::V6Slash48)
