@@ -40,11 +40,13 @@
 //!   memory traffic grow linearly with the worker count, and throughput
 //!   *falls* as threads are added.)
 //! - [`CacheSimulator::run_streaming`] feeds a
-//!   [`workload::TraceStreamSource`]: each shard pulls its own
-//!   deterministic substream (`source.open_shard(w, n)`) one generated
-//!   chunk at a time, packing each record on the stack and stepping it at
-//!   once, so a 100M-record run holds the model tables plus one chunk
-//!   buffer per worker — never the trace.
+//!   [`workload::TraceStreamSource`] one chunk of indices at a time: each
+//!   worker generates its own contiguous slice of the chunk — every index
+//!   exactly once — and packs each kept record into an outbox for its
+//!   resolver's shard; once the whole chunk is generated, each shard
+//!   replays the outboxes addressed to it in worker order, which is index
+//!   order. A 100M-record run holds the model tables plus one chunk of
+//!   packed records, shared by the workers — never the trace.
 //!
 //! Chunk boundaries are invisible to the replayer, so the two feeds give
 //! bit-identical results at every `parallelism`
@@ -57,11 +59,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::IpAddr;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, RwLock};
 
 use dns_wire::{IpPrefix, RecordType};
 use netsim::{SimDuration, SimTime};
 use rustc_hash::FxHashMap;
-use workload::stream::{StreamRecord, TraceStreamSource, WorkloadModel};
+use workload::stream::{TraceStreamSource, WorkloadModel};
 use workload::{TraceIndex, TraceRecord, TraceSet};
 
 /// Configuration for one simulation run.
@@ -444,10 +449,10 @@ fn evict_lru<E>(
 /// shard's resolvers, fed packed records in trace order, both modes in a
 /// single pass.
 ///
-/// Both feeds drive this same engine — the materialized one hands over the
-/// whole partitioned stream at once, the streaming one steps each record
-/// of a generated chunk as it packs it — so they share the cache logic
-/// *by construction*: chunk boundaries are invisible to it.
+/// Both feeds drive this same engine through [`ShardReplayer::feed`] — the
+/// materialized one hands over the whole partitioned stream at once, the
+/// streaming one each chunk's outboxes in turn — so they share the cache
+/// logic *by construction*: chunk boundaries are invisible to it.
 struct ShardReplayer {
     stats: ShardStats,
     slots: Vec<Slot>,
@@ -483,9 +488,8 @@ impl ShardReplayer {
         }
     }
 
-    // Two callers, one per feed, each once per record: left out of line
-    // (as it is without the attribute) the materialized feed pays a call
-    // and reloads the replayer's fields every record — 3 % of
+    // Called once per record: left out of line, `feed` pays a call and
+    // reloads the replayer's fields every record — 3 % of
     // `replay_bounded`.
     #[inline(always)]
     fn step(&mut self, rec: &PackedRecord) {
@@ -656,10 +660,14 @@ impl CacheSimulator {
         })
     }
 
-    /// Runs both modes over a streamed workload: each shard worker pulls
-    /// its own deterministic substream from `source` and replays it
-    /// chunk-by-chunk, so peak memory is the model tables plus one chunk
-    /// buffer per worker — never the full trace.
+    /// Runs both modes over a streamed workload, one chunk of
+    /// `source.chunk_size()` indices at a time. Worker `w` generates its own
+    /// contiguous `1/n` slice of the chunk — so every index is generated
+    /// exactly once — and packs each kept record into the outbox for its
+    /// resolver's shard; once every slice is generated, shard `w` replays
+    /// the outboxes addressed to it in worker order, which is index order.
+    /// Peak memory is the model tables plus one chunk of packed records,
+    /// shared by the workers — never the full trace.
     ///
     /// The result is bit-identical to materializing the same source and
     /// calling [`CacheSimulator::run`], at every `parallelism`
@@ -668,33 +676,81 @@ impl CacheSimulator {
     /// index's first-appearance ids, but resolver caches are independent,
     /// each resolver's records replay in stream order inside exactly one
     /// shard, and the merge sorts by resolver address for both feeds.
+    ///
+    /// A panic in any worker ends the run with a panic: no worker is left
+    /// waiting for a phase the panicking one will never finish.
     pub fn run_streaming<M: WorkloadModel>(&self, source: &TraceStreamSource<M>) -> CacheSimResult {
         let config = &self.config;
-        let resolver_addrs = source.model().resolver_addrs();
-        let num_shards = self.num_shards(resolver_addrs.len());
-        self.replay(resolver_addrs, num_shards, |w, replayer| {
-            let mut stream = source.open_shard(w, num_shards);
-            // One chunk buffer per worker, reused across the whole
-            // substream, is the entire per-worker footprint: each record is
-            // packed on the stack and stepped at once.
-            let mut chunk: Vec<StreamRecord> = Vec::with_capacity(source.chunk_size());
-            while stream.next_chunk_into(&mut chunk) {
-                for r in &chunk {
-                    if !keep_client(config, r.client) {
-                        continue;
-                    }
-                    replayer.step(&pack(
-                        config,
-                        num_shards,
-                        r.resolver_id,
-                        r.name_id,
-                        r.at_micros,
-                        r.ttl,
-                        r.qtype,
-                        r.ecs_source,
-                        r.response_scope,
-                    ));
+        let model = source.model();
+        let resolver_addrs = model.resolver_addrs();
+        let n = self.num_shards(resolver_addrs.len());
+        let (total, chunk) = (model.total(), source.chunk_size() as u64);
+        // `outboxes[g][s]`: what worker `g` generated for shard `s` out of
+        // the current chunk. Generating and replaying never overlap, so
+        // the locks never wait; they let every shard read every row.
+        let outboxes: Vec<RwLock<Vec<Vec<PackedRecord>>>> = (0..n)
+            .map(|_| RwLock::new((0..n).map(|_| Vec::new()).collect()))
+            .collect();
+        // `replay` runs the `n` shards at once (each on its own thread, or
+        // the one inline), so all of them reach every phase end.
+        let phase_end = Barrier::new(n);
+        // The first phase any worker panicked in (phases count from 1).
+        // Written before its worker reaches the barrier and read after,
+        // so the barrier orders it.
+        let failed_in = AtomicUsize::new(usize::MAX);
+        self.replay(resolver_addrs, n, |w, replayer| {
+            // Every worker runs the same phases and waits at the end of
+            // each, panicked or not; all of them stop after the phase a
+            // panic hit, then the panicking one panics again.
+            let (mut phases, mut caught) = (0, None);
+            let mut phase = |body: &mut dyn FnMut()| {
+                phases += 1;
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(body)) {
+                    failed_in.fetch_min(phases, Ordering::Relaxed);
+                    caught = Some(payload);
                 }
+                phase_end.wait();
+                failed_in.load(Ordering::Relaxed) > phases
+            };
+            let mut start = 0;
+            while start < total {
+                let end = total.min(start.saturating_add(chunk));
+                let slice = (end - start).div_ceil(n as u64);
+                let lo = end.min(start + w as u64 * slice);
+                let hi = end.min(lo + slice);
+                let generate = &mut || {
+                    let mut mine = outboxes[w]
+                        .write()
+                        .expect("no outbox is used after a panic");
+                    mine.iter_mut().for_each(Vec::clear);
+                    for r in (lo..hi).map(|i| model.record(i)) {
+                        if keep_client(config, r.client) {
+                            mine[r.resolver_id as usize % n].push(pack(
+                                config,
+                                n,
+                                r.resolver_id,
+                                r.name_id,
+                                r.at_micros,
+                                r.ttl,
+                                r.qtype,
+                                r.ecs_source,
+                                r.response_scope,
+                            ));
+                        }
+                    }
+                };
+                let replay_mine = &mut || {
+                    for row in &outboxes {
+                        replayer.feed(&row.read().expect("no outbox is used after a panic")[w]);
+                    }
+                };
+                if !phase(generate) || !phase(replay_mine) {
+                    break;
+                }
+                start = end;
+            }
+            if let Some(payload) = caught {
+                panic::resume_unwind(payload);
             }
         })
     }

@@ -18,8 +18,12 @@ use dns_wire::{EcsOption, IpPrefix, Message, Name, Question};
 use netsim::geo::city;
 use netsim::{LatencyModel, SimDuration, SimTime};
 use std::net::{IpAddr, Ipv4Addr};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 use topology::{CdnFootprint, EdgeServerSpec, World, WorldConfig};
-use workload::{AllNamesStreamGen, CdnStreamGen};
+use workload::stream::{NameTable, StreamRecord};
+use workload::{AllNamesStreamGen, CdnStreamGen, TraceStreamSource, WorkloadModel};
 
 fn assert_stream_equals_materialized<M: workload::WorkloadModel>(
     source: &workload::TraceStreamSource<M>,
@@ -199,6 +203,165 @@ fn both_feeds_agree_with_more_workers_than_resolvers_and_one_record_chunks() {
             "materialized feed, parallelism={parallelism}"
         );
     }
+}
+
+/// A model that counts what a consumer asks of it, and panics when asked
+/// for record `panic_at`.
+struct Observed<M> {
+    inner: M,
+    records: AtomicU64,
+    filters: AtomicU64,
+    panic_at: u64,
+}
+
+impl<M> Observed<M> {
+    fn new(inner: M, panic_at: u64) -> Self {
+        Observed {
+            inner,
+            records: AtomicU64::new(0),
+            filters: AtomicU64::new(0),
+            panic_at,
+        }
+    }
+}
+
+impl<M: WorkloadModel> WorkloadModel for Observed<M> {
+    fn label(&self) -> &str {
+        self.inner.label()
+    }
+
+    fn total(&self) -> u64 {
+        self.inner.total()
+    }
+
+    fn resolver_addrs(&self) -> &[IpAddr] {
+        self.inner.resolver_addrs()
+    }
+
+    fn names(&self) -> &NameTable {
+        self.inner.names()
+    }
+
+    fn resolver_of(&self, i: u64) -> u32 {
+        self.filters.fetch_add(1, Ordering::Relaxed);
+        self.inner.resolver_of(i)
+    }
+
+    fn record(&self, i: u64) -> StreamRecord {
+        assert_ne!(i, self.panic_at, "record {i} is set to panic");
+        self.records.fetch_add(1, Ordering::Relaxed);
+        self.inner.record(i)
+    }
+}
+
+/// Ten resolvers, so every parallelism up to 8 really runs that many
+/// shards; 4,321 records, so 1,000-record chunks end on a partial one.
+fn ten_resolver_gen() -> CdnStreamGen {
+    CdnStreamGen {
+        resolvers: 10,
+        subnets_per_resolver: 6,
+        hostnames: 40,
+        queries: 4_321,
+        duration: SimDuration::from_secs(300),
+        ttl: 20,
+        seed: 4,
+    }
+}
+
+#[test]
+fn run_streaming_generates_each_index_once_and_never_filters() {
+    for parallelism in [1usize, 2, 4, 8] {
+        let source = TraceStreamSource::new(Observed::new(ten_resolver_gen().build(), u64::MAX))
+            .with_chunk_size(1_000);
+        let result = sim_at(parallelism).run_streaming(&source);
+        assert_eq!(result.per_resolver.len(), 10);
+        let model = source.model();
+        assert_eq!(
+            model.records.load(Ordering::Relaxed),
+            source.total(),
+            "record calls, parallelism={parallelism}"
+        );
+        assert_eq!(
+            model.filters.load(Ordering::Relaxed),
+            0,
+            "resolver_of calls, parallelism={parallelism}"
+        );
+    }
+}
+
+#[test]
+fn a_worker_that_panics_ends_the_run_in_a_panic_not_a_hang() {
+    // Chunk [2000, 3000) splits four ways; record 2,500 opens the third
+    // worker's slice, so it panics while the other three generate.
+    let source = TraceStreamSource::new(Observed::new(ten_resolver_gen().build(), 2_500))
+        .with_chunk_size(1_000);
+    let (done, finished) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let result = sim_at(4).run_streaming(&source);
+        done.send(result.per_resolver.len())
+            .expect("the test waits for the send");
+    });
+    // A panic drops `done` unsent; a hang sends nothing and drops nothing.
+    assert_eq!(
+        finished.recv_timeout(Duration::from_secs(10)),
+        Err(RecvTimeoutError::Disconnected),
+        "the run must end, and in a panic"
+    );
+    assert!(run.join().is_err(), "the panic must reach the caller");
+}
+
+/// Streams `source` at every chunk split — one record, fewer records than
+/// shards, a few chunks with a partial last one, one chunk holding the
+/// whole stream — and parallelism {2, 3, 8}, against the materialized
+/// replay.
+fn assert_chunk_splits_match<M: WorkloadModel>(
+    source: &TraceStreamSource<M>,
+    config: &CacheSimConfig,
+    label: &str,
+) {
+    let reference = CacheSimulator::new(config.clone()).run(&source.materialize());
+    assert!(!reference.per_resolver.is_empty(), "{label}: empty trace");
+    for chunk in [1, 7, 1_000, source.total() as usize + 1] {
+        let source = source.clone().with_chunk_size(chunk);
+        for parallelism in [2usize, 3, 8] {
+            let sim = CacheSimulator::new(CacheSimConfig {
+                parallelism,
+                ..config.clone()
+            });
+            assert_eq!(
+                sim.run_streaming(&source).per_resolver,
+                reference.per_resolver,
+                "{label} chunk={chunk} parallelism={parallelism}"
+            );
+        }
+    }
+}
+
+#[test]
+fn chunk_splits_at_every_edge_match_materialized() {
+    assert_chunk_splits_match(
+        &ten_resolver_gen().source(),
+        &CacheSimConfig::default(),
+        "fig1",
+    );
+    let all_names = AllNamesStreamGen {
+        v4_subnets: 40,
+        v6_subnets: 10,
+        clients_per_subnet: 3,
+        slds: 40,
+        hostnames_per_sld: 3,
+        queries: 3_000,
+        ..AllNamesStreamGen::default()
+    };
+    assert_chunk_splits_match(
+        &all_names.source(),
+        &CacheSimConfig {
+            sample_pct: 30,
+            sample_seed: 2,
+            ..CacheSimConfig::default()
+        },
+        "all-names pct=30",
+    );
 }
 
 /// Golden pin for one small hidden-resolver cell (§8.2, Figures 4–5

@@ -1,5 +1,6 @@
 //! Memory is the contract of streaming replay: `run_streaming` must hold
-//! the caches and one chunk buffer per shard, never the trace.
+//! the caches and one chunk of packed records, shared by its shards, never
+//! the trace.
 //!
 //! The witness is a counting global allocator (an integration test is its
 //! own binary, so no other test pays for it). Peak heap while streaming
@@ -72,9 +73,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 const MIB: usize = 1024 * 1024;
-/// ~2× the measured peak (37 MiB at 0.5M records, 42 MiB at 10M: eight
-/// 4.5 MiB chunk buffers plus the caches).
-const BUDGET: usize = 80 * MIB;
+/// ~2× the measured peak (6.7 MiB at 0.5M records, 8.3 MiB at 2M,
+/// 11.2 MiB at 10M: one 65,536 × 48 B = 3 MiB chunk of packed records
+/// spread over the shards' outboxes, plus the caches).
+const BUDGET: usize = 24 * MIB;
 
 /// The counters are process-wide, so the tests in this binary take turns.
 fn exclusive() -> MutexGuard<'static, ()> {

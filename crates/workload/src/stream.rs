@@ -7,7 +7,8 @@
 //! replays. A [`TraceStreamSource`] instead *computes* record `i` on
 //! demand from a seeded counter-based RNG, so a 100M-record fig1 run needs
 //! memory only for the model tables (names, scopes, resolver addresses —
-//! kilobytes to a few megabytes) and one chunk buffer per worker.
+//! kilobytes to a few megabytes) and one chunk of records, which
+//! `CacheSimulator::run_streaming` shares among its workers.
 //!
 //! Three properties make streaming a drop-in replacement for the
 //! materialized path (`crates/workload/tests/prop_stream.rs` and
@@ -19,10 +20,11 @@
 //!   boundaries cannot change content.
 //! * **Shard partition** — [`TraceStreamSource::open_shard`]`(s, n)` yields
 //!   exactly the records whose resolver id satisfies `rid % n == s`, in
-//!   index order. Each [`crate::TraceSet`]-free cache-sim shard pulls its
-//!   own deterministic substream; the union over shards is the full stream
-//!   and the assignment matches the materialized engine's
-//!   partition-once replay.
+//!   index order; the union over shards is the full stream. It is the
+//!   same assignment the cache simulator's streaming replay makes without
+//!   it: each worker generates a slice of every chunk once and routes each
+//!   record to shard `resolver_id % n`, matching the materialized
+//!   engine's partition-once replay.
 //! * **Monotone time** — record `i` draws its timestamp inside the
 //!   stratified window `[i·d/t, (i+1)·d/t)`, so the stream is
 //!   non-decreasing in time *by construction* and
@@ -45,11 +47,14 @@ use crate::names::NameUniverse;
 use crate::trace::{TraceRecord, TraceSet};
 use crate::zipf::Zipf;
 
-/// Default records per chunk. A chunk buffer is 65,536 × 72 B = 4.5 MiB per
-/// worker — larger than a core's private caches, so the replay loop reads
-/// each record back from the shared cache or memory. It stays because
-/// smaller measured slower: a 1,024-record chunk (72 KiB, L2-resident) took
-/// 13–15 % longer per unit of the benchmark's `replay_stream` (DESIGN §13).
+/// Default records per chunk. A streamed replay's workers share one chunk:
+/// each generates a slice of it and the shards replay it once it is whole,
+/// so the run holds 65,536 packed records (× 48 B = 3 MiB) whatever its
+/// parallelism; a [`TraceStream`] cursor fills a 65,536 × 72 B = 4.5 MiB
+/// buffer. Either is larger than a core's private caches. The size stays
+/// because smaller measured slower: a 1,024-record chunk (72 KiB,
+/// L2-resident) took 13–15 % longer per unit of the benchmark's
+/// `replay_stream` when every worker held a chunk of its own (DESIGN §13).
 pub const DEFAULT_CHUNK: usize = 65_536;
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -295,10 +300,12 @@ pub struct StreamRecord {
 ///
 /// `record(i)` must be a pure function of `(self, i)`, and `resolver_of(i)`
 /// must return `record(i).resolver_id` while doing as little work as
-/// possible — it is the shard filter, evaluated for *every* index by
-/// *every* shard. Models guarantee that the resolver draw is the first
-/// draw of the per-record RNG so the cheap path stays consistent with the
-/// full one.
+/// possible — it is the filter of [`TraceStreamSource::open_shard`], which
+/// evaluates it for *every* index of the stream. (The cache simulator's
+/// streaming replay does not filter: it calls `record` once per index and
+/// routes by the record's own `resolver_id`.) Models guarantee that the
+/// resolver draw is the first draw of the per-record RNG so the cheap path
+/// stays consistent with the full one.
 pub trait WorkloadModel: Send + Sync {
     /// Trace label (dataset name).
     fn label(&self) -> &str;
