@@ -49,8 +49,15 @@ impl LatencyModel {
 
     /// Samples a one-way delay, adding jitter from `rng`.
     pub fn sample<R: Rng>(&self, a: &GeoPoint, b: &GeoPoint, rng: &mut R) -> SimDuration {
+        self.jittered(self.one_way_ms(a, b), rng)
+    }
+
+    /// A one-way delay of `one_way_ms` (as [`LatencyModel::one_way_ms`]
+    /// returned it) plus jitter from `rng`: [`LatencyModel::sample`] with
+    /// the trigonometry already done.
+    pub(crate) fn jittered<R: Rng>(&self, one_way_ms: f64, rng: &mut R) -> SimDuration {
         let jitter = rng.gen::<f64>() * JITTER_MS;
-        SimDuration::from_millis_f64(self.one_way_ms(a, b) + jitter)
+        SimDuration::from_millis_f64(one_way_ms + jitter)
     }
 }
 

@@ -1,5 +1,8 @@
 //! The simulation core: nodes, packets, timers, and the event loop.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -125,10 +128,44 @@ struct SimMetrics {
     delivery_latency: obs::Histogram,
 }
 
+/// FxHash's rotate-xor-multiply over the words of a key. The pair table
+/// is keyed by node indices the simulation assigns itself, so SipHash's
+/// resistance to chosen keys buys nothing there.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl PairHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The simulation world: node table, positions, clock, queue, RNG.
 pub struct Simulation {
     nodes: Vec<Option<Box<dyn Node>>>,
     positions: Vec<GeoPoint>,
+    /// Jitter-free one-way delay in ms of every directed pair that has
+    /// carried a packet, computed on its first packet. Positions never
+    /// move, so an entry never goes stale.
+    base_delay: HashMap<(NodeId, NodeId), f64, BuildHasherDefault<PairHasher>>,
+    /// The handler action buffer, lent to one dispatch at a time.
+    actions: Vec<Action>,
     queue: EventQueue,
     clock: SimTime,
     rng: SmallRng,
@@ -146,6 +183,8 @@ impl Simulation {
         Simulation {
             nodes: Vec::new(),
             positions: Vec::new(),
+            base_delay: HashMap::default(),
+            actions: Vec::new(),
             queue: EventQueue::new(),
             clock: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
@@ -247,11 +286,12 @@ impl Simulation {
                 .apply(src, dst, &mut payload, &mut self.rng, &mut self.fault_stats);
         let Some(extra) = verdict else { return };
         let depart = self.clock + after;
-        let delay = LatencyModel {}.sample(
-            &self.positions[src.0],
-            &self.positions[dst.0],
-            &mut self.rng,
-        );
+        let positions = &self.positions;
+        let one_way_ms = *self
+            .base_delay
+            .entry((src, dst))
+            .or_insert_with(|| LatencyModel {}.one_way_ms(&positions[src.0], &positions[dst.0]));
+        let delay = LatencyModel {}.jittered(one_way_ms, &mut self.rng);
         if let Some(m) = &self.metrics {
             m.delivery_latency.record((delay + extra).as_micros());
         }
@@ -320,13 +360,13 @@ impl Simulation {
             Some(n) => n,
             None => return, // node is re-entrantly dispatching; drop event
         };
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Ctx::new(self.clock, id, &mut actions, &mut self.rng);
             f(node.as_mut(), &mut ctx);
         }
         self.nodes[id.0] = Some(node);
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, payload } => {
                     self.inject(id, to, payload, SimDuration::ZERO);
@@ -337,6 +377,7 @@ impl Simulation {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Grants temporary mutable access to a node for inspection or setup.
@@ -558,6 +599,105 @@ mod tests {
         assert_eq!(snap.counter("netsim_fault_blackhole_total"), Some(1));
         assert_eq!(snap.counter("netsim_dropped_total"), Some(1));
         assert_eq!(snap.counter("netsim_delivered_total"), Some(0));
+    }
+
+    /// Every send of a [`Hop`] world in send order (which is inject order,
+    /// so jitter-draw order), and when each one arrived.
+    #[derive(Default)]
+    struct Ledger {
+        sends: Vec<(NodeId, NodeId, SimTime)>,
+        arrivals: Vec<Option<SimTime>>,
+    }
+
+    impl Ledger {
+        /// Books a send and returns its payload: the send's index, then
+        /// the hops it has left.
+        fn book(&mut self, src: NodeId, dst: NodeId, at: SimTime, hops: u8) -> Vec<u8> {
+            let seq = self.sends.len() as u64;
+            self.sends.push((src, dst, at));
+            self.arrivals.push(None);
+            let mut payload = seq.to_le_bytes().to_vec();
+            payload.push(hops);
+            payload
+        }
+    }
+
+    /// Passes each packet on to its next peer, round robin, until the
+    /// packet's hop budget is spent.
+    struct Hop {
+        peers: Vec<NodeId>,
+        next: usize,
+        ledger: std::rc::Rc<std::cell::RefCell<Ledger>>,
+    }
+
+    impl Node for Hop {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+            let seq = u64::from_le_bytes(pkt.payload[..8].try_into().unwrap());
+            let mut ledger = self.ledger.borrow_mut();
+            ledger.arrivals[seq as usize] = Some(ctx.now());
+            let hops = pkt.payload[8];
+            if hops == 0 || self.peers.is_empty() {
+                return;
+            }
+            let to = self.peers[self.next % self.peers.len()];
+            self.next += 1;
+            let payload = ledger.book(ctx.self_id(), to, ctx.now(), hops - 1);
+            ctx.send(to, payload);
+        }
+    }
+
+    #[test]
+    fn cached_pair_delays_equal_a_fresh_sample_per_packet_and_cover_only_used_pairs() {
+        let ledger = std::rc::Rc::new(std::cell::RefCell::new(Ledger::default()));
+        let mut sim = Simulation::new(21);
+        let hop = |peers: Vec<NodeId>| Hop {
+            peers,
+            next: 0,
+            ledger: ledger.clone(),
+        };
+        let sites = ["Tokyo", "Sydney", "Paris", "Santiago"];
+        let nodes: Vec<NodeId> = sites
+            .iter()
+            .map(|c| sim.add_node(hop(Vec::new()), city(c).unwrap().pos))
+            .collect();
+        // A ring over the first three; the fourth only ever talks to the
+        // first, so most of the 12 directed pairs never carry a packet.
+        for i in 0..3 {
+            sim.node_mut::<Hop>(nodes[i]).unwrap().peers = vec![nodes[(i + 1) % 3]];
+        }
+        sim.node_mut::<Hop>(nodes[3]).unwrap().peers = vec![nodes[0]];
+        let kick = |sim: &mut Simulation, src: NodeId, dst: NodeId, hops: u8| {
+            let payload = ledger.borrow_mut().book(src, dst, sim.now(), hops);
+            sim.inject(src, dst, payload, SimDuration::ZERO);
+        };
+        kick(&mut sim, nodes[0], nodes[1], 20);
+        kick(&mut sim, nodes[3], nodes[0], 5);
+        sim.run_until(SimTime::from_micros(300_000));
+        assert!(sim.events_pending(), "traffic is still under way");
+
+        // A node joins mid-run: its pairs enter the table on first use.
+        let late = sim.add_node(hop(vec![nodes[2], nodes[0]]), city("Cairo").unwrap().pos);
+        sim.node_mut::<Hop>(nodes[1]).unwrap().peers.push(late);
+        kick(&mut sim, nodes[2], late, 9);
+        sim.run();
+
+        let ledger = ledger.borrow();
+        let mut twin = SmallRng::seed_from_u64(21);
+        for (seq, &(src, dst, sent)) in ledger.sends.iter().enumerate() {
+            let delay = LatencyModel {}.sample(&sim.position(src), &sim.position(dst), &mut twin);
+            assert_eq!(
+                ledger.arrivals[seq],
+                Some(sent + delay),
+                "send {seq}: {src:?} → {dst:?}"
+            );
+        }
+        assert!(ledger.sends.iter().any(|&(s, d, _)| s == late || d == late));
+        let used: std::collections::BTreeSet<(NodeId, NodeId)> =
+            ledger.sends.iter().map(|&(s, d, _)| (s, d)).collect();
+        let cached: std::collections::BTreeSet<(NodeId, NodeId)> =
+            sim.base_delay.keys().copied().collect();
+        assert_eq!(cached, used, "one entry per pair that carried a packet");
+        assert!(cached.len() < sim.node_count() * (sim.node_count() - 1));
     }
 
     #[test]

@@ -28,9 +28,18 @@ pub type SharedBook = Arc<RwLock<AddressBook>>;
 /// transaction id they went upstream under. Entries leave when the
 /// response routes back; an id whose response never came is overwritten
 /// when the 16-bit counter wraps, so the table holds at most 65,535.
+///
+/// Both directions pass the datagram on as received with only its id
+/// (bytes 0–1) rewritten: the caller has already accepted it through
+/// [`Message::from_bytes`], so it holds a full header.
 struct RelayTable {
     pending: HashMap<u16, (NodeId, u16)>,
     next_id: u16,
+}
+
+/// The DNS id of an accepted datagram.
+fn wire_id(datagram: &[u8]) -> u16 {
+    u16::from_be_bytes([datagram[0], datagram[1]])
 }
 
 impl RelayTable {
@@ -41,25 +50,22 @@ impl RelayTable {
         }
     }
 
-    /// Sends query `msg` from `client` on to `upstream` under a fresh id.
-    fn forward(&mut self, mut msg: Message, client: NodeId, upstream: NodeId, ctx: &mut Ctx) {
+    /// Sends query `datagram` from `client` on to `upstream` under a
+    /// fresh id.
+    fn forward(&mut self, mut datagram: Vec<u8>, client: NodeId, upstream: NodeId, ctx: &mut Ctx) {
         let fresh = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        self.pending.insert(fresh, (client, msg.id));
-        msg.id = fresh;
-        if let Ok(bytes) = msg.to_bytes() {
-            ctx.send(upstream, bytes);
-        }
+        self.pending.insert(fresh, (client, wire_id(&datagram)));
+        datagram[..2].copy_from_slice(&fresh.to_be_bytes());
+        ctx.send(upstream, datagram);
     }
 
-    /// Routes response `msg` back to the original querier under its
+    /// Routes response `datagram` back to the original querier under its
     /// original id; a response nobody is waiting for is dropped.
-    fn route_back(&mut self, mut msg: Message, ctx: &mut Ctx) {
-        if let Some((client, orig_id)) = self.pending.remove(&msg.id) {
-            msg.id = orig_id;
-            if let Ok(bytes) = msg.to_bytes() {
-                ctx.send(client, bytes);
-            }
+    fn route_back(&mut self, mut datagram: Vec<u8>, ctx: &mut Ctx) {
+        if let Some((client, orig_id)) = self.pending.remove(&wire_id(&datagram)) {
+            datagram[..2].copy_from_slice(&orig_id.to_be_bytes());
+            ctx.send(client, datagram);
         }
     }
 }
@@ -93,10 +99,10 @@ impl Node for RelayActor {
             return;
         };
         if msg.is_response() {
-            self.table.route_back(msg, ctx);
+            self.table.route_back(pkt.payload, ctx);
         } else {
             self.relayed += 1;
-            self.table.forward(msg, pkt.src, self.upstream, ctx);
+            self.table.forward(pkt.payload, pkt.src, self.upstream, ctx);
         }
     }
 }
@@ -385,7 +391,7 @@ impl Node for FrontendActor {
             return;
         };
         if msg.is_response() {
-            self.table.route_back(msg, ctx);
+            self.table.route_back(pkt.payload, ctx);
             return;
         }
         if self.egresses.is_empty() {
@@ -401,7 +407,9 @@ impl Node for FrontendActor {
         }
         let egress = self.egresses[self.rr % self.egresses.len()];
         self.rr += 1;
-        self.table.forward(msg, pkt.src, egress, ctx);
+        if let Ok(bytes) = msg.to_bytes() {
+            self.table.forward(bytes, pkt.src, egress, ctx);
+        }
     }
 }
 
@@ -1214,5 +1222,210 @@ mod frontend_tests {
         let sources: std::collections::HashSet<IpAddr> =
             auth.server().log().iter().map(|e| e.resolver).collect();
         assert_eq!(sources.len(), 2, "round robin must use both egresses");
+    }
+}
+
+#[cfg(test)]
+mod relay_tests {
+    use super::*;
+    use dns_wire::{EcsOption, Question};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::net::Ipv4Addr;
+
+    const RELAY: NodeId = NodeId(0);
+    const UPSTREAM: NodeId = NodeId(1);
+    const CLIENT: NodeId = NodeId(2);
+
+    /// Delivers `payload` from `src` to `relay` and returns what it sent.
+    fn deliver(relay: &mut RelayActor, src: NodeId, payload: Vec<u8>) -> Vec<(NodeId, Vec<u8>)> {
+        let mut actions = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let pkt = Packet {
+            src,
+            dst: RELAY,
+            payload,
+        };
+        relay.on_packet(
+            pkt,
+            &mut Ctx::new(SimTime::ZERO, RELAY, &mut actions, &mut rng),
+        );
+        actions
+            .into_iter()
+            .map(|a| match a {
+                netsim::Action::Send { to, payload } => (to, payload),
+                other => panic!("a relay arms no timers: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// `a.b.` A, id 1, EDNS 4096: the valid query the dns-wire malformed
+    /// corpus cuts its truncations from.
+    fn valid_query() -> Vec<u8> {
+        let mut q = Message::query(1, Question::a(Name::from_ascii("a.b").unwrap()));
+        q.set_edns(4096);
+        q.to_bytes().unwrap()
+    }
+
+    /// A response to `valid_query`'s question, id 1.
+    fn valid_response() -> Vec<u8> {
+        let query = Message::from_bytes(&valid_query()).unwrap();
+        Message::response_to(&query).to_bytes().unwrap()
+    }
+
+    /// `valid_query` with its id set to `id`.
+    fn query_with_id(id: u16) -> Vec<u8> {
+        let mut q = valid_query();
+        q[..2].copy_from_slice(&id.to_be_bytes());
+        q
+    }
+
+    #[test]
+    fn the_pending_table_wraps_at_65535_without_id_zero_and_the_newest_query_owns_an_id() {
+        let mut relay = RelayActor::new(UPSTREAM);
+        let mut issued = std::collections::HashSet::new();
+        // 65,535 queries nobody answers: every nonzero id, once each.
+        for n in 0..u16::MAX {
+            let sent = deliver(&mut relay, CLIENT, query_with_id(n));
+            let [(to, wire)] = &sent[..] else {
+                panic!("query {n} was not forwarded once: {sent:?}");
+            };
+            assert_eq!(*to, UPSTREAM);
+            let fresh = wire_id(wire);
+            assert_ne!(fresh, 0, "id 0 is never issued");
+            assert!(
+                issued.insert(fresh),
+                "id {fresh} issued twice before the wrap"
+            );
+        }
+        assert_eq!(relay.table.pending.len(), 65_535);
+
+        // The 65,536th wraps onto the oldest id and overwrites its entry.
+        let newer = NodeId(3);
+        let sent = deliver(&mut relay, newer, query_with_id(0xBEEF));
+        assert_eq!(wire_id(&sent[0].1), 1, "the counter wraps past 0 to 1");
+        assert_eq!(relay.table.pending.len(), 65_535, "bounded at 65,535");
+        assert_eq!(relay.relayed, 65_536);
+
+        // A late answer to the first query now belongs to the newer client.
+        let mut late = valid_response();
+        late[..2].copy_from_slice(&1u16.to_be_bytes());
+        let back = deliver(&mut relay, UPSTREAM, late);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].0, newer);
+        assert_eq!(wire_id(&back[0].1), 0xBEEF, "under the newer client's id");
+        assert_eq!(relay.table.pending.len(), 65_534);
+    }
+
+    #[test]
+    fn relayed_datagrams_are_the_received_bytes_with_only_the_id_rewritten() {
+        let mut relay = RelayActor::new(UPSTREAM);
+        let mut q = Message::query(
+            0x4242,
+            Question::a(Name::from_ascii("WwW.b.example").unwrap()),
+        );
+        q.set_ecs(EcsOption::from_v4(Ipv4Addr::new(192, 0, 2, 0), 24));
+        let query = q.to_bytes().unwrap();
+        let sent = deliver(&mut relay, CLIENT, query.clone());
+        let (to, forwarded) = &sent[0];
+        assert_eq!(*to, UPSTREAM);
+        assert_eq!(forwarded[2..], query[2..]);
+
+        // A reply whose answer owner is spelled out instead of pointing at
+        // the question: re-encoding would compress it, so equal bytes
+        // prove the datagram itself went back.
+        let mut reply = forwarded[..2].to_vec();
+        reply.extend_from_slice(&[0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0]);
+        let qname: &[u8] = &[
+            3, b'W', b'w', b'W', 1, b'b', 7, b'e', b'x', b'a', b'm', b'p', b'l', b'e', 0,
+        ];
+        reply.extend_from_slice(qname);
+        reply.extend_from_slice(&[0, 1, 0, 1]);
+        reply.extend_from_slice(qname);
+        reply.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 1]);
+        let decoded = Message::from_bytes(&reply).unwrap();
+        assert_ne!(
+            decoded.to_bytes().unwrap(),
+            reply,
+            "not the encoder's own form"
+        );
+        let back = deliver(&mut relay, UPSTREAM, reply.clone());
+        let (to, routed) = &back[0];
+        assert_eq!(*to, CLIENT);
+        assert_eq!(wire_id(routed), 0x4242);
+        assert_eq!(routed[2..], reply[2..]);
+        assert!(relay.table.pending.is_empty());
+    }
+
+    /// The shapes `dns-wire/tests/malformed_corpus.rs` pins a decode error
+    /// for, each under id 1. (Its pointer-into-a-label and long-pointer-
+    /// chain shapes may parse, so they are not here.)
+    fn rejected_shapes() -> Vec<(String, Vec<u8>)> {
+        let mut shapes = Vec::new();
+        for (what, whole) in [("query", valid_query()), ("response", valid_response())] {
+            for cut in 0..whole.len() {
+                shapes.push((
+                    format!("{cut}-byte prefix of a valid {what}"),
+                    whole[..cut].to_vec(),
+                ));
+            }
+        }
+        let header = |flags: u8, counts: [u8; 4]| {
+            let [qd, an, ns, ar] = counts;
+            vec![0, 1, flags, 0, 0, qd, 0, an, 0, ns, 0, ar]
+        };
+        let mut self_pointer = header(0, [1, 0, 0, 0]);
+        self_pointer.extend_from_slice(&[0xC0, 12, 0, 1, 0, 1]);
+        shapes.push(("self-pointer".into(), self_pointer));
+        let mut long_label = header(0, [1, 0, 0, 0]);
+        long_label.extend_from_slice(&[0x3F, b'a', b'b', b'c']);
+        shapes.push(("label longer than the datagram".into(), long_label));
+        for reserved in [0x40u8, 0x80] {
+            let mut b = header(0, [1, 0, 0, 0]);
+            b.extend_from_slice(&[reserved | 5, 1, 2, 3, 4, 5, 0, 1, 0, 1]);
+            shapes.push((format!("reserved label bits {reserved:#x}"), b));
+        }
+        for (what, rdata) in [
+            ("rdlength 2 for an A record", &[0, 2, 9, 9][..]),
+            ("rdlength past the end", &[0xFF, 0xFF][..]),
+        ] {
+            let mut b = header(0x80, [0, 1, 0, 0]);
+            b.extend_from_slice(&[1, b'x', 0, 0, 1, 0, 1, 0, 0, 0, 60]);
+            b.extend_from_slice(rdata);
+            shapes.push((what.into(), b));
+        }
+        for (what, option) in [
+            ("ECS family 0", &[0, 8, 0, 8, 0, 8, 0, 4, 0, 0, 0, 0][..]),
+            (
+                "ECS bits past the source prefix",
+                &[0, 11, 0, 8, 0, 7, 0, 1, 17, 0, 192, 0, 64][..],
+            ),
+        ] {
+            let mut b = header(0, [0, 0, 0, 1]);
+            b.extend_from_slice(&[0, 0, 41, 16, 0, 0, 0, 0, 0]);
+            b.extend_from_slice(option);
+            shapes.push((what.into(), b));
+        }
+        for byte in [0u8, 0x20, 0xC0, 0xFF] {
+            shapes.push((format!("the single byte {byte:#x}"), vec![byte]));
+        }
+        shapes
+    }
+
+    #[test]
+    fn a_datagram_the_decoder_rejects_is_dropped_and_changes_nothing() {
+        let mut relay = RelayActor::new(UPSTREAM);
+        // One outstanding query under fresh id 1, the id every shape
+        // carries: a shape that got past the gate would route back.
+        deliver(&mut relay, CLIENT, valid_query());
+        let shapes = rejected_shapes();
+        assert!(shapes.len() > 2 * 12, "every 0–11-byte prefix is in");
+        for (what, bytes) in shapes {
+            assert!(Message::from_bytes(&bytes).is_err(), "{what} parses");
+            let sent = deliver(&mut relay, UPSTREAM, bytes);
+            assert!(sent.is_empty(), "{what} was relayed");
+            assert_eq!(relay.table.pending.len(), 1, "{what} moved the table");
+            assert_eq!(relay.relayed, 1, "{what} was counted");
+        }
     }
 }

@@ -236,6 +236,9 @@ pub struct ScannerNode {
     slots: SlotTable<ProbeSlot>,
     limiter: AsRateLimiter,
     breakers: HashMap<IpAddr, CircuitBreaker>,
+    /// Each auto-named target's `x{addr}.{zone}` qname suffix: one entry
+    /// per target ever probed, like `breakers`.
+    suffixes: HashMap<IpAddr, Name>,
     stats: ScanStats,
     probe_seq: u64,
     feed_done: bool,
@@ -263,6 +266,7 @@ impl ScannerNode {
             cfg,
             feed: Box::new(feed),
             breakers: HashMap::new(),
+            suffixes: HashMap::new(),
             stats: ScanStats::default(),
             probe_seq: 0,
             feed_done: false,
@@ -426,14 +430,20 @@ impl ScannerNode {
         out
     }
 
-    /// The qname for the next auto-named probe at `target`: unique per
-    /// probe.
+    /// The qname for the next auto-named probe at `target`, unique per
+    /// probe: `p{seq}` under the target's `x{addr}.{zone}` suffix, which
+    /// is built on the target's first auto-named probe.
     fn auto_qname(&mut self, target: &ProbeTarget) -> Name {
         let seq = self.probe_seq;
         self.probe_seq += 1;
-        let label = target.addr.to_string().replace(['.', ':'], "-");
-        Name::from_ascii(&format!("p{seq}.x{label}.{}", self.cfg.zone))
-            .expect("probe qname must parse")
+        let zone = &self.cfg.zone;
+        let suffix = self.suffixes.entry(target.addr).or_insert_with(|| {
+            let addr = target.addr.to_string().replace(['.', ':'], "-");
+            Name::from_ascii(&format!("x{addr}.{zone}")).expect("probe suffix must parse")
+        });
+        suffix
+            .child(&format!("p{seq}"))
+            .expect("probe qname must fit")
     }
 
     /// Pulls probes while slots are free, shedding or parking as the
@@ -446,12 +456,16 @@ impl ScannerNode {
             };
             let now = ctx.now();
             self.stats.probes += 1;
-            let trace = self.tracer.start(
-                now.as_micros(),
-                &EventKind::ScanProbe {
-                    target: probe.target.addr.to_string(),
-                },
-            );
+            let trace = if self.tracer.is_enabled() {
+                self.tracer.start(
+                    now.as_micros(),
+                    &EventKind::ScanProbe {
+                        target: probe.target.addr.to_string(),
+                    },
+                )
+            } else {
+                TraceCtx::DISABLED
+            };
 
             // Door 4: breaker open (or half-open canary already out).
             if !self.breaker_call(probe.target.addr, trace, now, |b| b.allow(now)) {
@@ -741,6 +755,39 @@ mod tests {
         let stats = node.stats();
         assert_eq!((stats.probes, stats.aborted, stats.answered), (6, 4, 2));
         assert!(stats.reconciles() && node.is_done(), "{stats:?}");
+    }
+
+    #[test]
+    fn auto_names_are_unique_per_probe_and_suffixes_are_one_per_target() {
+        use rand::SeedableRng;
+        let targets = vec![target(1), target(2), target(3)];
+        // A burst that launches all 60 at once.
+        let cfg = ScanConfig {
+            burst: 60,
+            ..ScanConfig::default()
+        };
+        let mut node = ScannerNode::new(cfg, RoundRobinFeed::new(targets, 60));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(SimTime::ZERO, NodeId(0), &mut actions, &mut rng);
+        node.on_timer(PUMP, &mut ctx);
+        let qnames: Vec<Name> = actions
+            .iter()
+            .filter_map(|a| match a {
+                netsim::Action::Send { payload, .. } => Some(
+                    Message::from_bytes(payload).unwrap().questions[0]
+                        .name
+                        .clone(),
+                ),
+                netsim::Action::Timer { .. } => None,
+            })
+            .collect();
+        assert_eq!(qnames.len(), 60);
+        assert_eq!(qnames[0], name("p0.x100-64-0-1.scan.example"));
+        assert_eq!(qnames[59], name("p59.x100-64-0-3.scan.example"));
+        let distinct: std::collections::HashSet<&Name> = qnames.iter().collect();
+        assert_eq!(distinct.len(), 60, "one fresh name per probe");
+        assert_eq!((node.suffixes.len(), node.breakers.len()), (3, 3));
     }
 
     /// Answers every query it gets, half a second late.
