@@ -1,7 +1,7 @@
 //! Transport-invariance of the §6 oracle matrix.
 //!
 //! ECS probing/prefix/compliance behaviour is resolver *policy*; the
-//! transport carrying the upstream queries (UDP, TCP, DoT, DoH) must not
+//! transport carrying the upstream queries (UDP, TCP, DoT) must not
 //! change a single verdict. Each cell row is rendered canonically and the
 //! whole table is compared byte-for-byte against the UDP baseline.
 
@@ -29,7 +29,7 @@ fn verdict_table_is_byte_identical_across_transports() {
     }
     let baseline = render(&baseline_cells);
     assert!(!baseline.is_empty());
-    for t in [Transport::Tcp, Transport::Dot, Transport::Doh] {
+    for t in [Transport::Tcp, Transport::Dot] {
         let cells = run_matrix(t).cells;
         for c in &cells {
             assert!(c.pass(), "cell failed over {t}: {c:?}");

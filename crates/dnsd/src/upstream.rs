@@ -4,9 +4,9 @@
 //! server address: one UDP datagram per attempt, surfacing lost replies as
 //! [`UpstreamError::Timeout`] and TC answers as [`UpstreamError::Truncated`],
 //! with [`resolver::Upstream::query_tcp`] doing a real RFC 7766 framed TCP
-//! exchange (the DoT and DoH rungs land there too, through the trait's
-//! default `query_via`: with no real crypto in the study they carry the
-//! same length-prefixed stream). This closes the loop between the deterministic engine and the
+//! exchange (the DoT rung lands there too, through the trait's default
+//! `query_via`: with no real crypto in the study it carries the same
+//! length-prefixed stream). This closes the loop between the deterministic engine and the
 //! `dnsd` servers: the same retry/backoff/ECS-withdrawal policy that runs
 //! in the simulator drives real packets on loopback.
 //!

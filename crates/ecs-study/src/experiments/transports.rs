@@ -1,13 +1,12 @@
 //! Extension experiment: transport fallback ladders on fragmenting paths.
 //!
 //! The paper's resolver measurements all ride plain UDP; the encrypted and
-//! stream transports (RFC 7766 TCP, RFC 7858 DoT, RFC 8484 DoH) exist in
-//! part because large EDNS answers die on paths that drop fragments. This
-//! sweep sends an identical big-answer workload (an answer that overflows a
-//! 512-byte path MTU but fits the 4096-byte EDNS buffer) through three
-//! transport policies — UDP-only, UDP→TCP, and the full
-//! UDP→TCP→DoT→DoH ladder — at increasing fragment-loss rates, and
-//! reports how each policy degrades. The headline ordering the harness
+//! stream transports (RFC 7766 TCP, RFC 7858 DoT) exist in part because
+//! large EDNS answers die on paths that drop fragments. This sweep sends an
+//! identical big-answer workload (an answer that overflows a 512-byte path
+//! MTU but fits the 4096-byte EDNS buffer) through three transport policies
+//! — UDP-only, UDP→TCP, and the full UDP→TCP→DoT ladder — at increasing
+//! fragment-loss rates, and reports how each policy degrades. The headline ordering the harness
 //! pins: UDP-only fails strictly worse than any ladder-enabled policy once
 //! fragments are lost, because every stream rung is immune to datagram
 //! fate. Every cell is seeded and replayable.

@@ -1,14 +1,13 @@
 //! Deterministic fault injection for the simulated network.
 //!
 //! A [`FaultPlan`] describes, per directed link (with a plan-wide default),
-//! which failures packets experience: probabilistic loss, extra latency
-//! jitter, a silent blackhole, and — for DNS-shaped reply payloads —
-//! truncation (TC bit) and RCODE rewriting (SERVFAIL/FORMERR/REFUSED). The
-//! plan is
-//! consulted on [`crate::Simulation`]'s send path, draws all randomness
-//! from the simulation's single seeded RNG, and counts every injected
-//! fault in [`FaultStats`], so two runs with the same seed inject exactly
-//! the same faults.
+//! which failures packets experience: probabilistic loss, a silent
+//! blackhole, and — for DNS-shaped reply payloads — truncation (TC bit) and
+//! RCODE rewriting to REFUSED. The plan is consulted on
+//! [`crate::Simulation`]'s send path, draws all randomness from the
+//! simulation's single seeded RNG, and counts every injected fault in
+//! [`FaultStats`], so two runs with the same seed inject exactly the same
+//! faults.
 //!
 //! Crucially, a link with [`LinkFaults::NONE`] never touches the RNG, so a
 //! simulation carrying an all-zero plan is *bit-identical* to one carrying
@@ -31,20 +30,12 @@ pub struct LinkFaults {
     /// Probability each packet is dropped. The simulator's only loss
     /// model: the latency model delays, it never drops.
     pub loss: f64,
-    /// Maximum extra uniform jitter per packet, in milliseconds.
-    pub extra_jitter_ms: f64,
     /// Silently drop every packet (a routing blackhole). Unlike `loss =
     /// 1.0` this consumes no randomness.
     pub blackhole: bool,
     /// Probability a DNS *reply* is truncated: TC set, answer/authority/
     /// additional sections stripped.
     pub truncate_replies: f64,
-    /// Probability a DNS reply's RCODE is rewritten to SERVFAIL (records
-    /// stripped).
-    pub servfail_replies: f64,
-    /// Probability a DNS reply's RCODE is rewritten to FORMERR (records
-    /// stripped, as a pre-EDNS server would answer).
-    pub formerr_replies: f64,
     /// Probability a DNS reply's RCODE is rewritten to REFUSED (records
     /// stripped, as a policy-refusing forwarder answers) — the signal the
     /// scanner's circuit breakers trip on.
@@ -55,11 +46,8 @@ impl LinkFaults {
     /// A fault-free link.
     pub const NONE: LinkFaults = LinkFaults {
         loss: 0.0,
-        extra_jitter_ms: 0.0,
         blackhole: false,
         truncate_replies: 0.0,
-        servfail_replies: 0.0,
-        formerr_replies: 0.0,
         refused_replies: 0.0,
     };
 
@@ -92,10 +80,8 @@ pub struct FaultStats {
     pub dropped_blackhole: u64,
     /// Replies truncated (TC set, sections stripped).
     pub truncated: u64,
-    /// Replies whose RCODE was rewritten (SERVFAIL or FORMERR).
+    /// Replies whose RCODE was rewritten to REFUSED.
     pub rcode_injected: u64,
-    /// Packets that received extra jitter.
-    pub delayed: u64,
 }
 
 impl FaultStats {
@@ -149,8 +135,7 @@ impl FaultPlan {
 
     /// Applies the plan to one packet about to traverse `src → dst`,
     /// possibly mangling `payload` in place and counting what happened in
-    /// `stats`. Returns `None` when the packet is dropped, otherwise the
-    /// extra delay to add on top of the latency model's.
+    /// `stats`. Returns `false` when the packet is dropped.
     ///
     /// A fault-free link returns immediately without drawing from `rng`.
     pub fn apply<R: Rng>(
@@ -160,41 +145,29 @@ impl FaultPlan {
         payload: &mut Vec<u8>,
         rng: &mut R,
         stats: &mut FaultStats,
-    ) -> Option<crate::SimDuration> {
+    ) -> bool {
         let f = self.faults_for(src, dst);
         if f.is_none() {
-            return Some(crate::SimDuration::ZERO);
+            return true;
         }
         if f.blackhole {
             stats.dropped_blackhole += 1;
-            return None;
+            return false;
         }
         if f.loss > 0.0 && rng.gen::<f64>() < f.loss {
             stats.dropped_loss += 1;
-            return None;
+            return false;
         }
         if dns_is_reply(payload) {
             if f.truncate_replies > 0.0 && rng.gen::<f64>() < f.truncate_replies {
                 dns_truncate(payload);
                 stats.truncated += 1;
-            } else if f.servfail_replies > 0.0 && rng.gen::<f64>() < f.servfail_replies {
-                dns_set_rcode(payload, 2); // SERVFAIL
-                stats.rcode_injected += 1;
-            } else if f.formerr_replies > 0.0 && rng.gen::<f64>() < f.formerr_replies {
-                dns_set_rcode(payload, 1); // FORMERR
-                stats.rcode_injected += 1;
             } else if f.refused_replies > 0.0 && rng.gen::<f64>() < f.refused_replies {
                 dns_set_rcode(payload, 5); // REFUSED
                 stats.rcode_injected += 1;
             }
         }
-        let extra = if f.extra_jitter_ms > 0.0 {
-            stats.delayed += 1;
-            crate::SimDuration::from_millis_f64(rng.gen::<f64>() * f.extra_jitter_ms)
-        } else {
-            crate::SimDuration::ZERO
-        };
-        Some(extra)
+        true
     }
 }
 
@@ -288,8 +261,7 @@ mod tests {
         let mut rng2 = SmallRng::seed_from_u64(1);
         let mut stats = FaultStats::default();
         let mut payload = reply_bytes();
-        let d = plan.apply(node(0), node(1), &mut payload, &mut rng1, &mut stats);
-        assert_eq!(d, Some(crate::SimDuration::ZERO));
+        assert!(plan.apply(node(0), node(1), &mut payload, &mut rng1, &mut stats));
         assert_eq!(stats, FaultStats::default());
         assert_eq!(payload, reply_bytes(), "payload untouched");
         // The RNG stream was not consumed.
@@ -306,9 +278,7 @@ mod tests {
         let mut stats = FaultStats::default();
         for _ in 0..10 {
             let mut p = reply_bytes();
-            assert!(plan
-                .apply(node(0), node(1), &mut p, &mut rng, &mut stats)
-                .is_none());
+            assert!(!plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats));
         }
         assert_eq!(stats.dropped_blackhole, 10);
     }
@@ -339,8 +309,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut stats = FaultStats::default();
         let mut p = reply_bytes();
-        plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats)
-            .unwrap();
+        assert!(plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats));
         assert_eq!(stats.truncated, 1);
         assert!(p[2] & 0x02 != 0, "TC set");
         assert_eq!(&p[6..12], &[0; 6], "record counts zeroed");
@@ -348,46 +317,25 @@ mod tests {
     }
 
     #[test]
-    fn rcode_injection_rewrites_servfail_and_formerr() {
-        for (spec, want) in [
-            (
-                LinkFaults {
-                    servfail_replies: 1.0,
-                    ..LinkFaults::NONE
-                },
-                2,
-            ),
-            (
-                LinkFaults {
-                    formerr_replies: 1.0,
-                    ..LinkFaults::NONE
-                },
-                1,
-            ),
-            (
-                LinkFaults {
-                    refused_replies: 1.0,
-                    ..LinkFaults::NONE
-                },
-                5,
-            ),
-        ] {
-            let plan = FaultPlan::uniform(spec);
-            let mut rng = SmallRng::seed_from_u64(3);
-            let mut stats = FaultStats::default();
-            let mut p = reply_bytes();
-            plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats)
-                .unwrap();
-            assert_eq!(p[3] & 0x0F, want);
-            assert_eq!(stats.rcode_injected, 1);
-        }
+    fn rcode_injection_rewrites_refused_and_strips_records() {
+        let plan = FaultPlan::uniform(LinkFaults {
+            refused_replies: 1.0,
+            ..LinkFaults::NONE
+        });
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut stats = FaultStats::default();
+        let mut p = reply_bytes();
+        assert!(plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats));
+        assert_eq!(p[3] & 0x0F, 5);
+        assert_eq!(&p[6..12], &[0; 6], "record counts zeroed");
+        assert_eq!(stats.rcode_injected, 1);
     }
 
     #[test]
     fn queries_are_not_mangled() {
         let plan = FaultPlan::uniform(LinkFaults {
             truncate_replies: 1.0,
-            servfail_replies: 1.0,
+            refused_replies: 1.0,
             ..LinkFaults::NONE
         });
         let mut rng = SmallRng::seed_from_u64(3);
@@ -395,8 +343,7 @@ mod tests {
         let mut q = reply_bytes();
         q[2] &= !0x80; // clear QR: a query
         let before = q.clone();
-        plan.apply(node(0), node(1), &mut q, &mut rng, &mut stats)
-            .unwrap();
+        assert!(plan.apply(node(0), node(1), &mut q, &mut rng, &mut stats));
         assert_eq!(q, before);
         assert_eq!(stats.truncated + stats.rcode_injected, 0);
     }
@@ -409,32 +356,10 @@ mod tests {
         let mut stats = FaultStats::default();
         let mut p = reply_bytes();
         // The overridden link delivers...
-        assert!(plan
-            .apply(node(0), node(1), &mut p, &mut rng, &mut stats)
-            .is_some());
+        assert!(plan.apply(node(0), node(1), &mut p, &mut rng, &mut stats));
         // ...the reverse direction uses the lossy default.
-        assert!(plan
-            .apply(node(1), node(0), &mut p, &mut rng, &mut stats)
-            .is_none());
+        assert!(!plan.apply(node(1), node(0), &mut p, &mut rng, &mut stats));
         assert!(!plan.is_none());
         assert!(FaultPlan::none().is_none());
-    }
-
-    #[test]
-    fn extra_jitter_is_bounded_and_counted() {
-        let plan = FaultPlan::uniform(LinkFaults {
-            extra_jitter_ms: 10.0,
-            ..LinkFaults::NONE
-        });
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut stats = FaultStats::default();
-        for _ in 0..50 {
-            let mut p = reply_bytes();
-            let d = plan
-                .apply(node(0), node(1), &mut p, &mut rng, &mut stats)
-                .unwrap();
-            assert!(d.as_millis_f64() <= 10.0);
-        }
-        assert_eq!(stats.delayed, 50);
     }
 }

@@ -11,10 +11,10 @@
 //!   resolution;
 //! * [`GeoPoint`] — positions on the globe with haversine distances;
 //! * [`LatencyModel`] — distance → one-way delay, with deterministic jitter;
-//! * [`FaultPlan`] — deterministic fault injection (loss, blackholes, extra
-//!   jitter, DNS reply truncation and RCODE rewriting) on the send path;
+//! * [`FaultPlan`] — deterministic fault injection (loss, blackholes, DNS
+//!   reply truncation and REFUSED rewriting) on the send path;
 //! * [`TransportModel`] — a link's DNS transport model
-//!   (UDP/TCP/DoT/DoH): handshake RTT accounting with connection reuse and
+//!   (UDP/TCP/DoT): handshake RTT accounting with connection reuse and
 //!   TLS resumption, plus EDNS-buffer/path-MTU datagram fate;
 //! * [`Simulation`] — the event loop: nodes implement [`Node`], receive
 //!   packets and timers, and emit actions through a [`Ctx`]. A handler

@@ -118,7 +118,7 @@ pub trait Node: std::any::Any {
 }
 
 /// The one `netsim_*` series that has to be recorded as it happens,
-/// created on demand by [`Simulation::enable_metrics`]; the seven counters
+/// created on demand by [`Simulation::enable_metrics`]; the five counters
 /// of a snapshot are read off `delivered` and [`FaultStats`]
 /// when it is asked for. Recording never touches the RNG or the event
 /// queue, so an instrumented run stays bit-identical to a bare one;
@@ -221,9 +221,7 @@ impl Simulation {
             ("netsim_dropped_total", f.dropped()),
             ("netsim_fault_loss_total", f.dropped_loss),
             ("netsim_fault_blackhole_total", f.dropped_blackhole),
-            ("netsim_fault_truncated_total", f.truncated),
             ("netsim_fault_rcode_total", f.rcode_injected),
-            ("netsim_fault_delayed_total", f.delayed),
         ] {
             snap.series
                 .insert(name.into(), obs::MetricValue::Counter(value));
@@ -279,12 +277,14 @@ impl Simulation {
 
     /// Injects a packet from `src` to `dst` at `now + after` plus network
     /// latency. This is how experiments bootstrap traffic. The fault plan
-    /// is consulted first: it may drop, delay, or mangle the payload.
+    /// is consulted first: it may drop or mangle the payload.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, mut payload: Vec<u8>, after: SimDuration) {
-        let verdict =
+        let delivered =
             self.faults
                 .apply(src, dst, &mut payload, &mut self.rng, &mut self.fault_stats);
-        let Some(extra) = verdict else { return };
+        if !delivered {
+            return;
+        }
         let depart = self.clock + after;
         let positions = &self.positions;
         let one_way_ms = *self
@@ -293,12 +293,10 @@ impl Simulation {
             .or_insert_with(|| LatencyModel {}.one_way_ms(&positions[src.0], &positions[dst.0]));
         let delay = LatencyModel {}.jittered(one_way_ms, &mut self.rng);
         if let Some(m) = &self.metrics {
-            m.delivery_latency.record((delay + extra).as_micros());
+            m.delivery_latency.record(delay.as_micros());
         }
-        self.queue.push(
-            depart + delay + extra,
-            EventKind::Deliver { src, dst, payload },
-        )
+        self.queue
+            .push(depart + delay, EventKind::Deliver { src, dst, payload })
     }
 
     /// Arms a timer on a node from outside a handler.

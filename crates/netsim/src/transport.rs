@@ -1,4 +1,4 @@
-//! Per-link transport models: UDP, TCP, DoT, DoH.
+//! Per-link transport models: UDP, TCP, DoT.
 //!
 //! The ECS study's simulated resolvers exchange `dns_wire`-level messages
 //! directly, so "transport" here is not sockets or crypto — it is the two
@@ -38,18 +38,11 @@ pub enum Transport {
     Tcp,
     /// DNS over TLS (RFC 7858): TCP framing inside a TLS session.
     Dot,
-    /// DNS over HTTPS (RFC 8484): framed HTTP exchanges inside TLS.
-    Doh,
 }
 
 impl Transport {
     /// Every transport, in ladder order.
-    pub const ALL: [Transport; 4] = [
-        Transport::Udp,
-        Transport::Tcp,
-        Transport::Dot,
-        Transport::Doh,
-    ];
+    pub const ALL: [Transport; 3] = [Transport::Udp, Transport::Tcp, Transport::Dot];
 
     /// True for connection-oriented transports (everything but UDP).
     /// Streams carry messages of any size: no truncation, no fragments.
@@ -59,7 +52,7 @@ impl Transport {
 
     /// True when the transport runs inside TLS.
     pub const fn is_encrypted(self) -> bool {
-        matches!(self, Transport::Dot | Transport::Doh)
+        matches!(self, Transport::Dot)
     }
 
     /// Stable lowercase label for metrics, traces and reports.
@@ -68,7 +61,6 @@ impl Transport {
             Transport::Udp => "udp",
             Transport::Tcp => "tcp",
             Transport::Dot => "dot",
-            Transport::Doh => "doh",
         }
     }
 }
@@ -88,7 +80,7 @@ const fn rtts(transport: Transport, resumed: bool) -> u32 {
     match transport {
         Transport::Udp => 0,
         Transport::Tcp => 1,
-        Transport::Dot | Transport::Doh => {
+        Transport::Dot => {
             if resumed {
                 1
             } else {
@@ -139,7 +131,7 @@ pub enum DatagramFate {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Exchanges attempted per transport, in [`Transport::ALL`] order.
-    pub exchanges: [u64; 4],
+    pub exchanges: [u64; 3],
     /// Cold connects that paid a full or resumed handshake.
     pub handshakes: u64,
     /// Cold connects that found a cached TLS session (resumed subset of
@@ -170,9 +162,9 @@ pub struct TransportModel {
     pub profile: PathProfile,
     /// Last instant each stream transport's connection carried traffic.
     last_used: HashMap<Transport, SimTime>,
-    /// Transports that have completed a TLS handshake at least once and
-    /// therefore hold a resumable session ticket.
-    sessions: Vec<Transport>,
+    /// Whether a TLS handshake has completed at least once, so DoT holds a
+    /// resumable session ticket.
+    tls_session: bool,
     stats: TransportStats,
 }
 
@@ -215,15 +207,15 @@ impl TransportModel {
                 return SimDuration::ZERO;
             }
         }
-        let resumed = transport.is_encrypted() && self.sessions.contains(&transport);
+        let resumed = transport.is_encrypted() && self.tls_session;
         let rtts = rtts(transport, resumed);
         self.stats.handshakes += 1;
         if resumed {
             self.stats.resumed_handshakes += 1;
         }
         self.stats.handshake_rtts += u64::from(rtts);
-        if transport.is_encrypted() && !self.sessions.contains(&transport) {
-            self.sessions.push(transport);
+        if transport.is_encrypted() {
+            self.tls_session = true;
         }
         let cost = rtt.mul(u64::from(rtts));
         self.last_used.insert(transport, now + cost);
@@ -275,13 +267,10 @@ mod tests {
 
     #[test]
     fn ladder_order_and_labels() {
-        assert_eq!(
-            Transport::ALL.map(Transport::label),
-            ["udp", "tcp", "dot", "doh"]
-        );
+        assert_eq!(Transport::ALL.map(Transport::label), ["udp", "tcp", "dot"]);
         assert!(!Transport::Udp.is_stream());
         assert!(Transport::Tcp.is_stream() && !Transport::Tcp.is_encrypted());
-        assert!(Transport::Dot.is_encrypted() && Transport::Doh.is_encrypted());
+        assert!(Transport::Dot.is_encrypted());
         assert_eq!(Transport::Dot.to_string(), "dot");
     }
 
@@ -328,9 +317,6 @@ mod tests {
         assert_eq!(s.handshakes, 2);
         assert_eq!(s.resumed_handshakes, 1);
         assert_eq!(s.handshake_rtts, 3);
-        // DoH keeps its own session memory: still a full handshake.
-        let mut m2 = m.clone();
-        assert_eq!(m2.exchange_cost(Transport::Doh, RTT, t1), RTT.mul(2));
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub enum EventKind {
     /// A truncated reply triggered the RFC 7766 TCP fallback.
     TcpFallback,
     /// The transport ladder moved to its next rung (RFC 7766-style
-    /// fallback generalized to the DoT/DoH ladder).
+    /// fallback generalized to the TCP/DoT ladder).
     TransportFallback {
         /// Transport the resolver was using (`"udp"`, `"tcp"`, ...).
         from: &'static str,

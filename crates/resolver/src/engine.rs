@@ -7,16 +7,18 @@
 //! a recorded trace.
 
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use authoritative::AuthServer;
 use dns_wire::{Message, Name, Rcode};
 use netsim::SimTime;
 use obs::{EventKind, TraceCtx, Tracer};
 
-use crate::cache::{CacheStats, EcsCache};
+use crate::cache::CacheStats;
 use crate::config::ResolverConfig;
 use crate::exchange::Action;
 use crate::probing::{EcsDecision, ProbingState};
+use crate::shared_cache::SharedEcsCache;
 
 /// TTL of a cached answer that carries no records to take one from
 /// (RFC 2308 NXDOMAIN / NODATA).
@@ -86,7 +88,7 @@ pub trait Upstream {
     /// Performs one exchange over an explicit transport (the ladder rungs
     /// of [`crate::TransportPolicy`]). The default maps the datagram
     /// transport to [`Upstream::query`] and every stream transport (TCP,
-    /// DoT, DoH) to [`Upstream::query_tcp`] — correct for upstreams that
+    /// DoT) to [`Upstream::query_tcp`] — correct for upstreams that
     /// don't model transports; transport-aware implementations
     /// ([`crate::TransportUpstream`]) override this.
     fn query_via(
@@ -233,8 +235,6 @@ pub(crate) struct ResolverMetrics {
     pub(crate) tcp_fallbacks: obs::Counter,
     pub(crate) transport_fallbacks: obs::Counter,
     pub(crate) fallbacks_to_tcp: obs::Counter,
-    pub(crate) fallbacks_to_dot: obs::Counter,
-    pub(crate) fallbacks_to_doh: obs::Counter,
     servfail_responses: obs::Counter,
     shed_queries: obs::Counter,
     coalesced_queries: obs::Counter,
@@ -259,8 +259,6 @@ impl ResolverMetrics {
             // equal across subjects.
             transport_fallbacks: registry.counter("resolver_transport_fallbacks_total"),
             fallbacks_to_tcp: registry.counter("resolver_transport_fallbacks_to_tcp_total"),
-            fallbacks_to_dot: registry.counter("resolver_transport_fallbacks_to_dot_total"),
-            fallbacks_to_doh: registry.counter("resolver_transport_fallbacks_to_doh_total"),
             servfail_responses: registry.counter("resolver_servfail_responses_total"),
             shed_queries: registry.counter("resolver_shed_queries_total"),
             coalesced_queries: registry.counter("resolver_coalesced_queries_total"),
@@ -271,93 +269,16 @@ impl ResolverMetrics {
     }
 }
 
-/// Where a resolver's cache state lives.
-///
-/// `Owned` is the historical single-threaded arrangement: the engine holds
-/// its [`EcsCache`] directly and every call compiles to the same code as
-/// before the multi-worker refactor. `Shared` points the engine at a
-/// [`SharedEcsCache`] owned jointly by a worker pool — lookups and inserts
-/// route through per-shard locks, and everything else about the engine
-/// (probing state, stats, retry policy) stays worker-private.
-enum CacheSlot {
-    Owned(EcsCache),
-    Shared(std::sync::Arc<crate::shared_cache::SharedEcsCache>),
-}
-
-impl CacheSlot {
-    fn lookup(
-        &mut self,
-        qname: &Name,
-        qtype: dns_wire::RecordType,
-        client: IpAddr,
-        now: SimTime,
-    ) -> Option<crate::cache::CachedAnswer> {
-        match self {
-            CacheSlot::Owned(c) => c.lookup(qname, qtype, client, now),
-            CacheSlot::Shared(c) => c.lookup(qname, qtype, client, now),
-        }
-    }
-
-    fn lookup_stale(
-        &mut self,
-        qname: &Name,
-        qtype: dns_wire::RecordType,
-        client: IpAddr,
-        now: SimTime,
-        serve_ttl: u32,
-    ) -> Option<crate::cache::CachedAnswer> {
-        match self {
-            CacheSlot::Owned(c) => c.lookup_stale(qname, qtype, client, now, serve_ttl),
-            CacheSlot::Shared(c) => c.lookup_stale(qname, qtype, client, now, serve_ttl),
-        }
-    }
-
-    fn insert(
-        &mut self,
-        qname: Name,
-        qtype: dns_wire::RecordType,
-        records: Vec<dns_wire::Record>,
-        ecs: Option<dns_wire::EcsOption>,
-        ttl: u32,
-        now: SimTime,
-    ) -> bool {
-        match self {
-            CacheSlot::Owned(c) => c.insert(qname, qtype, records, ecs, ttl, now),
-            CacheSlot::Shared(c) => c.insert(qname, qtype, records, ecs, ttl, now),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_with_rcode(
-        &mut self,
-        qname: Name,
-        qtype: dns_wire::RecordType,
-        records: Vec<dns_wire::Record>,
-        ecs: Option<dns_wire::EcsOption>,
-        rcode: Rcode,
-        ttl: u32,
-        now: SimTime,
-    ) -> bool {
-        match self {
-            CacheSlot::Owned(c) => c.insert_with_rcode(qname, qtype, records, ecs, rcode, ttl, now),
-            CacheSlot::Shared(c) => {
-                c.insert_with_rcode(qname, qtype, records, ecs, rcode, ttl, now)
-            }
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            CacheSlot::Owned(c) => c.stats(),
-            CacheSlot::Shared(c) => c.stats(),
-        }
-    }
-}
-
 /// A recursive resolver instance.
 pub struct Resolver {
     pub(crate) config: ResolverConfig,
-    cache: CacheSlot,
+    /// The cache lookups and inserts go to: a one-shard cache of the
+    /// engine's own ([`Resolver::new`]), or a worker pool's
+    /// ([`Resolver::with_shared_cache`]).
+    cache: Arc<SharedEcsCache>,
+    /// Whether `cache` is this engine's alone, so its `cache_*` series
+    /// belong in [`Resolver::metrics_snapshot`].
+    owns_cache: bool,
     pub(crate) probing_state: ProbingState,
     pub(crate) stats: ResolverMetrics,
     pub(crate) tracer: Tracer,
@@ -368,38 +289,31 @@ pub struct Resolver {
 }
 
 impl Resolver {
-    /// Creates a resolver from a configuration.
+    /// Creates a resolver from a configuration, with a cache of its own.
     pub fn new(config: ResolverConfig) -> Self {
-        let mut cache = EcsCache::with_limits(config.compliance, config.overload.cache_limits());
-        cache.cache_zero_scope = config.cache_zero_scope;
-        Resolver {
-            config,
-            cache: CacheSlot::Owned(cache),
-            probing_state: ProbingState::default(),
-            stats: ResolverMetrics::new(),
-            tracer: Tracer::disabled(),
-            scope_memory: std::collections::HashMap::new(),
-            next_id: 1,
-        }
+        let cache = Arc::new(SharedEcsCache::for_config(&config, 1));
+        Self::over(config, cache, true)
     }
 
     /// Creates a resolver whose cache state lives in `cache`, shared with
     /// other engines in a worker pool. The overload cache-bound knobs in
     /// `config` are ignored here — the shared cache carries its own limits
-    /// (see [`crate::shared_cache::SharedEcsCache::for_config`]); probing
-    /// state, stats, and retry behaviour remain engine-private.
+    /// (see [`SharedEcsCache::for_config`]); probing state, stats, and
+    /// retry behaviour remain engine-private.
     ///
     /// [`Resolver::metrics_snapshot`] on such an engine excludes the
-    /// cache's `cache_*` series: fold
-    /// [`crate::shared_cache::SharedEcsCache::snapshot`] exactly once per
-    /// pool instead, or the shared counters multiply by the worker count.
-    pub fn with_shared_cache(
-        config: ResolverConfig,
-        cache: std::sync::Arc<crate::shared_cache::SharedEcsCache>,
-    ) -> Self {
+    /// cache's `cache_*` series: fold [`SharedEcsCache::snapshot`] exactly
+    /// once per pool instead, or the shared counters multiply by the
+    /// worker count.
+    pub fn with_shared_cache(config: ResolverConfig, cache: Arc<SharedEcsCache>) -> Self {
+        Self::over(config, cache, false)
+    }
+
+    fn over(config: ResolverConfig, cache: Arc<SharedEcsCache>, owns_cache: bool) -> Self {
         Resolver {
             config,
-            cache: CacheSlot::Shared(cache),
+            cache,
+            owns_cache,
             probing_state: ProbingState::default(),
             stats: ResolverMetrics::new(),
             tracer: Tracer::disabled(),
@@ -457,12 +371,11 @@ impl Resolver {
     ///
     /// With a shared cache ([`Resolver::with_shared_cache`]) only the
     /// engine-private series are included — the pool folds the cache's
-    /// registries once via
-    /// [`crate::shared_cache::SharedEcsCache::snapshot`].
+    /// registries once via [`SharedEcsCache::snapshot`].
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
         let mut snap = self.stats.registry.snapshot();
-        if let CacheSlot::Owned(cache) = &self.cache {
-            snap.merge(&cache.registry().snapshot());
+        if self.owns_cache {
+            snap.merge(&self.cache.shard_series());
         }
         snap
     }

@@ -265,11 +265,8 @@ impl Resolver {
             (ladder[ex.rung], ladder[to])
         };
         self.stats.transport_fallbacks.inc();
-        match to_transport {
-            Transport::Tcp => self.stats.fallbacks_to_tcp.inc(),
-            Transport::Dot => self.stats.fallbacks_to_dot.inc(),
-            Transport::Doh => self.stats.fallbacks_to_doh.inc(),
-            Transport::Udp => {}
+        if to_transport == Transport::Tcp {
+            self.stats.fallbacks_to_tcp.inc();
         }
         self.trace_event(
             ex.pending.trace,

@@ -7,9 +7,10 @@
 //!
 //! * a **script** of [`InjectedFault`]s consumed one per UDP attempt, for
 //!   tests that need an exact failure sequence ("time out twice, then
-//!   answer");
-//! * the same probabilistic [`LinkFaults`] knobs the packet-level simulator
-//!   uses, driven by a seeded [`SmallRng`], for statistical sweeps.
+//!   answer") — the only source of in-band SERVFAIL and FORMERR;
+//! * the packet-level simulator's probabilistic [`LinkFaults`] knobs for
+//!   loss, blackholes and truncation, driven by a seeded [`SmallRng`], for
+//!   statistical sweeps.
 //!
 //! The scripted queue is consulted first; only when it is empty do the
 //! probabilistic knobs apply. As in [`netsim::FaultPlan`], a knob with
@@ -129,12 +130,6 @@ impl<U: Upstream> FaultyUpstream<U> {
         }
         if f.truncate_replies > 0.0 && self.rng.gen::<f64>() < f.truncate_replies {
             return InjectedFault::Truncate;
-        }
-        if f.servfail_replies > 0.0 && self.rng.gen::<f64>() < f.servfail_replies {
-            return InjectedFault::ServFail;
-        }
-        if f.formerr_replies > 0.0 && self.rng.gen::<f64>() < f.formerr_replies {
-            return InjectedFault::FormErr;
         }
         InjectedFault::Pass
     }

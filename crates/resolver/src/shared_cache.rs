@@ -1,7 +1,9 @@
 //! A sharded, thread-safe ECS cache shared by multiple resolver engines.
 //!
-//! The multi-worker serving path (`dnsd`) runs one [`crate::Resolver`] per
-//! worker thread, but cache state must be global: a record inserted by
+//! Every [`crate::Resolver`] reads and fills one of these. An engine built
+//! by [`crate::Resolver::new`] owns a one-shard instance; the multi-worker
+//! serving path (`dnsd`) runs one engine per worker thread over a shared
+//! instance, because cache state must be global: a record inserted by
 //! worker 0 has to serve worker 3's next client, or the effective hit rate
 //! divides by the worker count. [`SharedEcsCache`] wraps `N` independent
 //! [`EcsCache`] shards, each behind its own [`parking_lot::Mutex`], and
@@ -23,8 +25,8 @@
 //! Telemetry: every shard keeps its own `cache_*` registry. [`snapshot`]
 //! merges them into one [`obs::MetricsSnapshot`]; fold it exactly once per
 //! cache (not once per worker) or counters double-count —
-//! [`crate::Resolver::metrics_snapshot`] therefore skips the cache
-//! registry when the engine runs against a shared cache.
+//! [`crate::Resolver::metrics_snapshot`] therefore carries the cache's
+//! series only when the engine owns its cache.
 //!
 //! [`snapshot`]: SharedEcsCache::snapshot
 
@@ -145,6 +147,9 @@ impl SharedEcsCache {
 
     /// Index of the shard owning `qname`.
     fn shard_index(&self, qname: &Name) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         let mut h = FxHasher::default();
         qname.hash(&mut h);
         (h.finish() as usize) % self.shards.len()
@@ -241,13 +246,11 @@ impl SharedEcsCache {
     /// shards and their locks become the serialization point. Fold this
     /// exactly once per cache when aggregating worker telemetry.
     pub fn snapshot(&self) -> obs::MetricsSnapshot {
-        let mut merged = obs::MetricsSnapshot::default();
+        let mut merged = self.shard_series();
         let mut hits: Vec<u64> = Vec::with_capacity(self.shards.len());
         let mut entries: Vec<u64> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let guard = shard.lock();
-            merged.merge(&guard.registry().snapshot());
-            let s = guard.stats();
+            let s = shard.lock().stats();
             hits.push(s.hits);
             entries.push(s.max_size as u64);
         }
@@ -266,6 +269,16 @@ impl SharedEcsCache {
             .gauge("cache_shard_entries_min")
             .set(entries.iter().copied().min().unwrap_or(0));
         merged.merge(&spread.snapshot());
+        merged
+    }
+
+    /// Every shard's `cache_*` registry merged into one snapshot, without
+    /// the shard-imbalance gauges [`SharedEcsCache::snapshot`] adds.
+    pub(crate) fn shard_series(&self) -> obs::MetricsSnapshot {
+        let mut merged = obs::MetricsSnapshot::default();
+        for shard in &self.shards {
+            merged.merge(&shard.lock().registry().snapshot());
+        }
         merged
     }
 

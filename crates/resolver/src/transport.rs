@@ -79,7 +79,7 @@ impl TransportPolicy {
         }
     }
 
-    /// The full UDP → TCP → DoT → DoH ladder.
+    /// The full UDP → TCP → DoT ladder.
     pub fn full_ladder() -> Self {
         TransportPolicy::with_ladder(Transport::ALL)
     }
@@ -114,8 +114,6 @@ pub struct TransportFaults {
     pub tcp: Option<TransportFault>,
     /// Fault on DoT.
     pub dot: Option<TransportFault>,
-    /// Fault on DoH.
-    pub doh: Option<TransportFault>,
 }
 
 impl TransportFaults {
@@ -124,7 +122,6 @@ impl TransportFaults {
         udp: None,
         tcp: None,
         dot: None,
-        doh: None,
     };
 
     /// The standing fault on `transport`, if any.
@@ -133,7 +130,6 @@ impl TransportFaults {
             Transport::Udp => self.udp,
             Transport::Tcp => self.tcp,
             Transport::Dot => self.dot,
-            Transport::Doh => self.doh,
         }
     }
 }
@@ -214,8 +210,8 @@ impl<U: Upstream> TransportUpstream<U> {
         // arrive after the setup round-trips have been paid.
         let at = now + self.model.exchange_cost(transport, UPSTREAM_RTT, now);
         if transport.is_stream() {
-            // Streams carry any size; simulated DoT/DoH differ from TCP
-            // only in handshake cost, so all three use the framed path.
+            // Streams carry any size; simulated DoT differs from TCP only
+            // in handshake cost, so both use the framed path.
             return self.inner.query_tcp(q, from, at);
         }
         let resp = self.inner.query(q, from, at)?;
@@ -310,7 +306,7 @@ mod tests {
             TransportPolicy::prefer(Transport::Dot).ladder,
             vec![Transport::Dot]
         );
-        assert_eq!(TransportPolicy::full_ladder().ladder.len(), 4);
+        assert_eq!(TransportPolicy::full_ladder().ladder.len(), 3);
     }
 
     #[test]
@@ -407,9 +403,6 @@ mod tests {
                 .unwrap_err(),
             UpstreamError::Timeout
         );
-        assert!(up
-            .query_via(&query(4096), RES, SimTime::ZERO, Transport::Doh)
-            .is_ok());
     }
 
     #[test]

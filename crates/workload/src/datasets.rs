@@ -358,6 +358,7 @@ impl PublicCdnTraceGen {
             .collect();
 
         let mut set = TraceSet::new("public-resolver/cdn");
+        set.records.reserve_exact(self.queries);
         let dur_us = self.duration.as_micros();
         for _ in 0..self.queries {
             let r = resolver_volume.sample(&mut rng);
@@ -475,6 +476,7 @@ impl AllNamesTraceGen {
             .collect();
 
         let mut set = TraceSet::new("all-names");
+        set.records.reserve_exact(self.queries);
         let dur_us = self.duration.as_micros();
         for _ in 0..self.queries {
             let (client, subnet) = clients[rng.gen_range(0..clients.len())];

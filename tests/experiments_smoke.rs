@@ -255,7 +255,7 @@ fn faults_telemetry_artifacts_are_pinned() {
         &measured,
         &[
             ("report", 0x7d5237730726fbad),
-            ("metrics_json", 0x4c7a4be1eb9cc408),
+            ("metrics_json", 0x6783861099ef9ca8),
             ("trace_jsonl", 0xc7e36e2eda628a15),
         ],
     );
@@ -300,7 +300,7 @@ fn scan_metrics_snapshots_are_pinned() {
         &measured,
         &[
             ("scanner_metrics_json", 0x7611f5f70255a2d2),
-            ("netsim_metrics_json", 0x6a028a5a640d3278),
+            ("netsim_metrics_json", 0x63b864a1d06f215e),
         ],
     );
 }
@@ -369,7 +369,6 @@ fn transport_model_ledger_is_pinned() {
         (Transport::Tcp, 116), // 11 s idle: cold again
         (Transport::Dot, 117), // cold, full TLS
         (Transport::Dot, 128), // 11 s idle: resumed TLS
-        (Transport::Doh, 129), // cold, its own session
     ];
     let costs: Vec<u64> = steps
         .iter()
@@ -379,15 +378,15 @@ fn transport_model_ledger_is_pinned() {
                 .as_micros()
         })
         .collect();
-    assert_eq!(costs, [40_000, 0, 40_000, 80_000, 40_000, 80_000]);
+    assert_eq!(costs, [40_000, 0, 40_000, 80_000, 40_000]);
     assert_eq!(
         model.stats(),
         TransportStats {
-            exchanges: [0, 3, 2, 1],
-            handshakes: 5,
+            exchanges: [0, 3, 2],
+            handshakes: 4,
             resumed_handshakes: 1,
             reused_connections: 1,
-            handshake_rtts: 7,
+            handshake_rtts: 5,
             truncated: 0,
             fragments_dropped: 0,
         }

@@ -22,7 +22,8 @@ use netsim::{LinkFaults, SimDuration, SimTime};
 use proptest::prelude::*;
 use resolver::probing::EcsDecision;
 use resolver::{
-    FaultyUpstream, ProbingState, ProbingStrategy, Resolver, ResolverConfig, RetryPolicy,
+    FaultyUpstream, InjectedFault, ProbingState, ProbingStrategy, Resolver, ResolverConfig,
+    RetryPolicy,
 };
 
 fn name(s: &str) -> Name {
@@ -38,61 +39,77 @@ fn auth() -> AuthServer {
 
 const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
 
+const FAULTS: [InjectedFault; 5] = [
+    InjectedFault::Timeout,
+    InjectedFault::Truncate,
+    InjectedFault::ServFail,
+    InjectedFault::FormErr,
+    InjectedFault::Pass,
+];
+
+/// Five queries through `up` on an `attempts` budget: each ends in an
+/// answer, SERVFAIL or FORMERR, and upstream traffic stays in budget.
+fn survives(mut up: FaultyUpstream<AuthServer>, attempts: u8) {
+    let mut config = ResolverConfig::rfc_compliant(RES);
+    config.retry = RetryPolicy {
+        attempts,
+        ..RetryPolicy::default()
+    };
+    let mut r = Resolver::new(config);
+
+    const QUERIES: u64 = 5;
+    for i in 0..QUERIES {
+        let q = Message::query(i as u16 + 1, Question::a(name("www.prop.example")));
+        let client = IpAddr::V4(Ipv4Addr::new(100, 66, i as u8, 9));
+        let resp = r.resolve_msg(&q, client, SimTime::from_secs(i * 10_000), &mut up);
+        match resp.rcode {
+            Rcode::NoError => prop_assert!(
+                !resp.answers.is_empty(),
+                "NoError must carry the answer (query {i})"
+            ),
+            Rcode::ServFail | Rcode::FormErr => {}
+            other => prop_assert!(false, "unclassified outcome {:?} (query {})", other, i),
+        }
+    }
+    let s = r.stats();
+    // `upstream_queries` counts UDP attempts (initial + retries); the
+    // engine never exceeds its per-query budget, whatever the faults.
+    prop_assert!(s.upstream_queries <= QUERIES * attempts as u64);
+    prop_assert!(s.retries <= QUERIES * (attempts as u64 - 1));
+    // Each TC recovery is one TCP exchange per UDP attempt at most.
+    prop_assert!(s.tcp_fallbacks <= s.upstream_queries);
+    // Only exhausted budgets produce engine-made SERVFAILs.
+    prop_assert!(s.servfail_responses <= QUERIES);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// For any mix of loss/truncation/SERVFAIL/FORMERR probabilities, any
-    /// blackhole setting, any attempt budget, and any seed: `resolve_msg`
-    /// terminates, the outcome is one of the three classified endings, and
-    /// upstream traffic stays within the attempt budget.
+    /// For any mix of loss/truncation probabilities, any blackhole
+    /// setting, any script of injected faults (the only source of in-band
+    /// SERVFAIL and FORMERR), any attempt budget, and any seed:
+    /// `resolve_msg` terminates, the outcome is one of the three classified
+    /// endings, and upstream traffic stays within the attempt budget.
     #[test]
     fn engine_survives_arbitrary_fault_plans(
         // Probabilities drawn per-mille (the vendored proptest has no
         // float-range strategy), covering the full 0.0..=1.0 span.
         loss_pm in 0u32..=1000,
         truncate_pm in 0u32..=1000,
-        servfail_pm in 0u32..=1000,
-        formerr_pm in 0u32..=1000,
         blackhole in any::<bool>(),
+        script in proptest::collection::vec(0usize..5, 0..12),
         attempts in 1u8..=4,
         seed in any::<u64>(),
     ) {
         let faults = LinkFaults {
             loss: loss_pm as f64 / 1000.0,
             truncate_replies: truncate_pm as f64 / 1000.0,
-            servfail_replies: servfail_pm as f64 / 1000.0,
-            formerr_replies: formerr_pm as f64 / 1000.0,
             blackhole,
             ..LinkFaults::NONE
         };
-        let mut up = FaultyUpstream::new(auth(), faults, seed);
-        let mut config = ResolverConfig::rfc_compliant(RES);
-        config.retry = RetryPolicy { attempts, ..RetryPolicy::default() };
-        let mut r = Resolver::new(config);
-
-        const QUERIES: u64 = 5;
-        for i in 0..QUERIES {
-            let q = Message::query(i as u16 + 1, Question::a(name("www.prop.example")));
-            let client = IpAddr::V4(Ipv4Addr::new(100, 66, i as u8, 9));
-            let resp = r.resolve_msg(&q, client, SimTime::from_secs(i * 10_000), &mut up);
-            match resp.rcode {
-                Rcode::NoError => prop_assert!(
-                    !resp.answers.is_empty(),
-                    "NoError must carry the answer (query {i})"
-                ),
-                Rcode::ServFail | Rcode::FormErr => {}
-                other => prop_assert!(false, "unclassified outcome {:?} (query {})", other, i),
-            }
-        }
-        let s = r.stats();
-        // `upstream_queries` counts UDP attempts (initial + retries); the
-        // engine never exceeds its per-query budget, whatever the faults.
-        prop_assert!(s.upstream_queries <= QUERIES * attempts as u64);
-        prop_assert!(s.retries <= QUERIES * (attempts as u64 - 1));
-        // Each TC recovery is one TCP exchange per UDP attempt at most.
-        prop_assert!(s.tcp_fallbacks <= s.upstream_queries);
-        // Only exhausted budgets produce engine-made SERVFAILs.
-        prop_assert!(s.servfail_responses <= QUERIES);
+        let script = script.into_iter().map(|k| FAULTS[k]).collect();
+        survives(FaultyUpstream::new(auth(), faults, seed), attempts);
+        survives(FaultyUpstream::scripted(auth(), script), attempts);
     }
 
     /// A zero-fault plan is exactly the bare path: same responses, same

@@ -5,8 +5,9 @@
 //! fragmentation on UDP, REFUSED on TCP, a black-holed DoT handshake) under
 //! an explicit [`TransportPolicy`] ladder and asserts three things:
 //!
-//! 1. the expected ladder edge is taken (legacy stats + the per-target
-//!    `resolver_transport_fallbacks_to_*_total` counters);
+//! 1. the expected ladder edge is taken (legacy stats, the
+//!    `resolver_transport_fallbacks_to_tcp_total` counter and the
+//!    exchanges each rung carried);
 //! 2. the client outcome is right (full answer after a successful fall,
 //!    SERVFAIL only when every rung is broken);
 //! 3. RFC 7871 §7.1.3 ECS withdrawal survives the ladder: a timeout-driven
@@ -86,7 +87,6 @@ fn fragment_loss_exhausts_udp_and_falls_to_tcp() {
     assert_eq!(stats.transport_fallbacks, 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_total"), 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 1);
-    assert_eq!(counter(&r, "resolver_transport_fallbacks_to_dot_total"), 0);
     assert_eq!(up.stats().fragments_dropped, 2);
     assert_eq!(up.stats().exchanges_over(Transport::Tcp), 1);
 }
@@ -130,7 +130,6 @@ fn refused_tcp_falls_to_dot() {
     let stats = r.stats();
     assert_eq!(stats.servfail_responses, 0);
     assert_eq!(stats.transport_fallbacks, 1);
-    assert_eq!(counter(&r, "resolver_transport_fallbacks_to_dot_total"), 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 0);
     assert_eq!(up.stats().exchanges_over(Transport::Dot), 1);
 }
@@ -138,7 +137,7 @@ fn refused_tcp_falls_to_dot() {
 #[test]
 fn dot_timeout_withdraws_ecs_and_the_withdrawal_survives_the_fall() {
     let mut r = Resolver::new(config(
-        TransportPolicy::with_ladder([Transport::Dot, Transport::Doh]),
+        TransportPolicy::with_ladder([Transport::Dot, Transport::Tcp]),
         2,
     ));
     let mut up = TransportUpstream::new(big_auth(), 7).with_faults(TransportFaults {
@@ -157,12 +156,12 @@ fn dot_timeout_withdraws_ecs_and_the_withdrawal_survives_the_fall() {
         "the first DoT timeout withdrew ECS (RFC 7871 §7.1.3)"
     );
     assert_eq!(stats.transport_fallbacks, 1);
-    assert_eq!(counter(&r, "resolver_transport_fallbacks_to_doh_total"), 1);
+    assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 1);
     // The faulted DoT rung never reached the authoritative; the one
-    // exchange that did — over DoH — must carry the withdrawn (absent)
+    // exchange that did — over TCP — must carry the withdrawn (absent)
     // ECS option.
     let log = up.inner().log();
-    assert_eq!(log.len(), 1, "only the DoH exchange reached the server");
+    assert_eq!(log.len(), 1, "only the TCP exchange reached the server");
     assert!(
         log[0].ecs.is_none(),
         "the §7.1.3 withdrawal survived the transport fall"
