@@ -165,9 +165,8 @@ fn run_side<U: Upstream>(
 
 /// Runs the workload against the in-process authoritative with the
 /// subject pinned to `transport`. The in-process [`AuthServer`] answers
-/// stream transports through the default [`Upstream::query_tcp`] mapping —
-/// the same messages, undegraded — which is exactly the reference the
-/// socket side must match.
+/// every stream transport with the same framed, untruncated messages —
+/// which is exactly the reference the socket side must match.
 pub fn run_engine_side(workload: &[WorkloadQuery], transport: Transport) -> SideResult {
     let mut auth = diff_auth();
     run_side(workload, transport, &mut auth)

@@ -14,7 +14,7 @@ use std::net::{IpAddr, Ipv4Addr};
 use authoritative::{AuthServer, EcsHandling, QueryLogEntry, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Rcode};
 use netsim::SimTime;
-use resolver::{Upstream, UpstreamError};
+use resolver::{Transport, Upstream, UpstreamError};
 
 /// How the scripted authoritative treats ECS options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,7 +287,14 @@ impl ScenarioUpstream {
 }
 
 impl Upstream for ScenarioUpstream {
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
+    /// Serves every transport alike.
+    fn query_via(
+        &mut self,
+        q: &Message,
+        from: IpAddr,
+        now: SimTime,
+        _transport: Transport,
+    ) -> Result<Message, UpstreamError> {
         if let Some(question) = q.question() {
             self.ensure_name(&question.name.clone());
             if self.scenario.stance == EcsStance::FormerrOnEcs {

@@ -488,11 +488,12 @@ mod tests {
     }
 
     impl Upstream for Gated {
-        fn query(
+        fn query_via(
             &mut self,
             q: &Message,
             from: std::net::IpAddr,
             now: SimTime,
+            _transport: resolver::Transport,
         ) -> Result<Message, resolver::UpstreamError> {
             self.gate.recv().expect("released");
             Ok(self.auth.handle(q, from, now))

@@ -1,17 +1,17 @@
 //! The resolution engine over real sockets.
 //!
 //! [`SocketUpstream`] implements [`resolver::Upstream`] against a live DNS
-//! server address: one UDP datagram per attempt, surfacing lost replies as
-//! [`UpstreamError::Timeout`] and TC answers as [`UpstreamError::Truncated`],
-//! with [`resolver::Upstream::query_tcp`] doing a real RFC 7766 framed TCP
-//! exchange (the DoT rung lands there too, through the trait's default
-//! `query_via`: with no real crypto in the study it carries the same
-//! length-prefixed stream). This closes the loop between the deterministic engine and the
-//! `dnsd` servers: the same retry/backoff/ECS-withdrawal policy that runs
-//! in the simulator drives real packets on loopback.
+//! server address: over UDP one datagram per attempt, surfacing lost
+//! replies as [`UpstreamError::Timeout`] and TC answers as
+//! [`UpstreamError::Truncated`]; over a stream transport a real RFC 7766
+//! framed TCP exchange (the DoT rung too: with no real crypto in the study
+//! it carries the same length-prefixed stream). This closes the loop
+//! between the deterministic engine and the `dnsd` servers: the same
+//! retry/backoff/ECS-withdrawal policy that runs in the simulator drives
+//! real packets on loopback.
 //!
-//! Retrying is the *engine's* job: each [`SocketUpstream::query`] call is a
-//! single attempt bounded by a single deadline, so the engine's
+//! Retrying is the *engine's* job: each [`resolver::Upstream::query_via`]
+//! call is a single attempt bounded by a single deadline, so the engine's
 //! [`resolver::RetryPolicy`] decides how many attempts happen and what each
 //! one carries.
 
@@ -20,7 +20,7 @@ use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use dns_wire::{Message, Rcode};
-use netsim::SimTime;
+use netsim::{SimTime, Transport};
 use resolver::{Upstream, UpstreamError};
 
 /// A single-server upstream over real UDP/TCP sockets.
@@ -65,12 +65,27 @@ impl SocketUpstream {
 }
 
 impl Upstream for SocketUpstream {
-    fn query(
+    fn query_via(
         &mut self,
         q: &Message,
         _from: IpAddr,
         _now: SimTime,
+        transport: Transport,
     ) -> Result<Message, UpstreamError> {
+        if transport.is_stream() {
+            let server = self.tcp_server.unwrap_or(self.server);
+            return match crate::tcp::tcp_exchange(server, q, self.timeout) {
+                Ok(resp) => Ok(resp),
+                Err(crate::DigError::Timeout) => Err(UpstreamError::Timeout),
+                Err(crate::DigError::Io(e))
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    Err(UpstreamError::Timeout)
+                }
+                Err(_) => Err(UpstreamError::Rcode(Rcode::ServFail)),
+            };
+        }
         let bytes = q
             .to_bytes()
             .map_err(|_| UpstreamError::Rcode(Rcode::FormErr))?;
@@ -81,27 +96,8 @@ impl Upstream for SocketUpstream {
                     _ => UpstreamError::Rcode(Rcode::ServFail),
                 })?;
         if resp.flags.tc {
-            return Err(UpstreamError::Truncated(Box::new(resp)));
+            return Err(UpstreamError::Truncated);
         }
         Ok(resp)
-    }
-
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        _from: IpAddr,
-        _now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        let server = self.tcp_server.unwrap_or(self.server);
-        match crate::tcp::tcp_exchange(server, q, self.timeout) {
-            Ok(resp) => Ok(resp),
-            Err(crate::DigError::Timeout) => Err(UpstreamError::Timeout),
-            Err(crate::DigError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Err(UpstreamError::Timeout)
-            }
-            Err(_) => Err(UpstreamError::Rcode(Rcode::ServFail)),
-        }
     }
 }

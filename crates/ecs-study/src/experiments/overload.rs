@@ -16,14 +16,12 @@
 //!   SERVFAIL rather than queueing without bound.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question, Rcode};
 use netsim::geo::city;
-use netsim::{AddressBook, LinkFaults, SimDuration, SimTime, Simulation};
-use parking_lot::RwLock;
-use resolver::actors::{AuthActor, ClientActor, EgressActor, SharedBook};
+use netsim::{LinkFaults, SimDuration, SimTime, Simulation};
+use resolver::actors::{AuthActor, ClientActor, EgressActor};
 use resolver::{FaultyUpstream, Resolver, ResolverConfig};
 
 use crate::report::Report;
@@ -234,7 +232,6 @@ fn drive_stale(loss: f64, serve_stale: bool, config: &Config, session: &mut Sess
 /// A packet-level world: one authoritative, one egress running `rc`, and
 /// `clients` co-located nodes all asking the same name at t = 0.
 fn drive_burst(rc: ResolverConfig, clients: usize, session: &mut Session) -> BurstCell {
-    let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
     let mut sim = Simulation::new(5);
     if session.tracer().is_enabled() {
         sim.enable_metrics();
@@ -251,10 +248,11 @@ fn drive_burst(rc: ResolverConfig, clients: usize, session: &mut Session) -> Bur
     )
     .expect("in zone");
     let auth_node = sim.add_node(
-        AuthActor::new(
-            AuthServer::new(z, EcsHandling::open(ScopePolicy::MatchSource)),
-            book.clone(),
-        ),
+        AuthActor::new(AuthServer::new(
+            z,
+            EcsHandling::open(ScopePolicy::MatchSource),
+        )),
+        auth_addr,
         city("Chicago").expect("known").pos,
     );
     let egress_node = sim.add_node(
@@ -265,8 +263,8 @@ fn drive_burst(rc: ResolverConfig, clients: usize, session: &mut Session) -> Bur
                 r
             },
             vec![(apex.clone(), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Toronto").expect("known").pos,
     );
     let mut client_nodes = Vec::new();
@@ -274,19 +272,10 @@ fn drive_burst(rc: ResolverConfig, clients: usize, session: &mut Session) -> Bur
         let q = Message::query(i as u16 + 1, Question::a(apex.child("www").expect("valid")));
         let node = sim.add_node(
             ClientActor::new(egress_node, vec![(SimTime::ZERO, q)]),
+            format!("100.70.1.{}", i + 1).parse().expect("valid"),
             city("Toronto").expect("known").pos,
         );
-        book.write()
-            .bind(format!("100.70.1.{}", i + 1).parse().expect("valid"), node);
         client_nodes.push(node);
-    }
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-    }
-    for &c in &client_nodes {
-        ClientActor::arm(&mut sim, c);
     }
     sim.run();
 

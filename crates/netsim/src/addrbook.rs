@@ -1,8 +1,10 @@
-//! Shared IP-address ↔ node-id directory.
+//! IP-address ↔ node-id directory.
 //!
 //! Simulated DNS actors address each other by IP (as real DNS does) while
-//! the simulator routes by [`NodeId`]. An [`AddressBook`] is built during
-//! world wiring and shared (via `Arc`) by every actor so they can translate
+//! the simulator routes by [`NodeId`]. The [`Simulation`](crate::Simulation)
+//! owns one [`AddressBook`], binds each node's address in
+//! [`Simulation::add_node`](crate::Simulation::add_node), and lends the
+//! book to every handler through its [`Ctx`](crate::Ctx), which translates
 //! in both directions.
 
 use std::collections::HashMap;
@@ -14,7 +16,8 @@ use crate::sim::NodeId;
 #[derive(Debug, Default, Clone)]
 pub struct AddressBook {
     by_addr: HashMap<IpAddr, NodeId>,
-    by_node: HashMap<NodeId, IpAddr>,
+    /// `by_node[i]` is `NodeId(i)`'s address: nodes are bound in id order.
+    by_node: Vec<IpAddr>,
 }
 
 impl AddressBook {
@@ -23,17 +26,14 @@ impl AddressBook {
         Self::default()
     }
 
-    /// Registers a binding. A node has exactly one address; re-binding
-    /// either side replaces the old entry.
-    pub fn bind(&mut self, addr: IpAddr, node: NodeId) {
-        if let Some(old) = self.by_node.insert(node, addr) {
-            self.by_addr.remove(&old);
+    /// Registers `node`, the next id in order, at `addr`. Panics if the
+    /// address is taken: two nodes at one address is a world-building bug.
+    pub(crate) fn bind(&mut self, addr: IpAddr, node: NodeId) {
+        assert_eq!(node.0, self.by_node.len(), "nodes are bound in id order");
+        if let Some(holder) = self.by_addr.insert(addr, node) {
+            panic!("{addr} is already the address of {holder:?}");
         }
-        if let Some(old) = self.by_addr.insert(addr, node) {
-            if old != node {
-                self.by_node.remove(&old);
-            }
-        }
+        self.by_node.push(addr);
     }
 
     /// Node for an address.
@@ -43,17 +43,17 @@ impl AddressBook {
 
     /// Address of a node.
     pub fn addr_of(&self, node: NodeId) -> Option<IpAddr> {
-        self.by_node.get(&node).copied()
+        self.by_node.get(node.0).copied()
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.by_addr.len()
+        self.by_node.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.by_addr.is_empty()
+        self.by_node.is_empty()
     }
 }
 
@@ -75,21 +75,5 @@ mod tests {
         assert_eq!(book.addr_of(NodeId(1)), Some(ip(2)));
         assert_eq!(book.node_of(ip(9)), None);
         assert_eq!(book.len(), 2);
-    }
-
-    #[test]
-    fn rebinding_replaces_both_sides() {
-        let mut book = AddressBook::new();
-        book.bind(ip(1), NodeId(0));
-        // Same node moves to a new address.
-        book.bind(ip(2), NodeId(0));
-        assert_eq!(book.node_of(ip(1)), None);
-        assert_eq!(book.node_of(ip(2)), Some(NodeId(0)));
-        assert_eq!(book.addr_of(NodeId(0)), Some(ip(2)));
-        // Another node takes over an address.
-        book.bind(ip(2), NodeId(5));
-        assert_eq!(book.node_of(ip(2)), Some(NodeId(5)));
-        assert_eq!(book.addr_of(NodeId(0)), None);
-        assert_eq!(book.len(), 1);
     }
 }

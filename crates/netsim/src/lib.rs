@@ -16,11 +16,13 @@
 //! * [`TransportModel`] — a link's DNS transport model
 //!   (UDP/TCP/DoT): handshake RTT accounting with connection reuse and
 //!   TLS resumption, plus EDNS-buffer/path-MTU datagram fate;
-//! * [`Simulation`] — the event loop: nodes implement [`Node`], receive
-//!   packets and timers, and emit actions through a [`Ctx`]. A handler
-//!   only buffers [`Action`]s, so a loop other than `Simulation` (the
-//!   scanner's wall-clock socket loop) can step the same node through
-//!   [`Ctx::new`].
+//! * [`Simulation`] — the event loop: a node is added at its IP address
+//!   ([`AddressBook`]) and started ([`Node::on_start`]), then receives
+//!   packets and timers and emits actions through a [`Ctx`], which also
+//!   answers which node sits at which address. A handler only buffers
+//!   [`Action`]s and reads the book it is lent, so a loop other than
+//!   `Simulation` (the scanner's wall-clock socket loop) can step the
+//!   same node through [`Ctx::new`].
 //!
 //! Determinism: events are ordered by `(time, sequence)` where the sequence
 //! number is assigned at scheduling time, and all randomness flows from a
@@ -43,8 +45,8 @@
 //! }
 //!
 //! let mut sim = Simulation::new(42);
-//! let echo = sim.add_node(Echo, GeoPoint::new(52.37, 4.90));      // Amsterdam
-//! let counter = sim.add_node(Counter(0), GeoPoint::new(40.4, -74.0)); // NYC
+//! let echo = sim.add_node(Echo, "192.0.2.1".parse().unwrap(), GeoPoint::new(52.37, 4.90)); // Amsterdam
+//! let counter = sim.add_node(Counter(0), "192.0.2.2".parse().unwrap(), GeoPoint::new(40.4, -74.0)); // NYC
 //! sim.inject(counter, echo, vec![1, 2, 3], SimDuration::ZERO);
 //! sim.run();
 //! assert!(sim.now().as_micros() > 0);

@@ -2,10 +2,12 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::net::IpAddr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::addrbook::AddressBook;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::geo::GeoPoint;
@@ -34,6 +36,7 @@ pub struct Packet {
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: NodeId,
+    book: &'a AddressBook,
     actions: &'a mut Vec<Action>,
     rng: &'a mut SmallRng,
 }
@@ -61,17 +64,20 @@ pub enum Action {
 
 impl<'a> Ctx<'a> {
     /// A context for stepping node `self_id` at `now` from outside
-    /// [`Simulation`]: the handler's actions land in `actions` for the
-    /// caller to apply, its randomness comes from `rng`.
+    /// [`Simulation`]: the handler reads addresses from `book`, its
+    /// actions land in `actions` for the caller to apply, its randomness
+    /// comes from `rng`.
     pub fn new(
         now: SimTime,
         self_id: NodeId,
+        book: &'a AddressBook,
         actions: &'a mut Vec<Action>,
         rng: &'a mut SmallRng,
     ) -> Self {
         Ctx {
             now,
             self_id,
+            book,
             actions,
             rng,
         }
@@ -85,6 +91,16 @@ impl<'a> Ctx<'a> {
     /// The handling node's own id.
     pub fn self_id(&self) -> NodeId {
         self.self_id
+    }
+
+    /// The address `node` was added at.
+    pub fn addr_of(&self, node: NodeId) -> Option<IpAddr> {
+        self.book.addr_of(node)
+    }
+
+    /// The node added at `addr`.
+    pub fn node_of(&self, addr: IpAddr) -> Option<NodeId> {
+        self.book.node_of(addr)
     }
 
     /// Sends `payload` to `to`; it arrives after the network latency between
@@ -110,6 +126,10 @@ impl<'a> Ctx<'a> {
 /// The `Any` supertrait lets experiments recover the concrete node type
 /// after the run via [`Simulation::node_mut`].
 pub trait Node: std::any::Any {
+    /// Called once, inside [`Simulation::add_node`], with the clock at the
+    /// node's addition: where a node arms the timers it starts with.
+    fn on_start(&mut self, _ctx: &mut Ctx) {}
+
     /// Called when a packet arrives.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx);
 
@@ -160,6 +180,8 @@ impl Hasher for PairHasher {
 pub struct Simulation {
     nodes: Vec<Option<Box<dyn Node>>>,
     positions: Vec<GeoPoint>,
+    /// Every node's address, bound as it is added.
+    book: AddressBook,
     /// Jitter-free one-way delay in ms of every directed pair that has
     /// carried a packet, computed on its first packet. Positions never
     /// move, so an entry never goes stale.
@@ -183,6 +205,7 @@ impl Simulation {
         Simulation {
             nodes: Vec::new(),
             positions: Vec::new(),
+            book: AddressBook::new(),
             base_delay: HashMap::default(),
             actions: Vec::new(),
             queue: EventQueue::new(),
@@ -241,11 +264,15 @@ impl Simulation {
         self.fault_stats
     }
 
-    /// Adds a node at a position; returns its id.
-    pub fn add_node<N: Node + 'static>(&mut self, node: N, pos: GeoPoint) -> NodeId {
+    /// Adds a node at address `addr` and position `pos`, then starts it
+    /// ([`Node::on_start`]); returns its id. Panics if `addr` is already
+    /// another node's.
+    pub fn add_node<N: Node + 'static>(&mut self, node: N, addr: IpAddr, pos: GeoPoint) -> NodeId {
         let id = NodeId(self.nodes.len());
+        self.book.bind(addr, id);
         self.nodes.push(Some(Box::new(node)));
         self.positions.push(pos);
+        self.dispatch(id, |n, ctx| n.on_start(ctx));
         id
     }
 
@@ -360,7 +387,7 @@ impl Simulation {
         };
         let mut actions = std::mem::take(&mut self.actions);
         {
-            let mut ctx = Ctx::new(self.clock, id, &mut actions, &mut self.rng);
+            let mut ctx = Ctx::new(self.clock, id, &self.book, &mut actions, &mut self.rng);
             f(node.as_mut(), &mut ctx);
         }
         self.nodes[id.0] = Some(node);
@@ -394,6 +421,11 @@ mod tests {
     use super::*;
     use crate::fault::LinkFaults;
     use crate::geo::city;
+
+    /// The next free test address: 10.0.0.1 for node 0, and so on.
+    fn addr(sim: &Simulation) -> IpAddr {
+        IpAddr::from([10, 0, 0, sim.node_count() as u8 + 1])
+    }
 
     struct Echo {
         seen: u32,
@@ -429,7 +461,7 @@ mod tests {
     #[test]
     fn ping_pong_measures_rtt() {
         let mut sim = Simulation::new(1);
-        let echo = sim.add_node(Echo { seen: 0 }, city("Amsterdam").unwrap().pos);
+        let echo = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Amsterdam").unwrap().pos);
         let ping = sim.add_node(
             Pinger {
                 replies: 0,
@@ -437,6 +469,7 @@ mod tests {
                 sent_at: SimTime::ZERO,
                 peer: Some(echo),
             },
+            addr(&sim),
             city("New York").unwrap().pos,
         );
         sim.inject_timer(ping, SimDuration::ZERO, 0);
@@ -457,7 +490,7 @@ mod tests {
     fn determinism_same_seed_same_clock() {
         let run = |seed| {
             let mut sim = Simulation::new(seed);
-            let echo = sim.add_node(Echo { seen: 0 }, city("Tokyo").unwrap().pos);
+            let echo = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Tokyo").unwrap().pos);
             let ping = sim.add_node(
                 Pinger {
                     replies: 0,
@@ -465,6 +498,7 @@ mod tests {
                     sent_at: SimTime::ZERO,
                     peer: Some(echo),
                 },
+                addr(&sim),
                 city("Sydney").unwrap().pos,
             );
             sim.inject(ping, echo, vec![7], SimDuration::ZERO);
@@ -489,7 +523,7 @@ mod tests {
             }
             fn on_packet(&mut self, _p: Packet, _c: &mut Ctx) {}
         }
-        let n = sim.add_node(Loop, city("Paris").unwrap().pos);
+        let n = sim.add_node(Loop, addr(&sim), city("Paris").unwrap().pos);
         sim.inject_timer(n, SimDuration::from_secs(1), 0);
         let processed = sim.run_until(SimTime::from_secs(10));
         assert_eq!(processed, 10);
@@ -500,8 +534,8 @@ mod tests {
     fn loss_model_drops() {
         let mut sim = Simulation::new(9);
         sim.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(1.0)));
-        let a = sim.add_node(Echo { seen: 0 }, city("Paris").unwrap().pos);
-        let b = sim.add_node(Echo { seen: 0 }, city("London").unwrap().pos);
+        let a = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Paris").unwrap().pos);
+        let b = sim.add_node(Echo { seen: 0 }, addr(&sim), city("London").unwrap().pos);
         sim.inject(a, b, vec![1], SimDuration::ZERO);
         sim.run();
         assert_eq!(sim.delivered(), 0);
@@ -515,8 +549,8 @@ mod tests {
             blackhole: true,
             ..LinkFaults::NONE
         }));
-        let a = sim.add_node(Echo { seen: 0 }, city("Paris").unwrap().pos);
-        let b = sim.add_node(Echo { seen: 0 }, city("London").unwrap().pos);
+        let a = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Paris").unwrap().pos);
+        let b = sim.add_node(Echo { seen: 0 }, addr(&sim), city("London").unwrap().pos);
         sim.inject(a, b, vec![1], SimDuration::ZERO);
         sim.run();
         assert_eq!(sim.delivered(), 0);
@@ -531,7 +565,7 @@ mod tests {
             if faulted {
                 sim.set_fault_plan(FaultPlan::none());
             }
-            let echo = sim.add_node(Echo { seen: 0 }, city("Tokyo").unwrap().pos);
+            let echo = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Tokyo").unwrap().pos);
             let ping = sim.add_node(
                 Pinger {
                     replies: 0,
@@ -539,6 +573,7 @@ mod tests {
                     sent_at: SimTime::ZERO,
                     peer: Some(echo),
                 },
+                addr(&sim),
                 city("Sydney").unwrap().pos,
             );
             sim.inject(ping, echo, vec![7], SimDuration::ZERO);
@@ -555,7 +590,7 @@ mod tests {
             if instrument {
                 sim.enable_metrics();
             }
-            let echo = sim.add_node(Echo { seen: 0 }, city("Tokyo").unwrap().pos);
+            let echo = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Tokyo").unwrap().pos);
             let ping = sim.add_node(
                 Pinger {
                     replies: 0,
@@ -563,6 +598,7 @@ mod tests {
                     sent_at: SimTime::ZERO,
                     peer: Some(echo),
                 },
+                addr(&sim),
                 city("Sydney").unwrap().pos,
             );
             sim.inject(ping, echo, vec![7], SimDuration::ZERO);
@@ -589,8 +625,8 @@ mod tests {
             ..LinkFaults::NONE
         }));
         sim.enable_metrics();
-        let a = sim.add_node(Echo { seen: 0 }, city("Paris").unwrap().pos);
-        let b = sim.add_node(Echo { seen: 0 }, city("London").unwrap().pos);
+        let a = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Paris").unwrap().pos);
+        let b = sim.add_node(Echo { seen: 0 }, addr(&sim), city("London").unwrap().pos);
         sim.inject(a, b, vec![1], SimDuration::ZERO);
         sim.run();
         let snap = sim.metrics_snapshot().unwrap();
@@ -656,7 +692,7 @@ mod tests {
         let sites = ["Tokyo", "Sydney", "Paris", "Santiago"];
         let nodes: Vec<NodeId> = sites
             .iter()
-            .map(|c| sim.add_node(hop(Vec::new()), city(c).unwrap().pos))
+            .map(|c| sim.add_node(hop(Vec::new()), addr(&sim), city(c).unwrap().pos))
             .collect();
         // A ring over the first three; the fourth only ever talks to the
         // first, so most of the 12 directed pairs never carry a packet.
@@ -674,7 +710,11 @@ mod tests {
         assert!(sim.events_pending(), "traffic is still under way");
 
         // A node joins mid-run: its pairs enter the table on first use.
-        let late = sim.add_node(hop(vec![nodes[2], nodes[0]]), city("Cairo").unwrap().pos);
+        let late = sim.add_node(
+            hop(vec![nodes[2], nodes[0]]),
+            addr(&sim),
+            city("Cairo").unwrap().pos,
+        );
         sim.node_mut::<Hop>(nodes[1]).unwrap().peers.push(late);
         kick(&mut sim, nodes[2], late, 9);
         sim.run();
@@ -701,10 +741,108 @@ mod tests {
     #[test]
     fn node_mut_downcast() {
         let mut sim = Simulation::new(0);
-        let id = sim.add_node(Echo { seen: 41 }, city("Miami").unwrap().pos);
+        let id = sim.add_node(Echo { seen: 41 }, addr(&sim), city("Miami").unwrap().pos);
         sim.node_mut::<Echo>(id).unwrap().seen += 1;
         assert_eq!(sim.node_mut::<Echo>(id).unwrap().seen, 42);
         // Wrong type downcast returns None.
         assert!(sim.node_mut::<Pinger>(id).is_none());
+    }
+
+    /// Records, per packet, the sender's address and the node at `ask`.
+    struct Whois {
+        ask: IpAddr,
+        seen: Vec<(Option<IpAddr>, Option<NodeId>)>,
+    }
+
+    impl Node for Whois {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+            self.seen
+                .push((ctx.addr_of(pkt.src), ctx.node_of(self.ask)));
+        }
+    }
+
+    #[test]
+    fn a_handler_reads_back_the_addresses_nodes_were_added_at() {
+        let mut sim = Simulation::new(2);
+        let pos = city("Paris").unwrap().pos;
+        let (a_addr, b_addr, nobody): (IpAddr, IpAddr, IpAddr) = (
+            "192.0.2.7".parse().unwrap(),
+            "2001:db8::53".parse().unwrap(),
+            "198.51.100.1".parse().unwrap(),
+        );
+        let whois = |ask| Whois {
+            ask,
+            seen: Vec::new(),
+        };
+        let a = sim.add_node(whois(b_addr), a_addr, pos);
+        let b = sim.add_node(whois(a_addr), b_addr, pos);
+        let c = sim.add_node(whois(nobody), addr(&sim), pos);
+        sim.inject(a, b, vec![1], SimDuration::ZERO);
+        sim.inject(b, a, vec![2], SimDuration::ZERO);
+        sim.inject(a, c, vec![3], SimDuration::ZERO);
+        sim.run();
+        assert_eq!(
+            sim.node_mut::<Whois>(b).unwrap().seen,
+            [(Some(a_addr), Some(a))]
+        );
+        assert_eq!(
+            sim.node_mut::<Whois>(a).unwrap().seen,
+            [(Some(b_addr), Some(b))]
+        );
+        assert_eq!(
+            sim.node_mut::<Whois>(c).unwrap().seen,
+            [(Some(a_addr), None)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "192.0.2.7 is already the address of NodeId(0)")]
+    fn adding_a_node_at_a_taken_address_panics() {
+        let mut sim = Simulation::new(2);
+        let pos = city("Paris").unwrap().pos;
+        let taken: IpAddr = "192.0.2.7".parse().unwrap();
+        sim.add_node(Echo { seen: 0 }, taken, pos);
+        sim.add_node(Echo { seen: 0 }, taken, pos);
+    }
+
+    /// Arms one timer `after` its start and records when each hook ran.
+    struct Starter {
+        after: SimDuration,
+        started_at: Option<SimTime>,
+        fired: Vec<(u64, SimTime)>,
+    }
+
+    impl Node for Starter {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.started_at = Some(ctx.now());
+            ctx.set_timer(self.after, 7);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+            self.fired.push((token, ctx.now()));
+        }
+        fn on_packet(&mut self, _p: Packet, _c: &mut Ctx) {}
+    }
+
+    #[test]
+    fn a_node_added_mid_run_starts_at_the_clock_of_its_addition() {
+        let mut sim = Simulation::new(3);
+        let pos = city("Paris").unwrap().pos;
+        let starter = |after| Starter {
+            after,
+            started_at: None,
+            fired: Vec::new(),
+        };
+        let first = sim.add_node(starter(SimDuration::from_secs(5)), addr(&sim), pos);
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        let late = sim.add_node(starter(SimDuration::from_secs(2)), addr(&sim), pos);
+        assert!(sim.events_pending(), "on_start armed its timer at once");
+        sim.run();
+        let late = sim.node_mut::<Starter>(late).unwrap();
+        assert_eq!(late.started_at, Some(SimTime::from_secs(5)));
+        assert_eq!(late.fired, [(7, SimTime::from_secs(7))]);
+        let first = sim.node_mut::<Starter>(first).unwrap();
+        assert_eq!(first.started_at, Some(SimTime::ZERO));
+        assert_eq!(first.fired, [(7, SimTime::from_secs(5))], "started once");
     }
 }

@@ -36,6 +36,7 @@ fn run_world(seed: u64, positions: &[(f64, f64)], bounces: u32) -> (u64, u64, Ve
                     received: 0,
                     trace: Vec::new(),
                 },
+                std::net::IpAddr::from([10, 0, 0, sim.node_count() as u8 + 1]),
                 GeoPoint::new(*lat, *lon),
             )
         })

@@ -5,24 +5,24 @@
 //! hidden resolver → egress resolver → authoritative — runs as real
 //! message exchanges with geographic latencies.
 //!
-//! All actors share an [`AddressBook`] (behind a `parking_lot::RwLock`)
-//! that maps simulated IP addresses to node ids. Queries are plain DNS
-//! wire bytes; malformed packets are dropped, as UDP servers do.
+//! Every node is added to the simulation at its IP address, and an actor
+//! translates between addresses and node ids through its [`Ctx`]. Queries
+//! are plain DNS wire bytes; malformed packets are dropped, as UDP servers
+//! do.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use authoritative::AuthServer;
 use dns_wire::{Message, Name};
-use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimTime, Transport};
-use parking_lot::RwLock;
+use netsim::{Ctx, Node, NodeId, Packet, SimTime, Transport};
 
 use crate::engine::{FlightKey, PendingQuery, Resolver, Step, UpstreamError};
 use crate::exchange::{Action, Exchange};
 
-/// Shared address directory type used by every actor.
-pub type SharedBook = Arc<RwLock<AddressBook>>;
+/// Panic message of an actor that finds a sender without an address:
+/// [`netsim::Simulation::add_node`] gives every node one.
+const UNADDRESSED: &str = "every simulated node has an address";
 
 /// The relay half of a forwarder: outstanding queries keyed by the fresh
 /// transaction id they went upstream under. Entries leave when the
@@ -124,7 +124,6 @@ pub struct EgressActor {
     /// Zone apex → authoritative server address, searched most-specific
     /// first.
     routes: Vec<(Name, IpAddr)>,
-    book: SharedBook,
     pending: HashMap<u16, PendingUpstream>,
     /// Coalescing index: flight key → owning pending id. Only populated
     /// when [`crate::config::OverloadConfig::coalesce`] is on.
@@ -154,7 +153,7 @@ fn send_msg(ctx: &mut Ctx, to: NodeId, msg: &Message) {
 
 impl EgressActor {
     /// Creates an egress actor.
-    pub fn new(mut resolver: Resolver, routes: Vec<(Name, IpAddr)>, book: SharedBook) -> Self {
+    pub fn new(mut resolver: Resolver, routes: Vec<(Name, IpAddr)>) -> Self {
         // The packet simulator carries UDP datagrams and nothing else, so
         // whatever ladder the resolver was configured with, this actor's
         // exchanges have one rung: a spent budget ends an exchange instead
@@ -165,7 +164,6 @@ impl EgressActor {
         EgressActor {
             resolver,
             routes,
-            book,
             pending: HashMap::new(),
             flights: HashMap::new(),
             ignored_replies: 0,
@@ -189,13 +187,13 @@ impl EgressActor {
     }
 
     /// The node of the authoritative responsible for `name`, when a route
-    /// exists and its address is bound.
-    fn route_for(&self, name: &Name) -> Option<NodeId> {
+    /// exists and a node sits at its address.
+    fn route_for(&self, name: &Name, ctx: &Ctx) -> Option<NodeId> {
         let (_, addr) = self
             .routes
             .iter()
             .find(|(apex, _)| name.is_subdomain_of(apex))?;
-        self.book.read().node_of(*addr)
+        ctx.node_of(*addr)
     }
 
     /// Carries out what the machine decided for outstanding exchange `id`:
@@ -254,11 +252,7 @@ impl Node for EgressActor {
             return;
         }
         // A downstream party (client, forwarder, hidden resolver) queries us.
-        let src_addr = self
-            .book
-            .read()
-            .addr_of(pkt.src)
-            .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED));
+        let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
         let pending = match self.resolver.begin(&msg, src_addr, ctx.now()) {
             Step::Answer(resp) => return send_msg(ctx, pkt.src, &resp),
             Step::NeedUpstream(pending) => pending,
@@ -280,7 +274,7 @@ impl Node for EgressActor {
         if max_in_flight.is_some_and(|cap| self.pending.len() >= cap) {
             return send_msg(ctx, pkt.src, &self.resolver.shed(&pending));
         }
-        let Some(auth_node) = self.route_for(&pending.question.name) else {
+        let Some(auth_node) = self.route_for(&pending.question.name, ctx) else {
             // Nowhere to send: a flight that failed before it started.
             let fail = self.resolver.answer_joiner(&pending, None, ctx.now());
             return send_msg(ctx, pkt.src, &fail);
@@ -322,13 +316,12 @@ impl Node for EgressActor {
 /// An authoritative server as a simulation node.
 pub struct AuthActor {
     server: AuthServer,
-    book: SharedBook,
 }
 
 impl AuthActor {
     /// Wraps a server.
-    pub fn new(server: AuthServer, book: SharedBook) -> Self {
-        AuthActor { server, book }
+    pub fn new(server: AuthServer) -> Self {
+        AuthActor { server }
     }
 
     /// The wrapped server (for log inspection).
@@ -350,11 +343,7 @@ impl Node for AuthActor {
         if msg.is_response() {
             return;
         }
-        let src_addr = self
-            .book
-            .read()
-            .addr_of(pkt.src)
-            .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED));
+        let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
         let resp = self.server.handle(&msg, src_addr, ctx.now());
         if let Ok(bytes) = resp.to_bytes() {
             ctx.send(pkt.src, bytes);
@@ -368,17 +357,15 @@ impl Node for AuthActor {
 pub struct FrontendActor {
     /// Egress resolvers of the service.
     pub egresses: Vec<NodeId>,
-    book: SharedBook,
     table: RelayTable,
     rr: usize,
 }
 
 impl FrontendActor {
     /// Creates a front-end.
-    pub fn new(egresses: Vec<NodeId>, book: SharedBook) -> Self {
+    pub fn new(egresses: Vec<NodeId>) -> Self {
         FrontendActor {
             egresses,
-            book,
             table: RelayTable::new(),
             rr: 0,
         }
@@ -399,12 +386,11 @@ impl Node for FrontendActor {
         }
         // Stamp the real client address as a full-length trusted ECS
         // option (the egress applies its own truncation policy).
-        if let Some(client_addr) = self.book.read().addr_of(pkt.src) {
-            msg.set_ecs(dns_wire::EcsOption::new(
-                client_addr,
-                if client_addr.is_ipv4() { 32 } else { 128 },
-            ));
-        }
+        let client_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
+        msg.set_ecs(dns_wire::EcsOption::new(
+            client_addr,
+            if client_addr.is_ipv4() { 32 } else { 128 },
+        ));
         let egress = self.egresses[self.rr % self.egresses.len()];
         self.rr += 1;
         if let Ok(bytes) = msg.to_bytes() {
@@ -433,8 +419,8 @@ impl ClientActor {
     /// Gap between retransmissions.
     pub const RETRY_TIMEOUT: netsim::SimDuration = netsim::SimDuration::from_secs(3);
 
-    /// Creates a scripted client. Call [`ClientActor::arm`] after adding
-    /// the node to schedule its queries.
+    /// Creates a scripted client; adding it to the simulation schedules
+    /// its queries.
     pub fn new(resolver: NodeId, script: Vec<(SimTime, Message)>) -> Self {
         let answered = vec![false; script.len()];
         ClientActor {
@@ -444,32 +430,23 @@ impl ClientActor {
             answered,
         }
     }
+}
 
+impl Node for ClientActor {
     /// Schedules the send (and retransmission) timers for every scripted
-    /// query. `self_id` is the node id returned by `add_node`. Timer token
-    /// = `index * (MAX_RETRIES+1) + attempt`.
-    pub fn arm(sim: &mut netsim::Simulation, self_id: NodeId) {
-        let times: Vec<SimTime> = sim
-            .node_mut::<ClientActor>(self_id)
-            .expect("client actor")
-            .script
-            .iter()
-            .map(|(t, _)| *t)
-            .collect();
+    /// query. Timer token = `index * (MAX_RETRIES+1) + attempt`.
+    fn on_start(&mut self, ctx: &mut Ctx) {
         let slots = Self::MAX_RETRIES + 1;
-        for (i, at) in times.into_iter().enumerate() {
+        for (i, (at, _)) in self.script.iter().enumerate() {
             for attempt in 0..slots {
-                sim.inject_timer(
-                    self_id,
-                    at.since(SimTime::ZERO) + Self::RETRY_TIMEOUT.mul(attempt),
+                ctx.set_timer(
+                    at.since(ctx.now()) + Self::RETRY_TIMEOUT.mul(attempt),
                     i as u64 * slots + attempt,
                 );
             }
         }
     }
-}
 
-impl Node for ClientActor {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         if let Ok(msg) = Message::from_bytes(&pkt.payload) {
             if msg.is_response() {
@@ -521,7 +498,6 @@ mod tests {
     /// chain, verified end to end.
     #[test]
     fn full_chain_resolution_with_hidden_resolver() {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(11);
 
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -539,38 +515,36 @@ mod tests {
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::SourceMinusK(4)));
         let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
+            AuthActor::new(auth),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
 
         let resolver = Resolver::new(ResolverConfig::rfc_compliant(egress_addr));
         let egress_node = sim.add_node(
-            EgressActor::new(
-                resolver,
-                vec![(name("probe.example"), auth_addr)],
-                book.clone(),
-            ),
+            EgressActor::new(resolver, vec![(name("probe.example"), auth_addr)]),
+            egress_addr,
             city("Dallas").unwrap().pos,
         );
 
-        let hidden_node = sim.add_node(RelayActor::new(egress_node), city("Milan").unwrap().pos);
-        let fwd_node = sim.add_node(RelayActor::new(hidden_node), city("Santiago").unwrap().pos);
+        let hidden_node = sim.add_node(
+            RelayActor::new(egress_node),
+            hidden_addr,
+            city("Milan").unwrap().pos,
+        );
+        let fwd_node = sim.add_node(
+            RelayActor::new(hidden_node),
+            fwd_addr,
+            city("Santiago").unwrap().pos,
+        );
 
         let query = Message::query(77, Question::a(name("www.probe.example")));
         let client_node = sim.add_node(
             ClientActor::new(fwd_node, vec![(SimTime::ZERO, query)]),
+            client_addr,
             city("Santiago").unwrap().pos,
         );
 
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind(hidden_addr, hidden_node);
-            b.bind(fwd_addr, fwd_node);
-            b.bind(client_addr, client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         sim.run();
 
         // Client got an answer.
@@ -595,7 +569,6 @@ mod tests {
 
     #[test]
     fn frontend_stamps_client_ecs() {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(5);
 
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -612,7 +585,8 @@ mod tests {
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
         let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
+            AuthActor::new(auth),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
         // Anycast egress trusts frontend ECS and truncates to /24.
@@ -620,27 +594,21 @@ mod tests {
             EgressActor::new(
                 Resolver::new(ResolverConfig::anycast_service_egress(egress_addr)),
                 vec![(name("probe.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             city("Dallas").unwrap().pos,
         );
         let fe_node = sim.add_node(
-            FrontendActor::new(vec![egress_node], book.clone()),
+            FrontendActor::new(vec![egress_node]),
+            fe_addr,
             city("Toronto").unwrap().pos,
         );
         let query = Message::query(5, Question::a(name("www.probe.example")));
         let client_node = sim.add_node(
             ClientActor::new(fe_node, vec![(SimTime::ZERO, query)]),
+            client_addr,
             city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind(fe_addr, fe_node);
-            b.bind(client_addr, client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         sim.run();
 
         let auth_actor = sim.node_mut::<AuthActor>(auth_node).unwrap();
@@ -655,7 +623,6 @@ mod tests {
 
     #[test]
     fn cached_second_query_is_faster_and_skips_authoritative() {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(5);
 
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -670,16 +637,13 @@ mod tests {
         )
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
-        let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
-            city("Tokyo").unwrap().pos,
-        );
+        let auth_node = sim.add_node(AuthActor::new(auth), auth_addr, city("Tokyo").unwrap().pos);
         let egress_node = sim.add_node(
             EgressActor::new(
                 Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
                 vec![(name("probe.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             city("Toronto").unwrap().pos,
         );
         let q1 = Message::query(1, Question::a(name("www.probe.example")));
@@ -692,15 +656,9 @@ mod tests {
                     (SimTime::ZERO + SimDuration::from_secs(2), q2),
                 ],
             ),
+            client_addr,
             city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind(client_addr, client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         sim.run();
 
         let auth_actor = sim.node_mut::<AuthActor>(auth_node).unwrap();
@@ -739,7 +697,6 @@ mod retry_tests {
         loss: f64,
         seed: u64,
     ) -> (Simulation, NodeId, NodeId, NodeId) {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(seed);
         sim.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(loss)));
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -755,7 +712,8 @@ mod retry_tests {
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
         let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
+            AuthActor::new(auth),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
         let egress_node = sim.add_node(
@@ -765,22 +723,16 @@ mod retry_tests {
                     ..ResolverConfig::rfc_compliant(egress_addr)
                 }),
                 vec![(name("probe.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             city("Toronto").unwrap().pos,
         );
         let q = Message::query(42, Question::a(name("www.probe.example")));
         let client_node = sim.add_node(
             ClientActor::new(egress_node, vec![(SimTime::ZERO, q)]),
+            client_addr,
             city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind(client_addr, client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         (sim, client_node, auth_node, egress_node)
     }
 
@@ -895,8 +847,9 @@ mod overload_tests {
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::{Question, Rcode};
     use netsim::geo::city;
-    use netsim::{AddressBook, SimDuration, SimTime, Simulation};
+    use netsim::{SimDuration, SimTime, Simulation};
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     fn name(s: &str) -> Name {
         Name::from_ascii(s).unwrap()
@@ -906,7 +859,6 @@ mod overload_tests {
     /// in one /24 all asking the same name at t=0 (concurrently: every
     /// query arrives before the first upstream answer returns).
     fn burst_world(config: ResolverConfig, n: usize) -> (Simulation, Vec<NodeId>, NodeId, NodeId) {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(3);
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
         let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
@@ -920,15 +872,16 @@ mod overload_tests {
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
         let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
+            AuthActor::new(auth),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
         let egress_node = sim.add_node(
             EgressActor::new(
                 Resolver::new(config),
                 vec![(name("probe.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             city("Toronto").unwrap().pos,
         );
         let mut clients = Vec::new();
@@ -936,19 +889,10 @@ mod overload_tests {
             let q = Message::query(i as u16 + 1, Question::a(name("www.probe.example")));
             let node = sim.add_node(
                 ClientActor::new(egress_node, vec![(SimTime::ZERO, q)]),
+                format!("100.70.1.{}", i + 1).parse().unwrap(),
                 city("Toronto").unwrap().pos,
             );
-            book.write()
-                .bind(format!("100.70.1.{}", i + 1).parse().unwrap(), node);
             clients.push(node);
-        }
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-        }
-        for &c in &clients {
-            ClientActor::arm(&mut sim, c);
         }
         (sim, clients, auth_node, egress_node)
     }
@@ -1089,7 +1033,6 @@ mod overload_tests {
     /// A world for the serve-stale test: one client scripted with a warm-up
     /// query at t=0 and a re-ask at t=120 (past the 60 s record TTL).
     fn build_stale_world(config: ResolverConfig) -> (Simulation, Vec<NodeId>, NodeId, NodeId) {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(3);
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
         let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
@@ -1103,15 +1046,16 @@ mod overload_tests {
         .unwrap();
         let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
         let auth_node = sim.add_node(
-            AuthActor::new(auth, book.clone()),
+            AuthActor::new(auth),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
         let egress_node = sim.add_node(
             EgressActor::new(
                 Resolver::new(config),
                 vec![(name("probe.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             city("Toronto").unwrap().pos,
         );
         let q1 = Message::query(1, Question::a(name("www.probe.example")));
@@ -1121,15 +1065,9 @@ mod overload_tests {
                 egress_node,
                 vec![(SimTime::ZERO, q1), (SimTime::from_secs(120), q2)],
             ),
+            "100.70.1.1".parse().unwrap(),
             city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind("100.70.1.1".parse().unwrap(), client);
-        }
-        ClientActor::arm(&mut sim, client);
         (sim, vec![client], auth_node, egress_node)
     }
 }
@@ -1150,7 +1088,6 @@ mod frontend_tests {
 
     #[test]
     fn frontend_round_robins_across_egresses() {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(2);
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
 
@@ -1164,10 +1101,11 @@ mod frontend_tests {
             .unwrap();
         }
         let auth_node = sim.add_node(
-            AuthActor::new(
-                AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource)),
-                book.clone(),
-            ),
+            AuthActor::new(AuthServer::new(
+                zone,
+                EcsHandling::open(ScopePolicy::MatchSource),
+            )),
+            auth_addr,
             city("Chicago").unwrap().pos,
         );
 
@@ -1178,15 +1116,15 @@ mod frontend_tests {
                 EgressActor::new(
                     Resolver::new(ResolverConfig::anycast_service_egress(addr)),
                     vec![(name("probe.example"), auth_addr)],
-                    book.clone(),
                 ),
+                addr,
                 city("Dallas").unwrap().pos,
             );
-            book.write().bind(addr, node);
             egresses.push(node);
         }
         let fe_node = sim.add_node(
-            FrontendActor::new(egresses.clone(), book.clone()),
+            FrontendActor::new(egresses.clone()),
+            "100.66.9.9".parse().unwrap(),
             city("Toronto").unwrap().pos,
         );
         // Four distinct-name queries → strict alternation across the two
@@ -1204,15 +1142,9 @@ mod frontend_tests {
             .collect();
         let client_node = sim.add_node(
             ClientActor::new(fe_node, script),
+            "100.66.1.1".parse().unwrap(),
             city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind("100.66.9.9".parse().unwrap(), fe_node);
-            b.bind("100.66.1.1".parse().unwrap(), client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         sim.run();
 
         let c = sim.node_mut::<ClientActor>(client_node).unwrap();
@@ -1248,7 +1180,13 @@ mod relay_tests {
         };
         relay.on_packet(
             pkt,
-            &mut Ctx::new(SimTime::ZERO, RELAY, &mut actions, &mut rng),
+            &mut Ctx::new(
+                SimTime::ZERO,
+                RELAY,
+                &netsim::AddressBook::new(),
+                &mut actions,
+                &mut rng,
+            ),
         );
         actions
             .into_iter()

@@ -278,9 +278,7 @@ pub struct EcsCache {
     /// Hashed with Fx, the hash [`crate::SharedEcsCache`] picks the shard
     /// by: a name is one `write` of its folded bytes either way.
     entries: FxHashMap<Key, NameList>,
-    /// Boxed so that the cache itself stays small enough to sit inline in
-    /// the engine's owned-or-shared slot.
-    index: Box<Index>,
+    index: Index,
     compliance: CacheCompliance,
     /// When false, responses with scope 0 are not cached at all — the
     /// misconfigured-resolver behaviour from §6.3's last bullet.
@@ -301,7 +299,7 @@ impl EcsCache {
     pub fn with_limits(compliance: CacheCompliance, limits: CacheLimits) -> Self {
         EcsCache {
             entries: FxHashMap::default(),
-            index: Box::new(Index::new(limits.max_entries.is_some())),
+            index: Index::new(limits.max_entries.is_some()),
             compliance,
             cache_zero_scope: true,
             stats: CacheMetrics::new(),
@@ -516,7 +514,7 @@ impl EcsCache {
         };
         let horizon = entry.expires + self.limits.stale_ttl;
         let key = (qname, qtype);
-        let index = &mut *self.index;
+        let index = &mut self.index;
         index.enter(&entry, &key);
         let list = match self.entries.entry(key) {
             Slot::Occupied(mut slot) => {
@@ -582,7 +580,7 @@ impl EcsCache {
     /// Clears everything (stats survive).
     pub fn clear(&mut self) {
         self.entries.clear();
-        *self.index = Index::new(self.index.recency.is_some());
+        self.index = Index::new(self.index.recency.is_some());
     }
 
     /// Evicts least-recently-used entries until the entry bound holds.

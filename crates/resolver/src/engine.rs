@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use authoritative::AuthServer;
 use dns_wire::{Message, Name, Rcode};
-use netsim::SimTime;
+use netsim::{SimTime, Transport};
 use obs::{EventKind, TraceCtx, Tracer};
 
 use crate::cache::CacheStats;
@@ -39,10 +39,9 @@ pub enum UpstreamError {
     /// case RFC 7871 §7.1.3 tells resolvers to treat as possible ECS
     /// intolerance.
     Timeout,
-    /// The reply arrived truncated (TC) and unusable over UDP; carries the
-    /// truncated message so callers can inspect it before retrying over
-    /// TCP.
-    Truncated(Box<Message>),
+    /// The reply arrived truncated (TC) and unusable over UDP: the
+    /// exchange moves to a stream transport.
+    Truncated,
     /// The transport itself failed and the failure is best classified by
     /// an RCODE (e.g. an ICMP-unreachable mapped to SERVFAIL by a stub).
     Rcode(Rcode),
@@ -52,7 +51,7 @@ impl std::fmt::Display for UpstreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             UpstreamError::Timeout => write!(f, "upstream query timed out"),
-            UpstreamError::Truncated(_) => write!(f, "upstream reply truncated"),
+            UpstreamError::Truncated => write!(f, "upstream reply truncated"),
             UpstreamError::Rcode(rc) => write!(f, "upstream transport failure ({rc:?})"),
         }
     }
@@ -68,55 +67,38 @@ impl std::error::Error for UpstreamError {}
 /// In-process upstreams (an [`AuthServer`], a [`ZoneRouter`]) are
 /// infallible and always return `Ok`.
 pub trait Upstream {
-    /// Performs one upstream exchange: the resolver at `from` sends `q`,
-    /// the authoritative side answers.
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError>;
-
-    /// Retries an exchange over TCP after a truncated UDP reply (RFC 7766).
-    /// Defaults to [`Upstream::query`] — correct for upstreams that never
-    /// truncate; socket-backed implementations override this with a real
-    /// TCP exchange.
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        self.query(q, from, now)
-    }
-
-    /// Performs one exchange over an explicit transport (the ladder rungs
-    /// of [`crate::TransportPolicy`]). The default maps the datagram
-    /// transport to [`Upstream::query`] and every stream transport (TCP,
-    /// DoT) to [`Upstream::query_tcp`] — correct for upstreams that
-    /// don't model transports; transport-aware implementations
-    /// ([`crate::TransportUpstream`]) override this.
+    /// Performs one upstream exchange over `transport` (a rung of the
+    /// [`crate::TransportPolicy`] ladder): the resolver at `from` sends
+    /// `q`, the authoritative side answers. Upstreams that do not model
+    /// transports serve every stream transport (TCP, DoT) alike, as a
+    /// framed exchange that is never truncated (RFC 7766).
     fn query_via(
         &mut self,
         q: &Message,
         from: IpAddr,
         now: SimTime,
-        transport: netsim::Transport,
-    ) -> Result<Message, UpstreamError> {
-        match transport {
-            netsim::Transport::Udp => self.query(q, from, now),
-            _ => self.query_tcp(q, from, now),
-        }
+        transport: Transport,
+    ) -> Result<Message, UpstreamError>;
+
+    /// One exchange over UDP.
+    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
+        self.query_via(q, from, now, Transport::Udp)
     }
 }
 
 impl Upstream for AuthServer {
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
-        Ok(self.handle(q, from, now))
-    }
-
-    fn query_tcp(
+    fn query_via(
         &mut self,
         q: &Message,
         from: IpAddr,
         now: SimTime,
+        transport: Transport,
     ) -> Result<Message, UpstreamError> {
-        Ok(self.handle_stream(q, from, now))
+        Ok(if transport.is_stream() {
+            self.handle_stream(q, from, now)
+        } else {
+            self.handle(q, from, now)
+        })
     }
 }
 
@@ -155,35 +137,28 @@ impl ZoneRouter {
     pub fn servers(&self) -> impl Iterator<Item = &AuthServer> {
         self.routes.iter().map(|(_, s)| s)
     }
+}
 
-    /// Answers `q` from the server responsible for its name, through
-    /// `serve`; REFUSED when no zone matches, FORMERR without a question.
-    fn route(&mut self, q: &Message, serve: impl FnOnce(&mut AuthServer) -> Message) -> Message {
+impl Upstream for ZoneRouter {
+    /// Answers `q` from the server responsible for its name; REFUSED when
+    /// no zone matches, FORMERR without a question.
+    fn query_via(
+        &mut self,
+        q: &Message,
+        from: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Message, UpstreamError> {
         let rcode = match q.question() {
             Some(qq) => match self.server_for(&qq.name) {
-                Some(server) => return serve(server),
+                Some(server) => return server.query_via(q, from, now, transport),
                 None => Rcode::Refused,
             },
             None => Rcode::FormErr,
         };
         let mut resp = Message::response_to(q);
         resp.rcode = rcode;
-        resp
-    }
-}
-
-impl Upstream for ZoneRouter {
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
-        Ok(self.route(q, |server| server.handle(q, from, now)))
-    }
-
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        Ok(self.route(q, |server| server.handle_stream(q, from, now)))
+        Ok(resp)
     }
 }
 
@@ -1158,12 +1133,17 @@ mod retry_tests {
     }
 
     impl Upstream for Scripted {
-        fn query(
+        fn query_via(
             &mut self,
             q: &Message,
             from: IpAddr,
             now: SimTime,
+            transport: Transport,
         ) -> Result<Message, UpstreamError> {
+            if transport.is_stream() {
+                self.tcp_calls += 1;
+                return Ok(self.inner.handle(q, from, now));
+            }
             self.udp_log.push((q.ecs().is_some(), now));
             match self.script.pop_front() {
                 Some(Act::Fail(e)) => Err(e),
@@ -1174,16 +1154,6 @@ mod retry_tests {
                 }
                 Some(Act::Answer) | None => Ok(self.inner.handle(q, from, now)),
             }
-        }
-
-        fn query_tcp(
-            &mut self,
-            q: &Message,
-            from: IpAddr,
-            now: SimTime,
-        ) -> Result<Message, UpstreamError> {
-            self.tcp_calls += 1;
-            Ok(self.inner.handle(q, from, now))
         }
     }
 
@@ -1240,9 +1210,7 @@ mod retry_tests {
 
     #[test]
     fn truncated_error_falls_back_to_tcp() {
-        let mut up = Scripted::new(vec![Act::Fail(UpstreamError::Truncated(Box::new(
-            Message::response_to(&q()),
-        )))]);
+        let mut up = Scripted::new(vec![Act::Fail(UpstreamError::Truncated)]);
         let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
         let resp = r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
         assert_eq!(resp.answers.len(), 1);
@@ -1373,11 +1341,12 @@ mod retry_tests {
         // failure to paper over too.
         struct ServFailer;
         impl Upstream for ServFailer {
-            fn query(
+            fn query_via(
                 &mut self,
                 q: &Message,
                 _from: IpAddr,
                 _now: SimTime,
+                _transport: Transport,
             ) -> Result<Message, UpstreamError> {
                 let mut resp = Message::response_to(q);
                 resp.rcode = Rcode::ServFail;

@@ -130,7 +130,7 @@ impl Resolver {
             Ok(resp) if resp.flags.tc && !transport.is_stream() => {
                 self.on_truncated(ex, false, now)
             }
-            Err(UpstreamError::Truncated(_)) => self.on_truncated(ex, true, now),
+            Err(UpstreamError::Truncated) => self.on_truncated(ex, true, now),
             Ok(resp)
                 if resp.rcode == Rcode::FormErr
                     && self.config.retry.withdraw_ecs_on_formerr

@@ -18,15 +18,15 @@
 //! [`LinkFaults::NONE`] and an empty script behaves *bit-identically* to
 //! the bare inner upstream.
 //!
-//! TCP ([`Upstream::query_tcp`]) models RFC 7766 semantics: truncation and
+//! Stream transports (TCP, DoT) model RFC 7766 semantics: truncation and
 //! UDP loss do not apply (the stream either works or the host is
-//! unreachable), so only a blackhole affects it.
+//! unreachable), so only a blackhole affects them.
 
 use std::collections::VecDeque;
 use std::net::IpAddr;
 
 use dns_wire::{Message, Rcode};
-use netsim::{LinkFaults, SimTime};
+use netsim::{LinkFaults, SimTime, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,8 +38,8 @@ pub enum InjectedFault {
     /// The attempt goes unanswered (query or reply lost): the inner
     /// upstream is not consulted at all.
     Timeout,
-    /// The reply comes back truncated: TC set, records stripped, surfaced
-    /// as [`UpstreamError::Truncated`].
+    /// The reply comes back truncated (TC), surfaced as
+    /// [`UpstreamError::Truncated`].
     Truncate,
     /// The server answers SERVFAIL in-band (records stripped).
     ServFail,
@@ -64,7 +64,7 @@ pub struct InjectionStats {
     pub formerr: u64,
     /// UDP attempts that passed through unharmed.
     pub passed: u64,
-    /// TCP exchanges served.
+    /// Stream (TCP, DoT) exchanges served.
     pub tcp: u64,
 }
 
@@ -136,18 +136,34 @@ impl<U: Upstream> FaultyUpstream<U> {
 }
 
 impl<U: Upstream> Upstream for FaultyUpstream<U> {
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
+    fn query_via(
+        &mut self,
+        q: &Message,
+        from: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Message, UpstreamError> {
+        if transport.is_stream() {
+            // RFC 7766: the stream is immune to UDP loss and truncation;
+            // only a blackholed host stays unreachable.
+            if self.faults.blackhole {
+                self.stats.timeouts += 1;
+                return Err(UpstreamError::Timeout);
+            }
+            self.stats.tcp += 1;
+            return self.inner.query_via(q, from, now, transport);
+        }
         match self.next_fault() {
             InjectedFault::Timeout => {
                 self.stats.timeouts += 1;
                 Err(UpstreamError::Timeout)
             }
             InjectedFault::Truncate => {
+                // The server still answers (and logs) the query; its reply
+                // comes back unusable.
                 self.stats.truncated += 1;
-                let mut resp = self.inner.query(q, from, now)?;
-                resp.flags.tc = true;
-                resp.answers.clear();
-                Err(UpstreamError::Truncated(Box::new(resp)))
+                self.inner.query(q, from, now)?;
+                Err(UpstreamError::Truncated)
             }
             InjectedFault::ServFail => {
                 self.stats.servfail += 1;
@@ -168,22 +184,6 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 self.inner.query(q, from, now)
             }
         }
-    }
-
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        // RFC 7766: the stream is immune to UDP loss and truncation; only a
-        // blackholed host stays unreachable.
-        if self.faults.blackhole {
-            self.stats.timeouts += 1;
-            return Err(UpstreamError::Timeout);
-        }
-        self.stats.tcp += 1;
-        self.inner.query_tcp(q, from, now)
     }
 }
 

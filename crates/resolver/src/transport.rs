@@ -192,8 +192,10 @@ impl<U: Upstream> TransportUpstream<U> {
     pub fn stats(&self) -> TransportStats {
         self.model.stats()
     }
+}
 
-    fn exchange(
+impl<U: Upstream> Upstream for TransportUpstream<U> {
+    fn query_via(
         &mut self,
         q: &Message,
         from: IpAddr,
@@ -212,7 +214,7 @@ impl<U: Upstream> TransportUpstream<U> {
         if transport.is_stream() {
             // Streams carry any size; simulated DoT differs from TCP only
             // in handshake cost, so both use the framed path.
-            return self.inner.query_tcp(q, from, at);
+            return self.inner.query_via(q, from, at, transport);
         }
         let resp = self.inner.query(q, from, at)?;
         if resp.flags.tc {
@@ -230,39 +232,9 @@ impl<U: Upstream> TransportUpstream<U> {
         let rng = &mut self.rng;
         match model.datagram_fate(wire_len, advertised, || rng.gen::<f64>()) {
             DatagramFate::Deliver => Ok(resp),
-            DatagramFate::Truncate => {
-                let mut tc = resp;
-                tc.flags.tc = true;
-                tc.answers.clear();
-                Err(UpstreamError::Truncated(Box::new(tc)))
-            }
+            DatagramFate::Truncate => Err(UpstreamError::Truncated),
             DatagramFate::FragmentDrop => Err(UpstreamError::Timeout),
         }
-    }
-}
-
-impl<U: Upstream> Upstream for TransportUpstream<U> {
-    fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
-        self.exchange(q, from, now, Transport::Udp)
-    }
-
-    fn query_tcp(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-    ) -> Result<Message, UpstreamError> {
-        self.exchange(q, from, now, Transport::Tcp)
-    }
-
-    fn query_via(
-        &mut self,
-        q: &Message,
-        from: IpAddr,
-        now: SimTime,
-        transport: Transport,
-    ) -> Result<Message, UpstreamError> {
-        self.exchange(q, from, now, transport)
     }
 }
 
@@ -323,11 +295,12 @@ mod tests {
     /// the decorator's alone (a real [`AuthServer`] truncates for itself).
     struct OversizeAnswerer(usize);
     impl Upstream for OversizeAnswerer {
-        fn query(
+        fn query_via(
             &mut self,
             q: &Message,
             _from: IpAddr,
             _now: SimTime,
+            _transport: Transport,
         ) -> Result<Message, UpstreamError> {
             let mut resp = Message::response_to(q);
             for i in 0..self.0 {
@@ -345,12 +318,10 @@ mod tests {
     fn oversize_answers_truncate_against_the_advertised_buffer() {
         // 60 A records ≈ 960+ bytes of rdata: bigger than a 512 buffer.
         let mut up = TransportUpstream::new(OversizeAnswerer(60), 7);
-        let err = up.query(&query(512), RES, SimTime::ZERO).unwrap_err();
-        let UpstreamError::Truncated(tc) = err else {
-            panic!("expected truncation, got {err:?}");
-        };
-        assert!(tc.flags.tc);
-        assert!(tc.answers.is_empty());
+        assert_eq!(
+            up.query(&query(512), RES, SimTime::ZERO).unwrap_err(),
+            UpstreamError::Truncated
+        );
         assert_eq!(up.stats().truncated, 1);
         // The same answer fits a 4096 buffer (and the 1500 MTU is only
         // fragmentation, which is lossless by default).
@@ -380,7 +351,9 @@ mod tests {
             UpstreamError::Timeout
         );
         // The stream side of the same path is immune.
-        let resp = up.query_tcp(&query(4096), RES, SimTime::ZERO).unwrap();
+        let resp = up
+            .query_via(&query(4096), RES, SimTime::ZERO, Transport::Tcp)
+            .unwrap();
         assert_eq!(resp.answers.len(), 60);
         assert_eq!(up.stats().fragments_dropped, 1);
     }
@@ -410,11 +383,12 @@ mod tests {
         // An upstream that records when queries reach it.
         struct ArrivalProbe(Vec<u64>);
         impl Upstream for ArrivalProbe {
-            fn query(
+            fn query_via(
                 &mut self,
                 q: &Message,
                 _from: IpAddr,
                 now: SimTime,
+                _transport: Transport,
             ) -> Result<Message, UpstreamError> {
                 self.0.push(now.as_micros());
                 Ok(Message::response_to(q))

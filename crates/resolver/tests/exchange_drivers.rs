@@ -19,11 +19,10 @@ use std::sync::Arc;
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question, Rcode, Rdata, Record};
 use netsim::geo::city;
-use netsim::{AddressBook, Ctx, Node, NodeId, Packet, SimDuration, SimTime, Simulation, Transport};
-use parking_lot::RwLock;
+use netsim::{Ctx, Node, NodeId, Packet, SimDuration, SimTime, Simulation, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use resolver::actors::{EgressActor, SharedBook};
+use resolver::actors::EgressActor;
 use resolver::{
     Action, FaultyUpstream, InjectedFault, PendingQuery, ProbingStrategy, Resolver, ResolverConfig,
     ResolverStats, Step, TransportPolicy, Upstream, UpstreamError,
@@ -249,13 +248,12 @@ fn run_sync(case: &Case) -> Outcome {
 /// datagram that never comes back.
 struct ScriptedAuth {
     upstream: FaultyUpstream<AuthServer>,
-    book: SharedBook,
 }
 
 impl Node for ScriptedAuth {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         let msg = Message::from_bytes(&pkt.payload).expect("egress sends valid DNS");
-        let from = self.book.read().addr_of(pkt.src).expect("egress is bound");
+        let from = ctx.addr_of(pkt.src).expect("the egress has an address");
         if let Ok(resp) = self.upstream.query(&msg, from, ctx.now()) {
             ctx.send(pkt.src, resp.to_bytes().expect("encodes"));
         }
@@ -284,7 +282,6 @@ impl Node for Stub {
 
 struct World {
     sim: Simulation,
-    book: SharedBook,
     /// One stub per client address, in the order given.
     stubs: Vec<NodeId>,
     egress: NodeId,
@@ -300,40 +297,31 @@ fn world(
     routes: Vec<(Name, IpAddr)>,
     clients: &[IpAddr],
 ) -> World {
-    let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
     let mut sim = Simulation::new(1);
     let pos = city("Toronto").expect("known city").pos;
     let auth = sim.add_node(
         ScriptedAuth {
             upstream: FaultyUpstream::scripted(auth(), script.to_vec()),
-            book: book.clone(),
         },
+        AUTH,
         city("Chicago").expect("known city").pos,
     );
-    let egress = sim.add_node(EgressActor::new(resolver, routes, book.clone()), pos);
+    let egress = sim.add_node(EgressActor::new(resolver, routes), EGRESS, pos);
     let stubs: Vec<NodeId> = clients
         .iter()
-        .map(|_| {
+        .map(|&addr| {
             sim.add_node(
                 Stub {
                     egress,
                     responses: Vec::new(),
                 },
+                addr,
                 pos,
             )
         })
         .collect();
-    {
-        let mut b = book.write();
-        b.bind(AUTH, auth);
-        b.bind(EGRESS, egress);
-        for (addr, stub) in clients.iter().zip(&stubs) {
-            b.bind(*addr, *stub);
-        }
-    }
     World {
         sim,
-        book,
         stubs,
         egress,
         auth,
@@ -448,10 +436,11 @@ fn reply_from_a_third_node_with_the_right_id_is_ignored() {
         &[CLIENT],
     );
     let pos = city("Toronto").expect("known city").pos;
-    let spoofer = w.sim.add_node(Spoofer { egress: w.egress }, pos);
-    w.book
-        .write()
-        .bind(IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)), spoofer);
+    let spoofer = w.sim.add_node(
+        Spoofer { egress: w.egress },
+        IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)),
+        pos,
+    );
     w.sim.inject_timer(w.stubs[0], SimDuration::ZERO, 1);
     w.sim.inject_timer(spoofer, SimDuration::from_secs(1), 1);
     w.sim.run();

@@ -7,9 +7,12 @@
 //! breakers, retry budget, accounting, `scanner_*` telemetry) stays in
 //! [`crate::pipeline`], and this module holds only what the simulator
 //! otherwise provides: the socket, the `NodeId ↔ SocketAddr` table, the
-//! wall-clock → [`SimTime`] epoch and the timer heap. Timers are never
-//! cancelled; a token armed for a probe that has since left dies on the
-//! slot generation, exactly as under the simulator.
+//! wall-clock → [`SimTime`] epoch and the timer heap. The node is started
+//! as the simulator starts it, through [`Node::on_start`], and is lent an
+//! empty [`AddressBook`]: its peers are socket addresses in the table, and
+//! it asks the book for neither direction. Timers are never cancelled; a
+//! token armed for a probe that has since left dies on the slot
+//! generation, exactly as under the simulator.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -17,11 +20,11 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-use netsim::{Action, Ctx, Node, NodeId, Packet, SimTime};
+use netsim::{Action, AddressBook, Ctx, Node, NodeId, Packet, SimTime};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pipeline::{ScanStats, ScannerNode, PUMP};
+use crate::pipeline::{ScanStats, ScannerNode};
 
 /// The scanner's own id: entry 0 of the address table is its socket.
 const SELF: NodeId = NodeId(0);
@@ -33,6 +36,8 @@ pub struct LiveScanner {
     /// `NodeId(i)` is `addrs[i]`.
     addrs: Vec<SocketAddr>,
     ids: HashMap<SocketAddr, NodeId>,
+    /// Always empty (see the module doc).
+    book: AddressBook,
     /// Wall-clock instant that is `SimTime::ZERO` to the node.
     epoch: Instant,
     /// (due, token), earliest first.
@@ -50,6 +55,7 @@ impl LiveScanner {
             socket,
             addrs: vec![own],
             ids: HashMap::from([(own, SELF)]),
+            book: AddressBook::new(),
             epoch: Instant::now(),
             timers: BinaryHeap::new(),
             rng: SmallRng::seed_from_u64(0),
@@ -73,7 +79,10 @@ impl LiveScanner {
     fn step(&mut self, node: &mut ScannerNode, f: impl FnOnce(&mut ScannerNode, &mut Ctx)) {
         let now = self.now();
         let mut actions = Vec::new();
-        f(node, &mut Ctx::new(now, SELF, &mut actions, &mut self.rng));
+        f(
+            node,
+            &mut Ctx::new(now, SELF, &self.book, &mut actions, &mut self.rng),
+        );
         for action in actions {
             match action {
                 // A failed send is a lost datagram: the attempt's timeout
@@ -96,14 +105,14 @@ impl LiveScanner {
         })
     }
 
-    /// Pumps `node` and steps it until its feed drains or `wall_budget`
+    /// Starts `node` and steps it until its feed drains or `wall_budget`
     /// elapses; on the deadline every probe still holding a slot leaves
     /// through [`ScannerNode::abort_in_flight`] and the feed is not
     /// pulled again. Returns the node's (cumulative) stats, which
     /// reconcile on return.
     pub fn run(&mut self, node: &mut ScannerNode, wall_budget: Duration) -> ScanStats {
         let deadline = Instant::now() + wall_budget;
-        self.timers.push(Reverse((self.now(), PUMP)));
+        self.step(node, |n, ctx| n.on_start(ctx));
         let mut buf = [0u8; 4096];
         loop {
             while let Some(token) = self.pop_due() {

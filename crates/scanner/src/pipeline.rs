@@ -227,9 +227,9 @@ struct ProbeSlot {
     trace: TraceCtx,
 }
 
-/// The scan pipeline as a simulation node. Drive with
-/// [`ScannerNode::arm`] and [`netsim::Simulation::run`] (or
-/// `run_until` slices — see [`crate::run_scan`]).
+/// The scan pipeline as a simulation node: adding it to a
+/// [`netsim::Simulation`] schedules its first pump, then drive it with
+/// `run` (or `run_until` slices — see [`crate::run_scan`]).
 pub struct ScannerNode {
     cfg: ScanConfig,
     feed: Box<dyn ProbeFeed>,
@@ -253,7 +253,7 @@ pub struct ScannerNode {
 
 /// The pump timer token: distinct from every slot token because slot
 /// generations start at 1 (tokens ≥ 2^16).
-pub(crate) const PUMP: u64 = 0;
+const PUMP: u64 = 0;
 
 impl ScannerNode {
     /// A pipeline over `feed` with `cfg` knobs.
@@ -274,12 +274,6 @@ impl ScannerNode {
             tracer: Tracer::disabled(),
             profiler: obs::StageProfiler::off(),
         }
-    }
-
-    /// Kicks the pipeline: schedules the first pump. Call after
-    /// `add_node`, before `run`.
-    pub fn arm(sim: &mut netsim::Simulation, node: NodeId) {
-        sim.inject_timer(node, SimDuration::ZERO, PUMP);
     }
 
     /// Starts recording the probe-latency histogram; call before the run,
@@ -616,6 +610,11 @@ impl ScannerNode {
 }
 
 impl Node for ScannerNode {
+    /// Kicks the pipeline: schedules the first pump.
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        ctx.set_timer(SimDuration::ZERO, PUMP);
+    }
+
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         let Ok(msg) = Message::from_bytes(&pkt.payload) else {
             return;
@@ -716,10 +715,11 @@ mod tests {
         let forwarder = target(1);
         let mut node = ScannerNode::new(cfg, RoundRobinFeed::new(vec![forwarder], 10));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let book = netsim::AddressBook::new();
         let mut actions = Vec::new();
         let at = |s| SimTime::from_secs(s);
 
-        let mut ctx = Ctx::new(at(0), NodeId(0), &mut actions, &mut rng);
+        let mut ctx = Ctx::new(at(0), NodeId(0), &book, &mut actions, &mut rng);
         node.on_timer(PUMP, &mut ctx);
         assert_eq!(node.in_flight(), 4, "window full");
         node.abort_in_flight(at(1));
@@ -732,7 +732,7 @@ mod tests {
         // A new feed, pumped: the node carries on, counters cumulative.
         node.set_feed(RoundRobinFeed::new(vec![forwarder], 2));
         actions.clear();
-        let mut ctx = Ctx::new(at(2), NodeId(0), &mut actions, &mut rng);
+        let mut ctx = Ctx::new(at(2), NodeId(0), &book, &mut actions, &mut rng);
         node.on_timer(PUMP, &mut ctx);
         let sent: Vec<Vec<u8>> = actions
             .drain(..)
@@ -749,7 +749,7 @@ mod tests {
                 dst: NodeId(0),
                 payload: reply.to_bytes().unwrap(),
             };
-            let mut ctx = Ctx::new(at(3), NodeId(0), &mut actions, &mut rng);
+            let mut ctx = Ctx::new(at(3), NodeId(0), &book, &mut actions, &mut rng);
             node.on_packet(pkt, &mut ctx);
         }
         let stats = node.stats();
@@ -768,8 +768,9 @@ mod tests {
         };
         let mut node = ScannerNode::new(cfg, RoundRobinFeed::new(targets, 60));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let book = netsim::AddressBook::new();
         let mut actions = Vec::new();
-        let mut ctx = Ctx::new(SimTime::ZERO, NodeId(0), &mut actions, &mut rng);
+        let mut ctx = Ctx::new(SimTime::ZERO, NodeId(0), &book, &mut actions, &mut rng);
         node.on_timer(PUMP, &mut ctx);
         let qnames: Vec<Name> = actions
             .iter()
@@ -830,7 +831,7 @@ mod tests {
     fn answer_from_a_node_that_was_not_asked_is_ignored() {
         let pos = netsim::GeoPoint::new(52.37, 4.90);
         let mut sim = netsim::Simulation::new(7);
-        let forwarder = sim.add_node(SlowForwarder { held: Vec::new() }, pos);
+        let forwarder = sim.add_node(SlowForwarder { held: Vec::new() }, target(0).addr, pos);
         let qname = name("p0.spoof.scan.example");
         let probe = Probe {
             qname: Some(qname.clone()),
@@ -839,10 +840,14 @@ mod tests {
         let mut feed = Some(probe);
         let scanner = sim.add_node(
             ScannerNode::new(ScanConfig::default(), move || feed.take()),
+            "203.0.113.250".parse().unwrap(),
             pos,
         );
-        let spoofer = sim.add_node(Spoofer { scanner, qname }, pos);
-        ScannerNode::arm(&mut sim, scanner);
+        let spoofer = sim.add_node(
+            Spoofer { scanner, qname },
+            "203.0.113.66".parse().unwrap(),
+            pos,
+        );
         // The forgery lands while the real answer is still 400 ms away.
         sim.inject_timer(spoofer, SimDuration::from_millis(100), 0);
         sim.run_until(SimTime::from_micros(300_000));

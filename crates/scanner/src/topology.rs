@@ -8,15 +8,13 @@
 //! count.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::Name;
 use netsim::fault::{FaultPlan, LinkFaults};
 use netsim::geo::city;
-use netsim::{AddressBook, NodeId, SimDuration, Simulation};
-use parking_lot::RwLock;
-use resolver::actors::{AuthActor, EgressActor, RelayActor, SharedBook};
+use netsim::{NodeId, SimDuration, Simulation};
+use resolver::actors::{AuthActor, EgressActor, RelayActor};
 use resolver::{Resolver, ResolverConfig};
 
 use crate::capture::ScanCapture;
@@ -119,7 +117,6 @@ impl ForwarderChainSpec {
         cfg: ScanConfig,
         make_feed: impl FnOnce(&[ProbeTarget]) -> F,
     ) -> ScanWorld {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(self.seed);
         let pos = |i: usize| city(SITES[i % SITES.len()]).expect("known city").pos;
 
@@ -135,8 +132,7 @@ impl ForwarderChainSpec {
             zone.set_synth_a(300, Ipv4Addr::new(198, 51, 100, 1));
             AuthServer::new(zone, EcsHandling::open(ScopePolicy::SourceMinusK(4)))
         });
-        let auth_node = sim.add_node(AuthActor::new(auth, book.clone()), pos(0));
-        book.write().bind(auth_addr, auth_node);
+        let auth_node = sim.add_node(AuthActor::new(auth), auth_addr, pos(0));
 
         // Egress resolvers.
         let configs = if self.egress_configs.is_empty() {
@@ -149,14 +145,10 @@ impl ForwarderChainSpec {
         for (i, config) in configs.into_iter().enumerate() {
             let addr = config.addr;
             let node = sim.add_node(
-                EgressActor::new(
-                    Resolver::new(config),
-                    vec![(zone_name.clone(), auth_addr)],
-                    book.clone(),
-                ),
+                EgressActor::new(Resolver::new(config), vec![(zone_name.clone(), auth_addr)]),
+                addr,
                 pos(i + 1),
             );
-            book.write().bind(addr, node);
             egress_addrs.push(addr);
             egress_nodes.push(node);
         }
@@ -169,7 +161,6 @@ impl ForwarderChainSpec {
         let scanner_node_id = NodeId(sim.node_count() + population);
         let mut plan = FaultPlan::none();
         let mut targets = Vec::new();
-        let mut b = book.write();
         for group in &self.groups {
             for _ in 0..group.count {
                 let i = targets.len() as u32;
@@ -177,9 +168,9 @@ impl ForwarderChainSpec {
                 let addr = IpAddr::V4(Ipv4Addr::from(0x6440_0000u32 + 1 + i));
                 let node = sim.add_node(
                     RelayActor::new(egress_nodes[targets.len() % egress_nodes.len()]),
+                    addr,
                     pos(targets.len() + 2),
                 );
-                b.bind(addr, node);
                 match group.health {
                     ForwarderHealth::Healthy => {}
                     ForwarderHealth::Dead => {
@@ -214,19 +205,19 @@ impl ForwarderChainSpec {
                 });
             }
         }
-        drop(b);
         sim.set_fault_plan(plan);
 
         // The scanner itself, last so `scanner_node_id` was predictable.
         let feed = make_feed(&targets);
-        let scanner = sim.add_node(ScannerNode::new(cfg, feed), pos(0));
+        let scanner = sim.add_node(
+            ScannerNode::new(cfg, feed),
+            "203.0.113.250".parse().unwrap(),
+            pos(0),
+        );
         assert_eq!(scanner, scanner_node_id, "scanner must be the last node");
-        book.write().bind("203.0.113.250".parse().unwrap(), scanner);
-        ScannerNode::arm(&mut sim, scanner);
 
         ScanWorld {
             sim,
-            book,
             scanner,
             auth: auth_node,
             targets,
@@ -239,8 +230,6 @@ impl ForwarderChainSpec {
 pub struct ScanWorld {
     /// The simulation (exposed for metrics/tracer wiring before the run).
     pub sim: Simulation,
-    /// The shared address book.
-    pub book: SharedBook,
     /// The scanner node.
     pub scanner: NodeId,
     /// The authoritative node (its log is drained by [`run_scan`]).

@@ -2,25 +2,17 @@
 //! simulator, covering the chains the paper studies.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
 
 use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
 use dns_wire::{IpPrefix, Message, Name, Question};
 use netsim::geo::city;
-use netsim::{AddressBook, SimDuration, SimTime, Simulation};
-use parking_lot::RwLock;
-use resolver::actors::{
-    AuthActor, ClientActor, EgressActor, FrontendActor, RelayActor, SharedBook,
-};
+use netsim::{SimDuration, SimTime, Simulation};
+use resolver::actors::{AuthActor, ClientActor, EgressActor, FrontendActor, RelayActor};
 use resolver::{Resolver, ResolverConfig};
 use topology::{CdnFootprint, EdgeServerSpec};
 
 fn name(s: &str) -> Name {
     Name::from_ascii(s).unwrap()
-}
-
-fn book() -> SharedBook {
-    Arc::new(RwLock::new(AddressBook::new()))
 }
 
 /// A CDN authoritative whose edges cover the world; geodb knows the given
@@ -87,7 +79,6 @@ fn whitelisted_vs_nonwhitelisted_resolvers_get_different_treatment() {
 fn ecs_tailors_answers_per_client_subnet_through_real_packets() {
     // Two clients in different countries behind the same egress resolver;
     // with ECS the CDN gives each a nearby edge.
-    let book = book();
     let mut sim = Simulation::new(3);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -100,37 +91,31 @@ fn ecs_tailors_answers_per_client_subnet_through_real_packets() {
         (IpPrefix::new(client_jp, 24).unwrap(), "Tokyo"),
         (IpPrefix::new(egress_addr, 24).unwrap(), "Frankfurt"),
     ]);
-    let auth_node = sim.add_node(
-        AuthActor::new(cdn, book.clone()),
+    sim.add_node(
+        AuthActor::new(cdn),
+        auth_addr,
         city("Frankfurt").unwrap().pos,
     );
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![(name("cdn.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Frankfurt").unwrap().pos,
     );
     let q1 = Message::query(1, Question::a(name("www.cdn.example")));
     let q2 = Message::query(2, Question::a(name("www.cdn.example")));
     let us_node = sim.add_node(
         ClientActor::new(egress_node, vec![(SimTime::ZERO, q1)]),
+        client_us,
         city("Chicago").unwrap().pos,
     );
     let jp_node = sim.add_node(
         ClientActor::new(egress_node, vec![(SimTime::ZERO, q2)]),
+        client_jp,
         city("Tokyo").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind(client_us, us_node);
-        b.bind(client_jp, jp_node);
-    }
-    ClientActor::arm(&mut sim, us_node);
-    ClientActor::arm(&mut sim, jp_node);
     sim.run();
 
     let edge_city = |addr: IpAddr| {
@@ -156,7 +141,6 @@ fn ecs_tailors_answers_per_client_subnet_through_real_packets() {
 fn without_ecs_all_clients_share_the_resolvers_edge() {
     // Same setup, but the resolver never sends ECS: both clients get the
     // edge near the resolver (Frankfurt) — the pre-ECS status quo.
-    let book = book();
     let mut sim = Simulation::new(3);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -169,8 +153,9 @@ fn without_ecs_all_clients_share_the_resolvers_edge() {
         (IpPrefix::new(client_jp, 24).unwrap(), "Tokyo"),
         (IpPrefix::new(egress_addr, 24).unwrap(), "Frankfurt"),
     ]);
-    let auth_node = sim.add_node(
-        AuthActor::new(cdn, book.clone()),
+    sim.add_node(
+        AuthActor::new(cdn),
+        auth_addr,
         city("Frankfurt").unwrap().pos,
     );
     let mut config = ResolverConfig::rfc_compliant(egress_addr);
@@ -179,8 +164,8 @@ fn without_ecs_all_clients_share_the_resolvers_edge() {
         EgressActor::new(
             Resolver::new(config),
             vec![(name("cdn.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Frankfurt").unwrap().pos,
     );
     let q1 = Message::query(1, Question::a(name("www.cdn.example")));
@@ -189,6 +174,7 @@ fn without_ecs_all_clients_share_the_resolvers_edge() {
     let q2 = Message::query(2, Question::a(name("www.cdn.example")));
     let us_node = sim.add_node(
         ClientActor::new(egress_node, vec![(SimTime::ZERO, q1)]),
+        client_us,
         city("Chicago").unwrap().pos,
     );
     let jp_node = sim.add_node(
@@ -196,17 +182,9 @@ fn without_ecs_all_clients_share_the_resolvers_edge() {
             egress_node,
             vec![(SimTime::ZERO + SimDuration::from_secs(30), q2)],
         ),
+        client_jp,
         city("Tokyo").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind(client_us, us_node);
-        b.bind(client_jp, jp_node);
-    }
-    ClientActor::arm(&mut sim, us_node);
-    ClientActor::arm(&mut sim, jp_node);
     sim.run();
 
     let edge_city = |addr: IpAddr| {
@@ -230,7 +208,6 @@ fn anycast_service_preserves_client_subnet_across_frontends() {
     // A client reaches the service's nearest frontend; the frontend stamps
     // the client subnet; the egress truncates to /24 and the CDN maps near
     // the CLIENT even though frontend and egress are elsewhere.
-    let book = book();
     let mut sim = Simulation::new(8);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -242,35 +219,26 @@ fn anycast_service_preserves_client_subnet_across_frontends() {
         (IpPrefix::new(client_addr, 24).unwrap(), "Sydney"),
         (IpPrefix::new(egress_addr, 24).unwrap(), "Dallas"),
     ]);
-    let auth_node = sim.add_node(
-        AuthActor::new(cdn, book.clone()),
-        city("Dallas").unwrap().pos,
-    );
+    sim.add_node(AuthActor::new(cdn), auth_addr, city("Dallas").unwrap().pos);
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::anycast_service_egress(egress_addr)),
             vec![(name("cdn.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Dallas").unwrap().pos,
     );
     let fe_node = sim.add_node(
-        FrontendActor::new(vec![egress_node], book.clone()),
+        FrontendActor::new(vec![egress_node]),
+        fe_addr,
         city("Singapore").unwrap().pos,
     );
     let q = Message::query(1, Question::a(name("www.cdn.example")));
     let client_node = sim.add_node(
         ClientActor::new(fe_node, vec![(SimTime::ZERO, q)]),
+        client_addr,
         city("Sydney").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind(fe_addr, fe_node);
-        b.bind(client_addr, client_node);
-    }
-    ClientActor::arm(&mut sim, client_node);
     sim.run();
 
     let c = sim.node_mut::<ClientActor>(client_node).unwrap();
@@ -290,7 +258,6 @@ fn anycast_service_preserves_client_subnet_across_frontends() {
 fn relay_chains_preserve_transaction_ids_end_to_end() {
     // Stacked relays rewrite ids hop by hop; the client must still see its
     // own id on the answer.
-    let book = book();
     let mut sim = Simulation::new(1);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -300,34 +267,31 @@ fn relay_chains_preserve_transaction_ids_end_to_end() {
     zone.add_a(name("www.probe.example"), 60, Ipv4Addr::new(1, 2, 3, 4))
         .unwrap();
     let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::Zero));
-    let auth_node = sim.add_node(
-        AuthActor::new(auth, book.clone()),
-        city("Paris").unwrap().pos,
-    );
+    sim.add_node(AuthActor::new(auth), auth_addr, city("Paris").unwrap().pos);
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![(name("probe.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("London").unwrap().pos,
     );
-    let relay2 = sim.add_node(RelayActor::new(egress_node), city("Madrid").unwrap().pos);
-    let relay1 = sim.add_node(RelayActor::new(relay2), city("Milan").unwrap().pos);
+    let relay2 = sim.add_node(
+        RelayActor::new(egress_node),
+        "10.1.0.2".parse().unwrap(),
+        city("Madrid").unwrap().pos,
+    );
+    let relay1 = sim.add_node(
+        RelayActor::new(relay2),
+        "10.1.0.1".parse().unwrap(),
+        city("Milan").unwrap().pos,
+    );
     let q = Message::query(0xABCD, Question::a(name("www.probe.example")));
     let client_node = sim.add_node(
         ClientActor::new(relay1, vec![(SimTime::ZERO, q)]),
+        "10.1.0.9".parse().unwrap(),
         city("Milan").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind("10.1.0.2".parse().unwrap(), relay2);
-        b.bind("10.1.0.1".parse().unwrap(), relay1);
-        b.bind("10.1.0.9".parse().unwrap(), client_node);
-    }
-    ClientActor::arm(&mut sim, client_node);
     sim.run();
 
     let c = sim.node_mut::<ClientActor>(client_node).unwrap();
@@ -339,18 +303,21 @@ fn relay_chains_preserve_transaction_ids_end_to_end() {
 #[test]
 fn wire_format_survives_every_hop() {
     // Corrupted packets must be dropped without crashing any actor.
-    let book = book();
     let mut sim = Simulation::new(1);
     let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![],
-            book.clone(),
         ),
+        egress_addr,
         city("London").unwrap().pos,
     );
-    let relay = sim.add_node(RelayActor::new(egress_node), city("Paris").unwrap().pos);
+    let relay = sim.add_node(
+        RelayActor::new(egress_node),
+        "10.1.0.1".parse().unwrap(),
+        city("Paris").unwrap().pos,
+    );
     // Garbage payloads.
     sim.inject(relay, egress_node, vec![0xFF; 13], SimDuration::ZERO);
     sim.inject(egress_node, relay, vec![], SimDuration::ZERO);

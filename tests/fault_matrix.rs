@@ -171,28 +171,26 @@ fn extreme_cells_have_predictable_outcomes() {
 /// identical fault stats and client outcomes across runs.
 #[test]
 fn packet_level_fault_plan_is_deterministic() {
-    use netsim::{AddressBook, FaultPlan, Simulation};
-    use parking_lot::RwLock;
-    use resolver::actors::{AuthActor, ClientActor, EgressActor, SharedBook};
-    use std::sync::Arc;
+    use netsim::{FaultPlan, Simulation};
+    use resolver::actors::{AuthActor, ClientActor, EgressActor};
 
     fn run(seed: u64) -> (netsim::FaultStats, Vec<(SimTime, Rcode)>) {
-        let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
         let mut sim = Simulation::new(seed);
         sim.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.25)));
 
         let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
         let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
-        let auth_node = sim.add_node(
-            AuthActor::new(auth(), book.clone()),
+        sim.add_node(
+            AuthActor::new(auth()),
+            auth_addr,
             netsim::geo::city("Chicago").unwrap().pos,
         );
         let egress_node = sim.add_node(
             EgressActor::new(
                 Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
                 vec![(name("matrix.example"), auth_addr)],
-                book.clone(),
             ),
+            egress_addr,
             netsim::geo::city("Toronto").unwrap().pos,
         );
         let script: Vec<(SimTime, Message)> = (0..8)
@@ -205,15 +203,9 @@ fn packet_level_fault_plan_is_deterministic() {
             .collect();
         let client_node = sim.add_node(
             ClientActor::new(egress_node, script),
+            "100.70.1.7".parse().unwrap(),
             netsim::geo::city("Toronto").unwrap().pos,
         );
-        {
-            let mut b = book.write();
-            b.bind(auth_addr, auth_node);
-            b.bind(egress_addr, egress_node);
-            b.bind("100.70.1.7".parse().unwrap(), client_node);
-        }
-        ClientActor::arm(&mut sim, client_node);
         sim.run();
         let stats = sim.fault_stats();
         let responses = sim

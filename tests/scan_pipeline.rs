@@ -6,15 +6,13 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use analysis::hidden::hidden_prefixes;
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question};
 use netsim::geo::city;
-use netsim::{AddressBook, SimTime, Simulation};
-use parking_lot::RwLock;
-use resolver::actors::{AuthActor, ClientActor, EgressActor, RelayActor, SharedBook};
+use netsim::{SimTime, Simulation};
+use resolver::actors::{AuthActor, ClientActor, EgressActor, RelayActor};
 use resolver::{Resolver, ResolverConfig};
 
 fn name(s: &str) -> Name {
@@ -37,7 +35,6 @@ fn decode_forwarder(qname: &Name) -> Option<IpAddr> {
 
 #[test]
 fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
-    let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
     let mut sim = Simulation::new(42);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
@@ -58,7 +55,8 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
     }
     let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::SourceMinusK(4)));
     let auth_node = sim.add_node(
-        AuthActor::new(auth, book.clone()),
+        AuthActor::new(auth),
+        auth_addr,
         city("Chicago").unwrap().pos,
     );
 
@@ -68,15 +66,27 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
         EgressActor::new(
             Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![(name("probe.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Dallas").unwrap().pos,
     );
-    let hidden_node = sim.add_node(RelayActor::new(egress_node), city("Milan").unwrap().pos);
+    let hidden_node = sim.add_node(
+        RelayActor::new(egress_node),
+        hidden_addr,
+        city("Milan").unwrap().pos,
+    );
 
     // Forwarders: one direct, one through the hidden resolver.
-    let fwd_direct_node = sim.add_node(RelayActor::new(egress_node), city("Chicago").unwrap().pos);
-    let fwd_hidden_node = sim.add_node(RelayActor::new(hidden_node), city("Santiago").unwrap().pos);
+    let fwd_direct_node = sim.add_node(
+        RelayActor::new(egress_node),
+        fwd_direct,
+        city("Chicago").unwrap().pos,
+    );
+    let fwd_hidden_node = sim.add_node(
+        RelayActor::new(hidden_node),
+        fwd_hidden,
+        city("Santiago").unwrap().pos,
+    );
 
     // The scanner probes both forwarders.
     let scanner_addr: IpAddr = "129.22.150.78".parse().unwrap();
@@ -84,24 +94,14 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
     let q2 = Message::query(2, Question::a(scan_hostname(fwd_hidden)));
     let scanner_node = sim.add_node(
         ClientActor::new(fwd_direct_node, vec![(SimTime::ZERO, q1)]),
+        scanner_addr,
         city("Cleveland").unwrap().pos,
     );
     let scanner2_node = sim.add_node(
         ClientActor::new(fwd_hidden_node, vec![(SimTime::ZERO, q2)]),
+        "129.22.150.79".parse().unwrap(),
         city("Cleveland").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind(hidden_addr, hidden_node);
-        b.bind(fwd_direct, fwd_direct_node);
-        b.bind(fwd_hidden, fwd_hidden_node);
-        b.bind(scanner_addr, scanner_node);
-        b.bind("129.22.150.79".parse().unwrap(), scanner2_node);
-    }
-    ClientActor::arm(&mut sim, scanner_node);
-    ClientActor::arm(&mut sim, scanner2_node);
     sim.run();
 
     // Both scans were answered.
@@ -145,7 +145,6 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
 #[test]
 fn scan_server_returns_source_minus_4_scope() {
     // The paper's experimental server config, verified over the wire.
-    let book: SharedBook = Arc::new(RwLock::new(AddressBook::new()));
     let mut sim = Simulation::new(7);
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
     let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
@@ -160,29 +159,24 @@ fn scan_server_returns_source_minus_4_scope() {
     .unwrap();
     let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::SourceMinusK(4)));
     let auth_node = sim.add_node(
-        AuthActor::new(auth, book.clone()),
+        AuthActor::new(auth),
+        auth_addr,
         city("Chicago").unwrap().pos,
     );
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::rfc_compliant(egress_addr)),
             vec![(name("probe.example"), auth_addr)],
-            book.clone(),
         ),
+        egress_addr,
         city("Dallas").unwrap().pos,
     );
     let q = Message::query(5, Question::a(scan_hostname(fwd)));
-    let fwd_node = sim.add_node(
+    sim.add_node(
         ClientActor::new(egress_node, vec![(SimTime::ZERO, q)]),
+        fwd,
         city("Chicago").unwrap().pos,
     );
-    {
-        let mut b = book.write();
-        b.bind(auth_addr, auth_node);
-        b.bind(egress_addr, egress_node);
-        b.bind(fwd, fwd_node);
-    }
-    ClientActor::arm(&mut sim, fwd_node);
     sim.run();
 
     let auth_actor = sim.node_mut::<AuthActor>(auth_node).unwrap();
