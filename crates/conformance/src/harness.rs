@@ -8,11 +8,12 @@
 //!
 //! Every matrix driver takes the [`Transport`] its subjects are pinned to
 //! ([`TransportPolicy::prefer`]; `Transport::Udp` is the resolver's
-//! default policy), and the scripted authoritative is reached through an
-//! ideal [`TransportUpstream`]. ECS behaviour is a resolver *policy*
-//! decision, so the §6 verdict matrix must be byte-identical whichever
-//! transport carries the queries — the transport-invariance property
-//! `tests/transport_matrix.rs` pins.
+//! default policy), and the scripted authoritative is reached through a
+//! fault-free [`FaultyUpstream`], which prices handshakes and loses
+//! nothing. ECS behaviour is a resolver *policy* decision, so the §6
+//! verdict matrix must be byte-identical whichever transport carries the
+//! queries — the transport-invariance property `tests/transport_matrix.rs`
+//! pins.
 
 use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -23,10 +24,10 @@ use analysis::{
 };
 use authoritative::QueryLogEntry;
 use dns_wire::{EcsOption, Message, Name, Question};
-use netsim::{SimDuration, SimTime};
+use netsim::{LinkFaults, SimDuration, SimTime};
 use resolver::{
-    PrefixPolicy, ProbingStrategy, Resolver, ResolverConfig, Transport, TransportPolicy,
-    TransportUpstream,
+    FaultyUpstream, PrefixPolicy, ProbingStrategy, Resolver, ResolverConfig, Transport,
+    TransportPolicy,
 };
 
 use crate::report::CellResult;
@@ -75,7 +76,7 @@ pub fn probing_workload(scenario: &Scenario) -> Vec<(SimTime, Name, IpAddr)> {
 /// and returns the captured upstream stream.
 pub fn drive_probing(strategy: ProbingStrategy, transport: Transport) -> Vec<QueryLogEntry> {
     let scenario = Scenario::non_whitelisted();
-    let mut up = TransportUpstream::ideal(scenario.build());
+    let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
     let mut r = Resolver::new(base_config(strategy, transport));
     for (id, (at, name, client)) in probing_workload(&scenario).into_iter().enumerate() {
         let q = Message::query(id as u16, Question::a(name));
@@ -149,7 +150,7 @@ pub fn run_probing_matrix(transport: Transport) -> Vec<CellResult> {
     }
 
     let scenario = Scenario::non_whitelisted();
-    let mut up = TransportUpstream::ideal(scenario.build());
+    let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
     let mut r = Resolver::new(base_config(
         ProbingStrategy::IntervalProbe {
             period: SimDuration::from_secs(1800),
@@ -238,7 +239,7 @@ pub fn run_prefix_matrix(transport: Transport) -> Vec<CellResult> {
         .into_iter()
         .map(|(cell, policy, clients, row, compliant)| {
             let scenario = Scenario::honors_scope();
-            let mut up = TransportUpstream::ideal(scenario.build());
+            let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
             let mut r = Resolver::new(ResolverConfig {
                 prefix_policy: policy,
                 transport: TransportPolicy::prefer(transport),
@@ -297,7 +298,7 @@ pub fn observe_compliance(
             cname: flatten_cname,
             ..base
         };
-        let mut up = TransportUpstream::ideal(scenario.build());
+        let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
         let n = host(&format!("pair{slot}"), &scenario);
         let at = SimTime::from_secs(10 * slot as u64);
         let q1 = Message::query(1, Question::a(n.clone()));
@@ -320,7 +321,7 @@ pub fn observe_compliance(
             cname: flatten_cname,
             ..Scenario::honors_scope()
         };
-        let mut up = TransportUpstream::ideal(scenario.build());
+        let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
         let n = host(label, &scenario);
         let mut q = Message::query(3, Question::a(n.clone()));
         q.set_edns(4096);

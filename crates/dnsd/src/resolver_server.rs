@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dns_wire::Message;
-use netsim::SimTime;
+use netsim::{LinkFaults, SimTime};
 use resolver::{
-    Admission, FlightTable, PendingQuery, Resolver, ResolverConfig, SharedEcsCache, Step,
-    TransportFaults, TransportUpstream, Upstream,
+    Admission, FaultyUpstream, FlightTable, InjectedFault, PendingQuery, Resolver, ResolverConfig,
+    SharedEcsCache, Step, Transport, Upstream,
 };
 
 use crate::pool::{Handler, Pool, PoolHandle};
@@ -41,7 +41,7 @@ pub struct UdpResolverServer {
     upstream_addr: SocketAddr,
     config: ResolverConfig,
     upstream_timeout: Duration,
-    upstream_faults: Option<(TransportFaults, u64)>,
+    upstream_faults: Vec<(Transport, InjectedFault)>,
 }
 
 impl UdpResolverServer {
@@ -58,7 +58,7 @@ impl UdpResolverServer {
             upstream_addr,
             config,
             upstream_timeout: Duration::from_millis(500),
-            upstream_faults: None,
+            upstream_faults: Vec::new(),
         })
     }
 
@@ -74,13 +74,12 @@ impl UdpResolverServer {
     }
 
     /// Scan/soak mode: every worker's upstream is wrapped in a
-    /// [`resolver::TransportUpstream`] carrying `faults` as standing
-    /// per-transport faults, seeded with `seed + worker index` so each
-    /// worker draws an independent deterministic fault stream. Without
-    /// this call the serving path is untouched (no wrapper, bit-identical
-    /// to before the scan mode existed).
-    pub fn with_upstream_faults(mut self, faults: TransportFaults, seed: u64) -> Self {
-        self.upstream_faults = Some((faults, seed));
+    /// [`FaultyUpstream`] with each `(transport, fault)` pinned as a
+    /// standing fault. A standing fault draws nothing, so the wrapper needs
+    /// no seed. Without this call the serving path is untouched (no
+    /// wrapper, bit-identical to before the scan mode existed).
+    pub fn with_upstream_faults(mut self, faults: &[(Transport, InjectedFault)]) -> Self {
+        self.upstream_faults = faults.to_vec();
         self
     }
 
@@ -124,18 +123,22 @@ impl UdpResolverServer {
         let attempts = self.config.retry.attempts.max(1) as u32;
         let join_wait = self.upstream_timeout * (2 * attempts) + Duration::from_millis(100);
 
-        let pool = self.pool.spawn(|w| {
+        let pool = self.pool.spawn(|_| {
             let plain =
                 SocketUpstream::new(self.upstream_addr)?.with_timeout(self.upstream_timeout);
             // Boxed rather than wrapped unconditionally, so the default
             // path stays byte-identical to the pre-scan-mode server (the
             // differential tests compare it against the event-driven
             // engine); the vtable call sits next to a socket round trip.
-            let upstream: Box<dyn Upstream + Send> = match self.upstream_faults {
-                None => Box::new(plain),
-                Some((faults, seed)) => Box::new(
-                    TransportUpstream::new(plain, seed.wrapping_add(w as u64)).with_faults(faults),
-                ),
+            let upstream: Box<dyn Upstream + Send> = if self.upstream_faults.is_empty() {
+                Box::new(plain)
+            } else {
+                let up = FaultyUpstream::new(plain, LinkFaults::NONE, 0);
+                Box::new(
+                    self.upstream_faults
+                        .iter()
+                        .fold(up, |up, &(transport, fault)| up.pin(transport, fault)),
+                )
             };
             Ok(ResolverHandler {
                 engine: Resolver::with_shared_cache(self.config.clone(), Arc::clone(&cache)),

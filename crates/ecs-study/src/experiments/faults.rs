@@ -46,7 +46,7 @@ impl Default for Config {
     }
 }
 
-/// One sweep cell's counters.
+/// One sweep cell's counters (this sweep's and `transports`').
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Queries that ended in an answer.
@@ -55,10 +55,16 @@ pub struct Cell {
     pub servfailed: u64,
     /// Retransmissions sent.
     pub retries: u64,
+    /// Attempts that timed out (fragment drops surface as timeouts).
+    pub timeouts: u64,
     /// ECS options withdrawn on retry (RFC 7871 §7.1.3).
     pub ecs_withdrawals: u64,
     /// Truncated exchanges recovered over TCP.
     pub tcp_fallbacks: u64,
+    /// Ladder edges taken (a rung exhausted or truncated → the next).
+    pub transport_fallbacks: u64,
+    /// Datagrams the path model dropped in fragments.
+    pub fragments_dropped: u64,
 }
 
 /// Outcome: one cell per loss rate, plus the all-truncated condition.
@@ -70,16 +76,53 @@ pub struct Outcome {
     pub truncated: Cell,
 }
 
-fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
-    let apex = Name::from_ascii("fault.example").expect("valid");
+/// The loop every fault-sweep cell runs: a zone answering `www.<apex>`
+/// with one A record per address in `addrs`, served without a query log
+/// behind the decorator `wrap` builds around it, and `queries` client
+/// queries from distinct /24s through `r`.
+pub(crate) fn sweep(
+    r: &mut Resolver,
+    apex: &str,
+    addrs: impl IntoIterator<Item = Ipv4Addr>,
+    ttl: u32,
+    queries: u64,
+    wrap: impl FnOnce(AuthServer) -> FaultyUpstream<AuthServer>,
+) -> Cell {
+    let apex = Name::from_ascii(apex).expect("valid");
     let mut zone = Zone::new(apex.clone());
     let qname = apex.child("www").expect("valid");
-    zone.add_a(qname.clone(), config.ttl, Ipv4Addr::new(198, 51, 100, 1))
-        .expect("in zone");
+    for addr in addrs {
+        zone.add_a(qname.clone(), ttl, addr).expect("in zone");
+    }
     let mut inner = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
     inner.set_logging(false);
-    let mut up = FaultyUpstream::new(inner, faults, config.seed);
+    let mut up = wrap(inner);
 
+    let mut answered = 0u64;
+    for i in 0..queries {
+        let q = Message::query(i as u16, Question::a(qname.clone()));
+        let client = IpAddr::V4(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 7));
+        // Spaced past the TTL and the worst-case backoff run, so every
+        // query is a fresh cache miss and faces the path anew.
+        let resp = r.resolve_msg(&q, client, SimTime::from_secs(i * 600), &mut up);
+        if resp.rcode == Rcode::NoError && !resp.answers.is_empty() {
+            answered += 1;
+        }
+    }
+    let s = r.stats();
+    Cell {
+        answered,
+        servfailed: s.servfail_responses,
+        retries: s.retries,
+        timeouts: s.upstream_timeouts,
+        ecs_withdrawals: s.ecs_withdrawals,
+        tcp_fallbacks: s.tcp_fallbacks,
+        transport_fallbacks: s.transport_fallbacks,
+        fragments_dropped: up.stats().transport.fragments_dropped,
+    }
+}
+
+fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     resolver_config.retry = RetryPolicy {
         attempts: config.attempts,
@@ -87,26 +130,14 @@ fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     };
     let mut r = Resolver::new(resolver_config);
     r.set_tracer(session.tracer());
-
-    let mut answered = 0u64;
-    for i in 0..config.queries {
-        let q = Message::query(i as u16, Question::a(qname.clone()));
-        let client = IpAddr::V4(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 7));
-        // Spaced past the TTL and the worst-case backoff run, so every
-        // query is a fresh cache miss and exercises the fault path.
-        let resp = r.resolve_msg(&q, client, SimTime::from_secs(i * 600), &mut up);
-        if resp.rcode == Rcode::NoError && !resp.answers.is_empty() {
-            answered += 1;
-        }
-    }
-    let s = r.stats();
-    let cell = Cell {
-        answered,
-        servfailed: s.servfail_responses,
-        retries: s.retries,
-        ecs_withdrawals: s.ecs_withdrawals,
-        tcp_fallbacks: s.tcp_fallbacks,
-    };
+    let cell = sweep(
+        &mut r,
+        "fault.example",
+        [Ipv4Addr::new(198, 51, 100, 1)],
+        config.ttl,
+        config.queries,
+        |inner| FaultyUpstream::new(inner, faults, config.seed),
+    );
     session.record(&r.metrics_snapshot());
     cell
 }

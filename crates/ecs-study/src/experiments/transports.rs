@@ -11,14 +11,12 @@
 //! fragments are lost, because every stream rung is immune to datagram
 //! fate. Every cell is seeded and replayable.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 
-use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-use dns_wire::{Message, Name, Question, Rcode};
-use netsim::transport::PathProfile;
-use netsim::SimTime;
-use resolver::{Resolver, ResolverConfig, Transport, TransportPolicy, TransportUpstream};
+use netsim::{LinkFaults, PathProfile};
+use resolver::{FaultyUpstream, Resolver, ResolverConfig, Transport, TransportPolicy};
 
+use super::faults::{sweep, Cell};
 use crate::report::Report;
 
 /// Parameters.
@@ -63,23 +61,6 @@ pub fn policies() -> Vec<(&'static str, TransportPolicy)> {
     ]
 }
 
-/// One sweep cell's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
-    /// Queries that ended in an answer.
-    pub answered: u64,
-    /// Queries that exhausted every rung (SERVFAIL to the client).
-    pub servfailed: u64,
-    /// Attempts lost to the path (fragment drops surface as timeouts).
-    pub timeouts: u64,
-    /// Ladder edges taken (UDP rung exhausted → a stream rung).
-    pub transport_fallbacks: u64,
-    /// ECS options withdrawn on retry (RFC 7871 §7.1.3).
-    pub ecs_withdrawals: u64,
-    /// Datagrams the path model dropped in fragments.
-    pub fragments_dropped: u64,
-}
-
 /// Outcome: one row per fragment-loss rate, one [`Cell`] per policy,
 /// aligned with [`policies`].
 #[derive(Debug, Clone)]
@@ -89,48 +70,21 @@ pub struct Outcome {
 }
 
 fn drive(frag_loss: f64, policy: &TransportPolicy, config: &Config) -> Cell {
-    let apex = Name::from_ascii("big.test").expect("valid");
-    let mut zone = Zone::new(apex.clone());
-    let qname = apex.child("www").expect("valid");
-    for i in 0..config.answer_records {
-        zone.add_a(
-            qname.clone(),
-            config.ttl,
-            Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8),
-        )
-        .expect("in zone");
-    }
-    let mut inner = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
-    inner.set_logging(false);
-    let mut up = TransportUpstream::new(inner, config.seed).with_profile(PathProfile {
-        mtu: config.mtu,
-        frag_loss,
-    });
-
     let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     resolver_config.transport = policy.clone();
-    let mut r = Resolver::new(resolver_config);
-
-    let mut answered = 0u64;
-    for i in 0..config.queries {
-        let q = Message::query(i as u16, Question::a(qname.clone()));
-        let client = IpAddr::V4(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 7));
-        // Spaced past the TTL and the worst-case backoff run, so every
-        // query is a fresh cache miss and faces the path anew.
-        let resp = r.resolve_msg(&q, client, SimTime::from_secs(i * 600), &mut up);
-        if resp.rcode == Rcode::NoError && !resp.answers.is_empty() {
-            answered += 1;
-        }
-    }
-    let s = r.stats();
-    Cell {
-        answered,
-        servfailed: s.servfail_responses,
-        timeouts: s.upstream_timeouts,
-        transport_fallbacks: s.transport_fallbacks,
-        ecs_withdrawals: s.ecs_withdrawals,
-        fragments_dropped: up.stats().fragments_dropped,
-    }
+    let path = PathProfile {
+        mtu: config.mtu,
+        frag_loss,
+    };
+    sweep(
+        &mut Resolver::new(resolver_config),
+        "big.test",
+        (0..config.answer_records)
+            .map(|i| Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
+        config.ttl,
+        config.queries,
+        |inner| FaultyUpstream::new(inner, LinkFaults::NONE, config.seed).with_profile(path),
+    )
 }
 
 /// Runs the experiment.

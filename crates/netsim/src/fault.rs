@@ -3,7 +3,9 @@
 //! A [`FaultPlan`] describes, per directed link (with a plan-wide default),
 //! which failures packets experience: probabilistic loss, a silent
 //! blackhole, and — for DNS-shaped reply payloads — truncation (TC bit) and
-//! RCODE rewriting to REFUSED. The plan is consulted on
+//! RCODE rewriting to REFUSED. [`LinkFaults::fate`] is the one place that
+//! decides which of these a packet meets; the resolver's upstream
+//! decorator asks it too. The plan is consulted on
 //! [`crate::Simulation`]'s send path, draws all randomness from the
 //! simulation's single seeded RNG, and counts every injected fault in
 //! [`FaultStats`], so two runs with the same seed inject exactly the same
@@ -61,6 +63,42 @@ impl LinkFaults {
     pub fn is_none(&self) -> bool {
         *self == LinkFaults::NONE
     }
+
+    /// Decides one packet's fate on this link, in a fixed order: blackhole,
+    /// then loss, then — for a `reply` only — truncation, then REFUSED. A
+    /// knob at zero draws nothing from `rng`.
+    pub fn fate<R: Rng>(&self, reply: bool, rng: &mut R) -> PacketFate {
+        let mut draw = |p: f64| p > 0.0 && rng.gen::<f64>() < p;
+        if self.blackhole {
+            PacketFate::Blackholed
+        } else if draw(self.loss) {
+            PacketFate::Lost
+        } else if !reply {
+            PacketFate::Deliver
+        } else if draw(self.truncate_replies) {
+            PacketFate::Truncated
+        } else if draw(self.refused_replies) {
+            PacketFate::Refused
+        } else {
+            PacketFate::Deliver
+        }
+    }
+}
+
+/// What a link does to one packet: [`LinkFaults::fate`]'s verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketFate {
+    /// Arrives as sent.
+    Deliver,
+    /// Swallowed by a blackholed link.
+    Blackholed,
+    /// Dropped by probabilistic loss.
+    Lost,
+    /// A reply arrives truncated: TC set, records stripped.
+    Truncated,
+    /// A reply arrives with its RCODE rewritten to REFUSED, records
+    /// stripped.
+    Refused,
 }
 
 impl Default for LinkFaults {
@@ -148,24 +186,27 @@ impl FaultPlan {
         if f.is_none() {
             return true;
         }
-        if f.blackhole {
-            stats.dropped_blackhole += 1;
-            return false;
-        }
-        if f.loss > 0.0 && rng.gen::<f64>() < f.loss {
-            stats.dropped_loss += 1;
-            return false;
-        }
-        if dns_is_reply(payload) {
-            if f.truncate_replies > 0.0 && rng.gen::<f64>() < f.truncate_replies {
+        match f.fate(dns_is_reply(payload), rng) {
+            PacketFate::Deliver => true,
+            PacketFate::Blackholed => {
+                stats.dropped_blackhole += 1;
+                false
+            }
+            PacketFate::Lost => {
+                stats.dropped_loss += 1;
+                false
+            }
+            PacketFate::Truncated => {
                 dns_truncate(payload);
                 stats.truncated += 1;
-            } else if f.refused_replies > 0.0 && rng.gen::<f64>() < f.refused_replies {
+                true
+            }
+            PacketFate::Refused => {
                 dns_set_rcode(payload, 5); // REFUSED
                 stats.rcode_injected += 1;
+                true
             }
         }
-        true
     }
 }
 

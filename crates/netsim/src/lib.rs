@@ -63,7 +63,7 @@ pub mod transport;
 
 pub use addrbook::AddressBook;
 pub use event::{EventQueue, ScheduledEvent};
-pub use fault::{FaultPlan, FaultStats, LinkFaults};
+pub use fault::{FaultPlan, FaultStats, LinkFaults, PacketFate};
 pub use geo::{GeoPoint, EARTH_RADIUS_KM};
 pub use latency::LatencyModel;
 pub use sim::{Action, Ctx, Node, NodeId, Packet, Simulation};

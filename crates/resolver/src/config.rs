@@ -4,12 +4,11 @@
 
 use std::net::IpAddr;
 
-use netsim::SimDuration;
+use netsim::{SimDuration, Transport};
 
 use crate::cache::{CacheCompliance, CacheLimits};
 use crate::prefix_policy::PrefixPolicy;
 use crate::probing::ProbingStrategy;
-use crate::transport::TransportPolicy;
 
 /// Retry/backoff policy for upstream exchanges.
 ///
@@ -54,6 +53,62 @@ impl RetryPolicy {
     pub fn timeout_for(&self, attempt: u8) -> SimDuration {
         let scale = 2.0_f64.powi(attempt as i32);
         SimDuration::from_micros((self.initial_timeout.as_micros() as f64 * scale).round() as u64)
+    }
+}
+
+/// Which transports an upstream exchange may use, in fallback order, and
+/// the EDNS buffer size the engine advertises.
+///
+/// The engine climbs the ladder on two triggers: a TC-bit/truncated reply
+/// jumps straight to the next *stream* rung (RFC 7766 generalized), and an
+/// exhausted retry budget ([`RetryPolicy::attempts`], spent per rung) falls
+/// to the next rung whatever it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransportPolicy {
+    /// The preference ladder, tried left to right. Empty is treated as
+    /// `[Udp]`.
+    pub ladder: Vec<Transport>,
+    /// EDNS buffer size (RFC 6891 `udp_payload_size`) advertised on
+    /// upstream queries. Answers larger than this come back truncated.
+    pub edns_buf: u16,
+}
+
+impl Default for TransportPolicy {
+    fn default() -> Self {
+        TransportPolicy::udp_only()
+    }
+}
+
+impl TransportPolicy {
+    /// The legacy behaviour: plain UDP with the engine's historical
+    /// 4096-byte EDNS buffer, TC handled by an inline RFC 7766 TCP
+    /// re-query.
+    pub fn udp_only() -> Self {
+        TransportPolicy {
+            ladder: vec![Transport::Udp],
+            edns_buf: 4096,
+        }
+    }
+
+    /// A single-transport ladder pinned to `transport`.
+    pub fn prefer(transport: Transport) -> Self {
+        TransportPolicy {
+            ladder: vec![transport],
+            ..TransportPolicy::udp_only()
+        }
+    }
+
+    /// An explicit ladder.
+    pub fn with_ladder(ladder: impl Into<Vec<Transport>>) -> Self {
+        TransportPolicy {
+            ladder: ladder.into(),
+            ..TransportPolicy::udp_only()
+        }
+    }
+
+    /// The full UDP → TCP → DoT ladder.
+    pub fn full_ladder() -> Self {
+        TransportPolicy::with_ladder(Transport::ALL)
     }
 }
 
@@ -219,6 +274,17 @@ mod tests {
     use std::net::Ipv4Addr;
 
     const A: IpAddr = IpAddr::V4(Ipv4Addr::new(5, 5, 5, 5));
+
+    #[test]
+    fn policy_defaults_and_builders() {
+        assert_eq!(TransportPolicy::default(), TransportPolicy::udp_only());
+        assert_eq!(TransportPolicy::default().edns_buf, 4096);
+        assert_eq!(
+            TransportPolicy::prefer(Transport::Dot).ladder,
+            vec![Transport::Dot]
+        );
+        assert_eq!(TransportPolicy::full_ladder().ladder.len(), 3);
+    }
 
     #[test]
     fn presets_have_expected_shapes() {

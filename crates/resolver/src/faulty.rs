@@ -1,42 +1,53 @@
 //! Fault injection at the [`Upstream`] seam.
 //!
-//! [`FaultyUpstream`] wraps any upstream and makes it misbehave the way
-//! real authoritative paths do: lost queries and replies (timeouts),
-//! truncated UDP replies, and in-band SERVFAIL/FORMERR answers. Faults come
-//! from two sources, both deterministic:
+//! [`FaultyUpstream`] wraps any upstream and makes the path to it misbehave
+//! the way real authoritative paths do: lost queries and replies
+//! (timeouts), truncated UDP replies, refused and in-band SERVFAIL/FORMERR
+//! answers, handshake costs and fragments lost on a small path MTU. Four
+//! deterministic sources decide an exchange's fate, in this order:
 //!
-//! * a **script** of [`InjectedFault`]s consumed one per UDP attempt, for
-//!   tests that need an exact failure sequence ("time out twice, then
-//!   answer") — the only source of in-band SERVFAIL and FORMERR;
-//! * the packet-level simulator's probabilistic [`LinkFaults`] knobs for
-//!   loss, blackholes and truncation, driven by a seeded [`SmallRng`], for
-//!   statistical sweeps.
+//! 1. a **standing fault** pinned to one transport ([`FaultyUpstream::pin`]):
+//!    unlike a script it never ticks down — the rung stays broken, which is
+//!    how blocked ports and broken middleboxes present in the fallback
+//!    papers;
+//! 2. a **script** of [`InjectedFault`]s consumed one per UDP attempt, for
+//!    tests that need an exact failure sequence ("time out twice, then
+//!    answer") — the only source of in-band SERVFAIL and FORMERR;
+//! 3. the packet-level simulator's [`LinkFaults`] knobs, decided once per
+//!    UDP attempt by [`LinkFaults::fate`] — the decision
+//!    [`netsim::FaultPlan`] makes for each simulated packet — from a seeded
+//!    [`SmallRng`];
+//! 4. the [`TransportModel`]: handshake round trips delay a stream
+//!    exchange's arrival on the SimTime axis, and a UDP answer meets the
+//!    EDNS-buffer / path-MTU datagram fate ([`FaultyUpstream::with_profile`]).
 //!
-//! The scripted queue is consulted first; only when it is empty do the
-//! probabilistic knobs apply. As in [`netsim::FaultPlan`], a knob with
-//! probability zero never draws from the RNG, so a `FaultyUpstream` with
-//! [`LinkFaults::NONE`] and an empty script behaves *bit-identically* to
-//! the bare inner upstream.
+//! Stream transports (TCP, DoT) model RFC 7766: truncation and UDP loss do
+//! not apply (the stream either works or the host is unreachable), so of
+//! the script and the knobs only a blackhole reaches them.
 //!
-//! Stream transports (TCP, DoT) model RFC 7766 semantics: truncation and
-//! UDP loss do not apply (the stream either works or the host is
-//! unreachable), so only a blackhole affects them.
+//! Every knob at zero draws nothing from the RNG: with no standing fault,
+//! an empty script, [`LinkFaults::NONE`] and a lossless path the decorator
+//! hands back exactly what the inner upstream answers.
 
 use std::collections::VecDeque;
 use std::net::IpAddr;
 
 use dns_wire::{Message, Rcode};
-use netsim::{LinkFaults, SimTime, Transport};
+use netsim::{
+    DatagramFate, LinkFaults, PacketFate, PathProfile, SimDuration, SimTime, Transport,
+    TransportModel, TransportStats,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Upstream, UpstreamError};
 
-/// One scripted fault, applied to a single UDP attempt.
+/// One injected fault: an entry of a script, applied to a single UDP
+/// attempt, or a standing fault pinned to a transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// The attempt goes unanswered (query or reply lost): the inner
-    /// upstream is not consulted at all.
+    /// The attempt goes unanswered (query or reply lost, or a handshake
+    /// that hangs): the inner upstream is not consulted at all.
     Timeout,
     /// The reply comes back truncated (TC), surfaced as
     /// [`UpstreamError::Truncated`].
@@ -46,53 +57,77 @@ pub enum InjectedFault {
     /// The server answers FORMERR in-band, as a pre-EDNS/ECS-intolerant
     /// server would (records and EDNS stripped).
     FormErr,
+    /// The server refuses the exchange (RST / REFUSED) without consulting
+    /// the inner upstream, surfaced as [`UpstreamError::Rcode`] with
+    /// [`Rcode::Refused`]: the engine spends the attempt.
+    Refused,
     /// The attempt succeeds normally (useful to interleave successes in a
     /// script: `[Timeout, Pass, Timeout]`).
     Pass,
 }
 
-/// Counters for the faults actually injected by one [`FaultyUpstream`].
+/// Counters for what one [`FaultyUpstream`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionStats {
-    /// Attempts turned into timeouts (scripted + probabilistic).
+    /// Attempts turned into timeouts (standing, scripted and knob faults;
+    /// fragment drops count in `transport`).
     pub timeouts: u64,
-    /// Replies truncated.
+    /// Replies truncated by the script or the knobs (the datagram fate's
+    /// truncations count in `transport`).
     pub truncated: u64,
     /// Replies rewritten to SERVFAIL.
     pub servfail: u64,
     /// Replies rewritten to FORMERR.
     pub formerr: u64,
-    /// UDP attempts that passed through unharmed.
+    /// Exchanges refused, and replies the knobs rewrote to REFUSED.
+    pub refused: u64,
+    /// UDP attempts that passed the fault stages unharmed.
     pub passed: u64,
-    /// Stream (TCP, DoT) exchanges served.
-    pub tcp: u64,
+    /// The transport model's ledger over the exchanges that reached the
+    /// server: per-transport counts, handshakes, datagram fate.
+    pub transport: TransportStats,
 }
 
 impl InjectionStats {
     /// Total faults injected.
     pub fn injected(&self) -> u64 {
-        self.timeouts + self.truncated + self.servfail + self.formerr
+        self.timeouts + self.truncated + self.servfail + self.formerr + self.refused
+    }
+
+    /// Stream (TCP, DoT) exchanges served.
+    pub fn streams(&self) -> u64 {
+        self.transport.exchanges_over(Transport::Tcp)
+            + self.transport.exchanges_over(Transport::Dot)
     }
 }
 
-/// An [`Upstream`] decorator that injects deterministic faults.
+/// The upstream round trip handshakes are priced in.
+const UPSTREAM_RTT: SimDuration = SimDuration::from_millis(40);
+
+/// An [`Upstream`] decorator that injects deterministic faults and models
+/// transports (see the module docs for the order they apply in).
 pub struct FaultyUpstream<U> {
     inner: U,
     faults: LinkFaults,
     rng: SmallRng,
     script: VecDeque<InjectedFault>,
+    standing: [Option<InjectedFault>; 3],
+    model: TransportModel,
     stats: InjectionStats,
 }
 
 impl<U: Upstream> FaultyUpstream<U> {
-    /// Wraps `inner` with probabilistic faults `faults`, all randomness
-    /// seeded from `seed`.
+    /// Wraps `inner` with probabilistic faults `faults` on a default path
+    /// (1500-byte MTU, no fragment loss), all randomness seeded from
+    /// `seed`.
     pub fn new(inner: U, faults: LinkFaults, seed: u64) -> Self {
         FaultyUpstream {
             inner,
             faults,
             rng: SmallRng::seed_from_u64(seed),
             script: VecDeque::new(),
+            standing: [None; 3],
+            model: TransportModel::default(),
             stats: InjectionStats::default(),
         }
     }
@@ -105,9 +140,26 @@ impl<U: Upstream> FaultyUpstream<U> {
         s
     }
 
-    /// What has been injected so far.
+    /// Pins a standing fault to `transport`: every exchange over it fails
+    /// with `fault` (typically [`InjectedFault::Timeout`] or
+    /// [`InjectedFault::Refused`]).
+    pub fn pin(mut self, transport: Transport, fault: InjectedFault) -> Self {
+        self.standing[transport as usize] = Some(fault);
+        self
+    }
+
+    /// Replaces the path profile (MTU / fragment loss).
+    pub fn with_profile(mut self, profile: PathProfile) -> Self {
+        self.model.profile = profile;
+        self
+    }
+
+    /// What has been injected and carried so far.
     pub fn stats(&self) -> InjectionStats {
-        self.stats
+        InjectionStats {
+            transport: self.model.stats(),
+            ..self.stats
+        }
     }
 
     /// The wrapped upstream.
@@ -115,23 +167,42 @@ impl<U: Upstream> FaultyUpstream<U> {
         &self.inner
     }
 
-    /// The fault to apply to this attempt: scripted first, then the
-    /// probabilistic knobs (zero-probability knobs never touch the RNG).
-    fn next_fault(&mut self) -> InjectedFault {
-        if let Some(f) = self.script.pop_front() {
-            return f;
+    /// One exchange with the inner upstream, which sees the query arrive
+    /// after the transport's handshake round trips have been paid.
+    fn exchange(
+        &mut self,
+        q: &Message,
+        from: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Message, UpstreamError> {
+        let at = now + self.model.exchange_cost(transport, UPSTREAM_RTT, now);
+        self.inner.query_via(q, from, at, transport)
+    }
+
+    /// The datagram fate of a UDP answer against the advertised EDNS
+    /// buffer and the path MTU.
+    fn datagram(&mut self, q: &Message, resp: Message) -> Result<Message, UpstreamError> {
+        if resp.flags.tc {
+            // The inner upstream already truncated (e.g. against a smaller
+            // server-side limit) — nothing further to model.
+            return Ok(resp);
         }
-        let f = &self.faults;
-        if f.blackhole {
-            return InjectedFault::Timeout;
+        let wire_len = resp.to_bytes().map(|b| b.len()).unwrap_or(0);
+        let advertised = q
+            .edns
+            .as_ref()
+            .map(|e| e.udp_payload_size as usize)
+            .unwrap_or(512);
+        let rng = &mut self.rng;
+        match self
+            .model
+            .datagram_fate(wire_len, advertised, || rng.gen::<f64>())
+        {
+            DatagramFate::Deliver => Ok(resp),
+            DatagramFate::Truncate => Err(UpstreamError::Truncated),
+            DatagramFate::FragmentDrop => Err(UpstreamError::Timeout),
         }
-        if f.loss > 0.0 && self.rng.gen::<f64>() < f.loss {
-            return InjectedFault::Timeout;
-        }
-        if f.truncate_replies > 0.0 && self.rng.gen::<f64>() < f.truncate_replies {
-            return InjectedFault::Truncate;
-        }
-        InjectedFault::Pass
     }
 }
 
@@ -143,26 +214,52 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
         now: SimTime,
         transport: Transport,
     ) -> Result<Message, UpstreamError> {
-        if transport.is_stream() {
+        let fault = if let Some(fault) = self.standing[transport as usize] {
+            fault
+        } else if transport.is_stream() {
             // RFC 7766: the stream is immune to UDP loss and truncation;
             // only a blackholed host stays unreachable.
             if self.faults.blackhole {
-                self.stats.timeouts += 1;
-                return Err(UpstreamError::Timeout);
+                InjectedFault::Timeout
+            } else {
+                InjectedFault::Pass
             }
-            self.stats.tcp += 1;
-            return self.inner.query_via(q, from, now, transport);
-        }
-        match self.next_fault() {
+        } else if let Some(fault) = self.script.pop_front() {
+            fault
+        } else {
+            match self.faults.fate(true, &mut self.rng) {
+                PacketFate::Deliver => InjectedFault::Pass,
+                PacketFate::Blackholed | PacketFate::Lost => InjectedFault::Timeout,
+                PacketFate::Truncated => InjectedFault::Truncate,
+                PacketFate::Refused => {
+                    // As the simulator rewrites the reply: the server
+                    // answers (and logs) the query; its reply comes back
+                    // REFUSED with its records stripped.
+                    self.stats.refused += 1;
+                    let mut resp = self.exchange(q, from, now, transport)?;
+                    resp.rcode = Rcode::Refused;
+                    resp.answers.clear();
+                    resp.authorities.clear();
+                    resp.additionals.clear();
+                    resp.edns = None;
+                    return Ok(resp);
+                }
+            }
+        };
+        match fault {
             InjectedFault::Timeout => {
                 self.stats.timeouts += 1;
                 Err(UpstreamError::Timeout)
+            }
+            InjectedFault::Refused => {
+                self.stats.refused += 1;
+                Err(UpstreamError::Rcode(Rcode::Refused))
             }
             InjectedFault::Truncate => {
                 // The server still answers (and logs) the query; its reply
                 // comes back unusable.
                 self.stats.truncated += 1;
-                self.inner.query(q, from, now)?;
+                self.exchange(q, from, now, transport)?;
                 Err(UpstreamError::Truncated)
             }
             InjectedFault::ServFail => {
@@ -179,9 +276,15 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 resp.clear_ecs();
                 Ok(resp)
             }
+            InjectedFault::Pass if transport.is_stream() => {
+                // Streams carry any size; simulated DoT differs from TCP
+                // only in handshake cost.
+                self.exchange(q, from, now, transport)
+            }
             InjectedFault::Pass => {
                 self.stats.passed += 1;
-                self.inner.query(q, from, now)
+                let resp = self.exchange(q, from, now, transport)?;
+                self.datagram(q, resp)
             }
         }
     }
@@ -193,7 +296,7 @@ mod tests {
     use crate::config::ResolverConfig;
     use crate::engine::Resolver;
     use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{Name, Question};
+    use dns_wire::{Name, Question, Rdata, Record};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -201,14 +304,30 @@ mod tests {
     }
 
     fn auth() -> AuthServer {
+        auth_with_records(1)
+    }
+
+    fn auth_with_records(n: usize) -> AuthServer {
         let mut zone = Zone::new(name("example.com"));
-        zone.add_a(name("www.example.com"), 60, Ipv4Addr::new(198, 51, 100, 1))
+        for i in 0..n {
+            zone.add_a(
+                name("www.example.com"),
+                60,
+                Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8),
+            )
             .unwrap();
+        }
         AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource))
     }
 
     fn q() -> Message {
         Message::query(7, Question::a(name("www.example.com")))
+    }
+
+    fn query(buf: u16) -> Message {
+        let mut q = q();
+        q.set_edns(buf);
+        q
     }
 
     const CLIENT: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 77));
@@ -226,6 +345,8 @@ mod tests {
         assert_eq!(r1.stats(), r2.stats());
         assert_eq!(wrapped.stats().injected(), 0);
         assert_eq!(wrapped.stats().passed, 1);
+        assert_eq!(wrapped.stats().transport.exchanges_over(Transport::Udp), 1);
+        assert_eq!(wrapped.stats().transport.truncated, 0);
     }
 
     #[test]
@@ -247,7 +368,7 @@ mod tests {
         let resp = r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
         assert_eq!(resp.answers.len(), 1, "TCP fallback recovered the answer");
         assert_eq!(up.stats().truncated, 1);
-        assert_eq!(up.stats().tcp, 1);
+        assert_eq!(up.stats().streams(), 1);
         assert_eq!(r.stats().tcp_fallbacks, 1);
     }
 
@@ -265,7 +386,7 @@ mod tests {
         let resp = r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
         assert_eq!(resp.rcode, Rcode::ServFail);
         assert_eq!(r.stats().servfail_responses, 1);
-        assert_eq!(up.stats().tcp, 0);
+        assert_eq!(up.stats().streams(), 0);
     }
 
     #[test]
@@ -299,5 +420,159 @@ mod tests {
         assert_eq!(resp.rcode, Rcode::ServFail);
         assert_eq!(r.stats().retries, 0);
         assert_eq!(r.stats().servfail_responses, 0);
+    }
+
+    #[test]
+    fn the_refused_knob_refuses_every_udp_attempt_and_no_stream_leg() {
+        let mut up = FaultyUpstream::new(
+            auth(),
+            LinkFaults {
+                refused_replies: 1.0,
+                ..LinkFaults::NONE
+            },
+            3,
+        );
+        for _ in 0..4 {
+            let resp = up.query(&query(4096), RES, SimTime::ZERO).unwrap();
+            assert_eq!(resp.rcode, Rcode::Refused);
+            assert!(
+                resp.answers.is_empty() && resp.edns.is_none(),
+                "records stripped"
+            );
+        }
+        for transport in [Transport::Tcp, Transport::Dot] {
+            let resp = up
+                .query_via(&query(4096), RES, SimTime::ZERO, transport)
+                .unwrap();
+            assert_eq!((resp.rcode, resp.answers.len()), (Rcode::NoError, 1));
+        }
+        // The server answered, and logged, every exchange.
+        assert_eq!(up.inner().log().len(), 6);
+        assert_eq!(up.stats().refused, 4);
+        assert_eq!(up.stats().passed, 0);
+    }
+
+    /// An upstream that ignores the advertised EDNS buffer entirely and
+    /// always answers with `n` A records — so truncation decisions are
+    /// the decorator's alone (a real [`AuthServer`] truncates for itself).
+    struct OversizeAnswerer(usize);
+    impl Upstream for OversizeAnswerer {
+        fn query_via(
+            &mut self,
+            q: &Message,
+            _from: IpAddr,
+            _now: SimTime,
+            _transport: Transport,
+        ) -> Result<Message, UpstreamError> {
+            let mut resp = Message::response_to(q);
+            for i in 0..self.0 {
+                resp.answers.push(Record::new(
+                    name("www.example.com"),
+                    60,
+                    Rdata::A(Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
+                ));
+            }
+            Ok(resp)
+        }
+    }
+
+    #[test]
+    fn oversize_answers_truncate_against_the_advertised_buffer() {
+        // 60 A records ≈ 960+ bytes of rdata: bigger than a 512 buffer.
+        let mut up = FaultyUpstream::new(OversizeAnswerer(60), LinkFaults::NONE, 7);
+        assert_eq!(
+            up.query(&query(512), RES, SimTime::ZERO).unwrap_err(),
+            UpstreamError::Truncated
+        );
+        assert_eq!(up.stats().transport.truncated, 1);
+        // The same answer fits a 4096 buffer (and the 1500 MTU is only
+        // fragmentation, which is lossless by default).
+        let resp = up.query(&query(4096), RES, SimTime::ZERO).unwrap();
+        assert_eq!(resp.answers.len(), 60);
+    }
+
+    #[test]
+    fn server_side_truncation_passes_through_as_tc() {
+        // A real AuthServer truncates against the advertised buffer by
+        // itself; the decorator must hand that TC through untouched for
+        // the engine's RFC 7766 arm, not double-handle it.
+        let mut up = FaultyUpstream::new(auth_with_records(60), LinkFaults::NONE, 7);
+        let resp = up.query(&query(512), RES, SimTime::ZERO).unwrap();
+        assert!(resp.flags.tc);
+        assert_eq!(
+            up.stats().transport.truncated,
+            0,
+            "decorator did not re-truncate"
+        );
+    }
+
+    #[test]
+    fn fragment_loss_turns_big_answers_into_timeouts() {
+        let mut up = FaultyUpstream::new(auth_with_records(60), LinkFaults::NONE, 7).with_profile(
+            PathProfile {
+                mtu: 512,
+                frag_loss: 1.0,
+            },
+        );
+        assert_eq!(
+            up.query(&query(4096), RES, SimTime::ZERO).unwrap_err(),
+            UpstreamError::Timeout
+        );
+        // The stream side of the same path is immune.
+        let resp = up
+            .query_via(&query(4096), RES, SimTime::ZERO, Transport::Tcp)
+            .unwrap();
+        assert_eq!(resp.answers.len(), 60);
+        assert_eq!(up.stats().transport.fragments_dropped, 1);
+    }
+
+    #[test]
+    fn standing_faults_break_exactly_their_transport() {
+        let mut up = FaultyUpstream::new(auth(), LinkFaults::NONE, 7)
+            .pin(Transport::Tcp, InjectedFault::Refused)
+            .pin(Transport::Dot, InjectedFault::Timeout);
+        assert!(up.query(&query(4096), RES, SimTime::ZERO).is_ok());
+        assert_eq!(
+            up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Tcp)
+                .unwrap_err(),
+            UpstreamError::Rcode(Rcode::Refused)
+        );
+        assert_eq!(
+            up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Dot)
+                .unwrap_err(),
+            UpstreamError::Timeout
+        );
+    }
+
+    #[test]
+    fn stream_exchanges_arrive_after_the_handshake_cost() {
+        // An upstream that records when queries reach it.
+        struct ArrivalProbe(Vec<u64>);
+        impl Upstream for ArrivalProbe {
+            fn query_via(
+                &mut self,
+                q: &Message,
+                _from: IpAddr,
+                now: SimTime,
+                _transport: Transport,
+            ) -> Result<Message, UpstreamError> {
+                self.0.push(now.as_micros());
+                Ok(Message::response_to(q))
+            }
+        }
+        let rtt = UPSTREAM_RTT;
+        let mut up = FaultyUpstream::new(ArrivalProbe(Vec::new()), LinkFaults::NONE, 7);
+        // Cold DoT: 2 RTTs of setup before the inner upstream sees it.
+        up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Dot)
+            .unwrap();
+        // Warm follow-up 1 s later: no setup.
+        up.query_via(&query(4096), RES, SimTime::from_secs(1), Transport::Dot)
+            .unwrap();
+        assert_eq!(
+            up.inner().0,
+            vec![rtt.mul(2).as_micros(), SimTime::from_secs(1).as_micros()]
+        );
+        assert_eq!(up.stats().transport.handshakes, 1);
+        assert_eq!(up.stats().transport.reused_connections, 1);
     }
 }

@@ -68,19 +68,16 @@ pub mod flight;
 pub mod prefix_policy;
 pub mod probing;
 pub mod shared_cache;
-pub mod transport;
 
 pub use cache::{CacheCompliance, CacheLimits, CacheStats, EcsCache};
-pub use config::{OverloadConfig, ResolverConfig, RetryPolicy};
+pub use config::{OverloadConfig, ResolverConfig, RetryPolicy, TransportPolicy};
 pub use engine::{
     FlightKey, PendingQuery, Resolver, ResolverStats, Step, Upstream, UpstreamError, ZoneRouter,
 };
 pub use exchange::{Action, Exchange};
 pub use faulty::{FaultyUpstream, InjectedFault, InjectionStats};
 pub use flight::{Admission, Flight, FlightTable, OwnerToken};
+pub use netsim::{Transport, TransportStats};
 pub use prefix_policy::PrefixPolicy;
 pub use probing::{ProbingState, ProbingStrategy};
 pub use shared_cache::SharedEcsCache;
-pub use transport::{
-    Transport, TransportFault, TransportFaults, TransportPolicy, TransportStats, TransportUpstream,
-};

@@ -11,9 +11,10 @@
 //! Only the helpers in the first block may be respelled; a digest that
 //! moves is a behaviour change.
 //!
-//! The stream legs of the `FaultyUpstream` cells that truncate reach the
-//! authoritative without their handshake cost priced in; those cells fold
-//! the query log without arrival times. Every other cell folds them.
+//! The cells of the first test that truncate fold the query log without
+//! arrival times: their stream legs now pay the handshake (40–80 ms) that
+//! the path-modelling cells always paid, and nothing reads those times.
+//! Every other cell folds them.
 
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -23,8 +24,7 @@ use netsim::{FaultPlan, FaultStats, LinkFaults, NodeId, PathProfile, SimTime, Tr
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resolver::{
-    FaultyUpstream, InjectedFault, Resolver, ResolverConfig, RetryPolicy, TransportFault,
-    TransportFaults, TransportPolicy, TransportUpstream, Upstream,
+    FaultyUpstream, InjectedFault, Resolver, ResolverConfig, RetryPolicy, TransportPolicy, Upstream,
 };
 
 // --- How a cell builds its decorator and reads its counters. -------------
@@ -45,33 +45,29 @@ fn faulty_counters(up: &FaultyUpstream<AuthServer>) -> [u64; 6] {
         s.servfail,
         s.formerr,
         s.passed,
-        s.tcp,
+        s.streams(),
     ]
 }
 
-fn on_path(profile: PathProfile, seed: u64) -> TransportUpstream<AuthServer> {
-    TransportUpstream::new(big_auth(), seed).with_profile(profile)
+fn on_path(profile: PathProfile, seed: u64) -> FaultyUpstream<AuthServer> {
+    FaultyUpstream::new(big_auth(), LinkFaults::NONE, seed).with_profile(profile)
 }
 
-fn with_standing(standing: &[(Transport, bool)]) -> TransportUpstream<AuthServer> {
-    let mut faults = TransportFaults::NONE;
+fn with_standing(standing: &[(Transport, bool)]) -> FaultyUpstream<AuthServer> {
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7);
     for &(transport, refused) in standing {
-        let fault = Some(if refused {
-            TransportFault::Refused
+        let fault = if refused {
+            InjectedFault::Refused
         } else {
-            TransportFault::Timeout
-        });
-        match transport {
-            Transport::Udp => faults.udp = fault,
-            Transport::Tcp => faults.tcp = fault,
-            Transport::Dot => faults.dot = fault,
-        }
+            InjectedFault::Timeout
+        };
+        up = up.pin(transport, fault);
     }
-    TransportUpstream::new(big_auth(), 7).with_faults(faults)
+    up
 }
 
-fn transport_counters(up: &TransportUpstream<AuthServer>) -> String {
-    format!("{:?}", up.stats())
+fn transport_counters(up: &FaultyUpstream<AuthServer>) -> String {
+    format!("{:?}", up.stats().transport)
 }
 
 // --- Cells. ---------------------------------------------------------------
@@ -175,7 +171,7 @@ fn faulty_cell(mut up: FaultyUpstream<AuthServer>, with_times: bool) -> u64 {
 fn transport_cell(
     policy: TransportPolicy,
     attempts: u8,
-    mut up: TransportUpstream<AuthServer>,
+    mut up: FaultyUpstream<AuthServer>,
 ) -> u64 {
     let mut h = Fnv::new();
     let mut config = retry(attempts);
@@ -366,7 +362,7 @@ fn transport_upstream_cells_are_pinned() {
 /// query it answers.
 fn packet(i: u32) -> Vec<u8> {
     let mut b = vec![(i >> 8) as u8, i as u8, 0x80, 0x00, 0, 1, 0, 3, 0, 0, 0, 1];
-    if i % 3 == 0 {
+    if i.is_multiple_of(3) {
         b[2] = 0x01; // a query: QR clear, RD set
     }
     b.extend_from_slice(&[3, b'w', b'w', b'w', 1, b'x', 0, 0, 1, 0, 1]);

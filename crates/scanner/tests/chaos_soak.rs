@@ -1,6 +1,6 @@
 //! Satellite: deterministic chaos soak of the *live* scanner pipeline
 //! against a running multi-worker [`dnsd::UdpResolverServer`] with
-//! standing [`resolver::TransportFaults`] on its upstream path.
+//! a standing [`resolver::InjectedFault`] on its upstream path.
 //!
 //! What the soak must demonstrate (ISSUE acceptance):
 //! * no worker panics while faults stand — every spawned thread joins;
@@ -21,7 +21,7 @@ use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::Name;
 use dnsd::{UdpAuthServer, UdpResolverServer};
 use netsim::SimDuration;
-use resolver::{ResolverConfig, TransportFault, TransportFaults};
+use resolver::{InjectedFault, ResolverConfig, Transport};
 use scanner::{LiveScanner, Probe, ProbeFeed, ProbeTarget, RetryBudget, ScanConfig, ScannerNode};
 
 fn name(s: &str) -> Name {
@@ -94,13 +94,7 @@ fn standing_refused_faults_never_hang_the_window() {
     let handle = UdpResolverServer::bind("127.0.0.1:0", auth_addr, config)
         .expect("bind resolver")
         .with_workers(4)
-        .with_upstream_faults(
-            TransportFaults {
-                udp: Some(TransportFault::Refused),
-                ..TransportFaults::NONE
-            },
-            7,
-        )
+        .with_upstream_faults(&[(Transport::Udp, InjectedFault::Refused)])
         .spawn()
         .expect("spawn pool");
 

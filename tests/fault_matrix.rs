@@ -163,7 +163,7 @@ fn extreme_cells_have_predictable_outcomes() {
     assert_eq!(s.servfail_responses, 0);
     assert_eq!(s.tcp_fallbacks, QUERIES);
     assert_eq!(inj.truncated, QUERIES);
-    assert_eq!(inj.tcp, QUERIES);
+    assert_eq!(inj.streams(), QUERIES);
 }
 
 /// The same matrix discipline at the packet level: a lossy `FaultPlan` on

@@ -18,12 +18,12 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question, Rcode};
-use netsim::{LinkFaults, SimDuration, SimTime};
+use netsim::{LinkFaults, SimDuration, SimTime, Transport};
 use proptest::prelude::*;
 use resolver::probing::EcsDecision;
 use resolver::{
     FaultyUpstream, InjectedFault, ProbingState, ProbingStrategy, Resolver, ResolverConfig,
-    RetryPolicy,
+    RetryPolicy, TransportPolicy,
 };
 
 fn name(s: &str) -> Name {
@@ -67,7 +67,8 @@ fn survives(mut up: FaultyUpstream<AuthServer>, attempts: u8) {
                 !resp.answers.is_empty(),
                 "NoError must carry the answer (query {i})"
             ),
-            Rcode::ServFail | Rcode::FormErr => {}
+            // REFUSED comes back in-band when the knob rewrites a reply.
+            Rcode::ServFail | Rcode::FormErr | Rcode::Refused => {}
             other => prop_assert!(false, "unclassified outcome {:?} (query {})", other, i),
         }
     }
@@ -85,10 +86,10 @@ fn survives(mut up: FaultyUpstream<AuthServer>, attempts: u8) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// For any mix of loss/truncation probabilities, any blackhole
+    /// For any mix of loss/truncation/REFUSED probabilities, any blackhole
     /// setting, any script of injected faults (the only source of in-band
     /// SERVFAIL and FORMERR), any attempt budget, and any seed:
-    /// `resolve_msg` terminates, the outcome is one of the three classified
+    /// `resolve_msg` terminates, the outcome is one of the classified
     /// endings, and upstream traffic stays within the attempt budget.
     #[test]
     fn engine_survives_arbitrary_fault_plans(
@@ -96,6 +97,7 @@ proptest! {
         // float-range strategy), covering the full 0.0..=1.0 span.
         loss_pm in 0u32..=1000,
         truncate_pm in 0u32..=1000,
+        refused_pm in 0u32..=1000,
         blackhole in any::<bool>(),
         script in proptest::collection::vec(0usize..5, 0..12),
         attempts in 1u8..=4,
@@ -104,8 +106,8 @@ proptest! {
         let faults = LinkFaults {
             loss: loss_pm as f64 / 1000.0,
             truncate_replies: truncate_pm as f64 / 1000.0,
+            refused_replies: refused_pm as f64 / 1000.0,
             blackhole,
-            ..LinkFaults::NONE
         };
         let script = script.into_iter().map(|k| FAULTS[k]).collect();
         survives(FaultyUpstream::new(auth(), faults, seed), attempts);
@@ -113,18 +115,22 @@ proptest! {
     }
 
     /// A zero-fault plan is exactly the bare path: same responses, same
-    /// resolver stats, zero injections — for any seed. This pins the
-    /// "decorator is free when disabled" contract bit-for-bit.
+    /// resolver stats, zero injections — for any seed, on every ladder
+    /// (udp-only, udp+tcp, full), so the stream rungs are covered too. This
+    /// pins the "decorator is free when disabled" contract bit-for-bit.
     #[test]
     fn zero_fault_plan_is_bit_identical_to_bare_path(
         seed in any::<u64>(),
         c1 in any::<u32>(),
         c2 in any::<u32>(),
+        ladder in 1usize..=3,
     ) {
+        let mut config = ResolverConfig::rfc_compliant(RES);
+        config.transport = TransportPolicy::with_ladder(&Transport::ALL[..ladder]);
         let mut bare = auth();
         let mut wrapped = FaultyUpstream::new(auth(), LinkFaults::NONE, seed);
-        let mut r_bare = Resolver::new(ResolverConfig::rfc_compliant(RES));
-        let mut r_wrapped = Resolver::new(ResolverConfig::rfc_compliant(RES));
+        let mut r_bare = Resolver::new(config.clone());
+        let mut r_wrapped = Resolver::new(config);
 
         for (i, client) in [c1, c2, c1].into_iter().enumerate() {
             let q = Message::query(i as u16 + 1, Question::a(name("www.prop.example")));
@@ -143,6 +149,52 @@ proptest! {
         // Cache hits skip the upstream entirely, so "passed through" counts
         // exactly the exchanges the resolver says it made.
         prop_assert_eq!(wrapped.stats().passed, r_wrapped.stats().upstream_queries);
+    }
+
+    /// The same contract where every exchange needs a stream leg: a
+    /// 60-record answer overflows the 512-byte buffer the resolver
+    /// advertises, so each UDP reply comes back TC and the exchange goes on
+    /// over TCP (inline on the udp-only ladder, the TCP rung otherwise).
+    #[test]
+    fn zero_fault_plan_is_bit_identical_on_stream_legs(
+        seed in any::<u64>(),
+        c1 in any::<u32>(),
+        c2 in any::<u32>(),
+        ladder in 1usize..=3,
+    ) {
+        let big = || {
+            let mut zone = Zone::new(name("prop.example"));
+            for i in 0..60u8 {
+                zone.add_a(name("www.prop.example"), 60, Ipv4Addr::new(198, 51, 100, i))
+                    .unwrap();
+            }
+            AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource))
+        };
+        let mut config = ResolverConfig::rfc_compliant(RES);
+        config.transport = TransportPolicy {
+            edns_buf: 512,
+            ..TransportPolicy::with_ladder(&Transport::ALL[..ladder])
+        };
+        let mut bare = big();
+        let mut wrapped = FaultyUpstream::new(big(), LinkFaults::NONE, seed);
+        let mut r_bare = Resolver::new(config.clone());
+        let mut r_wrapped = Resolver::new(config);
+
+        for (i, client) in [c1, c2, c1].into_iter().enumerate() {
+            let q = Message::query(i as u16 + 1, Question::a(name("www.prop.example")));
+            let addr = IpAddr::V4(Ipv4Addr::from(client));
+            let at = SimTime::from_secs(i as u64);
+            let a = r_bare.resolve_msg(&q, addr, at, &mut bare);
+            let b = r_wrapped.resolve_msg(&q, addr, at, &mut wrapped);
+            prop_assert_eq!(a.answers.len(), 60);
+            prop_assert_eq!(a.to_bytes().unwrap(), b.to_bytes().unwrap());
+        }
+        prop_assert_eq!(r_bare.stats(), r_wrapped.stats());
+        prop_assert_eq!(wrapped.stats().injected(), 0);
+        let stream_legs = r_wrapped.stats().tcp_fallbacks;
+        prop_assert!(stream_legs >= 1);
+        prop_assert_eq!(wrapped.stats().streams(), stream_legs);
+        prop_assert_eq!(bare.log().len(), wrapped.inner().log().len());
     }
 
     /// Replaying the same query/response/timeout sequence with arbitrary

@@ -1,7 +1,7 @@
 //! The transport-fallback matrix: scripted per-transport faults pinning
 //! every edge of the engine's transport ladder.
 //!
-//! Each cell wires a [`TransportUpstream`] with a standing fault (lossy
+//! Each cell wires a [`FaultyUpstream`] with a standing fault (lossy
 //! fragmentation on UDP, REFUSED on TCP, a black-holed DoT handshake) under
 //! an explicit [`TransportPolicy`] ladder and asserts three things:
 //!
@@ -17,11 +17,11 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question, Rcode};
-use netsim::{PathProfile, SimTime, Transport};
+use netsim::{LinkFaults, PathProfile, SimTime, Transport};
 use obs::MetricValue;
 use resolver::{
-    ProbingStrategy, Resolver, ResolverConfig, RetryPolicy, TransportFault, TransportFaults,
-    TransportPolicy, TransportUpstream,
+    FaultyUpstream, InjectedFault, ProbingStrategy, Resolver, ResolverConfig, RetryPolicy,
+    TransportPolicy,
 };
 
 const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
@@ -62,7 +62,7 @@ fn counter(r: &Resolver, series: &str) -> u64 {
     }
 }
 
-fn ask(r: &mut Resolver, up: &mut TransportUpstream<AuthServer>) -> Message {
+fn ask(r: &mut Resolver, up: &mut FaultyUpstream<AuthServer>) -> Message {
     let q = Message::query(1, Question::a(name("www.big.test")));
     r.resolve_msg(&q, CLIENT, SimTime::ZERO, up)
 }
@@ -70,7 +70,7 @@ fn ask(r: &mut Resolver, up: &mut TransportUpstream<AuthServer>) -> Message {
 #[test]
 fn fragment_loss_exhausts_udp_and_falls_to_tcp() {
     let mut r = Resolver::new(config(TransportPolicy::full_ladder(), 2));
-    let mut up = TransportUpstream::new(big_auth(), 7).with_profile(PathProfile {
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7).with_profile(PathProfile {
         mtu: 512,
         frag_loss: 1.0,
     });
@@ -87,8 +87,8 @@ fn fragment_loss_exhausts_udp_and_falls_to_tcp() {
     assert_eq!(stats.transport_fallbacks, 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_total"), 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 1);
-    assert_eq!(up.stats().fragments_dropped, 2);
-    assert_eq!(up.stats().exchanges_over(Transport::Tcp), 1);
+    assert_eq!(up.stats().transport.fragments_dropped, 2);
+    assert_eq!(up.stats().transport.exchanges_over(Transport::Tcp), 1);
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn truncation_jumps_to_the_next_stream_rung() {
         ..TransportPolicy::with_ladder([Transport::Udp, Transport::Tcp])
     };
     let mut r = Resolver::new(config(policy, RetryPolicy::default().attempts));
-    let mut up = TransportUpstream::new(big_auth(), 7);
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7);
 
     let resp = ask(&mut r, &mut up);
     assert_eq!(resp.answers.len(), 60);
@@ -108,8 +108,8 @@ fn truncation_jumps_to_the_next_stream_rung() {
     assert_eq!(stats.transport_fallbacks, 1, "…and took the ladder edge");
     assert_eq!(stats.upstream_timeouts, 0, "truncation is not a timeout");
     assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 1);
-    assert_eq!(up.stats().exchanges_over(Transport::Udp), 1);
-    assert_eq!(up.stats().exchanges_over(Transport::Tcp), 1);
+    assert_eq!(up.stats().transport.exchanges_over(Transport::Udp), 1);
+    assert_eq!(up.stats().transport.exchanges_over(Transport::Tcp), 1);
 }
 
 #[test]
@@ -118,10 +118,8 @@ fn refused_tcp_falls_to_dot() {
         TransportPolicy::with_ladder([Transport::Tcp, Transport::Dot]),
         1,
     ));
-    let mut up = TransportUpstream::new(big_auth(), 7).with_faults(TransportFaults {
-        tcp: Some(TransportFault::Refused),
-        ..TransportFaults::NONE
-    });
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7)
+        .pin(Transport::Tcp, InjectedFault::Refused);
 
     let resp = ask(&mut r, &mut up);
     assert_eq!(resp.rcode, Rcode::NoError);
@@ -131,7 +129,7 @@ fn refused_tcp_falls_to_dot() {
     assert_eq!(stats.servfail_responses, 0);
     assert_eq!(stats.transport_fallbacks, 1);
     assert_eq!(counter(&r, "resolver_transport_fallbacks_to_tcp_total"), 0);
-    assert_eq!(up.stats().exchanges_over(Transport::Dot), 1);
+    assert_eq!(up.stats().transport.exchanges_over(Transport::Dot), 1);
 }
 
 #[test]
@@ -140,10 +138,8 @@ fn dot_timeout_withdraws_ecs_and_the_withdrawal_survives_the_fall() {
         TransportPolicy::with_ladder([Transport::Dot, Transport::Tcp]),
         2,
     ));
-    let mut up = TransportUpstream::new(big_auth(), 7).with_faults(TransportFaults {
-        dot: Some(TransportFault::Timeout),
-        ..TransportFaults::NONE
-    });
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7)
+        .pin(Transport::Dot, InjectedFault::Timeout);
 
     let resp = ask(&mut r, &mut up);
     assert_eq!(resp.rcode, Rcode::NoError);
@@ -174,11 +170,9 @@ fn all_rungs_faulted_ends_in_servfail() {
         TransportPolicy::with_ladder([Transport::Udp, Transport::Tcp]),
         1,
     ));
-    let mut up = TransportUpstream::new(big_auth(), 7).with_faults(TransportFaults {
-        udp: Some(TransportFault::Timeout),
-        tcp: Some(TransportFault::Refused),
-        ..TransportFaults::NONE
-    });
+    let mut up = FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7)
+        .pin(Transport::Udp, InjectedFault::Timeout)
+        .pin(Transport::Tcp, InjectedFault::Refused);
 
     let resp = ask(&mut r, &mut up);
     assert_eq!(resp.rcode, Rcode::ServFail);
@@ -197,10 +191,11 @@ fn all_rungs_faulted_ends_in_servfail() {
 fn fallback_cells_are_deterministic() {
     let run = || {
         let mut r = Resolver::new(config(TransportPolicy::full_ladder(), 2));
-        let mut up = TransportUpstream::new(big_auth(), 7).with_profile(PathProfile {
-            mtu: 512,
-            frag_loss: 1.0,
-        });
+        let mut up =
+            FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7).with_profile(PathProfile {
+                mtu: 512,
+                frag_loss: 1.0,
+            });
         let resp = ask(&mut r, &mut up).to_bytes().unwrap();
         (resp, r.stats(), up.stats())
     };
