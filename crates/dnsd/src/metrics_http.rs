@@ -84,10 +84,17 @@ pub fn spawn_metrics_endpoint<A: ToSocketAddrs>(
 
 fn serve_request(mut stream: std::net::TcpStream, registry: &MetricsRegistry) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    // Read just enough to see the request line; clients send the whole
-    // header block at once, and we only route on the first line.
+    // Read the whole header block, however many segments it arrives in:
+    // the route is on its first line, and closing with request bytes still
+    // unread would reset the connection under the response.
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf)?;
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut buf[n..])? {
+            0 => break,
+            k => n += k,
+        }
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
     let path = request
         .lines()
