@@ -477,6 +477,15 @@ mod tests {
     }
 
     #[test]
+    fn small_answers_pass_untouched_over_udp() {
+        let mut up = FaultyUpstream::new(auth_with_records(1), LinkFaults::NONE, 7);
+        let resp = up.query(&query(4096), RES, SimTime::ZERO).unwrap();
+        assert_eq!(resp.answers.len(), 1);
+        assert_eq!(up.stats().transport.exchanges_over(Transport::Udp), 1);
+        assert_eq!(up.stats().transport.truncated, 0);
+    }
+
+    #[test]
     fn oversize_answers_truncate_against_the_advertised_buffer() {
         // 60 A records ≈ 960+ bytes of rdata: bigger than a 512 buffer.
         let mut up = FaultyUpstream::new(OversizeAnswerer(60), LinkFaults::NONE, 7);
