@@ -78,9 +78,7 @@ impl EdnsOption {
     }
 
     fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let code = r.read_u16("EDNS option code")?;
-        let len = r.read_u16("EDNS option length")? as usize;
-        let body = r.read_bytes(len, "EDNS option body")?;
+        let (code, body) = read_option(r)?;
         match OptionCode::from_u16(code) {
             OptionCode::ClientSubnet => Ok(EdnsOption::ClientSubnet(EcsOption::from_wire(body)?)),
             _ => Ok(EdnsOption::Other {
@@ -88,6 +86,42 @@ impl EdnsOption {
                 data: body.to_vec(),
             }),
         }
+    }
+}
+
+/// One option's code and body, borrowed from the message.
+pub(crate) fn read_option<'a>(r: &mut WireReader<'a>) -> WireResult<(u16, &'a [u8])> {
+    let code = r.read_u16("EDNS option code")?;
+    let len = r.read_u16("EDNS option length")? as usize;
+    Ok((code, r.read_bytes(len, "EDNS option body")?))
+}
+
+/// The fixed fields of an OPT record after its TYPE, and a reader over
+/// its options: the layout both [`OptRecord::read_after_type`] and
+/// [`crate::MessageView`] read.
+pub(crate) struct OptFixed<'a> {
+    pub(crate) udp_payload_size: u16,
+    pub(crate) extended_rcode: u8,
+    pub(crate) version: u8,
+    pub(crate) flags: u16,
+    /// Bounded by RDLENGTH: read options until it is empty.
+    pub(crate) options: WireReader<'a>,
+}
+
+impl<'a> OptFixed<'a> {
+    pub(crate) fn read(r: &mut WireReader<'a>) -> WireResult<Self> {
+        let udp_payload_size = r.read_u16("OPT class")?;
+        let extended_rcode = r.read_u8("OPT extended rcode")?;
+        let version = r.read_u8("OPT version")?;
+        let flags = r.read_u16("OPT flags")?;
+        let rdlen = r.read_u16("OPT rdlength")? as usize;
+        Ok(OptFixed {
+            udp_payload_size,
+            extended_rcode,
+            version,
+            flags,
+            options: r.sub_reader(rdlen, "OPT rdata")?,
+        })
     }
 }
 
@@ -178,21 +212,16 @@ impl OptRecord {
     /// Parses the body of an OPT record. The caller has already consumed the
     /// owner name and TYPE, and checked the owner was root.
     pub fn read_after_type(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let udp_payload_size = r.read_u16("OPT class")?;
-        let extended_rcode = r.read_u8("OPT extended rcode")?;
-        let version = r.read_u8("OPT version")?;
-        let flags = r.read_u16("OPT flags")?;
-        let rdlen = r.read_u16("OPT rdlength")? as usize;
-        let mut sub = r.sub_reader(rdlen, "OPT rdata")?;
+        let mut fixed = OptFixed::read(r)?;
         let mut options = Vec::new();
-        while sub.remaining() > 0 {
-            options.push(EdnsOption::read(&mut sub)?);
+        while fixed.options.remaining() > 0 {
+            options.push(EdnsOption::read(&mut fixed.options)?);
         }
         Ok(OptRecord {
-            udp_payload_size,
-            extended_rcode,
-            version,
-            dnssec_ok: flags & 0x8000 != 0,
+            udp_payload_size: fixed.udp_payload_size,
+            extended_rcode: fixed.extended_rcode,
+            version: fixed.version,
+            dnssec_ok: fixed.flags & 0x8000 != 0,
             options,
         })
     }

@@ -197,6 +197,7 @@ impl Header {
     }
 
     /// Parses the fixed twelve bytes.
+    #[inline]
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
         let id = r.read_u16("header id")?;
         let hi = r.read_u8("header flags high")?;

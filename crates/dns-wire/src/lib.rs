@@ -13,6 +13,9 @@
 //! * Parsing is defensive: every length is validated, compression pointers
 //!   must point strictly backwards, and unknown record types and EDNS options
 //!   are preserved as opaque bytes rather than rejected.
+//! * A hop that reads only a header, a question or an ECS option reads a
+//!   [`MessageView`]: the same validation as [`Message::from_bytes`], in
+//!   place, with nothing built.
 //! * A [`Name`] is one buffer holding its uncompressed wire form, so a
 //!   clone is one allocation and equality, hashing and encoding are single
 //!   passes over it.
@@ -56,6 +59,7 @@ pub mod prefix;
 pub mod question;
 pub mod rdata;
 pub mod record;
+pub mod view;
 pub mod wire;
 
 pub use ecs::{AddressFamily, EcsOption};
@@ -68,3 +72,4 @@ pub use prefix::{IpPrefix, PrefixError};
 pub use question::Question;
 pub use rdata::{Rdata, SoaData};
 pub use record::{Record, RecordClass, RecordType};
+pub use view::MessageView;

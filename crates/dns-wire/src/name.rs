@@ -209,53 +209,113 @@ impl Name {
         // the one heap allocation is the exact-size copy at the end.
         let mut wire = [0u8; MAX_NAME_LEN];
         let mut len = 0usize;
-        let mut chases = 0usize;
-        // After the first pointer jump we continue reading from a clone so
-        // the caller's cursor stays just past the pointer.
-        let mut jumped: Option<WireReader<'_>> = None;
-
-        loop {
-            let cur: &mut WireReader<'_> = jumped.as_mut().unwrap_or(r);
-            let len_byte = cur.read_u8("name label length")?;
-            match len_byte & 0xC0 {
-                0x00 => {
-                    if len_byte == 0 {
-                        break;
-                    }
-                    let label = cur.read_bytes(len_byte as usize, "name label")?;
-                    // Wire length so far, counting the root octet to come.
-                    let wire_len = len + 1 + label.len() + 1;
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
-                    }
-                    wire[len] = len_byte;
-                    wire[len + 1..len + 1 + label.len()].copy_from_slice(label);
-                    len += 1 + label.len();
-                }
-                0xC0 => {
-                    let lo = cur.read_u8("compression pointer low byte")?;
-                    let target = (((len_byte & 0x3F) as usize) << 8) | lo as usize;
-                    // The pointer must reference strictly earlier bytes.
-                    let at = cur.position() - 2;
-                    if target >= at {
-                        return Err(WireError::BadCompressionPointer { at, target });
-                    }
-                    chases += 1;
-                    if chases > MAX_POINTER_CHASES {
-                        return Err(WireError::CompressionLoop);
-                    }
-                    let full = cur.full_message();
-                    let mut next = WireReader::new(full);
-                    next.seek(target);
-                    jumped = Some(next);
-                }
-                other => return Err(WireError::ReservedLabelType(other | (len_byte & 0x3F))),
-            }
-        }
+        walk(r, |label| {
+            wire[len] = label.len() as u8;
+            wire[len + 1..len + 1 + label.len()].copy_from_slice(label);
+            len += 1 + label.len();
+        })?;
         Ok(Name {
             wire: wire[..len].into(),
         })
     }
+
+    /// Steps over a name as [`Name::read`] would read it, under the same
+    /// rules and with the same errors, copying nothing. Returns its
+    /// uncompressed wire length (1 for the root).
+    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<usize> {
+        walk(r, |_| {})
+    }
+
+    /// Reads a name as [`Name::skip`] does and tells whether it equals
+    /// `self` (ASCII case-insensitively, as `==` compares), without
+    /// copying a label.
+    pub(crate) fn read_eq(&self, r: &mut WireReader<'_>) -> WireResult<bool> {
+        let mut at = 0usize;
+        let mut same = true;
+        walk(r, |label| {
+            same = same
+                && self.wire.get(at) == Some(&(label.len() as u8))
+                && self
+                    .wire
+                    .get(at + 1..at + 1 + label.len())
+                    .is_some_and(|ours| ours.eq_ignore_ascii_case(label));
+            at += 1 + label.len();
+        })?;
+        Ok(same && at == self.wire.len())
+    }
+}
+
+/// The one walk over a possibly compressed name on the wire, and so the
+/// one place its rules are written: a label is a length octet of 1–63
+/// and its bytes, a zero octet ends the name, a compression pointer must
+/// point strictly backwards and at most [`MAX_POINTER_CHASES`] of them
+/// are followed, the two reserved label types are rejected, and the name
+/// may not exceed [`MAX_NAME_LEN`] octets. Hands each label to `label`
+/// in order, and returns the name's uncompressed wire length (root octet
+/// included). The reader's cursor ends just past the name (after the
+/// pointer, if the name ends with one).
+#[inline]
+fn walk(r: &mut WireReader<'_>, mut label: impl FnMut(&[u8])) -> WireResult<usize> {
+    // The walk indexes the reader's bytes directly: pointers are offsets
+    // into the same bytes, and the caller's cursor moves once, at the
+    // end, to just past the name's first pointer or its root octet.
+    let buf = r.full_message();
+    let mut pos = r.position();
+    let mut resume = None;
+    // Uncompressed length so far, root octet excluded.
+    let mut len = 0usize;
+    let mut chases = 0usize;
+    loop {
+        let Some(&len_byte) = buf.get(pos) else {
+            return Err(WireError::Truncated {
+                context: "name label length",
+            });
+        };
+        pos += 1;
+        match len_byte & 0xC0 {
+            0x00 => {
+                if len_byte == 0 {
+                    break;
+                }
+                let Some(bytes) = buf.get(pos..pos + len_byte as usize) else {
+                    return Err(WireError::Truncated {
+                        context: "name label",
+                    });
+                };
+                pos += bytes.len();
+                // Wire length so far, counting the root octet to come.
+                let wire_len = len + 1 + bytes.len() + 1;
+                if wire_len > MAX_NAME_LEN {
+                    return Err(WireError::NameTooLong(wire_len));
+                }
+                label(bytes);
+                len += 1 + bytes.len();
+            }
+            0xC0 => {
+                let Some(&lo) = buf.get(pos) else {
+                    return Err(WireError::Truncated {
+                        context: "compression pointer low byte",
+                    });
+                };
+                pos += 1;
+                let target = (((len_byte & 0x3F) as usize) << 8) | lo as usize;
+                // The pointer must reference strictly earlier bytes.
+                let at = pos - 2;
+                if target >= at {
+                    return Err(WireError::BadCompressionPointer { at, target });
+                }
+                chases += 1;
+                if chases > MAX_POINTER_CHASES {
+                    return Err(WireError::CompressionLoop);
+                }
+                resume.get_or_insert(pos);
+                pos = target;
+            }
+            other => return Err(WireError::ReservedLabelType(other | (len_byte & 0x3F))),
+        }
+    }
+    r.seek(resume.unwrap_or(pos));
+    Ok(len + 1)
 }
 
 impl PartialEq for Name {

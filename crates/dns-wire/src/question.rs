@@ -49,6 +49,16 @@ impl Question {
             qclass: RecordClass::from_u16(r.read_u16("qclass")?),
         })
     }
+
+    /// Steps over a question as [`Question::read`] would read it, under
+    /// the same rules and with the same errors, copying nothing. Returns
+    /// its QTYPE.
+    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<RecordType> {
+        Name::skip(r)?;
+        let qtype = RecordType::from_u16(r.read_u16("qtype")?);
+        r.read_u16("qclass")?;
+        Ok(qtype)
+    }
 }
 
 impl fmt::Display for Question {

@@ -164,6 +164,50 @@ impl Rdata {
         }
     }
 
+    /// Steps over RDATA of the given type as [`Rdata::read`] would read
+    /// it, under the same rules and with the same errors, building
+    /// nothing.
+    pub(crate) fn skip(rtype: RecordType, r: &mut WireReader<'_>, rdlen: usize) -> WireResult<()> {
+        match rtype {
+            RecordType::A => {
+                r.read_bytes(4, "A rdata")?;
+            }
+            RecordType::Aaaa => {
+                r.read_bytes(16, "AAAA rdata")?;
+            }
+            RecordType::Cname | RecordType::Ns | RecordType::Ptr => {
+                Name::skip(r)?;
+            }
+            RecordType::Txt => {
+                let mut left = rdlen;
+                while left > 0 {
+                    let n = r.read_u8("TXT string length")? as usize;
+                    r.read_bytes(n, "TXT string")?;
+                    left = left.checked_sub(1 + n).ok_or(WireError::Truncated {
+                        context: "TXT rdata",
+                    })?;
+                }
+            }
+            RecordType::Soa => {
+                Name::skip(r)?;
+                Name::skip(r)?;
+                for context in [
+                    "SOA serial",
+                    "SOA refresh",
+                    "SOA retry",
+                    "SOA expire",
+                    "SOA minimum",
+                ] {
+                    r.read_u32(context)?;
+                }
+            }
+            _ => {
+                r.read_bytes(rdlen, "unknown rdata")?;
+            }
+        }
+        Ok(())
+    }
+
     /// Extracts the alias target, if this is a CNAME.
     pub fn as_cname(&self) -> Option<&Name> {
         match self {

@@ -176,20 +176,7 @@ impl Record {
     /// Parses one record (not OPT — the message layer intercepts those).
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
         let name = Name::read(r)?;
-        let rtype = RecordType::from_u16(r.read_u16("record type")?);
-        let class = RecordClass::from_u16(r.read_u16("record class")?);
-        let ttl = r.read_u32("record ttl")?;
-        let rdlen = r.read_u16("rdlength")? as usize;
-        let mut sub = r.sub_reader(rdlen, "rdata")?;
-        let start = sub.position();
-        let rdata = Rdata::read(rtype, &mut sub, rdlen)?;
-        let consumed = sub.position() - start;
-        if consumed != rdlen {
-            return Err(WireError::RdataLengthMismatch {
-                declared: rdlen,
-                consumed,
-            });
-        }
+        let (class, ttl, rdata) = read_after_owner(r, Rdata::read)?;
         Ok(Record {
             name,
             class,
@@ -197,6 +184,38 @@ impl Record {
             rdata,
         })
     }
+
+    /// Steps over one record as [`Record::read`] would read it, under the
+    /// same rules and with the same errors, building nothing.
+    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<()> {
+        Name::skip(r)?;
+        read_after_owner(r, Rdata::skip)?;
+        Ok(())
+    }
+}
+
+/// The record envelope after the owner name: TYPE, CLASS, TTL and an
+/// RDATA that `rdata` reads from a reader bounded by RDLENGTH and must
+/// consume exactly.
+fn read_after_owner<'a, T>(
+    r: &mut WireReader<'a>,
+    rdata: impl FnOnce(RecordType, &mut WireReader<'a>, usize) -> WireResult<T>,
+) -> WireResult<(RecordClass, u32, T)> {
+    let rtype = RecordType::from_u16(r.read_u16("record type")?);
+    let class = RecordClass::from_u16(r.read_u16("record class")?);
+    let ttl = r.read_u32("record ttl")?;
+    let rdlen = r.read_u16("rdlength")? as usize;
+    let mut sub = r.sub_reader(rdlen, "rdata")?;
+    let start = sub.position();
+    let rdata = rdata(rtype, &mut sub, rdlen)?;
+    let consumed = sub.position() - start;
+    if consumed != rdlen {
+        return Err(WireError::RdataLengthMismatch {
+            declared: rdlen,
+            consumed,
+        });
+    }
+    Ok((class, ttl, rdata))
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Number of unread bytes.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
@@ -55,6 +56,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a single octet.
+    #[inline]
     pub fn read_u8(&mut self, context: &'static str) -> WireResult<u8> {
         if self.remaining() < 1 {
             return Err(WireError::Truncated { context });
@@ -65,6 +67,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     pub fn read_u16(&mut self, context: &'static str) -> WireResult<u16> {
         if self.remaining() < 2 {
             return Err(WireError::Truncated { context });
@@ -75,6 +78,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     pub fn read_u32(&mut self, context: &'static str) -> WireResult<u32> {
         if self.remaining() < 4 {
             return Err(WireError::Truncated { context });
@@ -86,6 +90,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads exactly `n` bytes, returning a slice borrowed from the message.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize, context: &'static str) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(WireError::Truncated { context });
@@ -112,6 +117,7 @@ impl<'a> WireReader<'a> {
     /// Returns a sub-reader limited to the next `n` bytes and advances this
     /// reader past them. The sub-reader still sees the full message for
     /// compression-pointer resolution but its cursor starts at the sub-slice.
+    #[inline]
     pub fn sub_reader(&mut self, n: usize, context: &'static str) -> WireResult<WireReader<'a>> {
         if self.remaining() < n {
             return Err(WireError::Truncated { context });

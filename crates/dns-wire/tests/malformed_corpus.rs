@@ -1,6 +1,11 @@
 //! A corpus of handcrafted malformed packets: each must fail with a clean,
-//! specific error — never a panic, never a bogus success.
+//! specific error — never a panic, never a bogus success. Every packet is
+//! read both ways ([`agree::decode_both`]): the view must fail on it with
+//! the decoder's error, or read what the decoder reads.
 
+mod agree;
+
+use agree::decode_both;
 use dns_wire::{Message, WireError};
 
 /// A minimal valid query for splicing: id 1, one A question for `a.b.`.
@@ -19,11 +24,11 @@ fn corpus_of_truncations() {
     // Every strict prefix must fail cleanly (header alone is 12 bytes; an
     // empty message body with qdcount=1 is a count mismatch).
     for cut in 0..bytes.len() {
-        let r = Message::from_bytes(&bytes[..cut]);
+        let r = decode_both(&bytes[..cut]);
         assert!(r.is_err(), "prefix of {cut} bytes must not parse");
     }
     // The full message parses.
-    assert!(Message::from_bytes(&bytes).is_ok());
+    assert!(decode_both(&bytes).is_ok());
 }
 
 #[test]
@@ -42,7 +47,7 @@ fn pointer_into_own_label() {
     bytes.extend_from_slice(&[0, 1, 0, 1]);
     // Either parses (if the garbage happens to form labels) or errors;
     // must not panic or loop.
-    let _ = Message::from_bytes(&bytes);
+    let _ = decode_both(&bytes);
 }
 
 #[test]
@@ -51,7 +56,7 @@ fn pointer_to_self_rejected() {
     let at = bytes.len();
     bytes.extend_from_slice(&[0xC0, at as u8]); // points at itself
     bytes.extend_from_slice(&[0, 1, 0, 1]);
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(
         matches!(err, WireError::BadCompressionPointer { .. }),
         "{err:?}"
@@ -63,7 +68,7 @@ fn oversized_label_length() {
     // Label length 0x3F (63) with only 3 bytes following.
     let mut bytes = vec![0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
     bytes.extend_from_slice(&[0x3F, b'a', b'b', b'c']);
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(
         matches!(
             err,
@@ -79,7 +84,7 @@ fn reserved_label_bits() {
         let mut bytes = vec![0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
         bytes.extend_from_slice(&[reserved | 5, 1, 2, 3, 4, 5]);
         bytes.extend_from_slice(&[0, 1, 0, 1]);
-        let err = Message::from_bytes(&bytes).unwrap_err();
+        let err = decode_both(&bytes).unwrap_err();
         assert!(
             matches!(err, WireError::ReservedLabelType(_)),
             "{reserved:#x}: {err:?}"
@@ -95,7 +100,7 @@ fn rdlength_lies() {
     bytes.extend_from_slice(&[0, 1, 0, 1]); // TYPE A, IN
     bytes.extend_from_slice(&[0, 0, 0, 60]); // TTL
     bytes.extend_from_slice(&[0, 2, 9, 9]); // RDLENGTH 2, two bytes
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(
         matches!(
             err,
@@ -112,7 +117,7 @@ fn rdlength_overruns_message() {
     bytes.extend_from_slice(&[0, 1, 0, 1]);
     bytes.extend_from_slice(&[0, 0, 0, 60]);
     bytes.extend_from_slice(&[0xFF, 0xFF]); // RDLENGTH 65535, no body
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(
         matches!(
             err,
@@ -132,7 +137,7 @@ fn ecs_option_with_family_zero() {
     bytes.extend_from_slice(&[0, 0, 0, 0]); // ext-rcode/version/flags
     bytes.extend_from_slice(&[0, 8]); // RDLENGTH 8
     bytes.extend_from_slice(&[0, 8, 0, 4, 0, 0, 0, 0]); // opt 8 len 4, family 0
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(matches!(err, WireError::BadEcs(_)), "{err:?}");
 }
 
@@ -148,7 +153,7 @@ fn ecs_option_with_trailing_bits() {
     bytes.extend_from_slice(&[0, 11]); // RDLENGTH = 4 + 7
     bytes.extend_from_slice(&[0, 8, 0, 7]);
     bytes.extend_from_slice(&[0, 1, 17, 0, 192, 0, 64]);
-    let err = Message::from_bytes(&bytes).unwrap_err();
+    let err = decode_both(&bytes).unwrap_err();
     assert!(matches!(err, WireError::BadEcs(_)), "{err:?}");
 }
 
@@ -162,7 +167,7 @@ fn opt_in_answer_section_is_not_edns() {
     bytes.extend_from_slice(&[0, 1]); // class
     bytes.extend_from_slice(&[0, 0, 0, 0]); // ttl
     bytes.extend_from_slice(&[0, 0]); // rdlength 0
-    let msg = Message::from_bytes(&bytes).unwrap();
+    let msg = decode_both(&bytes).unwrap();
     assert!(msg.edns.is_none());
     assert_eq!(msg.answers.len(), 1);
 }
@@ -187,13 +192,37 @@ fn deeply_nested_pointers_bounded() {
     msg.extend_from_slice(&[0xC0 | ((qname_at >> 8) as u8), (qname_at & 0xFF) as u8]);
     msg.extend_from_slice(&[0, 1, 0, 1]);
     // Parses-or-errors; the chase bound guarantees termination.
-    let _ = Message::from_bytes(&msg);
+    let _ = decode_both(&msg);
 }
 
 #[test]
 fn empty_input_and_single_bytes() {
-    assert!(Message::from_bytes(&[]).is_err());
+    assert!(decode_both(&[]).is_err());
     for b in [0u8, 0x20, 0xC0, 0xFF] {
-        assert!(Message::from_bytes(&[b]).is_err());
+        assert!(decode_both(&[b]).is_err());
     }
+}
+
+/// A message whose additional section is one bare OPT record (payload
+/// 4096, no options) behind each of the given owner names.
+fn with_opts(owners: &[&[u8]]) -> Vec<u8> {
+    let mut bytes = vec![0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, owners.len() as u8];
+    for owner in owners {
+        bytes.extend_from_slice(owner);
+        bytes.extend_from_slice(&[0, 41, 16, 0, 0, 0, 0, 0, 0, 0]); // OPT, no options
+    }
+    bytes
+}
+
+#[test]
+fn second_opt_rejected() {
+    assert!(decode_both(&with_opts(&[&[0]])).is_ok());
+    let err = decode_both(&with_opts(&[&[0], &[0]])).unwrap_err();
+    assert_eq!(err, WireError::DuplicateOpt);
+}
+
+#[test]
+fn opt_owned_by_a_name_rejected() {
+    let err = decode_both(&with_opts(&[&[1, b'x', 0]])).unwrap_err();
+    assert_eq!(err, WireError::OptOwnerNotRoot);
 }

@@ -3,9 +3,18 @@
 //! encode (the observable face of the bounded-preallocation guard), and
 //! decode ∘ encode is a fixpoint for everything that parses.
 //!
+//! The validating view ([`dns_wire::MessageView`]) is held to the
+//! decoder here too: over generated messages of every shape and their bit
+//! flips, truncations and trailing bytes, it accepts exactly what
+//! `Message::from_bytes` accepts and reads the same header, first
+//! question and ECS option ([`agree::decode_both`]).
+//!
 //! CI runs this file with `PROPTEST_CASES=1024` for a deeper sweep; the
 //! in-tree default keeps `cargo test` fast.
 
+mod agree;
+
+use agree::decode_both;
 use dns_wire::{EcsOption, EdnsOption, Message, Name, Question, Rdata, Record, SoaData};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -249,8 +258,61 @@ fn four_section_message_encodes_to_pinned_bytes() {
     );
 }
 
+/// What a datagram may suffer on its way: nothing, one byte replaced,
+/// a cut, or bytes appended.
+#[derive(Debug, Clone)]
+enum Damage {
+    None,
+    Flip(u16, u8),
+    Cut(u16),
+    Trail(Vec<u8>),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::None),
+        (any::<u16>(), any::<u8>()).prop_map(|(at, val)| Damage::Flip(at, val)),
+        any::<u16>().prop_map(Damage::Cut),
+        bytes(1..24).prop_map(Damage::Trail),
+    ]
+}
+
+impl Damage {
+    fn apply(&self, mut bytes: Vec<u8>) -> Vec<u8> {
+        let n = bytes.len().max(1);
+        match self {
+            Damage::None => {}
+            Damage::Flip(at, val) => {
+                if let Some(b) = bytes.get_mut(*at as usize % n) {
+                    *b = *val;
+                }
+            }
+            Damage::Cut(at) => bytes.truncate(*at as usize % n),
+            Damage::Trail(tail) => bytes.extend_from_slice(tail),
+        }
+        bytes
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_view_accepts_what_the_decoder_accepts(
+        msg in prop_oneof![arb_full_message(), arb_message()],
+        damage in arb_damage(),
+    ) {
+        // Unencodable messages (a TXT string past 255 bytes) have no
+        // bytes to read.
+        if let Ok(bytes) = msg.to_bytes() {
+            decode_both(&damage.apply(bytes)).ok();
+        }
+    }
+
+    #[test]
+    fn the_view_agrees_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+        decode_both(&data).ok();
+    }
 
     #[test]
     fn arbitrary_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
