@@ -137,27 +137,6 @@ impl Message {
             .collect()
     }
 
-    /// Follows the CNAME chain in the answer section starting from the
-    /// question name, returning the final target name.
-    pub fn final_name(&self) -> Option<Name> {
-        let mut cur = self.question()?.name.clone();
-        // Bounded by the answer count to tolerate malformed chains.
-        for _ in 0..=self.answers.len() {
-            let next = self.answers.iter().find_map(|r| {
-                if r.name == cur {
-                    r.rdata.as_cname().cloned()
-                } else {
-                    None
-                }
-            });
-            match next {
-                Some(n) => cur = n,
-                None => return Some(cur),
-            }
-        }
-        Some(cur)
-    }
-
     /// Minimum TTL across answer records (the effective cache lifetime of
     /// the response), or `None` when there are no answers.
     pub fn min_answer_ttl(&self) -> Option<u32> {
@@ -378,7 +357,6 @@ mod tests {
             back.answer_addrs(),
             vec![IpAddr::V4(Ipv4Addr::new(203, 0, 113, 5))]
         );
-        assert_eq!(back.final_name().unwrap(), name("edge.cdn.example"));
         assert_eq!(back.min_answer_ttl(), Some(20));
     }
 
@@ -533,18 +511,6 @@ mod tests {
         let mut m2 = Message::query(1, Question::a(name("a.example")));
         m2.rcode = Rcode::FormErr;
         assert_eq!(m2.extended_rcode(), 1);
-    }
-
-    #[test]
-    fn final_name_without_cname_is_qname() {
-        let q = sample_query();
-        let mut resp = Message::response_to(&q);
-        resp.answers.push(Record::new(
-            name("www.example.com"),
-            20,
-            Rdata::A(Ipv4Addr::new(1, 2, 3, 4)),
-        ));
-        assert_eq!(resp.final_name().unwrap(), name("www.example.com"));
     }
 
     #[test]

@@ -177,16 +177,6 @@ impl TransportModel {
         }
     }
 
-    /// A model whose path delivers everything: effectively infinite MTU,
-    /// no fragment loss. Useful as a transparent decorator when only
-    /// transport *selection*, not degradation, is under test.
-    pub fn ideal() -> Self {
-        TransportModel::new(PathProfile {
-            mtu: usize::MAX,
-            frag_loss: 0.0,
-        })
-    }
-
     /// Accounts one exchange over `transport` at `now` and returns the
     /// setup delay it pays before the query can be sent: zero on UDP or a
     /// warm connection, otherwise `rtt × handshake-round-trips`.
@@ -357,15 +347,6 @@ mod tests {
         );
         assert_eq!(
             coin.datagram_fate(1600, 4096, || 0.75),
-            DatagramFate::Deliver
-        );
-    }
-
-    #[test]
-    fn ideal_model_delivers_everything() {
-        let mut m = TransportModel::ideal();
-        assert_eq!(
-            m.datagram_fate(1 << 20, usize::MAX, || unreachable!()),
             DatagramFate::Deliver
         );
     }
