@@ -148,6 +148,15 @@ struct SimMetrics {
     delivery_latency: obs::Histogram,
 }
 
+/// The profile's name for a node of type `N`: the type's own name, its
+/// module path and generic arguments stripped (`RelayActor`,
+/// `ScannerNode`).
+fn kind_of<N>() -> &'static str {
+    let full = std::any::type_name::<N>();
+    let bare = full.split('<').next().unwrap_or(full);
+    bare.rsplit("::").next().unwrap_or(bare)
+}
+
 /// FxHash's rotate-xor-multiply over the words of a key. The pair tables
 /// (here and in [`FaultPlan`]) are keyed by node indices the simulation
 /// assigns itself, so SipHash's resistance to chosen keys buys nothing
@@ -199,6 +208,12 @@ pub struct Simulation {
     fault_stats: FaultStats,
     delivered: u64,
     metrics: Option<SimMetrics>,
+    /// Each node's kind: its type's name, module path and generics
+    /// stripped.
+    kinds: Vec<&'static str>,
+    /// Wall time per dispatch, by node kind; off unless
+    /// [`Simulation::enable_profiling`] turned it on.
+    profile: obs::StageProfiler,
 }
 
 impl Simulation {
@@ -219,6 +234,8 @@ impl Simulation {
             fault_stats: FaultStats::default(),
             delivered: 0,
             metrics: None,
+            kinds: Vec::new(),
+            profile: obs::StageProfiler::off(),
         }
     }
 
@@ -256,6 +273,24 @@ impl Simulation {
         Some(snap)
     }
 
+    /// Turns on the dispatch profile: the wall time of every handler call
+    /// (with the sends and timers it asked for applied), folded under
+    /// `sim;<node kind>;packet|timer|start`, where a node's kind is its
+    /// type's name. Off by default, when a dispatch pays one branch for
+    /// it; on, it reads the clock twice per dispatch and touches neither
+    /// the RNG nor the event order.
+    pub fn enable_profiling(&mut self) {
+        if !self.profile.is_on() {
+            self.profile = obs::StageProfiler::new();
+        }
+    }
+
+    /// The dispatch profile so far; empty unless
+    /// [`Simulation::enable_profiling`] was called.
+    pub fn profile_snapshot(&self) -> obs::ProfileSnapshot {
+        self.profile.snapshot()
+    }
+
     /// Replaces the fault plan applied on the send path, before or mid-run
     /// (e.g. to heal or degrade links). With [`FaultPlan::none`] the run is
     /// bit-identical to one that never set a plan.
@@ -276,7 +311,8 @@ impl Simulation {
         self.book.bind(addr, id);
         self.nodes.push(Some(Box::new(node)));
         self.positions.push(pos);
-        self.dispatch(id, |n, ctx| n.on_start(ctx));
+        self.kinds.push(kind_of::<N>());
+        self.dispatch(id, "start", |n, ctx| n.on_start(ctx));
         id
     }
 
@@ -368,19 +404,35 @@ impl Simulation {
             match ev.kind {
                 EventKind::Deliver { src, dst, payload } => {
                     self.delivered += 1;
-                    self.dispatch(dst, |node, ctx| {
+                    self.dispatch(dst, "packet", |node, ctx| {
                         node.on_packet(Packet { src, dst, payload }, ctx)
                     });
                 }
                 EventKind::Timer { node, token } => {
-                    self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
+                    self.dispatch(node, "timer", |n, ctx| n.on_timer(token, ctx));
                 }
             }
         }
         processed
     }
 
-    fn dispatch<F>(&mut self, id: NodeId, f: F)
+    /// Runs one handler of node `id` (`what` names the event for the
+    /// profile) and applies what it asked for.
+    fn dispatch<F>(&mut self, id: NodeId, what: &'static str, f: F)
+    where
+        F: FnOnce(&mut dyn Node, &mut Ctx),
+    {
+        if self.profile.is_on() {
+            let start = self.profile.now_us();
+            self.handle(id, f);
+            let took = self.profile.now_us() - start;
+            self.profile.record(&["sim", self.kinds[id.0], what], took);
+            return;
+        }
+        self.handle(id, f);
+    }
+
+    fn handle<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Node, &mut Ctx),
     {
@@ -619,6 +671,44 @@ mod tests {
         let lat = snap.histogram("netsim_delivery_latency_us").unwrap();
         assert_eq!(lat.count, d_inst);
         assert!(lat.min > 0, "cross-Pacific hops take time");
+    }
+
+    #[test]
+    fn the_dispatch_profile_counts_each_kind_without_perturbing_the_run() {
+        let run = |profile: bool| {
+            let mut sim = Simulation::new(5);
+            if profile {
+                sim.enable_profiling();
+            }
+            let echo = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Tokyo").unwrap().pos);
+            let ping = sim.add_node(
+                Pinger {
+                    replies: 0,
+                    last_rtt_ms: 0.0,
+                    sent_at: SimTime::ZERO,
+                    peer: Some(echo),
+                },
+                addr(&sim),
+                city("Sydney").unwrap().pos,
+            );
+            sim.inject_timer(ping, SimDuration::ZERO, 0);
+            sim.inject(ping, echo, vec![7], SimDuration::ZERO);
+            let events = sim.run();
+            (sim.now(), events, sim.profile_snapshot())
+        };
+        let (t_plain, e_plain, off) = run(false);
+        let (t_prof, e_prof, on) = run(true);
+        assert!(off.is_empty());
+        assert_eq!((t_plain, e_plain), (t_prof, e_prof));
+        let calls = |path: &str| on.stacks.get(path).map_or(0, |s| s.calls);
+        // Two packets reach the echo, it answers both, one timer fires.
+        assert_eq!(calls("sim;Echo;packet"), 2);
+        assert_eq!(calls("sim;Pinger;packet"), 2);
+        assert_eq!(calls("sim;Pinger;timer"), 1);
+        assert_eq!(calls("sim;Echo;start") + calls("sim;Pinger;start"), 2);
+        assert_eq!(on.total_calls(), e_prof + 2, "every event plus two starts");
+        // A generic node is named without its parameters or paths.
+        assert_eq!(kind_of::<std::collections::HashMap<u8, Echo>>(), "HashMap");
     }
 
     #[test]
