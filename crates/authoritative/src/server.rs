@@ -3,7 +3,10 @@
 use std::collections::HashSet;
 use std::net::IpAddr;
 
-use dns_wire::{EcsOption, Message, Name, Rcode, Rdata, Record, RecordType};
+use dns_wire::{
+    EcsOption, Flags, Message, MessageView, Name, Opcode, Question, Rcode, Rdata, Record,
+    RecordType,
+};
 use netsim::SimTime;
 
 use crate::cdn::CdnBehavior;
@@ -189,34 +192,70 @@ impl AuthServer {
     /// exceeds the requestor's advertised payload size, 512 bytes without
     /// EDNS.
     pub fn handle(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
-        let limit = query
-            .edns
-            .as_ref()
-            .map_or(512, |o| o.udp_payload_size.max(512));
-        self.answer(query, src, now, usize::from(limit))
+        let query = Query::of_message(query);
+        let limit = query.udp_limit();
+        self.answer(query, src, now, limit)
+    }
+
+    /// [`AuthServer::handle`] for a query read in place: the same answer
+    /// pass and the same response, with only the question section
+    /// decoded.
+    pub fn handle_view(&mut self, query: &MessageView<'_>, src: IpAddr, now: SimTime) -> Message {
+        let query = Query::of_view(query);
+        let limit = query.udp_limit();
+        self.answer(query, src, now, limit)
     }
 
     /// Handles one query that arrived over a stream transport. Stream
     /// responses are not held to the UDP advertisement (RFC 7766): the
     /// limit is the two-byte length prefix's 65,535 bytes.
     pub fn handle_stream(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
-        self.answer(query, src, now, usize::from(u16::MAX))
+        self.answer(Query::of_message(query), src, now, usize::from(u16::MAX))
     }
 
     /// Answers and logs `query` once; an answer over `limit` bytes (or
     /// unencodable, which only happens beyond 64 KiB) leaves with its
     /// record sections emptied and TC set, so the client retries over a
     /// stream transport.
-    fn answer(&mut self, query: &Message, src: IpAddr, now: SimTime, limit: usize) -> Message {
-        let Some(question) = query.question() else {
-            let mut resp = Message::response_to(query);
+    fn answer(&mut self, query: Query, src: IpAddr, now: SimTime, limit: usize) -> Message {
+        let mut resp = Message {
+            id: query.id,
+            flags: Flags {
+                qr: true,
+                rd: query.rd,
+                ..Flags::default()
+            },
+            opcode: query.opcode,
+            rcode: Rcode::NoError,
+            questions: Vec::new(),
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+            edns: None,
+        };
+        let answered = self.fill(&query, &mut resp, src, now);
+        // The response echoes the question section it answered.
+        resp.questions = query.questions;
+        if answered && !resp.fits_in(limit) {
+            resp.answers.clear();
+            resp.authorities.clear();
+            resp.additionals.clear();
+            resp.flags.tc = true;
+        }
+        resp
+    }
+
+    /// Writes the answer to `query` into `resp`, whose question section
+    /// is still empty, and logs the query. False when `resp` is a
+    /// FORMERR refusal, which carries no records to truncate.
+    fn fill(&mut self, query: &Query, resp: &mut Message, src: IpAddr, now: SimTime) -> bool {
+        let Some(question) = query.questions.first() else {
             resp.rcode = Rcode::FormErr;
-            return resp;
+            return false;
         };
 
         // Pre-EDNS servers reject any OPT outright.
         if !self.edns_supported && query.edns.is_some() {
-            let mut resp = Message::response_to(query);
             resp.rcode = Rcode::FormErr;
             if self.logging {
                 self.log.push(QueryLogEntry {
@@ -224,26 +263,21 @@ impl AuthServer {
                     resolver: src,
                     qname: question.name.clone(),
                     qtype: question.qtype,
-                    ecs: query.ecs().copied(),
+                    ecs: query.ecs,
                     response_scope: None,
                     answers: Vec::new(),
                 });
             }
-            return resp;
+            return false;
         }
 
-        let mut resp = Message::response_to(query);
         resp.flags.aa = true;
         if query.edns.is_some() {
             resp.set_edns(4096);
         }
 
         let admits_ecs = self.ecs.admits(src);
-        let effective_ecs = if admits_ecs {
-            query.ecs().copied()
-        } else {
-            None
-        };
+        let effective_ecs = if admits_ecs { query.ecs } else { None };
 
         let mut response_scope = None;
         let mut answer_addrs = Vec::new();
@@ -320,18 +354,56 @@ impl AuthServer {
                 resolver: src,
                 qname: question.name.clone(),
                 qtype: question.qtype,
-                ecs: query.ecs().copied(),
+                ecs: query.ecs,
                 response_scope,
                 answers: answer_addrs,
             });
         }
-        if !resp.fits_in(limit) {
-            resp.answers.clear();
-            resp.authorities.clear();
-            resp.additionals.clear();
-            resp.flags.tc = true;
+        true
+    }
+}
+
+/// What the answer pass reads of a query, whichever reading of the
+/// datagram it came from: the header fields a response echoes, the
+/// question section (which moves into the response), and the OPT
+/// record's payload size and client-subnet option.
+struct Query {
+    id: u16,
+    rd: bool,
+    opcode: Opcode,
+    questions: Vec<Question>,
+    /// The advertised UDP payload size, when the query carried OPT.
+    edns: Option<u16>,
+    ecs: Option<EcsOption>,
+}
+
+impl Query {
+    fn of_message(m: &Message) -> Self {
+        Query {
+            id: m.id,
+            rd: m.flags.rd,
+            opcode: m.opcode,
+            questions: m.questions.clone(),
+            edns: m.edns.as_ref().map(|o| o.udp_payload_size),
+            ecs: m.ecs().copied(),
         }
-        resp
+    }
+
+    fn of_view(v: &MessageView<'_>) -> Self {
+        Query {
+            id: v.id(),
+            rd: v.flags().rd,
+            opcode: v.opcode(),
+            questions: v.questions().collect(),
+            edns: v.udp_payload_size(),
+            ecs: v.ecs().copied(),
+        }
+    }
+
+    /// The size a UDP response must fit: the advertisement, 512 bytes
+    /// at least and without EDNS.
+    fn udp_limit(&self) -> usize {
+        usize::from(self.edns.map_or(512, |size| size.max(512)))
     }
 }
 
@@ -522,7 +594,7 @@ mod tests {
 #[cfg(test)]
 mod truncation_tests {
     use super::*;
-    use dns_wire::{Question, Rdata, Record};
+    use dns_wire::{Question, Rdata, Record, RecordClass};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -624,5 +696,62 @@ mod truncation_tests {
         assert!(!resp.flags.tc);
         assert_eq!(resp.answers.len(), 40);
         assert!(resp.edns.is_none(), "the query carried no OPT");
+    }
+
+    /// The answer pass reads a view-shaped query as it reads a decoded
+    /// one: the same response bytes and the same log entry, for answers,
+    /// truncations, refusals, FORMERRs and several questions.
+    #[test]
+    fn a_query_read_in_place_is_answered_byte_for_byte_as_a_decoded_one() {
+        let q = |qname: &str, qtype: RecordType| Question::new(name(qname), qtype, RecordClass::In);
+        let mut queries = Vec::new();
+        for payload in [None, Some(512), Some(1232)] {
+            for qs in [
+                vec![],
+                vec![q("WWW.big.Example", RecordType::A)],
+                vec![q("www.big.example", RecordType::Txt)],
+                vec![q("nope.big.example", RecordType::A)],
+                vec![q("elsewhere.test", RecordType::A)],
+                vec![
+                    q("www.big.example", RecordType::A),
+                    q("www.big.example", RecordType::Aaaa),
+                    q("other.test", RecordType::Ns),
+                ],
+            ] {
+                let mut m = Message::query(0x5151, Question::a(Name::root()));
+                m.questions = qs;
+                m.flags.rd = payload.is_some();
+                m.opcode = if payload == Some(512) {
+                    Opcode::Status
+                } else {
+                    Opcode::Query
+                };
+                if let Some(size) = payload {
+                    m.set_edns(size);
+                    m.set_ecs(EcsOption::from_v4(Ipv4Addr::new(192, 0, 2, 0), 24));
+                }
+                queries.push(m);
+            }
+        }
+        for edns in [true, false] {
+            let server = || {
+                let s = big_zone(40);
+                if edns {
+                    s
+                } else {
+                    s.without_edns()
+                }
+            };
+            let (mut decoded, mut viewed) = (server(), server());
+            for m in &queries {
+                let bytes = m.to_bytes().unwrap();
+                let view = MessageView::parse(&bytes).unwrap();
+                let want = decoded.handle(m, SRC, SimTime::ZERO);
+                let got = viewed.handle_view(&view, SRC, SimTime::ZERO);
+                assert_eq!(got.to_bytes().unwrap(), want.to_bytes().unwrap(), "{m:?}");
+            }
+            assert_eq!(viewed.log(), decoded.log());
+            assert!(decoded.log().iter().any(|e| e.answers.len() == 40));
+        }
     }
 }

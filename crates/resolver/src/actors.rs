@@ -13,7 +13,7 @@
 use std::net::IpAddr;
 
 use authoritative::AuthServer;
-use dns_wire::{Message, Name};
+use dns_wire::{Message, MessageView, Name};
 use netsim::{Ctx, Node, NodeId, Packet, SimTime, Transport};
 use rustc_hash::FxHashMap;
 
@@ -31,7 +31,8 @@ const UNADDRESSED: &str = "every simulated node has an address";
 ///
 /// Both directions pass the datagram on as received with only its id
 /// (bytes 0–1) rewritten: the caller has already accepted it through
-/// [`Message::from_bytes`], so it holds a full header.
+/// [`MessageView::parse`], which accepts what [`Message::from_bytes`]
+/// accepts, so it holds a full header.
 struct RelayTable {
     pending: FxHashMap<u16, (NodeId, u16)>,
     next_id: u16,
@@ -95,7 +96,7 @@ impl RelayActor {
 
 impl Node for RelayActor {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(msg) = Message::from_bytes(&pkt.payload) else {
+        let Ok(msg) = MessageView::parse(&pkt.payload) else {
             return;
         };
         if msg.is_response() {
@@ -245,6 +246,8 @@ impl Node for EgressActor {
             if msg.flags.tc {
                 return;
             }
+            // Only joiners read the reply once the owner is answered.
+            p.exchange.keep_reply(!p.joiners.is_empty());
             let action = self
                 .resolver
                 .step_exchange(&mut p.exchange, Ok(msg), ctx.now());
@@ -337,14 +340,14 @@ impl AuthActor {
 
 impl Node for AuthActor {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(msg) = Message::from_bytes(&pkt.payload) else {
+        let Ok(msg) = MessageView::parse(&pkt.payload) else {
             return;
         };
         if msg.is_response() {
             return;
         }
         let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
-        let resp = self.server.handle(&msg, src_addr, ctx.now());
+        let resp = self.server.handle_view(&msg, src_addr, ctx.now());
         if let Ok(bytes) = resp.to_bytes() {
             ctx.send(pkt.src, bytes);
         }

@@ -460,6 +460,7 @@ impl Resolver {
         upstream: Option<&Message>,
         now: SimTime,
     ) -> Message {
+        let upstream = upstream.map(|up| (up.rcode, up.answers.clone(), up.ecs().copied()));
         self.exit(pending, upstream, now)
     }
 
@@ -475,8 +476,10 @@ impl Resolver {
     }
 
     /// The one exit of a miss: every party that waited on a flight — its
-    /// owner or a joiner — leaves here, with the upstream response the
-    /// flight ended with or, when it ended with none, a stale answer per
+    /// owner or a joiner — leaves here, with the rcode, answers and ECS
+    /// option of the upstream response the flight ended with (the owner's
+    /// answers by move, each joiner's a copy) or, when it ended with none,
+    /// a stale answer per
     /// RFC 8767 (serve-stale on and a matching expired entry inside the
     /// stale budget and the party's scope) or SERVFAIL. The SERVFAIL is
     /// counted and nothing is cached: the failure is transient, not a
@@ -484,7 +487,7 @@ impl Resolver {
     pub(crate) fn exit(
         &mut self,
         party: &PendingQuery,
-        upstream: Option<&Message>,
+        upstream: Option<(Rcode, Vec<dns_wire::Record>, Option<dns_wire::EcsOption>)>,
         now: SimTime,
     ) -> Message {
         let stale = if upstream.is_none() && self.config.overload.serve_stale_enabled() {
@@ -501,9 +504,7 @@ impl Resolver {
         };
         let query = &party.client_query;
         let resp = match (upstream, stale) {
-            (Some(up), _) => {
-                self.client_answer(query, up.rcode, up.answers.clone(), up.ecs().copied())
-            }
+            (Some((rcode, answers, ecs)), _) => self.client_answer(query, rcode, answers, ecs),
             (None, Some(stale)) => {
                 self.stats.stale_answers.inc();
                 self.trace_event(party.trace, now, &EventKind::StaleServe);
@@ -688,13 +689,17 @@ impl Resolver {
 
     /// Phase two, the owner's half: ingest the upstream response (probing
     /// state, learned scope, cache insert), then leave through
-    /// [`Resolver::exit`] like every other party of the flight.
+    /// [`Resolver::exit`] like every other party of the flight. Returns the
+    /// owner's answer and, when `keep_reply`, the response itself for the
+    /// flight's joiners; otherwise its answers move into the owner's
+    /// answer rather than being copied.
     pub(crate) fn complete(
         &mut self,
         pending: &PendingQuery,
-        upstream_resp: &Message,
+        mut upstream_resp: Message,
+        keep_reply: bool,
         now: SimTime,
-    ) -> Message {
+    ) -> (Message, Option<Message>) {
         self.config
             .probing
             .record_response(upstream_resp.ecs().is_some(), &mut self.probing_state);
@@ -762,7 +767,14 @@ impl Resolver {
                 );
             }
         }
-        self.exit(pending, Some(upstream_resp), now)
+        let answers = if keep_reply {
+            upstream_resp.answers.clone()
+        } else {
+            std::mem::take(&mut upstream_resp.answers)
+        };
+        let upstream = (upstream_resp.rcode, answers, upstream_resp.ecs().copied());
+        let answer = self.exit(pending, Some(upstream), now);
+        (answer, keep_reply.then_some(upstream_resp))
     }
 
     fn take_id(&mut self) -> u16 {

@@ -43,6 +43,8 @@ pub struct Exchange {
     /// When the send in flight left — where a timeout's fault events are
     /// stamped, since that is the attempt that failed.
     sent_at: SimTime,
+    /// Whether [`Action::Done`] carries the upstream response as `raw`.
+    keep_reply: bool,
 }
 
 impl Exchange {
@@ -55,6 +57,14 @@ impl Exchange {
     /// (its ECS option may have been withdrawn since the last send).
     pub fn upstream_query(&self) -> &Message {
         &self.pending.upstream_query
+    }
+
+    /// Whether the [`Action::Done`] of a reply carries the response as
+    /// `raw`, for the flight's joiners (the default: yes). A driver whose
+    /// flight nobody joined turns it off, and the response's answers then
+    /// move into the owner's answer instead of being copied for it.
+    pub fn keep_reply(&mut self, keep: bool) {
+        self.keep_reply = keep;
     }
 }
 
@@ -76,8 +86,9 @@ pub enum Action {
         /// The client-facing answer (fresh, stale, or SERVFAIL).
         answer: Message,
         /// The upstream response the exchange completed with; `None` when
-        /// it failed. What every coalesced joiner of the flight is
-        /// answered from, via [`Resolver::answer_joiner`].
+        /// it failed, or when the driver turned [`Exchange::keep_reply`]
+        /// off. What every coalesced joiner of the flight is answered
+        /// from, via [`Resolver::answer_joiner`].
         raw: Option<Message>,
     },
 }
@@ -103,6 +114,7 @@ impl Resolver {
             inline_tcp: false,
             span: TraceCtx::DISABLED,
             sent_at: now,
+            keep_reply: true,
         };
         let action = self.send(&mut ex, now);
         (ex, action)
@@ -298,10 +310,8 @@ impl Resolver {
     }
 
     fn finish(&mut self, ex: &Exchange, resp: Message, now: SimTime) -> Action {
-        Action::Done {
-            answer: self.complete(&ex.pending, &resp, now),
-            raw: Some(resp),
-        }
+        let (answer, raw) = self.complete(&ex.pending, resp, ex.keep_reply, now);
+        Action::Done { answer, raw }
     }
 
     fn fail(&mut self, ex: &Exchange, now: SimTime) -> Action {

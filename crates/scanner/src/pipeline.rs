@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use dns_wire::{Message, Name, Question, Rcode};
+use dns_wire::{Message, MessageView, Name, Question, Rcode};
 use netsim::{Ctx, Node, NodeId, Packet, SimDuration, SimTime};
 use obs::{EventKind, MetricValue, MetricsRegistry, MetricsSnapshot, TraceCtx, Tracer};
 
@@ -616,7 +616,7 @@ impl Node for ScannerNode {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(msg) = Message::from_bytes(&pkt.payload) else {
+        let Ok(msg) = MessageView::parse(&pkt.payload) else {
             return;
         };
         if !msg.is_response() {
@@ -625,18 +625,16 @@ impl Node for ScannerNode {
         // The DNS id is the slot index; the qname check rejects late
         // responses for a previous occupant of a reused slot, the sender
         // check anyone but the target that was asked.
-        let Some((r, slot)) = self.slots.get_index(msg.id) else {
+        let Some((r, slot)) = self.slots.get_index(msg.id()) else {
             return;
         };
-        if pkt.src != slot.target.node
-            || msg.questions.first().map(|q| &q.name) != Some(&slot.qname)
-        {
+        if pkt.src != slot.target.node || !msg.question_is(&slot.qname) {
             return;
         }
         if matches!(slot.state, SlotState::Waiting) {
             return; // cannot be ours: nothing sent yet
         }
-        self.finish(r, ProbeOutcome::Answered, Some(msg.rcode), ctx);
+        self.finish(r, ProbeOutcome::Answered, Some(msg.rcode()), ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
