@@ -90,6 +90,7 @@ impl EdnsOption {
 }
 
 /// One option's code and body, borrowed from the message.
+#[inline]
 pub(crate) fn read_option<'a>(r: &mut WireReader<'a>) -> WireResult<(u16, &'a [u8])> {
     let code = r.read_u16("EDNS option code")?;
     let len = r.read_u16("EDNS option length")? as usize;
@@ -109,6 +110,7 @@ pub(crate) struct OptFixed<'a> {
 }
 
 impl<'a> OptFixed<'a> {
+    #[inline]
     pub(crate) fn read(r: &mut WireReader<'a>) -> WireResult<Self> {
         let udp_payload_size = r.read_u16("OPT class")?;
         let extended_rcode = r.read_u8("OPT extended rcode")?;

@@ -221,12 +221,7 @@ impl Message {
         // remaining bytes could encode.
         let mut questions = Vec::with_capacity(r.capacity_for(header.qdcount, 5));
         for _ in 0..header.qdcount {
-            questions.push(Question::read(&mut r).map_err(|e| match e {
-                WireError::Truncated { .. } => WireError::CountMismatch {
-                    section: "question",
-                },
-                other => other,
-            })?);
+            questions.push(Question::read(&mut r).map_err(short("question"))?);
         }
         let answers = read_section(&mut r, header.ancount, "answer")?;
         let authorities = read_section(&mut r, header.nscount, "authority")?;
@@ -236,12 +231,7 @@ impl Message {
         let mut edns: Option<OptRecord> = None;
         for _ in 0..header.arcount {
             let mark = r.clone();
-            let name = Name::read(&mut r).map_err(|e| match e {
-                WireError::Truncated { .. } => WireError::CountMismatch {
-                    section: "additional",
-                },
-                other => other,
-            })?;
+            let name = Name::read(&mut r).map_err(short("additional"))?;
             let rtype = RecordType::from_u16(r.read_u16("record type")?);
             if rtype == RecordType::Opt {
                 if !name.is_root() {
@@ -254,12 +244,7 @@ impl Message {
             } else {
                 // Rewind and parse as a normal record.
                 r = mark;
-                additionals.push(Record::read(&mut r).map_err(|e| match e {
-                    WireError::Truncated { .. } => WireError::CountMismatch {
-                        section: "additional",
-                    },
-                    other => other,
-                })?);
+                additionals.push(Record::read(&mut r).map_err(short("additional"))?);
             }
         }
 
@@ -286,12 +271,17 @@ fn read_section(
     // RDLENGTH); bound the preallocation by what the buffer could hold.
     let mut out = Vec::with_capacity(r.capacity_for(count, 11));
     for _ in 0..count {
-        out.push(Record::read(r).map_err(|e| match e {
-            WireError::Truncated { .. } => WireError::CountMismatch { section },
-            other => other,
-        })?);
+        out.push(Record::read(r).map_err(short(section))?);
     }
     Ok(out)
+}
+
+/// Reports a section that ran out of bytes as the header count it broke.
+pub(crate) fn short(section: &'static str) -> impl Fn(WireError) -> WireError {
+    move |e| match e {
+        WireError::Truncated { .. } => WireError::CountMismatch { section },
+        other => other,
+    }
 }
 
 #[cfg(test)]

@@ -222,6 +222,7 @@ impl Name {
     /// Steps over a name as [`Name::read`] would read it, under the same
     /// rules and with the same errors, copying nothing. Returns its
     /// uncompressed wire length (1 for the root).
+    #[inline]
     pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<usize> {
         walk(r, |_| {})
     }

@@ -53,6 +53,7 @@ impl Question {
     /// Steps over a question as [`Question::read`] would read it, under
     /// the same rules and with the same errors, copying nothing. Returns
     /// its QTYPE.
+    #[inline]
     pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<RecordType> {
         Name::skip(r)?;
         let qtype = RecordType::from_u16(r.read_u16("qtype")?);

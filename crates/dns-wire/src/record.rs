@@ -187,6 +187,7 @@ impl Record {
 
     /// Steps over one record as [`Record::read`] would read it, under the
     /// same rules and with the same errors, building nothing.
+    #[inline]
     pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<()> {
         Name::skip(r)?;
         read_after_owner(r, Rdata::skip)?;

@@ -6,6 +6,7 @@ use crate::ecs::EcsOption;
 use crate::edns::{read_option, OptFixed, OptionCode};
 use crate::error::{WireError, WireResult};
 use crate::header::{Flags, Header, Opcode, Rcode};
+use crate::message::short;
 use crate::name::Name;
 use crate::question::Question;
 use crate::record::{Record, RecordType};
@@ -18,10 +19,12 @@ const QUESTION_AT: usize = 12;
 /// accepts, read in place.
 ///
 /// [`MessageView::parse`] walks every section under the decoder's own
-/// rules — the name walk is the one [`Name::read`] runs, and each record,
-/// RDATA and OPT layout is read by the decoder's own functions with the
-/// building left out — so it accepts exactly the datagrams `from_bytes`
-/// accepts, and fails with the same error where it does not. It allocates
+/// rules: the name walk is the one [`Name::read`] runs, the record
+/// envelope, the OPT layout and the ECS check are the decoder's own
+/// functions, and each RDATA type is stepped over as
+/// [`Rdata::read`](crate::Rdata::read) reads it. So it accepts exactly
+/// the datagrams `from_bytes` accepts, and fails with the same error
+/// where it does not; `prop_wire.rs` holds it to that. It allocates
 /// nothing and copies no label. What it keeps is what a relay, a scanner
 /// or an authoritative reads: the header, the first question's name (to
 /// compare in place) and type, and the OPT record's payload size and
@@ -52,15 +55,6 @@ pub struct MessageView<'a> {
     /// The OPT record's advertised payload size and first client-subnet
     /// option, when the message carries OPT.
     edns: Option<(u16, Option<EcsOption>)>,
-}
-
-/// Reports a section that ran out of bytes as the header count it broke,
-/// as [`Message::from_bytes`](crate::Message::from_bytes) does.
-fn short(section: &'static str) -> impl Fn(WireError) -> WireError {
-    move |e| match e {
-        WireError::Truncated { .. } => WireError::CountMismatch { section },
-        other => other,
-    }
 }
 
 impl<'a> MessageView<'a> {
@@ -114,16 +108,6 @@ impl<'a> MessageView<'a> {
             qtype,
             edns,
         })
-    }
-
-    /// The datagram the view reads.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// The header: id, flags, opcode, rcode and the four counts.
-    pub fn header(&self) -> &Header {
-        &self.header
     }
 
     /// Transaction ID.
