@@ -479,11 +479,10 @@ impl Resolver {
     /// owner or a joiner — leaves here, with the rcode, answers and ECS
     /// option of the upstream response the flight ended with (the owner's
     /// answers by move, each joiner's a copy) or, when it ended with none,
-    /// a stale answer per
-    /// RFC 8767 (serve-stale on and a matching expired entry inside the
-    /// stale budget and the party's scope) or SERVFAIL. The SERVFAIL is
-    /// counted and nothing is cached: the failure is transient, not a
-    /// property of the name.
+    /// a stale answer per RFC 8767 (serve-stale on and a matching expired
+    /// entry inside the stale budget and the party's scope) or SERVFAIL.
+    /// The SERVFAIL is counted and nothing is cached: the failure is
+    /// transient, not a property of the name.
     pub(crate) fn exit(
         &mut self,
         party: &PendingQuery,
