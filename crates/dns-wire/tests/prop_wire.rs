@@ -9,14 +9,22 @@
 //! `Message::from_bytes` accepts and reads the same header, first
 //! question and ECS option ([`agree::decode_both`]).
 //!
+//! Names are held to their wire form at every length a name can have
+//! ([`names_of_every_length_round_trip_and_compare_alike`]): a name's
+//! storage may depend on its length, its behaviour may not.
+//!
 //! CI runs this file with `PROPTEST_CASES=1024` for a deeper sweep; the
 //! in-tree default keeps `cargo test` fast.
 
 mod agree;
 
 use agree::decode_both;
+use dns_wire::wire::{WireReader, WireWriter};
 use dns_wire::{EcsOption, EdnsOption, Message, Name, Question, Rdata, Record, SoaData};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_name() -> impl Strategy<Value = Name> {
@@ -258,6 +266,74 @@ fn four_section_message_encodes_to_pinned_bytes() {
     );
 }
 
+/// A presentation-form name whose wire form is `wire_len` bytes, root
+/// octet included (1 is the root, 3 the shortest other name, 255 the
+/// longest legal one). Label
+/// lengths come from `cuts` (1–63 each, the last one takes what is
+/// left) and the case of each letter from the bits of `case`.
+fn name_of_wire_len(wire_len: usize, cuts: &[u8], case: u64) -> String {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+    let mut labels = Vec::new();
+    let mut left = wire_len - 1;
+    let mut at = 0usize;
+    while left > 0 {
+        let mut len = if left <= 1 + 63 {
+            left - 1
+        } else {
+            1 + cuts[labels.len() % cuts.len()] as usize % 63
+        };
+        // A lone byte cannot be a label: leave two or nothing.
+        if left - (1 + len) == 1 {
+            len -= 1;
+        }
+        let label: String = (0..len)
+            .map(|i| {
+                let b = ALPHABET[(at + i * 7) % ALPHABET.len()];
+                let upper = case.rotate_left(((at + i) % 64) as u32) & 1 == 1;
+                (if upper { b.to_ascii_uppercase() } else { b }) as char
+            })
+            .collect();
+        at += len;
+        left -= 1 + len;
+        labels.push(label);
+    }
+    labels.join(".")
+}
+
+fn hash_of(n: &Name) -> u64 {
+    let mut h = DefaultHasher::new();
+    n.hash(&mut h);
+    h.finish()
+}
+
+/// Every suffix of `s` that starts on a label boundary, longest first,
+/// the root (`""`) last.
+fn suffixes(s: &str) -> Vec<&str> {
+    let mut out = vec![s];
+    let mut rest = s;
+    while let Some((_, tail)) = rest.split_once('.') {
+        out.push(tail);
+        rest = tail;
+    }
+    if !s.is_empty() {
+        out.push("");
+    }
+    out
+}
+
+/// Inverts the case of every letter.
+fn swap_case(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_ascii_uppercase() {
+                c.to_ascii_lowercase()
+            } else {
+                c.to_ascii_uppercase()
+            }
+        })
+        .collect()
+}
+
 /// What a datagram may suffer on its way: nothing, one byte replaced,
 /// a cut, or bytes appended.
 #[derive(Debug, Clone)]
@@ -291,6 +367,81 @@ impl Damage {
             Damage::Trail(tail) => bytes.extend_from_slice(tail),
         }
         bytes
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// At every wire length a name can have, in mixed case: a
+    /// name parses, writes and reads back as itself (alone, and after a
+    /// name it compresses against), prints in lowercase, and every
+    /// ancestor reached through `parent()` and `second_level_domain()`
+    /// is `==`, hashes alike and orders alike with the same name built
+    /// directly in the opposite case.
+    #[test]
+    fn names_of_every_length_round_trip_and_compare_alike(
+        cuts in proptest::collection::vec(any::<u8>(), 1..8),
+        case in any::<u64>(),
+    ) {
+        for wire_len in std::iter::once(1).chain(3..=255usize) {
+            let s = name_of_wire_len(wire_len, &cuts, case);
+            let name = Name::from_ascii(&s).unwrap();
+            prop_assert_eq!(name.wire_len(), wire_len);
+            prop_assert_eq!(name.to_string(), format!("{}.", s.to_ascii_lowercase()));
+
+            let mut plain = WireWriter::without_compression();
+            name.write(&mut plain).unwrap();
+            let bytes = plain.finish().unwrap();
+            prop_assert_eq!(bytes.len(), wire_len);
+            let mut r = WireReader::new(&bytes);
+            prop_assert_eq!(&Name::read(&mut r).unwrap(), &name);
+            prop_assert!(r.is_empty());
+
+            // Behind its own parent, written first, the name compresses
+            // to its first label and a pointer — and reads back whole.
+            let parent = name.parent();
+            let mut w = WireWriter::new();
+            parent.write(&mut w).unwrap();
+            name.write(&mut w).unwrap();
+            let bytes = w.finish().unwrap();
+            let mut r = WireReader::new(&bytes);
+            prop_assert_eq!(&Name::read(&mut r).unwrap(), &parent);
+            let read = Name::read(&mut r).unwrap();
+            prop_assert!(r.is_empty());
+            prop_assert_eq!(read.to_string(), name.to_string());
+            prop_assert_eq!(format!("{read:?}"), format!("{name:?}"));
+
+            let mut reached = name.clone();
+            for suffix in suffixes(&s) {
+                let direct = Name::from_ascii(&swap_case(suffix)).unwrap();
+                prop_assert_eq!(&reached, &direct);
+                prop_assert_eq!(hash_of(&reached), hash_of(&direct));
+                prop_assert_eq!(reached.cmp(&direct), Ordering::Equal);
+                prop_assert_eq!(reached.wire_len(), direct.wire_len());
+                for other in [&name, &parent, &Name::root()] {
+                    prop_assert_eq!(reached.cmp(other), direct.cmp(other));
+                    prop_assert_eq!(reached == *other, direct == *other);
+                }
+                reached = reached.parent();
+            }
+            prop_assert!(reached.is_root());
+
+            let sld = suffixes(&s).into_iter().rev().nth(2);
+            match (name.second_level_domain(), sld) {
+                (Some(reached), Some(suffix)) => {
+                    let direct = Name::from_ascii(&swap_case(suffix)).unwrap();
+                    prop_assert_eq!(&reached, &direct);
+                    prop_assert_eq!(hash_of(&reached), hash_of(&direct));
+                    prop_assert_eq!(reached.cmp(&direct), Ordering::Equal);
+                    prop_assert_eq!(reached.cmp(&name), direct.cmp(&name));
+                }
+                (None, None) => {}
+                (reached, suffix) => {
+                    prop_assert!(false, "{:?} for {:?}", reached, suffix);
+                }
+            }
+        }
     }
 }
 
