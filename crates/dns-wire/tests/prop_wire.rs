@@ -266,6 +266,38 @@ fn four_section_message_encodes_to_pinned_bytes() {
     );
 }
 
+/// Messages that record from one compression target to far past the
+/// table's [`dns_wire::wire::MAX_COMPRESSION_TARGETS`], pinned as bytes:
+/// where the encoder keeps its targets may change, which suffix a name
+/// compresses against may not. Owners are distinct, so each one records
+/// a target or two; each CNAME target points back at an earlier owner
+/// in another case, or at a name no owner has.
+#[test]
+fn messages_past_every_table_boundary_encode_to_pinned_bytes() {
+    let n = |s: String| Name::from_ascii(&s).unwrap();
+    let mut h = FNV_OFFSET;
+    for records in (0..=80).chain([100, 130, 200]) {
+        let mut m = Message::query(records as u16, Question::a(n("Q.Example".into())));
+        m.flags.qr = true;
+        m.answers = (0..records)
+            .map(|i| {
+                let owner = n(format!("h{i}.z{}.example", i % 5));
+                let target = if i % 3 == 0 {
+                    n(format!("H{}.Z{}.EXAMPLE", i / 2, (i / 2) % 5))
+                } else {
+                    n(format!("edge{}.cdn{}.example.net", i % 7, i % 2))
+                };
+                Record::new(owner, 60, Rdata::Cname(target))
+            })
+            .collect();
+        let bytes = m.to_bytes().unwrap();
+        assert_eq!(Message::from_bytes(&bytes).unwrap(), m);
+        h = fnv1a(h, &(bytes.len() as u16).to_be_bytes());
+        h = fnv1a(h, &bytes);
+    }
+    assert_eq!(h, 0xdb53_f750_3f3d_6108, "digest {h:#018x}");
+}
+
 /// A presentation-form name whose wire form is `wire_len` bytes, root
 /// octet included (1 is the root, 3 the shortest other name, 255 the
 /// longest legal one). Label
