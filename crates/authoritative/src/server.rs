@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::net::IpAddr;
 
 use dns_wire::{
-    EcsOption, Flags, Message, MessageView, Name, Opcode, Question, Rcode, Rdata, Record,
+    EcsOption, Flags, Message, MessageView, Name, OneVec, Opcode, Question, Rcode, Rdata, Record,
     RecordType,
 };
 use netsim::SimTime;
@@ -227,7 +227,7 @@ impl AuthServer {
             },
             opcode: query.opcode,
             rcode: Rcode::NoError,
-            questions: Vec::new(),
+            questions: OneVec::new(),
             answers: Vec::new(),
             authorities: Vec::new(),
             additionals: Vec::new(),
@@ -371,7 +371,7 @@ struct Query {
     id: u16,
     rd: bool,
     opcode: Opcode,
-    questions: Vec<Question>,
+    questions: OneVec<Question>,
     /// The advertised UDP payload size, when the query carried OPT.
     edns: Option<u16>,
     ecs: Option<EcsOption>,
@@ -719,7 +719,7 @@ mod truncation_tests {
                 ],
             ] {
                 let mut m = Message::query(0x5151, Question::a(Name::root()));
-                m.questions = qs;
+                m.questions = qs.into();
                 m.flags.rd = payload.is_some();
                 m.opcode = if payload == Some(512) {
                     Opcode::Status

@@ -3,6 +3,7 @@
 use crate::ecs::EcsOption;
 use crate::error::WireResult;
 use crate::name::Name;
+use crate::one_vec::OneVec;
 use crate::wire::{WireReader, WireWriter};
 
 /// EDNS option codes we recognize.
@@ -141,7 +142,7 @@ pub struct OptRecord {
     /// DNSSEC OK bit.
     pub dnssec_ok: bool,
     /// Options carried in the RDATA.
-    pub options: Vec<EdnsOption>,
+    pub options: OneVec<EdnsOption>,
 }
 
 impl OptRecord {
@@ -152,7 +153,7 @@ impl OptRecord {
             extended_rcode: 0,
             version: 0,
             dnssec_ok: false,
-            options: Vec::new(),
+            options: OneVec::new(),
         }
     }
 
@@ -215,7 +216,7 @@ impl OptRecord {
     /// owner name and TYPE, and checked the owner was root.
     pub fn read_after_type(r: &mut WireReader<'_>) -> WireResult<Self> {
         let mut fixed = OptFixed::read(r)?;
-        let mut options = Vec::new();
+        let mut options = OneVec::new();
         while fixed.options.remaining() > 0 {
             options.push(EdnsOption::read(&mut fixed.options)?);
         }

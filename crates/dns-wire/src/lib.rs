@@ -16,14 +16,17 @@
 //! * A hop that reads only a header, a question or an ECS option reads a
 //!   [`MessageView`]: the same validation as [`Message::from_bytes`], in
 //!   place, with nothing built.
-//! * A [`Name`] is one buffer holding its uncompressed wire form, so a
-//!   clone is one allocation and equality, hashing and encoding are single
-//!   passes over it.
+//! * A [`Name`] holds its uncompressed wire form inline when it is at
+//!   most 38 bytes and in one heap buffer when it is longer, so most names
+//!   never allocate, and equality, hashing and encoding are single passes
+//!   over it. A message's questions and an OPT record's options are a
+//!   [`OneVec`], which holds the usual single element inline.
 //! * Serialization appends to a plain `Vec<u8>` — the encoder's own or one
 //!   the caller lends and gets back ([`wire::WireWriter::with_buffer`]) —
 //!   and compresses names against the bytes already written, through a
-//!   bounded table of offsets ([`wire::MAX_COMPRESSION_TARGETS`]); no name
-//!   is copied or re-keyed to be compressed.
+//!   bounded table of offsets ([`wire::MAX_COMPRESSION_TARGETS`]) whose
+//!   first entries are inline; no name is copied or re-keyed to be
+//!   compressed.
 //! * All types are plain data — no I/O — so the same code drives both the
 //!   deterministic simulator and any real socket front-end.
 //!
@@ -55,6 +58,7 @@ pub mod framing;
 pub mod header;
 pub mod message;
 pub mod name;
+pub mod one_vec;
 pub mod prefix;
 pub mod question;
 pub mod rdata;
@@ -68,6 +72,7 @@ pub use error::{WireError, WireResult};
 pub use header::{Flags, Header, Opcode, Rcode};
 pub use message::Message;
 pub use name::Name;
+pub use one_vec::OneVec;
 pub use prefix::{IpPrefix, PrefixError};
 pub use question::Question;
 pub use rdata::{Rdata, SoaData};

@@ -7,6 +7,7 @@ use crate::edns::OptRecord;
 use crate::error::{WireError, WireResult};
 use crate::header::{Flags, Header, Opcode, Rcode};
 use crate::name::Name;
+use crate::one_vec::OneVec;
 use crate::question::Question;
 use crate::rdata::Rdata;
 use crate::record::{Record, RecordType};
@@ -29,7 +30,7 @@ pub struct Message {
     /// [`Message::extended_rcode`]).
     pub rcode: Rcode,
     /// Question section.
-    pub questions: Vec<Question>,
+    pub questions: OneVec<Question>,
     /// Answer section.
     pub answers: Vec<Record>,
     /// Authority section.
@@ -51,7 +52,7 @@ impl Message {
             },
             opcode: Opcode::Query,
             rcode: Rcode::NoError,
-            questions: vec![question],
+            questions: OneVec::one(question),
             answers: Vec::new(),
             authorities: Vec::new(),
             additionals: Vec::new(),
@@ -216,10 +217,7 @@ impl Message {
     pub fn from_bytes(bytes: &[u8]) -> WireResult<Self> {
         let mut r = WireReader::new(bytes);
         let header = Header::read(&mut r)?;
-        // Bounded preallocation: a question is at least 5 wire bytes (root
-        // name + type + class), so never reserve more slots than the
-        // remaining bytes could encode.
-        let mut questions = Vec::with_capacity(r.capacity_for(header.qdcount, 5));
+        let mut questions = OneVec::new();
         for _ in 0..header.qdcount {
             questions.push(Question::read(&mut r).map_err(short("question"))?);
         }
@@ -523,5 +521,20 @@ mod tests {
         assert_eq!(back.rcode, Rcode::FormErr);
         assert!(back.edns.is_none());
         assert!(back.ecs().is_none());
+    }
+
+    /// What the inline storage costs in size, so that growing it again is
+    /// a decision: a `Name` holds up to 38 wire bytes in 40, and a
+    /// `Message` carries one question and one OPT option without a heap
+    /// allocation in 176.
+    #[test]
+    fn inline_values_stay_their_chosen_size() {
+        use std::mem::size_of;
+        assert!(size_of::<Name>() <= 40, "Name is {}", size_of::<Name>());
+        assert!(
+            size_of::<Message>() <= 176,
+            "Message is {}",
+            size_of::<Message>()
+        );
     }
 }

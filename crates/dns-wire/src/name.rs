@@ -13,15 +13,22 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name in wire form (including length octets and root).
 pub const MAX_NAME_LEN: usize = 255;
 
+/// Longest wire form, root octet excluded, that a [`Name`] keeps inline:
+/// with its length and the variant tag a `Name` is 40 bytes, and every
+/// name the study builds fits.
+const INLINE_LEN: usize = 38;
+
 /// A fully-qualified domain name.
 ///
-/// Stored as its uncompressed wire form in one buffer — each label as a
-/// length octet (1–63) followed by that many bytes — without the
-/// terminating root octet, so the root name is the empty buffer and owns
-/// no heap memory. Comparison and hashing are ASCII case-insensitive, as
-/// required by RFC 1035 §2.3.3; they fold the whole buffer at once, which
-/// is safe because a length octet is at most 63 and ASCII folding only
-/// moves bytes in `0x41..=0x5A`.
+/// Stored as its uncompressed wire form — each label as a length octet
+/// (1–63) followed by that many bytes — without the terminating root
+/// octet, so the root name is the empty form. A form of at most 38 bytes
+/// is kept inline and a longer one in one heap buffer, by length alone:
+/// a short name owns no heap memory and cloning it is a copy.
+/// Comparison and hashing are ASCII case-insensitive, as required by
+/// RFC 1035 §2.3.3; they fold the whole form at once, which is safe
+/// because a length octet is at most 63 and ASCII folding only moves
+/// bytes in `0x41..=0x5A`.
 ///
 /// ```
 /// use dns_wire::Name;
@@ -30,11 +37,28 @@ pub const MAX_NAME_LEN: usize = 255;
 /// assert_eq!(a, b);
 /// assert_eq!(a.to_string(), "www.example.com.");
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Name {
-    /// Invariant: length-prefixed labels tile the buffer exactly, every
-    /// length octet is in `1..=63`, and `wire.len() < MAX_NAME_LEN`.
-    wire: Box<[u8]>,
+    /// Invariant: length-prefixed labels tile the form exactly, every
+    /// length octet is in `1..=63`, the form is shorter than
+    /// `MAX_NAME_LEN`, and it is `Inline` exactly when it fits there.
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` of `bytes`.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_LEN],
+    },
+    Heap(Box<[u8]>),
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name::from_parts(&[])
+    }
 }
 
 impl Name {
@@ -56,8 +80,13 @@ impl Name {
             return Ok(Name::root());
         }
         // Every dot becomes the next label's length octet, plus one for
-        // the first label: the buffer is `s.len() + 1` bytes exactly.
-        let mut wire = Vec::with_capacity(s.len() + 1);
+        // the first label: the form is `s.len() + 1` bytes exactly. It is
+        // assembled on the stack when it fits, and every label is checked
+        // before its length is.
+        let len = s.len() + 1;
+        let fits = len < MAX_NAME_LEN;
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut at = 0;
         for label in s.split('.') {
             if label.is_empty() {
                 return Err(WireError::InvalidLabel);
@@ -71,19 +100,48 @@ impl Name {
             {
                 return Err(WireError::InvalidLabel);
             }
-            wire.push(label.len() as u8);
-            wire.extend_from_slice(label.as_bytes());
+            if fits {
+                wire[at] = label.len() as u8;
+                wire[at + 1..at + 1 + label.len()].copy_from_slice(label.as_bytes());
+                at += 1 + label.len();
+            }
         }
-        Name::from_wire(wire)
+        if !fits {
+            return Err(WireError::NameTooLong(len + 1));
+        }
+        Ok(Name::from_parts(&[&wire[..len]]))
     }
 
-    /// Wraps label bytes already known to be well-formed, enforcing the
-    /// one remaining limit (total length).
-    fn from_wire(wire: Vec<u8>) -> WireResult<Self> {
-        if wire.len() >= MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire.len() + 1));
+    /// Keeps the concatenation of `parts`, a well-formed form shorter
+    /// than `MAX_NAME_LEN`: inline when it fits, else in one exact-size
+    /// heap buffer.
+    #[inline]
+    fn from_parts(parts: &[&[u8]]) -> Name {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        let repr = if len <= INLINE_LEN {
+            let mut bytes = [0; INLINE_LEN];
+            let mut at = 0;
+            for part in parts {
+                bytes[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            Repr::Inline {
+                len: len as u8,
+                bytes,
+            }
+        } else {
+            Repr::Heap(parts.concat().into())
+        };
+        Name { repr }
+    }
+
+    /// The uncompressed wire form, root octet excluded.
+    #[inline]
+    fn wire(&self) -> &[u8] {
+        match &self.repr {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Heap(bytes) => bytes,
         }
-        Ok(Name { wire: wire.into() })
     }
 
     /// Number of labels (the root has zero).
@@ -93,21 +151,23 @@ impl Name {
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.wire.is_empty()
+        self.wire().is_empty()
     }
 
     /// Iterates over the labels, most-significant last (`www`, `example`,
     /// `com`).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
+        let wire = self.wire();
         self.label_starts()
-            .map(|at| &self.wire[at + 1..at + 1 + self.wire[at] as usize])
+            .map(move |at| &wire[at + 1..at + 1 + wire[at] as usize])
     }
 
     /// Offset of each label's length octet in `wire`, in order.
     fn label_starts(&self) -> impl Iterator<Item = usize> + '_ {
+        let wire = self.wire();
         let mut at = 0;
         std::iter::from_fn(move || {
-            let len = *self.wire.get(at)?;
+            let len = *wire.get(at)?;
             let start = at;
             at += 1 + len as usize;
             Some(start)
@@ -116,16 +176,15 @@ impl Name {
 
     /// The labels from the `skip`-th on, as a name.
     fn suffix(&self, skip: usize) -> Name {
-        let from = self.label_starts().nth(skip).unwrap_or(self.wire.len());
-        Name {
-            wire: self.wire[from..].into(),
-        }
+        let wire = self.wire();
+        let from = self.label_starts().nth(skip).unwrap_or(wire.len());
+        Name::from_parts(&[&wire[from..]])
     }
 
     /// Length of the name in uncompressed wire form: one length octet per
     /// label plus the label bytes plus the terminating root octet.
     pub fn wire_len(&self) -> usize {
-        self.wire.len() + 1
+        self.wire().len() + 1
     }
 
     /// Returns the parent name (strips the leftmost label). The root's
@@ -139,23 +198,29 @@ impl Name {
         if label.is_empty() || label.len() > MAX_LABEL_LEN {
             return Err(WireError::InvalidLabel);
         }
-        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
-        wire.push(label.len() as u8);
-        wire.extend_from_slice(label.as_bytes());
-        wire.extend_from_slice(&self.wire);
-        Name::from_wire(wire)
+        let ours = self.wire();
+        let len = 1 + label.len() + ours.len();
+        if len >= MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(len + 1));
+        }
+        Ok(Name::from_parts(&[
+            &[label.len() as u8],
+            label.as_bytes(),
+            ours,
+        ]))
     }
 
     /// True if `self` equals `other` or is a descendant of it. Every name is
     /// under the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        let Some(cut) = self.wire.len().checked_sub(other.wire.len()) else {
+        let (ours, theirs) = (self.wire(), other.wire());
+        let Some(cut) = ours.len().checked_sub(theirs.len()) else {
             return false;
         };
         // The tail must start on a label boundary: equal bytes that begin
         // inside one of our labels are not a suffix of the name.
-        self.wire[cut..].eq_ignore_ascii_case(&other.wire)
-            && (cut == self.wire.len() || self.label_starts().any(|at| at == cut))
+        ours[cut..].eq_ignore_ascii_case(theirs)
+            && (cut == ours.len() || self.label_starts().any(|at| at == cut))
     }
 
     /// The second-level domain of this name as used in the paper (the two
@@ -190,32 +255,47 @@ impl Name {
     /// Encodes this name, compressing against names already in `w`
     /// (see [`WireWriter`] for how a target is found and what bounds it).
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
-        w.put_name(&self.wire);
+        w.put_name(self.wire());
         Ok(())
     }
 
     /// Encodes without compression (and without recording offsets), as
     /// required inside RDATA of types unknown to compressors.
     pub fn write_uncompressed(&self, w: &mut WireWriter) {
-        w.put_bytes(&self.wire);
+        w.put_bytes(self.wire());
         w.put_u8(0);
     }
 
     /// Parses a possibly compressed name from the reader. The reader's
     /// cursor ends just past the name (after the pointer, if the name ends
     /// with one).
+    #[inline]
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
-        // Assembled on the stack: a name longer than this is an error, so
-        // the one heap allocation is the exact-size copy at the end.
-        let mut wire = [0u8; MAX_NAME_LEN];
+        // Assembled in place when the form fits inline. A longer one is
+        // walked a second time, into its exact-size heap buffer.
+        let start = r.clone();
+        let mut bytes = [0u8; INLINE_LEN];
         let mut len = 0usize;
         walk(r, |label| {
-            wire[len] = label.len() as u8;
-            wire[len + 1..len + 1 + label.len()].copy_from_slice(label);
+            if let Some(to) = bytes.get_mut(len..len + 1 + label.len()) {
+                to[0] = label.len() as u8;
+                to[1..].copy_from_slice(label);
+            }
             len += 1 + label.len();
         })?;
+        if len <= INLINE_LEN {
+            let len = len as u8;
+            return Ok(Name {
+                repr: Repr::Inline { len, bytes },
+            });
+        }
+        let mut wire = Vec::with_capacity(len);
+        walk(&mut start.clone(), |label| {
+            wire.push(label.len() as u8);
+            wire.extend_from_slice(label);
+        })?;
         Ok(Name {
-            wire: wire[..len].into(),
+            repr: Repr::Heap(wire.into()),
         })
     }
 
@@ -231,18 +311,18 @@ impl Name {
     /// `self` (ASCII case-insensitively, as `==` compares), without
     /// copying a label.
     pub(crate) fn read_eq(&self, r: &mut WireReader<'_>) -> WireResult<bool> {
+        let wire = self.wire();
         let mut at = 0usize;
         let mut same = true;
         walk(r, |label| {
             same = same
-                && self.wire.get(at) == Some(&(label.len() as u8))
-                && self
-                    .wire
+                && wire.get(at) == Some(&(label.len() as u8))
+                && wire
                     .get(at + 1..at + 1 + label.len())
                     .is_some_and(|ours| ours.eq_ignore_ascii_case(label));
             at += 1 + label.len();
         })?;
-        Ok(same && at == self.wire.len())
+        Ok(same && at == wire.len())
     }
 }
 
@@ -321,7 +401,7 @@ fn walk(r: &mut WireReader<'_>, mut label: impl FnMut(&[u8])) -> WireResult<usiz
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.wire.eq_ignore_ascii_case(&other.wire)
+        self.wire().eq_ignore_ascii_case(other.wire())
     }
 }
 
@@ -330,12 +410,19 @@ impl Eq for Name {}
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // One `write` of the folded wire form, root octet included so that
-        // no name's bytes are a prefix of another's.
-        let mut folded = [0u8; MAX_NAME_LEN];
-        let n = self.wire.len();
-        folded[..n].copy_from_slice(&self.wire);
-        folded[..n].make_ascii_lowercase();
-        state.write(&folded[..=n]);
+        // no name's bytes are a prefix of another's, folded in a buffer
+        // sized to the form's storage.
+        fn write_folded<const N: usize>(wire: &[u8], state: &mut impl Hasher) {
+            let mut folded = [0u8; N];
+            let n = wire.len();
+            folded[..n].copy_from_slice(wire);
+            folded[..n].make_ascii_lowercase();
+            state.write(&folded[..=n]);
+        }
+        match &self.repr {
+            Repr::Inline { .. } => write_folded::<{ INLINE_LEN + 1 }>(self.wire(), state),
+            Repr::Heap(wire) => write_folded::<MAX_NAME_LEN>(wire, state),
+        }
     }
 }
 
@@ -356,7 +443,7 @@ impl Ord for Name {
         }
         self.canonical_bytes()
             .cmp(other.canonical_bytes())
-            .then_with(|| folded(&self.wire).cmp(folded(&other.wire)))
+            .then_with(|| folded(self.wire()).cmp(folded(other.wire())))
     }
 }
 

@@ -42,6 +42,7 @@ impl Question {
     }
 
     /// Parses a question.
+    #[inline]
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Question {
             name: Name::read(r)?,

@@ -174,6 +174,7 @@ impl Record {
     }
 
     /// Parses one record (not OPT — the message layer intercepts those).
+    #[inline]
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
         let name = Name::read(r)?;
         let (class, ttl, rdata) = read_after_owner(r, Rdata::read)?;

@@ -152,8 +152,9 @@ impl<'a> MessageView<'a> {
         name.read_eq(&mut r).unwrap_or(false)
     }
 
-    /// The question section, decoded: one allocation per name, for a
-    /// caller that echoes the questions back.
+    /// The question section, decoded, for a caller that echoes the
+    /// questions back: nothing is allocated for one question whose name
+    /// is at most 38 wire bytes.
     pub fn questions(&self) -> impl Iterator<Item = Question> + 'a {
         let mut r = WireReader::new(self.bytes);
         r.seek(QUESTION_AT);

@@ -139,6 +139,12 @@ impl<'a> WireReader<'a> {
 /// relay.
 pub const MAX_COMPRESSION_TARGETS: usize = 64;
 
+/// Targets a writer holds inline. A query records two or three and a
+/// typical answer a few more; only a message recording more spills the
+/// rest to the heap, so starting a writer sets 64 bytes, not a table of
+/// [`MAX_COMPRESSION_TARGETS`].
+const INLINE_TARGETS: usize = 16;
+
 /// A suffix of a name written earlier in the message.
 #[derive(Debug, Clone, Copy, Default)]
 struct Target {
@@ -161,8 +167,12 @@ struct Target {
 #[derive(Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    targets: [Target; MAX_COMPRESSION_TARGETS],
-    /// How many of `targets` are in use.
+    /// The first recorded targets, in write order.
+    targets: [Target; INLINE_TARGETS],
+    /// The targets recorded after `targets` filled, in write order: empty,
+    /// and owning no heap memory, until then.
+    spilled: Vec<Target>,
+    /// How many targets are recorded, inline and spilled.
     recorded: usize,
     /// When false, name compression is disabled (useful for testing and for
     /// contexts like RDATA of unknown types where compression is forbidden).
@@ -192,7 +202,8 @@ impl WireWriter {
         buf.clear();
         WireWriter {
             buf,
-            targets: [Target::default(); MAX_COMPRESSION_TARGETS],
+            targets: [Target::default(); INLINE_TARGETS],
+            spilled: Vec::new(),
             recorded: 0,
             compress: true,
             #[cfg(test)]
@@ -269,14 +280,19 @@ impl WireWriter {
 
     /// The earliest recorded target whose name equals `candidate`.
     fn find_target(&mut self, candidate: &[u8]) -> Option<u16> {
-        let found = self.targets[..self.recorded]
+        let inline = &self.targets[..self.recorded.min(INLINE_TARGETS)];
+        let found = inline
             .iter()
+            .chain(&self.spilled)
             .position(|t| t.len as usize == candidate.len() && self.name_at_is(t.at, candidate));
         #[cfg(test)]
         {
             self.comparisons += found.map_or(self.recorded, |i| i + 1);
         }
-        found.map(|i| self.targets[i].at)
+        found.map(|i| match i.checked_sub(INLINE_TARGETS) {
+            None => self.targets[i].at,
+            Some(spilled) => self.spilled[spilled].at,
+        })
     }
 
     /// True when the name written at `at` is `candidate`, ignoring ASCII
@@ -321,10 +337,14 @@ impl WireWriter {
     /// the table is full.
     fn record_target(&mut self, offset: usize, len: usize) {
         if offset <= 0x3FFF && self.recorded < MAX_COMPRESSION_TARGETS {
-            self.targets[self.recorded] = Target {
+            let target = Target {
                 at: offset as u16,
                 len: len as u8,
             };
+            match self.targets.get_mut(self.recorded) {
+                Some(slot) => *slot = target,
+                None => self.spilled.push(target),
+            }
             self.recorded += 1;
         }
     }

@@ -131,7 +131,7 @@ fn arb_full_message() -> impl Strategy<Value = Message> {
             m.authorities = authorities;
             m.additionals = additionals;
             if let Some(options) = options {
-                m.set_edns(1232).options = options;
+                m.set_edns(1232).options = options.into();
             }
             m
         })

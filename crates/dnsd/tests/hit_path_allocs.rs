@@ -60,8 +60,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 const NAMES: usize = 256;
 const SUBNETS: u8 = 16;
-/// Per hit, over decode + `begin` + encode.
-const HIT_BUDGET: usize = 10;
+/// Per hit, over decode + `begin` + encode: the answer vector, as
+/// measured.
+const HIT_BUDGET: usize = 1;
 
 #[test]
 fn a_cache_hit_stays_inside_its_allocation_budget_and_encodes_with_none() {

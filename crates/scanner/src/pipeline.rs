@@ -13,6 +13,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::net::IpAddr;
 
 use dns_wire::{Message, MessageView, Name, Question, Rcode};
@@ -435,9 +436,13 @@ impl ScannerNode {
             let addr = target.addr.to_string().replace(['.', ':'], "-");
             Name::from_ascii(&format!("x{addr}.{zone}")).expect("probe suffix must parse")
         });
-        suffix
-            .child(&format!("p{seq}"))
-            .expect("probe qname must fit")
+        // `p` and at most 20 digits, written on the stack.
+        let mut label = [0u8; 21];
+        let mut free = &mut label[..];
+        write!(free, "p{seq}").expect("a u64 label fits");
+        let len = 21 - free.len();
+        let label = std::str::from_utf8(&label[..len]).expect("ASCII digits");
+        suffix.child(label).expect("probe qname must fit")
     }
 
     /// Pulls probes while slots are free, shedding or parking as the
