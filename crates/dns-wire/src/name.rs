@@ -15,7 +15,7 @@ pub const MAX_NAME_LEN: usize = 255;
 
 /// Longest wire form, root octet excluded, that a [`Name`] keeps inline:
 /// with its length and the variant tag a `Name` is 40 bytes, and every
-/// name the study builds fits.
+/// name `ecs-study all` builds fits.
 const INLINE_LEN: usize = 38;
 
 /// A fully-qualified domain name.

@@ -284,15 +284,14 @@ impl WireWriter {
         let found = inline
             .iter()
             .chain(&self.spilled)
-            .position(|t| t.len as usize == candidate.len() && self.name_at_is(t.at, candidate));
+            .enumerate()
+            .find(|(_, t)| t.len as usize == candidate.len() && self.name_at_is(t.at, candidate))
+            .map(|(i, t)| (i, t.at));
         #[cfg(test)]
         {
-            self.comparisons += found.map_or(self.recorded, |i| i + 1);
+            self.comparisons += found.map_or(self.recorded, |(i, _)| i + 1);
         }
-        found.map(|i| match i.checked_sub(INLINE_TARGETS) {
-            None => self.targets[i].at,
-            Some(spilled) => self.spilled[spilled].at,
-        })
+        found.map(|(_, at)| at)
     }
 
     /// True when the name written at `at` is `candidate`, ignoring ASCII
