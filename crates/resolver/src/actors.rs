@@ -847,6 +847,7 @@ mod retry_tests {
 mod overload_tests {
     use super::*;
     use crate::config::ResolverConfig;
+    use crate::engine::ResolverStats;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::{Question, Rcode};
     use netsim::geo::city;
@@ -900,8 +901,10 @@ mod overload_tests {
         (sim, clients, auth_node, egress_node)
     }
 
-    /// Installs a tracer on the egress's engine and returns its sink.
+    /// Turns the simulator's metrics on and installs a tracer on the
+    /// egress's engine; returns the trace sink.
     fn traced(sim: &mut Simulation, egress_node: NodeId) -> Arc<obs::MemorySink> {
+        sim.enable_metrics();
         let sink = Arc::new(obs::MemorySink::new());
         let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
         e.resolver.set_tracer(obs::Tracer::new(sink.clone()));
@@ -909,18 +912,85 @@ mod overload_tests {
     }
 
     /// Every client query closed exactly once, whichever way it left: its
-    /// own latency sample and `answered` event, and a `coalesced_join` per
-    /// query that joined a flight.
+    /// own latency sample and `answered` event, a `coalesced_join` per
+    /// query that joined a flight, and no trace the analyzer must skip.
     fn assert_every_query_closed(r: &Resolver, sink: &obs::MemorySink) {
         let s = r.stats();
         let snap = r.registry().snapshot();
         let latency = snap.histogram("resolver_query_latency_us").unwrap();
         assert_eq!(latency.count, s.client_queries);
-        let events = obs::analyze::parse_events(&sink.lines().join("\n")).unwrap();
+        let trace = sink.lines().join("\n");
+        let events = obs::analyze::parse_events(&trace).unwrap();
         let count = |name: &str| events.iter().filter(|e| e.event == name).count() as u64;
         assert_eq!(count("query_received"), s.client_queries);
         assert_eq!(count("answered"), s.client_queries);
         assert_eq!(count("coalesced_join"), s.coalesced_queries);
+        assert_eq!(obs::analyze::analyze(&trace, 0).unwrap().skipped, 0);
+    }
+
+    /// The simulator's and the egress engine's merged snapshot carries
+    /// every overload series, as JSON `obs-validate metrics` accepts.
+    fn assert_overload_series(sim: &mut Simulation, egress_node: NodeId) {
+        let mut snap = sim.metrics_snapshot().expect("metrics enabled");
+        let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
+        snap.merge(&e.resolver().metrics_snapshot());
+        obs::validate::validate_metrics_json(
+            &snap.to_json(),
+            &[
+                "resolver_client_queries_total",
+                "resolver_coalesced_queries_total",
+                "resolver_shed_queries_total",
+                "resolver_stale_answers_total",
+                "cache_evictions_total",
+                "netsim_delivered_total",
+                "netsim_delivery_latency_us",
+            ],
+        )
+        .unwrap();
+        assert!(snap.counter("netsim_delivered_total").unwrap() > 0);
+    }
+
+    /// What a burst leaves behind: the authoritative's query count, the
+    /// egress's counters and every client's responses.
+    fn burst_outcome(
+        config: ResolverConfig,
+        observed: bool,
+    ) -> (usize, ResolverStats, Vec<Vec<(SimTime, Message)>>) {
+        let (mut sim, clients, auth_node, egress_node) = burst_world(config, 6);
+        if observed {
+            traced(&mut sim, egress_node);
+        }
+        sim.run();
+        let flights = sim
+            .node_mut::<AuthActor>(auth_node)
+            .unwrap()
+            .server()
+            .log()
+            .len();
+        let stats = sim
+            .node_mut::<EgressActor>(egress_node)
+            .unwrap()
+            .resolver()
+            .stats();
+        let responses = clients
+            .iter()
+            .map(|&c| sim.node_mut::<ClientActor>(c).unwrap().responses.clone())
+            .collect();
+        (flights, stats, responses)
+    }
+
+    #[test]
+    fn telemetry_is_pure_observation_for_a_burst() {
+        let mut coalescing = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
+        coalescing.overload.coalesce = true;
+        let mut capped = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
+        capped.overload.max_in_flight = Some(2);
+        for config in [coalescing, capped] {
+            assert_eq!(
+                burst_outcome(config.clone(), true),
+                burst_outcome(config, false)
+            );
+        }
     }
 
     #[test]
@@ -939,6 +1009,7 @@ mod overload_tests {
         assert_eq!(s.coalesced_queries, 4);
         assert_eq!(s.client_queries, 5);
         assert_every_query_closed(e.resolver(), &sink);
+        assert_overload_series(&mut sim, egress_node);
         // Every client still got a real answer.
         for c in clients {
             let cl = sim.node_mut::<ClientActor>(c).unwrap();
@@ -976,6 +1047,7 @@ mod overload_tests {
         assert_eq!(s.shed_queries, 4);
         assert_every_query_closed(e.resolver(), &sink);
         assert_eq!(e.in_flight(), 0, "table drains after the burst");
+        assert_overload_series(&mut sim, egress_node);
         let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
         assert_eq!(a.server().log().len(), 2);
         // Shed clients got SERVFAIL promptly, not silence.
@@ -1029,6 +1101,7 @@ mod overload_tests {
         assert_eq!(s.stale_answers, 1);
         assert_eq!(s.servfail_responses, 0);
         assert_every_query_closed(e.resolver(), &sink);
+        assert_overload_series(&mut sim, egress_node);
         let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
         assert_eq!(a.server().log().len(), 1, "only the warm-up reached auth");
     }

@@ -1535,3 +1535,121 @@ mod adaptive_tests {
         assert_eq!(r.learned_scope(&name("b.mix.example")), Some(16));
     }
 }
+
+#[cfg(test)]
+mod overload_tests {
+    //! The bounded cache and serve-stale on one workload: eight names
+    //! under `load.example` with a 30 s TTL, answered per /24.
+    use super::*;
+    use crate::FaultyUpstream;
+    use authoritative::{EcsHandling, ScopePolicy, Zone};
+    use dns_wire::Question;
+    use netsim::{LinkFaults, SimDuration};
+    use std::net::Ipv4Addr;
+
+    const NAMES: u64 = 8;
+    const TTL: u64 = 30;
+    const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
+
+    fn load_auth() -> AuthServer {
+        let apex = Name::from_ascii("load.example").unwrap();
+        let mut zone = Zone::new(apex.clone());
+        for h in 0..NAMES {
+            zone.add_a(
+                apex.child(&format!("h{h}")).unwrap(),
+                TTL as u32,
+                Ipv4Addr::new(198, 51, 100, h as u8 + 1),
+            )
+            .unwrap();
+        }
+        let mut auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
+        auth.set_logging(false);
+        auth
+    }
+
+    fn query(i: u64) -> Message {
+        let qname = Name::from_ascii(&format!("h{}.load.example", i % NAMES)).unwrap();
+        Message::query(i as u16, Question::a(qname))
+    }
+
+    #[test]
+    fn a_tighter_entry_bound_never_hits_more() {
+        // 400 queries cycling every (name, /24) pair of 8 names × 6 /24s
+        // at two a second: the 48 pairs cycle in 24 s, inside the TTL, so
+        // the unbounded cache hits on every revisit and evicts nothing,
+        // while a bound of 16 or 4 must evict live entries to admit more.
+        let mut previous_hits = u64::MAX;
+        for cap in [None, Some(16), Some(4)] {
+            let mut config = ResolverConfig::rfc_compliant(RES);
+            config.overload.max_cache_entries = cap;
+            let mut r = Resolver::new(config);
+            let mut auth = load_auth();
+            for i in 0..400 {
+                let subnet = (i / NAMES) % 6;
+                let client = IpAddr::V4(Ipv4Addr::new(10, 0, subnet as u8, 9));
+                r.resolve_msg(
+                    &query(i),
+                    client,
+                    SimTime::from_micros(i * 500_000),
+                    &mut auth,
+                );
+            }
+            let s = r.cache_stats();
+            assert!(s.hits <= previous_hits, "cap {cap:?}: {s:?}");
+            match cap {
+                None => assert_eq!((s.max_size, s.evictions), (48, 0), "{s:?}"),
+                Some(cap) => assert!(s.max_size <= cap && s.evictions > 0, "{s:?}"),
+            }
+            previous_hits = s.hits;
+        }
+        assert_eq!(previous_hits, 0, "four entries never hold a revisit");
+    }
+
+    /// Warms every name from one client, then re-asks each past its
+    /// expiry (inside a one-hour stale budget when retention is on)
+    /// through a path losing `loss` of its exchanges, two attempts each.
+    /// Returns (answered, stale answers, SERVFAILs) of the re-queries.
+    fn requery_past_expiry(loss: f64, serve_stale: bool) -> (u64, u64, u64) {
+        let mut config = ResolverConfig::rfc_compliant(RES);
+        config.retry.attempts = 2;
+        if serve_stale {
+            config.overload.serve_stale_ttl = SimDuration::from_secs(3600);
+        }
+        let mut r = Resolver::new(config);
+        let mut auth = load_auth();
+        let client: IpAddr = "10.0.0.9".parse().unwrap();
+        for i in 0..NAMES {
+            r.resolve_msg(&query(i), client, SimTime::from_secs(i), &mut auth);
+        }
+        assert_eq!(r.stats().servfail_responses, 0, "the warm-up is fault-free");
+
+        let faults = LinkFaults {
+            loss,
+            ..LinkFaults::NONE
+        };
+        let mut lossy = FaultyUpstream::new(auth, faults, 11);
+        let t0 = NAMES + TTL + 10;
+        let mut answered = 0;
+        for i in 0..NAMES {
+            let at = SimTime::from_secs(t0 + i * 60);
+            let resp = r.resolve_msg(&query(i), client, at, &mut lossy);
+            if resp.rcode == Rcode::NoError && !resp.answers.is_empty() {
+                answered += 1;
+            }
+        }
+        let s = r.stats();
+        (answered, s.stale_answers, s.servfail_responses)
+    }
+
+    #[test]
+    fn expired_entries_answer_stale_under_loss_only_with_retention_on() {
+        // Stale on: a healthy path refreshes every entry, a lossy one
+        // answers stale where both attempts were lost, a dark one answers
+        // every re-query stale — never a SERVFAIL.
+        assert_eq!(requery_past_expiry(0.0, true), (8, 0, 0));
+        assert_eq!(requery_past_expiry(0.5, true), (8, 1, 0));
+        assert_eq!(requery_past_expiry(1.0, true), (8, 8, 0));
+        // Stale off: the dark path ends every re-query in SERVFAIL.
+        assert_eq!(requery_past_expiry(1.0, false), (0, 0, 8));
+    }
+}
