@@ -1,20 +1,32 @@
-//! Extension experiment: resolution robustness under injected faults.
+//! Extension experiment: resolution robustness under injected faults and
+//! on fragmenting paths.
 //!
 //! The paper measures resolvers in the wild, where lossy paths, truncated
 //! replies, and dead nameservers are facts of life; the §7.1.3 guidance in
 //! RFC 7871 exists precisely because ECS queries can *cause* some of those
-//! failures. This sweep drives the identical client workload through the
-//! engine behind a [`FaultyUpstream`] at increasing loss rates (plus a
-//! truncation condition), and reports how the retry/backoff/ECS-withdrawal
-//! machinery degrades: answered fraction, retries, withdrawals, TCP
-//! recoveries, SERVFAILs. Every cell is seeded and replayable.
+//! failures. Two sweeps share one loop ([`sweep`]) and one [`Cell`]:
+//!
+//! * **loss** — the identical client workload through the engine behind a
+//!   [`FaultyUpstream`] at increasing loss rates (plus a truncation
+//!   condition): answered fraction, retries, withdrawals, TCP recoveries,
+//!   SERVFAILs;
+//! * **transport ladders** — a big-answer workload (an answer that
+//!   overflows a 512-byte path MTU but fits the 4096-byte EDNS buffer)
+//!   through three transport policies — UDP-only, UDP→TCP, and the full
+//!   UDP→TCP→DoT ladder (RFC 7766, RFC 7858) — at increasing fragment-loss
+//!   rates. UDP-only fails strictly worse than any ladder-enabled policy
+//!   once fragments are lost, because every stream rung is immune to
+//!   datagram fate.
+//!
+//! Every cell is seeded and replayable. Only the loss cells trace and
+//! record into the session.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question, Rcode};
-use netsim::{LinkFaults, SimTime};
-use resolver::{FaultyUpstream, Resolver, ResolverConfig, RetryPolicy};
+use netsim::{LinkFaults, PathProfile, SimTime};
+use resolver::{FaultyUpstream, Resolver, ResolverConfig, RetryPolicy, Transport, TransportPolicy};
 
 use crate::report::Report;
 use crate::session::Session;
@@ -22,16 +34,26 @@ use crate::session::Session;
 /// Parameters.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Client queries per cell.
+    /// Client queries per loss cell.
     pub queries: u64,
     /// Reply-loss rates swept (one cell each).
     pub loss_rates: Vec<f64>,
-    /// UDP attempt budget per query.
+    /// UDP attempt budget per query in the loss cells.
     pub attempts: u8,
     /// Zone TTL.
     pub ttl: u32,
-    /// RNG seed (faults only; the workload is fixed).
+    /// RNG seed of the loss cells (faults only; the workload is fixed).
     pub seed: u64,
+    /// Client queries per transport-ladder cell.
+    pub ladder_queries: u64,
+    /// Fragment-loss rates swept (one row each).
+    pub frag_loss_rates: Vec<f64>,
+    /// Path MTU; answers above this fragment (and risk the loss rate).
+    pub mtu: usize,
+    /// A records on the ladder cells' name — sized to overflow `mtu`.
+    pub answer_records: usize,
+    /// RNG seed of the ladder cells (datagram fate only).
+    pub ladder_seed: u64,
 }
 
 impl Default for Config {
@@ -42,11 +64,16 @@ impl Default for Config {
             attempts: 4,
             ttl: 60,
             seed: 7,
+            ladder_queries: 300,
+            frag_loss_rates: vec![0.0, 0.5, 1.0],
+            mtu: 512,
+            answer_records: 60,
+            ladder_seed: 11,
         }
     }
 }
 
-/// One sweep cell's counters (this sweep's and `transports`').
+/// One sweep cell's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Queries that ended in an answer.
@@ -67,20 +94,35 @@ pub struct Cell {
     pub fragments_dropped: u64,
 }
 
-/// Outcome: one cell per loss rate, plus the all-truncated condition.
+/// Outcome: one cell per loss rate, the all-truncated condition, and one
+/// row of ladder cells per fragment-loss rate.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// (loss rate, counters) per sweep cell.
     pub by_loss: Vec<(f64, Cell)>,
     /// The truncate-every-reply condition (loss 0).
     pub truncated: Cell,
+    /// (fragment-loss rate, cells in [`policies`] order).
+    pub by_frag_loss: Vec<(f64, Vec<Cell>)>,
 }
 
-/// The loop every fault-sweep cell runs: a zone answering `www.<apex>`
-/// with one A record per address in `addrs`, served without a query log
-/// behind the decorator `wrap` builds around it, and `queries` client
-/// queries from distinct /24s through `r`.
-pub(crate) fn sweep(
+/// The swept transport policies, in strictly-more-capable order.
+pub fn policies() -> Vec<(&'static str, TransportPolicy)> {
+    vec![
+        ("udp-only", TransportPolicy::udp_only()),
+        (
+            "udp+tcp",
+            TransportPolicy::with_ladder([Transport::Udp, Transport::Tcp]),
+        ),
+        ("full-ladder", TransportPolicy::full_ladder()),
+    ]
+}
+
+/// The loop every sweep cell runs: a zone answering `www.<apex>` with one
+/// A record per address in `addrs`, served without a query log behind the
+/// decorator `wrap` builds around it, and `queries` client queries from
+/// distinct /24s through `r`.
+fn sweep(
     r: &mut Resolver,
     apex: &str,
     addrs: impl IntoIterator<Item = Ipv4Addr>,
@@ -122,7 +164,7 @@ pub(crate) fn sweep(
     }
 }
 
-fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
+fn drive_loss(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     resolver_config.retry = RetryPolicy {
         attempts: config.attempts,
@@ -142,10 +184,29 @@ fn drive(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     cell
 }
 
-/// Runs the experiment. Every cell's resolver traces into the session's
-/// tracer and the per-cell metric registries merge into one snapshot;
-/// when the session captures telemetry the report gains a p50/p99 latency
-/// row and the snapshot is recorded into it.
+fn drive_ladder(frag_loss: f64, policy: &TransportPolicy, config: &Config) -> Cell {
+    let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
+    resolver_config.transport = policy.clone();
+    let path = PathProfile {
+        mtu: config.mtu,
+        frag_loss,
+    };
+    sweep(
+        &mut Resolver::new(resolver_config),
+        "big.test",
+        (0..config.answer_records)
+            .map(|i| Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
+        config.ttl,
+        config.ladder_queries,
+        |inner| FaultyUpstream::new(inner, LinkFaults::NONE, config.ladder_seed).with_profile(path),
+    )
+}
+
+/// Runs the experiment. Every loss cell's resolver traces into the
+/// session's tracer and the per-cell metric registries merge into one
+/// snapshot; when the session captures telemetry the report gains a
+/// p50/p99 latency row of the loss cells and the snapshot is recorded
+/// into it. The ladder cells run untraced, after the loss cells.
 pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let by_loss: Vec<(f64, Cell)> = config
         .loss_rates
@@ -155,10 +216,10 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
                 loss,
                 ..LinkFaults::NONE
             };
-            (loss, drive(faults, config, session))
+            (loss, drive_loss(faults, config, session))
         })
         .collect();
-    let truncated = drive(
+    let truncated = drive_loss(
         LinkFaults {
             truncate_replies: 1.0,
             ..LinkFaults::NONE
@@ -166,11 +227,27 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
         config,
         session,
     );
-    let outcome = Outcome { by_loss, truncated };
+    let policy_set = policies();
+    let by_frag_loss: Vec<(f64, Vec<Cell>)> = config
+        .frag_loss_rates
+        .iter()
+        .map(|&loss| {
+            let cells = policy_set
+                .iter()
+                .map(|(_, policy)| drive_ladder(loss, policy, config))
+                .collect();
+            (loss, cells)
+        })
+        .collect();
+    let outcome = Outcome {
+        by_loss,
+        truncated,
+        by_frag_loss,
+    };
 
     let mut report = Report::new(
         "faults",
-        "resolution robustness under injected faults (extension)",
+        "resolution robustness under injected faults and fragmenting paths (extension)",
     );
     let clean = outcome.by_loss.first().map(|(_, c)| *c);
     for (loss, cell) in &outcome.by_loss {
@@ -221,9 +298,78 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
         &mut report,
         "p99 grows with loss (backoff runs), p50 stays near the RTT",
     );
+
+    let ladder_queries = config.ladder_queries;
+    for (loss, cells) in &outcome.by_frag_loss {
+        let answered: Vec<u64> = cells.iter().map(|c| c.answered).collect();
+        // The ordering claim: each extra rung can only help.
+        let ordered = answered.windows(2).all(|w| w[0] <= w[1]);
+        report.row(
+            format!("answered @ frag loss {loss:.1}"),
+            "udp-only ≤ udp+tcp ≤ full-ladder (stream rungs are immune)",
+            policy_set
+                .iter()
+                .zip(cells)
+                .map(|((name, _), c)| format!("{name} {}/{ladder_queries}", c.answered))
+                .collect::<Vec<_>>()
+                .join(", "),
+            ordered,
+        );
+    }
+    if let Some((_, clean)) = outcome.by_frag_loss.iter().find(|(l, _)| *l == 0.0) {
+        report.row(
+            "lossless fragmentation baseline",
+            "every policy answers everything without a single ladder edge",
+            format!(
+                "answered {:?}, ladder edges {:?}",
+                clean.iter().map(|c| c.answered).collect::<Vec<_>>(),
+                clean
+                    .iter()
+                    .map(|c| c.transport_fallbacks)
+                    .collect::<Vec<_>>()
+            ),
+            clean
+                .iter()
+                .all(|c| c.answered == ladder_queries && c.transport_fallbacks == 0),
+        );
+    }
+    if let Some((_, dead)) = outcome.by_frag_loss.iter().find(|(l, _)| *l >= 1.0) {
+        let udp_only = dead[0];
+        let laddered = &dead[1..];
+        report.row(
+            "total fragment loss",
+            "udp-only loses every big answer; any stream rung recovers all",
+            format!(
+                "udp-only {}/{ladder_queries} ({} SERVFAIL), laddered {:?}",
+                udp_only.answered,
+                udp_only.servfailed,
+                laddered.iter().map(|c| c.answered).collect::<Vec<_>>()
+            ),
+            udp_only.answered == 0
+                && udp_only.servfailed == ladder_queries
+                && laddered
+                    .iter()
+                    .all(|c| c.answered == ladder_queries && c.servfailed == 0),
+        );
+        report.row(
+            "ECS withdrawal survives the fall",
+            "fragment-drop timeouts withdraw ECS before the ladder edge (§7.1.3)",
+            format!(
+                "{} withdrawals, {} ladder edges on the udp+tcp policy",
+                laddered[0].ecs_withdrawals, laddered[0].transport_fallbacks
+            ),
+            laddered[0].ecs_withdrawals >= 1 && laddered[0].transport_fallbacks >= 1,
+        );
+    }
     report.detail = format!(
-        "{} queries per cell, attempt budget {}, seed {}. Loss applies to the\nfull UDP exchange; truncation leaves TCP untouched, so the TC condition\nmeasures pure RFC 7766 fallback.\n",
-        config.queries, config.attempts, config.seed
+        "{} queries per loss cell, attempt budget {}, seed {}. Loss applies to the\nfull UDP exchange; truncation leaves TCP untouched, so the TC condition\nmeasures pure RFC 7766 fallback.\n{} queries per ladder cell over a {}-record answer (~1 kB: past the {}-byte\npath MTU, inside the 4096-byte EDNS buffer), seed {}. Fragment loss\nkills whole datagrams, so the UDP rung sees pure timeouts; stream rungs\nreassemble and never fragment.\n",
+        config.queries,
+        config.attempts,
+        config.seed,
+        ladder_queries,
+        config.answer_records,
+        config.mtu,
+        config.ladder_seed
     );
     (outcome, report)
 }
@@ -240,6 +386,7 @@ mod tests {
         Config {
             queries: 80,
             loss_rates: vec![0.0, 0.5, 0.9],
+            ladder_queries: 60,
             ..Config::default()
         }
     }
@@ -258,11 +405,27 @@ mod tests {
     }
 
     #[test]
+    fn ladder_policies_beat_udp_only_under_fragment_loss() {
+        let (out, report) = run(&small());
+        assert!(report.all_hold(), "{report}");
+        let (_, dead) = out
+            .by_frag_loss
+            .iter()
+            .find(|(l, _)| *l >= 1.0)
+            .expect("total-loss row swept");
+        assert_eq!(dead[0].answered, 0, "udp-only loses everything");
+        assert_eq!(dead[1].answered, 60, "udp+tcp recovers everything");
+        assert_eq!(dead[2].answered, 60, "full ladder recovers everything");
+        assert!(dead[1].timeouts > 0, "the UDP rung burned its budget first");
+    }
+
+    #[test]
     fn sweep_is_seed_deterministic() {
         let (a, _) = run(&small());
         let (b, _) = run(&small());
         assert_eq!(a.by_loss, b.by_loss);
         assert_eq!(a.truncated, b.truncated);
+        assert_eq!(a.by_frag_loss, b.by_frag_loss);
     }
 
     #[test]
@@ -274,6 +437,7 @@ mod tests {
         // Telemetry is pure observation: identical outcome.
         assert_eq!(plain.by_loss, traced.by_loss);
         assert_eq!(plain.truncated, traced.truncated);
+        assert_eq!(plain.by_frag_loss, traced.by_frag_loss);
         assert!(report.all_hold(), "{report}");
         // The trace parses and is non-trivial; the snapshot carries the
         // series the CI validation step requires.
@@ -291,5 +455,11 @@ mod tests {
             .latency_quantiles("resolver_query_latency_us")
             .expect("latency recorded");
         assert!(p50 <= p99);
+        // Only the loss cells (and the truncated one) were recorded.
+        let queries = small().queries * (small().loss_rates.len() as u64 + 1);
+        assert_eq!(
+            telem.snapshot.counter("resolver_client_queries_total"),
+            Some(queries)
+        );
     }
 }

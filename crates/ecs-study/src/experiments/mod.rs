@@ -13,12 +13,10 @@ pub mod fig67;
 pub mod fig8;
 pub mod hidden;
 pub mod minprefix;
-pub mod overload;
 pub mod probing;
 pub mod scan;
 pub mod table1;
 pub mod table2;
-pub mod transports;
 pub mod whitelist;
 
 use crate::report::Report;
@@ -146,21 +144,9 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         (
             "faults",
-            "extension: robustness under injected faults",
+            "extension: robustness under injected faults and fragmenting paths",
             CAPTURES,
             |s| faults::run(&Default::default(), s).1,
-        ),
-        (
-            "overload",
-            "extension: graceful degradation under overload",
-            CAPTURES,
-            |s| overload::run(&Default::default(), s).1,
-        ),
-        (
-            "transports",
-            "extension: transport fallback ladders on fragmenting paths",
-            PLAIN,
-            |_| transports::run(&Default::default()).1,
         ),
         (
             "scan",

@@ -234,8 +234,9 @@ fn section6_reports_are_pinned() {
     );
 }
 
-/// `faults` under capture: the report with its latency row, the JSON
-/// snapshot and the trace lines, pinned byte for byte.
+/// `faults` under capture: the report with its latency row and its
+/// transport-ladder rows, the JSON snapshot and the trace lines (the loss
+/// cells' alone: the ladder cells record nothing), pinned byte for byte.
 #[test]
 fn faults_telemetry_artifacts_are_pinned() {
     let mut session = ecs_study::Session::new(true);
@@ -254,7 +255,7 @@ fn faults_telemetry_artifacts_are_pinned() {
     assert_pinned(
         &measured,
         &[
-            ("report", 0x7d5237730726fbad),
+            ("report", 0xdfc08227d7841ec4),
             ("metrics_json", 0x6783861099ef9ca8),
             ("trace_jsonl", 0xc7e36e2eda628a15),
         ],
