@@ -8,8 +8,8 @@
 //! running one against the other:
 //!
 //! * [`scenario`] — scripted authoritative ECS behaviours (honors-scope,
-//!   always-/0, jams-/32, caps-/22, FORMERR-on-ECS, pre-EDNS, flattening
-//!   CNAME, …) behind the [`resolver::Upstream`] trait;
+//!   always-/0, jams-/32, caps-/22, FORMERR-on-ECS, flattening CNAME, …)
+//!   behind the [`resolver::Upstream`] trait;
 //! * [`harness`] — drives subject resolvers through the scenarios and uses
 //!   the `analysis` classifiers as oracles: the default engine must land in
 //!   the RFC-compliant cell of every table (§6.1 probing class, §6.2

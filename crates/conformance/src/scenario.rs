@@ -2,8 +2,8 @@
 //!
 //! A [`Scenario`] is a table row describing how the authoritative side of a
 //! conformance run behaves — which scope it advertises, whether it admits
-//! ECS at all, whether it predates EDNS, whether it rejects ECS queries
-//! with FORMERR, whether the probed name sits behind a CNAME. Building a
+//! ECS at all, whether it rejects ECS queries with FORMERR, whether the
+//! probed name sits behind a CNAME. Building a
 //! scenario yields a [`ScenarioUpstream`]: an [`resolver::Upstream`] whose
 //! zone auto-materialises any in-zone name deterministically, so drivers can
 //! probe unlimited fresh hostnames (the paper's methodology) without
@@ -27,8 +27,6 @@ pub enum EcsStance {
     NonWhitelisted,
     /// The server does not implement ECS at all; options are ignored.
     Disabled,
-    /// Pre-EDNS server: FORMERR on any query carrying an OPT (RFC 6891 §7).
-    PreEdns,
     /// ECS-intolerant middlebox: FORMERR on queries carrying ECS, normal
     /// answers otherwise — the behaviour RFC 7871 §7.1.3 withdrawal guards
     /// against.
@@ -91,15 +89,6 @@ impl Scenario {
         }
     }
 
-    /// Deliberately non-compliant: scope longer than source by 8 bits.
-    pub fn scope_exceeds_source() -> Self {
-        Scenario {
-            name: "scope-exceeds-source",
-            stance: EcsStance::Open(ScopePolicy::SourcePlusK(8)),
-            ..Self::honors_scope()
-        }
-    }
-
     /// The subject resolver is not whitelisted: the server looks non-ECS.
     pub fn non_whitelisted() -> Self {
         Scenario {
@@ -118,29 +107,11 @@ impl Scenario {
         }
     }
 
-    /// Pre-EDNS server (FORMERR on any OPT).
-    pub fn pre_edns() -> Self {
-        Scenario {
-            name: "pre-edns",
-            stance: EcsStance::PreEdns,
-            ..Self::honors_scope()
-        }
-    }
-
     /// FORMERR only on ECS-bearing queries.
     pub fn formerr_on_ecs() -> Self {
         Scenario {
             name: "formerr-on-ecs",
             stance: EcsStance::FormerrOnEcs,
-            ..Self::honors_scope()
-        }
-    }
-
-    /// Every hostname resolves through a flattening CNAME hop.
-    pub fn flattening_cname() -> Self {
-        Scenario {
-            name: "flattening-cname",
-            cname: true,
             ..Self::honors_scope()
         }
     }
@@ -213,15 +184,12 @@ impl ScenarioUpstream {
             EcsStance::NonWhitelisted => {
                 EcsHandling::whitelisted(ScopePolicy::MatchSource, std::collections::HashSet::new())
             }
-            EcsStance::Disabled | EcsStance::PreEdns => EcsHandling::disabled(),
+            EcsStance::Disabled => EcsHandling::disabled(),
             // FORMERR interception happens in `query`; ECS-free queries that
             // get through are answered normally (scope policy irrelevant).
             EcsStance::FormerrOnEcs => EcsHandling::disabled(),
         };
-        let mut auth = AuthServer::new(Zone::new(apex.clone()), ecs);
-        if scenario.stance == EcsStance::PreEdns {
-            auth = auth.without_edns();
-        }
+        let auth = AuthServer::new(Zone::new(apex.clone()), ecs);
         ScenarioUpstream {
             scenario,
             auth,
@@ -318,11 +286,6 @@ impl Upstream for ScenarioUpstream {
     }
 }
 
-/// Convenience for drivers: an A-question client message.
-pub fn a_query(id: u16, qname: &Name) -> Message {
-    Message::query(id, dns_wire::Question::a(qname.clone()))
-}
-
 /// Convenience for drivers: a scenario-scoped hostname.
 pub fn host(label: &str, scenario: &Scenario) -> Name {
     Name::from_ascii(&format!("{label}.{}", scenario.apex)).expect("label is valid")
@@ -334,6 +297,10 @@ mod tests {
     use dns_wire::EcsOption;
 
     const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
+
+    fn a_query(id: u16, qname: &Name) -> Message {
+        Message::query(id, dns_wire::Question::a(qname.clone()))
+    }
 
     fn ecs_query(id: u16, qname: &Name) -> Message {
         let mut q = a_query(id, qname);
@@ -413,19 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_edns_formerrs_any_opt() {
-        let s = Scenario::pre_edns();
-        let mut up = s.build();
-        let n = host("a", &s);
-        let mut q = a_query(1, &n);
-        q.set_edns(4096);
-        let resp = up.query(&q, RES, SimTime::ZERO).unwrap();
-        assert_eq!(resp.rcode, Rcode::FormErr);
-    }
-
-    #[test]
     fn flattening_cname_serves_chain() {
-        let s = Scenario::flattening_cname();
+        // The layout the harness's flattening cells build.
+        let s = Scenario {
+            cname: true,
+            ..Scenario::honors_scope()
+        };
         let mut up = s.build();
         let resp = up
             .query(&ecs_query(1, &host("www", &s)), RES, SimTime::ZERO)
@@ -446,7 +406,10 @@ mod tests {
 
     #[test]
     fn scope_exceeds_source_is_expressible() {
-        let s = Scenario::scope_exceeds_source();
+        let s = Scenario {
+            stance: EcsStance::Open(ScopePolicy::SourcePlusK(8)),
+            ..Scenario::honors_scope()
+        };
         let mut up = s.build();
         let resp = up
             .query(&ecs_query(1, &host("a", &s)), RES, SimTime::ZERO)
