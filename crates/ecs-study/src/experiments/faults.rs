@@ -4,7 +4,7 @@
 //! The paper measures resolvers in the wild, where lossy paths, truncated
 //! replies, and dead nameservers are facts of life; the §7.1.3 guidance in
 //! RFC 7871 exists precisely because ECS queries can *cause* some of those
-//! failures. Two sweeps share one loop ([`sweep`]) and one [`Cell`]:
+//! failures. Two sweeps share one loop (`sweep`) and one [`Cell`]:
 //!
 //! * **loss** — the identical client workload through the engine behind a
 //!   [`FaultyUpstream`] at increasing loss rates (plus a truncation
