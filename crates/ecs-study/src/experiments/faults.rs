@@ -425,6 +425,12 @@ mod tests {
         let (b, _) = run(&small());
         assert_eq!(a.by_loss, b.by_loss);
         assert_eq!(a.truncated, b.truncated);
+    }
+
+    #[test]
+    fn ladder_sweep_is_seed_deterministic() {
+        let (a, _) = run(&small());
+        let (b, _) = run(&small());
         assert_eq!(a.by_frag_loss, b.by_frag_loss);
     }
 
