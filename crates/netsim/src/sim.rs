@@ -39,6 +39,17 @@ pub struct Ctx<'a> {
     book: &'a AddressBook,
     actions: &'a mut Vec<Action>,
     rng: &'a mut SmallRng,
+    /// The dispatch profile, when it is on.
+    profile: Option<Staged<'a>>,
+}
+
+/// A handler's share of the dispatch profile: where its stages fold, and
+/// how much of its wall time they took so far.
+struct Staged<'a> {
+    profiler: &'a mut obs::StageProfiler,
+    /// `sim`, the node kind and the event.
+    path: [&'static str; 3],
+    staged_us: u64,
 }
 
 /// What a handler asked of the world through its [`Ctx`]. The loop that
@@ -80,6 +91,7 @@ impl<'a> Ctx<'a> {
             book,
             actions,
             rng,
+            profile: None,
         }
     }
 
@@ -118,6 +130,26 @@ impl<'a> Ctx<'a> {
     /// the run reproducible.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
+    }
+
+    /// The dispatch profile's wall clock in µs, when
+    /// [`Simulation::enable_profiling`] turned the profile on; `None`, at
+    /// one branch, otherwise. What a handler reads to time its stages for
+    /// [`Ctx::profile_stage`].
+    pub fn profile_clock(&self) -> Option<u64> {
+        self.profile.as_ref().map(|p| p.profiler.now_us())
+    }
+
+    /// Folds `took_us` of this handler's wall time under
+    /// `sim;<node kind>;<event>;<name>` and takes it out of the handler's
+    /// own time, so the profile's stacks still sum to the dispatch time.
+    /// Does nothing when the profile is off.
+    pub fn profile_stage(&mut self, name: &'static str, took_us: u64) {
+        if let Some(p) = &mut self.profile {
+            let [sim, kind, event] = p.path;
+            p.profiler.record(&[sim, kind, event, name], took_us);
+            p.staged_us += took_us;
+        }
     }
 }
 
@@ -276,9 +308,10 @@ impl Simulation {
     /// Turns on the dispatch profile: the wall time of every handler call
     /// (with the sends and timers it asked for applied), folded under
     /// `sim;<node kind>;packet|timer|start`, where a node's kind is its
-    /// type's name. Off by default, when a dispatch pays one branch for
-    /// it; on, it reads the clock twice per dispatch and touches neither
-    /// the RNG nor the event order.
+    /// type's name. A handler may split its time into stages one level
+    /// below ([`Ctx::profile_stage`]). Off by default, when a dispatch
+    /// pays one branch for it; on, it reads the clock twice per dispatch
+    /// and touches neither the RNG nor the event order.
     pub fn enable_profiling(&mut self) {
         if !self.profile.is_on() {
             self.profile = obs::StageProfiler::new();
@@ -423,29 +456,38 @@ impl Simulation {
         F: FnOnce(&mut dyn Node, &mut Ctx),
     {
         if self.profile.is_on() {
+            let path = ["sim", self.kinds[id.0], what];
             let start = self.profile.now_us();
-            self.handle(id, f);
+            let staged = self.handle(id, Some(path), f);
             let took = self.profile.now_us() - start;
-            self.profile.record(&["sim", self.kinds[id.0], what], took);
+            self.profile.record(&path, took.saturating_sub(staged));
             return;
         }
-        self.handle(id, f);
+        self.handle(id, None, f);
     }
 
-    fn handle<F>(&mut self, id: NodeId, f: F)
+    /// Runs the handler and applies its actions; returns the wall time
+    /// its stages folded under `profiled` (0 when that is `None`).
+    fn handle<F>(&mut self, id: NodeId, profiled: Option<[&'static str; 3]>, f: F) -> u64
     where
         F: FnOnce(&mut dyn Node, &mut Ctx),
     {
         // Take the node out so the handler can't alias the table.
         let mut node = match self.nodes[id.0].take() {
             Some(n) => n,
-            None => return, // node is re-entrantly dispatching; drop event
+            None => return 0, // node is re-entrantly dispatching; drop event
         };
         let mut actions = std::mem::take(&mut self.actions);
-        {
+        let staged = {
             let mut ctx = Ctx::new(self.clock, id, &self.book, &mut actions, &mut self.rng);
+            ctx.profile = profiled.map(|path| Staged {
+                profiler: &mut self.profile,
+                path,
+                staged_us: 0,
+            });
             f(node.as_mut(), &mut ctx);
-        }
+            ctx.profile.map_or(0, |p| p.staged_us)
+        };
         self.nodes[id.0] = Some(node);
         for action in actions.drain(..) {
             match action {
@@ -459,6 +501,7 @@ impl Simulation {
             }
         }
         self.actions = actions;
+        staged
     }
 
     /// Grants temporary mutable access to a node for inspection or setup.
@@ -709,6 +752,48 @@ mod tests {
         assert_eq!(on.total_calls(), e_prof + 2, "every event plus two starts");
         // A generic node is named without its parameters or paths.
         assert_eq!(kind_of::<std::collections::HashMap<u8, Echo>>(), "HashMap");
+    }
+
+    /// Folds a fixed one-second stage per packet while profiled.
+    struct Stager {
+        clocked: Vec<bool>,
+    }
+    impl Node for Stager {
+        fn on_packet(&mut self, _pkt: Packet, ctx: &mut Ctx) {
+            self.clocked.push(ctx.profile_clock().is_some());
+            ctx.profile_stage("work", 1_000_000);
+        }
+    }
+
+    #[test]
+    fn a_handler_s_stages_fold_under_its_dispatch_and_leave_its_own_time() {
+        for profile in [false, true] {
+            let mut sim = Simulation::new(5);
+            if profile {
+                sim.enable_profiling();
+            }
+            let stager = Stager {
+                clocked: Vec::new(),
+            };
+            let node = sim.add_node(stager, addr(&sim), city("Tokyo").unwrap().pos);
+            let peer = sim.add_node(Echo { seen: 0 }, addr(&sim), city("Sydney").unwrap().pos);
+            sim.inject(peer, node, vec![1], SimDuration::ZERO);
+            sim.inject(peer, node, vec![2], SimDuration::ZERO);
+            sim.run();
+            let clocked = &sim.node_mut::<Stager>(node).unwrap().clocked;
+            assert_eq!(clocked, &vec![profile; 2]);
+            let snap = sim.profile_snapshot();
+            if !profile {
+                assert!(snap.is_empty());
+                continue;
+            }
+            let work = snap.stacks["sim;Stager;packet;work"];
+            assert_eq!((work.calls, work.self_us), (2, 2_000_000));
+            // The handler ran for less than the second it claims, so its
+            // own time is what is left of the dispatch: nothing.
+            assert_eq!(snap.stacks["sim;Stager;packet"].calls, 2);
+            assert_eq!(snap.stacks["sim;Stager;packet"].self_us, 0);
+        }
     }
 
     #[test]

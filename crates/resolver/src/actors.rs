@@ -197,17 +197,33 @@ impl EgressActor {
         ctx.node_of(*addr)
     }
 
+    /// Ends a profiled handler's `exchange step` stage, which began at
+    /// `since`, less the `cache insert` stage inside it.
+    fn step_stage(&mut self, ctx: &mut Ctx, since: Option<u64>) -> Option<u64> {
+        let since = since?;
+        let inserts = self.resolver.take_insert_us();
+        let now = ctx.profile_clock()?;
+        ctx.profile_stage("exchange step", (now - since).saturating_sub(inserts));
+        ctx.profile_stage("cache insert", inserts);
+        Some(now)
+    }
+
     /// Carries out what the machine decided for outstanding exchange `id`:
     /// (re)transmit and arm the timeout, or answer every waiting party.
-    fn apply(&mut self, id: u16, action: Action, ctx: &mut Ctx) {
+    /// `t` is where a profiled handler's current stage began: a send
+    /// closes it as `send query`; an ending closes it as `exchange step`
+    /// and times the answers as `write answer`.
+    fn apply(&mut self, id: u16, action: Action, ctx: &mut Ctx, t: Option<u64>) {
         match action {
             Action::Send { timeout, .. } => {
                 let p = self.pending.get_mut(&id).expect("exchange is outstanding");
                 send_msg(ctx, p.auth_node, p.exchange.upstream_query());
                 p.deadline = ctx.now() + timeout;
                 ctx.set_timer(timeout, u64::from(id));
+                stage(ctx, "send query", t);
             }
             Action::Done { answer, raw } => {
+                let t = self.step_stage(ctx, t);
                 let p = self.pending.remove(&id).expect("exchange is outstanding");
                 if let Some(key) = &p.flight {
                     self.flights.remove(key);
@@ -217,17 +233,35 @@ impl EgressActor {
                     let resp = self.resolver.answer_joiner(joiner, raw.as_ref(), ctx.now());
                     send_msg(ctx, *node, &resp);
                 }
+                stage(ctx, "write answer", t);
             }
         }
     }
 }
 
+/// Ends the handler stage that began at profile-clock reading `since`
+/// and returns the reading the next stage begins at: `None`, at one
+/// branch, when the dispatch profile is off.
+fn stage(ctx: &mut Ctx, name: &'static str, since: Option<u64>) -> Option<u64> {
+    let since = since?;
+    let now = ctx.profile_clock()?;
+    ctx.profile_stage(name, now - since);
+    Some(now)
+}
+
 impl Node for EgressActor {
+    /// Profiled (see [`netsim::Simulation::enable_profiling`]), a packet's
+    /// wall time splits into stages: a client query's `read query`,
+    /// `begin`, then `write answer` (a hit) or `send query` (a miss); an
+    /// upstream reply's `read reply`, `exchange step`, `cache insert` and
+    /// `write answer`.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+        let t = ctx.profile_clock();
         let Ok(msg) = Message::from_bytes(&pkt.payload) else {
             return;
         };
         if msg.is_response() {
+            let t = stage(ctx, "read reply", t);
             // Only the authoritative we asked, echoing the question we
             // asked, may complete an exchange: a 16-bit id alone is
             // guessable.
@@ -251,13 +285,20 @@ impl Node for EgressActor {
             let action = self
                 .resolver
                 .step_exchange(&mut p.exchange, Ok(msg), ctx.now());
-            self.apply(id, action, ctx);
+            self.apply(id, action, ctx, t);
             return;
         }
+        let t = stage(ctx, "read query", t);
         // A downstream party (client, forwarder, hidden resolver) queries us.
         let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
-        let pending = match self.resolver.begin(&msg, src_addr, ctx.now()) {
-            Step::Answer(resp) => return send_msg(ctx, pkt.src, &resp),
+        let step = self.resolver.begin(&msg, src_addr, ctx.now());
+        let t = stage(ctx, "begin", t);
+        let pending = match step {
+            Step::Answer(resp) => {
+                send_msg(ctx, pkt.src, &resp);
+                stage(ctx, "write answer", t);
+                return;
+            }
             Step::NeedUpstream(pending) => pending,
         };
         let overload = &self.resolver.config().overload;
@@ -298,7 +339,7 @@ impl Node for EgressActor {
                 joiners: Vec::new(),
             },
         );
-        self.apply(id, action, ctx);
+        self.apply(id, action, ctx, t);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
@@ -312,7 +353,7 @@ impl Node for EgressActor {
         let action =
             self.resolver
                 .step_exchange(&mut p.exchange, Err(UpstreamError::Timeout), ctx.now());
-        self.apply(id, action, ctx);
+        self.apply(id, action, ctx, None);
     }
 }
 

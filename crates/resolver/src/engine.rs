@@ -261,6 +261,10 @@ pub struct Resolver {
     /// [`ResolverConfig::adaptive_prefix`]).
     scope_memory: std::collections::HashMap<Name, u8>,
     next_id: u16,
+    /// The wall clock's epoch and the µs spent in cache inserts since the
+    /// last [`Resolver::take_insert_us`]; `None`, and inserts untimed,
+    /// until a profiling driver first asks.
+    insert_clock: Option<(std::time::Instant, u64)>,
 }
 
 impl Resolver {
@@ -294,6 +298,7 @@ impl Resolver {
             tracer: Tracer::disabled(),
             scope_memory: std::collections::HashMap::new(),
             next_id: 1,
+            insert_clock: None,
         }
     }
 
@@ -353,6 +358,16 @@ impl Resolver {
             snap.merge(&self.cache.shard_series());
         }
         snap
+    }
+
+    /// The wall µs spent in cache inserts since the last call, for a
+    /// profiling driver's `cache insert` stage. The first call turns the
+    /// timing on and reads 0.
+    pub(crate) fn take_insert_us(&mut self) -> u64 {
+        let (_, spent) = self
+            .insert_clock
+            .get_or_insert_with(|| (std::time::Instant::now(), 0));
+        std::mem::take(spent)
     }
 
     /// Installs a tracer: every subsequent resolution emits structured
@@ -723,6 +738,9 @@ impl Resolver {
             0
         };
 
+        let insert_from = self
+            .insert_clock
+            .map(|(epoch, _)| epoch.elapsed().as_micros() as u64);
         // Cache the upstream answer (even probe-bypass responses are
         // cached; the bypass only skips the lookup).
         let ttl = upstream_resp.min_answer_ttl().unwrap_or(NEGATIVE_TTL);
@@ -750,6 +768,9 @@ impl Resolver {
                 NEGATIVE_TTL,
                 now,
             );
+        }
+        if let (Some(from), Some((epoch, spent))) = (insert_from, &mut self.insert_clock) {
+            *spent += epoch.elapsed().as_micros() as u64 - from;
         }
 
         if pending.trace.is_enabled() {
