@@ -14,7 +14,11 @@
 //! after each) over three names × two types × six /24s on a clock that
 //! never goes back, under each of three limit profiles (unbounded;
 //! `max_entries`; `stale_ttl` with `max_entries`) × the three compliance
-//! modes. A failure prints its seed, and
+//! modes — and a fourth profile that churns: 1,000 steps over 64 names,
+//! some longer than a name holds inline, with TTLs spread from 1 s to
+//! 5 min, so that a name's list empties and leaves, comes back, and is
+//! queued again under an earlier horizon, many times a case. A failure
+//! prints its seed, and
 //! `CACHE_MODEL_SEED=<seed> cargo test -p resolver --test cache_model`
 //! replays exactly that case. `PROPTEST_CASES` sets how many seeds run.
 
@@ -128,18 +132,62 @@ const TTLS: [u32; 6] = [0, 1, 3, 10, 40, 200];
 /// Seconds the clock may advance before a step (it never goes back).
 const ADVANCE: [u64; 8] = [0, 0, 0, 0, 0, 1, 1, 5];
 
-fn profile(which: usize) -> CacheLimits {
+/// TTLs of the churning profile: spread, so that a later insert often
+/// falls due before everything its name's list holds.
+const CHURN_TTLS: [u32; 10] = [1, 2, 4, 7, 15, 30, 60, 90, 150, 300];
+
+/// The limits a case runs under, and the names, TTLs and step count it
+/// draws from.
+struct Profile {
+    limits: CacheLimits,
+    names: Vec<Name>,
+    ttls: &'static [u32],
+    steps: usize,
+}
+
+const PROFILES: usize = 4;
+
+fn profile(which: usize) -> Profile {
     let unbounded = CacheLimits::default();
-    match which {
+    let few = || NAMES.iter().map(|n| Name::from_ascii(n).unwrap()).collect();
+    let limits = match which {
         0 => unbounded,
         1 => CacheLimits {
             max_entries: Some(5),
             ..unbounded
         },
-        _ => CacheLimits {
+        2 => CacheLimits {
             max_entries: Some(6),
             stale_ttl: SimDuration::from_secs(20),
         },
+        _ => {
+            // Every eighth name is longer than 38 wire bytes.
+            let churn = (0..64)
+                .map(|i| {
+                    let pad = if i % 8 == 0 {
+                        ".a-longer-label-than-most"
+                    } else {
+                        ""
+                    };
+                    Name::from_ascii(&format!("n{i}{pad}.churn.example")).unwrap()
+                })
+                .collect();
+            return Profile {
+                limits: CacheLimits {
+                    max_entries: Some(24),
+                    stale_ttl: SimDuration::from_secs(30),
+                },
+                names: churn,
+                ttls: &CHURN_TTLS,
+                steps: 1_000,
+            };
+        }
+    };
+    Profile {
+        limits,
+        names: few(),
+        ttls: &TTLS,
+        steps: 200,
     }
 }
 
@@ -151,24 +199,21 @@ fn subnet(rng: &mut SmallRng) -> Ipv4Addr {
 /// One random case, fully determined by `seed`: `steps` operations on a
 /// cache and the model side by side, everything observable compared after
 /// each.
-fn run_case(
-    seed: u64,
-    limits: CacheLimits,
-    compliance: CacheCompliance,
-    steps: usize,
-) -> Result<CacheStats, String> {
+fn run_case(seed: u64, profile: &Profile, compliance: CacheCompliance) -> Result<Churn, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let names: Vec<Name> = NAMES.iter().map(|n| Name::from_ascii(n).unwrap()).collect();
-    let mut cache = EcsCache::with_limits(compliance, limits.clone());
+    let names = &profile.names;
+    let mut cache = EcsCache::with_limits(compliance, profile.limits.clone());
     let mut model = Model {
         entries: Vec::new(),
         compliance,
-        limits,
+        limits: profile.limits.clone(),
         stats: CacheStats::default(),
         tick: 0,
     };
+    let mut churn = Churn::default();
+    let mut ever_held = std::collections::HashSet::new();
     let mut now = SimTime::from_micros(rng.gen_range(0..3_000_000));
-    for step in 0..steps {
+    for step in 0..profile.steps {
         now += SimDuration::from_secs(ADVANCE[rng.gen_range(0..ADVANCE.len())]);
         let types = [
             RecordType::A,
@@ -177,7 +222,7 @@ fn run_case(
             RecordType::Aaaa,
         ];
         let key = (
-            names[rng.gen_range(0..3)].clone(),
+            names[rng.gen_range(0..names.len())].clone(),
             types[rng.gen_range(0..4)],
         );
         let (name, qtype) = (&key.0, key.1);
@@ -190,7 +235,7 @@ fn run_case(
                 EcsOption::from_v4(subnet(&mut rng), [16, 24][rng.gen_range(0..2)])
                     .with_scope(scope)
             });
-            let ttl = TTLS[rng.gen_range(0..TTLS.len())];
+            let ttl = profile.ttls[rng.gen_range(0..profile.ttls.len())];
             // About every fourth insert is an RFC 2308 negative entry.
             let (rcode, answers) = if op < 34 {
                 (Rcode::NoError, rng.gen_range(1..3))
@@ -201,6 +246,13 @@ fn run_case(
             let records: Vec<Record> = (0..answers)
                 .map(|i| Record::new(name.clone(), ttl + i, a(i)))
                 .collect();
+            model.purge(now);
+            let horizon = now + SimDuration::from_secs(ttl as u64) + profile.limits.stale_ttl;
+            let held = model.entries.iter().filter(|e| e.key == key);
+            match held.map(|e| e.expires + profile.limits.stale_ttl).min() {
+                Some(due) => churn.requeued_earlier += u64::from(horizon < due),
+                None => churn.returned += u64::from(!ever_held.insert(key.clone())),
+            }
             let cached = if rcode == Rcode::NoError && rng.gen() {
                 cache.insert(name.clone(), qtype, records.clone(), ecs, ttl, now)
             } else {
@@ -248,33 +300,59 @@ fn run_case(
             return Err(format!("step {step} at {now}: {why}"));
         }
     }
-    Ok(cache.stats())
+    churn.stats = cache.stats();
+    Ok(churn)
+}
+
+/// What a case exercised: the cache's statistics, and how often an insert
+/// found its name's list gone after the name had been held before, or
+/// holding only entries due after the new one.
+#[derive(Default)]
+struct Churn {
+    stats: CacheStats,
+    returned: u64,
+    requeued_earlier: u64,
 }
 
 /// Every limit profile × every compliance mode for one seed; the summed
 /// statistics say what the sequences exercised.
 fn run_seed(seed: u64) -> CacheStats {
+    let profiles = (0..PROFILES - 1).map(profile).collect::<Vec<_>>();
+    run_profiles(seed, &profiles, 0).stats
+}
+
+/// Every compliance mode under each of `profiles` for one seed; the summed
+/// counts say what the sequences exercised.
+fn run_profiles(seed: u64, profiles: &[Profile], first: usize) -> Churn {
     let modes = [
         CacheCompliance::Honor,
         CacheCompliance::IgnoreScope,
         CacheCompliance::CapPrefix(22),
     ];
-    let mut total = CacheStats::default();
-    for which in 0..3 {
+    let mut total = Churn::default();
+    for (which, profile) in profiles.iter().enumerate() {
         for compliance in modes {
-            match run_case(seed, profile(which), compliance, 200) {
-                Ok(s) => {
-                    total.hits += s.hits;
-                    total.evictions += s.evictions;
-                    total.stale_hits += s.stale_hits;
+            match run_case(seed, profile, compliance) {
+                Ok(c) => {
+                    total.stats.hits += c.stats.hits;
+                    total.stats.evictions += c.stats.evictions;
+                    total.stats.stale_hits += c.stats.stale_hits;
+                    total.returned += c.returned;
+                    total.requeued_earlier += c.requeued_earlier;
                 }
                 Err(why) => panic!(
-                    "profile {which}, {compliance:?}, seed {seed}: {why}\nreplay with CACHE_MODEL_SEED={seed}"
+                    "profile {}, {compliance:?}, seed {seed}: {why}\nreplay with CACHE_MODEL_SEED={seed}",
+                    first + which
                 ),
             }
         }
     }
     total
+}
+
+/// The churning profile alone, for one seed.
+fn run_churn(seed: u64) -> Churn {
+    run_profiles(seed, &[profile(PROFILES - 1)], PROFILES - 1)
 }
 
 #[test]
@@ -286,6 +364,43 @@ fn cache_agrees_with_the_flat_model_after_every_step() {
     let mut rng = proptest::TestRng::for_test("cache_model");
     for _ in 0..ProptestConfig::with_cases(48).effective_cases() {
         run_seed(any::<u64>().generate(&mut rng));
+    }
+}
+
+/// The same comparison under the churning profile, whose many names make
+/// lists leave, return and re-queue far more often than three names can.
+#[test]
+fn cache_agrees_with_the_flat_model_while_names_churn() {
+    if let Ok(replay) = std::env::var("CACHE_MODEL_SEED") {
+        run_churn(replay.parse().expect("CACHE_MODEL_SEED is a u64"));
+        return;
+    }
+    let mut rng = proptest::TestRng::for_test("cache_model_churn");
+    for _ in 0..ProptestConfig::with_cases(16).effective_cases() {
+        run_churn(any::<u64>().generate(&mut rng));
+    }
+}
+
+/// The churning profile does what it is for: names come back after their
+/// list left, inserts fall due before what their list holds, and the
+/// bound and the stale budget still act.
+#[test]
+fn the_churning_profile_returns_names_and_requeues_lists_earlier() {
+    for seed in 0..4 {
+        let c = run_churn(seed);
+        let s = c.stats;
+        let counts = format!(
+            "{} returned, {} re-queued earlier",
+            c.returned, c.requeued_earlier
+        );
+        assert!(
+            c.returned > 500 && c.requeued_earlier > 20,
+            "seed {seed}: {counts}"
+        );
+        assert!(
+            s.hits > 20 && s.stale_hits > 4 && s.evictions > 40,
+            "seed {seed}: {s:?}"
+        );
     }
 }
 
