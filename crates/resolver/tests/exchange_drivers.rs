@@ -10,8 +10,11 @@
 //! every waiting party gets in the engine's one exit, and nowhere else.
 //!
 //! A seeded property then drives `step_exchange` directly with random
-//! outcome scripts and policies; a failure names the seed, and
-//! `EXCHANGE_PROP_SEED=<seed>` replays exactly that case.
+//! outcome scripts and policies — answers with and without ECS, timeouts,
+//! REFUSED, TC replies, transport truncations, FORMERR and SERVFAIL, under
+//! both withdrawal flags, serve-stale on (with and without a stale entry)
+//! and off; a failure names the seed, and `EXCHANGE_PROP_SEED=<seed>`
+//! replays exactly that case.
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -505,12 +508,73 @@ fn unroutable_miss_is_answered_servfail_and_uncounted() {
     }
 }
 
+/// What the scripted upstream does to one send in the property.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Draw {
+    /// An answer, echoing the query's ECS option with a /24 scope when
+    /// the query carries one and a coin says so.
+    Answer,
+    Timeout,
+    Refused,
+    /// A reply with the TC bit set and no records.
+    TcReply,
+    /// The transport reports the reply truncated.
+    Truncated,
+    FormErr,
+    ServFail,
+}
+
+const FAILURES: [Draw; 6] = [
+    Draw::Timeout,
+    Draw::Refused,
+    Draw::TcReply,
+    Draw::Truncated,
+    Draw::FormErr,
+    Draw::ServFail,
+];
+
+/// How the property's exchange ended, by the last outcome it was given.
+#[derive(Debug, PartialEq)]
+enum Ending {
+    /// A reply completed it: the client gets that reply's rcode.
+    Reply(Rcode),
+    /// It failed: the attempt budget ran out, or an upstream SERVFAIL met
+    /// serve-stale.
+    Failed,
+}
+
+/// Branches of the machine a case reached, one bit each (see
+/// [`REACHED`]).
+type Reached = u16;
+
+/// What the cases must reach between them: a FORMERR re-asked without
+/// ECS and one passed through, an upstream SERVFAIL under serve-stale and
+/// one without it, a TC reply over a datagram transport, a transport
+/// truncation, an answer after an ECS withdrawal, a stale answer, and an
+/// inline TCP re-query.
+const REACHED: [&str; 9] = [
+    "FORMERR re-asked",
+    "FORMERR passed through",
+    "SERVFAIL under serve-stale",
+    "SERVFAIL passed through",
+    "TC reply over UDP",
+    "Err(Truncated)",
+    "answer after a withdrawal",
+    "stale answer",
+    "inline TCP re-query",
+];
+
 /// One random case of the property, fully determined by `seed`.
-fn exchange_property(seed: u64) -> Result<(), String> {
+fn exchange_property(seed: u64) -> Result<Reached, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut config = ResolverConfig::rfc_compliant(EGRESS);
     config.retry.attempts = rng.gen_range(1..=6);
     config.retry.withdraw_ecs_on_timeout = rng.gen();
+    config.retry.withdraw_ecs_on_formerr = rng.gen();
+    let serve_stale = rng.gen();
+    if serve_stale {
+        config.overload.serve_stale_ttl = SimDuration::from_secs(3_600);
+    }
     let mut ladder = Transport::ALL.to_vec();
     ladder.truncate(rng.gen_range(1..=4));
     config.transport = TransportPolicy::with_ladder(ladder.clone());
@@ -519,70 +583,201 @@ fn exchange_property(seed: u64) -> Result<(), String> {
     let fail_p = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4)];
 
     let mut r = Resolver::new(config);
-    let now = SimTime::from_secs(1);
+    // With serve-stale on, half the cases first cache the name for CLIENT
+    // (TTL 60 s) and ask again once it has expired: a failure then has a
+    // stale answer to fall back on.
+    let stale_entry = serve_stale && rng.gen();
+    let now = if stale_entry {
+        r.resolve_msg(&query(9), CLIENT, SimTime::from_secs(1), &mut auth());
+        SimTime::from_secs(100)
+    } else {
+        SimTime::from_secs(1)
+    };
+    let base = r.stats();
     let Step::NeedUpstream(pending) = r.begin(&query(1), CLIENT, now) else {
-        return Err("first query must miss".into());
+        return Err("the query must miss".into());
     };
     let (mut ex, mut action) = r.start_exchange(pending, now);
     let mut at = now;
-    let mut failed_sends = 0u64;
-    let mut timeouts = 0u64;
+    // Sends that spent an attempt (timeouts, REFUSED, a failed inline TCP
+    // leg), the ones of them that timed out, the truncations that climbed
+    // to a stream rung, the FORMERR re-asks without ECS, and the
+    // withdrawal triggers that met an ECS option.
+    let (mut spent, mut timeouts, mut climbs, mut formerr_resends) = (0u64, 0u64, 0u64, 0u64);
+    let mut triggers = 0u64;
+    let mut inline = false;
+    let mut sent_without_ecs = false;
+    let mut last = Draw::Answer;
+    let mut reached: Reached = 0;
+    let mut reach = |branch: &str| {
+        reached |= 1
+            << REACHED
+                .iter()
+                .position(|b| *b == branch)
+                .expect("a named branch");
+    };
+    // The rcode of the message an inline TCP leg completed with.
+    let mut inline_reply = None;
     let (answer, raw) = loop {
         let (transport, timeout) = match action {
             Action::Done { answer, raw } => break (answer, raw),
             Action::Send { transport, timeout } => (transport, timeout),
         };
-        if !ladder.contains(&transport) {
+        if !ladder.contains(&transport) && !(inline && transport == Transport::Tcp) {
             return Err(format!("sent over {transport:?}, not on {ladder:?}"));
         }
-        let outcome = if rng.gen::<f64>() < fail_p {
-            failed_sends += 1;
-            if failed_sends > bound {
-                return Err(format!(
-                    "{failed_sends} failed sends exceed the bound {bound}"
-                ));
-            }
-            if rng.gen() {
-                timeouts += 1;
-                at += timeout;
-                Err(UpstreamError::Timeout)
-            } else {
-                Err(UpstreamError::Rcode(Rcode::Refused))
-            }
+        let carries_ecs = ex.upstream_query().ecs().is_some();
+        if sent_without_ecs && carries_ecs {
+            return Err("a send after a withdrawal carries ECS".into());
+        }
+        sent_without_ecs |= !carries_ecs;
+        let draw = if rng.gen::<f64>() < fail_p {
+            FAILURES[rng.gen_range(0..FAILURES.len())]
         } else {
-            let mut resp = Message::response_to(ex.upstream_query());
-            resp.answers.push(Record::new(
-                name("www.drivers.example"),
-                60,
-                Rdata::A(Ipv4Addr::new(198, 51, 100, 1)),
-            ));
-            Ok(resp)
+            Draw::Answer
         };
+        let reply = |rcode: Rcode, tc: bool| {
+            let mut resp = Message::response_to(ex.upstream_query());
+            resp.rcode = rcode;
+            resp.flags.tc = tc;
+            resp
+        };
+        let outcome = match draw {
+            Draw::Answer => {
+                let mut resp = reply(Rcode::NoError, false);
+                resp.answers.push(Record::new(
+                    name("www.drivers.example"),
+                    60,
+                    Rdata::A(Ipv4Addr::new(198, 51, 100, 1)),
+                ));
+                if let Some(ecs) = ex.upstream_query().ecs().filter(|_| rng.gen()) {
+                    resp.set_ecs(ecs.with_scope(24));
+                }
+                Ok(resp)
+            }
+            Draw::Timeout => Err(UpstreamError::Timeout),
+            Draw::Refused => Err(UpstreamError::Rcode(Rcode::Refused)),
+            Draw::Truncated => Err(UpstreamError::Truncated),
+            Draw::TcReply => Ok(reply(Rcode::NoError, true)),
+            Draw::FormErr => Ok(reply(Rcode::FormErr, false)),
+            Draw::ServFail => Ok(reply(Rcode::ServFail, false)),
+        };
+        // What the machine must make of it, from the policy alone.
+        let rung = ladder.iter().position(|&t| t == transport);
+        let stream_above = rung.is_some_and(|i| ladder[i + 1..].iter().any(|t| t.is_stream()));
+        let truncated =
+            draw == Draw::Truncated || (draw == Draw::TcReply && !transport.is_stream());
+        if std::mem::take(&mut inline) {
+            // The inline TCP leg: an error spends the truncated attempt,
+            // any message completes the exchange.
+            spent += u64::from(outcome.is_err());
+            inline_reply = outcome.as_ref().ok().map(|m| m.rcode);
+            last = if outcome.is_err() {
+                Draw::Refused
+            } else {
+                draw
+            };
+        } else if truncated {
+            climbs += u64::from(stream_above);
+            inline = !stream_above;
+            if inline {
+                reach("inline TCP re-query");
+            }
+            reach(match draw {
+                Draw::TcReply => "TC reply over UDP",
+                _ => "Err(Truncated)",
+            });
+            last = draw;
+        } else {
+            match draw {
+                Draw::Timeout => {
+                    spent += 1;
+                    timeouts += 1;
+                    at += timeout;
+                    triggers += u64::from(r.config().retry.withdraw_ecs_on_timeout && carries_ecs);
+                }
+                Draw::Refused => spent += 1,
+                Draw::FormErr if r.config().retry.withdraw_ecs_on_formerr && carries_ecs => {
+                    formerr_resends += 1;
+                    triggers += 1;
+                    reach("FORMERR re-asked");
+                }
+                Draw::FormErr if carries_ecs => reach("FORMERR passed through"),
+                Draw::ServFail if serve_stale => reach("SERVFAIL under serve-stale"),
+                Draw::ServFail => reach("SERVFAIL passed through"),
+                Draw::Answer if sent_without_ecs && triggers > 0 => {
+                    reach("answer after a withdrawal")
+                }
+                _ => {}
+            }
+            last = draw;
+        }
+        if spent > bound {
+            return Err(format!("{spent} spent attempts exceed the bound {bound}"));
+        }
         action = r.step_exchange(&mut ex, outcome, at);
     };
 
     let s = r.stats();
-    if s.upstream_timeouts != timeouts {
+    let delta = |now: u64, then: u64| now - then;
+    let retries = delta(s.retries, base.retries);
+    let sends = delta(s.upstream_queries, base.upstream_queries);
+    let servfails = delta(s.servfail_responses, base.servfail_responses);
+    let stale = delta(s.stale_answers, base.stale_answers);
+    let withdrawals = delta(s.ecs_withdrawals, base.ecs_withdrawals);
+    if delta(s.upstream_timeouts, base.upstream_timeouts) != timeouts {
         return Err(format!("{timeouts} timeouts reported, stats {s:?}"));
     }
-    if failed_sends != s.retries + s.servfail_responses {
-        return Err(format!(
-            "{failed_sends} failed sends != retries + servfails in {s:?}"
-        ));
-    }
-    // With no transport-error outcomes this is the identity the fault
-    // matrix pins: upstream_timeouts == retries + servfail_responses.
-    if failed_sends == timeouts && s.upstream_timeouts != s.retries + s.servfail_responses {
-        return Err(format!("timeout identity broken: {s:?}"));
-    }
-    if s.upstream_queries != 1 + s.retries {
+    if sends != 1 + retries {
         return Err(format!("sends miscounted: {s:?}"));
     }
-    match (answer.rcode, raw.is_some(), s.servfail_responses) {
-        (Rcode::NoError, true, 0) => Ok(()),
-        (Rcode::ServFail, false, 1) if failed_sends == bound => Ok(()),
+    if sends > bound + formerr_resends {
+        return Err(format!(
+            "{sends} sends exceed {bound} + {formerr_resends} FORMERR re-asks"
+        ));
+    }
+    if withdrawals > 1 || withdrawals > triggers || (triggers > 0 && withdrawals == 0) {
+        return Err(format!(
+            "{withdrawals} withdrawals after {triggers} triggers"
+        ));
+    }
+    let ending = match (inline_reply, last) {
+        (Some(rcode), _) => Ending::Reply(rcode),
+        (None, last) => match last {
+            Draw::Timeout | Draw::Refused => Ending::Failed,
+            Draw::ServFail if serve_stale => Ending::Failed,
+            Draw::Answer | Draw::TcReply | Draw::Truncated => Ending::Reply(Rcode::NoError),
+            Draw::FormErr => Ending::Reply(Rcode::FormErr),
+            Draw::ServFail => Ending::Reply(Rcode::ServFail),
+        },
+    };
+    // Every retry is a spent attempt that did not end the exchange, a
+    // truncation that climbed, or a FORMERR re-ask.
+    let exhausted = u64::from(matches!(last, Draw::Timeout | Draw::Refused));
+    if retries + exhausted != spent + climbs + formerr_resends {
+        return Err(format!(
+            "{retries} retries + {exhausted} != {spent} spent + {climbs} climbs + {formerr_resends} re-asks"
+        ));
+    }
+    // With timeouts the only failures this is the identity the fault
+    // matrix pins: upstream_timeouts == retries + servfail_responses.
+    if spent == timeouts
+        && climbs + formerr_resends == 0
+        && exhausted == 1
+        && stale == 0
+        && timeouts != retries + servfails
+    {
+        return Err(format!("timeout identity broken: {s:?}"));
+    }
+    if stale > 0 {
+        reach("stale answer");
+    }
+    match (ending, answer.rcode, raw.is_some(), servfails, stale) {
+        (Ending::Reply(rc), got, true, 0, 0) if rc == got => Ok(reached),
+        (Ending::Failed, Rcode::NoError, false, 0, 1) if stale_entry => Ok(reached),
+        (Ending::Failed, Rcode::ServFail, false, 1, 0) if !stale_entry => Ok(reached),
         other => Err(format!(
-            "inconsistent ending {other:?} after {failed_sends}/{bound}"
+            "inconsistent ending {other:?} after {spent}/{bound} spent attempts"
         )),
     }
 }
@@ -596,9 +791,16 @@ fn random_outcome_scripts_terminate_within_budget_and_reconcile() {
         Some(seed) => vec![seed],
         None => (0..2000).collect(),
     };
+    let mut reached: Reached = 0;
     for seed in seeds {
-        if let Err(why) = exchange_property(seed) {
-            panic!("seed {seed}: {why}\nreplay with EXCHANGE_PROP_SEED={seed}");
+        match exchange_property(seed) {
+            Ok(branches) => reached |= branches,
+            Err(why) => panic!("seed {seed}: {why}\nreplay with EXCHANGE_PROP_SEED={seed}"),
+        }
+    }
+    if replay.is_none() {
+        for (bit, branch) in REACHED.iter().enumerate() {
+            assert!(reached & (1 << bit) != 0, "no case reached: {branch}");
         }
     }
 }
