@@ -1,7 +1,7 @@
 //! [`OneVec`]: a sequence that holds its first element inline.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 /// A sequence for the sections that almost always hold one element — a
 /// message's questions, an OPT record's options. Zero or one element is
@@ -72,6 +72,22 @@ impl<T> OneVec<T> {
     pub fn clear(&mut self) {
         self.0 = Repr::Empty;
     }
+
+    /// Removes and returns the element at `index`, shifting the later
+    /// ones down, as `Vec::remove` does; panics when `index` is out of
+    /// bounds.
+    pub fn remove(&mut self, index: usize) -> T {
+        match &mut self.0 {
+            Repr::Many(v) => v.remove(index),
+            _ => {
+                assert!(index < self.len(), "removal index {index} out of bounds");
+                match std::mem::replace(&mut self.0, Repr::Empty) {
+                    Repr::One(value) => value,
+                    _ => unreachable!("an in-bounds index of an inline sequence"),
+                }
+            }
+        }
+    }
 }
 
 impl<T> Default for OneVec<T> {
@@ -88,6 +104,17 @@ impl<T> Deref for OneVec<T> {
         match &self.0 {
             Repr::Empty => &[],
             Repr::One(value) => std::slice::from_ref(value),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl<T> DerefMut for OneVec<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Empty => &mut [],
+            Repr::One(value) => std::slice::from_mut(value),
             Repr::Many(v) => v,
         }
     }
@@ -153,7 +180,8 @@ impl<T: fmt::Debug> fmt::Debug for OneVec<T> {
 mod tests {
     use super::*;
 
-    /// Seeded runs of `push`, `retain`, `clear` and `collect` against a
+    /// Seeded runs of `push`, `retain`, `clear`, `remove`, writes through
+    /// `iter_mut` and `collect` against a
     /// `Vec` doing the same: after every step the two hold, iterate,
     /// compare and print the same elements.
     #[test]
@@ -169,7 +197,7 @@ mod tests {
             let mut model: Vec<u64> = Vec::new();
             let mut ours: OneVec<u64> = OneVec::new();
             for step in 0..60 {
-                match next(10) {
+                match next(12) {
                     0..=4 => {
                         let x = next(8);
                         model.push(x);
@@ -183,6 +211,16 @@ mod tests {
                     7 => {
                         model.clear();
                         ours.clear();
+                    }
+                    8 if !model.is_empty() => {
+                        let at = next(model.len() as u64) as usize;
+                        assert_eq!(ours.remove(at), model.remove(at));
+                    }
+                    9 => {
+                        for (x, y) in ours.iter_mut().zip(&mut model) {
+                            *x += 1;
+                            *y += 1;
+                        }
                     }
                     _ => {
                         model = (0..next(4)).map(|_| next(8)).collect();

@@ -6,24 +6,24 @@
 //! inside it — which is exactly why ECS blows up cache size (§7.1) and
 //! depresses hit rate (§7.2).
 //!
-//! The cache never walks itself. Beside the entry lists it keeps three
-//! things, each adjusted where an entry enters or leaves a list (push,
-//! same-scope supersede, expiry, eviction) and nowhere else: the live
-//! count; an expiry queue ordered by retention horizon with exactly one
-//! item per `(qname, qtype)` list, so a purge visits the lists that hold
-//! something due and no others; and — only when `max_entries` is set — a
-//! recency index ordered by last-use tick, whose first item is the
-//! eviction victim. DESIGN §3 has the reasoning.
+//! The cache never walks itself. Each `(qname, qtype)` list lives in a
+//! slot of a slab that stays its own while the list lives, and the list
+//! holds the one copy of its key the cache keeps. Beside the lists the
+//! cache keeps three things, each adjusted where an entry enters or leaves
+//! a list (push, same-scope supersede, expiry, eviction) and nowhere else:
+//! the live count; an expiry queue of `(retention horizon, slot)` items,
+//! exactly one per list, so a purge visits the lists that hold something
+//! due and no others; and — only when `max_entries` is set — a recency
+//! index from last-use tick to slot, whose first item is the eviction
+//! victim. DESIGN §3 has the reasoning.
 
-use std::borrow::Borrow;
-use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
-use dns_wire::{EcsOption, IpPrefix, Name, Rcode, Record, RecordType};
+use dns_wire::{EcsOption, IpPrefix, Name, OneVec, Rcode, Record, RecordType};
 use netsim::{SimDuration, SimTime};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
 
 /// How the resolver obeys (or disobeys) scope restrictions — the §6.3
 /// classification, as implementable behaviour (the `workload` crate's
@@ -144,52 +144,23 @@ impl CacheMetrics {
 /// What the entry lists are keyed by.
 type Key = (Name, RecordType);
 
-/// A [`Key`] seen through a borrowed name. The map is asked for
-/// `&dyn KeyRef`, so a lookup hashes and compares the caller's `&Name`
-/// where it lies instead of cloning it into an owned key first. Both
-/// implementors hash and compare as the same `(name, qtype)` pair, which is
-/// the agreement [`Borrow`] demands.
-trait KeyRef {
-    fn key(&self) -> (&Name, RecordType);
-}
-
-impl KeyRef for Key {
-    fn key(&self) -> (&Name, RecordType) {
-        (&self.0, self.1)
-    }
-}
-
-impl KeyRef for (&Name, RecordType) {
-    fn key(&self) -> (&Name, RecordType) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn KeyRef + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyRef + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn KeyRef + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state)
-    }
-}
-
-impl PartialEq for dyn KeyRef + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn KeyRef + '_ {}
+/// Where a list lives in [`Lists::slab`].
+type Slot = u32;
 
 /// Every entry cached for one `(qname, qtype)`, in insertion order (which
 /// lookups rely on: the first matching entry answers).
 #[derive(Debug)]
 struct NameList {
-    entries: Vec<Entry>,
+    /// The list's key: the one copy of it the cache holds.
+    key: Key,
+    /// `key`'s hash, under which [`Lists::heads`] leads to this list.
+    hash: u64,
+    /// The next list whose key has the same hash: `None` but after a
+    /// 64-bit collision.
+    next: Option<Slot>,
+    /// The first entry is inline, so a name asked once costs no
+    /// allocation of its own.
+    entries: OneVec<Entry>,
     /// The horizon this list is queued under in [`Index::expiry`]. Never
     /// later than its earliest entry's, so the list is visited by the time
     /// anything in it falls due; it may be earlier when that entry has left
@@ -198,7 +169,7 @@ struct NameList {
 }
 
 impl NameList {
-    /// `Vec::retain` that tells `index` about every entry it drops.
+    /// `retain` that tells `index` about every entry it drops.
     fn retain(&mut self, index: &mut Index, keep: impl Fn(&Entry) -> bool) {
         self.entries.retain(|e| {
             let kept = keep(e);
@@ -210,19 +181,111 @@ impl NameList {
     }
 }
 
+/// The lists, each in a slot that is its own from its first entry to its
+/// last, found by key through the key's hash.
+#[derive(Debug, Default)]
+struct Lists {
+    /// Lists by slot; a vacated slot is `None` until `free` hands it out.
+    slab: Vec<Option<NameList>>,
+    free: Vec<Slot>,
+    /// Key hash → the first slot of the chain of lists whose keys hash so.
+    heads: FxHashMap<u64, Slot>,
+}
+
+impl Lists {
+    /// The Fx hash of `(qname, qtype)`: the one the shards are picked by.
+    fn hash(qname: &Name, qtype: RecordType) -> u64 {
+        let mut h = FxHasher::default();
+        (qname, qtype).hash(&mut h);
+        h.finish()
+    }
+
+    /// Live lists.
+    fn len(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    fn list(&self, slot: Slot) -> &NameList {
+        self.slab[slot as usize].as_ref().expect("a live slot")
+    }
+
+    fn list_mut(&mut self, slot: Slot) -> &mut NameList {
+        self.slab[slot as usize].as_mut().expect("a live slot")
+    }
+
+    /// The slot of the list of `(qname, qtype)`, if there is one.
+    fn find(&self, hash: u64, qname: &Name, qtype: RecordType) -> Option<Slot> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(slot) = at {
+            let list = self.list(slot);
+            if list.key.1 == qtype && list.key.0 == *qname {
+                return Some(slot);
+            }
+            at = list.next;
+        }
+        None
+    }
+
+    /// Gives a new, empty list for `key` (hashed to `hash`) a slot.
+    fn open(&mut self, key: Key, hash: u64, queued: SimTime) -> Slot {
+        let slot = self.free.pop().unwrap_or(self.slab.len() as Slot);
+        let list = NameList {
+            key,
+            hash,
+            next: self.heads.insert(hash, slot),
+            entries: OneVec::new(),
+            queued,
+        };
+        match self.slab.get_mut(slot as usize) {
+            Some(vacant) => *vacant = Some(list),
+            None => self.slab.push(Some(list)),
+        }
+        slot
+    }
+
+    /// Vacates `slot`, unlinking its list from its hash chain.
+    fn close(&mut self, slot: Slot) -> NameList {
+        let list = self.slab[slot as usize].take().expect("a live slot");
+        if self.heads[&list.hash] == slot {
+            match list.next {
+                Some(next) => self.heads.insert(list.hash, next),
+                None => self.heads.remove(&list.hash),
+            };
+        } else {
+            let mut at = self.heads[&list.hash];
+            while self.list(at).next != Some(slot) {
+                at = self
+                    .list(at)
+                    .next
+                    .expect("a chained slot has a predecessor");
+            }
+            self.list_mut(at).next = list.next;
+        }
+        self.free.push(slot);
+        list
+    }
+
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.free.clear();
+        self.heads.clear();
+    }
+}
+
 /// What the cache knows about its entries without looking at them.
 #[derive(Debug)]
 struct Index {
     /// Entries across all lists.
     live: usize,
     /// One item per list, under [`NameList::queued`]: removed exactly when
-    /// the list goes or is re-queued, so it is as long as the list map.
-    expiry: BTreeSet<(SimTime, Key)>,
-    /// `last_used` tick → key of the list holding that entry. Ticks are
+    /// the list goes or is re-queued, so it is as long as the slab is
+    /// occupied.
+    expiry: BTreeSet<(SimTime, Slot)>,
+    /// `last_used` tick → slot of the list holding that entry. Ticks are
     /// unique and only grow, so the first item is the entry a scan for the
     /// minimum tick would find. `None` when `max_entries` is unset: nothing
     /// ever asks for the victim then, and a hit pays nothing to maintain it.
-    recency: Option<BTreeMap<u64, Key>>,
+    recency: Option<BTreeMap<u64, Slot>>,
 }
 
 impl Index {
@@ -235,10 +298,10 @@ impl Index {
         }
     }
 
-    fn enter(&mut self, entry: &Entry, key: &Key) {
+    fn enter(&mut self, entry: &Entry, slot: Slot) {
         self.live += 1;
         if let Some(recency) = &mut self.recency {
-            recency.insert(entry.last_used, key.clone());
+            recency.insert(entry.last_used, slot);
         }
     }
 
@@ -252,8 +315,8 @@ impl Index {
     /// Stamps `entry` as used at `tick`.
     fn touch(&mut self, entry: &mut Entry, tick: u64) {
         if let Some(recency) = &mut self.recency {
-            if let Some(key) = recency.remove(&entry.last_used) {
-                recency.insert(tick, key);
+            if let Some(slot) = recency.remove(&entry.last_used) {
+                recency.insert(tick, slot);
             }
         }
         entry.last_used = tick;
@@ -263,9 +326,9 @@ impl Index {
 /// The cache proper.
 #[derive(Debug)]
 pub struct EcsCache {
-    /// Hashed with Fx, the hash [`crate::SharedEcsCache`] picks the shard
-    /// by: a name is one `write` of its folded bytes either way.
-    entries: FxHashMap<Key, NameList>,
+    /// Found through Fx hashes, the hash [`crate::SharedEcsCache`] picks
+    /// the shard by: a name is one `write` of its folded bytes either way.
+    lists: Lists,
     index: Index,
     compliance: CacheCompliance,
     /// When false, responses with scope 0 are not cached at all — the
@@ -286,7 +349,7 @@ impl EcsCache {
     /// Creates an empty cache with explicit resource limits.
     pub fn with_limits(compliance: CacheCompliance, limits: CacheLimits) -> Self {
         EcsCache {
-            entries: FxHashMap::default(),
+            lists: Lists::default(),
             index: Index::new(limits.max_entries.is_some()),
             compliance,
             cache_zero_scope: true,
@@ -353,10 +416,12 @@ impl EcsCache {
         let tick = self.tick;
         let index = &mut self.index;
         let found = self
-            .entries
-            .get_mut(&(qname, qtype) as &dyn KeyRef)
-            .and_then(|list| {
-                list.entries
+            .lists
+            .find(Lists::hash(qname, qtype), qname, qtype)
+            .and_then(|slot| {
+                self.lists
+                    .list_mut(slot)
+                    .entries
                     .iter_mut()
                     .filter(|e| e.expires > now)
                     .find(|e| scope_matches(compliance, e.scope, client))
@@ -404,10 +469,12 @@ impl EcsCache {
         let tick = self.tick;
         let index = &mut self.index;
         let found = self
-            .entries
-            .get_mut(&(qname, qtype) as &dyn KeyRef)
-            .and_then(|list| {
-                list.entries
+            .lists
+            .find(Lists::hash(qname, qtype), qname, qtype)
+            .and_then(|slot| {
+                self.lists
+                    .list_mut(slot)
+                    .entries
                     .iter_mut()
                     .filter(|e| e.expires <= now && e.expires + budget > now)
                     .filter(|e| scope_matches(compliance, e.scope, client))
@@ -501,31 +568,27 @@ impl EcsCache {
             last_used: self.tick,
         };
         let horizon = entry.expires + self.limits.stale_ttl;
-        let key = (qname, qtype);
+        let hash = Lists::hash(&qname, qtype);
         let index = &mut self.index;
-        index.enter(&entry, &key);
-        let list = match self.entries.entry(key) {
-            Slot::Occupied(mut slot) => {
-                if horizon < slot.get().queued {
+        let slot = match self.lists.find(hash, &qname, qtype) {
+            Some(slot) => {
+                let list = self.lists.list_mut(slot);
+                if horizon < list.queued {
                     // Due before anything the list holds: its item moves up.
-                    let mut item = (slot.get().queued, slot.key().clone());
-                    index.expiry.remove(&item);
-                    item.0 = horizon;
-                    index.expiry.insert(item);
-                    slot.get_mut().queued = horizon;
+                    index.expiry.remove(&(list.queued, slot));
+                    index.expiry.insert((horizon, slot));
+                    list.queued = horizon;
                 }
-                slot.into_mut()
+                slot
             }
-            Slot::Vacant(slot) => {
-                index.expiry.insert((horizon, slot.key().clone()));
-                slot.insert(NameList {
-                    // Room for the one entry and no more: a scan asks each
-                    // name once, and `push` on an empty `Vec` reserves four.
-                    entries: Vec::with_capacity(1),
-                    queued: horizon,
-                })
+            None => {
+                let slot = self.lists.open((qname, qtype), hash, horizon);
+                index.expiry.insert((horizon, slot));
+                slot
             }
         };
+        index.enter(&entry, slot);
+        let list = self.lists.list_mut(slot);
         // A fresh answer supersedes any entry with the identical scope
         // prefix, stale-retained ones included.
         list.retain(index, |e| e.scope != scope_prefix);
@@ -549,16 +612,16 @@ impl EcsCache {
             .first()
             .is_some_and(|(due, _)| *due <= now)
         {
-            let (_, key) = self.index.expiry.pop_first().expect("first() just saw it");
-            let list = self.entries.get_mut(&key).expect("a queued key has a list");
+            let (_, slot) = self.index.expiry.pop_first().expect("first() just saw it");
+            let list = self.lists.list_mut(slot);
             list.retain(&mut self.index, |e| e.expires + keep_until > now);
             match list.entries.iter().map(|e| e.expires + keep_until).min() {
                 Some(earliest) => {
                     list.queued = earliest;
-                    self.index.expiry.insert((earliest, key));
+                    self.index.expiry.insert((earliest, slot));
                 }
                 None => {
-                    self.entries.remove(&key);
+                    self.lists.close(slot);
                 }
             }
         }
@@ -567,7 +630,7 @@ impl EcsCache {
 
     /// Clears everything (stats survive).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.lists.clear();
         self.index = Index::new(self.index.recency.is_some());
     }
 
@@ -586,13 +649,10 @@ impl EcsCache {
     /// monotonic tick, so the minimum is unique and independent of
     /// `HashMap` iteration order.
     fn evict_lru(&mut self) -> bool {
-        let Some((tick, key)) = self.index.recency.as_mut().and_then(BTreeMap::pop_first) else {
+        let Some((tick, slot)) = self.index.recency.as_mut().and_then(BTreeMap::pop_first) else {
             return false;
         };
-        let list = self
-            .entries
-            .get_mut(&key)
-            .expect("an indexed key has a list");
+        let list = self.lists.list_mut(slot);
         let idx = list
             .entries
             .iter()
@@ -605,8 +665,8 @@ impl EcsCache {
         self.stats.evictions.inc();
         if list.entries.is_empty() {
             let queued = list.queued;
-            self.entries.remove(&key);
-            self.index.expiry.remove(&(queued, key));
+            self.lists.close(slot);
+            self.index.expiry.remove(&(queued, slot));
         }
         true
     }
@@ -614,7 +674,7 @@ impl EcsCache {
     /// Both indexes are exactly as long as what they index, whatever the
     /// operation just did (checked after every mutation in debug builds).
     fn debug_assert_index_sizes(&self) {
-        debug_assert_eq!(self.index.expiry.len(), self.entries.len());
+        debug_assert_eq!(self.index.expiry.len(), self.lists.len());
         if let Some(recency) = &self.index.recency {
             debug_assert_eq!(recency.len(), self.index.live);
         }
@@ -1383,25 +1443,77 @@ mod index_tests {
         /// the recency index to what is actually there.
         fn assert_indexes_describe_the_lists(&self) {
             let mut live = 0;
-            for (key, list) in &self.entries {
-                assert!(!list.entries.is_empty(), "an emptied list stays mapped");
-                assert!(self.index.expiry.contains(&(list.queued, key.clone())));
-                for e in &list.entries {
+            let slab = &self.lists.slab;
+            for (slot, list) in slab
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| Some((i as Slot, l.as_ref()?)))
+            {
+                assert!(!list.entries.is_empty(), "an emptied list keeps its slot");
+                let (name, qtype) = &list.key;
+                assert_eq!(list.hash, Lists::hash(name, *qtype));
+                assert_eq!(self.lists.find(list.hash, name, *qtype), Some(slot));
+                assert!(self.index.expiry.contains(&(list.queued, slot)));
+                for e in list.entries.iter() {
                     assert!(list.queued <= e.expires + self.limits.stale_ttl);
                     live += 1;
                     if let Some(recency) = &self.index.recency {
-                        assert_eq!(recency.get(&e.last_used), Some(key));
+                        assert_eq!(recency.get(&e.last_used), Some(&slot));
                     }
                 }
             }
             assert_eq!(self.index.live, live);
+            // Every vacated slot is free exactly once, and the table leads
+            // only to live lists.
+            let vacant = slab.iter().filter(|l| l.is_none()).count();
+            let mut free = self.lists.free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!((free.len(), self.lists.free.len()), (vacant, vacant));
+            assert!(free.iter().all(|&s| slab[s as usize].is_none()));
+            assert!(self
+                .lists
+                .heads
+                .values()
+                .all(|&s| slab[s as usize].is_some()));
             // One queue item per list and one recency item per entry: no
             // garbage to compact, nothing left behind by a removal.
-            assert_eq!(self.index.expiry.len(), self.entries.len());
+            assert_eq!(self.index.expiry.len(), self.lists.len());
             let bounded = self.limits.max_entries.is_some();
             assert_eq!(self.index.recency.is_some(), bounded);
             let indexed = self.index.recency.as_ref().map_or(0, BTreeMap::len);
             assert_eq!(indexed, if bounded { live } else { 0 });
+        }
+    }
+
+    /// Lists whose keys hash alike share a chain: each is found, and
+    /// closing any of them, head, middle or tail, leaves the others found.
+    #[test]
+    fn lists_sharing_a_hash_are_found_and_unlinked_in_any_order() {
+        let key = |i: u8| {
+            (
+                Name::from_ascii(&format!("n{i}.example")).unwrap(),
+                RecordType::A,
+            )
+        };
+        for order in [[0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut lists = Lists::default();
+            let slots: Vec<Slot> = (0..3)
+                .map(|i| lists.open(key(i), 7, SimTime::ZERO))
+                .collect();
+            let mut open = [true; 3];
+            for gone in order {
+                for i in 0..3u8 {
+                    let (name, qtype) = key(i);
+                    let found = lists.find(7, &name, qtype);
+                    assert_eq!(found, open[i as usize].then_some(slots[i as usize]));
+                }
+                assert_eq!(lists.close(slots[gone]).key, key(gone as u8));
+                open[gone] = false;
+            }
+            assert!(lists.heads.is_empty() && lists.len() == 0);
+            // A freed slot is the next one handed out.
+            assert_eq!(lists.open(key(9), 7, SimTime::ZERO), slots[order[2]]);
         }
     }
 
