@@ -146,9 +146,23 @@ impl Message {
 
     /// Encodes the message with name compression.
     pub fn to_bytes(&self) -> WireResult<Vec<u8>> {
-        let mut w = WireWriter::new();
-        self.write(&mut w)?;
-        w.finish()
+        self.parts().to_bytes()
+    }
+
+    /// The message's parts, borrowed, as [`MessageParts::write`] writes
+    /// them.
+    pub fn parts(&self) -> MessageParts<'_> {
+        MessageParts {
+            id: self.id,
+            flags: self.flags,
+            opcode: self.opcode,
+            rcode: self.rcode,
+            questions: &self.questions,
+            answers: &self.answers,
+            authorities: &self.authorities,
+            additionals: &self.additionals,
+            edns: self.edns.as_ref(),
+        }
     }
 
     /// Whether the message encodes in at most `limit` bytes: the answer of
@@ -184,33 +198,7 @@ impl Message {
 
     /// Encodes into an existing writer.
     pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
-        let header = Header {
-            id: self.id,
-            flags: self.flags,
-            opcode: self.opcode,
-            rcode: self.rcode,
-            qdcount: self.questions.len() as u16,
-            ancount: self.answers.len() as u16,
-            nscount: self.authorities.len() as u16,
-            arcount: (self.additionals.len() + usize::from(self.edns.is_some())) as u16,
-        };
-        header.write(w);
-        for q in &self.questions {
-            q.write(w)?;
-        }
-        for r in &self.answers {
-            r.write(w)?;
-        }
-        for r in &self.authorities {
-            r.write(w)?;
-        }
-        for r in &self.additionals {
-            r.write(w)?;
-        }
-        if let Some(opt) = &self.edns {
-            opt.write(w)?;
-        }
-        Ok(())
+        self.parts().write(w)
     }
 
     /// Parses a message from wire bytes.
@@ -257,6 +245,74 @@ impl Message {
             additionals,
             edns,
         })
+    }
+}
+
+/// A message's fields held apart and borrowed: what a caller that has
+/// the parts of a message, but no [`Message`], writes — a resolver
+/// answering from a reply it read through a
+/// [`MessageView`](crate::MessageView). [`Message::write`] writes through
+/// this too, so there is one encoder and equal parts give equal bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageParts<'a> {
+    /// Transaction ID.
+    pub id: u16,
+    /// Header flag bits.
+    pub flags: Flags,
+    /// Operation code.
+    pub opcode: Opcode,
+    /// Response code (low 4 bits).
+    pub rcode: Rcode,
+    /// Question section.
+    pub questions: &'a [Question],
+    /// Answer section.
+    pub answers: &'a [Record],
+    /// Authority section.
+    pub authorities: &'a [Record],
+    /// Additional section (excluding OPT).
+    pub additionals: &'a [Record],
+    /// EDNS OPT pseudo-record, written last, if present.
+    pub edns: Option<&'a OptRecord>,
+}
+
+impl MessageParts<'_> {
+    /// Encodes the parts with name compression.
+    pub fn to_bytes(&self) -> WireResult<Vec<u8>> {
+        let mut w = WireWriter::new();
+        self.write(&mut w)?;
+        w.finish()
+    }
+
+    /// Encodes into an existing writer: the header, then each section in
+    /// order, then OPT.
+    pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
+        let header = Header {
+            id: self.id,
+            flags: self.flags,
+            opcode: self.opcode,
+            rcode: self.rcode,
+            qdcount: self.questions.len() as u16,
+            ancount: self.answers.len() as u16,
+            nscount: self.authorities.len() as u16,
+            arcount: (self.additionals.len() + usize::from(self.edns.is_some())) as u16,
+        };
+        header.write(w);
+        for q in self.questions {
+            q.write(w)?;
+        }
+        for r in self.answers {
+            r.write(w)?;
+        }
+        for r in self.authorities {
+            r.write(w)?;
+        }
+        for r in self.additionals {
+            r.write(w)?;
+        }
+        if let Some(opt) = self.edns {
+            opt.write(w)?;
+        }
+        Ok(())
     }
 }
 

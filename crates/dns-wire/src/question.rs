@@ -53,13 +53,13 @@ impl Question {
 
     /// Steps over a question as [`Question::read`] would read it, under
     /// the same rules and with the same errors, copying nothing. Returns
-    /// its QTYPE.
+    /// its QTYPE and QCLASS.
     #[inline]
-    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<RecordType> {
+    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<(RecordType, RecordClass)> {
         Name::skip(r)?;
         let qtype = RecordType::from_u16(r.read_u16("qtype")?);
-        r.read_u16("qclass")?;
-        Ok(qtype)
+        let qclass = RecordClass::from_u16(r.read_u16("qclass")?);
+        Ok((qtype, qclass))
     }
 }
 

@@ -1,6 +1,6 @@
 //! A borrowed, validating reading of a datagram: what a hop that reads
-//! only a header, a question or an ECS option needs, without building a
-//! [`Message`](crate::Message).
+//! only a header, a question, an answer section or an ECS option needs,
+//! without building a [`Message`](crate::Message).
 
 use crate::ecs::EcsOption;
 use crate::edns::{read_option, OptFixed, OptionCode};
@@ -9,7 +9,7 @@ use crate::header::{Flags, Header, Opcode, Rcode};
 use crate::message::short;
 use crate::name::Name;
 use crate::question::Question;
-use crate::record::{Record, RecordType};
+use crate::record::{Record, RecordClass, RecordType};
 use crate::wire::WireReader;
 
 /// Offset of the first question: right after the twelve header bytes.
@@ -25,9 +25,10 @@ const QUESTION_AT: usize = 12;
 /// [`Rdata::read`](crate::Rdata::read) reads it. So it accepts exactly
 /// the datagrams `from_bytes` accepts, and fails with the same error
 /// where it does not; `prop_wire.rs` holds it to that. It allocates
-/// nothing and copies no label. What it keeps is what a relay, a scanner
-/// or an authoritative reads: the header, the first question's name (to
-/// compare in place) and type, and the OPT record's payload size and
+/// nothing and copies no label. What it keeps is what a relay, a scanner,
+/// an authoritative or a resolver reads: the header, the first question's
+/// name (to compare in place), type and class, where the answer section
+/// starts (to decode it alone), and the OPT record's payload size and
 /// client-subnet option.
 ///
 /// ```
@@ -50,8 +51,10 @@ const QUESTION_AT: usize = 12;
 pub struct MessageView<'a> {
     bytes: &'a [u8],
     header: Header,
-    /// The first question's QTYPE, when there is a question.
-    qtype: Option<RecordType>,
+    /// The first question's QTYPE and QCLASS, when there is a question.
+    question: Option<(RecordType, RecordClass)>,
+    /// Offset of the answer section: right after the last question.
+    answers_at: usize,
     /// The OPT record's advertised payload size and first client-subnet
     /// option, when the message carries OPT.
     edns: Option<(u16, Option<EcsOption>)>,
@@ -65,11 +68,12 @@ impl<'a> MessageView<'a> {
     pub fn parse(bytes: &'a [u8]) -> WireResult<Self> {
         let mut r = WireReader::new(bytes);
         let header = Header::read(&mut r)?;
-        let mut qtype = None;
+        let mut question = None;
         for _ in 0..header.qdcount {
-            let t = Question::skip(&mut r).map_err(short("question"))?;
-            qtype = qtype.or(Some(t));
+            let q = Question::skip(&mut r).map_err(short("question"))?;
+            question = question.or(Some(q));
         }
+        let answers_at = r.position();
         for _ in 0..header.ancount {
             Record::skip(&mut r).map_err(short("answer"))?;
         }
@@ -105,7 +109,8 @@ impl<'a> MessageView<'a> {
         Ok(MessageView {
             bytes,
             header,
-            qtype,
+            question,
+            answers_at,
             edns,
         })
     }
@@ -137,13 +142,19 @@ impl<'a> MessageView<'a> {
 
     /// The first question's type, if there is a question.
     pub fn qtype(&self) -> Option<RecordType> {
-        self.qtype
+        self.question.map(|(qtype, _)| qtype)
+    }
+
+    /// True when there is a question and the first one is `question`
+    /// (compared as [`Question`]'s `==` compares), its name read in place.
+    pub fn asks(&self, question: &Question) -> bool {
+        self.question == Some((question.qtype, question.qclass)) && self.question_is(&question.name)
     }
 
     /// True when there is a question and the first one asks for `name`
     /// (compared as [`Name`]'s `==` compares), read in place.
     pub fn question_is(&self, name: &Name) -> bool {
-        if self.qtype.is_none() {
+        if self.question.is_none() {
             return false;
         }
         let mut r = WireReader::new(self.bytes);
@@ -160,6 +171,17 @@ impl<'a> MessageView<'a> {
         r.seek(QUESTION_AT);
         // `parse` walked every question already: none fails here.
         (0..self.header.qdcount).map_while(move |_| Question::read(&mut r).ok())
+    }
+
+    /// The answer section, decoded — the one section a caller that keeps
+    /// records reads; the others stay where they lie.
+    pub fn answers(&self) -> Vec<Record> {
+        let mut r = WireReader::new(self.bytes);
+        r.seek(self.answers_at);
+        // `parse` walked every answer already: none fails here.
+        let mut answers = Vec::with_capacity(usize::from(self.header.ancount));
+        answers.extend((0..self.header.ancount).map_while(|_| Record::read(&mut r).ok()));
+        answers
     }
 
     /// The OPT record's advertised UDP payload size; `None` when the
@@ -209,6 +231,11 @@ mod tests {
         assert_eq!(view.ecs(), resp.ecs());
         assert_eq!(view.udp_payload_size(), Some(4096));
         assert_eq!(view.questions().collect::<Vec<_>>(), resp.questions);
+        assert_eq!(view.answers(), resp.answers);
+        assert!(view.asks(&resp.questions[0]));
+        let mut other_class = resp.questions[0].clone();
+        other_class.qclass = crate::RecordClass::Ch;
+        assert!(!view.asks(&other_class));
     }
 
     #[test]
@@ -222,6 +249,8 @@ mod tests {
         assert_eq!(view.qtype(), None);
         assert!(!view.question_is(&Name::root()));
         assert_eq!(view.questions().count(), 0);
+        assert!(view.answers().is_empty());
+        assert!(!view.asks(&Question::a(name("a.example"))));
         assert_eq!(view.udp_payload_size(), None);
     }
 }

@@ -28,7 +28,7 @@ use dns_wire::Message;
 use netsim::{LinkFaults, SimTime};
 use resolver::{
     Admission, FaultyUpstream, FlightTable, InjectedFault, PendingQuery, Resolver, ResolverConfig,
-    SharedEcsCache, Step, Transport, Upstream,
+    SharedEcsCache, Step, Transport, Upstream, UpstreamReply,
 };
 
 use crate::pool::{Handler, Pool, PoolHandle};
@@ -281,7 +281,7 @@ impl ResolverHandler {
                 // owner's raw response (`None`: it failed, or the wait
                 // timed out) and be answered from it.
                 self.engine.join(&pending, now);
-                let raw = flight.wait(self.join_wait);
+                let raw = flight.wait(self.join_wait).map(UpstreamReply::from);
                 let resp = self.engine.answer_joiner(&pending, raw.as_ref(), now);
                 prof.exit();
                 resp

@@ -19,6 +19,7 @@ use rustc_hash::FxHashMap;
 
 use crate::engine::{FlightKey, PendingQuery, Resolver, Step, UpstreamError};
 use crate::exchange::{Action, Exchange};
+use crate::parts::UpstreamReply;
 
 /// Panic message of an actor that finds a sender without an address:
 /// [`netsim::Simulation::add_node`] gives every node one.
@@ -228,7 +229,9 @@ impl EgressActor {
                 if let Some(key) = &p.flight {
                     self.flights.remove(key);
                 }
-                send_msg(ctx, p.client, &answer);
+                if let Ok(bytes) = answer.to_bytes() {
+                    ctx.send(p.client, bytes);
+                }
                 for (node, joiner) in &p.joiners {
                     let resp = self.resolver.answer_joiner(joiner, raw.as_ref(), ctx.now());
                     send_msg(ctx, *node, &resp);
@@ -257,41 +260,40 @@ impl Node for EgressActor {
     /// `write answer`.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         let t = ctx.profile_clock();
-        let Ok(msg) = Message::from_bytes(&pkt.payload) else {
+        let Ok(msg) = MessageView::parse(&pkt.payload) else {
             return;
         };
         if msg.is_response() {
-            let t = stage(ctx, "read reply", t);
             // Only the authoritative we asked, echoing the question we
             // asked, may complete an exchange: a 16-bit id alone is
             // guessable.
-            let id = msg.id;
+            let id = msg.id();
             let Some(p) = self.pending.get_mut(&id).filter(|p| {
                 pkt.src == p.auth_node
-                    && msg
-                        .question()
-                        .is_none_or(|q| q == p.exchange.pending().question())
+                    && (msg.qtype().is_none() || msg.asks(p.exchange.pending().question()))
             }) else {
                 self.ignored_replies += 1;
                 return;
             };
             // A truncated reply is unusable and the simulator has no
             // stream leg to re-ask over: the retry timer resends.
-            if msg.flags.tc {
+            if msg.flags().tc {
                 return;
             }
+            let reply = UpstreamReply::read(&msg);
+            let t = stage(ctx, "read reply", t);
             // Only joiners read the reply once the owner is answered.
             p.exchange.keep_reply(!p.joiners.is_empty());
             let action = self
                 .resolver
-                .step_exchange(&mut p.exchange, Ok(msg), ctx.now());
+                .step_exchange(&mut p.exchange, Ok(reply), ctx.now());
             self.apply(id, action, ctx, t);
             return;
         }
-        let t = stage(ctx, "read query", t);
         // A downstream party (client, forwarder, hidden resolver) queries us.
+        let t = stage(ctx, "read query", t);
         let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
-        let step = self.resolver.begin(&msg, src_addr, ctx.now());
+        let step = self.resolver.begin(msg, src_addr, ctx.now());
         let t = stage(ctx, "begin", t);
         let pending = match step {
             Step::Answer(resp) => {

@@ -17,6 +17,7 @@ use obs::{EventKind, TraceCtx, Tracer};
 use crate::cache::CacheStats;
 use crate::config::ResolverConfig;
 use crate::exchange::Action;
+use crate::parts::{AnswerHead, ClientAnswer, ClientQuery, UpstreamReply};
 use crate::probing::{EcsDecision, ProbingState};
 use crate::shared_cache::SharedEcsCache;
 
@@ -423,7 +424,8 @@ impl Resolver {
     /// upstream exchange for `pending` to completion against `upstream` and
     /// returns the client answer plus the raw upstream response it completed
     /// with (`None` when the exchange failed and the answer is
-    /// stale/SERVFAIL).
+    /// stale/SERVFAIL). The machine reads each response as an
+    /// [`UpstreamReply`]; the driver keeps the last one whole to return.
     ///
     /// Time is virtual: each timed-out send advances the local clock by the
     /// timeout the machine asked for, so cache inserts and probing-state
@@ -440,16 +442,22 @@ impl Resolver {
     ) -> (Message, Option<Message>) {
         let (mut ex, mut action) = self.start_exchange(pending, now);
         let mut at = now;
+        let mut last = None;
         loop {
             match action {
-                Action::Done { answer, raw } => return (answer, raw),
+                Action::Done { answer, raw } => return (answer.into_message(), raw.and(last)),
                 Action::Send { transport, timeout } => {
                     let outcome =
                         upstream.query_via(ex.upstream_query(), self.config.addr, at, transport);
                     if matches!(outcome, Err(UpstreamError::Timeout)) {
                         at += timeout;
                     }
-                    action = self.step_exchange(&mut ex, outcome, at);
+                    let reply = outcome.map(|resp| {
+                        let reply = UpstreamReply::from(&resp);
+                        last = Some(resp);
+                        reply
+                    });
+                    action = self.step_exchange(&mut ex, reply, at);
                 }
             }
         }
@@ -472,11 +480,11 @@ impl Resolver {
     pub fn answer_joiner(
         &mut self,
         pending: &PendingQuery,
-        upstream: Option<&Message>,
+        upstream: Option<&UpstreamReply>,
         now: SimTime,
     ) -> Message {
-        let upstream = upstream.map(|up| (up.rcode, up.answers.clone(), up.ecs().copied()));
-        self.exit(pending, upstream, now)
+        let upstream = upstream.map(|up| (up.rcode, up.answers.clone(), up.ecs));
+        self.exit(pending, upstream, now).into_message()
     }
 
     /// Sheds a query under admission control: counts the shed and builds
@@ -487,7 +495,7 @@ impl Resolver {
         let at = pending.started;
         self.trace_event(pending.trace, at, &EventKind::Shed);
         self.close(pending.trace, at, at, Rcode::ServFail);
-        self.client_answer(&pending.client_query, Rcode::ServFail, Vec::new(), None)
+        ClientAnswer::new(pending.head.clone(), Rcode::ServFail, Vec::new(), None).into_message()
     }
 
     /// The one exit of a miss: every party that waited on a flight — its
@@ -503,7 +511,7 @@ impl Resolver {
         party: &PendingQuery,
         upstream: Option<(Rcode, Vec<dns_wire::Record>, Option<dns_wire::EcsOption>)>,
         now: SimTime,
-    ) -> Message {
+    ) -> ClientAnswer {
         let stale = if upstream.is_none() && self.config.overload.serve_stale_enabled() {
             let question = party.question();
             self.cache.lookup_stale(
@@ -516,39 +524,20 @@ impl Resolver {
         } else {
             None
         };
-        let query = &party.client_query;
+        let head = party.head.clone();
         let resp = match (upstream, stale) {
-            (Some((rcode, answers, ecs)), _) => self.client_answer(query, rcode, answers, ecs),
+            (Some((rcode, answers, ecs)), _) => ClientAnswer::new(head, rcode, answers, ecs),
             (None, Some(stale)) => {
                 self.stats.stale_answers.inc();
                 self.trace_event(party.trace, now, &EventKind::StaleServe);
-                self.client_answer(query, stale.rcode, stale.records, stale.ecs)
+                ClientAnswer::new(head, stale.rcode, stale.records, stale.ecs)
             }
             (None, None) => {
                 self.stats.servfail_responses.inc();
-                self.client_answer(query, Rcode::ServFail, Vec::new(), None)
+                ClientAnswer::new(head, Rcode::ServFail, Vec::new(), None)
             }
         };
         self.close(party.trace, party.started, now, resp.rcode);
-        resp
-    }
-
-    /// Builds the message a client gets from an answer's parts. The one
-    /// place the RFC 7871 scope echo is written: the client's own option,
-    /// carrying the scope of the answer it is given.
-    fn client_answer(
-        &self,
-        client_query: &Message,
-        rcode: Rcode,
-        answers: Vec<dns_wire::Record>,
-        answer_ecs: Option<dns_wire::EcsOption>,
-    ) -> Message {
-        let mut resp = Message::response_to(client_query);
-        resp.rcode = rcode;
-        resp.answers = answers;
-        if let (Some(client_opt), Some(ecs)) = (client_query.ecs(), answer_ecs) {
-            resp.set_ecs(client_opt.with_scope(ecs.scope_prefix_len()));
-        }
         resp
     }
 
@@ -572,14 +561,22 @@ impl Resolver {
 
     /// Phase one: cache lookup and ECS decision. Returns either an
     /// immediate answer or the upstream query to send.
-    pub fn begin(&mut self, query: &Message, client_src: IpAddr, now: SimTime) -> Step {
+    ///
+    /// The query is read for its questions, its id, RD bit and opcode, and
+    /// its ECS option, and nothing else: decoded (`&Message`) or in place
+    /// (a [`dns_wire::MessageView`]) alike.
+    pub fn begin<'q>(
+        &mut self,
+        query: impl Into<ClientQuery<'q>>,
+        client_src: IpAddr,
+        now: SimTime,
+    ) -> Step {
         self.stats.client_queries.inc();
-        let question = match query.question() {
-            Some(q) => q,
-            None => {
-                self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
-                return Step::Answer(self.client_answer(query, Rcode::FormErr, Vec::new(), None));
-            }
+        let head = AnswerHead::of(query.into());
+        let Some(question) = head.questions.first() else {
+            self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
+            let refusal = ClientAnswer::new(head, Rcode::FormErr, Vec::new(), None);
+            return Step::Answer(refusal.into_message());
         };
 
         let trace = if self.tracer.is_enabled() {
@@ -597,7 +594,7 @@ impl Resolver {
         // Whose location is this query about? Trusted incoming ECS wins,
         // otherwise the immediate sender.
         let client_ecs = if self.config.accept_client_ecs {
-            query.ecs().copied()
+            head.ecs
         } else {
             None
         };
@@ -626,12 +623,8 @@ impl Resolver {
 
         if let Some(answer) = cached {
             self.close(trace, now, now, answer.rcode);
-            return Step::Answer(self.client_answer(
-                query,
-                answer.rcode,
-                answer.records,
-                answer.ecs,
-            ));
+            let hit = ClientAnswer::new(head, answer.rcode, answer.records, answer.ecs);
+            return Step::Answer(hit.into_message());
         }
 
         // Miss: decide ECS and build the upstream query.
@@ -693,7 +686,7 @@ impl Resolver {
             );
         }
         Step::NeedUpstream(PendingQuery {
-            client_query: query.clone(),
+            head,
             upstream_query: upstream_q,
             client_addr: effective_client,
             started: now,
@@ -710,18 +703,18 @@ impl Resolver {
     pub(crate) fn complete(
         &mut self,
         pending: &PendingQuery,
-        mut upstream_resp: Message,
+        mut upstream_resp: UpstreamReply,
         keep_reply: bool,
         now: SimTime,
-    ) -> (Message, Option<Message>) {
+    ) -> (ClientAnswer, Option<UpstreamReply>) {
         self.config
             .probing
-            .record_response(upstream_resp.ecs().is_some(), &mut self.probing_state);
+            .record_response(upstream_resp.ecs.is_some(), &mut self.probing_state);
 
         // Adaptive mode: remember the largest non-zero scope the zone's
         // authoritative has used.
         if self.config.adaptive_prefix {
-            if let Some(ecs) = upstream_resp.ecs() {
+            if let Some(ecs) = upstream_resp.ecs {
                 let scope = ecs.scope_prefix_len().min(ecs.source_prefix_len());
                 if scope > 0 {
                     let name = &pending.question().name;
@@ -750,7 +743,7 @@ impl Resolver {
                 question.name.clone(),
                 question.qtype,
                 upstream_resp.answers.clone(),
-                upstream_resp.ecs().copied(),
+                upstream_resp.ecs,
                 ttl,
                 now,
             );
@@ -763,7 +756,7 @@ impl Resolver {
                 question.name.clone(),
                 question.qtype,
                 Vec::new(),
-                upstream_resp.ecs().copied(),
+                upstream_resp.ecs,
                 upstream_resp.rcode,
                 NEGATIVE_TTL,
                 now,
@@ -792,7 +785,7 @@ impl Resolver {
         } else {
             std::mem::take(&mut upstream_resp.answers)
         };
-        let upstream = (upstream_resp.rcode, answers, upstream_resp.ecs().copied());
+        let upstream = (upstream_resp.rcode, answers, upstream_resp.ecs);
         let answer = self.exit(pending, Some(upstream), now);
         (answer, keep_reply.then_some(upstream_resp))
     }
@@ -818,9 +811,9 @@ pub enum Step {
 
 /// State carried between [`Resolver::begin`] and the end of its [`crate::Exchange`].
 pub struct PendingQuery {
-    /// The original client message; [`Resolver::begin`] only makes a
-    /// pending query of one that has a question.
-    pub client_query: Message,
+    /// What the client's answer repeats of its query; [`Resolver::begin`]
+    /// only makes a pending query of one that has a question.
+    pub head: AnswerHead,
     /// The query to send upstream.
     pub upstream_query: Message,
     /// The effective client address (trusted incoming ECS, else the
@@ -841,7 +834,7 @@ pub type FlightKey = (Name, dns_wire::RecordType, Option<dns_wire::IpPrefix>);
 impl PendingQuery {
     /// The question being resolved: the client query's first.
     pub fn question(&self) -> &dns_wire::Question {
-        &self.client_query.questions[0]
+        &self.head.questions[0]
     }
 
     /// This flight's coalescing key.

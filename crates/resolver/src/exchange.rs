@@ -2,9 +2,11 @@
 //!
 //! One [`Exchange`] is one cache miss on its way to an answer. The machine
 //! performs no I/O and never sleeps: a driver sends what
-//! [`Action::Send`] asks for, reports what came back (a message, or an
-//! [`UpstreamError`]) to [`Resolver::step_exchange`], and repeats until
-//! [`Action::Done`]. Everything RFC 7871 §7.1.3 and RFC 7766 make a
+//! [`Action::Send`] asks for, reports what came back (an [`UpstreamReply`]
+//! — what the machine reads of a response — or an [`UpstreamError`]) to
+//! [`Resolver::step_exchange`], and repeats until [`Action::Done`], whose
+//! client answer is left as its parts ([`ClientAnswer`]) for the driver
+//! to write or build. Everything RFC 7871 §7.1.3 and RFC 7766 make a
 //! *decision* lives here and only here: counting sends and retries,
 //! withdrawing ECS, climbing the [`crate::TransportPolicy`] ladder, the
 //! attempt / fault / backoff trace events, and giving up once the budget is
@@ -23,6 +25,7 @@ use netsim::{SimDuration, SimTime, Transport};
 use obs::{EventKind, TraceCtx};
 
 use crate::engine::{PendingQuery, Resolver, UpstreamError};
+use crate::parts::{ClientAnswer, UpstreamReply};
 
 /// One upstream exchange in progress: the [`PendingQuery`] plus where the
 /// retry policy and the transport ladder stand.
@@ -59,9 +62,9 @@ impl Exchange {
         &self.pending.upstream_query
     }
 
-    /// Whether the [`Action::Done`] of a reply carries the response as
+    /// Whether the [`Action::Done`] of a reply carries the reply as
     /// `raw`, for the flight's joiners (the default: yes). A driver whose
-    /// flight nobody joined turns it off, and the response's answers then
+    /// flight nobody joined turns it off, and the reply's answers then
     /// move into the owner's answer instead of being copied for it.
     pub fn keep_reply(&mut self, keep: bool) {
         self.keep_reply = keep;
@@ -84,12 +87,12 @@ pub enum Action {
     /// The exchange is over.
     Done {
         /// The client-facing answer (fresh, stale, or SERVFAIL).
-        answer: Message,
-        /// The upstream response the exchange completed with; `None` when
-        /// it failed, or when the driver turned [`Exchange::keep_reply`]
-        /// off. What every coalesced joiner of the flight is answered
-        /// from, via [`Resolver::answer_joiner`].
-        raw: Option<Message>,
+        answer: ClientAnswer,
+        /// The upstream reply the exchange completed with; `None` when it
+        /// failed, or when the driver turned [`Exchange::keep_reply`] off.
+        /// What every coalesced joiner of the flight is answered from, via
+        /// [`Resolver::answer_joiner`].
+        raw: Option<UpstreamReply>,
     },
 }
 
@@ -125,7 +128,7 @@ impl Resolver {
     pub fn step_exchange(
         &mut self,
         ex: &mut Exchange,
-        outcome: Result<Message, UpstreamError>,
+        outcome: Result<UpstreamReply, UpstreamError>,
         now: SimTime,
     ) -> Action {
         if std::mem::take(&mut ex.inline_tcp) {
@@ -139,9 +142,7 @@ impl Resolver {
         }
         let transport = self.ladder()[ex.rung];
         match outcome {
-            Ok(resp) if resp.flags.tc && !transport.is_stream() => {
-                self.on_truncated(ex, false, now)
-            }
+            Ok(resp) if resp.tc && !transport.is_stream() => self.on_truncated(ex, false, now),
             Err(UpstreamError::Truncated) => self.on_truncated(ex, true, now),
             Ok(resp)
                 if resp.rcode == Rcode::FormErr
@@ -309,7 +310,7 @@ impl Resolver {
         }
     }
 
-    fn finish(&mut self, ex: &Exchange, resp: Message, now: SimTime) -> Action {
+    fn finish(&mut self, ex: &Exchange, resp: UpstreamReply, now: SimTime) -> Action {
         let (answer, raw) = self.complete(&ex.pending, resp, ex.keep_reply, now);
         Action::Done { answer, raw }
     }

@@ -65,6 +65,7 @@ pub mod engine;
 pub mod exchange;
 pub mod faulty;
 pub mod flight;
+pub mod parts;
 pub mod prefix_policy;
 pub mod probing;
 pub mod shared_cache;
@@ -78,6 +79,7 @@ pub use exchange::{Action, Exchange};
 pub use faulty::{FaultyUpstream, InjectedFault, InjectionStats};
 pub use flight::{Admission, Flight, FlightTable, OwnerToken};
 pub use netsim::{Transport, TransportStats};
+pub use parts::{AnswerHead, ClientAnswer, ClientQuery, UpstreamReply};
 pub use prefix_policy::PrefixPolicy;
 pub use probing::{ProbingState, ProbingStrategy};
 pub use shared_cache::SharedEcsCache;

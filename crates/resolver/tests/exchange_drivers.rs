@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use resolver::actors::EgressActor;
 use resolver::{
     Action, FaultyUpstream, InjectedFault, PendingQuery, ProbingStrategy, Resolver, ResolverConfig,
-    ResolverStats, Step, TransportPolicy, Upstream, UpstreamError,
+    ResolverStats, Step, TransportPolicy, Upstream, UpstreamError, UpstreamReply,
 };
 
 const CLIENT: IpAddr = IpAddr::V4(Ipv4Addr::new(100, 70, 1, 7));
@@ -236,6 +236,7 @@ fn run_sync(case: &Case) -> Outcome {
         }
         for SyncFlight { owner, joiners } in flights {
             let (answer, raw) = r.drive_upstream_capturing(owner.1, now, &mut up);
+            let raw = raw.map(UpstreamReply::from);
             answers[owner.0] = Some(answer);
             for (i, joiner) in joiners {
                 answers[i] = Some(r.answer_joiner(&joiner, raw.as_ref(), now));
@@ -623,7 +624,8 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
             Action::Done { answer, raw } => break (answer, raw),
             Action::Send { transport, timeout } => (transport, timeout),
         };
-        if !ladder.contains(&transport) && !(inline && transport == Transport::Tcp) {
+        let inline_tcp = inline && transport == Transport::Tcp;
+        if !(ladder.contains(&transport) || inline_tcp) {
             return Err(format!("sent over {transport:?}, not on {ladder:?}"));
         }
         let carries_ecs = ex.upstream_query().ecs().is_some();
@@ -715,7 +717,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         if spent > bound {
             return Err(format!("{spent} spent attempts exceed the bound {bound}"));
         }
-        action = r.step_exchange(&mut ex, outcome, at);
+        action = r.step_exchange(&mut ex, outcome.map(UpstreamReply::from), at);
     };
 
     let s = r.stats();
