@@ -31,29 +31,31 @@ use resolver::{FaultyUpstream, Resolver, ResolverConfig, RetryPolicy, Transport,
 use crate::report::Report;
 use crate::session::Session;
 
-/// Parameters.
+/// UDP attempt budget per query in the loss cells.
+const ATTEMPTS: u8 = 4;
+/// Zone TTL.
+const TTL: u32 = 60;
+/// RNG seed of the loss cells (faults only; the workload is fixed).
+const SEED: u64 = 7;
+/// Path MTU of the ladder cells; answers above this fragment (and risk
+/// the loss rate).
+const MTU: usize = 512;
+/// A records on the ladder cells' name — sized to overflow [`MTU`].
+const ANSWER_RECORDS: usize = 60;
+/// RNG seed of the ladder cells (datagram fate only).
+const LADDER_SEED: u64 = 11;
+
+/// Parameters: the ones a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Client queries per loss cell.
     pub queries: u64,
     /// Reply-loss rates swept (one cell each).
     pub loss_rates: Vec<f64>,
-    /// UDP attempt budget per query in the loss cells.
-    pub attempts: u8,
-    /// Zone TTL.
-    pub ttl: u32,
-    /// RNG seed of the loss cells (faults only; the workload is fixed).
-    pub seed: u64,
     /// Client queries per transport-ladder cell.
     pub ladder_queries: u64,
     /// Fragment-loss rates swept (one row each).
     pub frag_loss_rates: Vec<f64>,
-    /// Path MTU; answers above this fragment (and risk the loss rate).
-    pub mtu: usize,
-    /// A records on the ladder cells' name — sized to overflow `mtu`.
-    pub answer_records: usize,
-    /// RNG seed of the ladder cells (datagram fate only).
-    pub ladder_seed: u64,
 }
 
 impl Default for Config {
@@ -61,14 +63,8 @@ impl Default for Config {
         Config {
             queries: 400,
             loss_rates: vec![0.0, 0.1, 0.3, 0.6, 0.9],
-            attempts: 4,
-            ttl: 60,
-            seed: 7,
             ladder_queries: 300,
             frag_loss_rates: vec![0.0, 0.5, 1.0],
-            mtu: 512,
-            answer_records: 60,
-            ladder_seed: 11,
         }
     }
 }
@@ -167,7 +163,7 @@ fn sweep(
 fn drive_loss(faults: LinkFaults, config: &Config, session: &mut Session) -> Cell {
     let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     resolver_config.retry = RetryPolicy {
-        attempts: config.attempts,
+        attempts: ATTEMPTS,
         ..RetryPolicy::default()
     };
     let mut r = Resolver::new(resolver_config);
@@ -176,9 +172,9 @@ fn drive_loss(faults: LinkFaults, config: &Config, session: &mut Session) -> Cel
         &mut r,
         "fault.example",
         [Ipv4Addr::new(198, 51, 100, 1)],
-        config.ttl,
+        TTL,
         config.queries,
-        |inner| FaultyUpstream::new(inner, faults, config.seed),
+        |inner| FaultyUpstream::new(inner, faults, SEED),
     );
     session.record(&r.metrics_snapshot());
     cell
@@ -188,17 +184,16 @@ fn drive_ladder(frag_loss: f64, policy: &TransportPolicy, config: &Config) -> Ce
     let mut resolver_config = ResolverConfig::rfc_compliant("9.9.9.9".parse().expect("valid"));
     resolver_config.transport = policy.clone();
     let path = PathProfile {
-        mtu: config.mtu,
+        mtu: MTU,
         frag_loss,
     };
     sweep(
         &mut Resolver::new(resolver_config),
         "big.test",
-        (0..config.answer_records)
-            .map(|i| Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
-        config.ttl,
+        (0..ANSWER_RECORDS).map(|i| Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
+        TTL,
         config.ladder_queries,
-        |inner| FaultyUpstream::new(inner, LinkFaults::NONE, config.ladder_seed).with_profile(path),
+        |inner| FaultyUpstream::new(inner, LinkFaults::NONE, LADDER_SEED).with_profile(path),
     )
 }
 
@@ -364,12 +359,12 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     report.detail = format!(
         "{} queries per loss cell, attempt budget {}, seed {}. Loss applies to the\nfull UDP exchange; truncation leaves TCP untouched, so the TC condition\nmeasures pure RFC 7766 fallback.\n{} queries per ladder cell over a {}-record answer (~1 kB: past the {}-byte\npath MTU, inside the 4096-byte EDNS buffer), seed {}. Fragment loss\nkills whole datagrams, so the UDP rung sees pure timeouts; stream rungs\nreassemble and never fragment.\n",
         config.queries,
-        config.attempts,
-        config.seed,
+        ATTEMPTS,
+        SEED,
         ladder_queries,
-        config.answer_records,
-        config.mtu,
-        config.ladder_seed
+        ANSWER_RECORDS,
+        MTU,
+        LADDER_SEED
     );
     (outcome, report)
 }
