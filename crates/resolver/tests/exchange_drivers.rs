@@ -607,6 +607,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
     let (mut spent, mut timeouts, mut climbs, mut formerr_resends) = (0u64, 0u64, 0u64, 0u64);
     let mut triggers = 0u64;
     let mut inline = false;
+    let mut inline_ran = false;
     let mut sent_without_ecs = false;
     let mut last = Draw::Answer;
     let mut reached: Reached = 0;
@@ -672,6 +673,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         if std::mem::take(&mut inline) {
             // The inline TCP leg: an error spends the truncated attempt,
             // any message completes the exchange.
+            inline_ran = true;
             spent += u64::from(outcome.is_err());
             inline_reply = outcome.as_ref().ok().map(|m| m.rcode);
             last = if outcome.is_err() {
@@ -770,6 +772,13 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         && timeouts != retries + servfails
     {
         return Err(format!("timeout identity broken: {s:?}"));
+    }
+    // An exchange gives up only once its whole budget is spent: every
+    // rung's attempts, unless a truncation skipped a rung's unused ones.
+    if exhausted == 1 && climbs == 0 && !inline_ran && spent != bound {
+        return Err(format!(
+            "gave up after {spent} of {bound} attempts without a truncation"
+        ));
     }
     if stale > 0 {
         reach("stale answer");
