@@ -307,6 +307,22 @@ impl Name {
         walk(r, |_| {})
     }
 
+    /// The name whose uncompressed wire form, root octet excluded, is
+    /// `plain`: a form a walk has already accepted, so it is copied, not
+    /// walked again.
+    #[inline]
+    pub(crate) fn from_plain(plain: &[u8]) -> Name {
+        Name::from_parts(&[plain])
+    }
+
+    /// Whether `plain`, a form as [`Name::from_plain`] takes it, is this
+    /// name (ASCII case-insensitively, as `==` compares; a length octet is
+    /// at most 63 and so never folds).
+    #[inline]
+    pub(crate) fn eq_plain(&self, plain: &[u8]) -> bool {
+        self.wire().eq_ignore_ascii_case(plain)
+    }
+
     /// Reads a name as [`Name::skip`] does and tells whether it equals
     /// `self` (ASCII case-insensitively, as `==` compares), without
     /// copying a label.

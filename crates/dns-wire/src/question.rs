@@ -53,13 +53,14 @@ impl Question {
 
     /// Steps over a question as [`Question::read`] would read it, under
     /// the same rules and with the same errors, copying nothing. Returns
-    /// its QTYPE and QCLASS.
+    /// its name's uncompressed wire length (as [`Name::skip`] does), its
+    /// QTYPE and its QCLASS.
     #[inline]
-    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<(RecordType, RecordClass)> {
-        Name::skip(r)?;
+    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<(usize, RecordType, RecordClass)> {
+        let name_len = Name::skip(r)?;
         let qtype = RecordType::from_u16(r.read_u16("qtype")?);
         let qclass = RecordClass::from_u16(r.read_u16("qclass")?);
-        Ok((qtype, qclass))
+        Ok((name_len, qtype, qclass))
     }
 }
 

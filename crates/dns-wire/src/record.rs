@@ -177,6 +177,12 @@ impl Record {
     #[inline]
     pub fn read(r: &mut WireReader<'_>) -> WireResult<Self> {
         let name = Name::read(r)?;
+        Record::read_owned_by(name, r)
+    }
+
+    /// Reads the rest of a record whose owner name, `name`, has been read.
+    #[inline]
+    pub(crate) fn read_owned_by(name: Name, r: &mut WireReader<'_>) -> WireResult<Self> {
         let (class, ttl, rdata) = read_after_owner(r, Rdata::read)?;
         Ok(Record {
             name,

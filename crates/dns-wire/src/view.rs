@@ -15,6 +15,10 @@ use crate::wire::WireReader;
 /// Offset of the first question: right after the twelve header bytes.
 const QUESTION_AT: usize = 12;
 
+/// A compression pointer to [`QUESTION_AT`]: how an encoder writes an
+/// owner name that repeats the first question's.
+const TO_QUESTION: [u8; 2] = [0xC0, QUESTION_AT as u8];
+
 /// A datagram that [`Message::from_bytes`](crate::Message::from_bytes)
 /// accepts, read in place.
 ///
@@ -29,7 +33,10 @@ const QUESTION_AT: usize = 12;
 /// an authoritative or a resolver reads: the header, the first question's
 /// name (to compare in place), type and class, where the answer section
 /// starts (to decode it alone), and the OPT record's payload size and
-/// client-subnet option.
+/// client-subnet option. A first question written without a compression
+/// pointer — as every encoder writes it — is kept as its byte range, so
+/// comparing it, decoding it, and decoding an answer owner that points at
+/// it copy that range instead of walking the labels again.
 ///
 /// ```
 /// use dns_wire::{EcsOption, Message, MessageView, Name, Question};
@@ -53,6 +60,9 @@ pub struct MessageView<'a> {
     header: Header,
     /// The first question's QTYPE and QCLASS, when there is a question.
     question: Option<(RecordType, RecordClass)>,
+    /// The first question's name in its uncompressed wire form, root octet
+    /// excluded, when it is written without a compression pointer.
+    plain_qname: Option<&'a [u8]>,
     /// Offset of the answer section: right after the last question.
     answers_at: usize,
     /// The OPT record's advertised payload size and first client-subnet
@@ -69,9 +79,20 @@ impl<'a> MessageView<'a> {
         let mut r = WireReader::new(bytes);
         let header = Header::read(&mut r)?;
         let mut question = None;
+        let mut plain_qname = None;
         for _ in 0..header.qdcount {
-            let q = Question::skip(&mut r).map_err(short("question"))?;
-            question = question.or(Some(q));
+            let (name_len, qtype, qclass) = Question::skip(&mut r).map_err(short("question"))?;
+            if question.is_none() {
+                question = Some((qtype, qclass));
+                // A walk that followed a pointer stepped over fewer bytes
+                // than the name's length: the pointer's two stand for a
+                // suffix of at least three (a label and the root) or for
+                // the root alone.
+                let name_end = r.position() - 4;
+                if name_end - QUESTION_AT == name_len {
+                    plain_qname = Some(&bytes[QUESTION_AT..name_end - 1]);
+                }
+            }
         }
         let answers_at = r.position();
         for _ in 0..header.ancount {
@@ -110,6 +131,7 @@ impl<'a> MessageView<'a> {
             bytes,
             header,
             question,
+            plain_qname,
             answers_at,
             edns,
         })
@@ -157,6 +179,9 @@ impl<'a> MessageView<'a> {
         if self.question.is_none() {
             return false;
         }
+        if let Some(plain) = self.plain_qname {
+            return name.eq_plain(plain);
+        }
         let mut r = WireReader::new(self.bytes);
         r.seek(QUESTION_AT);
         // `parse` walked this name already: the walk cannot fail here.
@@ -167,10 +192,25 @@ impl<'a> MessageView<'a> {
     /// questions back: nothing is allocated for one question whose name
     /// is at most 38 wire bytes.
     pub fn questions(&self) -> impl Iterator<Item = Question> + 'a {
+        let first = self
+            .plain_qname
+            .zip(self.question)
+            .map(|(plain, (qtype, qclass))| Question {
+                name: Name::from_plain(plain),
+                qtype,
+                qclass,
+            });
         let mut r = WireReader::new(self.bytes);
-        r.seek(QUESTION_AT);
+        // A plain first question ends after its root octet, type and class.
+        r.seek(
+            self.plain_qname
+                .map_or(QUESTION_AT, |plain| QUESTION_AT + plain.len() + 5),
+        );
+        let rest = usize::from(self.header.qdcount) - usize::from(first.is_some());
         // `parse` walked every question already: none fails here.
-        (0..self.header.qdcount).map_while(move |_| Question::read(&mut r).ok())
+        first
+            .into_iter()
+            .chain((0..rest).map_while(move |_| Question::read(&mut r).ok()))
     }
 
     /// The answer section, decoded — the one section a caller that keeps
@@ -178,9 +218,21 @@ impl<'a> MessageView<'a> {
     pub fn answers(&self) -> Vec<Record> {
         let mut r = WireReader::new(self.bytes);
         r.seek(self.answers_at);
+        let mut record = || {
+            let owner = match self.plain_qname {
+                // The owner points at a plain first question: it is that
+                // name.
+                Some(plain) if self.bytes[r.position()..].starts_with(&TO_QUESTION) => {
+                    r.seek(r.position() + TO_QUESTION.len());
+                    Name::from_plain(plain)
+                }
+                _ => Name::read(&mut r).ok()?,
+            };
+            Record::read_owned_by(owner, &mut r).ok()
+        };
         // `parse` walked every answer already: none fails here.
         let mut answers = Vec::with_capacity(usize::from(self.header.ancount));
-        answers.extend((0..self.header.ancount).map_while(|_| Record::read(&mut r).ok()));
+        answers.extend((0..self.header.ancount).map_while(|_| record()));
         answers
     }
 
@@ -236,6 +288,28 @@ mod tests {
         let mut other_class = resp.questions[0].clone();
         other_class.qclass = crate::RecordClass::Ch;
         assert!(!view.asks(&other_class));
+    }
+
+    /// A first question that is itself a compression pointer (here into
+    /// the header, whose id and flags spell the name `a`) is read by
+    /// walking it, and an answer owner pointing at it reads through both
+    /// pointers.
+    #[test]
+    fn a_question_written_with_a_pointer_reads_as_decoded() {
+        let bytes = [
+            0x01, b'a', 0x00, 0x00, // id 0x0161, flags: `a` at offset 0
+            0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, // one question, one answer
+            0xC0, 0x00, 0x00, 0x01, 0x00, 0x01, // the question: `a` by pointer, A IN
+            0xC0, 0x0C, 0x00, 0x01, 0x00, 0x01, // the answer's owner points at it
+            0x00, 0x00, 0x00, 0x3C, 0x00, 0x04, 192, 0, 2, 1,
+        ];
+        let decoded = Message::from_bytes(&bytes).unwrap();
+        let view = MessageView::parse(&bytes).unwrap();
+        assert!(view.question_is(&name("A")));
+        assert!(view.asks(&decoded.questions[0]));
+        assert_eq!(view.questions().collect::<Vec<_>>(), decoded.questions);
+        assert_eq!(view.answers(), decoded.answers);
+        assert_eq!(decoded.answers[0].name, name("a"));
     }
 
     #[test]

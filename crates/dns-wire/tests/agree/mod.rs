@@ -6,8 +6,8 @@ use dns_wire::{Message, MessageView, WireResult};
 /// Decodes `bytes` with [`Message::from_bytes`] and reads them with
 /// [`MessageView::parse`], and panics unless the two agree: the view
 /// accepts exactly what the decoder accepts and fails with the same
-/// error, and on success reads the same header, first question and ECS
-/// option. Returns the decoder's result.
+/// error, and on success reads the same header, questions, answer
+/// section and ECS option. Returns the decoder's result.
 pub fn decode_both(bytes: &[u8]) -> WireResult<Message> {
     let decoded = Message::from_bytes(bytes);
     let viewed = MessageView::parse(bytes);
@@ -21,8 +21,10 @@ pub fn decode_both(bytes: &[u8]) -> WireResult<Message> {
             assert_eq!(v.qtype(), first.map(|q| q.qtype), "qtype of {bytes:02x?}");
             if let Some(q) = first {
                 assert!(v.question_is(&q.name), "qname of {bytes:02x?}");
+                assert!(v.asks(q), "question of {bytes:02x?}");
             }
             assert_eq!(v.questions().collect::<Vec<_>>(), m.questions);
+            assert_eq!(v.answers(), m.answers, "answers of {bytes:02x?}");
             assert_eq!(
                 v.udp_payload_size(),
                 m.edns.as_ref().map(|o| o.udp_payload_size),
