@@ -157,6 +157,15 @@ impl OptRecord {
         }
     }
 
+    /// An OPT carrying only `ecs`, under the common 4,096-byte payload
+    /// size: the record [`Message::set_ecs`](crate::Message::set_ecs)
+    /// gives a message that had none.
+    pub fn with_ecs(ecs: EcsOption) -> Self {
+        let mut opt = OptRecord::new(4096);
+        opt.options.push(EdnsOption::ClientSubnet(ecs));
+        opt
+    }
+
     /// Returns the first client-subnet option, if present.
     pub fn ecs(&self) -> Option<&EcsOption> {
         self.options.iter().find_map(|o| match o {

@@ -105,12 +105,12 @@ impl Message {
     }
 
     /// Sets (replacing) the ECS option, creating the OPT record if needed
-    /// with the common 4096-byte payload size.
+    /// ([`OptRecord::with_ecs`]).
     pub fn set_ecs(&mut self, ecs: EcsOption) {
-        if self.edns.is_none() {
-            self.edns = Some(OptRecord::new(4096));
+        match &mut self.edns {
+            Some(opt) => opt.set_ecs(ecs),
+            None => self.edns = Some(OptRecord::with_ecs(ecs)),
         }
-        self.edns.as_mut().expect("just set").set_ecs(ecs);
     }
 
     /// Removes the ECS option, keeping the OPT record.

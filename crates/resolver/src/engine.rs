@@ -17,7 +17,7 @@ use obs::{EventKind, TraceCtx, Tracer};
 use crate::cache::CacheStats;
 use crate::config::ResolverConfig;
 use crate::exchange::Action;
-use crate::parts::{AnswerHead, ClientAnswer, ClientQuery, UpstreamReply};
+use crate::parts::{AnswerHead, ClientAnswer, UpstreamReply};
 use crate::probing::{EcsDecision, ProbingState};
 use crate::shared_cache::SharedEcsCache;
 
@@ -425,7 +425,8 @@ impl Resolver {
     /// returns the client answer plus the raw upstream response it completed
     /// with (`None` when the exchange failed and the answer is
     /// stale/SERVFAIL). The machine reads each response as an
-    /// [`UpstreamReply`]; the driver keeps the last one whole to return.
+    /// [`UpstreamReply`] whose answers move out of it, and hands them
+    /// back with a reply it completed on: they return to the response.
     ///
     /// Time is virtual: each timed-out send advances the local clock by the
     /// timeout the machine asked for, so cache inserts and probing-state
@@ -445,15 +446,21 @@ impl Resolver {
         let mut last = None;
         loop {
             match action {
-                Action::Done { answer, raw } => return (answer.into_message(), raw.and(last)),
+                Action::Done { answer, raw } => {
+                    let raw = raw.zip(last).map(|(reply, mut resp): (_, Message)| {
+                        resp.answers = reply.answers;
+                        resp
+                    });
+                    return (answer.into_message(), raw);
+                }
                 Action::Send { transport, timeout } => {
                     let outcome =
                         upstream.query_via(ex.upstream_query(), self.config.addr, at, transport);
                     if matches!(outcome, Err(UpstreamError::Timeout)) {
                         at += timeout;
                     }
-                    let reply = outcome.map(|resp| {
-                        let reply = UpstreamReply::from(&resp);
+                    let reply = outcome.map(|mut resp| {
+                        let reply = UpstreamReply::take(&mut resp);
                         last = Some(resp);
                         reply
                     });
@@ -565,14 +572,14 @@ impl Resolver {
     /// The query is read for its questions, its id, RD bit and opcode, and
     /// its ECS option, and nothing else: decoded (`&Message`) or in place
     /// (a [`dns_wire::MessageView`]) alike.
-    pub fn begin<'q>(
+    pub fn begin(
         &mut self,
-        query: impl Into<ClientQuery<'q>>,
+        query: impl Into<AnswerHead>,
         client_src: IpAddr,
         now: SimTime,
     ) -> Step {
         self.stats.client_queries.inc();
-        let head = AnswerHead::of(query.into());
+        let head: AnswerHead = query.into();
         let Some(question) = head.questions.first() else {
             self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
             let refusal = ClientAnswer::new(head, Rcode::FormErr, Vec::new(), None);

@@ -2,38 +2,17 @@
 //! writes from its parts.
 //!
 //! A client query is read for what its answer repeats ([`AnswerHead`]),
-//! whether it arrives decoded or through a [`MessageView`]
-//! ([`ClientQuery`]). An upstream reply is read for what the exchange
-//! machine and the cache use ([`UpstreamReply`]). A miss's answer is
-//! written from those parts ([`ClientAnswer`]): to the wire by the packet
-//! driver, into a [`Message`] by the blocking one, through the one encoder
-//! either way, so both give the same bytes.
+//! whether it arrives decoded or through a [`MessageView`]. An upstream
+//! reply is read for what the exchange machine and the cache use
+//! ([`UpstreamReply`]). A miss's answer is written from those parts
+//! ([`ClientAnswer`]): to the wire by the packet driver, into a
+//! [`Message`] by the blocking one, through the one encoder either way,
+//! so both give the same bytes.
 
 use dns_wire::{
     EcsOption, Flags, Message, MessageParts, MessageView, OneVec, Opcode, OptRecord, Question,
     Rcode, Record, WireResult,
 };
-
-/// A client query as [`crate::Resolver::begin`] reads it.
-#[derive(Debug, Clone, Copy)]
-pub enum ClientQuery<'q> {
-    /// A decoded message (the socket servers and the blocking driver).
-    Decoded(&'q Message),
-    /// A datagram read in place (the packet driver).
-    Viewed(MessageView<'q>),
-}
-
-impl<'q> From<&'q Message> for ClientQuery<'q> {
-    fn from(query: &'q Message) -> Self {
-        ClientQuery::Decoded(query)
-    }
-}
-
-impl<'q> From<MessageView<'q>> for ClientQuery<'q> {
-    fn from(query: MessageView<'q>) -> Self {
-        ClientQuery::Viewed(query)
-    }
-}
 
 /// What a client query's answer repeats of it: the id, the RD bit, the
 /// opcode and the questions, and the client's ECS option, whose scope
@@ -52,24 +31,28 @@ pub struct AnswerHead {
     pub ecs: Option<EcsOption>,
 }
 
-impl AnswerHead {
-    /// Reads `query` for what its answer repeats.
-    pub fn of(query: ClientQuery<'_>) -> Self {
-        match query {
-            ClientQuery::Decoded(m) => AnswerHead {
-                id: m.id,
-                rd: m.flags.rd,
-                opcode: m.opcode,
-                questions: m.questions.clone(),
-                ecs: m.ecs().copied(),
-            },
-            ClientQuery::Viewed(v) => AnswerHead {
-                id: v.id(),
-                rd: v.flags().rd,
-                opcode: v.opcode(),
-                questions: v.questions().collect(),
-                ecs: v.ecs().copied(),
-            },
+impl From<&Message> for AnswerHead {
+    /// Reads a decoded query (the socket servers and the blocking driver).
+    fn from(query: &Message) -> Self {
+        AnswerHead {
+            id: query.id,
+            rd: query.flags.rd,
+            opcode: query.opcode,
+            questions: query.questions.clone(),
+            ecs: query.ecs().copied(),
+        }
+    }
+}
+
+impl From<MessageView<'_>> for AnswerHead {
+    /// Reads a query in place (the packet driver).
+    fn from(query: MessageView<'_>) -> Self {
+        AnswerHead {
+            id: query.id(),
+            rd: query.flags().rd,
+            opcode: query.opcode(),
+            questions: query.questions().collect(),
+            ecs: query.ecs().copied(),
         }
     }
 }
@@ -106,15 +89,14 @@ impl UpstreamReply {
     pub fn min_answer_ttl(&self) -> Option<u32> {
         self.answers.iter().map(|r| r.ttl).min()
     }
-}
 
-impl From<&Message> for UpstreamReply {
-    /// Copies what the machine reads of a decoded reply.
-    fn from(reply: &Message) -> Self {
+    /// Reads a decoded reply, moving its answers out of it: a driver that
+    /// returns the reply whole puts them back once the machine is done.
+    pub(crate) fn take(reply: &mut Message) -> Self {
         UpstreamReply {
             rcode: reply.rcode,
             tc: reply.flags.tc,
-            answers: reply.answers.clone(),
+            answers: std::mem::take(&mut reply.answers),
             ecs: reply.ecs().copied(),
         }
     }
@@ -122,13 +104,8 @@ impl From<&Message> for UpstreamReply {
 
 impl From<Message> for UpstreamReply {
     /// Keeps what the machine reads of a decoded reply; its answers move.
-    fn from(reply: Message) -> Self {
-        UpstreamReply {
-            rcode: reply.rcode,
-            tc: reply.flags.tc,
-            ecs: reply.ecs().copied(),
-            answers: reply.answers,
-        }
+    fn from(mut reply: Message) -> Self {
+        UpstreamReply::take(&mut reply)
     }
 }
 
@@ -167,14 +144,10 @@ impl ClientAnswer {
         }
     }
 
-    /// The OPT record the answer carries: the echo under the 4,096-byte
-    /// payload size [`Message::set_ecs`] gives a new record.
+    /// The OPT record the answer carries: the echo, in the record
+    /// [`Message::set_ecs`] gives a message without one.
     fn edns(&self) -> Option<OptRecord> {
-        self.echo.map(|ecs| {
-            let mut opt = OptRecord::new(4096);
-            opt.set_ecs(ecs);
-            opt
-        })
+        self.echo.map(OptRecord::with_ecs)
     }
 
     fn flags(&self) -> Flags {
@@ -259,8 +232,8 @@ mod tests {
             }
             let wire = query.to_bytes().unwrap();
             let view = MessageView::parse(&wire).unwrap();
-            let decoded = AnswerHead::of((&query).into());
-            assert_eq!(AnswerHead::of(view.into()), decoded);
+            let decoded = AnswerHead::from(&query);
+            assert_eq!(AnswerHead::from(view), decoded);
             let parts = ClientAnswer::new(decoded, rcode, answers, answer_ecs);
             assert_eq!(parts.to_bytes().unwrap(), built.to_bytes().unwrap());
             assert_eq!(parts.into_message(), built);
@@ -286,7 +259,9 @@ mod tests {
         reply.set_ecs(EcsOption::from_v4(Ipv4Addr::new(10, 1, 2, 0), 24).with_scope(16));
         let wire = reply.to_bytes().unwrap();
         let read = UpstreamReply::read(&MessageView::parse(&wire).unwrap());
-        assert_eq!(read, UpstreamReply::from(&reply));
+        let mut taken = reply.clone();
+        assert_eq!(read, UpstreamReply::take(&mut taken));
+        assert!(taken.answers.is_empty());
         assert_eq!(read, UpstreamReply::from(reply));
         assert_eq!(read.min_answer_ttl(), Some(30));
     }
