@@ -110,3 +110,52 @@ fn different_seeds_diverge_but_both_reconcile() {
         "independent seeds should draw different loss/jitter patterns"
     );
 }
+
+/// The dispatch profile is pure observation, and the egress splits each
+/// packet it handles into its named stages: a profiled scan delivers and
+/// drops the same packets, ends at the same simulated instant and reports
+/// the same bytes as an unprofiled one, and every stage of
+/// `EgressActor::on_packet` is folded one level below its dispatch.
+#[test]
+fn profiling_splits_the_egress_by_stage_and_changes_no_count() {
+    let scan = |profile: bool| {
+        let mut world = spec(97).build(cfg(), |targets| RoundRobinFeed::new(targets.to_vec(), 600));
+        if profile {
+            world.sim.enable_profiling();
+        }
+        let mut capture = ScanCapture::new(1024);
+        let report = run_scan(&mut world, SimDuration::from_secs(60), &mut capture);
+        let events = world.sim.delivered() + world.sim.dropped();
+        (report.to_json(), events, world.sim.profile_snapshot())
+    };
+    let (plain, plain_events, off) = scan(false);
+    let (profiled, events, on) = scan(true);
+    assert_eq!(profiled, plain, "the report, sim end included");
+    assert_eq!(events, plain_events);
+    assert!(off.is_empty());
+    let calls = |stage: &str| {
+        on.stacks
+            .get(&format!("sim;EgressActor;packet;{stage}"))
+            .map_or(0, |s| s.calls)
+    };
+    for stage in [
+        "read query",
+        "begin",
+        "send query",
+        "read reply",
+        "exchange step",
+        "cache insert",
+        "write answer",
+    ] {
+        assert!(calls(stage) > 0, "no `{stage}` stage folded: {on:?}");
+    }
+    // Every query read is begun; every reply read that completes its
+    // exchange is stepped once, with its insert; a query is answered from
+    // the cache or sent upstream, a completed exchange answered.
+    assert_eq!(calls("read query"), calls("begin"));
+    assert_eq!(calls("exchange step"), calls("cache insert"));
+    assert!(calls("read reply") >= calls("exchange step"));
+    assert!(calls("write answer") >= calls("exchange step"));
+    let packets = on.stacks["sim;EgressActor;packet"].calls;
+    assert!(packets >= calls("read query") + calls("read reply"));
+}
