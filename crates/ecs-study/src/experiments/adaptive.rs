@@ -21,13 +21,14 @@ use crate::experiments::fig67::{sample, testbed, CdnModel};
 use crate::experiments::table2::world_footprint;
 use crate::report::Report;
 
-/// Parameters.
+/// Queries per probe (adaptation needs repeat traffic).
+const QUERIES_PER_PROBE: usize = 3;
+
+/// Parameters: the ones a caller sets. The rest is the constant above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Probes (client subnets) per CDN.
     pub probes: usize,
-    /// Queries per probe (adaptation needs repeat traffic).
-    pub queries_per_probe: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -36,7 +37,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             probes: 300,
-            queries_per_probe: 3,
             seed: 0,
         }
     }
@@ -73,7 +73,7 @@ fn run_condition(cdn_model: CdnModel, adaptive: bool, config: &Config) -> Condit
     let mut bits = 0u64;
     let mut queries = 0u64;
     let mut samples = Vec::new();
-    for round in 0..config.queries_per_probe {
+    for round in 0..QUERIES_PER_PROBE {
         for (i, (addr, pos)) in probes.iter().enumerate() {
             // Fresh client per query within the probe's /24.
             let client = IpAddr::V4(Ipv4Addr::new(
@@ -171,7 +171,6 @@ mod tests {
     fn adaptation_saves_bits_on_cdn2_without_quality_loss() {
         let (out, report) = run(&Config {
             probes: 120,
-            queries_per_probe: 3,
             seed: 1,
         });
         let off = &out.conditions[&("CDN-2".to_string(), false)];

@@ -20,7 +20,12 @@ use workload::Zipf;
 
 use crate::report::Report;
 
-/// Parameters.
+/// CDN answer TTL (the paper's CDN used 20 s).
+const TTL: u32 = 20;
+/// RNG seed of the client workload.
+const SEED: u64 = 0;
+
+/// Parameters: the ones a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Client /24 subnets behind the resolver.
@@ -29,12 +34,8 @@ pub struct Config {
     pub queries: usize,
     /// Distinct CDN hostnames.
     pub hostnames: usize,
-    /// CDN answer TTL (the paper's CDN used 20 s).
-    pub ttl: u32,
     /// Workload duration in seconds.
     pub duration_secs: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Config {
@@ -43,9 +44,7 @@ impl Default for Config {
             subnets: 120,
             queries: 300_000,
             hostnames: 60,
-            ttl: 20,
             duration_secs: 1800,
-            seed: 0,
         }
     }
 }
@@ -69,7 +68,7 @@ impl Outcome {
 }
 
 fn drive(ecs_enabled: bool, config: &Config) -> (u64, u64) {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SmallRng::seed_from_u64(SEED);
     let apex = Name::from_ascii("cdn.example").expect("valid");
     let mut zone = Zone::new(apex.clone());
     let mut hostnames = Vec::new();
@@ -77,7 +76,7 @@ fn drive(ecs_enabled: bool, config: &Config) -> (u64, u64) {
         let n = apex.child(&format!("h{i}")).expect("valid");
         zone.add_a(
             n.clone(),
-            config.ttl,
+            TTL,
             Ipv4Addr::new(198, 51, (i / 250) as u8, (i % 250) as u8 + 1),
         )
         .expect("in zone");
@@ -168,7 +167,6 @@ mod tests {
             queries: 60_000,
             hostnames: 40,
             duration_secs: 600,
-            ..Config::default()
         });
         assert!(out.factor() > 2.0, "factor {}\n{report}", out.factor());
         assert_eq!(out.client_queries, 60_000);

@@ -29,34 +29,29 @@ use workload::{CdnDatasetGen, PROBING_TABLE};
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
 
-/// Parameters.
+/// Probability a resolver is reachable through at least one open
+/// forwarder (drives the active method's reach; the paper's ratio is 278
+/// over the CDN dataset's resolvers ≈ 6.7% for non-Google ones).
+const OPEN_FORWARDER_REACH: f64 = 0.08;
+/// Probability a reachable resolver zone-whitelists ECS domains and thus
+/// won't send ECS to our unknown experimental zone.
+const ZONE_WHITELIST_FRACTION: f64 = 0.15;
+/// Probability a resolver's clients touch the CDN zone during the passive
+/// window (busy CDN ⇒ near 1).
+const PASSIVE_ACTIVITY: f64 = 0.97;
+/// RNG seed of the population and of the draws above.
+const SEED: u64 = 0;
+
+/// Parameters: the one a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Divisor on the paper's CDN population.
     pub scale: usize,
-    /// Probability a resolver is reachable through at least one open
-    /// forwarder (drives the active method's reach; the paper's ratio is
-    /// 278 over the CDN dataset's resolvers ≈ 6.7% for non-Google ones).
-    pub open_forwarder_reach: f64,
-    /// Probability a reachable resolver zone-whitelists ECS domains and
-    /// thus won't send ECS to our unknown experimental zone.
-    pub zone_whitelist_fraction: f64,
-    /// Probability a resolver's clients touch the CDN zone during the
-    /// passive window (busy CDN ⇒ near 1).
-    pub passive_activity: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            scale: 4,
-            open_forwarder_reach: 0.08,
-            zone_whitelist_fraction: 0.15,
-            passive_activity: 0.97,
-            seed: 0,
-        }
+        Config { scale: 4 }
     }
 }
 
@@ -69,8 +64,8 @@ pub struct Outcome {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let population = CdnDatasetGen::scaled(config.scale, config.seed).generate();
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let population = CdnDatasetGen::scaled(config.scale, SEED).generate();
 
     // Passive observation: the CDN authoritative (non-whitelisting, so it
     // sees the ECS options even though it ignores them).
@@ -105,7 +100,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     let mut alloc = AddrAllocator::new();
     for spec in &population {
         let mut cfg = resolver_config_for(spec, std::slice::from_ref(&cdn_name));
-        let zone_whitelists = rng.gen_bool(config.zone_whitelist_fraction);
+        let zone_whitelists = rng.gen_bool(ZONE_WHITELIST_FRACTION);
         if zone_whitelists {
             // OpenDNS-style: ECS only for known CDN zones, never for our
             // experimental domain.
@@ -117,12 +112,12 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         let client = AddrAllocator::host_in(&alloc.alloc_v4_block(), 9);
 
         // Passive window: clients query the CDN name (maybe).
-        if rng.gen_bool(config.passive_activity) {
+        if rng.gen_bool(PASSIVE_ACTIVITY) {
             let q = Message::query(1, Question::a(cdn_name.clone()));
             resolver.resolve_msg(&q, client, SimTime::from_secs(1), &mut cdn);
         }
         // Active scan: reaches the resolver only via an open forwarder.
-        if rng.gen_bool(config.open_forwarder_reach) {
+        if rng.gen_bool(OPEN_FORWARDER_REACH) {
             let q = Message::query(2, Question::a(scan_name.clone()));
             resolver.resolve_msg(&q, client, SimTime::from_secs(2), &mut scan);
         }

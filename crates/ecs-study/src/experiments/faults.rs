@@ -44,6 +44,8 @@ const MTU: usize = 512;
 const ANSWER_RECORDS: usize = 60;
 /// RNG seed of the ladder cells (datagram fate only).
 const LADDER_SEED: u64 = 11;
+/// Fragment-loss rates of the ladder cells (one row each).
+const FRAG_LOSS_RATES: [f64; 3] = [0.0, 0.5, 1.0];
 
 /// Parameters: the ones a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
@@ -54,8 +56,6 @@ pub struct Config {
     pub loss_rates: Vec<f64>,
     /// Client queries per transport-ladder cell.
     pub ladder_queries: u64,
-    /// Fragment-loss rates swept (one row each).
-    pub frag_loss_rates: Vec<f64>,
 }
 
 impl Default for Config {
@@ -64,7 +64,6 @@ impl Default for Config {
             queries: 400,
             loss_rates: vec![0.0, 0.1, 0.3, 0.6, 0.9],
             ladder_queries: 300,
-            frag_loss_rates: vec![0.0, 0.5, 1.0],
         }
     }
 }
@@ -223,10 +222,9 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
         session,
     );
     let policy_set = policies();
-    let by_frag_loss: Vec<(f64, Vec<Cell>)> = config
-        .frag_loss_rates
-        .iter()
-        .map(|&loss| {
+    let by_frag_loss: Vec<(f64, Vec<Cell>)> = FRAG_LOSS_RATES
+        .into_iter()
+        .map(|loss| {
             let cells = policy_set
                 .iter()
                 .map(|(_, policy)| drive_ladder(loss, policy, config))
@@ -382,7 +380,6 @@ mod tests {
             queries: 80,
             loss_rates: vec![0.0, 0.5, 0.9],
             ladder_queries: 60,
-            ..Config::default()
         }
     }
 

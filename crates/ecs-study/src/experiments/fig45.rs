@@ -5,8 +5,8 @@
 //! behind Italy" case), then, for every (forwarder, hidden, recursive)
 //! combination, compare the two distances the way the paper's hexbin
 //! scatter plots do. Figure 4 covers chains ending at the major public
-//! (MP) service; Figure 5 covers the rest. Both — and the `hidden`
-//! experiment — are views of one `measure`d world.
+//! (MP) service; Figure 5 covers the rest. Both are views of one
+//! `measure`d world.
 //!
 //! Paper: 8% of MP combinations (7.8% non-MP) have the hidden resolver
 //! *farther* from the forwarder than the recursive — ECS actively hurts
@@ -220,5 +220,15 @@ mod tests {
             (0.02..0.30).contains(&harmful),
             "harmful {harmful}\n{report}"
         );
+    }
+
+    #[test]
+    fn every_hidden_chain_is_mp_or_non_mp() {
+        let mut world = Config::fig4().world;
+        world.forwarders = 600;
+        let (world, reports) = measure(&world);
+        let [mp, nonmp] = reports.each_ref().map(HiddenResolverReport::total);
+        assert!(mp > 0 && nonmp > 0, "{mp} MP, {nonmp} non-MP");
+        assert_eq!(mp + nonmp, combos_from_world(&world, None).len());
     }
 }

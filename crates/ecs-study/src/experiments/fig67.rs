@@ -8,13 +8,14 @@
 //! that: a small fixed edge set — 5–14 distinct answers vs 400); CDN-2
 //! needs ≥ 21 bits (below that: resolver-based mapping, a single answer).
 //!
-//! Figures 6 and 7 and the `minprefix` experiment are views of one
-//! `sweep` per CDN.
+//! Both CDNs sweep /16–/24, and each figure also reports the CDN's
+//! minimum usable length: the smallest whose median connect time stays
+//! within 1.5× of the /24 median (paper: CDN-1 /24, CDN-2 /21).
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use analysis::{ConnectTimeSample, MappingQuality, PrefixLengthTable};
+use analysis::{ConnectTimeSample, MappingQuality};
 use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
 use dns_wire::{EcsOption, IpPrefix, Message, Name, Question};
 use netsim::geo::{city, CITIES};
@@ -24,9 +25,8 @@ use rand::{Rng, SeedableRng};
 use topology::asn::jitter_position;
 use topology::CdnFootprint;
 
-use crate::experiments::table2::world_footprint;
+use crate::experiments::table2::{world_footprint, LAB};
 use crate::report::Report;
-use crate::session::Session;
 
 /// Which CDN model to exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,17 +37,21 @@ pub enum CdnModel {
     Cdn2,
 }
 
-/// Parameters.
+/// Source prefix lengths swept, for both CDNs.
+const LENGTHS: std::ops::RangeInclusive<u8> = 16..=24;
+/// RNG seed of the probe placement.
+const SEED: u64 = 0;
+/// Degradation tolerance: the minimum usable length is the smallest whose
+/// median connect time is at most this many times the /24 median.
+const TOLERANCE: f64 = 1.5;
+
+/// Parameters: the ones a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Which CDN.
     pub cdn: CdnModel,
     /// Number of probes (paper: 800).
     pub probes: usize,
-    /// Source prefix lengths to sweep.
-    pub lengths: Vec<u8>,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Config {
@@ -56,8 +60,6 @@ impl Config {
         Config {
             cdn: CdnModel::Cdn1,
             probes: 800,
-            lengths: (16..=24).collect(),
-            seed: 0,
         }
     }
 
@@ -65,9 +67,7 @@ impl Config {
     pub fn fig7() -> Self {
         Config {
             cdn: CdnModel::Cdn2,
-            probes: 800,
-            lengths: (20..=24).collect(),
-            seed: 0,
+            ..Config::fig6()
         }
     }
 }
@@ -77,6 +77,9 @@ impl Config {
 pub struct Outcome {
     /// Length → quality summary.
     pub by_length: BTreeMap<u8, MappingQuality>,
+    /// The smallest usable length: the shortest whose median connect time
+    /// stays within 1.5× of the /24 median.
+    pub min_usable: u8,
 }
 
 /// A CDN-mapping testbed: `count` world-spread probes on /21-aligned
@@ -137,57 +140,42 @@ pub(crate) fn sample(
     }
 }
 
-/// The §8.3 measurement for one CDN: the mapping quality at every swept
-/// prefix length, and the prefix-length table of the authoritative's
-/// query log — what the server actually saw, built exactly like the
-/// paper's Table 1, so a view can check the sweep sent what it claims.
-pub(crate) type Sweep = (BTreeMap<u8, MappingQuality>, PrefixLengthTable);
-
-/// Runs `config`'s [`Sweep`]: the one probe → authoritative → per-length
-/// sampling loop.
-pub(crate) fn sweep(config: &Config) -> Sweep {
-    let lab_addr: IpAddr = "129.22.150.78".parse().expect("valid");
-    let lab = (lab_addr, city("Cleveland").expect("known").pos);
-    let (probes, mut server, qname) = testbed(config.cdn, config.probes, config.seed, 39, lab);
+/// Runs the experiment: the probe → authoritative → per-length sampling
+/// loop, then the figure read off it.
+pub fn run(config: &Config) -> (Outcome, Report) {
+    let lab = (IpAddr::V4(LAB.0), city(LAB.1).expect("known").pos);
+    let (probes, mut server, qname) = testbed(config.cdn, config.probes, SEED, 39, lab);
+    server.set_logging(false);
     let footprint = world_footprint();
 
     let latency = LatencyModel::default();
     let mut by_length = BTreeMap::new();
-    for &len in &config.lengths {
+    for len in LENGTHS {
         let mut samples = Vec::with_capacity(probes.len());
         for (addr, pos) in &probes {
             let mut q = Message::query(1, Question::a(qname.clone()));
             q.set_ecs(EcsOption::from_v4(*addr, len));
-            let resp = server.handle(&q, lab_addr, SimTime::ZERO);
+            let resp = server.handle(&q, lab.0, SimTime::ZERO);
             samples.push(sample(&footprint, *pos, resp.answer_addrs()[0]));
         }
         by_length.insert(len, MappingQuality::from_samples(&samples, &latency));
     }
-    (by_length, PrefixLengthTable::build(server.log()))
-}
+    let min_usable = min_usable(&by_length);
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
-    view(config.cdn, sweep(config).0)
-}
-
-/// Figure 6 or 7 read off `cdn`'s [`sweep`] (or the tail of one: the
-/// shortest length present stands for "below the cliff").
-pub(crate) fn view(cdn: CdnModel, by_length: BTreeMap<u8, MappingQuality>) -> (Outcome, Report) {
-    let (id, title) = match cdn {
+    let (id, title) = match config.cdn {
         CdnModel::Cdn1 => ("fig6", "mapping quality vs prefix length (CDN-1)"),
         CdnModel::Cdn2 => ("fig7", "mapping quality vs prefix length (CDN-2)"),
     };
     let mut report = Report::new(id, title);
     let q24 = &by_length[&24];
-    let cliff_len = match cdn {
-        CdnModel::Cdn1 => 23,
-        CdnModel::Cdn2 => 20,
+    let (cliff_len, paper_min) = match config.cdn {
+        CdnModel::Cdn1 => (23, 24),
+        CdnModel::Cdn2 => (20, 21),
     };
     let q_below = &by_length[&cliff_len];
     report.row(
         "unique first answers at /24",
-        match cdn {
+        match config.cdn {
             CdnModel::Cdn1 => "400",
             CdnModel::Cdn2 => "41-42",
         },
@@ -196,7 +184,7 @@ pub(crate) fn view(cdn: CdnModel, by_length: BTreeMap<u8, MappingQuality>) -> (O
     );
     report.row(
         format!("unique first answers at /{cliff_len}"),
-        match cdn {
+        match config.cdn {
             CdnModel::Cdn1 => "5-14",
             CdnModel::Cdn2 => "1",
         },
@@ -223,6 +211,12 @@ pub(crate) fn view(cdn: CdnModel, by_length: BTreeMap<u8, MappingQuality>) -> (O
         ),
         (shortest.median_ms - q_below.median_ms).abs() < q_below.median_ms * 0.5,
     );
+    report.row(
+        "minimum usable prefix length",
+        format!("/{paper_min}"),
+        format!("/{min_usable}"),
+        min_usable == paper_min,
+    );
     let mut detail = String::from("len  median(ms)  p90(ms)  unique-answers\n");
     for (len, q) in &by_length {
         detail.push_str(&format!(
@@ -233,22 +227,23 @@ pub(crate) fn view(cdn: CdnModel, by_length: BTreeMap<u8, MappingQuality>) -> (O
         ));
     }
     report.detail = detail;
-    (Outcome { by_length }, report)
+    (
+        Outcome {
+            by_length,
+            min_usable,
+        },
+        report,
+    )
 }
 
-/// Figure-6 registry entry point: CDN-1 off the session's /16–/24 sweep.
-pub fn run_default_cdn1(session: &mut Session) -> Report {
-    let by_length = session.mapping_sweep(CdnModel::Cdn1).0.clone();
-    view(CdnModel::Cdn1, by_length).1
-}
-
-/// Figure-7 registry entry point: CDN-2 off the same sweep, read from /20
-/// up as the paper plots it.
-pub fn run_default_cdn2(session: &mut Session) -> Report {
-    let sweep = session.mapping_sweep(CdnModel::Cdn2);
-    let plotted = Config::fig7().lengths.into_iter();
-    let by_length = plotted.map(|len| (len, sweep.0[&len].clone())).collect();
-    view(CdnModel::Cdn2, by_length).1
+/// The smallest swept length whose median connect time stays within
+/// [`TOLERANCE`] of the /24 median.
+fn min_usable(by_length: &BTreeMap<u8, MappingQuality>) -> u8 {
+    let baseline = by_length[&24].median_ms;
+    by_length
+        .iter()
+        .find(|(_, q)| q.median_ms <= baseline * TOLERANCE)
+        .map_or(24, |(len, _)| *len)
 }
 
 #[cfg(test)]
@@ -270,6 +265,8 @@ mod tests {
         // Answer-set collapse.
         assert!(out.by_length[&24].unique_first_answers > 30);
         assert!(out.by_length[&23].unique_first_answers <= 14);
+        assert_eq!(out.min_usable, 24, "{report}");
+        assert!(report.all_hold(), "{report}");
     }
 
     #[test]
@@ -286,5 +283,16 @@ mod tests {
         assert!((m21 - m24).abs() < m24 * 0.3, "{m21} vs {m24}");
         // Single answer below the cliff (resolver-based).
         assert_eq!(out.by_length[&20].unique_first_answers, 1);
+        assert_eq!(out.min_usable, 21, "{report}");
+        // The below-cliff row reads the sweep's shortest length, not the
+        // cliff itself.
+        let flat = report
+            .rows
+            .iter()
+            .find(|r| r.metric == "no visible change below the cliff")
+            .expect("row");
+        assert!(flat.measured.contains("at /16 vs"), "{report}");
+        assert!(flat.measured.ends_with("at /20"), "{report}");
+        assert!(report.all_hold(), "{report}");
     }
 }

@@ -24,29 +24,18 @@ use netsim::{GeoPoint, LatencyModel, SimTime};
 use crate::experiments::table2::world_footprint;
 use crate::report::Report;
 
-/// Parameters.
-#[derive(Debug, Clone)]
+/// Client city (paper: a Cleveland lab machine).
+const CLIENT_CITY: &str = "Cleveland";
+/// Public resolver city.
+const RESOLVER_CITY: &str = "Toronto";
+/// DNS provider backend city (where flattened queries appear to be from).
+const PROVIDER_CITY: &str = "Mountain View";
+
+/// Parameters: the one a caller sets. The rest are the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Client city (paper: a Cleveland lab machine).
-    pub client_city: &'static str,
-    /// Public resolver city.
-    pub resolver_city: &'static str,
-    /// DNS provider backend city (where flattened queries appear to be
-    /// from).
-    pub provider_city: &'static str,
     /// Whether the provider forwards ECS on the backend (the fix).
     pub forward_ecs: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            client_city: "Cleveland",
-            resolver_city: "Toronto",
-            provider_city: "Mountain View",
-            forward_ecs: false,
-        }
-    }
 }
 
 /// Outcome.
@@ -70,9 +59,9 @@ pub fn run(config: &Config) -> (Outcome, Report) {
     let footprint = world_footprint();
     let latency = LatencyModel::default();
 
-    let client_pos = city(config.client_city).expect("known").pos;
-    let resolver_pos = city(config.resolver_city).expect("known").pos;
-    let provider_pos = city(config.provider_city).expect("known").pos;
+    let client_pos = city(CLIENT_CITY).expect("known").pos;
+    let resolver_pos = city(RESOLVER_CITY).expect("known").pos;
+    let provider_pos = city(PROVIDER_CITY).expect("known").pos;
 
     let client_addr: IpAddr = "100.80.1.7".parse().expect("valid");
     let resolver_addr: IpAddr = "8.8.8.8".parse().expect("valid");
@@ -221,10 +210,7 @@ mod tests {
 
     #[test]
     fn forwarding_ecs_fixes_the_apex() {
-        let (out, report) = run(&Config {
-            forward_ecs: true,
-            ..Config::default()
-        });
+        let (out, report) = run(&Config { forward_ecs: true });
         assert_eq!(out.e1_city, out.e2_city, "{report}");
         assert!((out.apex_handshake_ms - out.www_handshake_ms).abs() < 1.0);
     }

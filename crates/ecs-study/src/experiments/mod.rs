@@ -11,8 +11,6 @@ pub mod fig3;
 pub mod fig45;
 pub mod fig67;
 pub mod fig8;
-pub mod hidden;
-pub mod minprefix;
 pub mod probing;
 pub mod scan;
 pub mod table1;
@@ -74,7 +72,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
             "table2",
             "§8.1 Table 2: unroutable ECS prefixes",
             PLAIN,
-            |_| table2::run(&Default::default()).1,
+            |_| table2::run().1,
         ),
         (
             "fig4",
@@ -92,25 +90,13 @@ pub fn registry() -> Vec<ExperimentEntry> {
             "fig6",
             "§8.3 Fig 6: mapping quality vs prefix length (CDN-1)",
             PLAIN,
-            fig67::run_default_cdn1,
+            |_| fig67::run(&fig67::Config::fig6()).1,
         ),
         (
             "fig7",
             "§8.3 Fig 7: mapping quality vs prefix length (CDN-2)",
             PLAIN,
-            fig67::run_default_cdn2,
-        ),
-        (
-            "hidden",
-            "§8.2 pitfall: hidden resolvers, MP vs non-MP populations",
-            PLAIN,
-            hidden::run_default,
-        ),
-        (
-            "minprefix",
-            "§8.3 pitfall: minimum usable ECS prefix length per CDN",
-            PLAIN,
-            minprefix::run_default,
+            |_| fig67::run(&fig67::Config::fig7()).1,
         ),
         (
             "fig8",

@@ -24,29 +24,27 @@ use workload::{CdnDatasetGen, ProbingClass, PROBING_TABLE};
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
 
-/// Parameters.
+/// Trace duration (paper: one day).
+const DURATION: SimDuration = SimDuration::from_secs(24 * 3600);
+/// Zone TTL for CDN names.
+const TTL: u32 = 300;
+/// RNG seed of the population and the client traffic.
+const SEED: u64 = 0;
+
+/// Parameters: the ones a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Divisor on the paper's population counts.
     pub scale: usize,
-    /// Trace duration (paper: one day).
-    pub duration: SimDuration,
-    /// Base queries per resolver over the duration.
+    /// Base queries per resolver over the trace.
     pub queries_per_resolver: usize,
-    /// Zone TTL for CDN names.
-    pub ttl: u32,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             scale: 20,
-            duration: SimDuration::from_secs(24 * 3600),
             queries_per_resolver: 400,
-            ttl: 300,
-            seed: 0,
         }
     }
 }
@@ -68,8 +66,8 @@ pub struct Outcome {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let population = CdnDatasetGen::scaled(config.scale, config.seed).generate();
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let population = CdnDatasetGen::scaled(config.scale, SEED).generate();
 
     // The CDN's zone: a handful of accelerated hostnames.
     let apex = Name::from_ascii("cdn.example").expect("valid");
@@ -79,7 +77,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         let name = apex.child(&format!("h{i}")).expect("valid");
         zone.add_a(
             name.clone(),
-            config.ttl,
+            TTL,
             std::net::Ipv4Addr::new(198, 51, 100, i as u8 + 1),
         )
         .expect("in zone");
@@ -108,7 +106,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         // bursts are what expose cache-bypassing probes).
         let mut schedule: Vec<(u64, usize)> = Vec::new();
         for _ in 0..config.queries_per_resolver {
-            let at = rng.gen_range(0..config.duration.as_micros());
+            let at = rng.gen_range(0..DURATION.as_micros());
             let name_idx = zipf.sample(&mut rng);
             schedule.push((at, name_idx));
             if rng.gen_bool(0.35) {
@@ -210,7 +208,6 @@ mod tests {
         let config = Config {
             scale: 60,
             queries_per_resolver: 250,
-            ..Config::default()
         };
         let (out, report) = run(&config);
         assert!(

@@ -26,7 +26,13 @@ use scanner::{
 use crate::report::Report;
 use crate::session::Session;
 
-/// Sweep parameters.
+/// Per-resolver sample cap in the classification capture.
+const CAPTURE_CAP: usize = 512;
+/// Base RNG seed; each cell offsets it deterministically.
+const SEED: u64 = 21;
+
+/// Sweep parameters: the ones a caller sets. The rest are the constants
+/// above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Probes per cell.
@@ -40,10 +46,6 @@ pub struct Config {
     pub rate_limits: Vec<u64>,
     /// In-flight window (the pipeline's only per-probe state).
     pub window: usize,
-    /// Per-resolver sample cap in the classification capture.
-    pub capture_cap: usize,
-    /// Base RNG seed; each cell offsets it deterministically.
-    pub seed: u64,
 }
 
 impl Default for Config {
@@ -54,8 +56,6 @@ impl Default for Config {
             loss_rates: vec![0.0, 0.25],
             rate_limits: vec![50, 400],
             window: 64,
-            capture_cap: 512,
-            seed: 21,
         }
     }
 }
@@ -143,7 +143,7 @@ fn run_cell(
         world.sim.enable_metrics();
         world.scanner_mut().set_tracer(tracer.clone());
     }
-    let mut capture = ScanCapture::new(config.capture_cap);
+    let mut capture = ScanCapture::new(CAPTURE_CAP);
     let report = run_scan(&mut world, SimDuration::from_secs(60), &mut capture);
     if tracer.is_enabled() {
         session.record(&world.scanner_mut().metrics_snapshot());
@@ -171,7 +171,7 @@ fn run_cell(
 pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
     let mut cells = Vec::new();
     let mut final_json = String::new();
-    let mut cell_seed = config.seed;
+    let mut cell_seed = SEED;
     for &population in &config.populations {
         for &loss in &config.loss_rates {
             for &rate in &config.rate_limits {
@@ -262,7 +262,6 @@ mod tests {
             loss_rates: vec![0.0, 0.5],
             rate_limits: vec![100],
             window: 16,
-            ..Config::default()
         }
     }
 

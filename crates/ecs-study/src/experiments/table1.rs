@@ -17,24 +17,21 @@ use workload::{PrefixClass, ScanDatasetGen, PREFIX_TABLE};
 use crate::behavior::resolver_config_for;
 use crate::report::Report;
 
-/// Parameters.
+/// Open forwarders per egress resolver.
+const FORWARDERS_PER_RESOLVER: usize = 3;
+/// RNG seed of the population.
+const SEED: u64 = 0;
+
+/// Parameters: the one a caller sets. The rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Divisor on the paper's counts.
     pub scale: usize,
-    /// Open forwarders per egress resolver.
-    pub forwarders_per_resolver: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            scale: 4,
-            forwarders_per_resolver: 3,
-            seed: 0,
-        }
+        Config { scale: 4 }
     }
 }
 
@@ -54,7 +51,7 @@ pub fn scan_hostname(apex: &Name, fwd: std::net::IpAddr) -> Name {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> (Outcome, Report) {
-    let population = ScanDatasetGen::scaled(config.scale, config.seed).generate();
+    let population = ScanDatasetGen::scaled(config.scale, SEED).generate();
     let apex = Name::from_ascii("probe.example").expect("valid");
     // The paper's experimental nameserver answers ECS queries with scope
     // L = S − 4.
@@ -70,7 +67,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
             spec.prefix,
             PrefixClass::V6Slash56 | PrefixClass::V6Slash48 | PrefixClass::V6Slash128
         );
-        for _ in 0..config.forwarders_per_resolver {
+        for _ in 0..FORWARDERS_PER_RESOLVER {
             let fwd = if v6 {
                 AddrAllocator::host_in(&alloc.alloc_v6_block(), 1)
             } else {
@@ -130,15 +127,12 @@ mod tests {
 
     #[test]
     fn table_recovers_planted_prefix_classes() {
-        let config = Config {
-            scale: 20,
-            ..Config::default()
-        };
+        let config = Config { scale: 20 };
         let (out, report) = run(&config);
         assert!(report.all_hold(), "{report}");
         assert!(out.table.resolver_count() > 0);
         // Every planted class is detected exactly, the unreported /48 too.
-        let population = ScanDatasetGen::scaled(config.scale, config.seed).generate();
+        let population = ScanDatasetGen::scaled(config.scale, SEED).generate();
         for &(class, ..) in PREFIX_TABLE {
             let planted = population.iter().filter(|r| r.prefix == class).count();
             assert_eq!(out.table.count(class), planted, "{class:?}");

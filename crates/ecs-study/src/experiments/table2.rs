@@ -19,23 +19,9 @@ use topology::{CdnFootprint, EdgeServerSpec};
 
 use crate::report::Report;
 
-/// Parameters.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// The lab machine's address.
-    pub lab_addr: IpAddr,
-    /// The lab machine's city.
-    pub lab_city: &'static str,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            lab_addr: IpAddr::V4(Ipv4Addr::new(129, 22, 150, 78)),
-            lab_city: "Cleveland",
-        }
-    }
-}
+/// The lab machine that queries the CDNs directly, here and in
+/// Figures 6–7: its address and its city.
+pub(crate) const LAB: (Ipv4Addr, &str) = (Ipv4Addr::new(129, 22, 150, 78), "Cleveland");
 
 /// One Table-2 row.
 #[derive(Debug, Clone)]
@@ -80,17 +66,15 @@ pub fn world_footprint() -> CdnFootprint {
 }
 
 /// Runs the experiment.
-pub fn run(config: &Config) -> (Outcome, Report) {
+pub fn run() -> (Outcome, Report) {
+    let (lab_addr, lab_city) = (IpAddr::V4(LAB.0), LAB.1);
     // Like the paper's setup (whose lab in Cleveland mapped to Chicago at
     // best), the CDN has no edge in the lab's own city.
     let mut footprint = world_footprint();
-    footprint.edges.retain(|e| e.city != config.lab_city);
-    let lab_pos = city(config.lab_city).expect("known city").pos;
+    footprint.edges.retain(|e| e.city != lab_city);
+    let lab_pos = city(lab_city).expect("known city").pos;
     let mut geodb = GeoDb::new();
-    geodb.insert(
-        IpPrefix::new(config.lab_addr, 24).expect("24 <= 32"),
-        lab_pos,
-    );
+    geodb.insert(IpPrefix::new(lab_addr, 24).expect("24 <= 32"), lab_pos);
 
     let apex = Name::from_ascii("cdn.example").expect("valid");
     let qname = apex.child("www").expect("valid");
@@ -102,7 +86,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         ("None".to_string(), None),
         (
             "/24 of src addr".to_string(),
-            Some(EcsOption::new(config.lab_addr, 24)),
+            Some(EcsOption::new(lab_addr, 24)),
         ),
         (
             "127.0.0.1/32".to_string(),
@@ -125,7 +109,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         if let Some(e) = ecs {
             q.set_ecs(e);
         }
-        let resp = server.handle(&q, config.lab_addr, SimTime::ZERO);
+        let resp = server.handle(&q, lab_addr, SimTime::ZERO);
         let first = resp.answer_addrs()[0];
         let edge = footprint
             .edges
@@ -192,7 +176,7 @@ mod tests {
 
     #[test]
     fn unroutable_prefixes_degrade_mapping() {
-        let (out, report) = run(&Config::default());
+        let (out, report) = run();
         assert_eq!(out.rows.len(), 5);
         // Baselines are near.
         assert!(out.rows[0].rtt_ms < 60.0, "{report}");

@@ -7,7 +7,8 @@
 //! is controlled: the *same* resolver configuration serves the *same*
 //! client workload against the *same* whitelisting CDN — once from a
 //! whitelisted address, once not. Whitelisting buys better user-to-edge
-//! mapping at the price of cache fragmentation and upstream amplification.
+//! mapping at the price of cache fragmentation. (The upstream
+//! amplification that follows from it is `amplification`'s row.)
 
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -55,8 +56,6 @@ impl Default for Config {
 pub struct Condition {
     /// Peak resolver cache entries.
     pub cache_peak: usize,
-    /// Upstream queries sent.
-    pub upstream_queries: u64,
     /// Client mapping quality.
     pub quality: MappingQuality,
 }
@@ -131,7 +130,6 @@ fn run_condition(whitelisted: bool, config: &Config) -> Condition {
     }
     Condition {
         cache_peak: resolver.cache_stats().max_size,
-        upstream_queries: resolver.stats().upstream_queries,
         quality: MappingQuality::from_samples(&samples, &latency),
     }
 }
@@ -163,12 +161,6 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         "ECS fragments the cache (§7)",
         format!("{} vs {}", on.cache_peak, off.cache_peak),
         on.cache_peak > off.cache_peak * 2,
-    );
-    report.row(
-        "upstream query volume",
-        "ECS amplifies (Chen et al. ~8x)",
-        format!("{} vs {}", on.upstream_queries, off.upstream_queries),
-        on.upstream_queries > off.upstream_queries * 2,
     );
     report.row(
         "distinct edges handed to clients",
@@ -204,6 +196,5 @@ mod tests {
             on.cache_peak > off.cache_peak,
             "whitelisting must fragment the cache\n{report}"
         );
-        assert!(on.upstream_queries > off.upstream_queries, "{report}");
     }
 }

@@ -1,8 +1,8 @@
 //! Experiment runner:
 //! `ecs-study [--telemetry [dir]] <experiment-id>|all|list|export-traces <dir>`.
 //!
-//! One [`Session`] serves the whole invocation: it holds the `ECS_*`
-//! scale knobs, the measurements several figures share, and — under
+//! One [`Session`] serves the whole invocation: it holds the four `ECS_*`
+//! knobs, the two measurements figures share, and — under
 //! `--telemetry` — the metrics + structured-trace capture. After each
 //! experiment the registry marks as capturing (`list` tags them
 //! `[telemetry]`) the run writes `<id>_metrics.prom`, `<id>_metrics.json`,

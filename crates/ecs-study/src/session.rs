@@ -3,14 +3,13 @@
 //! A [`Session`] is built once per `ecs-study` invocation and does three
 //! jobs, none of them through a global:
 //!
-//! * it reads the `ECS_*` scale knobs from the environment — once, in
+//! * it reads the four `ECS_*` knobs from the environment — once, in
 //!   [`Session::from_env`] — and builds the registry's default configs
 //!   from them, so every `run(&Config)` is a function of its argument;
-//! * it lazily computes and keeps the measurements several figures read:
-//!   the §7 population sweep (fig2, fig3), the §8.2 world (fig4, fig5,
-//!   `hidden`) and the §8.3 per-CDN prefix-length sweeps (fig6, fig7,
-//!   `minprefix`) — a figure is a view of a measurement, and asking for
-//!   one figure computes only its own;
+//! * it lazily computes and keeps the measurements two figures read each:
+//!   the §7 population sweep (fig2, fig3) and the §8.2 world (fig4,
+//!   fig5) — a figure is a view of a measurement, and asking for one
+//!   figure computes only its own;
 //! * it carries the telemetry capture: one [`obs::Tracer`] (disabled
 //!   unless the run asked for telemetry) and the merged metrics of every
 //!   registry the capturing experiments touched.
@@ -21,7 +20,7 @@ use std::sync::Arc;
 use analysis::{CacheSimResult, HiddenResolverReport};
 use topology::World;
 
-use crate::experiments::{fig1, fig2, fig45, fig67, hidden, minprefix, scan};
+use crate::experiments::{fig1, fig2, fig45, scan};
 use crate::report::Report;
 use crate::telemetry::Telemetry;
 
@@ -31,8 +30,6 @@ pub struct Session {
     /// The registry's default configs, rescaled by the `ECS_*` knobs.
     pub(crate) fig1: fig1::Config,
     pub(crate) population: fig2::Config,
-    pub(crate) hidden: hidden::Config,
-    pub(crate) minprefix: minprefix::Config,
     pub(crate) scan: scan::Config,
     /// `ECS_SCAN_JSON`: file receiving the scan's final-cell JSON.
     pub(crate) scan_json: Option<String>,
@@ -41,7 +38,6 @@ pub struct Session {
     metrics: obs::MetricsSnapshot,
     population_sweep: Option<Rc<Vec<(u8, u64, CacheSimResult)>>>,
     hidden_world: Option<Rc<(World, [HiddenResolverReport; 2])>>,
-    mapping_sweeps: [Option<Rc<fig67::Sweep>>; 2],
 }
 
 fn new_capture() -> (Arc<obs::MemorySink>, obs::Tracer) {
@@ -60,22 +56,17 @@ impl Session {
         }
     }
 
-    /// As [`Session::new`], rescaled by the six `ECS_*` knobs — read here
-    /// and nowhere else in this crate; unset or malformed values are
-    /// ignored. CI smoke jobs and large acceptance runs use them to
-    /// rescale without recompiling.
+    /// As [`Session::new`], rescaled by the four `ECS_*` knobs
+    /// (`ECS_STREAM_QUERIES`, `ECS_STREAM_CLIENTS`, `ECS_SCAN_PROBES`,
+    /// `ECS_SCAN_JSON`) — read here and nowhere else in this crate; unset
+    /// or malformed values are ignored. CI smoke jobs and large acceptance
+    /// runs use them to rescale without recompiling.
     pub fn from_env(telemetry: bool) -> Self {
         let knob = |name: &str| std::env::var(name).ok()?.parse::<u64>().ok();
         let (queries, clients) = (knob("ECS_STREAM_QUERIES"), knob("ECS_STREAM_CLIENTS"));
         let mut session = Session::new(telemetry);
         session.fig1 = session.fig1.scaled(queries, clients);
         session.population = session.population.scaled(queries, clients);
-        if let Some(forwarders) = knob("ECS_HIDDEN_FORWARDERS") {
-            session.hidden.world.forwarders = (forwarders as usize).max(1);
-        }
-        if let Some(probes) = knob("ECS_MINPREFIX_PROBES") {
-            session.minprefix.probes = (probes as usize).max(1);
-        }
         session.scan = session.scan.scaled(knob("ECS_SCAN_PROBES"));
         session.scan_json = std::env::var("ECS_SCAN_JSON")
             .ok()
@@ -145,21 +136,12 @@ impl Session {
         )
     }
 
-    /// The §8.2 world (fig4, fig5, `hidden`) generated from `self.hidden`,
-    /// with its MP and non-MP distance analyses.
+    /// The §8.2 world (fig4, fig5) generated from Figure 4's world, with
+    /// its MP and non-MP distance analyses.
     pub(crate) fn hidden_world(&mut self) -> Rc<(World, [HiddenResolverReport; 2])> {
-        let config = &self.hidden.world;
         Rc::clone(
             self.hidden_world
-                .get_or_insert_with(|| Rc::new(fig45::measure(config))),
-        )
-    }
-
-    /// One CDN's §8.3 sweep (fig6, fig7, `minprefix`) of `self.minprefix`.
-    pub(crate) fn mapping_sweep(&mut self, cdn: fig67::CdnModel) -> Rc<fig67::Sweep> {
-        let config = &self.minprefix;
-        Rc::clone(
-            self.mapping_sweeps[cdn as usize].get_or_insert_with(|| Rc::new(config.sweep(cdn))),
+                .get_or_insert_with(|| Rc::new(fig45::measure(&fig45::Config::fig4().world))),
         )
     }
 }
@@ -173,8 +155,6 @@ mod tests {
     fn figures_sharing_a_measurement_compute_it_once() {
         let mut session = Session::new(false);
         session.population = session.population.scaled(Some(60_000), Some(20_000));
-        session.hidden.world.forwarders = 300;
-        session.minprefix.probes = 60;
 
         fig2::run_default(&mut session);
         let population = session.population_sweep.clone().expect("fig2 computed it");
@@ -182,25 +162,11 @@ mod tests {
         assert!(Rc::ptr_eq(&population, &session.population_sweep()));
         // Asking for fig2 and fig3 computed nothing else.
         assert!(session.hidden_world.is_none());
-        assert!(session.mapping_sweeps.iter().all(Option::is_none));
 
         fig45::run_default_mp(&mut session);
         let world = session.hidden_world.clone().expect("fig4 computed it");
         fig45::run_default_nonmp(&mut session);
-        hidden::run_default(&mut session);
         assert!(Rc::ptr_eq(&world, &session.hidden_world()));
-
-        fig67::run_default_cdn1(&mut session);
-        assert!(session.mapping_sweeps[1].is_none(), "fig6 reads CDN-1 only");
-        fig67::run_default_cdn2(&mut session);
-        let sweeps = session.mapping_sweeps.clone().map(|s| s.expect("computed"));
-        assert!(minprefix::run_default(&mut session).all_hold());
-        for (cdn, sweep) in [fig67::CdnModel::Cdn1, fig67::CdnModel::Cdn2]
-            .into_iter()
-            .zip(&sweeps)
-        {
-            assert!(Rc::ptr_eq(sweep, &session.mapping_sweep(cdn)));
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example cdn_mapping`
 
-use ecs_study::experiments::fig67::{run, CdnModel, Config};
+use ecs_study::experiments::fig67::{run, Config};
 
 fn main() {
     for (label, config) in [
@@ -29,11 +29,11 @@ fn main() {
                 q.unique_first_answers
             );
         }
+        println!("minimum usable prefix length: /{}", outcome.min_usable);
         println!();
     }
     println!("Reading: once the prefix drops below each CDN's minimum, proximity");
     println!("mapping stops — the unique-answer count collapses and the median");
     println!("connect time jumps. Sending fewer bits than the minimum leaks client");
     println!("information for zero benefit (§8.3 of the paper).");
-    let _ = CdnModel::Cdn1;
 }

@@ -9,17 +9,13 @@ fn probing_scaled() {
     let (out, report) = probing::run(&probing::Config {
         scale: 80,
         queries_per_resolver: 220,
-        ..probing::Config::default()
     });
     assert!(out.accuracy >= 0.75, "{report}");
 }
 
 #[test]
 fn table1_scaled() {
-    let (_, report) = table1::run(&table1::Config {
-        scale: 30,
-        ..table1::Config::default()
-    });
+    let (_, report) = table1::run(&table1::Config { scale: 30 });
     assert!(report.all_hold(), "{report}");
 }
 
@@ -76,27 +72,6 @@ fn fig2_and_fig3_scaled() {
     assert!(with_ecs < no_ecs * 0.7, "{no_ecs} vs {with_ecs}");
 }
 
-#[test]
-fn hidden_scaled() {
-    let mut config = hidden::Config::default();
-    config.world.forwarders = 600;
-    let (out, report) = hidden::run(&config);
-    assert_eq!(out.populations.len(), 2);
-    for pop in &out.populations {
-        assert!(pop.report.total() > 0, "{}\n{report}", pop.label);
-    }
-}
-
-#[test]
-fn minprefix_scaled() {
-    let (out, report) = minprefix::run(&minprefix::Config {
-        probes: 150,
-        ..minprefix::Config::default()
-    });
-    assert_eq!(out.cdns[0].min_usable, 24, "{report}");
-    assert_eq!(out.cdns[1].min_usable, 21, "{report}");
-}
-
 /// FNV-1a 64 over a rendered artifact.
 fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -114,9 +89,10 @@ fn assert_pinned(measured: &[(&str, u64)], pinned: &[(&str, u64)]) {
     assert_eq!(measured, pinned, "measured digests:\n{table}");
 }
 
-/// The rendered reports of the experiments that share a measurement
-/// (fig2/fig3, fig4/fig5/hidden, fig6/fig7/minprefix), one reduced config
-/// each, pinned byte for byte: whatever computes them, they print this.
+/// The rendered reports of the figures that share a measurement
+/// (fig2/fig3, fig4/fig5) and of the two §8.3 sweeps (fig6, fig7), one
+/// reduced config each, pinned byte for byte: whatever computes them, they
+/// print this.
 #[test]
 fn shared_measurement_reports_are_pinned() {
     let population = fig2::Config {
@@ -141,14 +117,11 @@ fn shared_measurement_reports_are_pinned() {
     fig4.world.forwarders = 600;
     let mut fig5 = fig45::Config::fig5();
     fig5.world.forwarders = 600;
-    let mut hidden_config = hidden::Config::default();
-    hidden_config.world.forwarders = 600;
     let rendered = [
         ("fig2", fig2::run(&population).1),
         ("fig3", fig3::run(&fig3_config).1),
         ("fig4", fig45::run(&fig4).1),
         ("fig5", fig45::run(&fig5).1),
-        ("hidden", hidden::run(&hidden_config).1),
         (
             "fig6",
             fig67::run(&fig67::Config {
@@ -165,14 +138,6 @@ fn shared_measurement_reports_are_pinned() {
             })
             .1,
         ),
-        (
-            "minprefix",
-            minprefix::run(&minprefix::Config {
-                probes: 150,
-                ..minprefix::Config::default()
-            })
-            .1,
-        ),
     ];
     let measured: Vec<(&str, u64)> = rendered
         .iter()
@@ -185,10 +150,10 @@ fn shared_measurement_reports_are_pinned() {
             ("fig3", 0xec25af6c4fdb7eec),
             ("fig4", 0xdfc6e018dd172018),
             ("fig5", 0x3694b43c69a400e6),
-            ("hidden", 0x0d1e15cac17809f9),
-            ("fig6", 0xae887fced4cbac39),
-            ("fig7", 0x81f7b0700953216a),
-            ("minprefix", 0x69defb6ba7e69dfd),
+            // Re-pinned when each §8.3 figure gained its "minimum usable
+            // prefix length" row and fig7 began sweeping /16–/24 like fig6.
+            ("fig6", 0xc4b53ad9278842fa),
+            ("fig7", 0xfde4a94eb33f54f2),
         ],
     );
 }
@@ -203,18 +168,10 @@ fn section6_reports_are_pinned() {
             probing::run(&probing::Config {
                 scale: 80,
                 queries_per_resolver: 220,
-                ..probing::Config::default()
             })
             .1,
         ),
-        (
-            "table1",
-            table1::run(&table1::Config {
-                scale: 30,
-                ..table1::Config::default()
-            })
-            .1,
-        ),
+        ("table1", table1::run(&table1::Config { scale: 30 }).1),
         (
             "cache_behavior",
             cache_behavior::run(&cache_behavior::Config { scale: 4 }).1,
@@ -435,7 +392,7 @@ fn latency_model_is_pinned() {
 
 #[test]
 fn table2_runs() {
-    let (_, report) = table2::run(&table2::Config::default());
+    let (_, report) = table2::run();
     assert!(report.all_hold(), "{report}");
 }
 
@@ -469,10 +426,7 @@ fn fig8_runs() {
 
 #[test]
 fn discovery_runs() {
-    let (out, report) = discovery::run(&discovery::Config {
-        scale: 10,
-        ..discovery::Config::default()
-    });
+    let (out, report) = discovery::run(&discovery::Config { scale: 10 });
     assert!(
         out.overlap.passive_total() > out.overlap.active_total(),
         "{report}"
@@ -500,8 +454,6 @@ fn registry_ids_are_unique_and_complete() {
         "fig6",
         "fig7",
         "fig8",
-        "hidden",
-        "minprefix",
         "discovery",
     ] {
         assert!(ids.contains(&required), "missing {required}");
