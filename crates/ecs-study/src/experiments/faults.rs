@@ -309,51 +309,50 @@ pub fn run(config: &Config, session: &mut Session) -> (Outcome, Report) {
             ordered,
         );
     }
-    if let Some((_, clean)) = outcome.by_frag_loss.iter().find(|(l, _)| *l == 0.0) {
-        report.row(
-            "lossless fragmentation baseline",
-            "every policy answers everything without a single ladder edge",
-            format!(
-                "answered {:?}, ladder edges {:?}",
-                clean.iter().map(|c| c.answered).collect::<Vec<_>>(),
-                clean
-                    .iter()
-                    .map(|c| c.transport_fallbacks)
-                    .collect::<Vec<_>>()
-            ),
+    // `FRAG_LOSS_RATES` runs from lossless to total fragment loss.
+    let clean = &outcome.by_frag_loss[0].1;
+    let dead = &outcome.by_frag_loss[FRAG_LOSS_RATES.len() - 1].1;
+    report.row(
+        "lossless fragmentation baseline",
+        "every policy answers everything without a single ladder edge",
+        format!(
+            "answered {:?}, ladder edges {:?}",
+            clean.iter().map(|c| c.answered).collect::<Vec<_>>(),
             clean
                 .iter()
-                .all(|c| c.answered == ladder_queries && c.transport_fallbacks == 0),
-        );
-    }
-    if let Some((_, dead)) = outcome.by_frag_loss.iter().find(|(l, _)| *l >= 1.0) {
-        let udp_only = dead[0];
-        let laddered = &dead[1..];
-        report.row(
-            "total fragment loss",
-            "udp-only loses every big answer; any stream rung recovers all",
-            format!(
-                "udp-only {}/{ladder_queries} ({} SERVFAIL), laddered {:?}",
-                udp_only.answered,
-                udp_only.servfailed,
-                laddered.iter().map(|c| c.answered).collect::<Vec<_>>()
-            ),
-            udp_only.answered == 0
-                && udp_only.servfailed == ladder_queries
-                && laddered
-                    .iter()
-                    .all(|c| c.answered == ladder_queries && c.servfailed == 0),
-        );
-        report.row(
-            "ECS withdrawal survives the fall",
-            "fragment-drop timeouts withdraw ECS before the ladder edge (§7.1.3)",
-            format!(
-                "{} withdrawals, {} ladder edges on the udp+tcp policy",
-                laddered[0].ecs_withdrawals, laddered[0].transport_fallbacks
-            ),
-            laddered[0].ecs_withdrawals >= 1 && laddered[0].transport_fallbacks >= 1,
-        );
-    }
+                .map(|c| c.transport_fallbacks)
+                .collect::<Vec<_>>()
+        ),
+        clean
+            .iter()
+            .all(|c| c.answered == ladder_queries && c.transport_fallbacks == 0),
+    );
+    let udp_only = dead[0];
+    let laddered = &dead[1..];
+    report.row(
+        "total fragment loss",
+        "udp-only loses every big answer; any stream rung recovers all",
+        format!(
+            "udp-only {}/{ladder_queries} ({} SERVFAIL), laddered {:?}",
+            udp_only.answered,
+            udp_only.servfailed,
+            laddered.iter().map(|c| c.answered).collect::<Vec<_>>()
+        ),
+        udp_only.answered == 0
+            && udp_only.servfailed == ladder_queries
+            && laddered
+                .iter()
+                .all(|c| c.answered == ladder_queries && c.servfailed == 0),
+    );
+    report.row(
+        "ECS withdrawal survives the fall",
+        "fragment-drop timeouts withdraw ECS before the ladder edge (§7.1.3)",
+        format!(
+            "{} withdrawals, {} ladder edges on the udp+tcp policy",
+            laddered[0].ecs_withdrawals, laddered[0].transport_fallbacks
+        ),
+        laddered[0].ecs_withdrawals >= 1 && laddered[0].transport_fallbacks >= 1,
+    );
     report.detail = format!(
         "{} queries per loss cell, attempt budget {}, seed {}. Loss applies to the\nfull UDP exchange; truncation leaves TCP untouched, so the TC condition\nmeasures pure RFC 7766 fallback.\n{} queries per ladder cell over a {}-record answer (~1 kB: past the {}-byte\npath MTU, inside the 4096-byte EDNS buffer), seed {}. Fragment loss\nkills whole datagrams, so the UDP rung sees pure timeouts; stream rungs\nreassemble and never fragment.\n",
         config.queries,
