@@ -42,9 +42,9 @@ pub const DIFF_QUERIES: usize = 10_000;
 /// withdrawal → changed upstream/cache traffic. `cache_*` covers every
 /// cache series for the same reason (a withdrawal changes the scope the
 /// answer is cached under). Client-facing series — `resolver_client_
-/// queries_total`, `resolver_servfail_responses_total`, shed/coalesced/
-/// stale counters — are deliberately NOT whitelisted: those must match no
-/// matter what the transport does.
+/// queries_total`, `resolver_servfail_responses_total`, the coalesced
+/// counter — are deliberately NOT whitelisted: those must match no matter
+/// what the transport does.
 pub const METRIC_WHITELIST: &[&str] = &[
     "resolver_retries_total",
     "resolver_upstream_timeouts_total",

@@ -9,9 +9,8 @@
 //!   stats, upstream socket). Engines never synchronise on the hot path —
 //!   a cache hit takes exactly one shard lock.
 //! * **Shared**: the ECS *cache* (sharded by qname, so RFC 7871 scope
-//!   matching and stale retention see a name's full entry list) and the
-//!   *flight table* (so coalescing and `max_in_flight` hold globally, not
-//!   per worker).
+//!   matching sees a name's full entry list) and the *flight table* (so
+//!   coalescing holds globally, not per worker).
 //!
 //! Telemetry is folded, not shared: each worker returns its engine's
 //! metrics snapshot when it exits, and [`ResolverServerHandle::shutdown`]
@@ -238,7 +237,7 @@ impl Handler for ResolverHandler {
 
     /// Resolves one client query, routing any upstream exchange through
     /// the shared flight table. The admission order matches the
-    /// event-driven actor path exactly: join, then shed, then own.
+    /// event-driven actor path exactly: join, else own.
     #[inline]
     fn handle(
         &mut self,
@@ -285,11 +284,6 @@ impl ResolverHandler {
                 let resp = self.engine.answer_joiner(&pending, raw.as_ref(), now);
                 prof.exit();
                 resp
-            }
-            Admission::Shed => {
-                prof.enter("shed");
-                prof.exit();
-                self.engine.shed(&pending)
             }
             Admission::Owner(token) => {
                 prof.enter("own_upstream");

@@ -172,7 +172,9 @@ pub fn run(config: &Config) -> (Outcome, Report) {
         "650 ms",
         format!("{apex_total_ms:.0} ms"),
         if config.forward_ecs {
-            true
+            // With E1 = E2 the redirect dance (handshake, redirect, second
+            // handshake) costs at most three round trips to E2.
+            apex_total_ms - dns_apex_ms - dns_www_ms <= 3.0 * www_handshake_ms + 1.0
         } else {
             apex_total_ms > www_handshake_ms * 4.0
         },
@@ -211,6 +213,7 @@ mod tests {
     #[test]
     fn forwarding_ecs_fixes_the_apex() {
         let (out, report) = run(&Config { forward_ecs: true });
+        assert!(report.all_hold(), "{report}");
         assert_eq!(out.e1_city, out.e2_city, "{report}");
         assert!((out.apex_handshake_ms - out.www_handshake_ms).abs() < 1.0);
     }

@@ -181,12 +181,12 @@ mod tests {
 
         let mut on = Session::new(true);
         on.record(&reg.snapshot());
-        on.tracer().start(0, &obs::EventKind::Shed);
+        on.tracer().start(0, &obs::EventKind::TcpFallback);
         let first = on.take_telemetry().expect("capturing");
         assert_eq!(first.snapshot.counter("x_total"), Some(2));
         assert!(first.trace_jsonl.starts_with("{\"trace\":1,\"span\":1,"));
         // The next experiment starts from an empty capture and fresh ids.
-        on.tracer().start(0, &obs::EventKind::Shed);
+        on.tracer().start(0, &obs::EventKind::TcpFallback);
         let second = on.take_telemetry().expect("capturing");
         assert_eq!(second.snapshot.counter("x_total"), None);
         assert_eq!(second.trace_jsonl, first.trace_jsonl);

@@ -56,8 +56,9 @@ mod tests {
         reg.counter("x_total").add(2);
         let t = Telemetry {
             snapshot: reg.snapshot(),
-            trace_jsonl: "{\"trace\":1,\"span\":1,\"parent\":0,\"at_us\":0,\"event\":\"shed\"}\n"
-                .to_string(),
+            trace_jsonl:
+                "{\"trace\":1,\"span\":1,\"parent\":0,\"at_us\":0,\"event\":\"tcp_fallback\"}\n"
+                    .to_string(),
         };
         let dir = std::env::temp_dir().join("ecs_study_telemetry_test");
         let paths = t.write(&dir, "demo").unwrap();

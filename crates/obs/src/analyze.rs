@@ -3,7 +3,7 @@
 //! top-N slow-query timelines — "where did each microsecond go".
 //!
 //! The model: a query trace is the ordered event sequence between its
-//! `query_received` root and its terminal `answered` (or `shed`). Every
+//! `query_received` root and its terminal `answered`. Every
 //! microsecond between two consecutive events is attributed to the
 //! *phase the earlier event opened*: the gap after a `cache_probe` is
 //! cache handling, the gap after an `upstream_attempt` is upstream wait,
@@ -45,7 +45,6 @@ pub fn phase_after(event: &str) -> &'static str {
         "ecs_withdrawn" => "withdraw",
         "tcp_fallback" | "transport_fallback" => "transport_fallback",
         "coalesced_join" => "join_wait",
-        "stale_serve" => "stale_serve",
         "eviction_pressure" => "eviction",
         "scan_probe" => "probe_wait",
         "rate_limited" => "rate_wait",
@@ -132,12 +131,12 @@ pub fn parse_events(text: &str) -> Result<Vec<SpanEvent>, String> {
 
 /// Extracts the critical path of one trace's event list (must be the
 /// events of a single trace id, in emission order). Returns `None` when
-/// the trace has no terminal event (`answered` or `shed`).
+/// the trace has no terminal event (`answered` or `scan_outcome`).
 pub fn critical_path(events: &[SpanEvent]) -> Option<CriticalPath> {
     let root = events.first()?;
     let terminal_idx = events
         .iter()
-        .rposition(|e| e.event == "answered" || e.event == "shed" || e.event == "scan_outcome")?;
+        .rposition(|e| e.event == "answered" || e.event == "scan_outcome")?;
     // Events at or before the terminal, in time order (stable: emission
     // order breaks at_us ties, which is causal order by construction).
     let mut path: Vec<&SpanEvent> = events[..=terminal_idx].iter().collect();

@@ -98,7 +98,7 @@ pub enum EventKind {
     },
     /// The cache was consulted.
     CacheProbe {
-        /// `"hit"`, `"miss"`, or `"stale_hit"`.
+        /// `"hit"` or `"miss"`.
         outcome: &'static str,
     },
     /// What ECS the resolver decided to attach upstream.
@@ -146,10 +146,6 @@ pub enum EventKind {
     },
     /// This query joined an identical in-flight resolution.
     CoalescedJoin,
-    /// Admission control shed this query (SERVFAIL under overload).
-    Shed,
-    /// An expired cache entry was served under RFC 8767 serve-stale.
-    StaleServe,
     /// Inserting into the cache forced evictions.
     EvictionPressure {
         /// Entries evicted by this insert.
@@ -203,8 +199,6 @@ impl EventKind {
             EventKind::TransportFallback { .. } => "transport_fallback",
             EventKind::UpstreamFault { .. } => "upstream_fault",
             EventKind::CoalescedJoin => "coalesced_join",
-            EventKind::Shed => "shed",
-            EventKind::StaleServe => "stale_serve",
             EventKind::EvictionPressure { .. } => "eviction_pressure",
             EventKind::Answered { .. } => "answered",
             EventKind::ScanProbe { .. } => "scan_probe",
@@ -226,8 +220,6 @@ impl EventKind {
         "transport_fallback",
         "upstream_fault",
         "coalesced_join",
-        "shed",
-        "stale_serve",
         "eviction_pressure",
         "answered",
         "scan_probe",
@@ -264,8 +256,6 @@ impl EventKind {
             }
             EventKind::UpstreamFault { kind } => format!(",\"kind\":\"{}\"", escape(kind)),
             EventKind::CoalescedJoin => String::new(),
-            EventKind::Shed => String::new(),
-            EventKind::StaleServe => String::new(),
             EventKind::EvictionPressure { evicted } => format!(",\"evicted\":{evicted}"),
             EventKind::Answered { rcode, latency_us } => {
                 format!(
@@ -383,7 +373,7 @@ mod tests {
         );
         assert_eq!(ctx, TraceCtx::DISABLED);
         assert!(!ctx.is_enabled());
-        t.event(ctx, 1, &EventKind::Shed);
+        t.event(ctx, 1, &EventKind::CoalescedJoin);
         let child = t.child(ctx, 2, &EventKind::TcpFallback);
         assert_eq!(child, TraceCtx::DISABLED);
     }
@@ -440,8 +430,8 @@ mod tests {
     fn trace_ids_advance_per_query() {
         let sink = Arc::new(MemorySink::new());
         let t = Tracer::new(sink.clone());
-        let a = t.start(0, &EventKind::Shed);
-        let b = t.start(1, &EventKind::Shed);
+        let a = t.start(0, &EventKind::TcpFallback);
+        let b = t.start(1, &EventKind::TcpFallback);
         assert_eq!(a.trace, 1);
         assert_eq!(b.trace, 2);
         assert_eq!(sink.lines().len(), 2);
@@ -478,8 +468,6 @@ mod tests {
                 kind: String::new(),
             },
             EventKind::CoalescedJoin,
-            EventKind::Shed,
-            EventKind::StaleServe,
             EventKind::EvictionPressure { evicted: 1 },
             EventKind::Answered {
                 rcode: String::new(),

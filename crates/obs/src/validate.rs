@@ -247,9 +247,11 @@ mod tests {
         assert!(validate_trace("{\"trace\":1}").is_err(), "missing fields");
         let bad_event = "{\"trace\":1,\"span\":1,\"parent\":0,\"at_us\":0,\"event\":\"nonsense\"}";
         assert!(validate_trace(bad_event).is_err(), "unknown event");
-        let zero_trace = "{\"trace\":0,\"span\":1,\"parent\":0,\"at_us\":0,\"event\":\"shed\"}";
+        let zero_trace =
+            "{\"trace\":0,\"span\":1,\"parent\":0,\"at_us\":0,\"event\":\"tcp_fallback\"}";
         assert!(validate_trace(zero_trace).is_err(), "disabled trace id");
-        let self_parent = "{\"trace\":1,\"span\":2,\"parent\":2,\"at_us\":0,\"event\":\"shed\"}";
+        let self_parent =
+            "{\"trace\":1,\"span\":2,\"parent\":2,\"at_us\":0,\"event\":\"tcp_fallback\"}";
         assert!(validate_trace(self_parent).is_err(), "self-parent");
     }
 }

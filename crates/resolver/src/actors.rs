@@ -113,12 +113,12 @@ impl Node for RelayActor {
 /// the [`crate::exchange`] machine. Wraps [`Resolver`] and a zone →
 /// authoritative-address routing table.
 ///
-/// The actor owns only plumbing: routing, the coalescing index, admission,
-/// and one retransmission timer per outstanding exchange. What to do when a
-/// reply arrives or a timer fires — retry, withdraw ECS, answer stale or
-/// SERVFAIL — is [`Resolver::step_exchange`]'s decision, so resolution
-/// survives the simulator's loss model exactly as the blocking driver does
-/// and never hangs or loops. The simulator carries one transport, so
+/// The actor owns only plumbing: routing, the coalescing index, and one
+/// retransmission timer per outstanding exchange. What to do when a reply
+/// arrives or a timer fires — retry, withdraw ECS, answer or SERVFAIL — is
+/// [`Resolver::step_exchange`]'s decision, so resolution survives the
+/// simulator's loss model exactly as the blocking driver does and never
+/// hangs or loops. The simulator carries one transport, so
 /// exchanges run on a UDP-only ladder and truncated datagrams are dropped
 /// before they reach the machine.
 pub struct EgressActor {
@@ -303,10 +303,9 @@ impl Node for EgressActor {
             }
             Step::NeedUpstream(pending) => pending,
         };
-        let overload = &self.resolver.config().overload;
-        let (coalesce, max_in_flight) = (overload.coalesce, overload.max_in_flight);
         // Coalescing: identical (qname, qtype, effective-ECS-prefix)
         // lookups ride an existing flight instead of going upstream.
+        let coalesce = self.resolver.config().overload.coalesce;
         let flight = coalesce.then(|| pending.flight_key());
         if let Some(key) = &flight {
             if let Some(p) = self.flights.get(key).and_then(|o| self.pending.get_mut(o)) {
@@ -314,11 +313,6 @@ impl Node for EgressActor {
                 p.joiners.push((pkt.src, pending));
                 return;
             }
-        }
-        // Admission control: a full in-flight table sheds the query with
-        // SERVFAIL instead of queueing unboundedly.
-        if max_in_flight.is_some_and(|cap| self.pending.len() >= cap) {
-            return send_msg(ctx, pkt.src, &self.resolver.shed(&pending));
         }
         let Some(auth_node) = self.route_for(&pending.question().name, ctx) else {
             // Nowhere to send: a flight that failed before it started.
@@ -894,7 +888,7 @@ mod overload_tests {
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::{Question, Rcode};
     use netsim::geo::city;
-    use netsim::{SimDuration, SimTime, Simulation};
+    use netsim::{SimTime, Simulation};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -982,8 +976,6 @@ mod overload_tests {
             &[
                 "resolver_client_queries_total",
                 "resolver_coalesced_queries_total",
-                "resolver_shed_queries_total",
-                "resolver_stale_answers_total",
                 "cache_evictions_total",
                 "netsim_delivered_total",
                 "netsim_delivery_latency_us",
@@ -1026,9 +1018,8 @@ mod overload_tests {
     fn telemetry_is_pure_observation_for_a_burst() {
         let mut coalescing = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
         coalescing.overload.coalesce = true;
-        let mut capped = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
-        capped.overload.max_in_flight = Some(2);
-        for config in [coalescing, capped] {
+        let plain = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
+        for config in [coalescing, plain] {
             assert_eq!(
                 burst_outcome(config.clone(), true),
                 burst_outcome(config, false)
@@ -1074,120 +1065,6 @@ mod overload_tests {
         assert_eq!(a.server().log().len(), 5, "no coalescing by default");
         let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
         assert_eq!(e.resolver().stats().coalesced_queries, 0);
-    }
-
-    #[test]
-    fn in_flight_cap_sheds_excess_load_with_servfail() {
-        let mut config = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
-        config.overload.max_in_flight = Some(2);
-        let (mut sim, clients, auth_node, egress_node) = burst_world(config, 6);
-        let sink = traced(&mut sim, egress_node);
-        sim.run();
-        let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
-        let s = e.resolver().stats();
-        // The first two queries entered the in-flight table; the other
-        // four of the burst were shed.
-        assert_eq!(s.shed_queries, 4);
-        assert_every_query_closed(e.resolver(), &sink);
-        assert_eq!(e.in_flight(), 0, "table drains after the burst");
-        assert_overload_series(&mut sim, egress_node);
-        let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
-        assert_eq!(a.server().log().len(), 2);
-        // Shed clients got SERVFAIL promptly, not silence.
-        let mut servfails = 0;
-        for c in clients {
-            let cl = sim.node_mut::<ClientActor>(c).unwrap();
-            assert!(!cl.responses.is_empty());
-            if cl.responses[0].1.rcode == Rcode::ServFail {
-                servfails += 1;
-            }
-        }
-        assert_eq!(servfails, 4);
-    }
-
-    #[test]
-    fn egress_serves_stale_when_authoritative_goes_dark() {
-        let mut config = ResolverConfig::rfc_compliant("9.9.9.9".parse().unwrap());
-        config.overload.serve_stale_ttl = SimDuration::from_secs(3600);
-        // One short attempt: the resolver gives up (and answers stale) before
-        // the client's own 3 s retransmission timer spawns a second exchange.
-        config.retry.attempts = 1;
-        config.retry.initial_timeout = SimDuration::from_secs(1);
-        let (mut sim, clients, auth_node, egress_node) = build_stale_world(config);
-        let sink = traced(&mut sim, egress_node);
-        // Let the t=0 warm-up complete, then blackhole the upstream leg
-        // before the t=120 re-ask (the 60 s TTL has expired by then).
-        sim.run_until(SimTime::from_secs(60));
-        let plan = {
-            let mut p = netsim::FaultPlan::none();
-            p.set_link(
-                egress_node,
-                auth_node,
-                netsim::LinkFaults {
-                    blackhole: true,
-                    ..netsim::LinkFaults::NONE
-                },
-            );
-            p
-        };
-        sim.set_fault_plan(plan);
-        sim.run();
-        let cl = sim.node_mut::<ClientActor>(clients[0]).unwrap();
-        assert_eq!(cl.responses.len(), 2);
-        // First answer fresh, second stale (the auth was dark) — a NoError
-        // answer with the RFC 8767 §5 stale TTL, not SERVFAIL.
-        assert_eq!(cl.responses[1].1.rcode, Rcode::NoError);
-        assert!(!cl.responses[1].1.answers.is_empty());
-        assert!(cl.responses[1].1.answers[0].ttl <= 30);
-        let e = sim.node_mut::<EgressActor>(egress_node).unwrap();
-        let s = e.resolver().stats();
-        assert_eq!(s.stale_answers, 1);
-        assert_eq!(s.servfail_responses, 0);
-        assert_every_query_closed(e.resolver(), &sink);
-        assert_overload_series(&mut sim, egress_node);
-        let a = sim.node_mut::<AuthActor>(auth_node).unwrap();
-        assert_eq!(a.server().log().len(), 1, "only the warm-up reached auth");
-    }
-
-    /// A world for the serve-stale test: one client scripted with a warm-up
-    /// query at t=0 and a re-ask at t=120 (past the 60 s record TTL).
-    fn build_stale_world(config: ResolverConfig) -> (Simulation, Vec<NodeId>, NodeId, NodeId) {
-        let mut sim = Simulation::new(3);
-        let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
-        let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
-
-        let mut zone = Zone::new(name("probe.example"));
-        zone.add_a(
-            name("www.probe.example"),
-            60,
-            Ipv4Addr::new(198, 51, 100, 1),
-        )
-        .unwrap();
-        let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
-        let auth_node = sim.add_node(
-            AuthActor::new(auth),
-            auth_addr,
-            city("Chicago").unwrap().pos,
-        );
-        let egress_node = sim.add_node(
-            EgressActor::new(
-                Resolver::new(config),
-                vec![(name("probe.example"), auth_addr)],
-            ),
-            egress_addr,
-            city("Toronto").unwrap().pos,
-        );
-        let q1 = Message::query(1, Question::a(name("www.probe.example")));
-        let q2 = Message::query(2, Question::a(name("www.probe.example")));
-        let client = sim.add_node(
-            ClientActor::new(
-                egress_node,
-                vec![(SimTime::ZERO, q1), (SimTime::from_secs(120), q2)],
-            ),
-            "100.70.1.1".parse().unwrap(),
-            city("Toronto").unwrap().pos,
-        );
-        (sim, vec![client], auth_node, egress_node)
     }
 }
 

@@ -11,7 +11,7 @@
 //! holds the one copy of its key the cache keeps. Beside the lists the
 //! cache keeps three things, each adjusted where an entry enters or leaves
 //! a list (push, same-scope supersede, expiry, eviction) and nowhere else:
-//! the live count; an expiry queue of `(retention horizon, slot)` items,
+//! the live count; an expiry queue of `(earliest expiry, slot)` items,
 //! exactly one per list, so a purge visits the lists that hold something
 //! due and no others; and — only when `max_entries` is set — a recency
 //! index from last-use tick to slot, whose first item is the eviction
@@ -59,27 +59,14 @@ pub struct CacheStats {
     pub max_size: usize,
     /// Entries evicted by the max-entries bound.
     pub evictions: u64,
-    /// Expired entries served under the RFC 8767 stale budget.
-    pub stale_hits: u64,
 }
 
-/// Resource limits for [`EcsCache`]. The default is fully unbounded with
-/// stale retention off — the exact behaviour of the unbounded cache.
+/// Resource limits for [`EcsCache`]. The default is fully unbounded — the
+/// exact behaviour of the unbounded cache.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheLimits {
     /// Maximum live entries; `None` = unbounded.
     pub max_entries: Option<usize>,
-    /// RFC 8767 retention: expired entries stay resident this long past
-    /// expiry, visible only to [`EcsCache::lookup_stale`]. Zero disables
-    /// retention (expired entries purge immediately, as before).
-    pub stale_ttl: SimDuration,
-}
-
-impl CacheLimits {
-    /// True when stale retention is on.
-    pub fn serve_stale(&self) -> bool {
-        self.stale_ttl > SimDuration::ZERO
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -123,7 +110,6 @@ struct CacheMetrics {
     /// High-water mark of live entries.
     max_size: obs::Gauge,
     evictions: obs::Counter,
-    stale_hits: obs::Counter,
 }
 
 impl CacheMetrics {
@@ -135,7 +121,6 @@ impl CacheMetrics {
             inserts: registry.counter("cache_inserts_total"),
             max_size: registry.gauge("cache_max_size"),
             evictions: registry.counter("cache_evictions_total"),
-            stale_hits: registry.counter("cache_stale_hits_total"),
             registry,
         }
     }
@@ -379,7 +364,6 @@ impl EcsCache {
             inserts: self.stats.inserts.get(),
             max_size: self.stats.max_size.get() as usize,
             evictions: self.stats.evictions.get(),
-            stale_hits: self.stats.stale_hits.get(),
         }
     }
 
@@ -388,9 +372,7 @@ impl EcsCache {
         &self.stats.registry
     }
 
-    /// Number of retained entries after purging: unexpired entries, plus —
-    /// when stale retention is on — expired entries still inside the stale
-    /// budget (they occupy memory and count against the capacity bound).
+    /// Number of live entries after purging expired ones.
     pub fn len(&mut self, now: SimTime) -> usize {
         self.purge(now);
         self.index.live
@@ -444,64 +426,6 @@ impl EcsCache {
                 None
             }
         }
-    }
-
-    /// RFC 8767 last-resort lookup: an expired-but-retained entry whose
-    /// scope matches `client` (under the same compliance rules as `lookup`)
-    /// and whose expiry is within the stale budget, record TTLs stamped to
-    /// at most `serve_ttl`. Returns `None` when stale retention is off.
-    /// Counts a stale hit but never a miss — the caller already took the
-    /// miss in `lookup`.
-    pub fn lookup_stale(
-        &mut self,
-        qname: &Name,
-        qtype: RecordType,
-        client: IpAddr,
-        now: SimTime,
-        serve_ttl: u32,
-    ) -> Option<CachedAnswer> {
-        if !self.limits.serve_stale() {
-            return None;
-        }
-        let compliance = self.compliance;
-        let budget = self.limits.stale_ttl;
-        self.tick += 1;
-        let tick = self.tick;
-        let index = &mut self.index;
-        let found = self
-            .lists
-            .find(Lists::hash(qname, qtype), qname, qtype)
-            .and_then(|slot| {
-                self.lists
-                    .list_mut(slot)
-                    .entries
-                    .iter_mut()
-                    .filter(|e| e.expires <= now && e.expires + budget > now)
-                    .filter(|e| scope_matches(compliance, e.scope, client))
-                    // The least-stale matching entry (ties broken by list
-                    // position, which is insertion order — deterministic).
-                    .max_by_key(|e| e.expires)
-                    .map(|e| {
-                        index.touch(e, tick);
-                        CachedAnswer {
-                            records: e
-                                .records
-                                .iter()
-                                .map(|r| {
-                                    let mut r = r.clone();
-                                    r.ttl = r.ttl.min(serve_ttl);
-                                    r
-                                })
-                                .collect(),
-                            ecs: e.ecs,
-                            rcode: e.rcode,
-                        }
-                    })
-            });
-        if found.is_some() {
-            self.stats.stale_hits.inc();
-        }
-        found
     }
 
     /// Inserts a positive response.
@@ -567,30 +491,29 @@ impl EcsCache {
             expires: now + SimDuration::from_secs(ttl as u64),
             last_used: self.tick,
         };
-        let horizon = entry.expires + self.limits.stale_ttl;
         let hash = Lists::hash(&qname, qtype);
         let index = &mut self.index;
         let slot = match self.lists.find(hash, &qname, qtype) {
             Some(slot) => {
                 let list = self.lists.list_mut(slot);
-                if horizon < list.queued {
+                if entry.expires < list.queued {
                     // Due before anything the list holds: its item moves up.
                     index.expiry.remove(&(list.queued, slot));
-                    index.expiry.insert((horizon, slot));
-                    list.queued = horizon;
+                    index.expiry.insert((entry.expires, slot));
+                    list.queued = entry.expires;
                 }
                 slot
             }
             None => {
-                let slot = self.lists.open((qname, qtype), hash, horizon);
-                index.expiry.insert((horizon, slot));
+                let slot = self.lists.open((qname, qtype), hash, entry.expires);
+                index.expiry.insert((entry.expires, slot));
                 slot
             }
         };
         index.enter(&entry, slot);
         let list = self.lists.list_mut(slot);
         // A fresh answer supersedes any entry with the identical scope
-        // prefix, stale-retained ones included.
+        // prefix.
         list.retain(index, |e| e.scope != scope_prefix);
         list.entries.push(entry);
         self.stats.inserts.inc();
@@ -600,12 +523,10 @@ impl EcsCache {
         true
     }
 
-    /// Removes entries past their retention horizon: expiry, plus the stale
-    /// budget when RFC 8767 retention is on. Visits only the lists queued
-    /// at or before `now`; when nothing is due that is one look at the
-    /// queue's first item.
+    /// Removes expired entries. Visits only the lists queued at or before
+    /// `now`; when nothing is due that is one look at the queue's first
+    /// item.
     pub fn purge(&mut self, now: SimTime) {
-        let keep_until = self.limits.stale_ttl;
         while self
             .index
             .expiry
@@ -614,8 +535,8 @@ impl EcsCache {
         {
             let (_, slot) = self.index.expiry.pop_first().expect("first() just saw it");
             let list = self.lists.list_mut(slot);
-            list.retain(&mut self.index, |e| e.expires + keep_until > now);
-            match list.entries.iter().map(|e| e.expires + keep_until).min() {
+            list.retain(&mut self.index, |e| e.expires > now);
+            match list.entries.iter().map(|e| e.expires).min() {
                 Some(earliest) => {
                     list.queued = earliest;
                     self.index.expiry.insert((earliest, slot));
@@ -681,7 +602,7 @@ impl EcsCache {
     }
 }
 
-/// Scope admission shared by fresh and stale lookups.
+/// Scope admission of a lookup.
 fn scope_matches(compliance: CacheCompliance, scope: IpPrefix, client: IpAddr) -> bool {
     match compliance {
         CacheCompliance::IgnoreScope => true,
@@ -1142,34 +1063,6 @@ mod negative_cache_tests {
     }
 
     #[test]
-    fn stale_negative_entries_serve_after_expiry() {
-        let mut c = EcsCache::with_limits(
-            CacheCompliance::Honor,
-            CacheLimits {
-                stale_ttl: netsim::SimDuration::from_secs(600),
-                ..CacheLimits::default()
-            },
-        );
-        c.insert_with_rcode(
-            name("gone.example"),
-            RecordType::A,
-            Vec::new(),
-            None,
-            Rcode::NxDomain,
-            60,
-            t(0),
-        );
-        let client: IpAddr = "1.2.3.4".parse().unwrap();
-        assert!(c
-            .lookup(&name("gone.example"), RecordType::A, client, t(120))
-            .is_none());
-        let stale = c
-            .lookup_stale(&name("gone.example"), RecordType::A, client, t(120), 30)
-            .unwrap();
-        assert_eq!(stale.rcode, Rcode::NxDomain);
-    }
-
-    #[test]
     fn scoped_negative_entries_respect_scope() {
         let mut c = EcsCache::new(CacheCompliance::Honor);
         let ecs = EcsOption::from_v4(Ipv4Addr::new(192, 0, 2, 0), 24).with_scope(24);
@@ -1205,7 +1098,6 @@ mod negative_cache_tests {
 mod overload_tests {
     use super::*;
     use dns_wire::Rdata;
-    use netsim::SimDuration;
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -1237,7 +1129,6 @@ mod overload_tests {
             CacheCompliance::Honor,
             CacheLimits {
                 max_entries: Some(max_entries),
-                ..CacheLimits::default()
             },
         )
     }
@@ -1303,106 +1194,6 @@ mod overload_tests {
     }
 
     #[test]
-    fn stale_lookup_respects_budget_and_scope() {
-        let mut c = EcsCache::with_limits(
-            CacheCompliance::Honor,
-            CacheLimits {
-                stale_ttl: SimDuration::from_secs(100),
-                ..CacheLimits::default()
-            },
-        );
-        c.insert(
-            name("a.example"),
-            RecordType::A,
-            rec("a.example", 60),
-            Some(scoped(2)),
-            60,
-            t(0),
-        );
-        // Fresh lookups stop at expiry.
-        assert!(c
-            .lookup(&name("a.example"), RecordType::A, ip("192.0.2.9"), t(61))
-            .is_none());
-        // A stale /24 entry serves only matching clients...
-        let stale = c
-            .lookup_stale(
-                &name("a.example"),
-                RecordType::A,
-                ip("192.0.2.9"),
-                t(61),
-                30,
-            )
-            .unwrap();
-        assert_eq!(stale.records[0].ttl, 30);
-        assert!(c
-            .lookup_stale(
-                &name("a.example"),
-                RecordType::A,
-                ip("192.0.3.9"),
-                t(61),
-                30
-            )
-            .is_none());
-        // ...and only inside the budget (expiry 60 + budget 100 = 160).
-        assert!(c
-            .lookup_stale(
-                &name("a.example"),
-                RecordType::A,
-                ip("192.0.2.9"),
-                t(160),
-                30
-            )
-            .is_none());
-        assert_eq!(c.stats().stale_hits, 1);
-    }
-
-    #[test]
-    fn stale_retention_off_purges_immediately() {
-        let mut c = EcsCache::new(CacheCompliance::Honor);
-        c.insert(
-            name("a.example"),
-            RecordType::A,
-            rec("a.example", 60),
-            None,
-            60,
-            t(0),
-        );
-        assert!(c
-            .lookup_stale(&name("a.example"), RecordType::A, ip("1.1.1.1"), t(61), 30)
-            .is_none());
-        assert_eq!(c.len(t(61)), 0);
-    }
-
-    #[test]
-    fn fresh_insert_supersedes_stale_twin() {
-        let mut c = EcsCache::with_limits(
-            CacheCompliance::Honor,
-            CacheLimits {
-                stale_ttl: SimDuration::from_secs(600),
-                ..CacheLimits::default()
-            },
-        );
-        c.insert(
-            name("a.example"),
-            RecordType::A,
-            rec("a.example", 60),
-            Some(scoped(2)),
-            60,
-            t(0),
-        );
-        // Re-resolved after expiry: the stale twin is replaced, not kept.
-        c.insert(
-            name("a.example"),
-            RecordType::A,
-            rec("a.example", 60),
-            Some(scoped(2)),
-            60,
-            t(120),
-        );
-        assert_eq!(c.len(t(120)), 1);
-    }
-
-    #[test]
     fn unbounded_default_matches_plain_cache() {
         // Pinned regression: with default limits the bounded code path must
         // reproduce the unbounded cache's observable behaviour exactly.
@@ -1455,7 +1246,7 @@ mod index_tests {
                 assert_eq!(self.lists.find(list.hash, name, *qtype), Some(slot));
                 assert!(self.index.expiry.contains(&(list.queued, slot)));
                 for e in list.entries.iter() {
-                    assert!(list.queued <= e.expires + self.limits.stale_ttl);
+                    assert!(list.queued <= e.expires);
                     live += 1;
                     if let Some(recency) = &self.index.recency {
                         assert_eq!(recency.get(&e.last_used), Some(&slot));
@@ -1519,19 +1310,10 @@ mod index_tests {
 
     #[test]
     fn indexes_stay_exact_through_random_operations_and_empty_on_clear() {
-        let stale = SimDuration::from_secs(20);
-        let profiles = [
-            (None, SimDuration::ZERO),
-            (Some(5), SimDuration::ZERO),
-            (Some(6), stale),
-        ];
         let names =
             ["a.example", "b.example", "www.cdn.example"].map(|n| Name::from_ascii(n).unwrap());
-        for (max_entries, stale_ttl) in profiles {
-            let limits = CacheLimits {
-                max_entries,
-                stale_ttl,
-            };
+        for max_entries in [None, Some(5)] {
+            let limits = CacheLimits { max_entries };
             for seed in 0..24 {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut c = EcsCache::with_limits(CacheCompliance::Honor, limits.clone());
@@ -1548,8 +1330,7 @@ mod index_tests {
                             let ttl = [0, 1, 3, 10, 200][rng.gen_range(0..5)];
                             c.insert(name.clone(), RecordType::A, Vec::new(), Some(ecs), ttl, now);
                         }
-                        5..=6 => drop(c.lookup(name, RecordType::A, net.into(), now)),
-                        7 => drop(c.lookup_stale(name, RecordType::A, net.into(), now, 30)),
+                        5..=7 => drop(c.lookup(name, RecordType::A, net.into(), now)),
                         8 => c.purge(now),
                         _ => {
                             c.clear();

@@ -112,48 +112,23 @@ impl TransportPolicy {
     }
 }
 
-/// Graceful-degradation knobs: a cache bound, admission control, query
-/// coalescing, and RFC 8767 serve-stale. Every limit defaults to
-/// unlimited/off, so a default-configured resolver behaves bit-identically
-/// to one predating these knobs.
-#[derive(Debug, Clone, PartialEq)]
+/// Graceful-degradation knobs: a cache bound and query coalescing. Both
+/// default to unlimited/off, so a default-configured resolver behaves
+/// bit-identically to one predating these knobs.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverloadConfig {
     /// Maximum live cache entries; LRU eviction beyond it. `None` = unbounded.
     pub max_cache_entries: Option<usize>,
-    /// Maximum concurrent upstream flights in the egress actor; excess
-    /// queries are shed with SERVFAIL instead of queueing unboundedly.
-    pub max_in_flight: Option<usize>,
     /// Join identical (qname, qtype, effective-ECS-prefix) lookups into one
     /// upstream flight.
     pub coalesce: bool,
-    /// RFC 8767 stale budget: how long past expiry an entry may still be
-    /// served when the upstream times out or SERVFAILs. Zero disables
-    /// serve-stale (and stale retention) entirely.
-    pub serve_stale_ttl: SimDuration,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            max_cache_entries: None,
-            max_in_flight: None,
-            coalesce: false,
-            serve_stale_ttl: SimDuration::ZERO,
-        }
-    }
 }
 
 impl OverloadConfig {
-    /// True when a non-zero stale budget enables RFC 8767 behaviour.
-    pub fn serve_stale_enabled(&self) -> bool {
-        self.serve_stale_ttl > SimDuration::ZERO
-    }
-
     /// The limits a resolver's cache (private or shared) runs under.
     pub fn cache_limits(&self) -> CacheLimits {
         CacheLimits {
             max_entries: self.max_cache_entries,
-            stale_ttl: self.serve_stale_ttl,
         }
     }
 }
@@ -193,8 +168,8 @@ pub struct ResolverConfig {
     /// 4096-byte buffer) reproduces the pre-transport-ladder engine
     /// bit-for-bit.
     pub transport: TransportPolicy,
-    /// Graceful-degradation limits (cache bounds, coalescing, admission
-    /// control, serve-stale). All off/unlimited by default.
+    /// Graceful-degradation limits (cache bound, coalescing). Both
+    /// off/unlimited by default.
     pub overload: OverloadConfig,
 }
 
@@ -321,9 +296,7 @@ mod tests {
     fn overload_defaults_are_all_off() {
         let o = OverloadConfig::default();
         assert_eq!(o.max_cache_entries, None);
-        assert_eq!(o.max_in_flight, None);
         assert!(!o.coalesce);
-        assert!(!o.serve_stale_enabled());
         // Every preset inherits the off-by-default knobs.
         assert_eq!(ResolverConfig::cap22(A).overload, o);
         assert_eq!(ResolverConfig::private_leaker(A).overload, o);

@@ -25,9 +25,6 @@ use crate::shared_cache::SharedEcsCache;
 /// (RFC 2308 NXDOMAIN / NODATA).
 const NEGATIVE_TTL: u32 = 60;
 
-/// TTL stamped on records served stale (RFC 8767 §5).
-const STALE_ANSWER_TTL: u32 = 30;
-
 /// Why an upstream exchange failed at the transport layer.
 ///
 /// In-band DNS failures (SERVFAIL, FORMERR, REFUSED arriving as parseable
@@ -188,12 +185,8 @@ pub struct ResolverStats {
     pub transport_fallbacks: u64,
     /// Client queries answered SERVFAIL after the attempt budget ran out.
     pub servfail_responses: u64,
-    /// Client queries shed by admission control (in-flight cap).
-    pub shed_queries: u64,
     /// Client queries that joined an existing upstream flight.
     pub coalesced_queries: u64,
-    /// Client queries answered from expired cache entries (RFC 8767).
-    pub stale_answers: u64,
 }
 
 /// Registry-backed handles behind [`ResolverStats`]. The registry is the
@@ -212,9 +205,7 @@ pub(crate) struct ResolverMetrics {
     pub(crate) transport_fallbacks: obs::Counter,
     pub(crate) fallbacks_to_tcp: obs::Counter,
     servfail_responses: obs::Counter,
-    shed_queries: obs::Counter,
     coalesced_queries: obs::Counter,
-    stale_answers: obs::Counter,
     /// Client-observed resolution latency on the SimTime axis.
     query_latency: obs::Histogram,
 }
@@ -236,9 +227,7 @@ impl ResolverMetrics {
             transport_fallbacks: registry.counter("resolver_transport_fallbacks_total"),
             fallbacks_to_tcp: registry.counter("resolver_transport_fallbacks_to_tcp_total"),
             servfail_responses: registry.counter("resolver_servfail_responses_total"),
-            shed_queries: registry.counter("resolver_shed_queries_total"),
             coalesced_queries: registry.counter("resolver_coalesced_queries_total"),
-            stale_answers: registry.counter("resolver_stale_answers_total"),
             query_latency: registry.histogram("resolver_query_latency_us"),
             registry,
         }
@@ -334,9 +323,7 @@ impl Resolver {
             tcp_fallbacks: self.stats.tcp_fallbacks.get(),
             transport_fallbacks: self.stats.transport_fallbacks.get(),
             servfail_responses: self.stats.servfail_responses.get(),
-            shed_queries: self.stats.shed_queries.get(),
             coalesced_queries: self.stats.coalesced_queries.get(),
-            stale_answers: self.stats.stale_answers.get(),
         }
     }
 
@@ -423,10 +410,10 @@ impl Resolver {
     /// The blocking driver of the [`crate::exchange`] machine: runs the
     /// upstream exchange for `pending` to completion against `upstream` and
     /// returns the client answer plus the raw upstream response it completed
-    /// with (`None` when the exchange failed and the answer is
-    /// stale/SERVFAIL). The machine reads each response as an
-    /// [`UpstreamReply`] whose answers move out of it, and hands them
-    /// back with a reply it completed on: they return to the response.
+    /// with (`None` when the exchange failed and the answer is SERVFAIL).
+    /// The machine reads each response as an [`UpstreamReply`] whose
+    /// answers move out of it, and hands them back with a reply it
+    /// completed on: they return to the response.
     ///
     /// Time is virtual: each timed-out send advances the local clock by the
     /// timeout the machine asked for, so cache inserts and probing-state
@@ -494,52 +481,22 @@ impl Resolver {
         self.exit(pending, upstream, now).into_message()
     }
 
-    /// Sheds a query under admission control: counts the shed and builds
-    /// the SERVFAIL refusal.
-    pub fn shed(&mut self, pending: &PendingQuery) -> Message {
-        self.stats.shed_queries.inc();
-        // Shed queries are refused on arrival: zero client-observed wait.
-        let at = pending.started;
-        self.trace_event(pending.trace, at, &EventKind::Shed);
-        self.close(pending.trace, at, at, Rcode::ServFail);
-        ClientAnswer::new(pending.head.clone(), Rcode::ServFail, Vec::new(), None).into_message()
-    }
-
     /// The one exit of a miss: every party that waited on a flight — its
     /// owner or a joiner — leaves here, with the rcode, answers and ECS
     /// option of the upstream response the flight ended with (the owner's
     /// answers by move, each joiner's a copy) or, when it ended with none,
-    /// a stale answer per RFC 8767 (serve-stale on and a matching expired
-    /// entry inside the stale budget and the party's scope) or SERVFAIL.
-    /// The SERVFAIL is counted and nothing is cached: the failure is
-    /// transient, not a property of the name.
+    /// SERVFAIL. The SERVFAIL is counted and nothing is cached: the failure
+    /// is transient, not a property of the name.
     pub(crate) fn exit(
         &mut self,
         party: &PendingQuery,
         upstream: Option<(Rcode, Vec<dns_wire::Record>, Option<dns_wire::EcsOption>)>,
         now: SimTime,
     ) -> ClientAnswer {
-        let stale = if upstream.is_none() && self.config.overload.serve_stale_enabled() {
-            let question = party.question();
-            self.cache.lookup_stale(
-                &question.name,
-                question.qtype,
-                party.client_addr,
-                now,
-                STALE_ANSWER_TTL,
-            )
-        } else {
-            None
-        };
         let head = party.head.clone();
-        let resp = match (upstream, stale) {
-            (Some((rcode, answers, ecs)), _) => ClientAnswer::new(head, rcode, answers, ecs),
-            (None, Some(stale)) => {
-                self.stats.stale_answers.inc();
-                self.trace_event(party.trace, now, &EventKind::StaleServe);
-                ClientAnswer::new(head, stale.rcode, stale.records, stale.ecs)
-            }
-            (None, None) => {
+        let resp = match upstream {
+            Some((rcode, answers, ecs)) => ClientAnswer::new(head, rcode, answers, ecs),
+            None => {
                 self.stats.servfail_responses.inc();
                 ClientAnswer::new(head, Rcode::ServFail, Vec::new(), None)
             }
@@ -695,7 +652,6 @@ impl Resolver {
         Step::NeedUpstream(PendingQuery {
             head,
             upstream_query: upstream_q,
-            client_addr: effective_client,
             started: now,
             trace,
         })
@@ -823,9 +779,6 @@ pub struct PendingQuery {
     pub head: AnswerHead,
     /// The query to send upstream.
     pub upstream_query: Message,
-    /// The effective client address (trusted incoming ECS, else the
-    /// immediate sender) — what scope matching is about.
-    pub client_addr: IpAddr,
     /// When the client query entered [`Resolver::begin`] — the zero point
     /// of the `resolver_query_latency_us` histogram.
     pub started: SimTime,
@@ -1292,104 +1245,8 @@ mod retry_tests {
             ),
             (0, 0, 0, 0, 0)
         );
-        assert_eq!(
-            (s.shed_queries, s.coalesced_queries, s.stale_answers),
-            (0, 0, 0)
-        );
+        assert_eq!(s.coalesced_queries, 0);
         assert!(!r.probing_state().marked_non_ecs);
-    }
-
-    fn stale_config() -> ResolverConfig {
-        let mut config = ResolverConfig::rfc_compliant(RES);
-        config.overload.serve_stale_ttl = netsim::SimDuration::from_secs(3600);
-        config
-    }
-
-    #[test]
-    fn timed_out_upstream_serves_stale_instead_of_servfail() {
-        let mut r = Resolver::new(stale_config());
-        // Warm the cache, then let the entry expire (TTL 60).
-        let mut up = Scripted::new(vec![]);
-        r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
-        // At t=120 the entry is stale; the upstream times out every attempt.
-        let mut dead = Scripted::new(vec![
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-        ]);
-        let resp = r.resolve_msg(&q(), CLIENT, SimTime::from_secs(120), &mut dead);
-        assert_eq!(resp.rcode, Rcode::NoError, "stale answer beats SERVFAIL");
-        assert_eq!(resp.answers.len(), 1);
-        assert!(resp.answers[0].ttl <= 30, "stale TTL stamped down");
-        let s = r.stats();
-        assert_eq!(s.stale_answers, 1);
-        assert_eq!(s.servfail_responses, 0);
-    }
-
-    #[test]
-    fn stale_answer_respects_ecs_scope() {
-        let mut r = Resolver::new(stale_config());
-        let mut up = Scripted::new(vec![]);
-        // Warmed by a /24 client → entry scoped to 192.0.2.0/24.
-        r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
-        let mut dead = Scripted::new(vec![
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-        ]);
-        // A client outside the stale entry's /24 must NOT get the stale
-        // answer — SERVFAIL is the honest response.
-        let other: IpAddr = "198.18.5.5".parse().unwrap();
-        let resp = r.resolve_msg(&q(), other, SimTime::from_secs(120), &mut dead);
-        assert_eq!(resp.rcode, Rcode::ServFail);
-        assert_eq!(r.stats().stale_answers, 0);
-        assert_eq!(r.stats().servfail_responses, 1);
-    }
-
-    #[test]
-    fn stale_budget_expiry_falls_back_to_servfail() {
-        let mut r = Resolver::new(stale_config());
-        let mut up = Scripted::new(vec![]);
-        r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
-        let mut dead = Scripted::new(vec![
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-            Act::Fail(UpstreamError::Timeout),
-        ]);
-        // Far past expiry + stale budget (60 + 3600): no stale answer.
-        let resp = r.resolve_msg(&q(), CLIENT, SimTime::from_secs(10_000), &mut dead);
-        assert_eq!(resp.rcode, Rcode::ServFail);
-        assert_eq!(r.stats().stale_answers, 0);
-    }
-
-    #[test]
-    fn upstream_servfail_serves_stale_when_enabled() {
-        let mut r = Resolver::new(stale_config());
-        let mut up = Scripted::new(vec![]);
-        r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
-        // The upstream answers — with an in-band SERVFAIL (a parseable
-        // message, not a transport error). RFC 8767 treats that as a
-        // failure to paper over too.
-        struct ServFailer;
-        impl Upstream for ServFailer {
-            fn query_via(
-                &mut self,
-                q: &Message,
-                _from: IpAddr,
-                _now: SimTime,
-                _transport: Transport,
-            ) -> Result<Message, UpstreamError> {
-                let mut resp = Message::response_to(q);
-                resp.rcode = Rcode::ServFail;
-                Ok(resp)
-            }
-        }
-        let resp = r.resolve_msg(&q(), CLIENT, SimTime::from_secs(120), &mut ServFailer);
-        assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(r.stats().stale_answers, 1);
     }
 }
 
@@ -1559,13 +1416,11 @@ mod adaptive_tests {
 
 #[cfg(test)]
 mod overload_tests {
-    //! The bounded cache and serve-stale on one workload: eight names
-    //! under `load.example` with a 30 s TTL, answered per /24.
+    //! The bounded cache on one workload: eight names under
+    //! `load.example` with a 30 s TTL, answered per /24.
     use super::*;
-    use crate::FaultyUpstream;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
     use dns_wire::Question;
-    use netsim::{LinkFaults, SimDuration};
     use std::net::Ipv4Addr;
 
     const NAMES: u64 = 8;
@@ -1624,53 +1479,5 @@ mod overload_tests {
             previous_hits = s.hits;
         }
         assert_eq!(previous_hits, 0, "four entries never hold a revisit");
-    }
-
-    /// Warms every name from one client, then re-asks each past its
-    /// expiry (inside a one-hour stale budget when retention is on)
-    /// through a path losing `loss` of its exchanges, two attempts each.
-    /// Returns (answered, stale answers, SERVFAILs) of the re-queries.
-    fn requery_past_expiry(loss: f64, serve_stale: bool) -> (u64, u64, u64) {
-        let mut config = ResolverConfig::rfc_compliant(RES);
-        config.retry.attempts = 2;
-        if serve_stale {
-            config.overload.serve_stale_ttl = SimDuration::from_secs(3600);
-        }
-        let mut r = Resolver::new(config);
-        let mut auth = load_auth();
-        let client: IpAddr = "10.0.0.9".parse().unwrap();
-        for i in 0..NAMES {
-            r.resolve_msg(&query(i), client, SimTime::from_secs(i), &mut auth);
-        }
-        assert_eq!(r.stats().servfail_responses, 0, "the warm-up is fault-free");
-
-        let faults = LinkFaults {
-            loss,
-            ..LinkFaults::NONE
-        };
-        let mut lossy = FaultyUpstream::new(auth, faults, 11);
-        let t0 = NAMES + TTL + 10;
-        let mut answered = 0;
-        for i in 0..NAMES {
-            let at = SimTime::from_secs(t0 + i * 60);
-            let resp = r.resolve_msg(&query(i), client, at, &mut lossy);
-            if resp.rcode == Rcode::NoError && !resp.answers.is_empty() {
-                answered += 1;
-            }
-        }
-        let s = r.stats();
-        (answered, s.stale_answers, s.servfail_responses)
-    }
-
-    #[test]
-    fn expired_entries_answer_stale_under_loss_only_with_retention_on() {
-        // Stale on: a healthy path refreshes every entry, a lossy one
-        // answers stale where both attempts were lost, a dark one answers
-        // every re-query stale — never a SERVFAIL.
-        assert_eq!(requery_past_expiry(0.0, true), (8, 0, 0));
-        assert_eq!(requery_past_expiry(0.5, true), (8, 1, 0));
-        assert_eq!(requery_past_expiry(1.0, true), (8, 8, 0));
-        // Stale off: the dark path ends every re-query in SERVFAIL.
-        assert_eq!(requery_past_expiry(1.0, false), (0, 0, 8));
     }
 }

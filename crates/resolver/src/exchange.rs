@@ -10,9 +10,11 @@
 //! *decision* lives here and only here: counting sends and retries,
 //! withdrawing ECS, climbing the [`crate::TransportPolicy`] ladder, the
 //! attempt / fault / backoff trace events, and giving up once the budget is
-//! spent. How the flight's parties are then answered — the owner here, its
-//! coalesced joiners through [`Resolver::answer_joiner`], each fresh, stale
-//! or SERVFAIL for itself — is the engine's one exit.
+//! spent. An exchange has two endings: the last reply, whatever its rcode,
+//! or SERVFAIL once the budget is gone. How the flight's parties are then
+//! answered — the owner here, its coalesced joiners through
+//! [`Resolver::answer_joiner`], each from the reply or with SERVFAIL — is
+//! the engine's one exit.
 //!
 //! Two drivers exist: the blocking loop
 //! [`Resolver::drive_upstream_capturing`] (virtual time: a timed-out send
@@ -86,7 +88,7 @@ pub enum Action {
     },
     /// The exchange is over.
     Done {
-        /// The client-facing answer (fresh, stale, or SERVFAIL).
+        /// The client-facing answer: the last reply's, or SERVFAIL.
         answer: ClientAnswer,
         /// The upstream reply the exchange completed with; `None` when it
         /// failed, or when the driver turned [`Exchange::keep_reply`] off.
@@ -155,14 +157,6 @@ impl Resolver {
                 self.withdraw_ecs(ex, "formerr", now);
                 self.resend(ex, now)
             }
-            Ok(resp)
-                if resp.rcode == Rcode::ServFail && self.config.overload.serve_stale_enabled() =>
-            {
-                // RFC 8767: an upstream SERVFAIL is a failure we may paper
-                // over with a stale answer.
-                self.trace_fault(ex.span, now, format_args!("rcode:ServFail"));
-                self.fail(ex, now)
-            }
             Ok(resp) => self.finish(ex, resp, now),
             Err(UpstreamError::Timeout) => {
                 self.trace_fault(ex.span, ex.sent_at, format_args!("timeout"));
@@ -193,7 +187,7 @@ impl Resolver {
     /// Counts the send, opens its attempt span and asks the driver to make
     /// it on the current rung. Every upstream query — an exchange's first
     /// and each re-send — is counted here and nowhere else, so a query
-    /// that never reaches an exchange (joined, shed, unroutable) is never
+    /// that never reaches an exchange (joined, unroutable) is never
     /// counted as sent.
     fn send(&mut self, ex: &mut Exchange, now: SimTime) -> Action {
         self.stats.upstream_queries.inc();

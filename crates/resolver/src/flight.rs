@@ -1,13 +1,11 @@
-//! Cross-worker in-flight coalescing and global admission control.
+//! Cross-worker in-flight coalescing.
 //!
 //! The event-driven [`crate::actors::EgressActor`] coalesces identical
 //! lookups with a plain `HashMap<FlightKey, _>` — correct there because
 //! one actor owns the whole egress. The multi-worker serving path has N
-//! independent worker threads, so flight identity and `max_in_flight`
-//! accounting must live in one shared table or the invariants silently
-//! become per-worker: two workers would launch duplicate upstream flights
-//! for the same `(qname, qtype, ECS-prefix)`, and a cap of 64 would admit
-//! 64 *per worker*.
+//! independent worker threads, so flight identity must live in one shared
+//! table or it silently becomes per-worker: two workers would launch
+//! duplicate upstream flights for the same `(qname, qtype, ECS-prefix)`.
 //!
 //! [`FlightTable::admit`] is the single admission point and mirrors the
 //! actor's decision order exactly:
@@ -15,13 +13,11 @@
 //! 1. coalescing on and an identical flight is outstanding → **join** it
 //!    (the caller records [`crate::Resolver::join`] and waits on the
 //!    returned [`Flight`]);
-//! 2. `max_in_flight` owners already outstanding → **shed** (the caller
-//!    answers with [`crate::Resolver::shed`]);
-//! 3. otherwise → **own** the flight: the caller performs the upstream
+//! 2. otherwise → **own** the flight: the caller performs the upstream
 //!    exchange and publishes the outcome through its [`OwnerToken`].
 //!
 //! The token completes on drop, so a worker that panics between admission
-//! and completion still releases its slot and wakes its joiners. Joiners
+//! and completion still releases its flight and wakes its joiners. Joiners
 //! receive the owner's *raw upstream response* (`None` when there is none)
 //! and pass it to [`crate::Resolver::answer_joiner`], same as the actor's
 //! joiner path; only the owner's completion touches the cache.
@@ -96,8 +92,8 @@ struct TableState {
     /// Outstanding owner flights by coalescing key (populated only when
     /// coalescing is on; a disabled table tracks owners by count alone).
     flights: HashMap<FlightKey, Arc<Flight>>,
-    /// Outstanding owners across *all* workers — the number `max_in_flight`
-    /// bounds. Joiners ride an existing owner and never count.
+    /// Outstanding owners across *all* workers. Joiners ride an existing
+    /// owner and never count.
     owners: usize,
 }
 
@@ -105,7 +101,6 @@ struct TableState {
 /// `Arc`.
 pub struct FlightTable {
     coalesce: bool,
-    max_in_flight: Option<usize>,
     state: Mutex<TableState>,
     /// Lock-contention monitor for the single global table lock plus the
     /// in-flight depth high-water gauge. `None` (the default) costs
@@ -121,13 +116,10 @@ pub enum Admission<'t> {
     /// An identical flight is outstanding; wait on it instead of going
     /// upstream.
     Joiner(Arc<Flight>),
-    /// The global in-flight cap is reached; refuse with SERVFAIL.
-    Shed,
 }
 
 /// Proof of flight ownership. Completing (or dropping) the token removes
-/// the flight from the table, releases its admission slot, and wakes every
-/// joiner exactly once.
+/// the flight from the table and wakes every joiner exactly once.
 pub struct OwnerToken<'t> {
     table: &'t FlightTable,
     key: Option<FlightKey>,
@@ -159,11 +151,10 @@ impl Drop for OwnerToken<'_> {
 }
 
 impl FlightTable {
-    /// Creates a table with explicit knobs.
-    pub fn new(coalesce: bool, max_in_flight: Option<usize>) -> Self {
+    /// Creates a table that joins identical flights when `coalesce` is on.
+    pub fn new(coalesce: bool) -> Self {
         FlightTable {
             coalesce,
-            max_in_flight,
             state: Mutex::new(TableState {
                 flights: HashMap::new(),
                 owners: 0,
@@ -204,9 +195,9 @@ impl FlightTable {
     }
 
     /// Creates a table from the overload knobs of a resolver config —
-    /// the same fields the single-engine actor path reads.
+    /// the same field the single-engine actor path reads.
     pub fn for_config(config: &crate::config::OverloadConfig) -> Self {
-        Self::new(config.coalesce, config.max_in_flight)
+        Self::new(config.coalesce)
     }
 
     /// Admits one upstream-bound query. See the module docs for the
@@ -217,9 +208,6 @@ impl FlightTable {
             if let Some(f) = s.flights.get(key) {
                 return Admission::Joiner(Arc::clone(f));
             }
-        }
-        if self.max_in_flight.is_some_and(|cap| s.owners >= cap) {
-            return Admission::Shed;
         }
         s.owners += 1;
         if let Some((_, depth)) = &self.contention {
@@ -238,7 +226,7 @@ impl FlightTable {
         })
     }
 
-    /// Outstanding owner flights (what `max_in_flight` bounds).
+    /// Outstanding owner flights.
     pub fn in_flight(&self) -> usize {
         self.state.lock().owners
     }
@@ -280,7 +268,7 @@ mod tests {
 
     #[test]
     fn second_identical_flight_joins_the_first() {
-        let table = FlightTable::new(true, None);
+        let table = FlightTable::new(true);
         let owner = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
             _ => panic!("first admission must own"),
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_fly_independently() {
-        let table = FlightTable::new(true, None);
+        let table = FlightTable::new(true);
         let _a = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
             _ => panic!(),
@@ -311,24 +299,8 @@ mod tests {
     }
 
     #[test]
-    fn cap_sheds_owners_but_not_joiners() {
-        let table = FlightTable::new(true, Some(1));
-        let owner = match table.admit(&key("a.test")) {
-            Admission::Owner(t) => t,
-            _ => panic!(),
-        };
-        // A different name would need a second owner: over cap, shed.
-        assert!(matches!(table.admit(&key("b.test")), Admission::Shed));
-        // The identical name joins the existing flight despite the cap.
-        assert!(matches!(table.admit(&key("a.test")), Admission::Joiner(_)));
-        owner.complete(None);
-        // Slot released: the next owner is admitted again.
-        assert!(matches!(table.admit(&key("b.test")), Admission::Owner(_)));
-    }
-
-    #[test]
     fn coalescing_off_never_joins() {
-        let table = FlightTable::new(false, None);
+        let table = FlightTable::new(false);
         let _a = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
             _ => panic!(),
@@ -342,7 +314,7 @@ mod tests {
 
     #[test]
     fn dropped_owner_token_wakes_joiners_with_failure() {
-        let table = FlightTable::new(true, Some(4));
+        let table = FlightTable::new(true);
         let owner = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
             _ => panic!(),
@@ -354,12 +326,12 @@ mod tests {
         drop(owner); // worker died before completing
         assert!(joiner.is_done());
         assert!(joiner.wait(Duration::from_millis(10)).is_none());
-        assert_eq!(table.in_flight(), 0, "slot released on drop");
+        assert_eq!(table.in_flight(), 0, "flight released on drop");
     }
 
     #[test]
     fn joiner_timeout_returns_none_without_blocking_forever() {
-        let table = FlightTable::new(true, None);
+        let table = FlightTable::new(true);
         let _owner = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
             _ => panic!(),
@@ -376,7 +348,7 @@ mod tests {
     #[test]
     fn contention_monitor_counts_admissions_and_tracks_depth() {
         let reg = obs::MetricsRegistry::new();
-        let mut table = FlightTable::new(true, None);
+        let mut table = FlightTable::new(true);
         table.enable_contention(&reg);
         let a = match table.admit(&key("a.test")) {
             Admission::Owner(t) => t,
@@ -402,7 +374,7 @@ mod tests {
     #[test]
     fn concurrent_admissions_share_one_flight() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let table = std::sync::Arc::new(FlightTable::new(true, None));
+        let table = std::sync::Arc::new(FlightTable::new(true));
         let owners = AtomicUsize::new(0);
         let joins = AtomicUsize::new(0);
         let admitted = AtomicUsize::new(0);
@@ -427,7 +399,6 @@ mod tests {
                             joins.fetch_add(1, Ordering::SeqCst);
                             assert!(f.wait(Duration::from_secs(5)).is_some());
                         }
-                        Admission::Shed => panic!("no cap configured"),
                     }
                 });
             }

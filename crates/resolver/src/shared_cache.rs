@@ -12,8 +12,8 @@
 //! instant, not on every query.
 //!
 //! Sharding is by qname hash alone (not qtype): RFC 7871 scope matching
-//! and stale retention operate on one name's entry list, which therefore
-//! must never straddle shards. The global entry bound is split evenly
+//! operates on one name's entry list, which therefore must never straddle
+//! shards. The global entry bound is split evenly
 //! across shards, turning the global LRU into a per-shard LRU — the
 //! standard sharded-cache approximation (each shard evicts its own
 //! least-recently-used entries, so a skewed shard may evict slightly
@@ -75,8 +75,7 @@ impl SharedEcsCache {
 
     /// Creates a shared cache with explicit limits. `max_entries` is a
     /// global bound, split evenly across shards (rounded down, at least one
-    /// each — see the module docs); `stale_ttl` applies per name and
-    /// carries over unchanged (a name lives in exactly one shard).
+    /// each — see the module docs).
     pub fn with_limits(
         compliance: CacheCompliance,
         limits: CacheLimits,
@@ -86,7 +85,6 @@ impl SharedEcsCache {
         let shards = shards.max(1);
         let per_shard = CacheLimits {
             max_entries: split_bound(limits.max_entries, shards),
-            stale_ttl: limits.stale_ttl,
         };
         SharedEcsCache {
             shards: (0..shards)
@@ -167,19 +165,6 @@ impl SharedEcsCache {
             .lookup(qname, qtype, client, now)
     }
 
-    /// [`EcsCache::lookup_stale`] on the owning shard.
-    pub fn lookup_stale(
-        &self,
-        qname: &Name,
-        qtype: RecordType,
-        client: IpAddr,
-        now: SimTime,
-        serve_ttl: u32,
-    ) -> Option<CachedAnswer> {
-        self.lock_shard(self.shard_index(qname))
-            .lookup_stale(qname, qtype, client, now, serve_ttl)
-    }
-
     /// [`EcsCache::insert`] on the owning shard.
     pub fn insert(
         &self,
@@ -234,7 +219,6 @@ impl SharedEcsCache {
             total.inserts = total.inserts.saturating_add(s.inserts);
             total.max_size = total.max_size.saturating_add(s.max_size);
             total.evictions = total.evictions.saturating_add(s.evictions);
-            total.stale_hits = total.stale_hits.saturating_add(s.stale_hits);
         }
         total
     }
@@ -413,7 +397,6 @@ mod tests {
             CacheCompliance::Honor,
             CacheLimits {
                 max_entries: Some(16),
-                ..CacheLimits::default()
             },
             true,
             4,
@@ -426,7 +409,6 @@ mod tests {
             CacheCompliance::Honor,
             CacheLimits {
                 max_entries: Some(2),
-                ..CacheLimits::default()
             },
             true,
             8,
@@ -445,7 +427,6 @@ mod tests {
                 CacheCompliance::Honor,
                 CacheLimits {
                     max_entries: Some(bound),
-                    ..CacheLimits::default()
                 },
                 true,
                 4,
@@ -515,9 +496,8 @@ mod tests {
             t0,
         );
         cache.lookup(&name("mon.example.com"), RecordType::A, CLIENT, t0);
-        cache.lookup_stale(&name("mon.example.com"), RecordType::A, CLIENT, t0, 30);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("lock_cache_shard_acquisitions_total"), Some(3));
+        assert_eq!(snap.counter("lock_cache_shard_acquisitions_total"), Some(2));
         // Single-threaded: nothing can contend.
         assert_eq!(snap.counter("lock_cache_shard_contended_total"), Some(0));
     }

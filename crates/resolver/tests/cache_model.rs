@@ -6,17 +6,16 @@
 //! `min_by_key(last_used)` over everything. Whatever bookkeeping the real
 //! cache keeps to avoid those scans has to produce the same return values,
 //! the same [`CacheStats`] and the same `len` after every single step — so
-//! eviction victims, same-scope supersedes and stale retention are
-//! compared, not assumed.
+//! eviction victims, same-scope supersedes and expiry are compared, not
+//! assumed.
 //!
 //! Each case is one `u64` seed: 200 random steps (`insert`,
-//! `insert_with_rcode`, `lookup`, `lookup_stale`, `purge`, `clear`; `len`
-//! after each) over three names × two types × six /24s on a clock that
-//! never goes back, under each of three limit profiles (unbounded;
-//! `max_entries`; `stale_ttl` with `max_entries`) × the three compliance
-//! modes — and a fourth profile that churns: 1,000 steps over 64 names,
-//! some longer than a name holds inline, with TTLs spread from 1 s to
-//! 5 min, so that a name's list empties and leaves, comes back, and is
+//! `insert_with_rcode`, `lookup`, `purge`, `clear`; `len` after each) over
+//! three names × two types × six /24s on a clock that never goes back,
+//! under each of two limit profiles (unbounded; `max_entries`) × the three
+//! compliance modes — and a third profile that churns: 1,000 steps over 64
+//! names, some longer than a name holds inline, with TTLs spread from 1 s
+//! to 5 min, so that a name's list empties and leaves, comes back, and is
 //! queued again under an earlier horizon, many times a case. A failure
 //! prints its seed, and
 //! `CACHE_MODEL_SEED=<seed> cargo test -p resolver --test cache_model`
@@ -54,43 +53,32 @@ struct Model {
 
 impl Model {
     fn purge(&mut self, now: SimTime) {
-        self.entries
-            .retain(|e| e.expires + self.limits.stale_ttl > now);
+        self.entries.retain(|e| e.expires > now);
     }
-    /// Entries of `key` whose scope admits `client` and whose expiry `when` accepts, oldest first.
-    fn fit(&self, key: &Key, client: IpAddr, when: impl Fn(SimTime) -> bool) -> Vec<usize> {
+    /// Live entries of `key` whose scope admits `client`, oldest first.
+    fn fit(&self, key: &Key, client: IpAddr, now: SimTime) -> Vec<usize> {
         // A capped scope was stored capped, so only IgnoreScope matches differently.
         let open = self.compliance == CacheCompliance::IgnoreScope;
         let admits = |s: IpPrefix| open || s.is_default_route() || s.contains(client);
-        let fits = |e: &ModelEntry| e.key == *key && when(e.expires) && admits(e.scope);
+        let fits = |e: &ModelEntry| e.key == *key && e.expires > now && admits(e.scope);
         let all = 0..self.entries.len();
         all.filter(|&i| fits(&self.entries[i])).collect()
     }
-    /// Marks entry `i` used and serves it, record TTLs capped at `ttl_cap`.
-    fn serve(&mut self, i: usize, ttl_cap: u32) -> CachedAnswer {
-        self.entries[i].last_used = self.tick;
-        let mut answer = self.entries[i].answer.clone();
-        for r in &mut answer.records {
-            r.ttl = r.ttl.min(ttl_cap);
-        }
-        answer
-    }
+    /// The first live entry of `key` whose scope admits `client`, marked
+    /// used, record TTLs capped at its remaining lifetime.
     fn lookup(&mut self, key: &Key, client: IpAddr, now: SimTime) -> Hit {
         self.tick += 1;
-        let fresh = self.fit(key, client, |at| at > now);
+        let fresh = self.fit(key, client, now);
         self.stats.hits += !fresh.is_empty() as u64;
         self.stats.misses += fresh.is_empty() as u64;
         let &i = fresh.first()?;
-        Some(self.serve(i, self.entries[i].expires.since(now).as_secs() as u32))
-    }
-    fn lookup_stale(&mut self, key: &Key, client: IpAddr, now: SimTime, serve_ttl: u32) -> Hit {
-        self.tick += 1;
-        let budget = self.limits.stale_ttl;
-        let stale = self.fit(key, client, |at| at <= now && at + budget > now);
-        // The least stale; among equals, the one inserted last.
-        let i = stale.into_iter().max_by_key(|&i| self.entries[i].expires)?;
-        self.stats.stale_hits += 1;
-        Some(self.serve(i, serve_ttl))
+        self.entries[i].last_used = self.tick;
+        let remaining = self.entries[i].expires.since(now).as_secs() as u32;
+        let mut answer = self.entries[i].answer.clone();
+        for r in &mut answer.records {
+            r.ttl = r.ttl.min(remaining);
+        }
+        Some(answer)
     }
     /// Removes the least-recently-used entry.
     fn evict_lru(&mut self) -> bool {
@@ -145,20 +133,14 @@ struct Profile {
     steps: usize,
 }
 
-const PROFILES: usize = 4;
+const PROFILES: usize = 3;
 
 fn profile(which: usize) -> Profile {
-    let unbounded = CacheLimits::default();
     let few = || NAMES.iter().map(|n| Name::from_ascii(n).unwrap()).collect();
     let limits = match which {
-        0 => unbounded,
+        0 => CacheLimits::default(),
         1 => CacheLimits {
-            max_entries: Some(5),
-            ..unbounded
-        },
-        2 => CacheLimits {
-            max_entries: Some(6),
-            stale_ttl: SimDuration::from_secs(20),
+            max_entries: Some(3),
         },
         _ => {
             // Every eighth name is longer than 38 wire bytes.
@@ -174,8 +156,7 @@ fn profile(which: usize) -> Profile {
                 .collect();
             return Profile {
                 limits: CacheLimits {
-                    max_entries: Some(24),
-                    stale_ttl: SimDuration::from_secs(30),
+                    max_entries: Some(12),
                 },
                 names: churn,
                 ttls: &CHURN_TTLS,
@@ -247,10 +228,10 @@ fn run_case(seed: u64, profile: &Profile, compliance: CacheCompliance) -> Result
                 .map(|i| Record::new(name.clone(), ttl + i, a(i)))
                 .collect();
             model.purge(now);
-            let horizon = now + SimDuration::from_secs(ttl as u64) + profile.limits.stale_ttl;
+            let expires = now + SimDuration::from_secs(ttl as u64);
             let held = model.entries.iter().filter(|e| e.key == key);
-            match held.map(|e| e.expires + profile.limits.stale_ttl).min() {
-                Some(due) => churn.requeued_earlier += u64::from(horizon < due),
+            match held.map(|e| e.expires).min() {
+                Some(due) => churn.requeued_earlier += u64::from(expires < due),
                 None => churn.returned += u64::from(!ever_held.insert(key.clone())),
             }
             let cached = if rcode == Rcode::NoError && rng.gen() {
@@ -269,17 +250,12 @@ fn run_case(seed: u64, profile: &Profile, compliance: CacheCompliance) -> Result
                 now,
             );
             (!cached).then(|| "insert refused a cacheable response".to_string())
-        } else if op < 75 {
+        } else if op < 88 {
             let (got, want) = (
                 cache.lookup(name, qtype, client, now),
                 model.lookup(&key, client, now),
             );
             (got != want).then(|| format!("lookup returned {got:?}, model {want:?}"))
-        } else if op < 88 {
-            let serve_ttl = [0, 3, 30][rng.gen_range(0..3)];
-            let got = cache.lookup_stale(name, qtype, client, now, serve_ttl);
-            let want = model.lookup_stale(&key, client, now, serve_ttl);
-            (got != want).then(|| format!("lookup_stale returned {got:?}, model {want:?}"))
         } else if op < 97 {
             cache.purge(now);
             model.purge(now);
@@ -336,7 +312,6 @@ fn run_profiles(seed: u64, profiles: &[Profile], first: usize) -> Churn {
                 Ok(c) => {
                     total.stats.hits += c.stats.hits;
                     total.stats.evictions += c.stats.evictions;
-                    total.stats.stale_hits += c.stats.stale_hits;
                     total.returned += c.returned;
                     total.requeued_earlier += c.requeued_earlier;
                 }
@@ -383,7 +358,7 @@ fn cache_agrees_with_the_flat_model_while_names_churn() {
 
 /// The churning profile does what it is for: names come back after their
 /// list left, inserts fall due before what their list holds, and the
-/// bound and the stale budget still act.
+/// bound still acts.
 #[test]
 fn the_churning_profile_returns_names_and_requeues_lists_earlier() {
     for seed in 0..4 {
@@ -397,20 +372,17 @@ fn the_churning_profile_returns_names_and_requeues_lists_earlier() {
             c.returned > 500 && c.requeued_earlier > 20,
             "seed {seed}: {counts}"
         );
-        assert!(
-            s.hits > 20 && s.stale_hits > 4 && s.evictions > 40,
-            "seed {seed}: {s:?}"
-        );
+        assert!(s.hits > 20 && s.evictions > 40, "seed {seed}: {s:?}");
     }
 }
 
-/// The model is only a reference for what the sequences reach: fresh hits,
-/// stale hits and evictions must all occur, and often.
+/// The model is only a reference for what the sequences reach: hits and
+/// evictions must both occur, and often.
 #[test]
 fn generated_sequences_reach_every_compared_behaviour() {
     for seed in 0..4 {
         let s = run_seed(seed);
-        assert!(s.hits > 100 && s.stale_hits > 8, "seed {seed}: {s:?}");
+        assert!(s.hits > 100, "seed {seed}: {s:?}");
         assert!(s.evictions > 60, "seed {seed}: {s:?}");
     }
 }

@@ -98,7 +98,6 @@ fn evicting_inserts_cost_the_same_whatever_the_cache_holds() {
         |held| {
             let at_its_bound = CacheLimits {
                 max_entries: Some(held),
-                ..CacheLimits::default()
             };
             filled(&at_its_bound, held, |_| 3_600)
         },

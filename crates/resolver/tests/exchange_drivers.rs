@@ -6,15 +6,14 @@
 //! an authoritative node that plays the same script. Both must give every
 //! client the same answer, leave the same `ResolverStats`, and emit the
 //! same trace event kinds in the same order for every query — the
-//! retry/withdraw/stale decisions live in `resolver::exchange`, the answer
+//! retry/withdraw decisions live in `resolver::exchange`, the answer
 //! every waiting party gets in the engine's one exit, and nowhere else.
 //!
 //! A seeded property then drives `step_exchange` directly with random
 //! outcome scripts and policies — answers with and without ECS, timeouts,
 //! REFUSED, TC replies, transport truncations, FORMERR and SERVFAIL, under
-//! both withdrawal flags, serve-stale on (with and without a stale entry)
-//! and off; a failure names the seed, and `EXCHANGE_PROP_SEED=<seed>`
-//! replays exactly that case.
+//! both withdrawal flags; a failure names the seed, and
+//! `EXCHANGE_PROP_SEED=<seed>` replays exactly that case.
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -71,9 +70,8 @@ struct Case {
     /// The rcode each ask is answered with.
     want: &'static [Rcode],
     /// Expected (upstream_timeouts, retries, ecs_withdrawals,
-    /// stale_answers, servfail_responses): the row took the transitions
-    /// its label names.
-    counts: (u64, u64, u64, u64, u64),
+    /// servfail_responses): the row took the transitions its label names.
+    counts: (u64, u64, u64, u64),
 }
 
 const CASES: &[Case] = &[
@@ -83,7 +81,7 @@ const CASES: &[Case] = &[
         asks: &[(0, CLIENT)],
         script: &[InjectedFault::Pass],
         want: &[Rcode::NoError],
-        counts: (0, 0, 0, 0, 0),
+        counts: (0, 0, 0, 0),
     },
     Case {
         label: "timeout, withdraw ECS, answer",
@@ -91,7 +89,7 @@ const CASES: &[Case] = &[
         asks: &[(0, CLIENT)],
         script: &[InjectedFault::Timeout, InjectedFault::Pass],
         want: &[Rcode::NoError],
-        counts: (1, 1, 1, 0, 0),
+        counts: (1, 1, 1, 0),
     },
     Case {
         label: "FORMERR with withdraw_ecs_on_formerr",
@@ -99,16 +97,17 @@ const CASES: &[Case] = &[
         asks: &[(0, CLIENT)],
         script: &[InjectedFault::FormErr, InjectedFault::Pass],
         want: &[Rcode::NoError],
-        counts: (0, 1, 1, 0, 0),
+        counts: (0, 1, 1, 0),
     },
     Case {
-        label: "upstream SERVFAIL served stale",
-        configure: |c| c.overload.serve_stale_ttl = SimDuration::from_secs(3600),
-        // Warm the cache, then re-ask past the 60 s TTL.
+        label: "upstream SERVFAIL passed through",
+        configure: |_| {},
+        // Warm the cache, then re-ask past the 60 s TTL: the expired entry
+        // answers nobody, the SERVFAIL reply is the answer.
         asks: &[(0, CLIENT), (120, CLIENT)],
         script: &[InjectedFault::Pass, InjectedFault::ServFail],
-        want: &[Rcode::NoError, Rcode::NoError],
-        counts: (0, 0, 0, 1, 0),
+        want: &[Rcode::NoError, Rcode::ServFail],
+        counts: (0, 0, 0, 0),
     },
     Case {
         label: "budget exhaustion",
@@ -116,30 +115,37 @@ const CASES: &[Case] = &[
         asks: &[(0, CLIENT)],
         script: &[InjectedFault::Timeout; 4],
         want: &[Rcode::ServFail],
-        counts: (4, 3, 1, 0, 1),
+        counts: (4, 3, 1, 1),
     },
     Case {
-        label: "failed flight, two joiners, stale only inside the scope",
+        label: "failed flight, two joiners, each answered SERVFAIL",
         configure: |c| {
-            c.overload.serve_stale_ttl = SimDuration::from_secs(3600);
             c.overload.coalesce = true;
             // ECS on the warm-up only: it caches an entry scoped to
             // CLIENT's /24, and the next three misses go upstream plain,
             // so they share a flight key wherever they come from.
             c.probing = ProbingStrategy::EveryKth { k: 4 };
         },
-        // FAR owns the flight at 120 s; NEIGHBOUR and FARTHER join it.
+        // FAR owns the flight at 120 s; NEIGHBOUR, inside the expired
+        // entry's scope, and FARTHER join it.
         asks: &[(0, CLIENT), (120, FAR), (120, NEIGHBOUR), (120, FARTHER)],
-        script: &[InjectedFault::Pass, InjectedFault::ServFail],
-        // RFC 8767 per party: NEIGHBOUR is inside the expired entry's
-        // scope, the owner and FARTHER are not.
+        // The flight's every attempt times out: no reply to answer from,
+        // so each party leaves through the engine's exit with a SERVFAIL
+        // of its own.
+        script: &[
+            InjectedFault::Pass,
+            InjectedFault::Timeout,
+            InjectedFault::Timeout,
+            InjectedFault::Timeout,
+            InjectedFault::Timeout,
+        ],
         want: &[
             Rcode::NoError,
             Rcode::ServFail,
-            Rcode::NoError,
+            Rcode::ServFail,
             Rcode::ServFail,
         ],
-        counts: (0, 0, 0, 1, 2),
+        counts: (4, 3, 0, 3),
     },
 ];
 
@@ -398,7 +404,6 @@ fn scripted_outcomes_agree_across_drivers() {
                 s.upstream_timeouts,
                 s.retries,
                 s.ecs_withdrawals,
-                s.stale_answers,
                 s.servfail_responses
             ),
             case.counts,
@@ -539,8 +544,7 @@ const FAILURES: [Draw; 6] = [
 enum Ending {
     /// A reply completed it: the client gets that reply's rcode.
     Reply(Rcode),
-    /// It failed: the attempt budget ran out, or an upstream SERVFAIL met
-    /// serve-stale.
+    /// It failed: the attempt budget ran out.
     Failed,
 }
 
@@ -549,19 +553,16 @@ enum Ending {
 type Reached = u16;
 
 /// What the cases must reach between them: a FORMERR re-asked without
-/// ECS and one passed through, an upstream SERVFAIL under serve-stale and
-/// one without it, a TC reply over a datagram transport, a transport
-/// truncation, an answer after an ECS withdrawal, a stale answer, and an
-/// inline TCP re-query.
-const REACHED: [&str; 9] = [
+/// ECS and one passed through, an upstream SERVFAIL passed through, a TC
+/// reply over a datagram transport, a transport truncation, an answer
+/// after an ECS withdrawal, and an inline TCP re-query.
+const REACHED: [&str; 7] = [
     "FORMERR re-asked",
     "FORMERR passed through",
-    "SERVFAIL under serve-stale",
     "SERVFAIL passed through",
     "TC reply over UDP",
     "Err(Truncated)",
     "answer after a withdrawal",
-    "stale answer",
     "inline TCP re-query",
 ];
 
@@ -572,10 +573,6 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
     config.retry.attempts = rng.gen_range(1..=6);
     config.retry.withdraw_ecs_on_timeout = rng.gen();
     config.retry.withdraw_ecs_on_formerr = rng.gen();
-    let serve_stale = rng.gen();
-    if serve_stale {
-        config.overload.serve_stale_ttl = SimDuration::from_secs(3_600);
-    }
     let mut ladder = Transport::ALL.to_vec();
     ladder.truncate(rng.gen_range(1..=4));
     config.transport = TransportPolicy::with_ladder(ladder.clone());
@@ -584,17 +581,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
     let fail_p = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4)];
 
     let mut r = Resolver::new(config);
-    // With serve-stale on, half the cases first cache the name for CLIENT
-    // (TTL 60 s) and ask again once it has expired: a failure then has a
-    // stale answer to fall back on.
-    let stale_entry = serve_stale && rng.gen();
-    let now = if stale_entry {
-        r.resolve_msg(&query(9), CLIENT, SimTime::from_secs(1), &mut auth());
-        SimTime::from_secs(100)
-    } else {
-        SimTime::from_secs(1)
-    };
-    let base = r.stats();
+    let now = SimTime::from_secs(1);
     let Step::NeedUpstream(pending) = r.begin(&query(1), CLIENT, now) else {
         return Err("the query must miss".into());
     };
@@ -707,7 +694,6 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
                     reach("FORMERR re-asked");
                 }
                 Draw::FormErr if carries_ecs => reach("FORMERR passed through"),
-                Draw::ServFail if serve_stale => reach("SERVFAIL under serve-stale"),
                 Draw::ServFail => reach("SERVFAIL passed through"),
                 Draw::Answer if sent_without_ecs && triggers > 0 => {
                     reach("answer after a withdrawal")
@@ -723,13 +709,9 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
     };
 
     let s = r.stats();
-    let delta = |now: u64, then: u64| now - then;
-    let retries = delta(s.retries, base.retries);
-    let sends = delta(s.upstream_queries, base.upstream_queries);
-    let servfails = delta(s.servfail_responses, base.servfail_responses);
-    let stale = delta(s.stale_answers, base.stale_answers);
-    let withdrawals = delta(s.ecs_withdrawals, base.ecs_withdrawals);
-    if delta(s.upstream_timeouts, base.upstream_timeouts) != timeouts {
+    let (retries, sends) = (s.retries, s.upstream_queries);
+    let (servfails, withdrawals) = (s.servfail_responses, s.ecs_withdrawals);
+    if s.upstream_timeouts != timeouts {
         return Err(format!("{timeouts} timeouts reported, stats {s:?}"));
     }
     if sends != 1 + retries {
@@ -749,7 +731,6 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         (Some(rcode), _) => Ending::Reply(rcode),
         (None, last) => match last {
             Draw::Timeout | Draw::Refused => Ending::Failed,
-            Draw::ServFail if serve_stale => Ending::Failed,
             Draw::Answer | Draw::TcReply | Draw::Truncated => Ending::Reply(Rcode::NoError),
             Draw::FormErr => Ending::Reply(Rcode::FormErr),
             Draw::ServFail => Ending::Reply(Rcode::ServFail),
@@ -768,7 +749,6 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
     if spent == timeouts
         && climbs + formerr_resends == 0
         && exhausted == 1
-        && stale == 0
         && timeouts != retries + servfails
     {
         return Err(format!("timeout identity broken: {s:?}"));
@@ -780,13 +760,9 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
             "gave up after {spent} of {bound} attempts without a truncation"
         ));
     }
-    if stale > 0 {
-        reach("stale answer");
-    }
-    match (ending, answer.rcode, raw.is_some(), servfails, stale) {
-        (Ending::Reply(rc), got, true, 0, 0) if rc == got => Ok(reached),
-        (Ending::Failed, Rcode::NoError, false, 0, 1) if stale_entry => Ok(reached),
-        (Ending::Failed, Rcode::ServFail, false, 1, 0) if !stale_entry => Ok(reached),
+    match (ending, answer.rcode, raw.is_some(), servfails) {
+        (Ending::Reply(rc), got, true, 0) if rc == got => Ok(reached),
+        (Ending::Failed, Rcode::ServFail, false, 1) => Ok(reached),
         other => Err(format!(
             "inconsistent ending {other:?} after {spent}/{bound} spent attempts"
         )),

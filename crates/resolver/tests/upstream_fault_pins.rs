@@ -265,15 +265,15 @@ fn faulty_upstream_cells_are_pinned() {
         ),
     ];
     let expected: Vec<(&str, u64)> = vec![
-        ("clean", 12936275727615023186),
-        ("loss 0.1", 14060737675075370618),
-        ("loss 0.3", 9333473547535443730),
-        ("loss 0.6", 16639182785217165308),
-        ("loss 0.9", 16081887871638355627),
-        ("truncate 1.0", 9512159387186748487),
-        ("loss 0.3 + truncate 0.4", 16489384545510910034),
-        ("blackhole", 18320593301663872577),
-        ("script", 16360377894752735451),
+        ("clean", 12797271927037669820),
+        ("loss 0.1", 6369342050015710914),
+        ("loss 0.3", 5782176299603324402),
+        ("loss 0.6", 13725950493472300678),
+        ("loss 0.9", 17104801939106237851),
+        ("truncate 1.0", 16943998934745193951),
+        ("loss 0.3 + truncate 0.4", 3560061819042665096),
+        ("blackhole", 17584986509663898955),
+        ("script", 8563083354811888187),
     ];
     assert_eq!(cells, expected);
 }
@@ -339,20 +339,20 @@ fn transport_upstream_cells_are_pinned() {
         ),
     ));
     let expected = [
-        ("frag 0 ladder 0", 3992057406220122389),
-        ("frag 0 ladder 1", 3992057406220122389),
-        ("frag 0 ladder 2", 3992057406220122389),
-        ("frag 0.5 ladder 0", 7010624556007869064),
-        ("frag 0.5 ladder 1", 16723987047296329494),
-        ("frag 0.5 ladder 2", 16723987047296329494),
-        ("frag 1 ladder 0", 2649249793079635601),
-        ("frag 1 ladder 1", 18001603388612528909),
-        ("frag 1 ladder 2", 18001603388612528909),
-        ("truncation jumps", 5335207365221184122),
-        ("refused tcp falls to dot", 14370037325461241605),
-        ("dot timeout falls to tcp", 2530443346987140787),
-        ("all rungs faulted", 10767396314745857017),
-        ("refused udp", 726897411788922011),
+        ("frag 0 ladder 0", 15523960013189920581),
+        ("frag 0 ladder 1", 15523960013189920581),
+        ("frag 0 ladder 2", 15523960013189920581),
+        ("frag 0.5 ladder 0", 13583208066173356584),
+        ("frag 0.5 ladder 1", 9601388913313287286),
+        ("frag 0.5 ladder 2", 9601388913313287286),
+        ("frag 1 ladder 0", 14573644144887738691),
+        ("frag 1 ladder 1", 12269932058168664159),
+        ("frag 1 ladder 2", 12269932058168664159),
+        ("truncation jumps", 16250440959450965738),
+        ("refused tcp falls to dot", 11140801010460019037),
+        ("dot timeout falls to tcp", 13370487700622073997),
+        ("all rungs faulted", 15923428124070126995),
+        ("refused udp", 5825393210077592669),
     ]
     .map(|(cell, digest)| (cell.to_string(), digest));
     assert_eq!(cells, expected);

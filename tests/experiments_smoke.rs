@@ -213,7 +213,7 @@ fn faults_telemetry_artifacts_are_pinned() {
         &measured,
         &[
             ("report", 0xdfc08227d7841ec4),
-            ("metrics_json", 0x6783861099ef9ca8),
+            ("metrics_json", 0xdebedf9a73e22230),
             ("trace_jsonl", 0xc7e36e2eda628a15),
         ],
     );

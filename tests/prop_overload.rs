@@ -71,7 +71,6 @@ proptest! {
             CacheCompliance::Honor,
             CacheLimits {
                 max_entries: Some(max_entries),
-                ..CacheLimits::default()
             },
         );
         for (i, &(nm, client, scope, ttl)) in ops.iter().enumerate() {
@@ -161,7 +160,6 @@ proptest! {
         let default_cfg = ResolverConfig::rfc_compliant(RES);
         let mut bounded_cfg = ResolverConfig::rfc_compliant(RES);
         bounded_cfg.overload.max_cache_entries = Some(usize::MAX);
-        bounded_cfg.overload.max_in_flight = Some(usize::MAX);
         let mut plain = Resolver::new(default_cfg);
         let mut bounded = Resolver::new(bounded_cfg);
 
