@@ -6,11 +6,11 @@
 //! distinct prefixes. [`PrefixLengthTable::count`] reads a single-length
 //! row back as the [`PrefixClass`] the `workload` populations plant.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::IpAddr;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::QueryLogEntry;
-use dns_wire::AddressFamily;
+use dns_wire::{AddressFamily, EcsOption};
 use workload::PrefixClass;
 
 /// Per-resolver prefix behaviour profile.
@@ -26,9 +26,47 @@ pub struct ResolverPrefixProfile {
     /// the same final octet AND at least two distinct prefixes were seen
     /// (otherwise a constant byte means nothing).
     pub jammed_byte: Option<u8>,
+    /// Final octets of the /32 sources seen.
+    last_bytes: BTreeSet<u8>,
+    /// Distinct /32 sources seen.
+    distinct_32: BTreeSet<Ipv4Addr>,
 }
 
 impl ResolverPrefixProfile {
+    fn new(resolver: IpAddr) -> Self {
+        ResolverPrefixProfile {
+            resolver,
+            v4_lengths: BTreeSet::new(),
+            v6_lengths: BTreeSet::new(),
+            jammed_byte: None,
+            last_bytes: BTreeSet::new(),
+            distinct_32: BTreeSet::new(),
+        }
+    }
+
+    /// Folds one ECS source in.
+    fn observe(&mut self, opt: &EcsOption) {
+        let len = opt.source_prefix_len();
+        match opt.family() {
+            AddressFamily::V4 => {
+                self.v4_lengths.insert(len);
+                if let (32, Some(a)) = (len, opt.to_v4()) {
+                    self.last_bytes.insert(a.octets()[3]);
+                    self.distinct_32.insert(a);
+                    self.jammed_byte = if self.last_bytes.len() == 1 && self.distinct_32.len() >= 2
+                    {
+                        self.last_bytes.first().copied()
+                    } else {
+                        None
+                    };
+                }
+            }
+            AddressFamily::V6 => {
+                self.v6_lengths.insert(len);
+            }
+        }
+    }
+
     /// Table-1 row label for this resolver, e.g. `"24"`, `"32/jammed last
     /// byte"`, `"24,32/jammed last byte"`.
     pub fn row_label(&self) -> String {
@@ -85,62 +123,41 @@ impl ResolverPrefixProfile {
 pub struct PrefixLengthTable {
     /// Row label → resolver count.
     pub rows: BTreeMap<String, usize>,
-    /// Per-resolver profiles for drill-down.
+    /// Per-resolver profiles for drill-down, in resolver order.
     pub profiles: Vec<ResolverPrefixProfile>,
 }
 
 impl PrefixLengthTable {
     /// Builds the table from an authoritative log.
     pub fn build(log: &[QueryLogEntry]) -> Self {
-        let mut by_resolver: HashMap<IpAddr, Vec<&QueryLogEntry>> = HashMap::new();
+        let mut table = PrefixLengthTable::default();
+        table.absorb(log);
+        table
+    }
+
+    /// Folds a batch of authoritative log entries in; entries without ECS
+    /// are skipped. Absorbing a log in batches builds the same table as
+    /// building it whole.
+    pub fn absorb(&mut self, log: &[QueryLogEntry]) {
         for e in log {
-            if e.ecs.is_some() {
-                by_resolver.entry(e.resolver).or_default().push(e);
-            }
-        }
-        let mut profiles: Vec<ResolverPrefixProfile> = by_resolver
-            .into_iter()
-            .map(|(resolver, entries)| {
-                let mut v4_lengths = BTreeSet::new();
-                let mut v6_lengths = BTreeSet::new();
-                let mut last_bytes: BTreeSet<u8> = BTreeSet::new();
-                let mut distinct_32: BTreeSet<std::net::Ipv4Addr> = BTreeSet::new();
-                for e in entries {
-                    let opt = e.ecs.as_ref().expect("filtered");
-                    match opt.family() {
-                        AddressFamily::V4 => {
-                            v4_lengths.insert(opt.source_prefix_len());
-                            if opt.source_prefix_len() == 32 {
-                                if let Some(a) = opt.to_v4() {
-                                    last_bytes.insert(a.octets()[3]);
-                                    distinct_32.insert(a);
-                                }
-                            }
-                        }
-                        AddressFamily::V6 => {
-                            v6_lengths.insert(opt.source_prefix_len());
-                        }
-                    }
+            let Some(opt) = &e.ecs else { continue };
+            let i = match self
+                .profiles
+                .binary_search_by_key(&e.resolver, |p| p.resolver)
+            {
+                Ok(i) => i,
+                Err(i) => {
+                    self.profiles
+                        .insert(i, ResolverPrefixProfile::new(e.resolver));
+                    i
                 }
-                let jammed_byte = if last_bytes.len() == 1 && distinct_32.len() >= 2 {
-                    last_bytes.first().copied()
-                } else {
-                    None
-                };
-                ResolverPrefixProfile {
-                    resolver,
-                    v4_lengths,
-                    v6_lengths,
-                    jammed_byte,
-                }
-            })
-            .collect();
-        profiles.sort_by_key(|p| p.resolver);
-        let mut rows: BTreeMap<String, usize> = BTreeMap::new();
-        for p in &profiles {
-            *rows.entry(p.row_label()).or_default() += 1;
+            };
+            self.profiles[i].observe(opt);
         }
-        PrefixLengthTable { rows, profiles }
+        self.rows.clear();
+        for p in &self.profiles {
+            *self.rows.entry(p.row_label()).or_default() += 1;
+        }
     }
 
     /// Number of ECS-enabled resolvers in the table.
@@ -250,6 +267,26 @@ mod tests {
         )];
         let t = PrefixLengthTable::build(&log);
         assert!(!t.profiles[0].rfc_compliant());
+    }
+
+    #[test]
+    fn absorbing_in_batches_builds_the_whole_log_table() {
+        let log = vec![
+            entry(2, EcsOption::from_v4(Ipv4Addr::new(10, 0, 1, 0), 24)),
+            entry(1, EcsOption::from_v4(Ipv4Addr::new(10, 0, 1, 1), 32)),
+            entry(3, EcsOption::from_v6("2001:db8::".parse().unwrap(), 56)),
+            entry(1, EcsOption::from_v4(Ipv4Addr::new(10, 0, 2, 1), 32)),
+            entry(2, EcsOption::from_v4(Ipv4Addr::new(10, 0, 2, 9), 32)),
+        ];
+        let whole = PrefixLengthTable::build(&log);
+        let mut batched = PrefixLengthTable::default();
+        for batch in log.chunks(2) {
+            batched.absorb(batch);
+        }
+        assert_eq!(batched.rows, whole.rows);
+        assert_eq!(batched.profiles, whole.profiles);
+        assert_eq!(whole.profiles[0].jammed_byte, Some(1));
+        assert_eq!(whole.rows["24,32"], 1);
     }
 
     #[test]

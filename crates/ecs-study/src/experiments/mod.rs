@@ -12,7 +12,6 @@ pub mod fig45;
 pub mod fig67;
 pub mod fig8;
 pub mod probing;
-pub mod scan;
 pub mod table1;
 pub mod table2;
 pub mod whitelist;
@@ -41,8 +40,8 @@ pub fn registry() -> Vec<ExperimentEntry> {
         (
             "table1",
             "§6.2 Table 1: source prefix lengths",
-            PLAIN,
-            |_| table1::run(&Default::default()).1,
+            CAPTURES,
+            table1::run_default,
         ),
         (
             "cache-behavior",
@@ -133,12 +132,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
             "extension: robustness under injected faults and fragmenting paths",
             CAPTURES,
             |s| faults::run(&Default::default(), s).1,
-        ),
-        (
-            "scan",
-            "dataset (ii): mass-scan robustness sweep",
-            CAPTURES,
-            scan::run_default,
         ),
     ]
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use analysis::{CacheSimResult, HiddenResolverReport};
 use topology::World;
 
-use crate::experiments::{fig1, fig2, fig45, scan};
+use crate::experiments::{fig1, fig2, fig45};
 use crate::report::Report;
 use crate::telemetry::Telemetry;
 
@@ -30,8 +30,10 @@ pub struct Session {
     /// The registry's default configs, rescaled by the `ECS_*` knobs.
     pub(crate) fig1: fig1::Config,
     pub(crate) population: fig2::Config,
-    pub(crate) scan: scan::Config,
-    /// `ECS_SCAN_JSON`: file receiving the scan's final-cell JSON.
+    /// `ECS_SCAN_PROBES`: table1's probe count (default: one per planted
+    /// forwarder).
+    pub(crate) scan_probes: Option<u64>,
+    /// `ECS_SCAN_JSON`: file receiving table1's scan JSON.
     pub(crate) scan_json: Option<String>,
     /// The trace sink and the tracer writing to it, when capturing.
     capture: Option<(Arc<obs::MemorySink>, obs::Tracer)>,
@@ -67,7 +69,7 @@ impl Session {
         let mut session = Session::new(telemetry);
         session.fig1 = session.fig1.scaled(queries, clients);
         session.population = session.population.scaled(queries, clients);
-        session.scan = session.scan.scaled(knob("ECS_SCAN_PROBES"));
+        session.scan_probes = knob("ECS_SCAN_PROBES");
         session.scan_json = std::env::var("ECS_SCAN_JSON")
             .ok()
             .filter(|path| !path.is_empty());

@@ -55,4 +55,6 @@ pub use pipeline::{
 };
 pub use ratelimit::{AsRateLimiter, TokenBucket};
 pub use slots::{SlotRef, SlotTable};
-pub use topology::{run_scan, ForwarderChainSpec, ForwarderHealth, ScanReport, ScanWorld};
+pub use topology::{
+    run_scan, run_scan_with, ForwarderChainSpec, ForwarderHealth, ScanReport, ScanWorld,
+};

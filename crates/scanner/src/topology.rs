@@ -2,14 +2,14 @@
 //! (per-AS groups with health profiles over the fault layer) → egress
 //! resolvers → one experimental authoritative server.
 //!
-//! [`ForwarderChainSpec::build`] wires the chain; [`run_scan`] drives the
-//! simulation in slices, draining the authoritative log into a bounded
-//! [`ScanCapture`] each slice so no component's memory grows with probe
-//! count.
+//! [`ForwarderChainSpec::build`] wires the chain; [`run_scan_with`] drives
+//! the simulation in slices, handing the drained authoritative log to the
+//! caller each slice (a bounded [`ScanCapture`] through [`run_scan`]) so no
+//! component's memory grows with probe count.
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
+use authoritative::{AuthServer, EcsHandling, QueryLogEntry, ScopePolicy, Zone};
 use dns_wire::Name;
 use netsim::fault::{FaultPlan, LinkFaults};
 use netsim::geo::city;
@@ -55,9 +55,13 @@ pub struct ForwarderChainSpec {
     pub seed: u64,
     /// Forwarder populations.
     pub groups: Vec<ForwarderGroup>,
-    /// Egress resolvers; forwarders round-robin across them. Empty →
+    /// Egress resolvers; group forwarders round-robin across them. Empty →
     /// one RFC-compliant egress at 9.9.9.9.
     pub egress_configs: Vec<ResolverConfig>,
+    /// Healthy forwarders placed by
+    /// [`ForwarderChainSpec::egress_with_forwarders`]: (index into
+    /// `egress_configs`, address, AS), built after the groups' forwarders.
+    placed: Vec<(usize, IpAddr, u32)>,
     /// Replaces the default synthesizing authoritative — e.g. a
     /// conformance-scenario server with a scripted ECS stance. The
     /// caller keeps [`ScanConfig::zone`] equal to the server's apex
@@ -87,6 +91,7 @@ impl ForwarderChainSpec {
             seed,
             groups: Vec::new(),
             egress_configs: Vec::new(),
+            placed: Vec::new(),
             custom_auth: None,
         }
     }
@@ -110,8 +115,24 @@ impl ForwarderChainSpec {
         self
     }
 
+    /// Adds an egress resolver with its own healthy forwarders at
+    /// `forwarders`, all in `asn`.
+    pub fn egress_with_forwarders(
+        mut self,
+        config: ResolverConfig,
+        forwarders: impl IntoIterator<Item = IpAddr>,
+        asn: u32,
+    ) -> Self {
+        let egress = self.egress_configs.len();
+        self.egress_configs.push(config);
+        self.placed
+            .extend(forwarders.into_iter().map(|addr| (egress, addr, asn)));
+        self
+    }
+
     /// Builds the world. `make_feed` receives the realised target list
-    /// (one entry per forwarder, group order) and returns the probe feed.
+    /// (one entry per forwarder, group order, then the placed forwarders)
+    /// and returns the probe feed.
     pub fn build<F: ProbeFeed>(
         mut self,
         cfg: ScanConfig,
@@ -121,7 +142,7 @@ impl ForwarderChainSpec {
         let pos = |i: usize| city(SITES[i % SITES.len()]).expect("known city").pos;
 
         // Authoritative: the experimental scan server, logging the queries
-        // `run_scan` drains. By default it synthesises an A record for
+        // `run_scan_with` drains. By default it synthesises an A record for
         // every name under the zone, so auto-generated probe qnames all
         // resolve without per-name zone state; a custom server (scripted
         // ECS stance) may stand in.
@@ -157,7 +178,7 @@ impl ForwarderChainSpec {
         // faults between scanner and forwarder. Addresses walk
         // 100.64.0.0/10 (the CGN range real open forwarders often sit
         // behind).
-        let population: usize = self.groups.iter().map(|g| g.count).sum();
+        let population = self.groups.iter().map(|g| g.count).sum::<usize>() + self.placed.len();
         let scanner_node_id = NodeId(sim.node_count() + population);
         let mut plan = FaultPlan::none();
         let mut targets = Vec::new();
@@ -206,6 +227,14 @@ impl ForwarderChainSpec {
             }
         }
         sim.set_fault_plan(plan);
+        for &(egress, addr, asn) in &self.placed {
+            let node = sim.add_node(
+                RelayActor::new(egress_nodes[egress]),
+                addr,
+                pos(targets.len() + 2),
+            );
+            targets.push(ProbeTarget { addr, node, asn });
+        }
 
         // The scanner itself, last so `scanner_node_id` was predictable.
         let feed = make_feed(&targets);
@@ -226,15 +255,15 @@ impl ForwarderChainSpec {
     }
 }
 
-/// A built scan world, ready for [`run_scan`].
+/// A built scan world, ready for [`run_scan_with`].
 pub struct ScanWorld {
     /// The simulation (exposed for metrics/tracer wiring before the run).
     pub sim: Simulation,
     /// The scanner node.
     pub scanner: NodeId,
-    /// The authoritative node (its log is drained by [`run_scan`]).
+    /// The authoritative node (its log is drained by [`run_scan_with`]).
     pub auth: NodeId,
-    /// One entry per forwarder, group order.
+    /// One entry per forwarder, group order, then the placed forwarders.
     pub targets: Vec<ProbeTarget>,
     /// Egress resolver addresses (the §6 classification subjects).
     pub egress_addrs: Vec<IpAddr>,
@@ -312,13 +341,22 @@ impl ScanReport {
     }
 }
 
-/// Drives the world to completion in `slice`-sized steps, draining the
-/// authoritative query log into `capture` after each step so neither the
-/// log nor the capture grows with probe count.
+/// [`run_scan_with`] into a bounded capture.
 pub fn run_scan(
     world: &mut ScanWorld,
     slice: SimDuration,
     capture: &mut ScanCapture,
+) -> ScanReport {
+    run_scan_with(world, slice, |log| capture.absorb(log))
+}
+
+/// Drives the world to completion in `slice`-sized steps, handing the
+/// authoritative query log drained after each step to `absorb`, so the log
+/// never grows with probe count.
+pub fn run_scan_with(
+    world: &mut ScanWorld,
+    slice: SimDuration,
+    mut absorb: impl FnMut(Vec<QueryLogEntry>),
 ) -> ScanReport {
     let slice = if slice == SimDuration::ZERO {
         SimDuration::from_secs(60)
@@ -329,8 +367,7 @@ pub fn run_scan(
     loop {
         let deadline = world.sim.now() + slice;
         world.sim.run_until(deadline);
-        let log = world.auth_mut().server_mut().take_log();
-        capture.absorb(log);
+        absorb(world.auth_mut().server_mut().take_log());
         if world.scanner_mut().is_done() {
             break;
         }
