@@ -148,7 +148,7 @@ pub(crate) fn view(config: &Config, runs: &[(u8, u64, CacheSimResult)]) -> (Outc
         "grows with population",
         "monotone ↑ (1.7 → 4.3)",
         format!("{first:.2} → {last:.2}"),
-        last > first || config.fractions.len() == 1,
+        points.windows(2).all(|w| w[1].1 > w[0].1),
     );
     // No flattening: the last step still increases.
     if points.len() >= 2 {
@@ -157,7 +157,7 @@ pub(crate) fn view(config: &Config, runs: &[(u8, u64, CacheSimResult)]) -> (Outc
             "no flattening at 100%",
             "still rising",
             format!("{prev:.2} → {last:.2}"),
-            last >= prev * 0.98,
+            last > prev,
         );
     }
     let mut detail = String::from("pct  blow-up\n");
