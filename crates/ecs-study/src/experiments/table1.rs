@@ -14,8 +14,6 @@
 //! names a file receiving `{"report":…,"table1":…}` — the scan's exact
 //! counters and the table's rows; two runs write byte-identical files.
 
-use std::net::IpAddr;
-
 use analysis::PrefixLengthTable;
 use netsim::SimDuration;
 use scanner::{run_scan_with, ForwarderChainSpec, RoundRobinFeed, ScanConfig, ScanReport};
@@ -93,16 +91,14 @@ pub fn run_with(config: &Config, probes: Option<u64>, session: &mut Session) -> 
             resolver.prefix,
             PrefixClass::V6Slash56 | PrefixClass::V6Slash48 | PrefixClass::V6Slash128
         );
-        let forwarders: Vec<IpAddr> = (0..FORWARDERS_PER_RESOLVER)
-            .map(|_| {
-                let block = if v6 {
-                    alloc.alloc_v6_block()
-                } else {
-                    alloc.alloc_v4_block()
-                };
-                AddrAllocator::host_in(&block, 2)
-            })
-            .collect();
+        let forwarders = (0..FORWARDERS_PER_RESOLVER).map(|_| {
+            let block = if v6 {
+                alloc.alloc_v6_block()
+            } else {
+                alloc.alloc_v4_block()
+            };
+            AddrAllocator::host_in(&block, 2)
+        });
         spec = spec.egress_with_forwarders(
             resolver_config_for(resolver, &[]),
             forwarders,
