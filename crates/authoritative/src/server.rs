@@ -7,7 +7,7 @@ use dns_wire::{
     EcsOption, Flags, Message, MessageView, Name, OneVec, Opcode, Question, Rcode, Rdata, Record,
     RecordType,
 };
-use netsim::SimTime;
+use netsim::{SimTime, Transport};
 
 use crate::cdn::CdnBehavior;
 use crate::geodb::GeoDb;
@@ -192,32 +192,32 @@ impl AuthServer {
     /// exceeds the requestor's advertised payload size, 512 bytes without
     /// EDNS.
     pub fn handle(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
-        let query = Query::of_message(query);
-        let limit = query.udp_limit();
-        self.answer(query, src, now, limit)
+        self.answer(Query::of_message(query), src, now, Transport::Udp)
     }
 
-    /// [`AuthServer::handle`] for a query read in place: the same answer
-    /// pass and the same response, with only the question section
-    /// decoded.
-    pub fn handle_view(&mut self, query: &MessageView<'_>, src: IpAddr, now: SimTime) -> Message {
-        let query = Query::of_view(query);
-        let limit = query.udp_limit();
-        self.answer(query, src, now, limit)
+    /// The one datagram path: [`AuthServer::handle`] for query datagram
+    /// `query`, read in place, that arrived over `transport`. `None`, as
+    /// a server drops it, when `query` does not parse or is a response.
+    pub fn reply(
+        &mut self,
+        query: &[u8],
+        src: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Option<Vec<u8>> {
+        let query = MessageView::parse(query)
+            .ok()
+            .filter(|q| !q.is_response())?;
+        let resp = self.answer(Query::of_view(&query), src, now, transport);
+        resp.to_bytes().ok()
     }
 
-    /// Handles one query that arrived over a stream transport. Stream
-    /// responses are not held to the UDP advertisement (RFC 7766): the
-    /// limit is the two-byte length prefix's 65,535 bytes.
-    pub fn handle_stream(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
-        self.answer(Query::of_message(query), src, now, usize::from(u16::MAX))
-    }
-
-    /// Answers and logs `query` once; an answer over `limit` bytes (or
-    /// unencodable, which only happens beyond 64 KiB) leaves with its
-    /// record sections emptied and TC set, so the client retries over a
-    /// stream transport.
-    fn answer(&mut self, query: Query, src: IpAddr, now: SimTime, limit: usize) -> Message {
+    /// Answers and logs `query`, which arrived over `transport`, once; an
+    /// answer whose encoding is over its limit (or unencodable, which only
+    /// happens beyond 64 KiB) leaves with its record sections emptied and
+    /// TC set, so the client retries over a stream transport.
+    fn answer(&mut self, query: Query, src: IpAddr, now: SimTime, transport: Transport) -> Message {
+        let limit = query.limit(transport);
         let mut resp = Message {
             id: query.id,
             flags: Flags {
@@ -400,10 +400,14 @@ impl Query {
         }
     }
 
-    /// The size a UDP response must fit: the advertisement, 512 bytes
-    /// at least and without EDNS.
-    fn udp_limit(&self) -> usize {
-        usize::from(self.edns.map_or(512, |size| size.max(512)))
+    /// The size a response must fit: over UDP the advertisement, 512 bytes
+    /// at least and without EDNS; over a stream 65,535 bytes (RFC 7766).
+    fn limit(&self, transport: Transport) -> usize {
+        if transport.is_stream() {
+            usize::from(u16::MAX)
+        } else {
+            usize::from(self.edns.map_or(512, |size| size.max(512)))
+        }
     }
 }
 
@@ -616,6 +620,12 @@ mod truncation_tests {
         AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource))
     }
 
+    /// [`AuthServer::reply`] to a built query, decoded.
+    fn reply(s: &mut AuthServer, q: &Message, transport: Transport) -> Message {
+        let resp = s.reply(&q.to_bytes().unwrap(), SRC, SimTime::ZERO, transport);
+        Message::from_bytes(&resp.unwrap()).unwrap()
+    }
+
     #[test]
     fn small_response_not_truncated() {
         let mut s = big_zone(4);
@@ -675,7 +685,7 @@ mod truncation_tests {
             "over UDP it truncates"
         );
         s.take_log();
-        let resp = s.handle_stream(&q, SRC, SimTime::ZERO);
+        let resp = reply(&mut s, &q, Transport::Tcp);
         assert!(!resp.flags.tc);
         assert_eq!(resp.answers.len(), 400);
         assert!(resp.to_bytes().unwrap().len() > 4096);
@@ -692,7 +702,7 @@ mod truncation_tests {
             s.handle(&q, SRC, SimTime::ZERO).flags.tc,
             "past 512 over UDP"
         );
-        let resp = s.handle_stream(&q, SRC, SimTime::ZERO);
+        let resp = reply(&mut s, &q, Transport::Tcp);
         assert!(!resp.flags.tc);
         assert_eq!(resp.answers.len(), 40);
         assert!(resp.edns.is_none(), "the query carried no OPT");
@@ -744,11 +754,9 @@ mod truncation_tests {
             };
             let (mut decoded, mut viewed) = (server(), server());
             for m in &queries {
-                let bytes = m.to_bytes().unwrap();
-                let view = MessageView::parse(&bytes).unwrap();
                 let want = decoded.handle(m, SRC, SimTime::ZERO);
-                let got = viewed.handle_view(&view, SRC, SimTime::ZERO);
-                assert_eq!(got.to_bytes().unwrap(), want.to_bytes().unwrap(), "{m:?}");
+                let got = viewed.reply(&m.to_bytes().unwrap(), SRC, SimTime::ZERO, Transport::Udp);
+                assert_eq!(got.unwrap(), want.to_bytes().unwrap(), "{m:?}");
             }
             assert_eq!(viewed.log(), decoded.log());
             assert!(decoded.log().iter().any(|e| e.answers.len() == 40));

@@ -12,9 +12,9 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, QueryLogEntry, ScopePolicy, Zone};
-use dns_wire::{Message, Name, Rcode};
+use dns_wire::{MessageView, Name, Rcode};
 use netsim::SimTime;
-use resolver::{Transport, Upstream, UpstreamError};
+use resolver::{rcode_reply, Transport, Upstream, UpstreamError};
 
 /// How the scripted authoritative treats ECS options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,34 +255,33 @@ impl ScenarioUpstream {
 }
 
 impl Upstream for ScenarioUpstream {
-    /// Serves every transport alike.
+    /// Serves every transport alike, each as a UDP exchange.
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         _transport: Transport,
-    ) -> Result<Message, UpstreamError> {
-        if let Some(question) = q.question() {
-            self.ensure_name(&question.name.clone());
+    ) -> Result<Vec<u8>, UpstreamError> {
+        let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
+        if let Some(question) = query.questions().next() {
+            self.ensure_name(&question.name);
             if self.scenario.stance == EcsStance::FormerrOnEcs {
-                if let Some(ecs) = q.ecs().copied() {
+                if let Some(ecs) = query.ecs().copied() {
                     self.rejected.push(QueryLogEntry {
                         at: now,
                         resolver: from,
-                        qname: question.name.clone(),
+                        qname: question.name,
                         qtype: question.qtype,
                         ecs: Some(ecs),
                         response_scope: None,
                         answers: Vec::new(),
                     });
-                    let mut resp = Message::response_to(q);
-                    resp.rcode = Rcode::FormErr;
-                    return Ok(resp);
+                    return rcode_reply(&query, Rcode::FormErr);
                 }
             }
         }
-        Ok(self.auth.handle(q, from, now))
+        self.auth.query_via(q, from, now, Transport::Udp)
     }
 }
 
@@ -294,7 +293,7 @@ pub fn host(label: &str, scenario: &Scenario) -> Name {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::EcsOption;
+    use dns_wire::{EcsOption, Message};
 
     const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
 

@@ -173,6 +173,14 @@ impl<'a> MessageView<'a> {
         self.question == Some((question.qtype, question.qclass)) && self.question_is(&question.name)
     }
 
+    /// The one rule every upstream reader applies: a reply to query `id`
+    /// asking `question` echoes the question or none (an id is guessable).
+    pub fn is_reply_to(&self, id: u16, question: Option<&Question>) -> bool {
+        self.is_response()
+            && self.id() == id
+            && (self.question.is_none() || question.is_some_and(|q| self.asks(q)))
+    }
+
     /// True when there is a question and the first one asks for `name`
     /// (compared as [`Name`]'s `==` compares), read in place.
     pub fn question_is(&self, name: &Name) -> bool {
@@ -288,6 +296,16 @@ mod tests {
         let mut other_class = resp.questions[0].clone();
         other_class.qclass = crate::RecordClass::Ch;
         assert!(!view.asks(&other_class));
+        assert!(view.is_reply_to(0x2A2A, Some(&resp.questions[0])));
+        assert!(!view.is_reply_to(0x2A2B, Some(&resp.questions[0])));
+        assert!(!view.is_reply_to(0x2A2A, Some(&other_class)));
+        assert!(!view.is_reply_to(0x2A2A, None));
+        let query_bytes = q.to_bytes().unwrap();
+        let query = MessageView::parse(&query_bytes).unwrap();
+        assert!(
+            !query.is_reply_to(0x2A2A, Some(&resp.questions[0])),
+            "a query"
+        );
     }
 
     /// A first question that is itself a compression pointer (here into
@@ -326,5 +344,10 @@ mod tests {
         assert!(view.answers().is_empty());
         assert!(!view.asks(&Question::a(name("a.example"))));
         assert_eq!(view.udp_payload_size(), None);
+        bytes[2] |= 0x80; // QR: a reply that carries no question
+        let reply = MessageView::parse(&bytes).unwrap();
+        assert!(reply.is_reply_to(1, Some(&Question::a(name("a.example")))));
+        assert!(reply.is_reply_to(1, None));
+        assert!(!reply.is_reply_to(2, None));
     }
 }

@@ -4,7 +4,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-use dns_wire::{EcsOption, Message, Name, Question, RecordClass, RecordType};
+use dns_wire::{EcsOption, Message, MessageView, Name, Question, RecordClass, RecordType};
 
 /// Errors a query can end in.
 #[derive(Debug)]
@@ -13,8 +13,8 @@ pub enum DigError {
     Io(io::Error),
     /// No (valid) response arrived within all retries.
     Timeout,
-    /// The query did not encode, or a TCP response did not parse (a
-    /// garbled datagram is not an answer: the UDP attempt listens on).
+    /// A query did not encode or parse, or a TCP reply did not (a garbled
+    /// datagram is not an answer: the UDP attempt listens on).
     Malformed(dns_wire::WireError),
 }
 
@@ -37,19 +37,23 @@ impl From<io::Error> for DigError {
 }
 
 /// One UDP attempt, shared by [`DigClient`] and
-/// [`crate::SocketUpstream`]: send `query` (the encoding of a message
-/// with id `id`) to `server`, then wait for a response from `server` with
-/// that id until `timeout` after the send. The deadline is fixed once:
-/// datagrams that are not the answer (strays, wrong ids, garbage) use the
-/// window up, they do not restart it or end the attempt. A lapsed window
-/// is [`DigError::Timeout`], a socket failure [`DigError::Io`].
+/// [`crate::SocketUpstream`]: send query datagram `query` to `server`,
+/// then return the first datagram from `server` within `timeout` of the
+/// send that [`MessageView::is_reply_to`] it. The deadline is fixed once:
+/// other datagrams (strays, wrong ids or names, garbage) use the window
+/// up, they do not restart it or end the attempt. A lapsed window is
+/// [`DigError::Timeout`], a socket failure [`DigError::Io`].
 pub(crate) fn udp_attempt(
     socket: &UdpSocket,
     server: SocketAddr,
     query: &[u8],
-    id: u16,
     timeout: Duration,
-) -> Result<Message, DigError> {
+) -> Result<Vec<u8>, DigError> {
+    let asked = MessageView::parse(query).map_err(DigError::Malformed)?;
+    let question = asked.questions().next();
+    let is_reply = |reply: &[u8]| {
+        MessageView::parse(reply).is_ok_and(|r| r.is_reply_to(asked.id(), question.as_ref()))
+    };
     socket.send_to(query, server)?;
     let deadline = Instant::now() + timeout;
     let mut buf = [0u8; 4096];
@@ -60,15 +64,9 @@ pub(crate) fn udp_attempt(
         }
         socket.set_read_timeout(Some(left))?;
         match socket.recv_from(&mut buf) {
-            Ok((n, from)) if from == server => {
-                if let Ok(resp) = Message::from_bytes(&buf[..n]) {
-                    if resp.id == id && resp.is_response() {
-                        return Ok(resp);
-                    }
-                }
-                // Garbled or mismatched: keep listening in this window.
-            }
-            Ok(_) => {} // stray sender
+            Ok((n, from)) if from == server && is_reply(&buf[..n]) => return Ok(buf[..n].to_vec()),
+            // A stray sender, or garbled or mismatched: keep listening.
+            Ok(_) => {}
             // Lapsed or interrupted by a signal: the deadline decides.
             Err(e)
                 if matches!(
@@ -105,13 +103,13 @@ impl DigClient {
     }
 
     /// Sends `query` to `server`, retrying on timeout, and returns the
-    /// first response whose id matches.
+    /// first reply to it, decoded.
     pub fn exchange(&mut self, server: SocketAddr, query: &Message) -> Result<Message, DigError> {
         let bytes = query.to_bytes().map_err(DigError::Malformed)?;
         for _attempt in 0..=self.retries {
-            match udp_attempt(&self.socket, server, &bytes, query.id, self.timeout) {
+            match udp_attempt(&self.socket, server, &bytes, self.timeout) {
                 Err(DigError::Timeout) => {} // retransmit
-                done => return done,
+                done => return Message::from_bytes(&done?).map_err(DigError::Malformed),
             }
         }
         Err(DigError::Timeout)
@@ -138,7 +136,9 @@ impl DigClient {
         }
         let resp = self.exchange(server, &q)?;
         if resp.flags.tc {
-            return crate::tcp::tcp_exchange(server, &q, self.timeout);
+            let bytes = q.to_bytes().map_err(DigError::Malformed)?;
+            let reply = crate::tcp::tcp_exchange(server, &bytes, self.timeout)?;
+            return Message::from_bytes(&reply).map_err(DigError::Malformed);
         }
         Ok(resp)
     }

@@ -23,7 +23,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dns_wire::Message;
+use dns_wire::{Message, MessageView};
 use netsim::{LinkFaults, SimTime};
 use resolver::{
     Admission, FaultyUpstream, FlightTable, InjectedFault, PendingQuery, Resolver, ResolverConfig,
@@ -280,16 +280,20 @@ impl ResolverHandler {
                 // owner's raw response (`None`: it failed, or the wait
                 // timed out) and be answered from it.
                 self.engine.join(&pending, now);
-                let raw = flight.wait(self.join_wait).map(UpstreamReply::from);
-                let resp = self.engine.answer_joiner(&pending, raw.as_ref(), now);
+                let raw = flight.wait(self.join_wait);
+                let view = raw
+                    .as_deref()
+                    .and_then(|reply| MessageView::parse(reply).ok());
+                let reply = view.map(|v| UpstreamReply::read(&v));
+                let resp = self.engine.answer_joiner(&pending, reply.as_ref(), now);
                 prof.exit();
                 resp
             }
             Admission::Owner(token) => {
                 prof.enter("own_upstream");
-                let (answer, raw) =
-                    self.engine
-                        .drive_upstream_capturing(pending, now, &mut *self.upstream);
+                let (answer, raw) = self
+                    .engine
+                    .drive_upstream(pending, now, &mut *self.upstream);
                 // Publish before answering our own client: joiners are
                 // other workers' clients and should not wait on our send.
                 token.complete(raw);
@@ -487,13 +491,13 @@ mod tests {
     impl Upstream for Gated {
         fn query_via(
             &mut self,
-            q: &Message,
+            q: &[u8],
             from: std::net::IpAddr,
             now: SimTime,
-            _transport: resolver::Transport,
-        ) -> Result<Message, resolver::UpstreamError> {
+            transport: resolver::Transport,
+        ) -> Result<Vec<u8>, resolver::UpstreamError> {
             self.gate.recv().expect("released");
-            Ok(self.auth.handle(q, from, now))
+            self.auth.query_via(q, from, now, transport)
         }
     }
 

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use authoritative::AuthServer;
-use dns_wire::Message;
-use netsim::SimTime;
+use dns_wire::MessageView;
+use netsim::{SimTime, Transport};
 use parking_lot::Mutex;
 
 /// Reads one length-prefixed DNS message from a stream.
@@ -36,7 +36,7 @@ pub fn write_framed(stream: &mut impl Write, msg: &[u8]) -> io::Result<()> {
 
 /// An authoritative DNS server on a TCP listener. TCP responses are never
 /// truncated (the 64 KiB frame limit is the only bound): queries go through
-/// [`AuthServer::handle_stream`].
+/// [`AuthServer::reply`] over [`Transport::Tcp`].
 pub struct TcpAuthServer {
     listener: TcpListener,
     auth: Arc<Mutex<AuthServer>>,
@@ -114,17 +114,11 @@ impl TcpAuthServer {
         let Ok(raw) = read_framed(&mut stream) else {
             return Ok(false);
         };
-        let Ok(query) = Message::from_bytes(&raw) else {
+        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
+        let Some(reply) = self.auth.lock().reply(&raw, peer.ip(), now, Transport::Tcp) else {
             return Ok(false);
         };
-        if query.is_response() {
-            return Ok(false);
-        }
-        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
-        let resp = self.auth.lock().handle_stream(&query, peer.ip(), now);
-        if let Ok(bytes) = resp.to_bytes() {
-            let _ = write_framed(&mut stream, &bytes);
-        }
+        let _ = write_framed(&mut stream, &reply);
         Ok(true)
     }
 
@@ -148,26 +142,31 @@ impl TcpAuthServer {
     }
 }
 
-/// One TCP exchange: connect, send, read one response.
+/// One TCP exchange: send `query`, return the framed reply if it
+/// [`MessageView::is_reply_to`] it; else [`crate::DigError::Timeout`].
 pub fn tcp_exchange(
     server: SocketAddr,
-    query: &Message,
+    query: &[u8],
     timeout: Duration,
-) -> Result<Message, crate::DigError> {
+) -> Result<Vec<u8>, crate::DigError> {
+    let asked = MessageView::parse(query).map_err(crate::DigError::Malformed)?;
     let mut stream = TcpStream::connect_timeout(&server, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let bytes = query.to_bytes().map_err(crate::DigError::Malformed)?;
-    write_framed(&mut stream, &bytes)?;
+    write_framed(&mut stream, query)?;
     let raw = read_framed(&mut stream)?;
-    Message::from_bytes(&raw).map_err(crate::DigError::Malformed)
+    let reply = MessageView::parse(&raw).map_err(crate::DigError::Malformed)?;
+    if !reply.is_reply_to(asked.id(), asked.questions().next().as_ref()) {
+        return Err(crate::DigError::Timeout);
+    }
+    Ok(raw)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{Name, Question, Rdata, Record};
+    use dns_wire::{Message, Name, Question, Rdata, Record};
     use std::net::Ipv4Addr;
 
     fn big_auth(records: u8) -> AuthServer {
@@ -209,7 +208,8 @@ mod tests {
         // Over TCP the 100-record answer (>512 bytes) arrives whole.
         let mut q = Message::query(9, Question::a(Name::from_ascii("www.big.example").unwrap()));
         q.edns = None; // a plain client that would be truncated over UDP
-        let resp = tcp_exchange(addr, &q, Duration::from_secs(2)).unwrap();
+        let resp = tcp_exchange(addr, &q.to_bytes().unwrap(), Duration::from_secs(2)).unwrap();
+        let resp = Message::from_bytes(&resp).unwrap();
         assert!(!resp.flags.tc);
         assert_eq!(resp.answers.len(), 100);
         handle.shutdown();

@@ -5,7 +5,10 @@
 //! replies as [`UpstreamError::Timeout`] and TC answers as
 //! [`UpstreamError::Truncated`]; over a stream transport a real RFC 7766
 //! framed TCP exchange (the DoT rung too: with no real crypto in the study
-//! it carries the same length-prefixed stream). This closes the loop
+//! it carries the same length-prefixed stream). It neither encodes nor
+//! decodes: it sends the query datagram the engine hands it and returns
+//! the reply datagram it accepted, by the rule the simulated egress
+//! applies ([`dns_wire::MessageView::is_reply_to`]). This closes the loop
 //! between the deterministic engine and the `dnsd` servers: the same
 //! retry/backoff/ECS-withdrawal policy that runs in the simulator drives
 //! real packets on loopback.
@@ -19,7 +22,7 @@ use std::io;
 use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::time::Duration;
 
-use dns_wire::{Message, Rcode};
+use dns_wire::{wire::WireReader, Header, Rcode};
 use netsim::{SimTime, Transport};
 use resolver::{Upstream, UpstreamError};
 
@@ -67,37 +70,33 @@ impl SocketUpstream {
 impl Upstream for SocketUpstream {
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         _from: IpAddr,
         _now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError> {
-        if transport.is_stream() {
+    ) -> Result<Vec<u8>, UpstreamError> {
+        let reply = if transport.is_stream() {
             let server = self.tcp_server.unwrap_or(self.server);
-            return match crate::tcp::tcp_exchange(server, q, self.timeout) {
-                Ok(resp) => Ok(resp),
-                Err(crate::DigError::Timeout) => Err(UpstreamError::Timeout),
-                Err(crate::DigError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    Err(UpstreamError::Timeout)
-                }
-                Err(_) => Err(UpstreamError::Rcode(Rcode::ServFail)),
-            };
+            crate::tcp::tcp_exchange(server, q, self.timeout)
+        } else {
+            crate::client::udp_attempt(&self.socket, self.server, q, self.timeout)
+        };
+        match reply {
+            Ok(reply) if transport.is_stream() => Ok(reply),
+            Ok(reply) if Header::read(&mut WireReader::new(&reply)).is_ok_and(|h| h.flags.tc) => {
+                Err(UpstreamError::Truncated)
+            }
+            Ok(reply) => Ok(reply),
+            Err(crate::DigError::Timeout) => Err(UpstreamError::Timeout),
+            Err(crate::DigError::Io(e))
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Err(UpstreamError::Timeout)
+            }
+            Err(_) => Err(UpstreamError::Rcode(Rcode::ServFail)),
         }
-        let bytes = q
-            .to_bytes()
-            .map_err(|_| UpstreamError::Rcode(Rcode::FormErr))?;
-        let resp =
-            crate::client::udp_attempt(&self.socket, self.server, &bytes, q.id, self.timeout)
-                .map_err(|e| match e {
-                    crate::DigError::Timeout => UpstreamError::Timeout,
-                    _ => UpstreamError::Rcode(Rcode::ServFail),
-                })?;
-        if resp.flags.tc {
-            return Err(UpstreamError::Truncated);
-        }
-        Ok(resp)
     }
 }

@@ -347,15 +347,22 @@ fn garbled_datagram_then_the_answer_is_the_answer() {
         return;
     }
     for (subject, ask) in SUBJECTS {
-        // The server's first datagram is too short to be a DNS header;
-        // the real answer follows it inside the same attempt window.
+        // The server's first datagram is too short to be a DNS header, its
+        // second has the query's id but answers another name; the real
+        // answer follows both inside the same attempt window.
         let server = std::net::UdpSocket::bind("127.0.0.1:0").expect("loopback available");
         let server_addr = server.local_addr().unwrap();
         let serving = std::thread::spawn(move || {
             let mut buf = [0u8; 512];
             let (n, peer) = server.recv_from(&mut buf).unwrap();
-            let answer = Message::response_to(&Message::from_bytes(&buf[..n]).unwrap());
+            let query = Message::from_bytes(&buf[..n]).unwrap();
+            let other = Message::query(query.id, Question::a(name("www.other.example")));
+            let answer = Message::response_to(&query);
             server.send_to(&[0xFF; 5], peer).unwrap();
+            let wrong_name = Message::response_to(&other);
+            server
+                .send_to(&wrong_name.to_bytes().unwrap(), peer)
+                .unwrap();
             server.send_to(&answer.to_bytes().unwrap(), peer).unwrap();
         });
         let outcome = ask(server_addr);
@@ -363,5 +370,6 @@ fn garbled_datagram_then_the_answer_is_the_answer() {
         let resp = outcome.unwrap_or_else(|| panic!("{subject} gave up on the garbage"));
         assert_eq!(resp.id, client_query().id, "{subject}");
         assert!(resp.is_response(), "{subject}");
+        assert_eq!(resp.questions, client_query().questions, "{subject}");
     }
 }

@@ -15,10 +15,10 @@
 //! simulation carrying an all-zero plan is *bit-identical* to one carrying
 //! no plan at all.
 //!
-//! The payload manglers assume the DNS wire format this project puts in
-//! [`crate::Packet::payload`] (the simulator itself stays byte-oriented:
-//! a packet that is not a well-formed DNS reply is left untouched by the
-//! message-level faults).
+//! The payload rewrite, [`PacketFate::rewrite`], assumes the DNS wire
+//! format this project puts in [`crate::Packet::payload`] (the simulator
+//! itself stays byte-oriented: a packet that is not a well-formed DNS
+//! reply is left untouched by the message-level faults).
 
 use rand::Rng;
 
@@ -99,6 +99,32 @@ pub enum PacketFate {
     /// A reply arrives with its RCODE rewritten to REFUSED, records
     /// stripped.
     Refused,
+}
+
+impl PacketFate {
+    /// Rewrites DNS reply `payload` in place as this fate delivers it: a
+    /// [`PacketFate::Truncated`] reply gets TC, a [`PacketFate::Refused`]
+    /// one RCODE REFUSED, and either loses everything after its question
+    /// section, as a size-limited or policy-refusing server sends it.
+    /// Every other fate, and a payload shorter than a DNS header, is left
+    /// as it is. The simulator's send path and the resolver's upstream
+    /// decorator both rewrite through here.
+    pub fn rewrite(self, payload: &mut Vec<u8>) {
+        if payload.len() < 12 {
+            return;
+        }
+        match self {
+            PacketFate::Truncated => payload[2] |= 0x02, // TC
+            PacketFate::Refused => payload[3] = (payload[3] & 0xF0) | 5, // REFUSED
+            _ => return,
+        }
+        if let Some(end) = dns_question_end(payload) {
+            for b in &mut payload[6..12] {
+                *b = 0; // ANCOUNT, NSCOUNT, ARCOUNT
+            }
+            payload.truncate(end);
+        }
+    }
 }
 
 impl Default for LinkFaults {
@@ -186,27 +212,16 @@ impl FaultPlan {
         if f.is_none() {
             return true;
         }
-        match f.fate(dns_is_reply(payload), rng) {
-            PacketFate::Deliver => true,
-            PacketFate::Blackholed => {
-                stats.dropped_blackhole += 1;
-                false
-            }
-            PacketFate::Lost => {
-                stats.dropped_loss += 1;
-                false
-            }
-            PacketFate::Truncated => {
-                dns_truncate(payload);
-                stats.truncated += 1;
-                true
-            }
-            PacketFate::Refused => {
-                dns_set_rcode(payload, 5); // REFUSED
-                stats.rcode_injected += 1;
-                true
-            }
+        let fate = f.fate(dns_is_reply(payload), rng);
+        match fate {
+            PacketFate::Deliver => return true,
+            PacketFate::Blackholed => stats.dropped_blackhole += 1,
+            PacketFate::Lost => stats.dropped_loss += 1,
+            PacketFate::Truncated => stats.truncated += 1,
+            PacketFate::Refused => stats.rcode_injected += 1,
         }
+        fate.rewrite(payload);
+        matches!(fate, PacketFate::Truncated | PacketFate::Refused)
     }
 }
 
@@ -239,32 +254,6 @@ fn dns_question_end(payload: &[u8]) -> Option<usize> {
         }
     }
     Some(i)
-}
-
-/// Truncates a reply in place: sets TC, zeroes the record counts, and
-/// chops everything after the question section (as a size-limited UDP
-/// server does). If the question section does not parse, only TC is set.
-fn dns_truncate(payload: &mut Vec<u8>) {
-    payload[2] |= 0x02; // TC
-    if let Some(end) = dns_question_end(payload) {
-        for b in &mut payload[6..12] {
-            *b = 0; // ANCOUNT, NSCOUNT, ARCOUNT
-        }
-        payload.truncate(end);
-    }
-}
-
-/// Rewrites a reply's RCODE in place (stripping records like a failing
-/// server that never assembled an answer). `rcode` is the 4-bit header
-/// value.
-fn dns_set_rcode(payload: &mut Vec<u8>, rcode: u8) {
-    payload[3] = (payload[3] & 0xF0) | (rcode & 0x0F);
-    if let Some(end) = dns_question_end(payload) {
-        for b in &mut payload[6..12] {
-            *b = 0;
-        }
-        payload.truncate(end);
-    }
 }
 
 #[cfg(test)]
@@ -353,6 +342,17 @@ mod tests {
         assert!(p[2] & 0x02 != 0, "TC set");
         assert_eq!(&p[6..12], &[0; 6], "record counts zeroed");
         assert_eq!(p.len(), 12 + 3 + 4, "chopped after the question");
+        // Called directly, a rewrite leaves a datagram shorter than a
+        // header as it is.
+        for fate in [PacketFate::Truncated, PacketFate::Refused] {
+            for len in [0, 1, 3, 11] {
+                let mut short = reply_bytes();
+                short.truncate(len);
+                let before = short.clone();
+                fate.rewrite(&mut short);
+                assert_eq!(short, before, "{fate:?} on {len} bytes");
+            }
+        }
     }
 
     #[test]

@@ -118,9 +118,10 @@ impl Node for RelayActor {
 /// arrives or a timer fires — retry, withdraw ECS, answer or SERVFAIL — is
 /// [`Resolver::step_exchange`]'s decision, so resolution survives the
 /// simulator's loss model exactly as the blocking driver does and never
-/// hangs or loops. The simulator carries one transport, so
-/// exchanges run on a UDP-only ladder and truncated datagrams are dropped
-/// before they reach the machine.
+/// hangs or loops. Each send is the datagram the exchange wrote
+/// ([`Exchange::take_upstream_query`]). The simulator carries one
+/// transport, so exchanges run on a UDP-only ladder and truncated
+/// datagrams are dropped before they reach the machine.
 pub struct EgressActor {
     resolver: Resolver,
     /// Zone apex → authoritative server address, searched most-specific
@@ -218,7 +219,7 @@ impl EgressActor {
         match action {
             Action::Send { timeout, .. } => {
                 let p = self.pending.get_mut(&id).expect("exchange is outstanding");
-                send_msg(ctx, p.auth_node, p.exchange.upstream_query());
+                ctx.send(p.auth_node, p.exchange.take_upstream_query());
                 p.deadline = ctx.now() + timeout;
                 ctx.set_timer(timeout, u64::from(id));
                 stage(ctx, "send query", t);
@@ -264,13 +265,11 @@ impl Node for EgressActor {
             return;
         };
         if msg.is_response() {
-            // Only the authoritative we asked, echoing the question we
-            // asked, may complete an exchange: a 16-bit id alone is
-            // guessable.
+            // Only the authoritative we asked, replying to the query we
+            // sent, may complete an exchange.
             let id = msg.id();
             let Some(p) = self.pending.get_mut(&id).filter(|p| {
-                pkt.src == p.auth_node
-                    && (msg.qtype().is_none() || msg.asks(p.exchange.pending().question()))
+                pkt.src == p.auth_node && msg.is_reply_to(id, Some(p.exchange.pending().question()))
             }) else {
                 self.ignored_replies += 1;
                 return;
@@ -353,7 +352,8 @@ impl Node for EgressActor {
     }
 }
 
-/// An authoritative server as a simulation node.
+/// An authoritative server as a simulation node, answering through
+/// [`AuthServer::reply`].
 pub struct AuthActor {
     server: AuthServer,
 }
@@ -377,16 +377,12 @@ impl AuthActor {
 
 impl Node for AuthActor {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(msg) = MessageView::parse(&pkt.payload) else {
-            return;
-        };
-        if msg.is_response() {
-            return;
-        }
         let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
-        let resp = self.server.handle_view(&msg, src_addr, ctx.now());
-        if let Ok(bytes) = resp.to_bytes() {
-            ctx.send(pkt.src, bytes);
+        let reply = self
+            .server
+            .reply(&pkt.payload, src_addr, ctx.now(), Transport::Udp);
+        if let Some(reply) = reply {
+            ctx.send(pkt.src, reply);
         }
     }
 }

@@ -10,7 +10,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use authoritative::AuthServer;
-use dns_wire::{Message, Name, Rcode};
+use dns_wire::{Message, MessageView, Name, Rcode};
 use netsim::{SimTime, Transport};
 use obs::{EventKind, TraceCtx, Tracer};
 
@@ -59,44 +59,44 @@ impl std::error::Error for UpstreamError {}
 
 /// Where a resolver sends its upstream queries.
 ///
-/// The contract is fallible: transports that can lose packets or truncate
-/// replies surface those as [`UpstreamError`]s, and the engine's retry
-/// policy ([`crate::config::RetryPolicy`]) decides what happens next.
-/// In-process upstreams (an [`AuthServer`], a [`ZoneRouter`]) are
-/// infallible and always return `Ok`.
+/// The seam is the datagram the simulated egress sends too: the query's
+/// bytes in, the accepted reply's bytes out. The contract is fallible:
+/// transports that can lose packets or truncate replies surface those as
+/// [`UpstreamError`]s, and the engine's retry policy
+/// ([`crate::config::RetryPolicy`]) decides what happens next.
 pub trait Upstream {
     /// Performs one upstream exchange over `transport` (a rung of the
     /// [`crate::TransportPolicy`] ladder): the resolver at `from` sends
-    /// `q`, the authoritative side answers. Upstreams that do not model
-    /// transports serve every stream transport (TCP, DoT) alike, as a
-    /// framed exchange that is never truncated (RFC 7766).
+    /// datagram `q`, the authoritative side answers. Upstreams that do not
+    /// model transports serve every stream transport (TCP, DoT) alike, as
+    /// a framed exchange that is never truncated (RFC 7766).
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError>;
+    ) -> Result<Vec<u8>, UpstreamError>;
 
-    /// One exchange over UDP.
+    /// One exchange over UDP of a built message, its reply decoded (else
+    /// FORMERR): for tests, and the benchmark package until ROADMAP item 1.
     fn query(&mut self, q: &Message, from: IpAddr, now: SimTime) -> Result<Message, UpstreamError> {
-        self.query_via(q, from, now, Transport::Udp)
+        let formerr = |_| UpstreamError::Rcode(Rcode::FormErr);
+        let reply = self.query_via(&q.to_bytes().map_err(formerr)?, from, now, Transport::Udp)?;
+        Message::from_bytes(&reply).map_err(formerr)
     }
 }
 
 impl Upstream for AuthServer {
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError> {
-        Ok(if transport.is_stream() {
-            self.handle_stream(q, from, now)
-        } else {
-            self.handle(q, from, now)
-        })
+    ) -> Result<Vec<u8>, UpstreamError> {
+        self.reply(q, from, now, transport)
+            .ok_or(UpstreamError::Timeout)
     }
 }
 
@@ -130,11 +130,6 @@ impl ZoneRouter {
             .find(|(apex, _)| name.is_subdomain_of(apex))
             .map(|(_, s)| s)
     }
-
-    /// Immutable access for assertions in tests/experiments.
-    pub fn servers(&self) -> impl Iterator<Item = &AuthServer> {
-        self.routes.iter().map(|(_, s)| s)
-    }
 }
 
 impl Upstream for ZoneRouter {
@@ -142,22 +137,27 @@ impl Upstream for ZoneRouter {
     /// no zone matches, FORMERR without a question.
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError> {
-        let rcode = match q.question() {
-            Some(qq) => match self.server_for(&qq.name) {
+    ) -> Result<Vec<u8>, UpstreamError> {
+        let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
+        let rcode = match query.questions().next() {
+            Some(question) => match self.server_for(&question.name) {
                 Some(server) => return server.query_via(q, from, now, transport),
                 None => Rcode::Refused,
             },
             None => Rcode::FormErr,
         };
-        let mut resp = Message::response_to(q);
-        resp.rcode = rcode;
-        Ok(resp)
+        rcode_reply(&query, rcode)
     }
+}
+
+/// The reply to query `q` that carries `rcode` alone, as a server refuses.
+pub fn rcode_reply(q: &MessageView<'_>, rcode: Rcode) -> Result<Vec<u8>, UpstreamError> {
+    let reply = ClientAnswer::new(AnswerHead::from(*q), rcode, Vec::new(), None);
+    reply.to_bytes().map_err(|_| UpstreamError::Timeout)
 }
 
 /// Counters for one resolver's upstream traffic. All counters update with
@@ -403,55 +403,69 @@ impl Resolver {
     ) -> Message {
         match self.begin(query, client_src, now) {
             Step::Answer(resp) => resp,
-            Step::NeedUpstream(pending) => self.drive_upstream_capturing(pending, now, upstream).0,
+            Step::NeedUpstream(pending) => self.drive_upstream(pending, now, upstream).0,
         }
     }
 
-    /// The blocking driver of the [`crate::exchange`] machine: runs the
-    /// upstream exchange for `pending` to completion against `upstream` and
-    /// returns the client answer plus the raw upstream response it completed
-    /// with (`None` when the exchange failed and the answer is SERVFAIL).
-    /// The machine reads each response as an [`UpstreamReply`] whose
-    /// answers move out of it, and hands them back with a reply it
-    /// completed on: they return to the response.
-    ///
-    /// Time is virtual: each timed-out send advances the local clock by the
-    /// timeout the machine asked for, so cache inserts and probing-state
-    /// updates happen at the moment the answer would really have arrived.
-    ///
-    /// Multi-worker front ends publish the raw response to the flight's
-    /// coalesced joiners, who hand it to [`Resolver::answer_joiner`]; only
-    /// the flight owner caches.
+    /// [`Resolver::drive_upstream`] with the raw reply decoded.
     pub fn drive_upstream_capturing<U: Upstream + ?Sized>(
         &mut self,
         pending: PendingQuery,
         now: SimTime,
         upstream: &mut U,
     ) -> (Message, Option<Message>) {
+        let (answer, raw) = self.drive_upstream(pending, now, upstream);
+        (
+            answer,
+            raw.and_then(|reply| Message::from_bytes(&reply).ok()),
+        )
+    }
+
+    /// The blocking driver of the [`crate::exchange`] machine: runs the
+    /// upstream exchange for `pending` to completion against `upstream` and
+    /// returns the client answer plus the bytes of the raw upstream reply
+    /// it completed with (`None` when the exchange failed and the answer
+    /// is SERVFAIL). Each reply is read in place, as the packet driver
+    /// reads it; one [`MessageView::is_reply_to`] rejects is a timeout.
+    ///
+    /// Time is virtual: each timed-out send advances the local clock by the
+    /// timeout the machine asked for, so cache inserts and probing-state
+    /// updates happen at the moment the answer would really have arrived.
+    ///
+    /// Multi-worker front ends publish the raw reply to the flight's
+    /// coalesced joiners, who read it with [`UpstreamReply::read`] and hand
+    /// it to [`Resolver::answer_joiner`]; only the flight owner caches.
+    pub fn drive_upstream<U: Upstream + ?Sized>(
+        &mut self,
+        pending: PendingQuery,
+        now: SimTime,
+        upstream: &mut U,
+    ) -> (Message, Option<Vec<u8>>) {
+        let id = pending.upstream_query.id;
         let (mut ex, mut action) = self.start_exchange(pending, now);
+        ex.keep_reply(false); // the raw reply goes back as its bytes
         let mut at = now;
+        // The reply the last step read: a `Done` right after it ends on it.
         let mut last = None;
         loop {
             match action {
-                Action::Done { answer, raw } => {
-                    let raw = raw.zip(last).map(|(reply, mut resp): (_, Message)| {
-                        resp.answers = reply.answers;
-                        resp
-                    });
-                    return (answer.into_message(), raw);
-                }
+                Action::Done { answer, .. } => return (answer.into_message(), last),
                 Action::Send { transport, timeout } => {
-                    let outcome =
-                        upstream.query_via(ex.upstream_query(), self.config.addr, at, transport);
+                    let question = Some(ex.pending().question());
+                    last = None;
+                    let outcome = upstream
+                        .query_via(ex.upstream_query(), self.config.addr, at, transport)
+                        .and_then(|reply| {
+                            let view = MessageView::parse(&reply).ok();
+                            let view = view.filter(|v| v.is_reply_to(id, question));
+                            let read = view.map(|v| UpstreamReply::read(&v));
+                            last = read.is_some().then_some(reply);
+                            read.ok_or(UpstreamError::Timeout)
+                        });
                     if matches!(outcome, Err(UpstreamError::Timeout)) {
                         at += timeout;
                     }
-                    let reply = outcome.map(|mut resp| {
-                        let reply = UpstreamReply::take(&mut resp);
-                        last = Some(resp);
-                        reply
-                    });
-                    action = self.step_exchange(&mut ex, reply, at);
+                    action = self.step_exchange(&mut ex, outcome, at);
                 }
             }
         }
@@ -1119,28 +1133,33 @@ mod retry_tests {
         }
     }
 
+    /// The scripted upstream decodes the query it is given and encodes
+    /// the reply it builds.
     impl Upstream for Scripted {
         fn query_via(
             &mut self,
-            q: &Message,
+            q: &[u8],
             from: IpAddr,
             now: SimTime,
             transport: Transport,
-        ) -> Result<Message, UpstreamError> {
-            if transport.is_stream() {
+        ) -> Result<Vec<u8>, UpstreamError> {
+            let q = Message::from_bytes(q).expect("the engine sends DNS");
+            let resp = if transport.is_stream() {
                 self.tcp_calls += 1;
-                return Ok(self.inner.handle(q, from, now));
-            }
-            self.udp_log.push((q.ecs().is_some(), now));
-            match self.script.pop_front() {
-                Some(Act::Fail(e)) => Err(e),
-                Some(Act::Tc) => {
-                    let mut resp = Message::response_to(q);
-                    resp.flags.tc = true;
-                    Ok(resp)
+                self.inner.handle(&q, from, now)
+            } else {
+                self.udp_log.push((q.ecs().is_some(), now));
+                match self.script.pop_front() {
+                    Some(Act::Fail(e)) => return Err(e),
+                    Some(Act::Tc) => {
+                        let mut resp = Message::response_to(&q);
+                        resp.flags.tc = true;
+                        resp
+                    }
+                    Some(Act::Answer) | None => self.inner.handle(&q, from, now),
                 }
-                Some(Act::Answer) | None => Ok(self.inner.handle(q, from, now)),
-            }
+            };
+            Ok(resp.to_bytes().expect("encodes"))
         }
     }
 

@@ -17,12 +17,12 @@
 //! the engine's one exit.
 //!
 //! Two drivers exist: the blocking loop
-//! [`Resolver::drive_upstream_capturing`] (virtual time: a timed-out send
+//! [`Resolver::drive_upstream`] (virtual time: a timed-out send
 //! advances its clock by the timeout the machine asked for) and the netsim
 //! [`crate::actors::EgressActor`] (real simulator time: packets and
-//! timers).
+//! timers). Both send the datagram the exchange wrote.
 
-use dns_wire::{Message, Rcode};
+use dns_wire::Rcode;
 use netsim::{SimDuration, SimTime, Transport};
 use obs::{EventKind, TraceCtx};
 
@@ -33,6 +33,8 @@ use crate::parts::{ClientAnswer, UpstreamReply};
 /// retry policy and the transport ladder stand.
 pub struct Exchange {
     pending: PendingQuery,
+    /// The query's bytes, written by a send that finds them empty.
+    datagram: Vec<u8>,
     /// Index of the ladder rung in use.
     rung: usize,
     /// Sends so far across all rungs (trace labels).
@@ -58,10 +60,25 @@ impl Exchange {
         &self.pending
     }
 
-    /// The message to put on the wire for the current [`Action::Send`]
+    /// The datagram to put on the wire for the current [`Action::Send`]
     /// (its ECS option may have been withdrawn since the last send).
-    pub fn upstream_query(&self) -> &Message {
-        &self.pending.upstream_query
+    pub fn upstream_query(&self) -> &[u8] {
+        &self.datagram
+    }
+
+    /// [`Exchange::upstream_query`], handed over to a driver whose packets
+    /// leave it (the simulator's): the next send writes it again.
+    pub fn take_upstream_query(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.datagram)
+    }
+
+    /// Asks the driver to send the datagram, written first unless held.
+    fn send(&mut self, transport: Transport, timeout: SimDuration) -> Action {
+        if self.datagram.is_empty() {
+            let query = &self.pending.upstream_query;
+            self.datagram = query.to_bytes().expect("one question encodes");
+        }
+        Action::Send { transport, timeout }
     }
 
     /// Whether the [`Action::Done`] of a reply carries the reply as
@@ -112,6 +129,7 @@ impl Resolver {
     /// transport ladder and returns it with its first [`Action::Send`].
     pub fn start_exchange(&mut self, pending: PendingQuery, now: SimTime) -> (Exchange, Action) {
         let mut ex = Exchange {
+            datagram: Vec::new(),
             pending,
             rung: 0,
             attempt: 0,
@@ -203,10 +221,8 @@ impl Resolver {
                 ecs: ex.pending.upstream_query.ecs().is_some(),
             },
         );
-        Action::Send {
-            transport: self.ladder()[ex.rung],
-            timeout: self.config.retry.timeout_for(ex.rung_attempt),
-        }
+        let timeout = self.config.retry.timeout_for(ex.rung_attempt);
+        ex.send(self.ladder()[ex.rung], timeout)
     }
 
     /// Counts one retransmission and sends it.
@@ -234,10 +250,7 @@ impl Resolver {
         // No stream rung: the inline TCP re-query rides the truncated
         // attempt (same span, not a retry, no time of its own).
         ex.inline_tcp = true;
-        Action::Send {
-            transport: Transport::Tcp,
-            timeout: SimDuration::ZERO,
-        }
+        ex.send(Transport::Tcp, SimDuration::ZERO)
     }
 
     /// Spends one attempt of the current rung's budget after a failed send
@@ -292,6 +305,7 @@ impl Resolver {
     /// or the FORMERR downgrade) and remembers the server as non-ECS.
     fn withdraw_ecs(&mut self, ex: &mut Exchange, reason: &'static str, at: SimTime) {
         ex.pending.upstream_query.clear_ecs();
+        ex.datagram.clear();
         self.probing_state.mark_non_ecs();
         self.stats.ecs_withdrawals.inc();
         self.trace_event(ex.span, at, &EventKind::EcsWithdrawn { reason });

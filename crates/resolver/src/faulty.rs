@@ -28,11 +28,13 @@
 //! Every knob at zero draws nothing from the RNG: with no standing fault,
 //! an empty script, [`LinkFaults::NONE`] and a lossless path the decorator
 //! hands back exactly what the inner upstream answers.
+//! Replies stay bytes: a REFUSED knob rewrites them with the simulator's
+//! [`PacketFate::rewrite`], and in-band errors are written by [`rcode_reply`].
 
 use std::collections::VecDeque;
 use std::net::IpAddr;
 
-use dns_wire::{Message, Rcode};
+use dns_wire::{MessageView, Rcode};
 use netsim::{
     DatagramFate, LinkFaults, PacketFate, PathProfile, SimDuration, SimTime, Transport,
     TransportModel, TransportStats,
@@ -40,7 +42,7 @@ use netsim::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{Upstream, UpstreamError};
+use crate::engine::{rcode_reply, Upstream, UpstreamError};
 
 /// One injected fault: an entry of a script, applied to a single UDP
 /// attempt, or a standing fault pinned to a transport.
@@ -171,33 +173,26 @@ impl<U: Upstream> FaultyUpstream<U> {
     /// after the transport's handshake round trips have been paid.
     fn exchange(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError> {
+    ) -> Result<Vec<u8>, UpstreamError> {
         let at = now + self.model.exchange_cost(transport, UPSTREAM_RTT, now);
         self.inner.query_via(q, from, at, transport)
     }
 
-    /// The datagram fate of a UDP answer against the advertised EDNS
-    /// buffer and the path MTU.
-    fn datagram(&mut self, q: &Message, resp: Message) -> Result<Message, UpstreamError> {
-        if resp.flags.tc {
+    /// The datagram fate of a UDP answer against the EDNS buffer and MTU.
+    fn datagram(&mut self, advertised: usize, resp: Vec<u8>) -> Result<Vec<u8>, UpstreamError> {
+        if MessageView::parse(&resp).is_ok_and(|r| r.flags().tc) {
             // The inner upstream already truncated (e.g. against a smaller
             // server-side limit) — nothing further to model.
             return Ok(resp);
         }
-        let wire_len = resp.to_bytes().map(|b| b.len()).unwrap_or(0);
-        let advertised = q
-            .edns
-            .as_ref()
-            .map(|e| e.udp_payload_size as usize)
-            .unwrap_or(512);
         let rng = &mut self.rng;
         match self
             .model
-            .datagram_fate(wire_len, advertised, || rng.gen::<f64>())
+            .datagram_fate(resp.len(), advertised, || rng.gen::<f64>())
         {
             DatagramFate::Deliver => Ok(resp),
             DatagramFate::Truncate => Err(UpstreamError::Truncated),
@@ -209,11 +204,12 @@ impl<U: Upstream> FaultyUpstream<U> {
 impl<U: Upstream> Upstream for FaultyUpstream<U> {
     fn query_via(
         &mut self,
-        q: &Message,
+        q: &[u8],
         from: IpAddr,
         now: SimTime,
         transport: Transport,
-    ) -> Result<Message, UpstreamError> {
+    ) -> Result<Vec<u8>, UpstreamError> {
+        let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
         let fault = if let Some(fault) = self.standing[transport as usize] {
             fault
         } else if transport.is_stream() {
@@ -231,17 +227,13 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 PacketFate::Deliver => InjectedFault::Pass,
                 PacketFate::Blackholed | PacketFate::Lost => InjectedFault::Timeout,
                 PacketFate::Truncated => InjectedFault::Truncate,
-                PacketFate::Refused => {
+                fate @ PacketFate::Refused => {
                     // As the simulator rewrites the reply: the server
                     // answers (and logs) the query; its reply comes back
                     // REFUSED with its records stripped.
                     self.stats.refused += 1;
                     let mut resp = self.exchange(q, from, now, transport)?;
-                    resp.rcode = Rcode::Refused;
-                    resp.answers.clear();
-                    resp.authorities.clear();
-                    resp.additionals.clear();
-                    resp.edns = None;
+                    fate.rewrite(&mut resp);
                     return Ok(resp);
                 }
             }
@@ -264,17 +256,11 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
             }
             InjectedFault::ServFail => {
                 self.stats.servfail += 1;
-                let mut resp = Message::response_to(q);
-                resp.rcode = Rcode::ServFail;
-                Ok(resp)
+                rcode_reply(&query, Rcode::ServFail)
             }
             InjectedFault::FormErr => {
                 self.stats.formerr += 1;
-                // A pre-EDNS server echoes no OPT at all.
-                let mut resp = Message::response_to(q);
-                resp.rcode = Rcode::FormErr;
-                resp.clear_ecs();
-                Ok(resp)
+                rcode_reply(&query, Rcode::FormErr)
             }
             InjectedFault::Pass if transport.is_stream() => {
                 // Streams carry any size; simulated DoT differs from TCP
@@ -284,7 +270,7 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
             InjectedFault::Pass => {
                 self.stats.passed += 1;
                 let resp = self.exchange(q, from, now, transport)?;
-                self.datagram(q, resp)
+                self.datagram(query.udp_payload_size().map_or(512, usize::from), resp)
             }
         }
     }
@@ -296,7 +282,7 @@ mod tests {
     use crate::config::ResolverConfig;
     use crate::engine::Resolver;
     use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{Name, Question, Rdata, Record};
+    use dns_wire::{Message, Name, Question, Rdata, Record};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -332,6 +318,17 @@ mod tests {
 
     const CLIENT: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 77));
     const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
+
+    /// One exchange of `q` over `transport`, its reply decoded.
+    fn via<U: Upstream>(
+        up: &mut U,
+        q: &Message,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Message, UpstreamError> {
+        let reply = up.query_via(&q.to_bytes().unwrap(), RES, now, transport)?;
+        Ok(Message::from_bytes(&reply).unwrap())
+    }
 
     #[test]
     fn fault_free_wrapper_is_transparent() {
@@ -441,9 +438,7 @@ mod tests {
             );
         }
         for transport in [Transport::Tcp, Transport::Dot] {
-            let resp = up
-                .query_via(&query(4096), RES, SimTime::ZERO, transport)
-                .unwrap();
+            let resp = via(&mut up, &query(4096), SimTime::ZERO, transport).unwrap();
             assert_eq!((resp.rcode, resp.answers.len()), (Rcode::NoError, 1));
         }
         // The server answered, and logged, every exchange.
@@ -459,12 +454,12 @@ mod tests {
     impl Upstream for OversizeAnswerer {
         fn query_via(
             &mut self,
-            q: &Message,
+            q: &[u8],
             _from: IpAddr,
             _now: SimTime,
             _transport: Transport,
-        ) -> Result<Message, UpstreamError> {
-            let mut resp = Message::response_to(q);
+        ) -> Result<Vec<u8>, UpstreamError> {
+            let mut resp = Message::response_to(&Message::from_bytes(q).unwrap());
             for i in 0..self.0 {
                 resp.answers.push(Record::new(
                     name("www.example.com"),
@@ -472,7 +467,7 @@ mod tests {
                     Rdata::A(Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
                 ));
             }
-            Ok(resp)
+            Ok(resp.to_bytes().unwrap())
         }
     }
 
@@ -528,9 +523,7 @@ mod tests {
             UpstreamError::Timeout
         );
         // The stream side of the same path is immune.
-        let resp = up
-            .query_via(&query(4096), RES, SimTime::ZERO, Transport::Tcp)
-            .unwrap();
+        let resp = via(&mut up, &query(4096), SimTime::ZERO, Transport::Tcp).unwrap();
         assert_eq!(resp.answers.len(), 60);
         assert_eq!(up.stats().transport.fragments_dropped, 1);
     }
@@ -542,13 +535,11 @@ mod tests {
             .pin(Transport::Dot, InjectedFault::Timeout);
         assert!(up.query(&query(4096), RES, SimTime::ZERO).is_ok());
         assert_eq!(
-            up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Tcp)
-                .unwrap_err(),
+            via(&mut up, &query(4096), SimTime::ZERO, Transport::Tcp).unwrap_err(),
             UpstreamError::Rcode(Rcode::Refused)
         );
         assert_eq!(
-            up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Dot)
-                .unwrap_err(),
+            via(&mut up, &query(4096), SimTime::ZERO, Transport::Dot).unwrap_err(),
             UpstreamError::Timeout
         );
     }
@@ -560,23 +551,22 @@ mod tests {
         impl Upstream for ArrivalProbe {
             fn query_via(
                 &mut self,
-                q: &Message,
+                q: &[u8],
                 _from: IpAddr,
                 now: SimTime,
                 _transport: Transport,
-            ) -> Result<Message, UpstreamError> {
+            ) -> Result<Vec<u8>, UpstreamError> {
                 self.0.push(now.as_micros());
-                Ok(Message::response_to(q))
+                let resp = Message::response_to(&Message::from_bytes(q).unwrap());
+                Ok(resp.to_bytes().unwrap())
             }
         }
         let rtt = UPSTREAM_RTT;
         let mut up = FaultyUpstream::new(ArrivalProbe(Vec::new()), LinkFaults::NONE, 7);
         // Cold DoT: 2 RTTs of setup before the inner upstream sees it.
-        up.query_via(&query(4096), RES, SimTime::ZERO, Transport::Dot)
-            .unwrap();
+        via(&mut up, &query(4096), SimTime::ZERO, Transport::Dot).unwrap();
         // Warm follow-up 1 s later: no setup.
-        up.query_via(&query(4096), RES, SimTime::from_secs(1), Transport::Dot)
-            .unwrap();
+        via(&mut up, &query(4096), SimTime::from_secs(1), Transport::Dot).unwrap();
         assert_eq!(
             up.inner().0,
             vec![rtt.mul(2).as_micros(), SimTime::from_secs(1).as_micros()]

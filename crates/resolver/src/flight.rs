@@ -18,15 +18,15 @@
 //!
 //! The token completes on drop, so a worker that panics between admission
 //! and completion still releases its flight and wakes its joiners. Joiners
-//! receive the owner's *raw upstream response* (`None` when there is none)
-//! and pass it to [`crate::Resolver::answer_joiner`], same as the actor's
-//! joiner path; only the owner's completion touches the cache.
+//! receive the bytes of the owner's *raw upstream reply* (`None` when
+//! there is none), read them with [`crate::UpstreamReply::read`] and pass
+//! that to [`crate::Resolver::answer_joiner`], same as the actor's joiner
+//! path; only the owner's completion touches the cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-use dns_wire::Message;
 use obs::LockMonitor;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -49,13 +49,13 @@ enum Outcome {
     Pending,
     /// `Some` carries the owner's upstream response; `None` means the
     /// owner finished without one (exhausted retries, panicked, shut down).
-    Done(Option<Message>),
+    Done(Option<Vec<u8>>),
 }
 
 impl Flight {
     /// Blocks until the owner publishes, returning its upstream response.
     /// `None` on owner failure or timeout.
-    pub fn wait(&self, timeout: Duration) -> Option<Message> {
+    pub fn wait(&self, timeout: Duration) -> Option<Vec<u8>> {
         let deadline = Instant::now() + timeout;
         let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -82,7 +82,7 @@ impl Flight {
         )
     }
 
-    fn publish(&self, response: Option<Message>) {
+    fn publish(&self, response: Option<Vec<u8>>) {
         *self.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Outcome::Done(response);
         self.cv.notify_all();
     }
@@ -130,11 +130,11 @@ pub struct OwnerToken<'t> {
 impl OwnerToken<'_> {
     /// Publishes the owner's upstream response (`None` when the exchange
     /// produced no usable response) and releases the flight.
-    pub fn complete(mut self, response: Option<Message>) {
+    pub fn complete(mut self, response: Option<Vec<u8>>) {
         self.finish(response);
     }
 
-    fn finish(&mut self, response: Option<Message>) {
+    fn finish(&mut self, response: Option<Vec<u8>>) {
         if self.done {
             return;
         }
@@ -235,7 +235,7 @@ impl FlightTable {
         &self,
         key: Option<FlightKey>,
         flight: Option<Arc<Flight>>,
-        response: Option<Message>,
+        response: Option<Vec<u8>>,
     ) {
         {
             let mut s = self.lock_state();
@@ -255,15 +255,15 @@ impl FlightTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Name, Question, RecordType};
+    use dns_wire::{Message, Name, Question, RecordType};
 
     fn key(n: &str) -> FlightKey {
         (Name::from_ascii(n).unwrap(), RecordType::A, None)
     }
 
-    fn response(n: &str) -> Message {
+    fn response(n: &str) -> Vec<u8> {
         let q = Message::query(7, Question::a(Name::from_ascii(n).unwrap()));
-        Message::response_to(&q)
+        Message::response_to(&q).to_bytes().unwrap()
     }
 
     #[test]

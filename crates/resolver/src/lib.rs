@@ -73,7 +73,8 @@ pub mod shared_cache;
 pub use cache::{CacheCompliance, CacheLimits, CacheStats, EcsCache};
 pub use config::{OverloadConfig, ResolverConfig, RetryPolicy, TransportPolicy};
 pub use engine::{
-    FlightKey, PendingQuery, Resolver, ResolverStats, Step, Upstream, UpstreamError, ZoneRouter,
+    rcode_reply, FlightKey, PendingQuery, Resolver, ResolverStats, Step, Upstream, UpstreamError,
+    ZoneRouter,
 };
 pub use exchange::{Action, Exchange};
 pub use faulty::{FaultyUpstream, InjectedFault, InjectionStats};

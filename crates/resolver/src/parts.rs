@@ -3,8 +3,9 @@
 //!
 //! A client query is read for what its answer repeats ([`AnswerHead`]),
 //! whether it arrives decoded or through a [`MessageView`]. An upstream
-//! reply is read for what the exchange machine and the cache use
-//! ([`UpstreamReply`]). A miss's answer is written from those parts
+//! reply is read in place, by both drivers and a flight's joiners alike,
+//! for what the exchange machine and the cache use
+//! ([`UpstreamReply::read`]). A miss's answer is written from those parts
 //! ([`ClientAnswer`]): to the wire by the packet driver, into a
 //! [`Message`] by the blocking one, through the one encoder either way,
 //! so both give the same bytes.
@@ -88,24 +89,6 @@ impl UpstreamReply {
     /// The smallest answer TTL, when there are answers.
     pub fn min_answer_ttl(&self) -> Option<u32> {
         self.answers.iter().map(|r| r.ttl).min()
-    }
-
-    /// Reads a decoded reply, moving its answers out of it: a driver that
-    /// returns the reply whole puts them back once the machine is done.
-    pub(crate) fn take(reply: &mut Message) -> Self {
-        UpstreamReply {
-            rcode: reply.rcode,
-            tc: reply.flags.tc,
-            answers: std::mem::take(&mut reply.answers),
-            ecs: reply.ecs().copied(),
-        }
-    }
-}
-
-impl From<Message> for UpstreamReply {
-    /// Keeps what the machine reads of a decoded reply; its answers move.
-    fn from(mut reply: Message) -> Self {
-        UpstreamReply::take(&mut reply)
     }
 }
 
@@ -259,10 +242,13 @@ mod tests {
         reply.set_ecs(EcsOption::from_v4(Ipv4Addr::new(10, 1, 2, 0), 24).with_scope(16));
         let wire = reply.to_bytes().unwrap();
         let read = UpstreamReply::read(&MessageView::parse(&wire).unwrap());
-        let mut taken = reply.clone();
-        assert_eq!(read, UpstreamReply::take(&mut taken));
-        assert!(taken.answers.is_empty());
-        assert_eq!(read, UpstreamReply::from(reply));
+        let decoded = UpstreamReply {
+            rcode: reply.rcode,
+            tc: reply.flags.tc,
+            answers: reply.answers.clone(),
+            ecs: reply.ecs().copied(),
+        };
+        assert_eq!(read, decoded);
         assert_eq!(read.min_answer_ttl(), Some(30));
     }
 }

@@ -1,13 +1,16 @@
 //! One exchange machine, two drivers.
 //!
 //! A table of scripted upstream outcomes is run through the blocking
-//! driver (`begin` → `join` | `drive_upstream_capturing` → `answer_joiner`
+//! driver (`begin` → `join` | `drive_upstream` → `answer_joiner`
 //! over a `FaultyUpstream`) and through the netsim `EgressActor` talking to
 //! an authoritative node that plays the same script. Both must give every
 //! client the same answer, leave the same `ResolverStats`, and emit the
 //! same trace event kinds in the same order for every query — the
 //! retry/withdraw decisions live in `resolver::exchange`, the answer
 //! every waiting party gets in the engine's one exit, and nowhere else.
+//! The upstream seam is one representation, the datagram: the queries
+//! the blocking driver's upstream is handed are the ones the actor's
+//! authoritative receives, byte for byte.
 //!
 //! A seeded property then drives `step_exchange` directly with random
 //! outcome scripts and policies — answers with and without ECS, timeouts,
@@ -19,7 +22,7 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-use dns_wire::{Message, Name, Question, Rcode, Rdata, Record};
+use dns_wire::{Message, MessageView, Name, Question, Rcode, Rdata, Record};
 use netsim::geo::city;
 use netsim::{Ctx, Node, NodeId, Packet, SimDuration, SimTime, Simulation, Transport};
 use rand::rngs::SmallRng;
@@ -55,6 +58,11 @@ fn auth() -> AuthServer {
 
 fn query(id: u16) -> Message {
     Message::query(id, Question::a(name("www.drivers.example")))
+}
+
+/// What the machine reads of a reply datagram.
+fn read(reply: &[u8]) -> UpstreamReply {
+    UpstreamReply::read(&MessageView::parse(reply).expect("a valid reply"))
 }
 
 /// One row of the table: a policy tweak, who asks when, and what the
@@ -203,14 +211,38 @@ struct SyncFlight {
     joiners: Vec<(usize, PendingQuery)>,
 }
 
+/// An upstream that keeps every query datagram it is given, in order,
+/// before passing it on.
+struct Recording<U> {
+    inner: U,
+    sent: Vec<Vec<u8>>,
+}
+
+impl<U: Upstream> Upstream for Recording<U> {
+    fn query_via(
+        &mut self,
+        q: &[u8],
+        from: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Vec<u8>, UpstreamError> {
+        self.sent.push(q.to_vec());
+        self.inner.query_via(q, from, now, transport)
+    }
+}
+
 /// The blocking driver on one thread, as a `dnsd` worker drives it: every
 /// ask of one second is admitted (join, else own) before the owners'
 /// exchanges run, then each flight's joiners are answered from what its
-/// owner's exchange ended with.
-fn run_sync(case: &Case) -> Outcome {
+/// owner's exchange ended with. Returns the upstream datagrams with the
+/// outcome.
+fn run_sync(case: &Case) -> (Outcome, Vec<Vec<u8>>) {
     let (mut r, sink) = traced_resolver(case);
     let coalesce = r.config().overload.coalesce;
-    let mut up = FaultyUpstream::scripted(auth(), case.script.to_vec());
+    let mut up = Recording {
+        inner: FaultyUpstream::scripted(auth(), case.script.to_vec()),
+        sent: Vec::new(),
+    };
     let mut answers = Vec::new();
     for burst in case.asks.chunk_by(|a, b| a.0 == b.0) {
         let now = SimTime::from_secs(burst[0].0);
@@ -241,8 +273,8 @@ fn run_sync(case: &Case) -> Outcome {
             }
         }
         for SyncFlight { owner, joiners } in flights {
-            let (answer, raw) = r.drive_upstream_capturing(owner.1, now, &mut up);
-            let raw = raw.map(UpstreamReply::from);
+            let (answer, raw) = r.drive_upstream(owner.1, now, &mut up);
+            let raw = raw.map(|reply| read(&reply));
             answers[owner.0] = Some(answer);
             for (i, joiner) in joiners {
                 answers[i] = Some(r.answer_joiner(&joiner, raw.as_ref(), now));
@@ -250,22 +282,27 @@ fn run_sync(case: &Case) -> Outcome {
         }
     }
     let answers = answers.into_iter().map(|a| a.expect("answered")).collect();
-    outcome(answers, &r, &sink)
+    (outcome(answers, &r, &sink), up.sent)
 }
 
 /// The authoritative end of the sim world: the same scripted upstream the
-/// blocking driver calls, answering packets. A scripted timeout is a
-/// datagram that never comes back.
+/// blocking driver calls, answering the datagrams it receives, which it
+/// keeps in order. A scripted timeout is a datagram that never comes
+/// back.
 struct ScriptedAuth {
     upstream: FaultyUpstream<AuthServer>,
+    received: Vec<Vec<u8>>,
 }
 
 impl Node for ScriptedAuth {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let msg = Message::from_bytes(&pkt.payload).expect("egress sends valid DNS");
         let from = ctx.addr_of(pkt.src).expect("the egress has an address");
-        if let Ok(resp) = self.upstream.query(&msg, from, ctx.now()) {
-            ctx.send(pkt.src, resp.to_bytes().expect("encodes"));
+        let reply = self
+            .upstream
+            .query_via(&pkt.payload, from, ctx.now(), Transport::Udp);
+        self.received.push(pkt.payload);
+        if let Ok(reply) = reply {
+            ctx.send(pkt.src, reply);
         }
     }
 }
@@ -312,6 +349,7 @@ fn world(
     let auth = sim.add_node(
         ScriptedAuth {
             upstream: FaultyUpstream::scripted(auth(), script.to_vec()),
+            received: Vec::new(),
         },
         AUTH,
         city("Chicago").expect("known city").pos,
@@ -338,7 +376,9 @@ fn world(
     }
 }
 
-fn run_actor(case: &Case) -> Outcome {
+/// The actor's run of `case`; returns the datagrams the authoritative
+/// received with the outcome.
+fn run_actor(case: &Case) -> (Outcome, Vec<Vec<u8>>) {
     let (r, sink) = traced_resolver(case);
     let mut clients: Vec<IpAddr> = case.asks.iter().map(|(_, from)| *from).collect();
     clients.sort_unstable();
@@ -369,14 +409,16 @@ fn run_actor(case: &Case) -> Outcome {
         .node_mut::<EgressActor>(w.egress)
         .expect("egress node");
     assert_eq!(e.in_flight(), 0, "{}: table drained", case.label);
-    outcome(answers, e.resolver(), &sink)
+    let outcome = outcome(answers, e.resolver(), &sink);
+    let auth = w.sim.node_mut::<ScriptedAuth>(w.auth).expect("auth node");
+    (outcome, std::mem::take(&mut auth.received))
 }
 
 #[test]
 fn scripted_outcomes_agree_across_drivers() {
     for case in CASES {
-        let sync = run_sync(case);
-        let actor = run_actor(case);
+        let (sync, _) = run_sync(case);
+        let (actor, _) = run_actor(case);
         assert_eq!(sync, actor, "{}: drivers disagree", case.label);
         let rcodes: Vec<Rcode> = sync.answers.iter().map(|(rcode, _)| *rcode).collect();
         assert_eq!(rcodes, case.want, "{}", case.label);
@@ -408,6 +450,29 @@ fn scripted_outcomes_agree_across_drivers() {
             ),
             case.counts,
             "{}",
+            case.label
+        );
+    }
+}
+
+/// The upstream seam is the datagram: for every row, the blocking
+/// driver's upstream queries, as its upstream is handed them, are the
+/// datagrams the actor's authoritative receives — byte for byte, in
+/// order, withdrawals and retransmissions included.
+#[test]
+fn upstream_datagrams_agree_byte_for_byte_across_drivers() {
+    for case in CASES {
+        let (sync, sent) = run_sync(case);
+        let (_, received) = run_actor(case);
+        assert_eq!(
+            sent.len() as u64,
+            sync.stats.upstream_queries,
+            "{}",
+            case.label
+        );
+        assert_eq!(
+            sent, received,
+            "{}: the drivers sent different datagrams",
             case.label
         );
     }
@@ -616,7 +681,8 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         if !(ladder.contains(&transport) || inline_tcp) {
             return Err(format!("sent over {transport:?}, not on {ladder:?}"));
         }
-        let carries_ecs = ex.upstream_query().ecs().is_some();
+        let sent = Message::from_bytes(ex.upstream_query()).expect("the machine sends DNS");
+        let carries_ecs = sent.ecs().is_some();
         if sent_without_ecs && carries_ecs {
             return Err("a send after a withdrawal carries ECS".into());
         }
@@ -627,7 +693,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
             Draw::Answer
         };
         let reply = |rcode: Rcode, tc: bool| {
-            let mut resp = Message::response_to(ex.upstream_query());
+            let mut resp = Message::response_to(&sent);
             resp.rcode = rcode;
             resp.flags.tc = tc;
             resp
@@ -640,7 +706,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
                     60,
                     Rdata::A(Ipv4Addr::new(198, 51, 100, 1)),
                 ));
-                if let Some(ecs) = ex.upstream_query().ecs().filter(|_| rng.gen()) {
+                if let Some(ecs) = sent.ecs().filter(|_| rng.gen()) {
                     resp.set_ecs(ecs.with_scope(24));
                 }
                 Ok(resp)
@@ -705,7 +771,8 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         if spent > bound {
             return Err(format!("{spent} spent attempts exceed the bound {bound}"));
         }
-        action = r.step_exchange(&mut ex, outcome.map(UpstreamReply::from), at);
+        let outcome = outcome.map(|m| read(&m.to_bytes().expect("encodes")));
+        action = r.step_exchange(&mut ex, outcome, at);
     };
 
     let s = r.stats();
