@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::net::IpAddr;
 
 use dns_wire::{
-    EcsOption, Flags, Message, MessageView, Name, OneVec, Opcode, Question, Rcode, Rdata, Record,
+    EcsOption, Flags, Message, MessageView, Name, OneVec, QueryHead, Rcode, Rdata, Record,
     RecordType,
 };
 use netsim::{SimTime, Transport};
@@ -192,7 +192,7 @@ impl AuthServer {
     /// exceeds the requestor's advertised payload size, 512 bytes without
     /// EDNS.
     pub fn handle(&mut self, query: &Message, src: IpAddr, now: SimTime) -> Message {
-        self.answer(Query::of_message(query), src, now, Transport::Udp)
+        self.answer(QueryHead::from(query), src, now, Transport::Udp)
     }
 
     /// The one datagram path: [`AuthServer::handle`] for query datagram
@@ -208,7 +208,7 @@ impl AuthServer {
         let query = MessageView::parse(query)
             .ok()
             .filter(|q| !q.is_response())?;
-        let resp = self.answer(Query::of_view(&query), src, now, transport);
+        let resp = self.answer(QueryHead::from(query), src, now, transport);
         resp.to_bytes().ok()
     }
 
@@ -216,8 +216,14 @@ impl AuthServer {
     /// answer whose encoding is over its limit (or unencodable, which only
     /// happens beyond 64 KiB) leaves with its record sections emptied and
     /// TC set, so the client retries over a stream transport.
-    fn answer(&mut self, query: Query, src: IpAddr, now: SimTime, transport: Transport) -> Message {
-        let limit = query.limit(transport);
+    fn answer(
+        &mut self,
+        query: QueryHead,
+        src: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Message {
+        let limit = limit(query.udp_payload_size, transport);
         let mut resp = Message {
             id: query.id,
             flags: Flags {
@@ -248,14 +254,14 @@ impl AuthServer {
     /// Writes the answer to `query` into `resp`, whose question section
     /// is still empty, and logs the query. False when `resp` is a
     /// FORMERR refusal, which carries no records to truncate.
-    fn fill(&mut self, query: &Query, resp: &mut Message, src: IpAddr, now: SimTime) -> bool {
+    fn fill(&mut self, query: &QueryHead, resp: &mut Message, src: IpAddr, now: SimTime) -> bool {
         let Some(question) = query.questions.first() else {
             resp.rcode = Rcode::FormErr;
             return false;
         };
 
         // Pre-EDNS servers reject any OPT outright.
-        if !self.edns_supported && query.edns.is_some() {
+        if !self.edns_supported && query.udp_payload_size.is_some() {
             resp.rcode = Rcode::FormErr;
             if self.logging {
                 self.log.push(QueryLogEntry {
@@ -272,7 +278,7 @@ impl AuthServer {
         }
 
         resp.flags.aa = true;
-        if query.edns.is_some() {
+        if query.udp_payload_size.is_some() {
             resp.set_edns(4096);
         }
 
@@ -363,51 +369,14 @@ impl AuthServer {
     }
 }
 
-/// What the answer pass reads of a query, whichever reading of the
-/// datagram it came from: the header fields a response echoes, the
-/// question section (which moves into the response), and the OPT
-/// record's payload size and client-subnet option.
-struct Query {
-    id: u16,
-    rd: bool,
-    opcode: Opcode,
-    questions: OneVec<Question>,
-    /// The advertised UDP payload size, when the query carried OPT.
-    edns: Option<u16>,
-    ecs: Option<EcsOption>,
-}
-
-impl Query {
-    fn of_message(m: &Message) -> Self {
-        Query {
-            id: m.id,
-            rd: m.flags.rd,
-            opcode: m.opcode,
-            questions: m.questions.clone(),
-            edns: m.edns.as_ref().map(|o| o.udp_payload_size),
-            ecs: m.ecs().copied(),
-        }
-    }
-
-    fn of_view(v: &MessageView<'_>) -> Self {
-        Query {
-            id: v.id(),
-            rd: v.flags().rd,
-            opcode: v.opcode(),
-            questions: v.questions().collect(),
-            edns: v.udp_payload_size(),
-            ecs: v.ecs().copied(),
-        }
-    }
-
-    /// The size a response must fit: over UDP the advertisement, 512 bytes
-    /// at least and without EDNS; over a stream 65,535 bytes (RFC 7766).
-    fn limit(&self, transport: Transport) -> usize {
-        if transport.is_stream() {
-            usize::from(u16::MAX)
-        } else {
-            usize::from(self.edns.map_or(512, |size| size.max(512)))
-        }
+/// The size an answer to a query that advertised `udp_payload_size`
+/// must fit over `transport`: over UDP the advertisement, 512 bytes at
+/// least and without EDNS; over a stream 65,535 bytes (RFC 7766).
+fn limit(udp_payload_size: Option<u16>, transport: Transport) -> usize {
+    if transport.is_stream() {
+        usize::from(u16::MAX)
+    } else {
+        usize::from(udp_payload_size.map_or(512, |size| size.max(512)))
     }
 }
 
@@ -598,7 +567,7 @@ mod tests {
 #[cfg(test)]
 mod truncation_tests {
     use super::*;
-    use dns_wire::{Question, Rdata, Record, RecordClass};
+    use dns_wire::{Opcode, Question, Rdata, Record, RecordClass};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {

@@ -255,13 +255,13 @@ impl ScenarioUpstream {
 }
 
 impl Upstream for ScenarioUpstream {
-    /// Serves every transport alike, each as a UDP exchange.
+    /// Answers each transport at its own limit (truncated over UDP only).
     fn query_via(
         &mut self,
         q: &[u8],
         from: IpAddr,
         now: SimTime,
-        _transport: Transport,
+        transport: Transport,
     ) -> Result<Vec<u8>, UpstreamError> {
         let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
         if let Some(question) = query.questions().next() {
@@ -281,7 +281,7 @@ impl Upstream for ScenarioUpstream {
                 }
             }
         }
-        self.auth.query_via(q, from, now, Transport::Udp)
+        self.auth.query_via(q, from, now, transport)
     }
 }
 
@@ -306,6 +306,33 @@ mod tests {
         q.set_edns(4096);
         q.set_ecs(EcsOption::from_v4(Ipv4Addr::new(100, 70, 1, 0), 24));
         q
+    }
+
+    /// An answer that outgrows the query's UDP advertisement is truncated
+    /// over UDP and whole over TCP.
+    #[test]
+    fn each_transport_is_answered_at_its_own_limit() {
+        let s = Scenario::honors_scope();
+        let mut up = s.build();
+        let n = host("wide", &s);
+        for i in 1..=40 {
+            up.auth_mut()
+                .zone_mut()
+                .add_a(n.clone(), s.ttl, Ipv4Addr::new(198, 51, 100, i))
+                .unwrap();
+        }
+        let mut q = a_query(1, &n);
+        q.set_edns(512);
+        let q = q.to_bytes().unwrap();
+        let via = |up: &mut ScenarioUpstream, transport| {
+            let reply = up.query_via(&q, RES, SimTime::ZERO, transport).unwrap();
+            Message::from_bytes(&reply).unwrap()
+        };
+        let udp = via(&mut up, Transport::Udp);
+        assert!(udp.flags.tc && udp.answers.is_empty(), "{udp:?}");
+        let tcp = via(&mut up, Transport::Tcp);
+        assert!(!tcp.flags.tc);
+        assert_eq!(tcp.answers.len(), 40);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use ecs::{AddressFamily, EcsOption};
 pub use edns::{EdnsOption, OptRecord, OptionCode};
 pub use error::{WireError, WireResult};
 pub use header::{Flags, Header, Opcode, Rcode};
-pub use message::{Message, MessageParts};
+pub use message::{Message, MessageParts, QueryHead};
 pub use name::Name;
 pub use one_vec::OneVec;
 pub use prefix::{IpPrefix, PrefixError};

@@ -11,6 +11,7 @@ use crate::one_vec::OneVec;
 use crate::question::Question;
 use crate::rdata::Rdata;
 use crate::record::{Record, RecordType};
+use crate::view::MessageView;
 use crate::wire::{WireReader, WireWriter};
 
 /// A DNS message.
@@ -248,11 +249,59 @@ impl Message {
     }
 }
 
+/// What a server reads of a query to answer it, from a decoded
+/// [`Message`] or in place from a [`MessageView`]: what the answer repeats
+/// (id, RD, opcode, questions), the payload size it must fit, and the
+/// client-subnet option whose scope it echoes (RFC 7871 §7.2.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryHead {
+    /// Transaction ID.
+    pub id: u16,
+    /// Recursion desired.
+    pub rd: bool,
+    /// Operation code.
+    pub opcode: Opcode,
+    /// The question section, as asked.
+    pub questions: OneVec<Question>,
+    /// The advertised UDP payload size, when the query carries OPT.
+    pub udp_payload_size: Option<u16>,
+    /// The first client-subnet option.
+    pub ecs: Option<EcsOption>,
+}
+
+impl From<&Message> for QueryHead {
+    /// Reads a decoded query.
+    fn from(query: &Message) -> Self {
+        QueryHead {
+            id: query.id,
+            rd: query.flags.rd,
+            opcode: query.opcode,
+            questions: query.questions.clone(),
+            udp_payload_size: query.edns.as_ref().map(|opt| opt.udp_payload_size),
+            ecs: query.ecs().copied(),
+        }
+    }
+}
+
+impl From<MessageView<'_>> for QueryHead {
+    /// Reads a query in place.
+    fn from(query: MessageView<'_>) -> Self {
+        QueryHead {
+            id: query.id(),
+            rd: query.flags().rd,
+            opcode: query.opcode(),
+            questions: query.questions().collect(),
+            udp_payload_size: query.udp_payload_size(),
+            ecs: query.ecs().copied(),
+        }
+    }
+}
+
 /// A message's fields held apart and borrowed: what a caller that has
 /// the parts of a message, but no [`Message`], writes — a resolver
-/// answering from a reply it read through a
-/// [`MessageView`](crate::MessageView). [`Message::write`] writes through
-/// this too, so there is one encoder and equal parts give equal bytes.
+/// answering from a reply it read through a [`MessageView`].
+/// [`Message::write`] writes through this too, so there is one encoder
+/// and equal parts give equal bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageParts<'a> {
     /// Transaction ID.

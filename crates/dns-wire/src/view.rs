@@ -137,6 +137,11 @@ impl<'a> MessageView<'a> {
         })
     }
 
+    /// The datagram this view reads.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
     /// Transaction ID.
     pub fn id(&self) -> u16 {
         self.header.id

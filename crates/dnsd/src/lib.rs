@@ -4,12 +4,12 @@
 //!
 //! Everything else in this workspace runs inside the deterministic
 //! simulator; this crate puts the same [`authoritative::AuthServer`] behind
-//! a real `std::net::UdpSocket`, so the implementation can be exercised
-//! with any stock DNS client — and ships a minimal `dig`-style client that
-//! can attach ECS options to its queries. The same worker pool also serves
-//! the recursive side: [`UdpResolverServer`] runs one [`resolver::Resolver`]
-//! engine per worker over a shared ECS cache and flight table, resolving
-//! through [`SocketUpstream`].
+//! a real `std::net::UdpSocket` (answering through `AuthServer::reply`, as
+//! the simulated node does), and ships a `dig`-style client that attaches
+//! ECS options. The same worker pool, which reads each datagram in place
+//! and sends the bytes its handler writes, serves the recursive side:
+//! [`UdpResolverServer`] runs one [`resolver::Resolver`] engine per worker
+//! over a shared ECS cache and flight table, through [`SocketUpstream`].
 //!
 //! Binaries:
 //!

@@ -1,6 +1,7 @@
 //! The one UDP serving loop: N worker threads behind one socket, each
-//! running the same batched recv → decode → handle → encode → send loop
-//! around its own [`Handler`]. [`crate::UdpAuthServer`] and
+//! running the same batched recv → read in place → handle → send loop
+//! around its own [`Handler`], which gets a [`MessageView`] and returns
+//! bytes. [`crate::UdpAuthServer`] and
 //! [`crate::UdpResolverServer`] are two handlers over this pool.
 //!
 //! ```text
@@ -23,10 +24,10 @@
 //! * **Batched I/O**: a worker pulls up to [`DEFAULT_BATCH`] datagrams per
 //!   syscall ([`RecvBatch`]) and flushes the replies in one
 //!   ([`SendBatch`]) — the syscall cost amortises across the queue depth
-//!   under load and degenerates to one-per-datagram when idle. Each reply
-//!   is encoded into a buffer the last flush handed back
-//!   ([`SendBatch::spare`]), so encoding allocates nothing once the first
-//!   batches have gone out.
+//!   under load and degenerates to one-per-datagram when idle. Each
+//!   handler is lent a buffer the last flush handed back
+//!   ([`SendBatch::spare`]) to write its reply into, so a reply written
+//!   there allocates nothing once the first batches have gone out.
 //! * **Exact accounting** ([`accounted`]): every datagram pulled lands in
 //!   one of `<prefix>_{queries,malformed_drops,ignored_responses}_total`,
 //!   every query in one of `<prefix>_{responses,unanswered,send_failures}_total`
@@ -43,7 +44,7 @@
 //!   drains the thread list). A worker sees the stop flag only when its
 //!   blocking receive returns, so shutdown can lag by the socket's 50 ms
 //!   read timeout (the price of no self-pipe or non-blocking poll loop).
-//! * **Nothing from outside ends a worker**: undecodable datagrams,
+//! * **Nothing from outside ends a worker**: unparseable datagrams,
 //!   responses, unsendable replies and interrupted receives are counted
 //!   and served past; any other socket error is logged and ends it.
 
@@ -54,29 +55,30 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dns_wire::wire::WireWriter;
-use dns_wire::Message;
+use dns_wire::MessageView;
 use netsim::SimTime;
 
 use crate::batch::{RecvBatch, SendBatch, DEFAULT_BATCH};
 
-/// What a worker does with one decoded query. One handler per worker
-/// thread, so `&mut self` state needs no synchronisation.
+/// What a worker does with one query, read in place. One handler per
+/// worker thread, so `&mut self` state needs no synchronisation.
 pub(crate) trait Handler: Send + 'static {
     /// What the worker hands back when it exits (folded after the join).
     type Exit: Send + 'static;
 
     /// Answers `query`, received from `peer` at `now` (microseconds since
-    /// the pool was bound, on the [`SimTime`] axis the engines use). `None`
-    /// is deliberate silence. Stages opened on `prof` nest under the
-    /// pool's root stage.
+    /// the pool was bound, on the [`SimTime`] axis the engines use), with
+    /// the reply's bytes, best written into the lent `buf`. `None` is
+    /// deliberate silence. Stages opened on `prof` nest under the pool's
+    /// root stage.
     fn handle(
         &mut self,
-        query: &Message,
+        query: MessageView<'_>,
         peer: SocketAddr,
         now: SimTime,
         prof: &mut obs::StageProfiler,
-    ) -> Option<Message>;
+        buf: Vec<u8>,
+    ) -> Option<Vec<u8>>;
 
     /// Consumes the handler once its worker has left the loop.
     fn finish(self) -> Self::Exit;
@@ -98,7 +100,7 @@ struct Shared {
     stop: Arc<AtomicBool>,
     /// Zero of the [`SimTime`] axis handlers see.
     started: Instant,
-    /// Root profiler stage: `<root>;recv`, `<root>;decode`, `<root>;send`.
+    /// Root profiler stage: `<root>;recv`, `<root>;decode` (the view), `<root>;send`.
     root: &'static str,
     datagrams: obs::Counter,
     queries: obs::Counter,
@@ -313,10 +315,10 @@ impl<H: Handler> Worker<H> {
             let (payload, peer) = rx.datagram(i);
             let received = shared.started.elapsed();
             prof.enter("decode");
-            let decoded = Message::from_bytes(payload);
+            let read = MessageView::parse(payload);
             prof.exit();
             // Malformed packets are dropped, as real servers drop them.
-            let Ok(query) = decoded else {
+            let Ok(query) = read else {
                 shared.malformed_drops.inc();
                 continue;
             };
@@ -326,14 +328,8 @@ impl<H: Handler> Worker<H> {
             }
             shared.queries.inc();
             let now = SimTime::from_micros(received.as_micros() as u64);
-            let reply = self.handler.handle(&query, peer, now, prof);
-            // Encoded into a buffer an earlier flush sent and handed back.
-            let encoded = reply.and_then(|resp| {
-                let mut w = WireWriter::with_buffer(tx.spare());
-                resp.write(&mut w).ok()?;
-                w.finish().ok()
-            });
-            match encoded {
+            let reply = self.handler.handle(query, peer, now, prof, tx.spare());
+            match reply {
                 Some(bytes) => {
                     tx.push(bytes, peer);
                     let took = shared.started.elapsed() - received;
@@ -360,7 +356,7 @@ impl<H: Handler> Worker<H> {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-    use dns_wire::{Name, Question};
+    use dns_wire::{Message, Name, Question};
 
     /// The accounting identities, with the numbers in the failure message.
     pub fn assert_accounted(snap: &obs::MetricsSnapshot, prefix: &str) {
@@ -407,12 +403,13 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::*;
     use super::*;
-    use dns_wire::{Name, Question};
+    use dns_wire::{Message, Name, Question};
 
     /// The query id the echo handler stays silent for.
     const SILENT: u16 = 0xDEAD;
 
-    /// Answers every query with an empty response; counts what it saw.
+    /// Answers every query with itself, QR set, written into the lent
+    /// buffer; counts what it saw.
     struct Echo(u64);
 
     impl Handler for Echo {
@@ -420,14 +417,19 @@ mod tests {
 
         fn handle(
             &mut self,
-            query: &Message,
+            query: MessageView<'_>,
             _: SocketAddr,
             _: SimTime,
             prof: &mut obs::StageProfiler,
-        ) -> Option<Message> {
+            mut buf: Vec<u8>,
+        ) -> Option<Vec<u8>> {
             self.0 += 1;
             prof.enter("echo_back");
-            let resp = (query.id != SILENT).then(|| Message::response_to(query));
+            let resp = (query.id() != SILENT).then(|| {
+                buf.extend_from_slice(query.bytes());
+                buf[2] |= 0x80; // QR
+                buf
+            });
             prof.exit();
             resp
         }
@@ -457,7 +459,8 @@ mod tests {
             let q = Message::query(id, Question::a(name.clone()));
             client.send_to(&q.to_bytes().unwrap(), addr).unwrap();
             let (len, _) = client.recv_from(&mut buf).unwrap();
-            assert_eq!(Message::from_bytes(&buf[..len]).unwrap().id, id);
+            let reply = MessageView::parse(&buf[..len]).unwrap();
+            assert!(reply.is_response() && reply.id() == id);
         }
         let q = Message::query(SILENT, Question::a(name));
         client.send_to(&q.to_bytes().unwrap(), addr).unwrap();

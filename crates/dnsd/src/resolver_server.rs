@@ -23,11 +23,12 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dns_wire::{Message, MessageView};
+use dns_wire::wire::WireWriter;
+use dns_wire::MessageView;
 use netsim::{LinkFaults, SimTime};
 use resolver::{
-    Admission, FaultyUpstream, FlightTable, InjectedFault, PendingQuery, Resolver, ResolverConfig,
-    SharedEcsCache, Step, Transport, Upstream, UpstreamReply,
+    Admission, ClientAnswer, FaultyUpstream, FlightTable, InjectedFault, PendingQuery, Resolver,
+    ResolverConfig, SharedEcsCache, Step, Transport, Upstream, UpstreamReply,
 };
 
 use crate::pool::{Handler, Pool, PoolHandle};
@@ -236,28 +237,36 @@ impl Handler for ResolverHandler {
     type Exit = obs::MetricsSnapshot;
 
     /// Resolves one client query, routing any upstream exchange through
-    /// the shared flight table. The admission order matches the
-    /// event-driven actor path exactly: join, else own.
+    /// the shared flight table, and writes the answer into `buf`. The
+    /// admission order matches the event-driven actor path exactly: join,
+    /// else own.
     #[inline]
     fn handle(
         &mut self,
-        query: &Message,
+        query: MessageView<'_>,
         peer: SocketAddr,
         now: SimTime,
         prof: &mut obs::StageProfiler,
-    ) -> Option<Message> {
+        buf: Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        let mut w = WireWriter::with_buffer(buf);
         prof.enter("resolve");
-        let resp = match self.engine.begin(query, peer.ip(), now) {
+        let written = match self.engine.begin(query, peer.ip(), now) {
             Step::Answer(resp) => {
                 // Cache hit / refusal / local answer: no upstream leg.
                 prof.enter("local");
                 prof.exit();
-                resp
+                prof.exit();
+                resp.write(&mut w)
             }
-            Step::NeedUpstream(pending) => self.admit(pending, now, prof),
+            Step::NeedUpstream(pending) => {
+                let answer = self.admit(pending, now, prof);
+                prof.exit();
+                answer.write(&mut w)
+            }
         };
-        prof.exit();
-        Some(resp)
+        written.ok()?;
+        w.finish().ok()
     }
 
     fn finish(self) -> obs::MetricsSnapshot {
@@ -272,7 +281,7 @@ impl ResolverHandler {
         pending: PendingQuery,
         now: SimTime,
         prof: &mut obs::StageProfiler,
-    ) -> Message {
+    ) -> ClientAnswer {
         match self.flights.admit(&pending.flight_key()) {
             Admission::Joiner(flight) => {
                 prof.enter("join_wait");
@@ -309,7 +318,7 @@ mod tests {
     use super::*;
     use crate::server::UdpAuthServer;
     use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{EcsOption, Name, Question};
+    use dns_wire::{EcsOption, Message, Name, Question};
     use std::net::{Ipv4Addr, UdpSocket};
 
     fn cfg() -> ResolverConfig {
@@ -525,12 +534,16 @@ mod tests {
                 let q = Message::query(
                     id,
                     Question::a(Name::from_ascii("www.demo.example").unwrap()),
-                );
+                )
+                .to_bytes()
+                .unwrap();
+                let query = MessageView::parse(&q).unwrap();
                 let peer = SocketAddr::from(([127, 0, 0, 1], 5300 + id));
+                let prof = &mut obs::StageProfiler::off();
                 let resp = handler
-                    .handle(&q, peer, SimTime::ZERO, &mut obs::StageProfiler::off())
+                    .handle(query, peer, SimTime::ZERO, prof, Vec::new())
                     .expect("never silence");
-                (resp, handler.finish())
+                (Message::from_bytes(&resp).unwrap(), handler.finish())
             })
         };
         let count = |name: &str| {

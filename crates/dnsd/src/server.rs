@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use authoritative::AuthServer;
-use dns_wire::Message;
-use netsim::SimTime;
+use dns_wire::MessageView;
+use netsim::{PacketFate, SimTime, Transport};
 use parking_lot::Mutex;
 
 use crate::pool::{Handler, Pool, PoolHandle};
@@ -17,13 +17,13 @@ use crate::pool::{Handler, Pool, PoolHandle};
 /// Deterministic fault knobs for a [`UdpAuthServer`], for exercising client
 /// and resolver failure paths against a real socket without any randomness:
 /// the first `drop_first` queries are swallowed (the client sees timeouts),
-/// and with `truncate_udp` every UDP answer comes back TC with its records
-/// stripped (forcing the RFC 7766 TCP fallback).
+/// and with `truncate_udp` every UDP answer comes back as a truncating link
+/// delivers it ([`PacketFate::Truncated`]), forcing the TCP fallback.
 #[derive(Debug, Default)]
 pub struct ServerFaults {
     /// How many initial queries to swallow without replying.
     pub drop_first: u32,
-    /// Truncate every UDP reply (records stripped, TC set).
+    /// Truncate every UDP reply (TC set, all after the question stripped).
     pub truncate_udp: bool,
 }
 
@@ -181,14 +181,17 @@ struct AuthHandler {
 impl Handler for AuthHandler {
     type Exit = ();
 
+    /// Answers through [`AuthServer::reply`], the one datagram path, into
+    /// a buffer of its own; [`PacketFate::rewrite`] truncates.
     #[inline]
     fn handle(
         &mut self,
-        query: &Message,
+        query: MessageView<'_>,
         peer: SocketAddr,
         now: SimTime,
         prof: &mut obs::StageProfiler,
-    ) -> Option<Message> {
+        _buf: Vec<u8>,
+    ) -> Option<Vec<u8>> {
         // Fault injection: swallow the first N queries (the client times
         // out, exactly as if the reply was lost in the network).
         if self
@@ -200,12 +203,15 @@ impl Handler for AuthHandler {
             return None;
         }
         prof.enter("handle");
-        let mut resp = self.auth.lock().handle(query, peer.ip(), now);
-        if self.truncate_udp {
-            resp.flags.tc = true;
-            resp.answers.clear();
-        }
+        let resp = self
+            .auth
+            .lock()
+            .reply(query.bytes(), peer.ip(), now, Transport::Udp);
         prof.exit();
+        let mut resp = resp?;
+        if self.truncate_udp {
+            PacketFate::Truncated.rewrite(&mut resp);
+        }
         Some(resp)
     }
 
@@ -216,7 +222,7 @@ impl Handler for AuthHandler {
 mod tests {
     use super::*;
     use authoritative::{EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{EcsOption, Name, Question};
+    use dns_wire::{EcsOption, Message, Name, Question};
     use std::net::{Ipv4Addr, UdpSocket};
     use std::time::Duration;
 

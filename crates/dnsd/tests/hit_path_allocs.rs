@@ -1,7 +1,9 @@
 //! The allocation budget of a cache hit.
 //!
-//! A hit is decode → [`Resolver::begin`] → encode, and what it costs is
-//! mostly what it allocates: names, section vectors, the reply buffer.
+//! A hit is what the `dnsd` pool does with it: the query read in place
+//! ([`MessageView`]) → [`Resolver::begin`] → the answer encoded into a
+//! lent buffer, and what it costs is mostly what it allocates: names,
+//! section vectors, the reply buffer.
 //! This pins the count — not a time — with a counting global allocator
 //! (an integration test is its own binary, so no other test pays for it),
 //! over the configuration the `serve_warm` benchmark runs: 256 four-label
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::wire::WireWriter;
-use dns_wire::{EcsOption, Message, Name, Question};
+use dns_wire::{EcsOption, Message, MessageView, Name, Question};
 use netsim::SimTime;
 use resolver::{Resolver, ResolverConfig, SharedEcsCache, Step};
 
@@ -60,8 +62,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 const NAMES: usize = 256;
 const SUBNETS: u8 = 16;
-/// Per hit, over decode + `begin` + encode: the answer vector, as
-/// measured.
+/// Per hit, over the read in place + `begin` + encode: the answer
+/// vector, as measured.
 const HIT_BUDGET: usize = 1;
 
 #[test]
@@ -95,8 +97,8 @@ fn a_cache_hit_stays_inside_its_allocation_budget_and_encodes_with_none() {
         })
         .collect();
     for wire in &queries {
-        let q = Message::from_bytes(wire).unwrap();
-        match engine.begin(&q, from, now) {
+        let q = MessageView::parse(wire).unwrap();
+        match engine.begin(q, from, now) {
             Step::NeedUpstream(pending) => {
                 engine.drive_upstream_capturing(pending, now, &mut auth);
             }
@@ -110,8 +112,8 @@ fn a_cache_hit_stays_inside_its_allocation_budget_and_encodes_with_none() {
     let mut per_hit = Vec::new();
     for (i, wire) in queries.iter().chain(&queries).enumerate() {
         let ((reply, encode), total) = allocations(|| {
-            let q = Message::from_bytes(wire).unwrap();
-            let Step::Answer(resp) = engine.begin(&q, from, now) else {
+            let q = MessageView::parse(wire).unwrap();
+            let Step::Answer(resp) = engine.begin(q, from, now) else {
                 panic!("warmed key missed");
             };
             let mut w = WireWriter::with_buffer(std::mem::take(&mut lent));

@@ -13,7 +13,7 @@
 use std::net::IpAddr;
 
 use authoritative::AuthServer;
-use dns_wire::{Message, MessageView, Name};
+use dns_wire::{Message, MessageView, Name, WireResult};
 use netsim::{Ctx, Node, NodeId, Packet, SimTime, Transport};
 use rustc_hash::FxHashMap;
 
@@ -148,8 +148,9 @@ struct PendingUpstream {
     joiners: Vec<(NodeId, PendingQuery)>,
 }
 
-fn send_msg(ctx: &mut Ctx, to: NodeId, msg: &Message) {
-    if let Ok(bytes) = msg.to_bytes() {
+/// Sends an answer that encoded; one that did not is never sent.
+fn send_answer(ctx: &mut Ctx, to: NodeId, answer: WireResult<Vec<u8>>) {
+    if let Ok(bytes) = answer {
         ctx.send(to, bytes);
     }
 }
@@ -230,12 +231,10 @@ impl EgressActor {
                 if let Some(key) = &p.flight {
                     self.flights.remove(key);
                 }
-                if let Ok(bytes) = answer.to_bytes() {
-                    ctx.send(p.client, bytes);
-                }
+                send_answer(ctx, p.client, answer.to_bytes());
                 for (node, joiner) in &p.joiners {
                     let resp = self.resolver.answer_joiner(joiner, raw.as_ref(), ctx.now());
-                    send_msg(ctx, *node, &resp);
+                    send_answer(ctx, *node, resp.to_bytes());
                 }
                 stage(ctx, "write answer", t);
             }
@@ -296,7 +295,7 @@ impl Node for EgressActor {
         let t = stage(ctx, "begin", t);
         let pending = match step {
             Step::Answer(resp) => {
-                send_msg(ctx, pkt.src, &resp);
+                send_answer(ctx, pkt.src, resp.to_bytes());
                 stage(ctx, "write answer", t);
                 return;
             }
@@ -316,7 +315,7 @@ impl Node for EgressActor {
         let Some(auth_node) = self.route_for(&pending.question().name, ctx) else {
             // Nowhere to send: a flight that failed before it started.
             let fail = self.resolver.answer_joiner(&pending, None, ctx.now());
-            return send_msg(ctx, pkt.src, &fail);
+            return send_answer(ctx, pkt.src, fail.to_bytes());
         };
         let id = pending.upstream_query.id;
         if let Some(key) = &flight {

@@ -10,14 +10,14 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use authoritative::AuthServer;
-use dns_wire::{Message, MessageView, Name, Rcode};
+use dns_wire::{Message, MessageView, Name, QueryHead, Rcode};
 use netsim::{SimTime, Transport};
 use obs::{EventKind, TraceCtx, Tracer};
 
 use crate::cache::CacheStats;
 use crate::config::ResolverConfig;
 use crate::exchange::Action;
-use crate::parts::{AnswerHead, ClientAnswer, UpstreamReply};
+use crate::parts::{ClientAnswer, UpstreamReply};
 use crate::probing::{EcsDecision, ProbingState};
 use crate::shared_cache::SharedEcsCache;
 
@@ -156,7 +156,7 @@ impl Upstream for ZoneRouter {
 
 /// The reply to query `q` that carries `rcode` alone, as a server refuses.
 pub fn rcode_reply(q: &MessageView<'_>, rcode: Rcode) -> Result<Vec<u8>, UpstreamError> {
-    let reply = ClientAnswer::new(AnswerHead::from(*q), rcode, Vec::new(), None);
+    let reply = ClientAnswer::new(QueryHead::from(*q), rcode, Vec::new(), None);
     reply.to_bytes().map_err(|_| UpstreamError::Timeout)
 }
 
@@ -403,11 +403,12 @@ impl Resolver {
     ) -> Message {
         match self.begin(query, client_src, now) {
             Step::Answer(resp) => resp,
-            Step::NeedUpstream(pending) => self.drive_upstream(pending, now, upstream).0,
+            Step::NeedUpstream(p) => self.drive_upstream(p, now, upstream).0.into_message(),
         }
     }
 
-    /// [`Resolver::drive_upstream`] with the raw reply decoded.
+    /// [`Resolver::drive_upstream`] with the answer built and the raw
+    /// reply decoded.
     pub fn drive_upstream_capturing<U: Upstream + ?Sized>(
         &mut self,
         pending: PendingQuery,
@@ -416,14 +417,15 @@ impl Resolver {
     ) -> (Message, Option<Message>) {
         let (answer, raw) = self.drive_upstream(pending, now, upstream);
         (
-            answer,
+            answer.into_message(),
             raw.and_then(|reply| Message::from_bytes(&reply).ok()),
         )
     }
 
     /// The blocking driver of the [`crate::exchange`] machine: runs the
     /// upstream exchange for `pending` to completion against `upstream` and
-    /// returns the client answer plus the bytes of the raw upstream reply
+    /// returns the client answer, as the parts the caller writes, plus the
+    /// bytes of the raw upstream reply
     /// it completed with (`None` when the exchange failed and the answer
     /// is SERVFAIL). Each reply is read in place, as the packet driver
     /// reads it; one [`MessageView::is_reply_to`] rejects is a timeout.
@@ -440,7 +442,7 @@ impl Resolver {
         pending: PendingQuery,
         now: SimTime,
         upstream: &mut U,
-    ) -> (Message, Option<Vec<u8>>) {
+    ) -> (ClientAnswer, Option<Vec<u8>>) {
         let id = pending.upstream_query.id;
         let (mut ex, mut action) = self.start_exchange(pending, now);
         ex.keep_reply(false); // the raw reply goes back as its bytes
@@ -449,7 +451,7 @@ impl Resolver {
         let mut last = None;
         loop {
             match action {
-                Action::Done { answer, .. } => return (answer.into_message(), last),
+                Action::Done { answer, .. } => return (answer, last),
                 Action::Send { transport, timeout } => {
                     let question = Some(ex.pending().question());
                     last = None;
@@ -490,9 +492,9 @@ impl Resolver {
         pending: &PendingQuery,
         upstream: Option<&UpstreamReply>,
         now: SimTime,
-    ) -> Message {
+    ) -> ClientAnswer {
         let upstream = upstream.map(|up| (up.rcode, up.answers.clone(), up.ecs));
-        self.exit(pending, upstream, now).into_message()
+        self.exit(pending, upstream, now)
     }
 
     /// The one exit of a miss: every party that waited on a flight — its
@@ -540,17 +542,11 @@ impl Resolver {
     /// Phase one: cache lookup and ECS decision. Returns either an
     /// immediate answer or the upstream query to send.
     ///
-    /// The query is read for its questions, its id, RD bit and opcode, and
-    /// its ECS option, and nothing else: decoded (`&Message`) or in place
-    /// (a [`dns_wire::MessageView`]) alike.
-    pub fn begin(
-        &mut self,
-        query: impl Into<AnswerHead>,
-        client_src: IpAddr,
-        now: SimTime,
-    ) -> Step {
+    /// The query is read for its [`QueryHead`] and nothing else: decoded
+    /// (`&Message`) or in place (a [`dns_wire::MessageView`]) alike.
+    pub fn begin(&mut self, query: impl Into<QueryHead>, client_src: IpAddr, now: SimTime) -> Step {
         self.stats.client_queries.inc();
-        let head: AnswerHead = query.into();
+        let head: QueryHead = query.into();
         let Some(question) = head.questions.first() else {
             self.close(TraceCtx::DISABLED, now, now, Rcode::FormErr);
             let refusal = ClientAnswer::new(head, Rcode::FormErr, Vec::new(), None);
@@ -790,7 +786,7 @@ pub enum Step {
 pub struct PendingQuery {
     /// What the client's answer repeats of its query; [`Resolver::begin`]
     /// only makes a pending query of one that has a question.
-    pub head: AnswerHead,
+    pub head: QueryHead,
     /// The query to send upstream.
     pub upstream_query: Message,
     /// When the client query entered [`Resolver::begin`] — the zero point

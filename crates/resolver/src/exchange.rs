@@ -6,7 +6,7 @@
 //! — what the machine reads of a response — or an [`UpstreamError`]) to
 //! [`Resolver::step_exchange`], and repeats until [`Action::Done`], whose
 //! client answer is left as its parts ([`ClientAnswer`]) for the driver
-//! to write or build. Everything RFC 7871 §7.1.3 and RFC 7766 make a
+//! to write. Everything RFC 7871 §7.1.3 and RFC 7766 make a
 //! *decision* lives here and only here: counting sends and retries,
 //! withdrawing ECS, climbing the [`crate::TransportPolicy`] ladder, the
 //! attempt / fault / backoff trace events, and giving up once the budget is

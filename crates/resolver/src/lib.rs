@@ -80,7 +80,7 @@ pub use exchange::{Action, Exchange};
 pub use faulty::{FaultyUpstream, InjectedFault, InjectionStats};
 pub use flight::{Admission, Flight, FlightTable, OwnerToken};
 pub use netsim::{Transport, TransportStats};
-pub use parts::{AnswerHead, ClientAnswer, UpstreamReply};
+pub use parts::{ClientAnswer, UpstreamReply};
 pub use prefix_policy::PrefixPolicy;
 pub use probing::{ProbingState, ProbingStrategy};
 pub use shared_cache::SharedEcsCache;

@@ -1,62 +1,20 @@
 //! What the engine reads of the datagrams it is given, and the answer it
 //! writes from its parts.
 //!
-//! A client query is read for what its answer repeats ([`AnswerHead`]),
+//! A client query is read for what its answer repeats ([`QueryHead`]),
 //! whether it arrives decoded or through a [`MessageView`]. An upstream
 //! reply is read in place, by both drivers and a flight's joiners alike,
 //! for what the exchange machine and the cache use
-//! ([`UpstreamReply::read`]). A miss's answer is written from those parts
-//! ([`ClientAnswer`]): to the wire by the packet driver, into a
-//! [`Message`] by the blocking one, through the one encoder either way,
-//! so both give the same bytes.
+//! ([`UpstreamReply::read`]). Every answer is written from those parts
+//! ([`ClientAnswer`]): a miss's to the wire by either driver, a hit's
+//! into a [`Message`], through the one encoder either way, so both give
+//! the same bytes.
 
+use dns_wire::wire::WireWriter;
 use dns_wire::{
-    EcsOption, Flags, Message, MessageParts, MessageView, OneVec, Opcode, OptRecord, Question,
-    Rcode, Record, WireResult,
+    EcsOption, Flags, Message, MessageParts, MessageView, OptRecord, QueryHead, Rcode, Record,
+    WireResult,
 };
-
-/// What a client query's answer repeats of it: the id, the RD bit, the
-/// opcode and the questions, and the client's ECS option, whose scope
-/// the answer echoes (RFC 7871 §7.2.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnswerHead {
-    /// Transaction ID.
-    pub id: u16,
-    /// Recursion desired.
-    pub rd: bool,
-    /// Operation code.
-    pub opcode: Opcode,
-    /// The question section, as asked.
-    pub questions: OneVec<Question>,
-    /// The client's first client-subnet option.
-    pub ecs: Option<EcsOption>,
-}
-
-impl From<&Message> for AnswerHead {
-    /// Reads a decoded query (the socket servers and the blocking driver).
-    fn from(query: &Message) -> Self {
-        AnswerHead {
-            id: query.id,
-            rd: query.flags.rd,
-            opcode: query.opcode,
-            questions: query.questions.clone(),
-            ecs: query.ecs().copied(),
-        }
-    }
-}
-
-impl From<MessageView<'_>> for AnswerHead {
-    /// Reads a query in place (the packet driver).
-    fn from(query: MessageView<'_>) -> Self {
-        AnswerHead {
-            id: query.id(),
-            rd: query.flags().rd,
-            opcode: query.opcode(),
-            questions: query.questions().collect(),
-            ecs: query.ecs().copied(),
-        }
-    }
-}
 
 /// What the exchange machine and the cache read of an upstream reply: the
 /// rcode, the TC bit, the answer section and the ECS option. The one
@@ -92,11 +50,11 @@ impl UpstreamReply {
     }
 }
 
-/// The answer a client gets, as its parts: the query's [`AnswerHead`], an
+/// The answer a client gets, as its parts: the query's [`QueryHead`], an
 /// rcode, the answer records and the ECS option echoed back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientAnswer {
-    head: AnswerHead,
+    head: QueryHead,
     /// Response code.
     pub rcode: Rcode,
     /// The answer section.
@@ -110,7 +68,7 @@ impl ClientAnswer {
     /// The answer to `head` with `rcode` and `answers`, whose ECS option
     /// (if any) gives the scope the client's option is echoed with.
     pub(crate) fn new(
-        head: AnswerHead,
+        head: QueryHead,
         rcode: Rcode,
         answers: Vec<Record>,
         answer_ecs: Option<EcsOption>,
@@ -141,10 +99,9 @@ impl ClientAnswer {
         }
     }
 
-    /// Writes the answer to the wire: the bytes
-    /// `self.into_message().to_bytes()` gives, without building the
-    /// message.
-    pub fn to_bytes(&self) -> WireResult<Vec<u8>> {
+    /// Writes the answer into `w`: the bytes `self.into_message()`
+    /// writes, without building the message.
+    pub fn write(&self, w: &mut WireWriter) -> WireResult<()> {
         let edns = self.edns();
         MessageParts {
             id: self.head.id,
@@ -157,7 +114,14 @@ impl ClientAnswer {
             additionals: &[],
             edns: edns.as_ref(),
         }
-        .to_bytes()
+        .write(w)
+    }
+
+    /// Writes the answer to the wire, in a buffer of its own.
+    pub fn to_bytes(&self) -> WireResult<Vec<u8>> {
+        let mut w = WireWriter::new();
+        self.write(&mut w)?;
+        w.finish()
     }
 
     /// Builds the answer as a message.
@@ -179,7 +143,7 @@ impl ClientAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Name, Rdata};
+    use dns_wire::{Name, Question, Rdata};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -215,8 +179,8 @@ mod tests {
             }
             let wire = query.to_bytes().unwrap();
             let view = MessageView::parse(&wire).unwrap();
-            let decoded = AnswerHead::from(&query);
-            assert_eq!(AnswerHead::from(view), decoded);
+            let decoded = QueryHead::from(&query);
+            assert_eq!(QueryHead::from(view), decoded);
             let parts = ClientAnswer::new(decoded, rcode, answers, answer_ecs);
             assert_eq!(parts.to_bytes().unwrap(), built.to_bytes().unwrap());
             assert_eq!(parts.into_message(), built);

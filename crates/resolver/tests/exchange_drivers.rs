@@ -275,9 +275,9 @@ fn run_sync(case: &Case) -> (Outcome, Vec<Vec<u8>>) {
         for SyncFlight { owner, joiners } in flights {
             let (answer, raw) = r.drive_upstream(owner.1, now, &mut up);
             let raw = raw.map(|reply| read(&reply));
-            answers[owner.0] = Some(answer);
+            answers[owner.0] = Some(answer.into_message());
             for (i, joiner) in joiners {
-                answers[i] = Some(r.answer_joiner(&joiner, raw.as_ref(), now));
+                answers[i] = Some(r.answer_joiner(&joiner, raw.as_ref(), now).into_message());
             }
         }
     }

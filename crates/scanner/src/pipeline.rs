@@ -221,7 +221,7 @@ enum SlotState {
 
 struct ProbeSlot {
     target: ProbeTarget,
-    qname: Name,
+    question: Question,
     attempt: u32,
     first_sent: SimTime,
     state: SlotState,
@@ -493,7 +493,7 @@ impl ScannerNode {
             };
             let slot = ProbeSlot {
                 target: probe.target,
-                qname,
+                question: Question::a(qname),
                 attempt: 0,
                 first_sent: launch_at,
                 state: SlotState::Waiting,
@@ -536,7 +536,7 @@ impl ScannerNode {
         if slot.attempt == 0 {
             slot.first_sent = ctx.now();
         }
-        let q = Message::query(r.index, Question::a(slot.qname.clone()));
+        let q = Message::query(r.index, slot.question.clone());
         let to = slot.target.node;
         self.stats.attempts += 1;
         if let Ok(bytes) = q.to_bytes() {
@@ -627,13 +627,16 @@ impl Node for ScannerNode {
         if !msg.is_response() {
             return;
         }
-        // The DNS id is the slot index; the qname check rejects late
-        // responses for a previous occupant of a reused slot, the sender
-        // check anyone but the target that was asked.
+        // The DNS id is the slot index, which later probes reuse, so the
+        // question is the only thing that tells a late reply for an
+        // earlier occupant from the current probe's: a reply must echo
+        // the whole question (name, type and class), and one that carries
+        // no question is rejected. The sender check rejects anyone but
+        // the target that was asked.
         let Some((r, slot)) = self.slots.get_index(msg.id()) else {
             return;
         };
-        if pkt.src != slot.target.node || !msg.question_is(&slot.qname) {
+        if pkt.src != slot.target.node || !msg.asks(&slot.question) {
             return;
         }
         if matches!(slot.state, SlotState::Waiting) {
@@ -794,14 +797,25 @@ mod tests {
         assert_eq!((node.suffixes.len(), node.breakers.len()), (3, 3));
     }
 
-    /// Answers every query it gets, half a second late.
+    /// Answers every query it gets, half a second late. With
+    /// `forge_aaaa` it first sends, at once, a REFUSED under the query's
+    /// id for the same name's AAAA.
     struct SlowForwarder {
         held: Vec<(NodeId, Vec<u8>)>,
+        forge_aaaa: bool,
     }
 
     impl Node for SlowForwarder {
         fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-            let reply = Message::response_to(&Message::from_bytes(&pkt.payload).unwrap());
+            let query = Message::from_bytes(&pkt.payload).unwrap();
+            if self.forge_aaaa {
+                let mut aaaa = query.clone();
+                aaaa.questions[0].qtype = dns_wire::RecordType::Aaaa;
+                let mut forged = Message::response_to(&aaaa);
+                forged.rcode = Rcode::Refused;
+                ctx.send(pkt.src, forged.to_bytes().unwrap());
+            }
+            let reply = Message::response_to(&query);
             self.held.push((pkt.src, reply.to_bytes().unwrap()));
             ctx.set_timer(SimDuration::from_millis(500), 0);
         }
@@ -830,40 +844,59 @@ mod tests {
         }
     }
 
+    /// A forged reply lands while the real answer is still 400 ms away:
+    /// one for the probe's question from a node that was not asked, and
+    /// one from the target under the probe's id and name but for AAAA.
+    /// Neither completes the A probe.
     #[test]
     fn answer_from_a_node_that_was_not_asked_is_ignored() {
-        let pos = netsim::GeoPoint::new(52.37, 4.90);
-        let mut sim = netsim::Simulation::new(7);
-        let forwarder = sim.add_node(SlowForwarder { held: Vec::new() }, target(0).addr, pos);
-        let qname = name("p0.spoof.scan.example");
-        let probe = Probe {
-            qname: Some(qname.clone()),
-            ..Probe::at(target(forwarder.0))
-        };
-        let mut feed = Some(probe);
-        let scanner = sim.add_node(
-            ScannerNode::new(ScanConfig::default(), move || feed.take()),
-            "203.0.113.250".parse().unwrap(),
-            pos,
-        );
-        let spoofer = sim.add_node(
-            Spoofer { scanner, qname },
-            "203.0.113.66".parse().unwrap(),
-            pos,
-        );
-        // The forgery lands while the real answer is still 400 ms away.
-        sim.inject_timer(spoofer, SimDuration::from_millis(100), 0);
-        sim.run_until(SimTime::from_micros(300_000));
-        let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
-        assert_eq!(node.in_flight(), 1, "the forgery completed nothing");
-        assert_eq!(node.stats().answered, 0);
+        for (forgery, forge_aaaa) in [("unasked node", false), ("AAAA from the target", true)] {
+            let pos = netsim::GeoPoint::new(52.37, 4.90);
+            let mut sim = netsim::Simulation::new(7);
+            let forwarder = SlowForwarder {
+                held: Vec::new(),
+                forge_aaaa,
+            };
+            let forwarder = sim.add_node(forwarder, target(0).addr, pos);
+            let qname = name("p0.spoof.scan.example");
+            let probe = Probe {
+                qname: Some(qname.clone()),
+                ..Probe::at(target(forwarder.0))
+            };
+            let mut feed = Some(probe);
+            let scanner = sim.add_node(
+                ScannerNode::new(ScanConfig::default(), move || feed.take()),
+                "203.0.113.250".parse().unwrap(),
+                pos,
+            );
+            if !forge_aaaa {
+                let spoofer = sim.add_node(
+                    Spoofer { scanner, qname },
+                    "203.0.113.66".parse().unwrap(),
+                    pos,
+                );
+                sim.inject_timer(spoofer, SimDuration::from_millis(100), 0);
+            }
+            sim.run_until(SimTime::from_micros(300_000));
+            let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
+            assert_eq!(
+                node.in_flight(),
+                1,
+                "{forgery}: the forgery completed nothing"
+            );
+            assert_eq!(node.stats().answered, 0, "{forgery}");
 
-        sim.run();
-        let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
-        let stats = node.stats();
-        assert_eq!((stats.answered, stats.refused), (1, 0), "{stats:?}");
-        assert_eq!(stats.attempts, 1, "answered before any retry");
-        assert!(stats.reconciles() && node.is_done(), "{stats:?}");
+            sim.run();
+            let node = sim.node_mut::<ScannerNode>(scanner).unwrap();
+            let stats = node.stats();
+            assert_eq!(
+                (stats.answered, stats.refused),
+                (1, 0),
+                "{forgery}: {stats:?}"
+            );
+            assert_eq!(stats.attempts, 1, "{forgery}: answered before any retry");
+            assert!(stats.reconciles() && node.is_done(), "{forgery}: {stats:?}");
+        }
     }
 
     #[test]
