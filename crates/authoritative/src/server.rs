@@ -195,21 +195,24 @@ impl AuthServer {
         self.answer(QueryHead::from(query), src, now, Transport::Udp)
     }
 
-    /// The one datagram path: [`AuthServer::handle`] for query datagram
-    /// `query`, read in place, that arrived over `transport`. `None`, as
-    /// a server drops it, when `query` does not parse or is a response.
+    /// The one datagram path: [`AuthServer::handle`] for the query `query`
+    /// reads, which arrived over `transport`, encoded into the lent `buf`.
+    /// `None`, as a server drops it, when `query` is a response.
     pub fn reply(
         &mut self,
-        query: &[u8],
+        query: MessageView<'_>,
         src: IpAddr,
         now: SimTime,
         transport: Transport,
+        buf: Vec<u8>,
     ) -> Option<Vec<u8>> {
-        let query = MessageView::parse(query)
-            .ok()
-            .filter(|q| !q.is_response())?;
+        if query.is_response() {
+            return None;
+        }
         let resp = self.answer(QueryHead::from(query), src, now, transport);
-        resp.to_bytes().ok()
+        let mut w = dns_wire::wire::WireWriter::with_buffer(buf);
+        resp.write(&mut w).ok()?;
+        w.finish().ok()
     }
 
     /// Answers and logs `query`, which arrived over `transport`, once; an
@@ -591,7 +594,9 @@ mod truncation_tests {
 
     /// [`AuthServer::reply`] to a built query, decoded.
     fn reply(s: &mut AuthServer, q: &Message, transport: Transport) -> Message {
-        let resp = s.reply(&q.to_bytes().unwrap(), SRC, SimTime::ZERO, transport);
+        let q = q.to_bytes().unwrap();
+        let q = MessageView::parse(&q).unwrap();
+        let resp = s.reply(q, SRC, SimTime::ZERO, transport, Vec::new());
         Message::from_bytes(&resp.unwrap()).unwrap()
     }
 
@@ -724,7 +729,10 @@ mod truncation_tests {
             let (mut decoded, mut viewed) = (server(), server());
             for m in &queries {
                 let want = decoded.handle(m, SRC, SimTime::ZERO);
-                let got = viewed.reply(&m.to_bytes().unwrap(), SRC, SimTime::ZERO, Transport::Udp);
+                let bytes = m.to_bytes().unwrap();
+                let view = MessageView::parse(&bytes).unwrap();
+                // A lent buffer that still holds bytes is emptied first.
+                let got = viewed.reply(view, SRC, SimTime::ZERO, Transport::Udp, vec![0xAA; 7]);
                 assert_eq!(got.unwrap(), want.to_bytes().unwrap(), "{m:?}");
             }
             assert_eq!(viewed.log(), decoded.log());

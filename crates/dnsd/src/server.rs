@@ -182,7 +182,7 @@ impl Handler for AuthHandler {
     type Exit = ();
 
     /// Answers through [`AuthServer::reply`], the one datagram path, into
-    /// a buffer of its own; [`PacketFate::rewrite`] truncates.
+    /// the lent buffer; [`PacketFate::rewrite`] truncates.
     #[inline]
     fn handle(
         &mut self,
@@ -190,7 +190,7 @@ impl Handler for AuthHandler {
         peer: SocketAddr,
         now: SimTime,
         prof: &mut obs::StageProfiler,
-        _buf: Vec<u8>,
+        buf: Vec<u8>,
     ) -> Option<Vec<u8>> {
         // Fault injection: swallow the first N queries (the client times
         // out, exactly as if the reply was lost in the network).
@@ -206,7 +206,7 @@ impl Handler for AuthHandler {
         let resp = self
             .auth
             .lock()
-            .reply(query.bytes(), peer.ip(), now, Transport::Udp);
+            .reply(query, peer.ip(), now, Transport::Udp, buf);
         prof.exit();
         let mut resp = resp?;
         if self.truncate_udp {

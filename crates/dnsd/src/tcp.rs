@@ -14,6 +14,7 @@ use authoritative::AuthServer;
 use dns_wire::MessageView;
 use netsim::{SimTime, Transport};
 use parking_lot::Mutex;
+use resolver::Upstream;
 
 /// Reads one length-prefixed DNS message from a stream.
 pub fn read_framed(stream: &mut impl Read) -> io::Result<Vec<u8>> {
@@ -115,7 +116,11 @@ impl TcpAuthServer {
             return Ok(false);
         };
         let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
-        let Some(reply) = self.auth.lock().reply(&raw, peer.ip(), now, Transport::Tcp) else {
+        let Ok(reply) = self
+            .auth
+            .lock()
+            .query_via(&raw, peer.ip(), now, Transport::Tcp)
+        else {
             return Ok(false);
         };
         let _ = write_framed(&mut stream, &reply);

@@ -2,7 +2,8 @@
 //! every reply a [`UdpAuthServer`] sends is, byte for byte, what
 //! [`AuthServer::reply`] gives a twin server for the same datagram, and
 //! under `truncate_udp` what a truncating link makes of that reply
-//! ([`PacketFate::rewrite`]).
+//! ([`PacketFate::rewrite`]). The simulator's [`AuthActor`], stepped on a
+//! [`SocketHost`], sends the untruncated replies too.
 
 use std::net::{IpAddr, Ipv4Addr, UdpSocket};
 use std::time::Duration;
@@ -10,7 +11,8 @@ use std::time::Duration;
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{EcsOption, Message, MessageView, Name, Question};
 use dnsd::{ServerFaults, UdpAuthServer};
-use netsim::{PacketFate, SimTime, Transport};
+use netsim::{PacketFate, SimTime, SocketHost, Transport};
+use resolver::actors::AuthActor;
 
 fn demo_auth() -> AuthServer {
     let mut zone = Zone::new(Name::from_ascii("demo.example").unwrap());
@@ -71,19 +73,52 @@ fn socket_replies_are_the_datagram_path_s_byte_for_byte() {
             .unwrap();
         let from = IpAddr::V4(Ipv4Addr::LOCALHOST);
         let mut buf = [0u8; 4096];
+        let mut sent = Vec::new();
         for (case, query) in queries() {
             client.send_to(&query, addr).unwrap();
             let (n, _) = client.recv_from(&mut buf).unwrap();
+            let view = MessageView::parse(&query).unwrap();
             let mut want = twin
-                .reply(&query, from, SimTime::ZERO, Transport::Udp)
+                .reply(view, from, SimTime::ZERO, Transport::Udp, Vec::new())
                 .expect("a query is answered");
             if truncate_udp {
                 PacketFate::Truncated.rewrite(&mut want);
                 assert!(MessageView::parse(&want).unwrap().flags().tc, "{case}");
             }
             assert_eq!(buf[..n], want[..], "{case}, truncate_udp {truncate_udp}");
+            sent.push((case, query, want));
         }
         assert_eq!(handle.auth.lock().log().len(), twin.log().len());
         handle.shutdown();
+        if !truncate_udp {
+            hosted_actor_replies_as_sent(&sent, twin.log().len());
+        }
     }
+}
+
+/// An [`AuthActor`] on a [`SocketHost`] answers each `(case, query,
+/// reply)` of `sent` with `reply`, and logs its `logged` queries from
+/// 127.0.0.1, the address the host's book gives the client's id. The
+/// FORMERR query logs nothing, so the queries go in reverse order: once
+/// the log is full, every datagram has been read.
+fn hosted_actor_replies_as_sent(sent: &[(&str, Vec<u8>, Vec<u8>)], logged: usize) {
+    let mut host = SocketHost::bind("127.0.0.1:0").unwrap();
+    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    host.node_for(client.local_addr().unwrap());
+    for (_, query, _) in sent.iter().rev() {
+        client.send_to(query, host.local_addr()).unwrap();
+    }
+    let mut actor = AuthActor::new(demo_auth());
+    let full = |a: &AuthActor| a.server().log().len() == logged;
+    assert!(host.run(&mut actor, Duration::from_secs(5), full));
+    let mut buf = [0u8; 4096];
+    for (case, _, want) in sent.iter().rev() {
+        let (n, _) = client.recv_from(&mut buf).unwrap();
+        assert_eq!(buf[..n], want[..], "{case}, hosted AuthActor");
+    }
+    let localhost = IpAddr::V4(Ipv4Addr::LOCALHOST);
+    assert!(actor.server().log().iter().all(|e| e.resolver == localhost));
 }

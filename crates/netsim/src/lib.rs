@@ -19,15 +19,15 @@
 //! * [`Simulation`] — the event loop: a node is added at its IP address
 //!   ([`AddressBook`]) and started ([`Node::on_start`]), then receives
 //!   packets and timers and emits actions through a [`Ctx`], which also
-//!   answers which node sits at which address. A handler only buffers
-//!   [`Action`]s and reads the book it is lent, so a loop other than
-//!   `Simulation` (the scanner's wall-clock socket loop) can step the
-//!   same node through [`Ctx::new`].
+//!   answers which node sits at which address;
+//! * [`SocketHost`] — the one wall-clock loop: a handler only buffers
+//!   [`Action`]s and reads its book, so any [`Node`] also runs over a
+//!   real socket.
 //!
 //! Determinism: events are ordered by `(time, sequence)` where the sequence
 //! number is assigned at scheduling time, and all randomness flows from a
 //! single seeded RNG. Two runs with the same seed produce byte-identical
-//! traces. (This is also why wall-clock time never appears anywhere.)
+//! traces. (This is also why wall-clock time appears only in `SocketHost`.)
 //!
 //! ```
 //! use netsim::{Simulation, Node, Ctx, Packet, GeoPoint, SimDuration};
@@ -56,6 +56,7 @@ pub mod addrbook;
 pub mod event;
 pub mod fault;
 pub mod geo;
+pub mod host;
 pub mod latency;
 pub mod sim;
 pub mod time;
@@ -65,6 +66,7 @@ pub use addrbook::AddressBook;
 pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{FaultPlan, FaultStats, LinkFaults, PacketFate};
 pub use geo::{GeoPoint, EARTH_RADIUS_KM};
+pub use host::SocketHost;
 pub use latency::LatencyModel;
 pub use sim::{Action, Ctx, Node, NodeId, Packet, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -54,7 +54,7 @@ struct Staged<'a> {
 
 /// What a handler asked of the world through its [`Ctx`]. The loop that
 /// stepped the handler applies these after it returns: [`Simulation`]
-/// under virtual time, or a driver of its own over a real socket.
+/// under virtual time, or [`crate::SocketHost`] over a real socket.
 #[derive(Debug)]
 pub enum Action {
     /// Deliver `payload` to node `to`.
@@ -341,6 +341,9 @@ impl Simulation {
     /// another node's.
     pub fn add_node<N: Node + 'static>(&mut self, node: N, addr: IpAddr, pos: GeoPoint) -> NodeId {
         let id = NodeId(self.nodes.len());
+        if let Some(holder) = self.book.node_of(addr) {
+            panic!("{addr} is already the address of {holder:?}");
+        }
         self.book.bind(addr, id);
         self.nodes.push(Some(Box::new(node)));
         self.positions.push(pos);

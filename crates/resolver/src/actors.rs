@@ -17,7 +17,7 @@ use dns_wire::{Message, MessageView, Name, WireResult};
 use netsim::{Ctx, Node, NodeId, Packet, SimTime, Transport};
 use rustc_hash::FxHashMap;
 
-use crate::engine::{FlightKey, PendingQuery, Resolver, Step, UpstreamError};
+use crate::engine::{FlightKey, PendingQuery, Resolver, Step, Upstream, UpstreamError};
 use crate::exchange::{Action, Exchange};
 use crate::parts::UpstreamReply;
 
@@ -379,8 +379,8 @@ impl Node for AuthActor {
         let src_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
         let reply = self
             .server
-            .reply(&pkt.payload, src_addr, ctx.now(), Transport::Udp);
-        if let Some(reply) = reply {
+            .query_via(&pkt.payload, src_addr, ctx.now(), Transport::Udp);
+        if let Ok(reply) = reply {
             ctx.send(pkt.src, reply);
         }
     }

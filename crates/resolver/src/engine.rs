@@ -87,6 +87,9 @@ pub trait Upstream {
     }
 }
 
+/// [`AuthServer::reply`] at a byte edge (`AuthActor`'s and the TCP
+/// server's too): one parse, one buffer of `WireWriter::new`'s starting
+/// capacity, and a dropped query times out.
 impl Upstream for AuthServer {
     fn query_via(
         &mut self,
@@ -95,7 +98,8 @@ impl Upstream for AuthServer {
         now: SimTime,
         transport: Transport,
     ) -> Result<Vec<u8>, UpstreamError> {
-        self.reply(q, from, now, transport)
+        let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
+        self.reply(query, from, now, transport, Vec::with_capacity(512))
             .ok_or(UpstreamError::Timeout)
     }
 }
@@ -143,14 +147,15 @@ impl Upstream for ZoneRouter {
         transport: Transport,
     ) -> Result<Vec<u8>, UpstreamError> {
         let query = MessageView::parse(q).map_err(|_| UpstreamError::Timeout)?;
-        let rcode = match query.questions().next() {
-            Some(question) => match self.server_for(&question.name) {
-                Some(server) => return server.query_via(q, from, now, transport),
-                None => Rcode::Refused,
-            },
-            None => Rcode::FormErr,
+        let Some(question) = query.questions().next() else {
+            return rcode_reply(&query, Rcode::FormErr);
         };
-        rcode_reply(&query, rcode)
+        match self.server_for(&question.name) {
+            Some(server) => server
+                .reply(query, from, now, transport, Vec::with_capacity(512))
+                .ok_or(UpstreamError::Timeout),
+            None => rcode_reply(&query, Rcode::Refused),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! ZDNS-style mass-scan harness for dataset (ii): a bounded-concurrency
 //! probe pipeline with retry budgets, per-AS rate limits, and circuit
-//! breakers, driven over `netsim`'s deterministic event loop or a real
-//! socket.
+//! breakers, driven over `netsim`'s deterministic event loop or, through
+//! `netsim::SocketHost`, a real socket.
 //!
 //! The paper's second dataset comes from probing millions of open DNS
 //! forwarders on the real Internet. Reproducing that responsibly means a
@@ -26,10 +26,6 @@
 //!   capture.
 //! * [`capture`] — turning captured authoritative traffic into the same
 //!   per-resolver streams the §6 classifiers consume.
-//! * [`live`] — [`LiveScanner`], the wall-clock loop that steps the same
-//!   [`ScannerNode`] over a real `UdpSocket` (socket, address table,
-//!   clock and timer heap — no lifecycle code), for soaking a running
-//!   multi-worker `dnsd` resolver.
 //!
 //! Every probe leaves through exactly one door — answered,
 //! retry-exhausted, shed by rate limit, shed by breaker, or (only when a
@@ -40,7 +36,6 @@
 pub mod breaker;
 pub mod budget;
 pub mod capture;
-pub mod live;
 pub mod pipeline;
 pub mod ratelimit;
 pub mod slots;
@@ -49,7 +44,6 @@ pub mod topology;
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use budget::RetryBudget;
 pub use capture::ScanCapture;
-pub use live::LiveScanner;
 pub use pipeline::{
     Probe, ProbeFeed, ProbeOutcome, ProbeTarget, RoundRobinFeed, ScanConfig, ScanStats, ScannerNode,
 };

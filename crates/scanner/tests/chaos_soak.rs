@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::Name;
 use dnsd::{UdpAuthServer, UdpResolverServer};
-use netsim::SimDuration;
+use netsim::{SimDuration, SocketHost};
 use resolver::{InjectedFault, ResolverConfig, Transport};
-use scanner::{LiveScanner, Probe, ProbeFeed, ProbeTarget, RetryBudget, ScanConfig, ScannerNode};
+use scanner::{Probe, ProbeFeed, ProbeTarget, RetryBudget, ScanConfig, ScanStats, ScannerNode};
 
 fn name(s: &str) -> Name {
     Name::from_ascii(s).unwrap()
@@ -58,9 +58,19 @@ fn soak_cfg() -> ScanConfig {
     }
 }
 
+/// Steps `node` on `host` until its feed drains or `wall_budget` lapses;
+/// on the deadline every probe still holding a slot leaves through
+/// [`ScannerNode::abort_in_flight`]. The stats reconcile on return.
+fn run_live(host: &mut SocketHost, node: &mut ScannerNode, wall_budget: Duration) -> ScanStats {
+    if !host.run(node, wall_budget, ScannerNode::is_done) {
+        node.abort_in_flight(host.now());
+    }
+    node.stats()
+}
+
 /// One probe per qname, all aimed at the single live target.
 fn probe_feed(
-    live: &mut LiveScanner,
+    live: &mut SocketHost,
     target: SocketAddr,
     mut qnames: impl Iterator<Item = Name> + 'static,
 ) -> impl ProbeFeed {
@@ -99,10 +109,10 @@ fn standing_refused_faults_never_hang_the_window() {
         .expect("spawn pool");
 
     let cfg = soak_cfg();
-    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let mut scan = SocketHost::bind("127.0.0.1:0").expect("bind scanner");
     let feed = probe_feed(&mut scan, handle.local_addr(), qnames("refused", 160));
     let mut node = ScannerNode::new(cfg.clone(), feed);
-    let stats = scan.run(&mut node, Duration::from_secs(20));
+    let stats = run_live(&mut scan, &mut node, Duration::from_secs(20));
 
     assert!(stats.reconciles(), "accounting identity broke: {stats:?}");
     assert_eq!(stats.probes, 160);
@@ -143,7 +153,7 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
         },
         ..soak_cfg()
     };
-    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let mut scan = SocketHost::bind("127.0.0.1:0").expect("bind scanner");
     let first = probe_feed(&mut scan, target, qnames("abort", 64));
     let mut node = ScannerNode::new(cfg, first);
 
@@ -151,7 +161,7 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
     // is still in flight when the scan is told to stop, and every one of
     // those probes must leave through the `aborted` door — not vanish.
     let started = Instant::now();
-    let stats = scan.run(&mut node, Duration::from_millis(150));
+    let stats = run_live(&mut scan, &mut node, Duration::from_millis(150));
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "mid-window shutdown must not wait out retry budgets"
@@ -164,7 +174,7 @@ fn mid_window_deadline_accounts_every_aborted_probe() {
     // Idempotent shutdown: the aborted scanner is immediately reusable —
     // a second run on the same socket reconciles the *cumulative* stats.
     node.set_feed(probe_feed(&mut scan, target, qnames("abort2", 64)));
-    let stats = scan.run(&mut node, Duration::from_millis(150));
+    let stats = run_live(&mut scan, &mut node, Duration::from_millis(150));
     assert!(
         stats.reconciles(),
         "second run broke the identity: {stats:?}"
@@ -200,9 +210,10 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
     };
 
     // Phase 1: the server is up — a short scan drains fully answered.
-    let mut warm = LiveScanner::bind().expect("bind scanner");
+    let mut warm = SocketHost::bind("127.0.0.1:0").expect("bind scanner");
     let feed_warm = probe_feed(&mut warm, target, qnames("warm", 20));
-    let stats = warm.run(
+    let stats = run_live(
+        &mut warm,
         &mut ScannerNode::new(cfg.clone(), feed_warm),
         Duration::from_secs(10),
     );
@@ -216,10 +227,11 @@ fn server_shutdown_mid_scan_leaves_no_stuck_slots() {
     // must exit via retry-exhaustion or a tripped breaker, never hang.
     drop(handle.shutdown());
 
-    let mut cold = LiveScanner::bind().expect("bind scanner");
+    let mut cold = SocketHost::bind("127.0.0.1:0").expect("bind scanner");
     let feed_cold = probe_feed(&mut cold, target, qnames("cold", 20));
     let started = Instant::now();
-    let stats = cold.run(
+    let stats = run_live(
+        &mut cold,
         &mut ScannerNode::new(cfg, feed_cold),
         Duration::from_secs(20),
     );
@@ -258,13 +270,13 @@ fn live_run_carries_the_node_telemetry_and_rate_limit() {
         burst: 2,
         ..soak_cfg()
     };
-    let mut scan = LiveScanner::bind().expect("bind scanner");
+    let mut scan = SocketHost::bind("127.0.0.1:0").expect("bind scanner");
     let feed = probe_feed(&mut scan, target, qnames("telemetry", 12));
     let mut node = ScannerNode::new(cfg, feed);
     node.enable_metrics();
     let sink = std::sync::Arc::new(obs::MemorySink::new());
     node.set_tracer(obs::Tracer::new(sink.clone()));
-    let stats = scan.run(&mut node, Duration::from_secs(20));
+    let stats = run_live(&mut scan, &mut node, Duration::from_secs(20));
 
     assert!(stats.reconciles(), "accounting identity broke: {stats:?}");
     assert_eq!(stats.answered, 12, "{stats:?}");
