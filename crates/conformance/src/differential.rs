@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question};
-use dnsd::{SocketUpstream, TcpAuthServer, UdpAuthServer};
+use dnsd::SocketUpstream;
 use netsim::SimTime;
 use obs::MetricsSnapshot;
 use rand::rngs::SmallRng;
@@ -173,31 +173,28 @@ pub fn run_engine_side(workload: &[WorkloadQuery], transport: Transport) -> Side
 }
 
 /// Runs the workload through real loopback sockets with the subject pinned
-/// to `transport`: a spawned [`UdpAuthServer`] served by a `workers`-wide
+/// to `transport`: a spawned [`dnsd::UdpAuthServer`] served by a `workers`-wide
 /// thread pool over one shared socket, queried via [`SocketUpstream`]. The
 /// worker count must be behaviour-invisible: the kernel hands each
 /// datagram to one worker, the zone is immutable, and the server's
 /// metrics registry is shared — so answers must stay byte-identical at
 /// any width. The zone is served on *both* transports from one shared
 /// [`authoritative::AuthServer`]: the UDP server owns it, and a
-/// [`TcpAuthServer`] bound on its own port serves the same `Arc`-shared
-/// state, with [`SocketUpstream::with_tcp_server`] routing stream
-/// exchanges there. Answers must stay byte-identical to the in-process
-/// engine side whichever transport carries them.
+/// [`dnsd::TcpAuthServer`] on the same port number serves the same
+/// `Arc`-shared state ([`dnsd::bind_same_port`]), where the upstream's
+/// stream exchanges go. Answers must stay byte-identical to the
+/// in-process engine side whichever transport carries them.
 pub fn run_socket_side(
     workload: &[WorkloadQuery],
     workers: usize,
     transport: Transport,
 ) -> io::Result<SideResult> {
-    let server = UdpAuthServer::bind("127.0.0.1:0", diff_auth())?.with_workers(workers);
+    let (server, tcp) = dnsd::bind_same_port(diff_auth)?;
+    let server = server.with_workers(workers);
     let addr = server.local_addr()?;
-    let tcp = TcpAuthServer::bind("127.0.0.1:0", server.auth())?;
-    let tcp_addr = tcp.local_addr()?;
     let tcp_handle = tcp.spawn();
     let handle = server.spawn();
-    let mut up = SocketUpstream::new(addr)?
-        .with_timeout(Duration::from_secs(2))
-        .with_tcp_server(tcp_addr);
+    let mut up = SocketUpstream::new(addr)?.with_timeout(Duration::from_secs(2));
     let result = run_side(workload, transport, &mut up);
     handle.shutdown();
     tcp_handle.shutdown();

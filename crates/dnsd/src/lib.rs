@@ -47,5 +47,5 @@ pub use client::{DigClient, DigError};
 pub use metrics_http::{spawn_metrics_endpoint, MetricsHandle};
 pub use resolver_server::{ResolverServerHandle, UdpResolverServer};
 pub use server::{ServerFaults, ServerHandle, UdpAuthServer};
-pub use tcp::{tcp_exchange, TcpAuthServer, TcpServerHandle};
+pub use tcp::{bind_same_port, tcp_exchange, TcpAuthServer, TcpServerHandle};
 pub use upstream::SocketUpstream;

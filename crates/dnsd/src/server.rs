@@ -9,22 +9,20 @@ use std::sync::Arc;
 
 use authoritative::AuthServer;
 use dns_wire::MessageView;
-use netsim::{PacketFate, SimTime, Transport};
+use netsim::{SimTime, Transport};
 use parking_lot::Mutex;
 
 use crate::pool::{Handler, Pool, PoolHandle};
 
 /// Deterministic fault knobs for a [`UdpAuthServer`], for exercising client
 /// and resolver failure paths against a real socket without any randomness:
-/// the first `drop_first` queries are swallowed (the client sees timeouts),
-/// and with `truncate_udp` every UDP answer comes back as a truncating link
-/// delivers it ([`PacketFate::Truncated`]), forcing the TCP fallback.
+/// the first `drop_first` queries are swallowed (the client sees timeouts).
+/// A truncation comes from an answer too big for the query's advertised
+/// buffer, which [`AuthServer::reply`] truncates by itself.
 #[derive(Debug, Default)]
 pub struct ServerFaults {
     /// How many initial queries to swallow without replying.
     pub drop_first: u32,
-    /// Truncate every UDP reply (TC set, all after the question stripped).
-    pub truncate_udp: bool,
 }
 
 /// An authoritative DNS server bound to a UDP socket.
@@ -101,7 +99,6 @@ impl UdpAuthServer {
             auth: Arc::new(Mutex::new(auth)),
             drop_remaining: Arc::new(AtomicU32::new(0)),
             fault_drops: pool.registry.counter("dnsd_fault_drops_total"),
-            truncate_udp: false,
         };
         Ok(UdpAuthServer { pool, handler })
     }
@@ -117,7 +114,6 @@ impl UdpAuthServer {
     /// Arms deterministic fault injection (see [`ServerFaults`]).
     pub fn with_faults(mut self, faults: ServerFaults) -> Self {
         self.handler.drop_remaining = Arc::new(AtomicU32::new(faults.drop_first));
-        self.handler.truncate_udp = faults.truncate_udp;
         self
     }
 
@@ -175,14 +171,13 @@ struct AuthHandler {
     /// [`ServerFaults::drop_first`] across all workers).
     drop_remaining: Arc<AtomicU32>,
     fault_drops: obs::Counter,
-    truncate_udp: bool,
 }
 
 impl Handler for AuthHandler {
     type Exit = ();
 
     /// Answers through [`AuthServer::reply`], the one datagram path, into
-    /// the lent buffer; [`PacketFate::rewrite`] truncates.
+    /// the lent buffer.
     #[inline]
     fn handle(
         &mut self,
@@ -208,11 +203,7 @@ impl Handler for AuthHandler {
             .lock()
             .reply(query, peer.ip(), now, Transport::Udp, buf);
         prof.exit();
-        let mut resp = resp?;
-        if self.truncate_udp {
-            PacketFate::Truncated.rewrite(&mut resp);
-        }
-        Some(resp)
+        resp
     }
 
     fn finish(self) {}

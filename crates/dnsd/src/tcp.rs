@@ -82,6 +82,27 @@ impl Drop for TcpServerHandle {
     }
 }
 
+/// Binds a UDP and a TCP authoritative on one loopback port number, the
+/// RFC 7766 same-port fallback pair, each try over a fresh `auth()`, the
+/// TCP one serving the UDP one's shared state. UDP picks the port, and
+/// TCP can find that number taken — the port spaces are disjoint, and a
+/// `TIME_WAIT` leftover of an earlier TCP exchange or a parallel server
+/// may hold it — so `AddrInUse` retries with a fresh UDP port, 16 tries
+/// at most. Both servers are bound before the caller learns the address.
+pub fn bind_same_port(
+    auth: impl Fn() -> AuthServer,
+) -> io::Result<(crate::UdpAuthServer, TcpAuthServer)> {
+    let mut tries = 0;
+    loop {
+        let udp = crate::UdpAuthServer::bind("127.0.0.1:0", auth())?;
+        tries += 1;
+        match TcpAuthServer::bind(udp.local_addr()?, udp.auth()) {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse && tries < 16 => continue,
+            tcp => return tcp.map(|tcp| (udp, tcp)),
+        }
+    }
+}
+
 impl TcpAuthServer {
     /// Binds a listener. Pass the `Arc<Mutex<AuthServer>>` shared with a
     /// [`crate::UdpAuthServer`] to serve the same zone on both transports.

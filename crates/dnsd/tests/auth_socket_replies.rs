@@ -1,19 +1,21 @@
 //! The authoritative on a socket answers through its one datagram path:
 //! every reply a [`UdpAuthServer`] sends is, byte for byte, what
-//! [`AuthServer::reply`] gives a twin server for the same datagram, and
-//! under `truncate_udp` what a truncating link makes of that reply
-//! ([`PacketFate::rewrite`]). The simulator's [`AuthActor`], stepped on a
-//! [`SocketHost`], sends the untruncated replies too.
+//! [`AuthServer::reply`] gives a twin server for the same datagram, a
+//! reply the server truncated against the query's advertised buffer
+//! included. The simulator's [`AuthActor`], stepped on a [`SocketHost`],
+//! sends the same replies.
 
 use std::net::{IpAddr, Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{EcsOption, Message, MessageView, Name, Question};
-use dnsd::{ServerFaults, UdpAuthServer};
-use netsim::{PacketFate, SimTime, SocketHost, Transport};
+use dnsd::UdpAuthServer;
+use netsim::{SimTime, SocketHost, Transport};
 use resolver::actors::AuthActor;
 
+/// `www.demo.example` has one A record; `big.demo.example` has 60, about
+/// 1 kB, which overflows a 512-byte buffer.
 fn demo_auth() -> AuthServer {
     let mut zone = Zone::new(Name::from_ascii("demo.example").unwrap());
     zone.add_a(
@@ -22,12 +24,20 @@ fn demo_auth() -> AuthServer {
         Ipv4Addr::new(198, 51, 100, 1),
     )
     .unwrap();
+    for i in 0..60 {
+        zone.add_a(
+            Name::from_ascii("big.demo.example").unwrap(),
+            60,
+            Ipv4Addr::new(198, 51, 101, i),
+        )
+        .unwrap();
+    }
     AuthServer::new(zone, EcsHandling::open(ScopePolicy::SourceMinusK(4)))
 }
 
-/// A plain query, an ECS query, NXDOMAIN, out-of-zone REFUSED and an
-/// empty question (FORMERR), each as the datagram sent. All but the plain
-/// query carry OPT, which a truncated reply loses with its records.
+/// A plain query, an ECS query, NXDOMAIN, out-of-zone REFUSED, an empty
+/// question (FORMERR) and an answer too big for its 512-byte buffer (TC),
+/// each as the datagram sent.
 fn queries() -> Vec<(&'static str, Vec<u8>)> {
     let query = |id, name: &str| Message::query(id, Question::a(Name::from_ascii(name).unwrap()));
     let with_edns = |mut m: Message| {
@@ -38,12 +48,15 @@ fn queries() -> Vec<(&'static str, Vec<u8>)> {
     ecs.set_ecs(EcsOption::from_v4(Ipv4Addr::new(192, 0, 2, 0), 24));
     let mut empty = with_edns(query(5, "www.demo.example"));
     empty.questions.clear();
+    let mut oversize = query(6, "big.demo.example");
+    oversize.set_edns(512);
     [
         ("plain", query(1, "www.demo.example")),
         ("ecs", ecs),
         ("nxdomain", with_edns(query(3, "nope.demo.example"))),
         ("refused", with_edns(query(4, "www.elsewhere.test"))),
         ("formerr", empty),
+        ("oversize", oversize),
     ]
     .into_iter()
     .map(|(case, m)| (case, m.to_bytes().unwrap()))
@@ -55,45 +68,33 @@ fn socket_replies_are_the_datagram_path_s_byte_for_byte() {
     if !dnsd::testutil::require_loopback("socket_replies_are_the_datagram_path_s_byte_for_byte") {
         return;
     }
-    for truncate_udp in [false, true] {
-        let faults = ServerFaults {
-            truncate_udp,
-            ..ServerFaults::default()
-        };
-        let server = UdpAuthServer::bind("127.0.0.1:0", demo_auth())
-            .unwrap()
-            .with_faults(faults);
-        let addr = server.local_addr().unwrap();
-        let handle = server.spawn();
-        let mut twin = demo_auth();
+    let server = UdpAuthServer::bind("127.0.0.1:0", demo_auth()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn();
+    let mut twin = demo_auth();
 
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        let from = IpAddr::V4(Ipv4Addr::LOCALHOST);
-        let mut buf = [0u8; 4096];
-        let mut sent = Vec::new();
-        for (case, query) in queries() {
-            client.send_to(&query, addr).unwrap();
-            let (n, _) = client.recv_from(&mut buf).unwrap();
-            let view = MessageView::parse(&query).unwrap();
-            let mut want = twin
-                .reply(view, from, SimTime::ZERO, Transport::Udp, Vec::new())
-                .expect("a query is answered");
-            if truncate_udp {
-                PacketFate::Truncated.rewrite(&mut want);
-                assert!(MessageView::parse(&want).unwrap().flags().tc, "{case}");
-            }
-            assert_eq!(buf[..n], want[..], "{case}, truncate_udp {truncate_udp}");
-            sent.push((case, query, want));
-        }
-        assert_eq!(handle.auth.lock().log().len(), twin.log().len());
-        handle.shutdown();
-        if !truncate_udp {
-            hosted_actor_replies_as_sent(&sent, twin.log().len());
-        }
+    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let from = IpAddr::V4(Ipv4Addr::LOCALHOST);
+    let mut buf = [0u8; 4096];
+    let mut sent = Vec::new();
+    for (case, query) in queries() {
+        client.send_to(&query, addr).unwrap();
+        let (n, _) = client.recv_from(&mut buf).unwrap();
+        let view = MessageView::parse(&query).unwrap();
+        let want = twin
+            .reply(view, from, SimTime::ZERO, Transport::Udp, Vec::new())
+            .expect("a query is answered");
+        let tc = MessageView::parse(&want).unwrap().flags().tc;
+        assert_eq!(tc, case == "oversize", "{case}");
+        assert_eq!(buf[..n], want[..], "{case}");
+        sent.push((case, query, want));
     }
+    assert_eq!(handle.auth.lock().log().len(), twin.log().len());
+    handle.shutdown();
+    hosted_actor_replies_as_sent(&sent, twin.log().len());
 }
 
 /// An [`AuthActor`] on a [`SocketHost`] answers each `(case, query,

@@ -2,18 +2,19 @@
 //! policy driving real sockets.
 //!
 //! The same `Resolver` that runs in the deterministic simulator is wired to
-//! a live `UdpAuthServer`/`TcpAuthServer` pair through `SocketUpstream`,
-//! with server-side fault injection (`ServerFaults`) standing in for a
-//! lossy network. When the environment offers no loopback sockets, each
-//! test prints a visible `SKIP` line via `dnsd::testutil` — and fails
-//! outright when `ECS_REQUIRE_LOOPBACK` is set (CI sets it).
+//! a live `UdpAuthServer`/`TcpAuthServer` pair on one port number through
+//! `SocketUpstream`, with server-side fault injection (`ServerFaults`)
+//! standing in for a lossy network, and an answer too big for a 512-byte
+//! buffer for a truncating one. When the environment offers no loopback
+//! sockets, each test prints a visible `SKIP` line via `dnsd::testutil` —
+//! and fails outright when `ECS_REQUIRE_LOOPBACK` is set (CI sets it).
 
 use std::net::{IpAddr, SocketAddr};
 use std::time::{Duration, Instant};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question};
-use dnsd::{DigClient, DigError, ServerFaults, SocketUpstream, TcpAuthServer, UdpAuthServer};
+use dnsd::{DigClient, DigError, ServerFaults, SocketUpstream, UdpAuthServer};
 use netsim::SimTime;
 use resolver::{Resolver, ResolverConfig, Transport, TransportPolicy, Upstream, UpstreamError};
 
@@ -32,11 +33,36 @@ fn demo_auth() -> AuthServer {
     AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource))
 }
 
+/// The demo zone plus `big.demo.example`: 60 A records, about 1 kB, too
+/// big for a 512-byte buffer.
+fn big_auth() -> AuthServer {
+    let mut auth = demo_auth();
+    for i in 0..60 {
+        let addr = std::net::Ipv4Addr::new(198, 51, 101, i);
+        auth.zone_mut()
+            .add_a(name("big.demo.example"), 60, addr)
+            .unwrap();
+    }
+    auth
+}
+
 const RES: &str = "9.9.9.9";
 const CLIENT: &str = "192.0.2.77";
 
 fn client_query() -> Message {
     Message::query(21, Question::a(name("www.demo.example")))
+}
+
+fn big_query() -> Message {
+    Message::query(22, Question::a(name("big.demo.example")))
+}
+
+/// A 512-byte EDNS buffer on `transport`'s ladder.
+fn small_buffer(transport: TransportPolicy) -> TransportPolicy {
+    TransportPolicy {
+        edns_buf: 512,
+        ..transport
+    }
 }
 
 #[test]
@@ -46,14 +72,10 @@ fn truncated_udp_falls_back_to_real_tcp() {
     }
     // Same port, same zone state, both transports.
     let Some((udp, tcp)) =
-        dnsd::testutil::bind_same_port_pair("truncated_udp_falls_back_to_real_tcp", demo_auth)
+        dnsd::testutil::bind_same_port_pair("truncated_udp_falls_back_to_real_tcp", big_auth)
     else {
         return;
     };
-    let udp = udp.with_faults(ServerFaults {
-        truncate_udp: true,
-        ..ServerFaults::default()
-    });
     let addr = udp.local_addr().unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
@@ -62,15 +84,18 @@ fn truncated_udp_falls_back_to_real_tcp() {
         .unwrap()
         .with_timeout(Duration::from_secs(2));
     let res_addr: IpAddr = RES.parse().unwrap();
-    let mut r = Resolver::new(ResolverConfig::rfc_compliant(res_addr));
+    let mut r = Resolver::new(ResolverConfig {
+        transport: small_buffer(TransportPolicy::default()),
+        ..ResolverConfig::rfc_compliant(res_addr)
+    });
     let resp = r.resolve_msg(
-        &client_query(),
+        &big_query(),
         CLIENT.parse().unwrap(),
         SimTime::ZERO,
         &mut up,
     );
 
-    assert_eq!(resp.answer_addrs().len(), 1, "TCP recovered the answer");
+    assert_eq!(resp.answer_addrs().len(), 60, "TCP recovered the answer");
     assert!(!resp.flags.tc);
     assert_eq!(r.stats().tcp_fallbacks, 1);
     assert_eq!(r.stats().servfail_responses, 0);
@@ -89,10 +114,7 @@ fn dropped_queries_are_retried_with_ecs_withdrawn() {
     }
     let udp = UdpAuthServer::bind("127.0.0.1:0", demo_auth())
         .expect("loopback available")
-        .with_faults(ServerFaults {
-            drop_first: 2,
-            ..ServerFaults::default()
-        });
+        .with_faults(ServerFaults { drop_first: 2 });
     let addr = udp.local_addr().unwrap();
     let handle = udp.spawn();
 
@@ -131,30 +153,23 @@ fn tcp_primary_policy_never_touches_udp() {
         return;
     }
     // A UDP server that swallows *everything*: if the TCP-pinned policy
-    // ever sent a datagram, the test would time out into retries.
-    let udp = UdpAuthServer::bind("127.0.0.1:0", demo_auth())
-        .expect("loopback available")
-        .with_faults(ServerFaults {
-            drop_first: u32::MAX,
-            ..ServerFaults::default()
-        });
-    let udp_addr = udp.local_addr().unwrap();
-    // The TCP listener on its own port, serving the same shared zone.
-    let Some(tcp) = dnsd::testutil::require_socket(
-        "tcp_primary_policy_never_touches_udp",
-        "binding a separate TCP listener",
-        TcpAuthServer::bind("127.0.0.1:0", udp.auth()),
-    ) else {
+    // ever sent a datagram, the test would time out into retries. The TCP
+    // listener on the same port number serves the same shared zone.
+    let Some((udp, tcp)) =
+        dnsd::testutil::bind_same_port_pair("tcp_primary_policy_never_touches_udp", demo_auth)
+    else {
         return;
     };
-    let tcp_addr = tcp.local_addr().unwrap();
+    let udp = udp.with_faults(ServerFaults {
+        drop_first: u32::MAX,
+    });
+    let udp_addr = udp.local_addr().unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
 
     let mut up = SocketUpstream::new(udp_addr)
         .unwrap()
-        .with_timeout(Duration::from_secs(2))
-        .with_tcp_server(tcp_addr);
+        .with_timeout(Duration::from_secs(2));
     let res_addr: IpAddr = RES.parse().unwrap();
     let mut r = Resolver::new(ResolverConfig {
         transport: TransportPolicy::prefer(Transport::Tcp),
@@ -188,37 +203,31 @@ fn udp_truncation_climbs_the_ladder_to_the_tcp_listener() {
     if !dnsd::testutil::require_loopback("udp_truncation_climbs_the_ladder_to_the_tcp_listener") {
         return;
     }
-    let udp = UdpAuthServer::bind("127.0.0.1:0", demo_auth())
-        .expect("loopback available")
-        .with_faults(ServerFaults {
-            truncate_udp: true,
-            ..ServerFaults::default()
-        });
-    let udp_addr = udp.local_addr().unwrap();
-    let Some(tcp) = dnsd::testutil::require_socket(
+    let Some((udp, tcp)) = dnsd::testutil::bind_same_port_pair(
         "udp_truncation_climbs_the_ladder_to_the_tcp_listener",
-        "binding a separate TCP listener",
-        TcpAuthServer::bind("127.0.0.1:0", udp.auth()),
+        big_auth,
     ) else {
         return;
     };
-    let tcp_addr = tcp.local_addr().unwrap();
+    let udp_addr = udp.local_addr().unwrap();
     let udp_handle = udp.spawn();
     let tcp_handle = tcp.spawn();
 
     let mut up = SocketUpstream::new(udp_addr)
         .unwrap()
-        .with_timeout(Duration::from_secs(2))
-        .with_tcp_server(tcp_addr);
+        .with_timeout(Duration::from_secs(2));
     let res_addr: IpAddr = RES.parse().unwrap();
     // An explicit UDP → TCP ladder: the TC reply takes the counted ladder
     // edge instead of the legacy inline re-query.
     let mut r = Resolver::new(ResolverConfig {
-        transport: TransportPolicy::with_ladder([Transport::Udp, Transport::Tcp]),
+        transport: small_buffer(TransportPolicy::with_ladder([
+            Transport::Udp,
+            Transport::Tcp,
+        ])),
         ..ResolverConfig::rfc_compliant(res_addr)
     });
     let resp = r.resolve_msg(
-        &client_query(),
+        &big_query(),
         CLIENT.parse().unwrap(),
         SimTime::ZERO,
         &mut up,
@@ -226,7 +235,7 @@ fn udp_truncation_climbs_the_ladder_to_the_tcp_listener() {
 
     assert_eq!(
         resp.answer_addrs().len(),
-        1,
+        60,
         "TCP rung recovered the answer"
     );
     assert!(!resp.flags.tc);

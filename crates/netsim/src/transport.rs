@@ -10,13 +10,14 @@
 //!    only the TCP round-trip. Warm connections inside a 10 s idle window
 //!    pay nothing. [`TransportModel::exchange_cost`] does this accounting on
 //!    the [`SimTime`] axis.
-//! 2. **Datagram fate.** UDP answers larger than the advertised EDNS
-//!    buffer come back truncated (TC), and answers larger than the path
-//!    MTU fragment — with a configurable probability that the fragments
-//!    never arrive (middleboxes dropping fragments are the fallback
-//!    paper's central villain). [`TransportModel::datagram_fate`] decides
-//!    deliver/truncate/drop for one answer. Stream transports carry any
-//!    size and never consult it.
+//! 2. **Datagram fate.** UDP answers larger than the path MTU fragment —
+//!    with a configurable probability that the fragments never arrive
+//!    (middleboxes dropping fragments are the fallback paper's central
+//!    villain). [`TransportModel::datagram_fate`] decides deliver/drop for
+//!    one answer. Truncation is not a path fate: the server that writes an
+//!    answer truncates it against the advertised EDNS buffer, and a
+//!    faulted link truncates it through [`crate::PacketFate::Truncated`]. Stream
+//!    transports carry any size and never consult it.
 //!
 //! Determinism follows the `fault` module's discipline: fate endpoints
 //! (`frag_loss` of `0.0` or `1.0`) never draw from the RNG, so a lossless
@@ -119,9 +120,6 @@ impl Default for PathProfile {
 pub enum DatagramFate {
     /// Arrived whole.
     Deliver,
-    /// Exceeded the advertised EDNS buffer: the sender must truncate
-    /// (TC=1) and the querier re-asks over a stream.
-    Truncate,
     /// Exceeded the path MTU and the fragments were lost: the querier
     /// sees silence (a timeout).
     FragmentDrop,
@@ -141,8 +139,6 @@ pub struct TransportStats {
     pub reused_connections: u64,
     /// Total round-trips spent on handshakes (the cost-model ledger).
     pub handshake_rtts: u64,
-    /// UDP answers truncated against the advertised EDNS buffer.
-    pub truncated: u64,
     /// UDP answers lost to dropped fragments.
     pub fragments_dropped: u64,
 }
@@ -212,21 +208,12 @@ impl TransportModel {
         cost
     }
 
-    /// Decides the fate of one UDP answer of `wire_len` bytes against the
-    /// querier's `advertised` EDNS buffer and this path's MTU. `roll` is
-    /// only invoked when the outcome is genuinely probabilistic
+    /// Decides the fate of one UDP answer of `wire_len` bytes, a TC
+    /// reply as any other, against this path's MTU. `roll` is only
+    /// invoked when the outcome is genuinely probabilistic
     /// (`0 < frag_loss < 1` *and* the answer fragments), preserving the
     /// crate's zero-probability-draws-no-RNG discipline.
-    pub fn datagram_fate(
-        &mut self,
-        wire_len: usize,
-        advertised: usize,
-        roll: impl FnOnce() -> f64,
-    ) -> DatagramFate {
-        if wire_len > advertised {
-            self.stats.truncated += 1;
-            return DatagramFate::Truncate;
-        }
+    pub fn datagram_fate(&mut self, wire_len: usize, roll: impl FnOnce() -> f64) -> DatagramFate {
         if wire_len > self.profile.mtu {
             let lost = if self.profile.frag_loss <= 0.0 {
                 false
@@ -310,31 +297,25 @@ mod tests {
     }
 
     #[test]
-    fn datagram_fate_orders_truncation_before_fragmentation() {
+    fn datagram_fate_drops_only_what_fragments() {
         let mut m = TransportModel::new(PathProfile {
             mtu: 1500,
             frag_loss: 1.0,
         });
         let no_roll = || panic!("deterministic endpoint must not draw RNG");
-        // Over the advertised buffer: truncate, even though it also
-        // exceeds the MTU (the sender truncates before the path sees it).
-        assert_eq!(m.datagram_fate(3000, 1200, no_roll), DatagramFate::Truncate);
-        // Fits the buffer but fragments, and every fragment is lost.
-        assert_eq!(
-            m.datagram_fate(1600, 4096, no_roll),
-            DatagramFate::FragmentDrop
-        );
-        // Small answers sail through.
-        assert_eq!(m.datagram_fate(100, 512, no_roll), DatagramFate::Deliver);
-        let s = m.stats();
-        assert_eq!((s.truncated, s.fragments_dropped), (1, 1));
+        // Past the MTU it fragments, and every fragment is lost.
+        assert_eq!(m.datagram_fate(1600, no_roll), DatagramFate::FragmentDrop);
+        // Answers within the MTU sail through, whatever their size.
+        assert_eq!(m.datagram_fate(1500, no_roll), DatagramFate::Deliver);
+        assert_eq!(m.datagram_fate(100, no_roll), DatagramFate::Deliver);
+        assert_eq!(m.stats().fragments_dropped, 1);
     }
 
     #[test]
     fn deterministic_endpoints_draw_no_rng_and_midpoint_rolls() {
         let mut lossless = TransportModel::default(); // frag_loss 0.0
         assert_eq!(
-            lossless.datagram_fate(1600, 4096, || panic!("rolled at 0.0")),
+            lossless.datagram_fate(1600, || panic!("rolled at 0.0")),
             DatagramFate::Deliver
         );
         let mut coin = TransportModel::new(PathProfile {
@@ -342,12 +323,9 @@ mod tests {
             frag_loss: 0.5,
         });
         assert_eq!(
-            coin.datagram_fate(1600, 4096, || 0.25),
+            coin.datagram_fate(1600, || 0.25),
             DatagramFate::FragmentDrop
         );
-        assert_eq!(
-            coin.datagram_fate(1600, 4096, || 0.75),
-            DatagramFate::Deliver
-        );
+        assert_eq!(coin.datagram_fate(1600, || 0.75), DatagramFate::Deliver);
     }
 }

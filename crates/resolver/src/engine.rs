@@ -29,7 +29,8 @@ const NEGATIVE_TTL: u32 = 60;
 ///
 /// In-band DNS failures (SERVFAIL, FORMERR, REFUSED arriving as parseable
 /// messages) are *not* errors at this level — they come back as `Ok`
-/// messages, exactly as a socket would deliver them. The error variants
+/// messages, exactly as a socket would deliver them; so does a truncated
+/// reply, a datagram with TC set, whoever truncated it. The error variants
 /// cover the cases where no usable message arrived at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpstreamError {
@@ -37,9 +38,6 @@ pub enum UpstreamError {
     /// case RFC 7871 §7.1.3 tells resolvers to treat as possible ECS
     /// intolerance.
     Timeout,
-    /// The reply arrived truncated (TC) and unusable over UDP: the
-    /// exchange moves to a stream transport.
-    Truncated,
     /// The transport itself failed and the failure is best classified by
     /// an RCODE (e.g. an ICMP-unreachable mapped to SERVFAIL by a stub).
     Rcode(Rcode),
@@ -49,7 +47,6 @@ impl std::fmt::Display for UpstreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             UpstreamError::Timeout => write!(f, "upstream query timed out"),
-            UpstreamError::Truncated => write!(f, "upstream reply truncated"),
             UpstreamError::Rcode(rc) => write!(f, "upstream transport failure ({rc:?})"),
         }
     }
@@ -61,9 +58,9 @@ impl std::error::Error for UpstreamError {}
 ///
 /// The seam is the datagram the simulated egress sends too: the query's
 /// bytes in, the accepted reply's bytes out. The contract is fallible:
-/// transports that can lose packets or truncate replies surface those as
-/// [`UpstreamError`]s, and the engine's retry policy
-/// ([`crate::config::RetryPolicy`]) decides what happens next.
+/// transports that can lose packets surface that as an [`UpstreamError`],
+/// and the engine's retry policy ([`crate::config::RetryPolicy`]) decides
+/// what happens next.
 pub trait Upstream {
     /// Performs one upstream exchange over `transport` (a rung of the
     /// [`crate::TransportPolicy`] ladder): the resolver at `from` sends
@@ -1216,17 +1213,6 @@ mod retry_tests {
     }
 
     #[test]
-    fn truncated_error_falls_back_to_tcp() {
-        let mut up = Scripted::new(vec![Act::Fail(UpstreamError::Truncated)]);
-        let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
-        let resp = r.resolve_msg(&q(), CLIENT, SimTime::ZERO, &mut up);
-        assert_eq!(resp.answers.len(), 1);
-        assert_eq!(up.tcp_calls, 1);
-        assert_eq!(r.stats().tcp_fallbacks, 1);
-        assert_eq!(r.stats().servfail_responses, 0);
-    }
-
-    #[test]
     fn tc_bit_reply_falls_back_to_tcp() {
         let mut up = Scripted::new(vec![Act::Tc]);
         let mut r = Resolver::new(ResolverConfig::rfc_compliant(RES));
@@ -1234,6 +1220,7 @@ mod retry_tests {
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(up.tcp_calls, 1);
         assert_eq!(r.stats().tcp_fallbacks, 1);
+        assert_eq!(r.stats().servfail_responses, 0);
     }
 
     #[test]

@@ -162,8 +162,7 @@ impl Resolver {
         }
         let transport = self.ladder()[ex.rung];
         match outcome {
-            Ok(resp) if resp.tc && !transport.is_stream() => self.on_truncated(ex, false, now),
-            Err(UpstreamError::Truncated) => self.on_truncated(ex, true, now),
+            Ok(resp) if resp.tc && !transport.is_stream() => self.on_truncated(ex, now),
             Ok(resp)
                 if resp.rcode == Rcode::FormErr
                     && self.config.retry.withdraw_ecs_on_formerr
@@ -231,16 +230,14 @@ impl Resolver {
         self.send(ex, now)
     }
 
-    /// The one truncation transition (TC bit in a datagram reply, or the
-    /// transport surfacing [`UpstreamError::Truncated`], which is also
-    /// traced as a fault): RFC 7766 re-asks over a stream — the ladder's
-    /// next stream rung when one is configured, the inline TCP re-query
-    /// otherwise.
-    fn on_truncated(&mut self, ex: &mut Exchange, as_fault: bool, now: SimTime) -> Action {
+    /// The one truncation transition, a TC datagram on a datagram rung,
+    /// whoever truncated it (the server against its size limit, or the
+    /// link): traced as an `upstream_fault` under the attempt's span, then
+    /// RFC 7766 re-asks over a stream — the ladder's next stream rung when
+    /// one is configured, the inline TCP re-query otherwise.
+    fn on_truncated(&mut self, ex: &mut Exchange, now: SimTime) -> Action {
         self.stats.tcp_fallbacks.inc();
-        if as_fault {
-            self.trace_fault(ex.span, now, format_args!("truncated"));
-        }
+        self.trace_fault(ex.span, now, format_args!("truncated"));
         self.trace_event(ex.span, now, &EventKind::TcpFallback);
         if let Some(next) = next_stream_rung(self.ladder(), ex.rung) {
             self.climb(ex, next, "truncated", now);

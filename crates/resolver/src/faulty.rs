@@ -18,8 +18,9 @@
 //!    [`netsim::FaultPlan`] makes for each simulated packet — from a seeded
 //!    [`SmallRng`];
 //! 4. the [`TransportModel`]: handshake round trips delay a stream
-//!    exchange's arrival on the SimTime axis, and a UDP answer meets the
-//!    EDNS-buffer / path-MTU datagram fate ([`FaultyUpstream::with_profile`]).
+//!    exchange's arrival on the SimTime axis, and a UDP answer, TC or not,
+//!    meets the path-MTU fate ([`FaultyUpstream::with_profile`]); the EDNS
+//!    buffer is the server's to enforce.
 //!
 //! Stream transports (TCP, DoT) model RFC 7766: truncation and UDP loss do
 //! not apply (the stream either works or the host is unreachable), so of
@@ -28,8 +29,10 @@
 //! Every knob at zero draws nothing from the RNG: with no standing fault,
 //! an empty script, [`LinkFaults::NONE`] and a lossless path the decorator
 //! hands back exactly what the inner upstream answers.
-//! Replies stay bytes: a REFUSED knob rewrites them with the simulator's
-//! [`PacketFate::rewrite`], and in-band errors are written by [`rcode_reply`].
+//! Replies stay bytes: a truncating or REFUSED fault rewrites the inner
+//! upstream's reply with the simulator's [`PacketFate::rewrite`], so a
+//! truncation reaches the engine as a TC datagram; in-band errors are
+//! written by [`rcode_reply`].
 
 use std::collections::VecDeque;
 use std::net::IpAddr;
@@ -51,8 +54,8 @@ pub enum InjectedFault {
     /// The attempt goes unanswered (query or reply lost, or a handshake
     /// that hangs): the inner upstream is not consulted at all.
     Timeout,
-    /// The reply comes back truncated (TC), surfaced as
-    /// [`UpstreamError::Truncated`].
+    /// The server answers (and logs) the query, and its reply comes back
+    /// truncated: TC set, records stripped ([`PacketFate::Truncated`]).
     Truncate,
     /// The server answers SERVFAIL in-band (records stripped).
     ServFail,
@@ -74,8 +77,7 @@ pub struct InjectionStats {
     /// Attempts turned into timeouts (standing, scripted and knob faults;
     /// fragment drops count in `transport`).
     pub timeouts: u64,
-    /// Replies truncated by the script or the knobs (the datagram fate's
-    /// truncations count in `transport`).
+    /// Replies truncated by the script or the knobs.
     pub truncated: u64,
     /// Replies rewritten to SERVFAIL.
     pub servfail: u64,
@@ -182,20 +184,11 @@ impl<U: Upstream> FaultyUpstream<U> {
         self.inner.query_via(q, from, at, transport)
     }
 
-    /// The datagram fate of a UDP answer against the EDNS buffer and MTU.
-    fn datagram(&mut self, advertised: usize, resp: Vec<u8>) -> Result<Vec<u8>, UpstreamError> {
-        if MessageView::parse(&resp).is_ok_and(|r| r.flags().tc) {
-            // The inner upstream already truncated (e.g. against a smaller
-            // server-side limit) — nothing further to model.
-            return Ok(resp);
-        }
+    /// The path-MTU datagram fate of a UDP answer.
+    fn datagram(&mut self, resp: Vec<u8>) -> Result<Vec<u8>, UpstreamError> {
         let rng = &mut self.rng;
-        match self
-            .model
-            .datagram_fate(resp.len(), advertised, || rng.gen::<f64>())
-        {
+        match self.model.datagram_fate(resp.len(), || rng.gen::<f64>()) {
             DatagramFate::Deliver => Ok(resp),
-            DatagramFate::Truncate => Err(UpstreamError::Truncated),
             DatagramFate::FragmentDrop => Err(UpstreamError::Timeout),
         }
     }
@@ -248,11 +241,12 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 Err(UpstreamError::Rcode(Rcode::Refused))
             }
             InjectedFault::Truncate => {
-                // The server still answers (and logs) the query; its reply
-                // comes back unusable.
+                // The server answers (and logs) the query; the link
+                // truncates its reply.
                 self.stats.truncated += 1;
-                self.exchange(q, from, now, transport)?;
-                Err(UpstreamError::Truncated)
+                let mut resp = self.exchange(q, from, now, transport)?;
+                PacketFate::Truncated.rewrite(&mut resp);
+                Ok(resp)
             }
             InjectedFault::ServFail => {
                 self.stats.servfail += 1;
@@ -270,7 +264,7 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
             InjectedFault::Pass => {
                 self.stats.passed += 1;
                 let resp = self.exchange(q, from, now, transport)?;
-                self.datagram(query.udp_payload_size().map_or(512, usize::from), resp)
+                self.datagram(resp)
             }
         }
     }
@@ -282,7 +276,7 @@ mod tests {
     use crate::config::ResolverConfig;
     use crate::engine::Resolver;
     use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-    use dns_wire::{Message, Name, Question, Rdata, Record};
+    use dns_wire::{Message, Name, Question};
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> Name {
@@ -343,7 +337,6 @@ mod tests {
         assert_eq!(wrapped.stats().injected(), 0);
         assert_eq!(wrapped.stats().passed, 1);
         assert_eq!(wrapped.stats().transport.exchanges_over(Transport::Udp), 1);
-        assert_eq!(wrapped.stats().transport.truncated, 0);
     }
 
     #[test]
@@ -447,67 +440,30 @@ mod tests {
         assert_eq!(up.stats().passed, 0);
     }
 
-    /// An upstream that ignores the advertised EDNS buffer entirely and
-    /// always answers with `n` A records — so truncation decisions are
-    /// the decorator's alone (a real [`AuthServer`] truncates for itself).
-    struct OversizeAnswerer(usize);
-    impl Upstream for OversizeAnswerer {
-        fn query_via(
-            &mut self,
-            q: &[u8],
-            _from: IpAddr,
-            _now: SimTime,
-            _transport: Transport,
-        ) -> Result<Vec<u8>, UpstreamError> {
-            let mut resp = Message::response_to(&Message::from_bytes(q).unwrap());
-            for i in 0..self.0 {
-                resp.answers.push(Record::new(
-                    name("www.example.com"),
-                    60,
-                    Rdata::A(Ipv4Addr::new(198, 51, (i / 256) as u8, (i % 256) as u8)),
-                ));
-            }
-            Ok(resp.to_bytes().unwrap())
-        }
-    }
-
     #[test]
     fn small_answers_pass_untouched_over_udp() {
         let mut up = FaultyUpstream::new(auth_with_records(1), LinkFaults::NONE, 7);
         let resp = up.query(&query(4096), RES, SimTime::ZERO).unwrap();
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(up.stats().transport.exchanges_over(Transport::Udp), 1);
-        assert_eq!(up.stats().transport.truncated, 0);
-    }
-
-    #[test]
-    fn oversize_answers_truncate_against_the_advertised_buffer() {
-        // 60 A records ≈ 960+ bytes of rdata: bigger than a 512 buffer.
-        let mut up = FaultyUpstream::new(OversizeAnswerer(60), LinkFaults::NONE, 7);
-        assert_eq!(
-            up.query(&query(512), RES, SimTime::ZERO).unwrap_err(),
-            UpstreamError::Truncated
-        );
-        assert_eq!(up.stats().transport.truncated, 1);
-        // The same answer fits a 4096 buffer (and the 1500 MTU is only
-        // fragmentation, which is lossless by default).
-        let resp = up.query(&query(4096), RES, SimTime::ZERO).unwrap();
-        assert_eq!(resp.answers.len(), 60);
     }
 
     #[test]
     fn server_side_truncation_passes_through_as_tc() {
-        // A real AuthServer truncates against the advertised buffer by
-        // itself; the decorator must hand that TC through untouched for
-        // the engine's RFC 7766 arm, not double-handle it.
-        let mut up = FaultyUpstream::new(auth_with_records(60), LinkFaults::NONE, 7);
-        let resp = up.query(&query(512), RES, SimTime::ZERO).unwrap();
-        assert!(resp.flags.tc);
-        assert_eq!(
-            up.stats().transport.truncated,
-            0,
-            "decorator did not re-truncate"
-        );
+        // The AuthServer decides truncation against the advertised buffer
+        // by itself; the decorator hands its reply through as it is, TC or
+        // whole. Rows: (A records, advertised buffer, TC expected).
+        // 60 records (about 1 kB) overflow 512 bytes. 20 records (about
+        // 360 bytes) overflow a 256-byte advertisement, which RFC 6891
+        // §6.2.5 reads as 512, so the server sends them whole.
+        for (records, advertised, tc) in [(60, 512, true), (20, 256, false)] {
+            let mut up = FaultyUpstream::new(auth_with_records(records), LinkFaults::NONE, 7);
+            let resp = up.query(&query(advertised), RES, SimTime::ZERO).unwrap();
+            let len = resp.to_bytes().unwrap().len();
+            assert_eq!(resp.flags.tc, tc, "{records} records, {len} bytes");
+            assert_eq!(resp.answers.len(), if tc { 0 } else { records });
+            assert!(tc || (advertised.into()..512).contains(&len), "{len} bytes");
+        }
     }
 
     #[test]

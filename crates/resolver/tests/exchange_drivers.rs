@@ -14,8 +14,7 @@
 //!
 //! A seeded property then drives `step_exchange` directly with random
 //! outcome scripts and policies — answers with and without ECS, timeouts,
-//! REFUSED, TC replies, transport truncations, FORMERR and SERVFAIL, under
-//! both withdrawal flags; a failure names the seed, and
+//! REFUSED, TC replies, FORMERR and SERVFAIL, under both withdrawal flags; a failure names the seed, and
 //! `EXCHANGE_PROP_SEED=<seed>` replays exactly that case.
 
 use std::net::{IpAddr, Ipv4Addr};
@@ -589,17 +588,14 @@ enum Draw {
     Refused,
     /// A reply with the TC bit set and no records.
     TcReply,
-    /// The transport reports the reply truncated.
-    Truncated,
     FormErr,
     ServFail,
 }
 
-const FAILURES: [Draw; 6] = [
+const FAILURES: [Draw; 5] = [
     Draw::Timeout,
     Draw::Refused,
     Draw::TcReply,
-    Draw::Truncated,
     Draw::FormErr,
     Draw::ServFail,
 ];
@@ -619,14 +615,13 @@ type Reached = u16;
 
 /// What the cases must reach between them: a FORMERR re-asked without
 /// ECS and one passed through, an upstream SERVFAIL passed through, a TC
-/// reply over a datagram transport, a transport truncation, an answer
-/// after an ECS withdrawal, and an inline TCP re-query.
-const REACHED: [&str; 7] = [
+/// reply over a datagram transport, an answer after an ECS withdrawal,
+/// and an inline TCP re-query.
+const REACHED: [&str; 6] = [
     "FORMERR re-asked",
     "FORMERR passed through",
     "SERVFAIL passed through",
     "TC reply over UDP",
-    "Err(Truncated)",
     "answer after a withdrawal",
     "inline TCP re-query",
 ];
@@ -713,7 +708,6 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
             }
             Draw::Timeout => Err(UpstreamError::Timeout),
             Draw::Refused => Err(UpstreamError::Rcode(Rcode::Refused)),
-            Draw::Truncated => Err(UpstreamError::Truncated),
             Draw::TcReply => Ok(reply(Rcode::NoError, true)),
             Draw::FormErr => Ok(reply(Rcode::FormErr, false)),
             Draw::ServFail => Ok(reply(Rcode::ServFail, false)),
@@ -721,8 +715,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         // What the machine must make of it, from the policy alone.
         let rung = ladder.iter().position(|&t| t == transport);
         let stream_above = rung.is_some_and(|i| ladder[i + 1..].iter().any(|t| t.is_stream()));
-        let truncated =
-            draw == Draw::Truncated || (draw == Draw::TcReply && !transport.is_stream());
+        let truncated = draw == Draw::TcReply && !transport.is_stream();
         if std::mem::take(&mut inline) {
             // The inline TCP leg: an error spends the truncated attempt,
             // any message completes the exchange.
@@ -740,10 +733,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
             if inline {
                 reach("inline TCP re-query");
             }
-            reach(match draw {
-                Draw::TcReply => "TC reply over UDP",
-                _ => "Err(Truncated)",
-            });
+            reach("TC reply over UDP");
             last = draw;
         } else {
             match draw {
@@ -798,7 +788,7 @@ fn exchange_property(seed: u64) -> Result<Reached, String> {
         (Some(rcode), _) => Ending::Reply(rcode),
         (None, last) => match last {
             Draw::Timeout | Draw::Refused => Ending::Failed,
-            Draw::Answer | Draw::TcReply | Draw::Truncated => Ending::Reply(Rcode::NoError),
+            Draw::Answer | Draw::TcReply => Ending::Reply(Rcode::NoError),
             Draw::FormErr => Ending::Reply(Rcode::FormErr),
             Draw::ServFail => Ending::Reply(Rcode::ServFail),
         },

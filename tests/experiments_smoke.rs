@@ -345,7 +345,6 @@ fn transport_model_ledger_is_pinned() {
             resumed_handshakes: 1,
             reused_connections: 1,
             handshake_rtts: 5,
-            truncated: 0,
             fragments_dropped: 0,
         }
     );

@@ -12,16 +12,22 @@
 //!    SERVFAIL only when every rung is broken);
 //! 3. RFC 7871 §7.1.3 ECS withdrawal survives the ladder: a timeout-driven
 //!    withdrawal on one rung stays withdrawn on the rung that answers.
+//!
+//! A table then holds every source of a truncation to one exchange path:
+//! a TC datagram at the seam, one RFC 7766 fallback, the inline TCP
+//! re-query and the whole answer.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
-use dns_wire::{Message, Name, Question, Rcode};
+use std::sync::Arc;
+
+use dns_wire::{Message, MessageView, Name, Question, Rcode};
 use netsim::{LinkFaults, PathProfile, SimTime, Transport};
 use obs::MetricValue;
 use resolver::{
     FaultyUpstream, InjectedFault, ProbingStrategy, Resolver, ResolverConfig, RetryPolicy,
-    TransportPolicy,
+    TransportPolicy, Upstream, UpstreamError,
 };
 
 const RES: IpAddr = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
@@ -204,4 +210,91 @@ fn fallback_cells_are_deterministic() {
     assert_eq!(resp_a, resp_b);
     assert_eq!(stats_a, stats_b);
     assert_eq!(tstats_a, tstats_b);
+}
+
+/// An upstream that notes, per exchange, the transport and whether the
+/// reply it handed back had TC set.
+struct Seam {
+    inner: FaultyUpstream<AuthServer>,
+    replies: Vec<(Transport, bool)>,
+}
+
+impl Upstream for Seam {
+    fn query_via(
+        &mut self,
+        q: &[u8],
+        from: IpAddr,
+        now: SimTime,
+        transport: Transport,
+    ) -> Result<Vec<u8>, UpstreamError> {
+        let reply = self.inner.query_via(q, from, now, transport)?;
+        let tc = MessageView::parse(&reply).unwrap().flags().tc;
+        self.replies.push((transport, tc));
+        Ok(reply)
+    }
+}
+
+#[test]
+fn every_truncation_source_takes_one_exchange_path() {
+    let truncating_link = LinkFaults {
+        truncate_replies: 1.0,
+        ..LinkFaults::NONE
+    };
+    // (source, advertised EDNS buffer, the upstream). Only the last row's
+    // answer is too big for its buffer.
+    let rows = [
+        (
+            "scripted Truncate",
+            4096,
+            FaultyUpstream::scripted(big_auth(), vec![InjectedFault::Truncate]),
+        ),
+        (
+            "truncate_replies 1.0",
+            4096,
+            FaultyUpstream::new(big_auth(), truncating_link, 7),
+        ),
+        (
+            "the server's own limit",
+            512,
+            FaultyUpstream::new(big_auth(), LinkFaults::NONE, 7),
+        ),
+    ];
+    for (source, edns_buf, inner) in rows {
+        let policy = TransportPolicy {
+            edns_buf,
+            ..TransportPolicy::udp_only()
+        };
+        let mut r = Resolver::new(config(policy, RetryPolicy::default().attempts));
+        let sink = Arc::new(obs::MemorySink::new());
+        r.set_tracer(obs::Tracer::new(sink.clone()));
+        let mut up = Seam {
+            inner,
+            replies: Vec::new(),
+        };
+        let q = Message::query(1, Question::a(name("www.big.test")));
+        let resp = r.resolve_msg(&q, CLIENT, SimTime::ZERO, &mut up);
+
+        assert_eq!(
+            up.replies,
+            [(Transport::Udp, true), (Transport::Tcp, false)],
+            "{source}: a TC datagram, then the inline TCP re-query"
+        );
+        assert_eq!(resp.answers.len(), 60, "{source}");
+        let stats = r.stats();
+        assert_eq!(stats.tcp_fallbacks, 1, "{source}");
+        assert_eq!(stats.retries + stats.upstream_timeouts, 0, "{source}");
+        assert_eq!(up.inner.inner().log().len(), 2, "{source}");
+        let lines = sink.lines();
+        let events = obs::analyze::parse_events(&lines.join("\n")).unwrap();
+        let attempt = events.iter().find(|e| e.event == "upstream_attempt");
+        let faults: Vec<_> = events
+            .iter()
+            .zip(&lines)
+            .filter(|(e, _)| e.event == "upstream_fault")
+            .collect();
+        assert_eq!(faults.len(), 1, "{source}: one traced fault");
+        let (fault, line) = faults[0];
+        assert!(line.contains("\"kind\":\"truncated\""), "{source}: {line}");
+        assert_eq!(Some(fault.parent), attempt.map(|a| a.span), "{source}");
+    }
 }
