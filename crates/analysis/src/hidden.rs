@@ -1,4 +1,4 @@
-//! Hidden-resolver detection and distance analysis (§8.2, Figures 4–5).
+//! Hidden-resolver distance analysis (§8.2, Figures 4–5).
 //!
 //! ECS accidentally exposed a previously unobservable component: when a
 //! resolver derives its ECS prefix from the *immediate sender* of a query,
@@ -8,10 +8,6 @@
 //! forwarder→recursive (F-R) shows whether ECS helped or hurt the
 //! authoritative's understanding of client location.
 
-use std::net::IpAddr;
-
-use authoritative::QueryLogEntry;
-use dns_wire::IpPrefix;
 use netsim::GeoPoint;
 
 use crate::stats::Cdf;
@@ -31,45 +27,14 @@ pub struct DistanceCombo {
 
 impl DistanceCombo {
     /// Forwarder→hidden distance (km).
-    pub fn f_h_km(&self) -> f64 {
+    fn f_h_km(&self) -> f64 {
         self.forwarder.distance_km(&self.hidden)
     }
 
     /// Forwarder→recursive distance (km).
-    pub fn f_r_km(&self) -> f64 {
+    fn f_r_km(&self) -> f64 {
         self.forwarder.distance_km(&self.recursive)
     }
-}
-
-/// Detects hidden-resolver prefixes in an authoritative scan log: ECS
-/// prefixes that cover neither the probed forwarder (recovered from the
-/// scan-encoded hostname by the caller) nor the egress resolver.
-///
-/// `forwarder_of` maps a log entry to the forwarder address that the scan
-/// probe targeted (the paper encodes it in the hostname).
-pub fn hidden_prefixes<F>(log: &[QueryLogEntry], forwarder_of: F) -> Vec<IpPrefix>
-where
-    F: Fn(&QueryLogEntry) -> Option<IpAddr>,
-{
-    let mut out: Vec<IpPrefix> = log
-        .iter()
-        .filter_map(|e| {
-            let ecs = e.ecs.as_ref()?;
-            let prefix = ecs.source_prefix();
-            if prefix.is_default_route() || prefix.is_non_routable() {
-                return None;
-            }
-            let fwd = forwarder_of(e)?;
-            if prefix.contains(fwd) || prefix.contains(e.resolver) {
-                None
-            } else {
-                Some(prefix)
-            }
-        })
-        .collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// The Figure-4/5 summary for a set of combinations.
@@ -155,10 +120,7 @@ impl HiddenResolverReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{EcsOption, Name, RecordType};
     use netsim::geo::city;
-    use netsim::SimTime;
-    use std::net::Ipv4Addr;
 
     fn combo(f: &str, h: &str, r: &str) -> DistanceCombo {
         DistanceCombo {
@@ -198,53 +160,5 @@ mod tests {
         assert_eq!(r.total(), 3);
         assert_eq!(r.points.len(), 3);
         assert!(r.f_h_cdf.len() == 3 && r.f_r_cdf.len() == 3);
-    }
-
-    #[test]
-    fn hidden_prefix_detection() {
-        let fwd: IpAddr = "100.70.1.1".parse().unwrap();
-        let egress: IpAddr = "9.9.9.9".parse().unwrap();
-        let hidden_net = Ipv4Addr::new(77, 7, 7, 0);
-        let make = |ecs: Option<EcsOption>| QueryLogEntry {
-            at: SimTime::ZERO,
-            resolver: egress,
-            qname: Name::from_ascii("x.probe.example").unwrap(),
-            qtype: RecordType::A,
-            ecs,
-            response_scope: None,
-            answers: Vec::new(),
-        };
-        let log = vec![
-            // Covers neither forwarder nor egress → hidden.
-            make(Some(EcsOption::from_v4(hidden_net, 24))),
-            // Covers the forwarder → not hidden.
-            make(Some(EcsOption::from_v4(Ipv4Addr::new(100, 70, 1, 0), 24))),
-            // Covers the egress → not hidden.
-            make(Some(EcsOption::from_v4(Ipv4Addr::new(9, 9, 9, 0), 24))),
-            // Non-routable → excluded.
-            make(Some(EcsOption::from_v4(Ipv4Addr::new(127, 0, 0, 0), 24))),
-            // No ECS → excluded.
-            make(None),
-        ];
-        let prefixes = hidden_prefixes(&log, |_| Some(fwd));
-        assert_eq!(prefixes.len(), 1);
-        assert_eq!(prefixes[0].addr(), IpAddr::V4(hidden_net));
-    }
-
-    #[test]
-    fn duplicate_hidden_prefixes_deduped() {
-        let egress: IpAddr = "9.9.9.9".parse().unwrap();
-        let make = || QueryLogEntry {
-            at: SimTime::ZERO,
-            resolver: egress,
-            qname: Name::from_ascii("x.probe.example").unwrap(),
-            qtype: RecordType::A,
-            ecs: Some(EcsOption::from_v4(Ipv4Addr::new(77, 7, 7, 0), 24)),
-            response_scope: None,
-            answers: Vec::new(),
-        };
-        let log = vec![make(), make(), make()];
-        let prefixes = hidden_prefixes(&log, |_| "100.70.1.1".parse().ok());
-        assert_eq!(prefixes.len(), 1);
     }
 }

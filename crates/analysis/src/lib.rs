@@ -12,9 +12,8 @@
 //!   observations;
 //! * [`cache_sim`] — §7: trace-driven cache simulation with and without
 //!   ECS — cache blow-up factor (Figures 1–2) and hit rate (Figure 3);
-//! * [`hidden`] — §8.2: hidden-resolver detection from ECS prefixes and
-//!   forwarder–hidden vs forwarder–recursive distance analysis
-//!   (Figures 4–5);
+//! * [`hidden`] — §8.2: forwarder–hidden vs forwarder–recursive distance
+//!   analysis (Figures 4–5);
 //! * [`mapping`] — §8.1/§8.3: user-to-edge mapping quality (Table 2,
 //!   Figures 6–7);
 //! * [`discovery`] — §5: passive-vs-active resolver discovery overlap;

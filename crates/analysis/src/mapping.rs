@@ -26,7 +26,7 @@ pub struct ConnectTimeSample {
 
 impl ConnectTimeSample {
     /// Simulated TCP handshake time: one RTT.
-    pub fn connect_ms(&self, latency: &LatencyModel) -> f64 {
+    fn connect_ms(&self, latency: &LatencyModel) -> f64 {
         latency.rtt_ms(&self.probe, &self.edge)
     }
 }

@@ -34,7 +34,7 @@ pub enum ScopePolicy {
 
 impl ScopePolicy {
     /// Computes the advertised scope for a source prefix length.
-    pub fn scope_for(&self, source: u8, family_max: u8) -> u8 {
+    fn scope_for(&self, source: u8, family_max: u8) -> u8 {
         match self {
             ScopePolicy::Fixed(s) => (*s).min(family_max),
             ScopePolicy::SourceMinusK(k) => source.saturating_sub(*k),
@@ -90,7 +90,7 @@ impl EcsHandling {
     }
 
     /// Whether a given resolver gets ECS treatment.
-    pub fn admits(&self, resolver: IpAddr) -> bool {
+    fn admits(&self, resolver: IpAddr) -> bool {
         self.enabled
             && self
                 .whitelist

@@ -27,11 +27,11 @@ use resolver::{
 use crate::report::{DifferentialReport, MetricDelta};
 
 /// Zone apex served on both sides.
-pub const DIFF_APEX: &str = "diff.test";
+const DIFF_APEX: &str = "diff.test";
 /// Distinct hostnames in the zone/workload.
-pub const DIFF_NAMES: usize = 150;
+const DIFF_NAMES: usize = 150;
 /// Record TTL — the ~370 s workload span re-expires each name ~6 times.
-pub const DIFF_TTL: u32 = 60;
+const DIFF_TTL: u32 = 60;
 /// Default workload size (the acceptance floor).
 pub const DIFF_QUERIES: usize = 10_000;
 
@@ -45,7 +45,7 @@ pub const DIFF_QUERIES: usize = 10_000;
 /// queries_total`, `resolver_servfail_responses_total`, the coalesced
 /// counter — are deliberately NOT whitelisted: those must match no matter
 /// what the transport does.
-pub const METRIC_WHITELIST: &[&str] = &[
+const METRIC_WHITELIST: &[&str] = &[
     "resolver_retries_total",
     "resolver_upstream_timeouts_total",
     "resolver_ecs_withdrawals_total",
@@ -59,7 +59,7 @@ pub const METRIC_WHITELIST: &[&str] = &[
 
 /// True when `series` falls under [`METRIC_WHITELIST`] (exact match, or a
 /// `prefix_*` glob entry).
-pub fn is_whitelisted(series: &str) -> bool {
+fn is_whitelisted(series: &str) -> bool {
     METRIC_WHITELIST.iter().any(|w| match w.strip_suffix('*') {
         Some(prefix) => series.starts_with(prefix),
         None => *w == series,
@@ -78,7 +78,7 @@ pub struct WorkloadQuery {
 }
 
 /// The identical zone both sides serve.
-pub fn diff_zone() -> Zone {
+fn diff_zone() -> Zone {
     let apex = Name::from_ascii(DIFF_APEX).expect("static apex is valid");
     let mut zone = Zone::new(apex);
     for i in 0..DIFF_NAMES {
@@ -184,7 +184,7 @@ pub fn run_engine_side(workload: &[WorkloadQuery], transport: Transport) -> Side
 /// `Arc`-shared state ([`dnsd::bind_same_port`]), where the upstream's
 /// stream exchanges go. Answers must stay byte-identical to the
 /// in-process engine side whichever transport carries them.
-pub fn run_socket_side(
+fn run_socket_side(
     workload: &[WorkloadQuery],
     workers: usize,
     transport: Transport,
@@ -202,7 +202,7 @@ pub fn run_socket_side(
 }
 
 /// Diffs the two sides into a report.
-pub fn compare_sides(engine: &SideResult, socket: &SideResult) -> DifferentialReport {
+fn compare_sides(engine: &SideResult, socket: &SideResult) -> DifferentialReport {
     assert_eq!(engine.responses.len(), socket.responses.len());
     let mismatched_answers = engine
         .responses

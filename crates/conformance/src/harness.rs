@@ -74,7 +74,7 @@ pub fn probing_workload(scenario: &Scenario) -> Vec<(SimTime, Name, IpAddr)> {
 
 /// Runs one probing subject, pinned to `transport`, through the workload
 /// and returns the captured upstream stream.
-pub fn drive_probing(strategy: ProbingStrategy, transport: Transport) -> Vec<QueryLogEntry> {
+fn drive_probing(strategy: ProbingStrategy, transport: Transport) -> Vec<QueryLogEntry> {
     let scenario = Scenario::non_whitelisted();
     let mut up = FaultyUpstream::new(scenario.build(), LinkFaults::NONE, 0);
     let mut r = Resolver::new(base_config(strategy, transport));

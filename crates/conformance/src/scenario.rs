@@ -117,7 +117,7 @@ impl Scenario {
     }
 
     /// The zone apex as a [`Name`].
-    pub fn apex_name(&self) -> Name {
+    fn apex_name(&self) -> Name {
         Name::from_ascii(self.apex).expect("static apex is valid")
     }
 
@@ -206,7 +206,7 @@ impl ScenarioUpstream {
     /// Registers `name` in the zone if it is in-zone and unknown:
     /// a deterministic A record, behind a CNAME hop when the scenario
     /// flattens.
-    pub fn ensure_name(&mut self, name: &Name) {
+    fn ensure_name(&mut self, name: &Name) {
         if !name.is_subdomain_of(&self.apex) || self.auth.zone().name_exists(name) {
             return;
         }

@@ -51,7 +51,7 @@ impl AddressFamily {
     }
 
     /// Full address width in octets.
-    pub fn addr_octets(self) -> usize {
+    fn addr_octets(self) -> usize {
         match self {
             AddressFamily::V4 => 4,
             AddressFamily::V6 => 16,

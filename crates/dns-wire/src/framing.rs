@@ -2,14 +2,13 @@
 //!
 //! DNS over a stream needs explicit message boundaries. RFC 1035 §4.2.2:
 //! each message is preceded by a two-byte big-endian length.
-//! [`frame_tcp`] / [`unframe_tcp`] are the pure-buffer version (no I/O);
-//! `dnsd`'s TCP listener writes its replies through [`frame_tcp`]. The
-//! simulator's stream transports carry whole messages and charge the
-//! handshake in round trips (`resolver::Transport`), so they frame nothing.
-//!
-//! [`unframe_tcp`] returns `(payload, consumed)` so a caller draining a
-//! stream buffer knows where the next frame starts, and reports an
-//! incomplete frame as [`WireError::Truncated`]: read more and retry.
+//! [`frame_tcp`] writes one frame into a buffer and [`read_tcp_frame`]
+//! reads one from any [`Read`], a socket or a byte slice alike; `dnsd`'s
+//! TCP server and client use both. The simulator's stream transports
+//! carry whole messages and charge the handshake in round trips
+//! (`resolver::Transport`), so they frame nothing.
+
+use std::io::{self, Read};
 
 use crate::error::{WireError, WireResult};
 
@@ -27,23 +26,15 @@ pub fn frame_tcp(msg: &[u8]) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-/// Reads one length-prefixed message from the front of `buf`, returning
-/// the payload and the total bytes consumed (`2 + payload.len()`).
-/// [`WireError::Truncated`] means the frame is incomplete — read more and
-/// retry with the longer buffer.
-pub fn unframe_tcp(buf: &[u8]) -> WireResult<(&[u8], usize)> {
-    if buf.len() < 2 {
-        return Err(WireError::Truncated {
-            context: "tcp length prefix",
-        });
-    }
-    let len = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-    if buf.len() < 2 + len {
-        return Err(WireError::Truncated {
-            context: "tcp framed message",
-        });
-    }
-    Ok((&buf[2..2 + len], 2 + len))
+/// Reads one length-prefixed message from `stream` and leaves whatever
+/// follows it unread. A stream that ends inside the frame, its length
+/// prefix included, is [`io::ErrorKind::UnexpectedEof`].
+pub fn read_tcp_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut len = [0u8; 2];
+    stream.read_exact(&mut len)?;
+    let mut msg = vec![0u8; u16::from_be_bytes(len) as usize];
+    stream.read_exact(&mut msg)?;
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -56,20 +47,20 @@ mod tests {
         let mut framed = frame_tcp(msg).unwrap();
         assert_eq!(framed.len(), msg.len() + 2);
         framed.extend_from_slice(b"NEXT FRAME");
-        let (payload, consumed) = unframe_tcp(&framed).unwrap();
-        assert_eq!(payload, msg);
-        assert_eq!(consumed, msg.len() + 2);
+        let mut stream = &framed[..];
+        assert_eq!(read_tcp_frame(&mut stream).unwrap(), msg);
+        assert_eq!(stream, b"NEXT FRAME");
     }
 
     #[test]
     fn tcp_empty_and_max_sizes() {
         let empty = frame_tcp(b"").unwrap();
-        let (payload, consumed) = unframe_tcp(&empty).unwrap();
-        assert!(payload.is_empty());
-        assert_eq!(consumed, 2);
+        let mut stream = &empty[..];
+        assert!(read_tcp_frame(&mut stream).unwrap().is_empty());
+        assert!(stream.is_empty());
         let big = vec![0xAB; MAX_FRAME_LEN];
         let framed = frame_tcp(&big).unwrap();
-        assert_eq!(unframe_tcp(&framed).unwrap().0, &big[..]);
+        assert_eq!(read_tcp_frame(&mut &framed[..]).unwrap(), big);
         let over = vec![0u8; MAX_FRAME_LEN + 1];
         assert_eq!(
             frame_tcp(&over),
@@ -79,14 +70,9 @@ mod tests {
 
     #[test]
     fn tcp_incomplete_frames_ask_for_more() {
-        assert!(matches!(
-            unframe_tcp(&[0x00]),
-            Err(WireError::Truncated { .. })
-        ));
+        let eof = |bytes: &[u8]| read_tcp_frame(&mut &bytes[..]).unwrap_err().kind();
+        assert_eq!(eof(&[0x00]), io::ErrorKind::UnexpectedEof);
         // Prefix promises 5 bytes, only 3 arrived.
-        assert!(matches!(
-            unframe_tcp(&[0x00, 0x05, 1, 2, 3]),
-            Err(WireError::Truncated { .. })
-        ));
+        assert_eq!(eof(&[0x00, 0x05, 1, 2, 3]), io::ErrorKind::UnexpectedEof);
     }
 }

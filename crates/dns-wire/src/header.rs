@@ -34,7 +34,7 @@ impl Opcode {
     }
 
     /// Decodes the 4-bit opcode field.
-    pub fn from_u8(v: u8) -> Self {
+    fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Opcode::Query,
             1 => Opcode::IQuery,
@@ -83,7 +83,7 @@ impl Rcode {
     }
 
     /// Decodes the 4-bit RCODE field.
-    pub fn from_u8(v: u8) -> Self {
+    fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,

@@ -9,9 +9,9 @@ use crate::error::{WireError, WireResult};
 use crate::wire::{WireReader, WireWriter, MAX_POINTER_CHASES};
 
 /// Maximum length of a single label in octets.
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name in wire form (including length octets and root).
-pub const MAX_NAME_LEN: usize = 255;
+const MAX_NAME_LEN: usize = 255;
 
 /// Longest wire form, root octet excluded, that a [`Name`] keeps inline:
 /// with its length and the variant tag a `Name` is 40 bytes, and every

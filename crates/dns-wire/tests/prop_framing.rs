@@ -4,9 +4,10 @@
 //! re-fetched over TCP must deliver byte-for-byte what a direct TCP
 //! exchange would have.
 
-use dns_wire::framing::{frame_tcp, unframe_tcp, MAX_FRAME_LEN};
+use dns_wire::framing::{frame_tcp, read_tcp_frame, MAX_FRAME_LEN};
 use dns_wire::{EcsOption, Message, Name, Question, Rdata, Record, WireError};
 use proptest::prelude::*;
+use std::io::ErrorKind;
 use std::net::Ipv4Addr;
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -45,9 +46,10 @@ fn arb_response() -> impl Strategy<Value = Message> {
 fn deliver_tcp(msg: &Message) -> Message {
     let wire = msg.to_bytes().unwrap();
     let framed = frame_tcp(&wire).unwrap();
-    let (payload, consumed) = unframe_tcp(&framed).unwrap();
-    assert_eq!(consumed, framed.len());
-    Message::from_bytes(payload).unwrap()
+    let mut stream = &framed[..];
+    let payload = read_tcp_frame(&mut stream).unwrap();
+    assert!(stream.is_empty());
+    Message::from_bytes(&payload).unwrap()
 }
 
 /// The UDP-first path against an advertised EDNS buffer: answers that fit
@@ -76,9 +78,9 @@ proptest! {
     fn tcp_frame_roundtrips_any_payload(payload in proptest::collection::vec(any::<u8>(), 0..3000)) {
         let framed = frame_tcp(&payload).unwrap();
         prop_assert_eq!(framed.len(), payload.len() + 2);
-        let (back, consumed) = unframe_tcp(&framed).unwrap();
-        prop_assert_eq!(back, &payload[..]);
-        prop_assert_eq!(consumed, framed.len());
+        let mut stream = &framed[..];
+        prop_assert_eq!(read_tcp_frame(&mut stream).unwrap(), payload);
+        prop_assert!(stream.is_empty());
     }
 
     #[test]
@@ -86,13 +88,12 @@ proptest! {
         a in proptest::collection::vec(any::<u8>(), 0..500),
         b in proptest::collection::vec(any::<u8>(), 0..500),
     ) {
-        let mut stream = frame_tcp(&a).unwrap();
-        stream.extend_from_slice(&frame_tcp(&b).unwrap());
-        let (first, consumed) = unframe_tcp(&stream).unwrap();
-        prop_assert_eq!(first, &a[..]);
-        let (second, rest) = unframe_tcp(&stream[consumed..]).unwrap();
-        prop_assert_eq!(second, &b[..]);
-        prop_assert_eq!(consumed + rest, stream.len());
+        let mut both = frame_tcp(&a).unwrap();
+        both.extend_from_slice(&frame_tcp(&b).unwrap());
+        let mut stream = &both[..];
+        prop_assert_eq!(read_tcp_frame(&mut stream).unwrap(), a);
+        prop_assert_eq!(read_tcp_frame(&mut stream).unwrap(), b);
+        prop_assert!(stream.is_empty());
     }
 
     #[test]
@@ -102,12 +103,12 @@ proptest! {
     ) {
         let framed = frame_tcp(&payload).unwrap();
         let cut = cut % framed.len();
-        // Any strict prefix is "incomplete", never "malformed" and never a
-        // spurious success: stream readers may retry with more bytes.
-        prop_assert!(matches!(
-            unframe_tcp(&framed[..cut]),
-            Err(WireError::Truncated { .. })
-        ));
+        // Any strict prefix is a stream that ended early, never another
+        // error and never a spurious success.
+        prop_assert_eq!(
+            read_tcp_frame(&mut &framed[..cut]).unwrap_err().kind(),
+            ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]

@@ -4,31 +4,22 @@
 //! handles one query per connection (as classic DNS servers do for
 //! fallback traffic); the client connects, sends, reads one response.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use authoritative::AuthServer;
+use dns_wire::framing::read_tcp_frame;
 use dns_wire::MessageView;
 use netsim::{SimTime, Transport};
 use parking_lot::Mutex;
 use resolver::Upstream;
 
-/// Reads one length-prefixed DNS message from a stream.
-pub fn read_framed(stream: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 2];
-    stream.read_exact(&mut len)?;
-    let n = u16::from_be_bytes(len) as usize;
-    let mut buf = vec![0u8; n];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 /// Writes one length-prefixed DNS message to a stream. Framing comes from
 /// [`dns_wire::framing::frame_tcp`].
-pub fn write_framed(stream: &mut impl Write, msg: &[u8]) -> io::Result<()> {
+fn write_framed(stream: &mut impl Write, msg: &[u8]) -> io::Result<()> {
     let framed = dns_wire::framing::frame_tcp(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     stream.write_all(&framed)?;
@@ -123,7 +114,7 @@ impl TcpAuthServer {
     }
 
     /// Accepts and serves one connection if one is pending.
-    pub fn serve_once(&self) -> io::Result<bool> {
+    fn serve_once(&self) -> io::Result<bool> {
         let (mut stream, peer) = match self.listener.accept() {
             Ok(c) => c,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -133,7 +124,7 @@ impl TcpAuthServer {
             Err(e) => return Err(e),
         };
         stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-        let Ok(raw) = read_framed(&mut stream) else {
+        let Ok(raw) = read_tcp_frame(&mut stream) else {
             return Ok(false);
         };
         let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
@@ -180,7 +171,7 @@ pub fn tcp_exchange(
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     write_framed(&mut stream, query)?;
-    let raw = read_framed(&mut stream)?;
+    let raw = read_tcp_frame(&mut stream)?;
     let reply = MessageView::parse(&raw).map_err(crate::DigError::Malformed)?;
     if !reply.is_reply_to(asked.id(), asked.questions().next().as_ref()) {
         return Err(crate::DigError::Timeout);
@@ -214,7 +205,7 @@ mod tests {
         write_framed(&mut buf, &[1, 2, 3, 4]).unwrap();
         assert_eq!(buf, vec![0, 4, 1, 2, 3, 4]);
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_framed(&mut cursor).unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(read_tcp_frame(&mut cursor).unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -97,12 +97,12 @@ pub struct Outcome {
     pub by_loss: Vec<(f64, Cell)>,
     /// The truncate-every-reply condition (loss 0).
     pub truncated: Cell,
-    /// (fragment-loss rate, cells in [`policies`] order).
+    /// (fragment-loss rate, cells in `policies()` order).
     pub by_frag_loss: Vec<(f64, Vec<Cell>)>,
 }
 
 /// The swept transport policies, in strictly-more-capable order.
-pub fn policies() -> Vec<(&'static str, TransportPolicy)> {
+fn policies() -> Vec<(&'static str, TransportPolicy)> {
     vec![
         ("udp-only", TransportPolicy::udp_only()),
         (

@@ -80,7 +80,7 @@ pub fn run(config: &Config) -> (Outcome, Report) {
 /// Runs the experiment with `probes` probes (`None`: one per planted
 /// forwarder). When `session` captures telemetry, the scan's `scanner_*` /
 /// `netsim_*` metrics and probe spans are recorded into it.
-pub fn run_with(config: &Config, probes: Option<u64>, session: &mut Session) -> (Outcome, Report) {
+fn run_with(config: &Config, probes: Option<u64>, session: &mut Session) -> (Outcome, Report) {
     let population = ScanDatasetGen::scaled(config.scale, SEED).generate();
     // Every resolver's forwarders come from one block sequence; host 1 of
     // each block is taken by the population's own resolvers.

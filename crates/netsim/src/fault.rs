@@ -186,7 +186,7 @@ impl FaultPlan {
     }
 
     /// The faults in effect on `src → dst`.
-    pub fn faults_for(&self, src: NodeId, dst: NodeId) -> &LinkFaults {
+    fn faults_for(&self, src: NodeId, dst: NodeId) -> &LinkFaults {
         self.links.get(&(src, dst)).unwrap_or(&self.default)
     }
 

@@ -52,7 +52,7 @@ impl Transport {
     }
 
     /// True when the transport runs inside TLS.
-    pub const fn is_encrypted(self) -> bool {
+    const fn is_encrypted(self) -> bool {
         matches!(self, Transport::Dot)
     }
 

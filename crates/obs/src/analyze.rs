@@ -34,7 +34,7 @@ pub struct SpanEvent {
 /// The phase a gap following `event` belongs to. Unknown events fall
 /// into `"other"` so new taxonomy entries degrade gracefully instead of
 /// breaking old analyzers.
-pub fn phase_after(event: &str) -> &'static str {
+fn phase_after(event: &str) -> &'static str {
     match event {
         "query_received" => "ingest",
         "cache_probe" => "cache_probe",
@@ -132,7 +132,7 @@ pub fn parse_events(text: &str) -> Result<Vec<SpanEvent>, String> {
 /// Extracts the critical path of one trace's event list (must be the
 /// events of a single trace id, in emission order). Returns `None` when
 /// the trace has no terminal event (`answered` or `scan_outcome`).
-pub fn critical_path(events: &[SpanEvent]) -> Option<CriticalPath> {
+fn critical_path(events: &[SpanEvent]) -> Option<CriticalPath> {
     let root = events.first()?;
     let terminal_idx = events
         .iter()

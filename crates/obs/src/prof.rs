@@ -49,9 +49,9 @@ use std::time::Instant;
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 
 /// Maximum distinct stage names one profiler can intern.
-pub const MAX_STAGES: usize = 255;
+const MAX_STAGES: usize = 255;
 /// Maximum span nesting depth (deeper spans are dropped, counted).
-pub const MAX_DEPTH: usize = 8;
+const MAX_DEPTH: usize = 8;
 /// Distinct stack paths one profiler can hold (open-addressed table
 /// capacity; collisions past this are dropped, counted).
 const TABLE_CAP: usize = 1024;
@@ -164,7 +164,7 @@ impl StageProfiler {
 
     /// Opens a span for `name` at explicit time `at_us` (sim-time axis:
     /// deterministic attribution under `netsim`).
-    pub fn enter_at(&mut self, name: &'static str, at_us: u64) {
+    fn enter_at(&mut self, name: &'static str, at_us: u64) {
         if !self.is_on() {
             return;
         }
@@ -193,7 +193,7 @@ impl StageProfiler {
     /// elapsed time minus its children's elapsed is accumulated as self
     /// time under the full current path; the elapsed total is credited to
     /// the parent's child accumulator.
-    pub fn exit_at(&mut self, at_us: u64) {
+    fn exit_at(&mut self, at_us: u64) {
         if !self.is_on() {
             return;
         }

@@ -25,61 +25,28 @@ use crate::parts::UpstreamReply;
 /// [`netsim::Simulation::add_node`] gives every node one.
 const UNADDRESSED: &str = "every simulated node has an address";
 
-/// The relay half of a forwarder: outstanding queries keyed by the fresh
-/// transaction id they went upstream under. Entries leave when the
-/// response routes back; an id whose response never came is overwritten
-/// when the 16-bit counter wraps, so the table holds at most 65,535.
-///
-/// Both directions pass the datagram on as received with only its id
-/// (bytes 0–1) rewritten: the caller has already accepted it through
-/// [`MessageView::parse`], which accepts what [`Message::from_bytes`]
-/// accepts, so it holds a full header.
-struct RelayTable {
-    pending: FxHashMap<u16, (NodeId, u16)>,
-    next_id: u16,
-}
-
 /// The DNS id of an accepted datagram.
 fn wire_id(datagram: &[u8]) -> u16 {
     u16::from_be_bytes([datagram[0], datagram[1]])
-}
-
-impl RelayTable {
-    fn new() -> Self {
-        RelayTable {
-            pending: FxHashMap::default(),
-            next_id: 1,
-        }
-    }
-
-    /// Sends query `datagram` from `client` on to `upstream` under a
-    /// fresh id.
-    fn forward(&mut self, mut datagram: Vec<u8>, client: NodeId, upstream: NodeId, ctx: &mut Ctx) {
-        let fresh = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        self.pending.insert(fresh, (client, wire_id(&datagram)));
-        datagram[..2].copy_from_slice(&fresh.to_be_bytes());
-        ctx.send(upstream, datagram);
-    }
-
-    /// Routes response `datagram` back to the original querier under its
-    /// original id; a response nobody is waiting for is dropped.
-    fn route_back(&mut self, mut datagram: Vec<u8>, ctx: &mut Ctx) {
-        if let Some((client, orig_id)) = self.pending.remove(&wire_id(&datagram)) {
-            datagram[..2].copy_from_slice(&orig_id.to_be_bytes());
-            ctx.send(client, datagram);
-        }
-    }
 }
 
 /// A plain relay: receives a query, forwards it upstream under a fresh
 /// transaction id, and routes the response back. Models both open
 /// forwarders and hidden resolvers (which, at this layer, behave
 /// identically — their *position* and *address* are what matter).
+///
+/// Outstanding queries are keyed by the fresh id they went upstream
+/// under. Entries leave when the response routes back; an id whose
+/// response never came is overwritten when the 16-bit counter wraps, so
+/// the table holds at most 65,535. Both directions pass the datagram on
+/// as received with only its id (bytes 0–1) rewritten: it was accepted
+/// through [`MessageView::parse`], which accepts what
+/// [`Message::from_bytes`] accepts, so it holds a full header.
 pub struct RelayActor {
     /// Upstream node (a hidden resolver or an egress resolver).
     pub upstream: NodeId,
-    table: RelayTable,
+    pending: FxHashMap<u16, (NodeId, u16)>,
+    next_id: u16,
     /// Queries relayed (for assertions).
     pub relayed: u64,
 }
@@ -89,7 +56,8 @@ impl RelayActor {
     pub fn new(upstream: NodeId) -> Self {
         RelayActor {
             upstream,
-            table: RelayTable::new(),
+            pending: FxHashMap::default(),
+            next_id: 1,
             relayed: 0,
         }
     }
@@ -100,11 +68,22 @@ impl Node for RelayActor {
         let Ok(msg) = MessageView::parse(&pkt.payload) else {
             return;
         };
-        if msg.is_response() {
-            self.table.route_back(pkt.payload, ctx);
+        let is_response = msg.is_response();
+        let mut datagram = pkt.payload;
+        if is_response {
+            // Back to the original querier under its original id; a
+            // response nobody is waiting for is dropped.
+            if let Some((client, orig_id)) = self.pending.remove(&wire_id(&datagram)) {
+                datagram[..2].copy_from_slice(&orig_id.to_be_bytes());
+                ctx.send(client, datagram);
+            }
         } else {
             self.relayed += 1;
-            self.table.forward(pkt.payload, pkt.src, self.upstream, ctx);
+            let fresh = self.next_id;
+            self.next_id = self.next_id.wrapping_add(1).max(1);
+            self.pending.insert(fresh, (pkt.src, wire_id(&datagram)));
+            datagram[..2].copy_from_slice(&fresh.to_be_bytes());
+            ctx.send(self.upstream, datagram);
         }
     }
 }
@@ -386,60 +365,12 @@ impl Node for AuthActor {
     }
 }
 
-/// An anycast front-end of the public resolution service: a relay that
-/// stamps the (trusted) client address into an ECS option and spreads
-/// queries round-robin over the service's egress resolvers.
-pub struct FrontendActor {
-    /// Egress resolvers of the service.
-    pub egresses: Vec<NodeId>,
-    table: RelayTable,
-    rr: usize,
-}
-
-impl FrontendActor {
-    /// Creates a front-end.
-    pub fn new(egresses: Vec<NodeId>) -> Self {
-        FrontendActor {
-            egresses,
-            table: RelayTable::new(),
-            rr: 0,
-        }
-    }
-}
-
-impl Node for FrontendActor {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let Ok(mut msg) = Message::from_bytes(&pkt.payload) else {
-            return;
-        };
-        if msg.is_response() {
-            self.table.route_back(pkt.payload, ctx);
-            return;
-        }
-        if self.egresses.is_empty() {
-            return;
-        }
-        // Stamp the real client address as a full-length trusted ECS
-        // option (the egress applies its own truncation policy).
-        let client_addr = ctx.addr_of(pkt.src).expect(UNADDRESSED);
-        msg.set_ecs(dns_wire::EcsOption::new(
-            client_addr,
-            if client_addr.is_ipv4() { 32 } else { 128 },
-        ));
-        let egress = self.egresses[self.rr % self.egresses.len()];
-        self.rr += 1;
-        if let Ok(bytes) = msg.to_bytes() {
-            self.table.forward(bytes, pkt.src, egress, ctx);
-        }
-    }
-}
-
 /// A scripted client that issues queries at given times and records the
 /// responses with their arrival times. Like a real stub resolver it
-/// retransmits unanswered queries (up to [`ClientActor::MAX_RETRIES`]
-/// times, [`ClientActor::RETRY_TIMEOUT`] apart).
+/// retransmits unanswered queries (up to `MAX_RETRIES` times,
+/// `RETRY_TIMEOUT` apart).
 pub struct ClientActor {
-    /// Where queries go (a forwarder, front-end, or resolver node).
+    /// Where queries go (a forwarder or resolver node).
     pub resolver: NodeId,
     /// Scripted queries: (send-at, message).
     pub script: Vec<(SimTime, Message)>,
@@ -450,9 +381,9 @@ pub struct ClientActor {
 
 impl ClientActor {
     /// Retransmissions per scripted query.
-    pub const MAX_RETRIES: u64 = 3;
+    const MAX_RETRIES: u64 = 3;
     /// Gap between retransmissions.
-    pub const RETRY_TIMEOUT: netsim::SimDuration = netsim::SimDuration::from_secs(3);
+    const RETRY_TIMEOUT: netsim::SimDuration = netsim::SimDuration::from_secs(3);
 
     /// Creates a scripted client; adding it to the simulation schedules
     /// its queries.
@@ -600,60 +531,6 @@ mod tests {
         let ecs = log[0].ecs.unwrap();
         assert_eq!(ecs.to_v4(), Some(Ipv4Addr::new(192, 0, 2, 0)));
         assert_eq!(log[0].resolver, egress_addr);
-    }
-
-    #[test]
-    fn frontend_stamps_client_ecs() {
-        let mut sim = Simulation::new(5);
-
-        let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
-        let egress_addr: IpAddr = "203.0.113.9".parse().unwrap();
-        let fe_addr: IpAddr = "203.0.113.1".parse().unwrap();
-        let client_addr: IpAddr = "100.66.2.42".parse().unwrap();
-
-        let mut zone = Zone::new(name("probe.example"));
-        zone.add_a(
-            name("www.probe.example"),
-            60,
-            Ipv4Addr::new(198, 51, 100, 1),
-        )
-        .unwrap();
-        let auth = AuthServer::new(zone, EcsHandling::open(ScopePolicy::MatchSource));
-        let auth_node = sim.add_node(
-            AuthActor::new(auth),
-            auth_addr,
-            city("Chicago").unwrap().pos,
-        );
-        // Anycast egress trusts frontend ECS and truncates to /24.
-        let egress_node = sim.add_node(
-            EgressActor::new(
-                Resolver::new(ResolverConfig::anycast_service_egress(egress_addr)),
-                vec![(name("probe.example"), auth_addr)],
-            ),
-            egress_addr,
-            city("Dallas").unwrap().pos,
-        );
-        let fe_node = sim.add_node(
-            FrontendActor::new(vec![egress_node]),
-            fe_addr,
-            city("Toronto").unwrap().pos,
-        );
-        let query = Message::query(5, Question::a(name("www.probe.example")));
-        let client_node = sim.add_node(
-            ClientActor::new(fe_node, vec![(SimTime::ZERO, query)]),
-            client_addr,
-            city("Toronto").unwrap().pos,
-        );
-        sim.run();
-
-        let auth_actor = sim.node_mut::<AuthActor>(auth_node).unwrap();
-        let ecs = auth_actor.server().log()[0].ecs.unwrap();
-        // The CLIENT's /24 (not the frontend's, not the egress's).
-        assert_eq!(ecs.to_v4(), Some(Ipv4Addr::new(100, 66, 2, 0)));
-        assert_eq!(ecs.source_prefix_len(), 24);
-
-        let client = sim.node_mut::<ClientActor>(client_node).unwrap();
-        assert_eq!(client.responses.len(), 1);
     }
 
     #[test]
@@ -1064,91 +941,6 @@ mod overload_tests {
 }
 
 #[cfg(test)]
-mod frontend_tests {
-    use super::*;
-    use crate::config::ResolverConfig;
-    use authoritative::{EcsHandling, ScopePolicy, Zone};
-    use dns_wire::Question;
-    use netsim::geo::city;
-    use netsim::{SimDuration, SimTime, Simulation};
-    use std::net::Ipv4Addr;
-
-    fn name(s: &str) -> Name {
-        Name::from_ascii(s).unwrap()
-    }
-
-    #[test]
-    fn frontend_round_robins_across_egresses() {
-        let mut sim = Simulation::new(2);
-        let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
-
-        let mut zone = Zone::new(name("probe.example"));
-        for i in 0..4 {
-            zone.add_a(
-                name(&format!("h{i}.probe.example")),
-                60,
-                Ipv4Addr::new(198, 51, 100, i + 1),
-            )
-            .unwrap();
-        }
-        let auth_node = sim.add_node(
-            AuthActor::new(AuthServer::new(
-                zone,
-                EcsHandling::open(ScopePolicy::MatchSource),
-            )),
-            auth_addr,
-            city("Chicago").unwrap().pos,
-        );
-
-        let mut egresses = Vec::new();
-        for i in 0..2 {
-            let addr: IpAddr = format!("9.9.9.{}", i + 1).parse().unwrap();
-            let node = sim.add_node(
-                EgressActor::new(
-                    Resolver::new(ResolverConfig::anycast_service_egress(addr)),
-                    vec![(name("probe.example"), auth_addr)],
-                ),
-                addr,
-                city("Dallas").unwrap().pos,
-            );
-            egresses.push(node);
-        }
-        let fe_node = sim.add_node(
-            FrontendActor::new(egresses.clone()),
-            "100.66.9.9".parse().unwrap(),
-            city("Toronto").unwrap().pos,
-        );
-        // Four distinct-name queries → strict alternation across the two
-        // egresses.
-        let script: Vec<(SimTime, Message)> = (0..4)
-            .map(|i| {
-                (
-                    SimTime::ZERO + SimDuration::from_secs(i),
-                    Message::query(
-                        i as u16 + 1,
-                        Question::a(name(&format!("h{i}.probe.example"))),
-                    ),
-                )
-            })
-            .collect();
-        let client_node = sim.add_node(
-            ClientActor::new(fe_node, script),
-            "100.66.1.1".parse().unwrap(),
-            city("Toronto").unwrap().pos,
-        );
-        sim.run();
-
-        let c = sim.node_mut::<ClientActor>(client_node).unwrap();
-        assert_eq!(c.responses.len(), 4);
-        // The authoritative saw queries from BOTH egress addresses.
-        let auth = sim.node_mut::<AuthActor>(auth_node).unwrap();
-        let sources: std::collections::HashSet<IpAddr> =
-            auth.server().log().iter().map(|e| e.resolver).collect();
-        assert_eq!(sources.len(), 2, "round robin must use both egresses");
-    }
-}
-
-#[cfg(test)]
 mod relay_tests {
     use super::*;
     use dns_wire::{EcsOption, Question};
@@ -1227,13 +1019,13 @@ mod relay_tests {
                 "id {fresh} issued twice before the wrap"
             );
         }
-        assert_eq!(relay.table.pending.len(), 65_535);
+        assert_eq!(relay.pending.len(), 65_535);
 
         // The 65,536th wraps onto the oldest id and overwrites its entry.
         let newer = NodeId(3);
         let sent = deliver(&mut relay, newer, query_with_id(0xBEEF));
         assert_eq!(wire_id(&sent[0].1), 1, "the counter wraps past 0 to 1");
-        assert_eq!(relay.table.pending.len(), 65_535, "bounded at 65,535");
+        assert_eq!(relay.pending.len(), 65_535, "bounded at 65,535");
         assert_eq!(relay.relayed, 65_536);
 
         // A late answer to the first query now belongs to the newer client.
@@ -1243,7 +1035,7 @@ mod relay_tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].0, newer);
         assert_eq!(wire_id(&back[0].1), 0xBEEF, "under the newer client's id");
-        assert_eq!(relay.table.pending.len(), 65_534);
+        assert_eq!(relay.pending.len(), 65_534);
     }
 
     #[test]
@@ -1283,7 +1075,7 @@ mod relay_tests {
         assert_eq!(*to, CLIENT);
         assert_eq!(wire_id(routed), 0x4242);
         assert_eq!(routed[2..], reply[2..]);
-        assert!(relay.table.pending.is_empty());
+        assert!(relay.pending.is_empty());
     }
 
     /// The shapes `dns-wire/tests/malformed_corpus.rs` pins a decode error
@@ -1353,7 +1145,7 @@ mod relay_tests {
             assert!(Message::from_bytes(&bytes).is_err(), "{what} parses");
             let sent = deliver(&mut relay, UPSTREAM, bytes);
             assert!(sent.is_empty(), "{what} was relayed");
-            assert_eq!(relay.table.pending.len(), 1, "{what} moved the table");
+            assert_eq!(relay.pending.len(), 1, "{what} moved the table");
             assert_eq!(relay.relayed, 1, "{what} was counted");
         }
     }

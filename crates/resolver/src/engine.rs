@@ -125,7 +125,7 @@ impl ZoneRouter {
     }
 
     /// The server responsible for a name, if any.
-    pub fn server_for(&mut self, name: &Name) -> Option<&mut AuthServer> {
+    fn server_for(&mut self, name: &Name) -> Option<&mut AuthServer> {
         self.routes
             .iter_mut()
             .find(|(apex, _)| name.is_subdomain_of(apex))
@@ -295,7 +295,7 @@ impl Resolver {
     }
 
     /// The scope learned for a zone so far (adaptive mode).
-    pub fn learned_scope(&self, qname: &Name) -> Option<u8> {
+    fn learned_scope(&self, qname: &Name) -> Option<u8> {
         self.scope_memory
             .get(&qname.second_level_domain().unwrap_or_else(|| qname.clone()))
             .copied()

@@ -29,7 +29,7 @@
 //! by any [`engine::Upstream`] (directly by an
 //! [`authoritative::AuthServer`], or by a zone-routing table), plus
 //! event-driven actors ([`actors`]) for full packet-level simulation of
-//! forwarder → hidden resolver → egress chains and anycast front-ends.
+//! forwarder → hidden resolver → egress chains.
 //! Both are thin drivers of the one sans-IO upstream-exchange machine in
 //! [`exchange`].
 //!

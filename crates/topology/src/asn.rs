@@ -28,7 +28,7 @@ pub struct AutonomousSystem {
 
 impl AutonomousSystem {
     /// Picks one of the AS's cities.
-    pub fn pick_city<R: Rng>(&self, rng: &mut R) -> &'static City {
+    fn pick_city<R: Rng>(&self, rng: &mut R) -> &'static City {
         self.cities.choose(rng).expect("AS has at least one city")
     }
 

@@ -70,7 +70,7 @@ impl<T: Clone + Eq + Hash> Interner<T> {
     }
 
     /// Consumes the interner, keeping only the id-ordered values.
-    pub fn into_values(self) -> Vec<T> {
+    fn into_values(self) -> Vec<T> {
         self.values
     }
 }

@@ -18,7 +18,6 @@ pub struct NameUniverse {
     names: Vec<Name>,
     ttls: Vec<u32>,
     popularity: Zipf,
-    slds: usize,
 }
 
 /// TTL buckets mirroring common operational choices. Weights sum to 100.
@@ -73,7 +72,6 @@ impl NameUniverse {
             names,
             ttls,
             popularity,
-            slds: sld_count,
         }
     }
 
@@ -85,11 +83,6 @@ impl NameUniverse {
     /// True when empty (never: generation requires ≥ 1 SLD).
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Number of SLDs.
-    pub fn sld_count(&self) -> usize {
-        self.slds
     }
 
     /// Name at a rank.
@@ -128,7 +121,6 @@ mod tests {
     #[test]
     fn generates_requested_shape() {
         let u = NameUniverse::generate(100, 7, 1.0, 1);
-        assert_eq!(u.sld_count(), 100);
         assert!(u.len() >= 100);
         // Mean ≈ 7 names per SLD.
         let per_sld = u.len() as f64 / 100.0;

@@ -130,7 +130,7 @@ impl NameTable {
     /// Builds the arena from a generated universe, with popularity
     /// exponent `s` (the universe's own sampler is not reused so the
     /// exponent is explicit at the call site).
-    pub fn from_universe(universe: &NameUniverse, s: f64) -> Self {
+    fn from_universe(universe: &NameUniverse, s: f64) -> Self {
         let mut arena = String::new();
         let mut spans = Vec::with_capacity(universe.len());
         let mut ttls = Vec::with_capacity(universe.len());
@@ -160,7 +160,7 @@ impl NameTable {
     }
 
     /// The ascii text of name `id`, borrowed from the arena.
-    pub fn get_str(&self, id: u32) -> &str {
+    fn get_str(&self, id: u32) -> &str {
         let (off, len) = self.spans[id as usize];
         &self.arena[off as usize..(off + len) as usize]
     }
@@ -219,7 +219,7 @@ impl SubnetSpace {
     }
 
     /// Number of IPv4 `/24`s available to clients.
-    pub fn v4_client_cap(&self) -> u64 {
+    fn v4_client_cap(&self) -> u64 {
         self.v4_cap - self.reserved_top
     }
 
@@ -238,7 +238,7 @@ impl SubnetSpace {
     }
 
     /// Client subnet `g`: IPv4 `/24`s first, IPv6 `/48`s past the cap.
-    pub fn client_subnet(&self, g: u64) -> IpPrefix {
+    fn client_subnet(&self, g: u64) -> IpPrefix {
         let avail = self.v4_client_cap();
         if g < avail {
             self.v4_block(g)

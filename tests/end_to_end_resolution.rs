@@ -4,10 +4,10 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use authoritative::{AuthServer, CdnBehavior, EcsHandling, GeoDb, ScopePolicy, Zone};
-use dns_wire::{IpPrefix, Message, Name, Question};
+use dns_wire::{EcsOption, IpPrefix, Message, Name, Question};
 use netsim::geo::city;
 use netsim::{SimDuration, SimTime, Simulation};
-use resolver::actors::{AuthActor, ClientActor, EgressActor, FrontendActor, RelayActor};
+use resolver::actors::{AuthActor, ClientActor, EgressActor, RelayActor};
 use resolver::{Resolver, ResolverConfig};
 use topology::{CdnFootprint, EdgeServerSpec};
 
@@ -205,21 +205,21 @@ fn without_ecs_all_clients_share_the_resolvers_edge() {
 
 #[test]
 fn anycast_service_preserves_client_subnet_across_frontends() {
-    // A client reaches the service's nearest frontend; the frontend stamps
-    // the client subnet; the egress truncates to /24 and the CDN maps near
-    // the CLIENT even though frontend and egress are elsewhere.
+    // A front-end of the service stamps the client's full address into
+    // ECS; the egress trusts that option, truncates it to /24, and the CDN
+    // maps near the CLIENT even though the egress is elsewhere. The query
+    // arrives as a front-end would pass it on: with the stamped option.
     let mut sim = Simulation::new(8);
 
     let auth_addr: IpAddr = "198.51.100.53".parse().unwrap();
     let egress_addr: IpAddr = "9.9.9.9".parse().unwrap();
-    let fe_addr: IpAddr = "9.9.8.8".parse().unwrap();
     let client_addr: IpAddr = "100.70.1.7".parse().unwrap();
 
     let (cdn, footprint) = cdn_server(&[
         (IpPrefix::new(client_addr, 24).unwrap(), "Sydney"),
         (IpPrefix::new(egress_addr, 24).unwrap(), "Dallas"),
     ]);
-    sim.add_node(AuthActor::new(cdn), auth_addr, city("Dallas").unwrap().pos);
+    let auth_node = sim.add_node(AuthActor::new(cdn), auth_addr, city("Dallas").unwrap().pos);
     let egress_node = sim.add_node(
         EgressActor::new(
             Resolver::new(ResolverConfig::anycast_service_egress(egress_addr)),
@@ -228,18 +228,20 @@ fn anycast_service_preserves_client_subnet_across_frontends() {
         egress_addr,
         city("Dallas").unwrap().pos,
     );
-    let fe_node = sim.add_node(
-        FrontendActor::new(vec![egress_node]),
-        fe_addr,
+    let mut q = Message::query(1, Question::a(name("www.cdn.example")));
+    q.set_ecs(EcsOption::new(client_addr, 32));
+    let client_node = sim.add_node(
+        ClientActor::new(egress_node, vec![(SimTime::ZERO, q)]),
+        "9.9.8.8".parse().unwrap(),
         city("Singapore").unwrap().pos,
     );
-    let q = Message::query(1, Question::a(name("www.cdn.example")));
-    let client_node = sim.add_node(
-        ClientActor::new(fe_node, vec![(SimTime::ZERO, q)]),
-        client_addr,
-        city("Sydney").unwrap().pos,
-    );
     sim.run();
+
+    // The authoritative saw the client's /24, not the sender's.
+    let auth = sim.node_mut::<AuthActor>(auth_node).unwrap();
+    let ecs = auth.server().log()[0].ecs.unwrap();
+    assert_eq!(ecs.to_v4(), Some(Ipv4Addr::new(100, 70, 1, 0)));
+    assert_eq!(ecs.source_prefix_len(), 24);
 
     let c = sim.node_mut::<ClientActor>(client_node).unwrap();
     assert_eq!(c.responses.len(), 1);

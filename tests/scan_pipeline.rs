@@ -1,13 +1,11 @@
 //! The paper's active-scan pipeline, end to end through the simulator:
 //! probe open forwarders, watch what arrives at the experimental
-//! authoritative server, and discover hidden resolvers from ECS prefixes —
+//! authoritative server, and find hidden resolvers in its ECS prefixes —
 //! the §8.2 discovery that motivated the paper's "first glimpse into
 //! hidden resolvers".
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
-use analysis::hidden::hidden_prefixes;
 use authoritative::{AuthServer, EcsHandling, ScopePolicy, Zone};
 use dns_wire::{Message, Name, Question};
 use netsim::geo::city;
@@ -111,35 +109,28 @@ fn scan_discovers_hidden_resolvers_from_ecs_prefixes() {
     }
 
     // The authoritative log: associate each entry with the probed
-    // forwarder via the encoded hostname, then detect hidden prefixes.
+    // forwarder via the encoded hostname, and read the ECS prefix the
+    // egress conveyed for it.
     let auth_actor = sim.node_mut::<AuthActor>(auth_node).unwrap();
-    let log = auth_actor.server().log().to_vec();
+    let log = auth_actor.server().log();
     assert_eq!(log.len(), 2);
+    let prefix_for = |fwd: IpAddr| {
+        let entry = log
+            .iter()
+            .find(|e| decode_forwarder(&e.qname) == Some(fwd))
+            .expect("each probed forwarder reaches the authoritative");
+        entry.ecs.as_ref().unwrap().source_prefix()
+    };
 
-    let fwd_of: HashMap<Name, IpAddr> = log
-        .iter()
-        .filter_map(|e| decode_forwarder(&e.qname).map(|f| (e.qname.clone(), f)))
-        .collect();
-    let hidden = hidden_prefixes(&log, |e| fwd_of.get(&e.qname).copied());
-
-    // Exactly one hidden prefix: the hidden resolver's /24. The direct
-    // path's ECS prefix covers the forwarder and is not flagged.
-    assert_eq!(hidden.len(), 1);
-    assert!(hidden[0].contains(hidden_addr));
-    assert!(!hidden[0].contains(fwd_hidden));
-    assert!(!hidden[0].contains(egress_addr));
+    // The hidden path's prefix is the hidden resolver's /24: it covers
+    // neither the probed forwarder nor the egress (§8.2).
+    let hidden = prefix_for(fwd_hidden);
+    assert!(hidden.contains(hidden_addr));
+    assert!(!hidden.contains(fwd_hidden));
+    assert!(!hidden.contains(egress_addr));
 
     // And the direct probe's ECS conveyed the forwarder's own /24.
-    let direct_entry = log
-        .iter()
-        .find(|e| decode_forwarder(&e.qname) == Some(fwd_direct))
-        .unwrap();
-    assert!(direct_entry
-        .ecs
-        .as_ref()
-        .unwrap()
-        .source_prefix()
-        .contains(fwd_direct));
+    assert!(prefix_for(fwd_direct).contains(fwd_direct));
 }
 
 #[test]
